@@ -14,7 +14,9 @@ nilradical dimensions into a maximal nilpotent subalgebra.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -400,12 +402,13 @@ class VerificationSummary:
         return sum(1 for r in self.reports if r.name in names)
 
     def to_csv(self) -> str:
-        lines = ["row,params,dim_g,dim_m,dim_a,dim_n,pass"]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["row", "params", "dim_g", "dim_m", "dim_a", "dim_n", "pass"])
         for r in self.reports:
-            ps = ";".join(map(str, r.params))
-            lines.append(f"{r.name},{ps},{r.dim_g},{r.dim_m},{r.dim_a},"
-                         f"{r.dim_n},{str(r.passed).lower()}")
-        return "\n".join(lines) + "\n"
+            writer.writerow([r.name, ";".join(map(str, r.params)), r.dim_g, r.dim_m,
+                             r.dim_a, r.dim_n, str(r.passed).lower()])
+        return buf.getvalue()
 
 
 def verify_all(grid: Iterable[tuple[TableRow, tuple[int, ...]]] | None = None,

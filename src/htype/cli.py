@@ -11,6 +11,8 @@ input error, 3 prolongation budget exceeded.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -164,8 +166,8 @@ def cmd_check(args) -> int:
                           "certificate": cert.certificate}
         elif t == "nonsingular":
             res = is_nonsingular(alg)
-            results[t] = {"verdict": "pass" if res.verdict else "fail",
-                          "certificate": res.certificate}
+            verdict = {True: "pass", False: "fail", None: "undetermined"}[res.verdict]
+            results[t] = {"verdict": verdict, "certificate": res.certificate}
         else:
             res = bnd.j2_test(alg, sample_count=args.samples, tol=1e-8,
                               seed=args.seed)
@@ -217,7 +219,10 @@ def cmd_table(args) -> int:
     version, raw_rows = load_table()  # checksum-verified; DatasetError on corruption
     if args.dump:
         if args.format == "csv":
-            lines = ["name,params,m,dim_a,nilradical,sigma,maximal,exceptional"]
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["name", "params", "m", "dim_a", "nilradical", "sigma",
+                             "maximal", "exceptional"])
             for row in raw_rows:
                 m_desc = "+".join(
                     f"{f['family']}({','.join(f['params'])})" for f in row["m_factors"]
@@ -227,12 +232,12 @@ def cmd_table(args) -> int:
                 nil = f"{row['nilradical']['series']}[{row['nilradical']['algebra']}]" \
                       f"({','.join(row['nilradical']['params'])})"
                 sigma = "|".join("~".join(orbit) for orbit in row["sigma"])
-                lines.append(",".join([
+                writer.writerow([
                     row["name"], " ".join(row["param_names"]), m_desc,
                     str(row["dim_a"]), nil, sigma,
                     str(row["maximal"]).lower(), str(row["exceptional"]).lower(),
-                ]))
-            _emit("\n".join(lines) + "\n", args.out)
+                ])
+            _emit(buf.getvalue(), args.out)
         else:
             _emit_json({"version": version, "rows": raw_rows,
                         "manifest": _manifest("table", args, {"mode": "dump"}, {})},

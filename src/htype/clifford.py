@@ -93,10 +93,12 @@ def _commutant_dimension(mats: list[list[list[Fraction]]]) -> int:
         for r in range(d):
             for c in range(d):
                 # (A J - J A)[r][c] = sum_t A[r][t] J[t][c] - J[r][t] A[t][c]
-                row = [Fraction(0)] * (d * d)
+                row: dict[int, Fraction] = {}
                 for t in range(d):
-                    row[r * d + t] += j[t][c]
-                    row[t * d + c] -= j[r][t]
+                    if j[t][c]:
+                        row[r * d + t] = row.get(r * d + t, 0) + j[t][c]
+                    if j[r][t]:
+                        row[t * d + c] = row.get(t * d + c, 0) - j[r][t]
                 rows.append(row)
     return nullspace(rows, d * d).dimension
 

@@ -3,15 +3,22 @@
 Rank decisions downstream (derivation dimensions, prolongation components)
 must be exact, so every returned basis is certified over Q:
 
-1. Rows are scaled to primitive integer vectors.
-2. Small systems go straight to Fraction Gauss-Jordan.
+1. Rows arrive sparse ({column: value}) or dense. Each is scaled once, over
+   its nonzeros only, to a primitive integer row; zero rows and duplicate
+   rows (equal up to sign) are dropped, since neither changes the nullspace.
+2. Small systems go straight to Fraction Gauss-Jordan. Whether a system is
+   small, and the budget check, use the row count before deduplication.
 3. Large systems are row-reduced modulo a 31-bit prime in int64 numpy,
    candidate basis vectors are lifted back to Q by rational reconstruction,
-   and each lifted vector is re-checked against the integer matrix exactly.
-   Since nullity over Q never exceeds nullity mod p, a verified set of
-   nullity_p independent vectors certifies the dimension.
+   and all lifted vectors are re-checked against the integer matrix exactly
+   with one product A @ N. The product runs in int64 when
+   max|A| * max|N| * ncols < 2**62 bounds every partial sum, and in Python
+   integers otherwise. Since nullity over Q never exceeds nullity mod p, a
+   verified set of nullity_p independent vectors certifies the dimension.
 4. Any reconstruction/verification failure escalates: second prime, CRT
-   combination, then the Fraction path as the final authority.
+   combination, then the Fraction path as the final authority. Each failed
+   prime combination and each Fraction fallback is logged at INFO on the
+   "htype.linalg" logger.
 
 The basis returned is the canonical reduced-echelon nullspace basis (one
 vector per free column, entry 1 there), so results are deterministic and
@@ -20,10 +27,12 @@ method-independent.
 
 from __future__ import annotations
 
+import logging
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -37,11 +46,16 @@ __all__ = [
     "integerize_row",
 ]
 
+_log = logging.getLogger("htype.linalg")
+
 # 31-bit primes: products stay inside int64 during elimination.
 _PRIMES = (2147483647, 2147483629, 2147483587)
 
 # Below this entry count the pure-Fraction path is fast enough.
 _FRACTION_CUTOFF = 20000
+
+Row = Union[Mapping[int, Fraction], Sequence[Fraction]]
+SparseInts = list[tuple[int, int]]  # (column, value), columns ascending
 
 
 @dataclass(frozen=True)
@@ -56,17 +70,41 @@ def check_budget(nrows: int, ncols: int, budget: int | None, context: str = "") 
         raise BudgetExceeded(nrows * ncols, budget, context)
 
 
+def _integerize(items: Iterable[tuple[int, Fraction]]) -> SparseInts:
+    """Primitive integer multiple of a sparse rational row, zeros left out."""
+    nz = [(c, v) for c, v in items if v]
+    if not nz:
+        return []
+    scale = math.lcm(*(v.denominator for _, v in nz))
+    ints = [(c, v.numerator * (scale // v.denominator)) for c, v in nz]
+    g = math.gcd(*(v for _, v in ints))
+    if g > 1:
+        ints = [(c, v // g) for c, v in ints]
+    return ints
+
+
+def _sparse_items(row: Row) -> Iterable[tuple[int, Fraction]]:
+    if isinstance(row, Mapping):
+        return sorted(row.items())
+    return enumerate(row)
+
+
 def integerize_row(row: Sequence[Fraction]) -> list[int]:
     """Scale a rational row to a primitive integer row."""
-    denoms = [f.denominator for f in row if f != 0]
-    if not denoms:
-        return [0] * len(row)
-    scale = math.lcm(*denoms)
-    ints = [int(f * scale) for f in row]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    out = [0] * len(row)
+    for c, v in _integerize(enumerate(row)):
+        out[c] = v
+    return out
+
+
+def _distinct(rows: list[SparseInts]) -> list[SparseInts]:
+    """Drop rows equal to an earlier one up to sign, keeping first order."""
+    keyed = {}
+    for row in rows:
+        if row[0][1] < 0:
+            row = [(c, -v) for c, v in row]
+        keyed.setdefault(tuple(row), row)
+    return list(keyed.values())
 
 
 def _frac_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -106,10 +144,16 @@ def _basis_from_rref(rref, pivots: list[int], ncols: int, zero, one):
     return basis
 
 
-def _nullspace_fraction(int_rows: list[list[int]], ncols: int) -> NullspaceResult:
-    frac_rows = [[Fraction(v) for v in row] for row in int_rows]
+def _nullspace_fraction(int_rows: list[SparseInts], ncols: int) -> NullspaceResult:
+    zero = Fraction(0)
+    frac_rows = []
+    for row in int_rows:
+        dense = [zero] * ncols
+        for c, v in row:
+            dense[c] = Fraction(v)
+        frac_rows.append(dense)
     rref, pivots = _frac_rref(frac_rows, ncols)
-    basis = _basis_from_rref(rref, pivots, ncols, Fraction(0), Fraction(1))
+    basis = _basis_from_rref(rref, pivots, ncols, zero, Fraction(1))
     return NullspaceResult(len(basis), tuple(basis), "fraction")
 
 
@@ -157,74 +201,6 @@ def _rat_reconstruct(a: int, modulus: int) -> Fraction | None:
     return Fraction(n, d)
 
 
-def _verify_exact(int_rows: list[list[int]], vec: tuple[Fraction, ...]) -> bool:
-    ints = integerize_row(vec)
-    max_a = max((max(abs(v) for v in row) for row in int_rows if row), default=0)
-    max_v = max((abs(v) for v in ints), default=0)
-    n = len(ints)
-    if max_a and max_v and max_a * max_v * n < 2**62:
-        a = np.array(int_rows, dtype=np.int64)
-        v = np.array(ints, dtype=np.int64)
-        return not np.any(a @ v)
-    for row in int_rows:
-        if sum(r * x for r, x in zip(row, ints) if r):
-            return False
-    return True
-
-
-def _nullspace_modp(int_rows: list[list[int]], ncols: int) -> NullspaceResult | None:
-    obj = np.array(int_rows, dtype=object)
-    reductions = {}
-
-    def reduced(p):
-        if p not in reductions:
-            reductions[p] = np.array(obj % p, dtype=np.int64)
-        return reductions[p]
-
-    attempts: list[tuple[int, ...]] = [(_PRIMES[0],), (_PRIMES[1],),
-                                       (_PRIMES[0], _PRIMES[1]), (_PRIMES[2],),
-                                       _PRIMES]
-    rref_cache: dict[int, tuple[np.ndarray, list[int]]] = {}
-    for primes in attempts:
-        infos = []
-        for p in primes:
-            if p not in rref_cache:
-                rref_cache[p] = _rref_modp(reduced(p), p)
-            infos.append(rref_cache[p])
-        pivots = infos[0][1]
-        if any(info[1] != pivots for info in infos[1:]):
-            continue  # primes disagree; this combination is unusable
-        modulus = math.prod(primes)
-        pivot_set = set(pivots)
-        free = [c for c in range(ncols) if c not in pivot_set]
-        basis = []
-        ok = True
-        for f in free:
-            entries = [Fraction(1) if c == f else Fraction(0) for c in range(ncols)]
-            for r, pc in enumerate(pivots):
-                residues = [int(info[0][r, f]) for info in infos]
-                if len(primes) == 1:
-                    a = residues[0]
-                else:
-                    a = _crt(residues, primes)
-                val = _rat_reconstruct((-a) % modulus, modulus)
-                if val is None:
-                    ok = False
-                    break
-                entries[pc] = val
-            if not ok:
-                break
-            vec = tuple(entries)
-            if not _verify_exact(int_rows, vec):
-                ok = False
-                break
-            basis.append(vec)
-        if ok:
-            method = "modp" if len(primes) == 1 else "modp-crt"
-            return NullspaceResult(len(basis), tuple(basis), method)
-    return None
-
-
 def _crt(residues: list[int], primes: Sequence[int]) -> int:
     x, m = residues[0], primes[0]
     for r, p in zip(residues[1:], primes[1:]):
@@ -234,18 +210,122 @@ def _crt(residues: list[int], primes: Sequence[int]) -> int:
     return x % m
 
 
-def nullspace(rows: Iterable[Sequence[Fraction]], ncols: int,
+class _IntSystem:
+    """Primitive integer rows A, with the dense int64 forms built once."""
+
+    def __init__(self, rows: list[SparseInts], ncols: int):
+        self.rows = rows
+        self.ncols = ncols
+        self.row_idx = [i for i, row in enumerate(rows) for _ in row]
+        self.col_idx = [c for row in rows for c, _ in row]
+        self.values = [v for row in rows for _, v in row]
+        self.max_a = max(map(abs, self.values))
+        self._dense: np.ndarray | None = None
+
+    def _scatter(self, values) -> np.ndarray:
+        mat = np.zeros((len(self.rows), self.ncols), dtype=np.int64)
+        mat[self.row_idx, self.col_idx] = values
+        return mat
+
+    def dense(self) -> np.ndarray:
+        """A itself in int64; callers ensure max|A| < 2**62."""
+        if self._dense is None:
+            self._dense = self._scatter(self.values)
+        return self._dense
+
+    def reduced(self, p: int) -> np.ndarray:
+        if self.max_a < p:
+            return self.dense() % p
+        return self._scatter([v % p for v in self.values])
+
+    def annihilates(self, vectors: list[SparseInts]) -> bool:
+        """Exact test of A @ v == 0 for every integer vector v."""
+        max_v = max(abs(x) for vec in vectors for _, x in vec)
+        if self.max_a * max_v * self.ncols < 2**62:
+            n = np.zeros((self.ncols, len(vectors)), dtype=np.int64)
+            for k, vec in enumerate(vectors):
+                for c, x in vec:
+                    n[c, k] = x
+            return not np.any(self.dense() @ n)
+        for vec in vectors:
+            dense = dict(vec)
+            for row in self.rows:
+                if sum(a * dense.get(c, 0) for c, a in row):
+                    return False
+        return True
+
+
+def _lift(infos, primes: tuple[int, ...], pivots: list[int],
+          free: list[int]) -> list[dict[int, Fraction]] | None:
+    """Candidate basis vectors over Q from the RREF mod each prime, sparse."""
+    modulus = math.prod(primes)
+    # residues[i][k][r]: entry of pivot row r in free column free[k] mod primes[i]
+    residues = [info[0][:, free].T.tolist() for info in infos]
+    candidates = []
+    for k, f in enumerate(free):
+        vec = {f: Fraction(1)}
+        for r, pc in enumerate(pivots):
+            res = [per_prime[k][r] for per_prime in residues]
+            a = res[0] if len(primes) == 1 else _crt(res, primes)
+            if a == 0:
+                continue
+            val = _rat_reconstruct((-a) % modulus, modulus)
+            if val is None:
+                return None
+            vec[pc] = val
+        candidates.append(vec)
+    return candidates
+
+
+def _nullspace_modp(system: _IntSystem, context: str = "") -> NullspaceResult | None:
+    ncols = system.ncols
+    attempts: list[tuple[int, ...]] = [(_PRIMES[0],), (_PRIMES[1],),
+                                       (_PRIMES[0], _PRIMES[1]), (_PRIMES[2],),
+                                       _PRIMES]
+    rref_cache: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for primes in attempts:
+        infos = []
+        for p in primes:
+            if p not in rref_cache:
+                rref_cache[p] = _rref_modp(system.reduced(p), p)
+            infos.append(rref_cache[p])
+        pivots = infos[0][1]
+        if any(info[1] != pivots for info in infos[1:]):
+            _log.info("nullspace %s: primes %s disagree on the pivots", context, primes)
+            continue
+        pivot_set = set(pivots)
+        free = [c for c in range(ncols) if c not in pivot_set]
+        candidates = _lift(infos, primes, pivots, free)
+        if candidates is None:
+            _log.info("nullspace %s: rational reconstruction failed mod %s",
+                      context, primes)
+            continue
+        if candidates and not system.annihilates(
+                [_integerize(sorted(vec.items())) for vec in candidates]):
+            _log.info("nullspace %s: reconstruction mod %s fails exact verification",
+                      context, primes)
+            continue
+        zero = Fraction(0)
+        basis = []
+        for vec in candidates:
+            dense = [zero] * ncols
+            for c, x in vec.items():
+                dense[c] = x
+            basis.append(tuple(dense))
+        method = "modp" if len(primes) == 1 else "modp-crt"
+        return NullspaceResult(len(basis), tuple(basis), method)
+    return None
+
+
+def nullspace(rows: Iterable[Row], ncols: int,
               budget: int | None = None, context: str = "") -> NullspaceResult:
     """Certified exact nullspace of the system rows . v = 0.
 
-    Accepts dense rational rows; zero rows are dropped. The budget, if
-    given, caps nrows*ncols before any heavy work happens.
+    Rows are sparse mappings {column: value} or dense sequences of
+    rationals; zero rows are dropped. The budget, if given, caps
+    nrows*ncols before any heavy work happens.
     """
-    int_rows = []
-    for row in rows:
-        ints = integerize_row(row)
-        if any(ints):
-            int_rows.append(ints)
+    int_rows = [r for r in (_integerize(_sparse_items(row)) for row in rows) if r]
     check_budget(len(int_rows), ncols, budget, context)
     if ncols == 0:
         return NullspaceResult(0, (), "fraction")
@@ -255,11 +335,15 @@ def nullspace(rows: Iterable[Sequence[Fraction]], ncols: int,
             for f in range(ncols)
         )
         return NullspaceResult(ncols, basis, "fraction")
-    if len(int_rows) * ncols <= _FRACTION_CUTOFF:
+    small = len(int_rows) * ncols <= _FRACTION_CUTOFF
+    int_rows = _distinct(int_rows)
+    if small:
         return _nullspace_fraction(int_rows, ncols)
-    result = _nullspace_modp(int_rows, ncols)
+    result = _nullspace_modp(_IntSystem(int_rows, ncols), context)
     if result is not None:
         return result
+    _log.info("nullspace %s: every prime combination failed; "
+              "falling back to Fraction Gauss-Jordan", context)
     return _nullspace_fraction(int_rows, ncols)
 
 

@@ -47,14 +47,21 @@ def from_json_dict(data: dict) -> GradedNilpotent:
         raise StructureError(f"malformed algebra JSON: {exc}") from None
     if dim_v < 0 or dim_z < 0:
         raise StructureError("negative dimension")
+    if not isinstance(triples, list):
+        raise StructureError("malformed algebra JSON: structure is not a list")
     c = [[[Fraction(0)] * dim_z for _ in range(dim_v)] for _ in range(dim_v)]
     for entry in triples:
-        if len(entry) != 4:
+        if not isinstance(entry, list) or len(entry) != 4:
             raise StructureError(f"bad structure entry {entry!r}")
         i, j, k, val = entry
+        if not all(type(x) is int for x in (i, j, k)):
+            raise StructureError(f"structure indices must be integers in {entry!r}")
         if not (0 <= i < dim_v and 0 <= j < dim_v and 0 <= k < dim_z):
             raise StructureError(f"structure index out of range in {entry!r}")
-        c[i][j][k] = Fraction(val)
+        try:
+            c[i][j][k] = Fraction(val)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise StructureError(f"unparsable structure value in {entry!r}: {exc}") from None
     structure = tuple(tuple(tuple(e) for e in row) for row in c)
     # GradedNilpotent.__post_init__ re-validates antisymmetry.
     return GradedNilpotent(

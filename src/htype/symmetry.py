@@ -105,27 +105,27 @@ def _unflatten(vec: Sequence[Fraction], shapes: list[tuple[int, int]]):
     return out
 
 
-def _derivation_rows(alg: GradedNilpotent, ncols: int, acol, bcol):
-    """Rows of B c(x,y) - c(Ax,y) - c(x,Ay) = 0 over basis pairs."""
+def _derivation_rows(alg: GradedNilpotent) -> list[dict[int, Fraction]]:
+    """Sparse rows of B c(x,y) - c(Ax,y) - c(x,Ay) = 0 over basis pairs.
+
+    Columns: A[t][s] at t*n + s, then B[k][l] at n*n + k*m + l. No row
+    writes a column twice, so each entry is assigned, never accumulated.
+    """
     n, m = alg.dim_v, alg.dim_z
     c = alg.structure
-    zero = Fraction(0)
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
             cij = c[i][j]
             for k in range(m):
-                row = [zero] * ncols
-                for l in range(m):
-                    if cij[l]:
-                        row[bcol(k, l)] += cij[l]
+                row = {n * n + k * m + l: cij[l] for l in range(m) if cij[l]}
                 for t in range(n):
                     v = c[t][j][k]
                     if v:
-                        row[acol(t, i)] -= v
+                        row[t * n + i] = -v
                     v = c[i][t][k]
                     if v:
-                        row[acol(t, j)] -= v
+                        row[t * n + j] = -v
                 rows.append(row)
     return rows
 
@@ -134,12 +134,7 @@ def graded_derivations(alg: GradedNilpotent) -> DerivationSpace:
     """All (A, B) with B[x,y] = [Ax,y] + [x,Ay], as a certified basis."""
     n, m = alg.dim_v, alg.dim_z
     ncols = n * n + m * m
-    rows = _derivation_rows(
-        alg, ncols,
-        acol=lambda t, s: t * n + s,
-        bcol=lambda k, l: n * n + k * m + l,
-    )
-    res = nullspace(rows, ncols)
+    res = nullspace(_derivation_rows(alg), ncols)
     basis = []
     for vec in res.basis:
         a, b = _unflatten(vec, [(n, n), (m, m)])
@@ -160,24 +155,13 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
     ncols = n * n + m * m + m * n + n * m
     c_off = n * n + m * m
     e_off = c_off + m * n
-    rows = _derivation_rows(
-        alg, ncols,
-        acol=lambda t, s: t * n + s,
-        bcol=lambda k, l: n * n + k * m + l,
-    )
-    zero = Fraction(0)
+    rows = _derivation_rows(alg)
     c = alg.structure
     for s in range(n):
         for k in range(m):
             for kp in range(m):
-                row = [zero] * ncols
-                any_nz = False
-                for t in range(n):
-                    v = c[s][t][kp]
-                    if v:
-                        row[e_off + t * m + k] += v
-                        any_nz = True
-                if any_nz:
+                row = {e_off + t * m + k: c[s][t][kp] for t in range(n) if c[s][t][kp]}
+                if row:
                     rows.append(row)
     res = nullspace(rows, ncols)
     basis = []
@@ -208,52 +192,84 @@ def verify_graded_derivation(alg: GradedNilpotent, a: Matrix, b: Matrix) -> bool
     return True
 
 
-class _Exact:
-    """Exact-arithmetic prolongation backend."""
-
-    arithmetic = "exact"
-
-    def __init__(self, alg: GradedNilpotent):
-        self.alg = alg
-        self.zero = Fraction(0)
-
-    def solve(self, rows, ncols):
-        res = nullspace(rows, ncols)
-        return res.dimension, res.basis
-
-    def row(self, ncols):
-        return [self.zero] * ncols
-
-    def coeff(self, x):
-        return x
+def _solve_float(rows: list[dict], ncols: int, tol: float):
+    """SVD nullity and nullspace basis of the rows scattered into float64."""
+    if not rows:
+        basis = [tuple(1.0 if c == f else 0.0 for c in range(ncols))
+                 for f in range(ncols)]
+        return ncols, basis
+    mat = np.zeros((len(rows), ncols))
+    for r, row in enumerate(rows):
+        for col, x in row.items():
+            mat[r, col] = x
+    u, s, vh = np.linalg.svd(mat)
+    cutoff = tol * max(1.0, s[0] if s.size else 1.0)
+    rank = int(np.sum(s > cutoff))
+    basis = [tuple(map(float, vh[r])) for r in range(rank, ncols)]
+    return ncols - rank, basis
 
 
-class _Float:
-    """float64 backend: same systems, SVD nullity, SVD nullspace bases."""
+def _prolong_rows(c, n: int, m: int, K: int, dfun, ev_v: dict, ev_z: dict, co) -> list[dict]:
+    """Sparse rows of the degree-K prolongation system.
 
-    arithmetic = "float64"
-
-    def __init__(self, alg: GradedNilpotent, tol: float):
-        self.alg = alg
-        self.tol = tol
-
-    def solve(self, rows, ncols):
-        if not rows:
-            basis = [tuple(1.0 if c == f else 0.0 for c in range(ncols))
-                     for f in range(ncols)]
-            return ncols, basis
-        mat = np.array(rows, dtype=float)
-        u, s, vh = np.linalg.svd(mat)
-        cutoff = self.tol * max(1.0, s[0] if s.size else 1.0)
-        rank = int(np.sum(s > cutoff))
-        basis = [tuple(map(float, vh[r])) for r in range(rank, ncols)]
-        return ncols - rank, basis
-
-    def row(self, ncols):
-        return [0.0] * ncols
-
-    def coeff(self, x):
-        return float(x)
+    Columns: the D(K-1) x n block of f on v at a*n + i, then the
+    D(K-2) x m block of f on z at p_cols + b*m + l. No row writes a column
+    twice, so each entry is assigned, never accumulated.
+    """
+    d_prev, d_prev2 = dfun(K - 1), dfun(K - 2)
+    p_cols = d_prev * n
+    evp_v, evp_z = ev_v[K - 1], ev_z.get(K - 1)
+    ev2_v = ev_v[K - 2] if K - 2 >= -1 else None
+    ev2_z = ev_z.get(K - 2)
+    rows = []
+    # f([x_i, x_j]) = [f(x_i), x_j] + [x_i, f(x_j)], values in g_{K-2}
+    for i in range(n):
+        for j in range(i + 1, n):
+            cij = c[i][j]
+            for r in range(d_prev2):
+                row = {p_cols + r * m + k: co(cij[k]) for k in range(m) if cij[k]}
+                for a in range(d_prev):
+                    ev = evp_v[a]
+                    x = ev[r][j]
+                    if x:
+                        row[a * n + i] = -x
+                    x = ev[r][i]
+                    if x:
+                        row[a * n + j] = x
+                rows.append(row)
+    # 0 = [f(x_i), z_l] + [x_i, f(z_l)], values in g_{K-3}
+    d3 = dfun(K - 3)
+    if d3:
+        for i in range(n):
+            for l in range(m):
+                for s in range(d3):
+                    row = {}
+                    if evp_z is not None:
+                        for a in range(d_prev):
+                            x = evp_z[a][s][l]
+                            if x:
+                                row[a * n + i] = x
+                    for b in range(d_prev2):
+                        x = ev2_v[b][s][i]
+                        if x:
+                            row[p_cols + b * m + l] = -x
+                    rows.append(row)
+    # 0 = [f(z_l), z_l'] + [z_l, f(z_l')], values in g_{K-4}
+    d4 = dfun(K - 4)
+    if d4 and ev2_z is not None:
+        for l in range(m):
+            for lp in range(l + 1, m):
+                for u_ in range(d4):
+                    row = {}
+                    for b in range(d_prev2):
+                        x = ev2_z[b][u_][lp]
+                        if x:
+                            row[p_cols + b * m + l] = x
+                        x = ev2_z[b][u_][l]
+                        if x:
+                            row[p_cols + b * m + lp] = -x
+                    rows.append(row)
+    return rows
 
 
 def tanaka_prolong(alg: GradedNilpotent,
@@ -278,13 +294,19 @@ def tanaka_prolong(alg: GradedNilpotent,
         budget = default_budget()
     t0 = time.perf_counter()
     n, m = alg.dim_v, alg.dim_z
-    backend = _Exact(alg) if arithmetic == "exact" else _Float(alg, float_tol)
+    exact = arithmetic == "exact"
+    co = (lambda x: x) if exact else float
+
+    def solve(rows, ncols):
+        if exact:
+            res = nullspace(rows, ncols)
+            return res.dimension, res.basis
+        return _solve_float(rows, ncols, float_tol)
 
     # level data: ev_v[j][a] is a D(j-1) x n matrix, ev_z[j][a] a D(j-2) x m
     ev_v: dict[int, list] = {}
     ev_z: dict[int, list] = {}
     c = alg.structure
-    co = backend.coeff
     ev_v[-1] = [
         [[co(c[i][t][s]) for t in range(n)] for s in range(m)]
         for i in range(n)
@@ -293,17 +315,12 @@ def tanaka_prolong(alg: GradedNilpotent,
     if g0_mode == "full_graded_derivations":
         npairs = n * (n - 1) // 2
         check_budget(npairs * m, n * n + m * m, budget, "degree-0 derivation system")
-        if arithmetic == "exact":
+        if exact:
             der = graded_derivations(alg)
             g0_basis = [(a, b) for a, b, _ in der.basis]
         else:
-            rows = _derivation_rows(
-                alg, n * n + m * m,
-                acol=lambda t, s: t * n + s,
-                bcol=lambda k, l: n * n + k * m + l,
-            )
-            rows = [[co(x) for x in r] for r in rows]
-            _, vecs = backend.solve(rows, n * n + m * m)
+            rows = [{col: float(x) for col, x in row.items()} for row in _derivation_rows(alg)]
+            _, vecs = solve(rows, n * n + m * m)
             g0_basis = []
             for vec in vecs:
                 a = [[vec[t * n + s] for s in range(n)] for t in range(n)]
@@ -340,62 +357,8 @@ def tanaka_prolong(alg: GradedNilpotent,
                   + n * m * dfun(K - 3)
                   + (m * (m - 1) // 2) * dfun(K - 4))
         check_budget(n_rows, ncols, budget, f"degree-{K} prolongation system")
-        rows = []
-        evp_v, evp_z = ev_v[K - 1], ev_z.get(K - 1)
-        ev2_v = ev_v[K - 2] if K - 2 >= -1 else None
-        ev2_z = ev_z.get(K - 2)
-        # f([x_i, x_j]) = [f(x_i), x_j] + [x_i, f(x_j)], values in g_{K-2}
-        for i in range(n):
-            for j in range(i + 1, n):
-                cij = c[i][j]
-                for r in range(d_prev2):
-                    row = backend.row(ncols)
-                    for k in range(m):
-                        if cij[k]:
-                            row[p_cols + r * m + k] += co(cij[k])
-                    for a in range(d_prev):
-                        ev = evp_v[a]
-                        x = ev[r][j]
-                        if x:
-                            row[a * n + i] -= x
-                        x = ev[r][i]
-                        if x:
-                            row[a * n + j] += x
-                    rows.append(row)
-        # 0 = [f(x_i), z_l] + [x_i, f(z_l)], values in g_{K-3}
-        d3 = dfun(K - 3)
-        if d3:
-            for i in range(n):
-                for l in range(m):
-                    for s in range(d3):
-                        row = backend.row(ncols)
-                        if evp_z is not None:
-                            for a in range(d_prev):
-                                x = evp_z[a][s][l]
-                                if x:
-                                    row[a * n + i] += x
-                        for b in range(d_prev2):
-                            x = ev2_v[b][s][i]
-                            if x:
-                                row[p_cols + b * m + l] -= x
-                        rows.append(row)
-        # 0 = [f(z_l), z_l'] + [z_l, f(z_l')], values in g_{K-4}
-        d4 = dfun(K - 4)
-        if d4 and ev2_z is not None:
-            for l in range(m):
-                for lp in range(l + 1, m):
-                    for u_ in range(d4):
-                        row = backend.row(ncols)
-                        for b in range(d_prev2):
-                            x = ev2_z[b][u_][lp]
-                            if x:
-                                row[p_cols + b * m + l] += x
-                            x = ev2_z[b][u_][l]
-                            if x:
-                                row[p_cols + b * m + lp] -= x
-                        rows.append(row)
-
-        dim_k, vecs = backend.solve(rows, ncols)
+        rows = _prolong_rows(c, n, m, K, dfun, ev_v, ev_z, co)
+        dim_k, vecs = solve(rows, ncols)
         if dim_k == 0:
             completed = True
             break

@@ -1,6 +1,8 @@
 """Catalog rows, dimension identities, towers, and dataset integrity."""
 
+import csv
 import dataclasses
+import io
 import time
 
 import pytest
@@ -88,6 +90,15 @@ def test_verify_all_default_grid():
     csv = summary.to_csv()
     assert csv.splitlines()[0] == "row,params,dim_g,dim_m,dim_a,dim_n,pass"
     assert all(line.endswith(",true") for line in csv.splitlines()[1:])
+
+
+def test_verification_csv_quotes_row_names():
+    summary = verify_all(grid=default_grid(60))
+    header, *rows = csv.reader(io.StringIO(summary.to_csv()))
+    assert header == ["row", "params", "dim_g", "dim_m", "dim_a", "dim_n", "pass"]
+    assert all(len(row) == len(header) for row in rows)
+    assert [row[0] for row in rows] == [r.name for r in summary.reports]
+    assert ["sl(n,R)", "4"] in [row[:2] for row in rows]
 
 
 def test_empty_grid_runs_exceptional_only():

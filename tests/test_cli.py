@@ -1,10 +1,16 @@
 """CLI subcommands, exit codes, and report determinism."""
 
+import csv
+import io
 import json
+import random
 
 import pytest
 
+from htype.catalog import table_rows
 from htype.cli import main
+from htype.nilpotent import random_two_step
+from htype.serialization import save_algebra
 
 
 def run(capsys, *argv):
@@ -118,6 +124,24 @@ def test_check_malformed_input(tmp_path):
     assert main(["check", "--in", str(bad), "--tests", "typeh"]) == 2
 
 
+def test_check_malformed_structure_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim_v":2,"dim_z":1,"structure":[["a",1,0,"1"]]}')
+    code, _, err = run(capsys, "check", "--in", str(bad), "--tests", "typeh")
+    assert code == 2
+    assert err.startswith("error: ") and "integers" in err
+
+
+def test_check_nonsingular_undetermined(tmp_path):
+    path = tmp_path / "r63.json"
+    save_algebra(random_two_step(6, 3, random.Random(0)), path)
+    out = tmp_path / "report.json"
+    code = main(["check", "--in", str(path), "--tests", "nonsingular", "--out", str(out)])
+    rep = read_json(out)
+    assert rep["tests"]["nonsingular"]["verdict"] == "undetermined"
+    assert rep["all_pass"] is False and code == 1
+
+
 # ---------------------------------------------------------------------------
 # prolong
 
@@ -208,6 +232,15 @@ def test_table_dump_formats(capsys):
     lines = stdout.strip().splitlines()
     assert len(lines) == 28  # header + rows
     assert lines[0].startswith("name,")
+
+
+def test_table_dump_csv_quotes_fields(capsys):
+    code, stdout, _ = run(capsys, "table", "--dump", "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(stdout))
+    assert all(len(row) == len(header) for row in rows)
+    assert [row[0] for row in rows] == [r.name for r in table_rows()]
+    assert len(rows) == 27 and "sl(n,R)" in [row[0] for row in rows]
 
 
 def test_table_corrupted_dataset(capsys, monkeypatch):

@@ -1,11 +1,16 @@
 """Certified rational nullspaces: the Fraction and mod-p routes must agree."""
 
+import logging
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from htype import linalg
 from htype.errors import BudgetExceeded
 from htype.linalg import (
     _FRACTION_CUTOFF,
@@ -58,6 +63,24 @@ def test_rational_entries_handled_exactly():
     assert res.dimension == 2
     for v in res.basis:
         assert all(r == 0 for r in _residual(rows, v))
+
+
+def _rank3_system(seed=11, ncols=150):
+    """150 rows spanning 3 generators: crosses the cutoff, nullity ncols - 3."""
+    rng = random.Random(seed)
+    gens = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ncols)]
+            for _ in range(3)]
+    rows = []
+    for _ in range(ncols):
+        c = [rng.randint(-3, 3) for _ in range(3)]
+        rows.append([c[0] * a + c[1] * b + c[2] * d for a, b, d in zip(*gens)])
+    return rows, ncols
+
+
+def _reference_basis(rows, ncols):
+    """Fraction Gauss-Jordan on the rows as given: no scaling, no deduplication."""
+    rref, pivots = linalg._frac_rref([[Fraction(x) for x in row] for row in rows], ncols)
+    return tuple(linalg._basis_from_rref(rref, pivots, ncols, Fraction(0), Fraction(1)))
 
 
 def test_modp_path_agrees_with_fraction_path():
@@ -133,3 +156,140 @@ def test_rational_reconstruction_round_trip():
         for den in (1, 2, 9, 40):
             residue = num * pow(den, -2 + p, p) % p
             assert _rat_reconstruct(residue, p) == Fraction(num, den)
+
+
+def test_sparse_and_dense_rows_agree():
+    rows, ncols = _rank3_system()
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    assert nullspace(sparse, ncols) == nullspace(rows, ncols)
+
+
+# ---------------------------------------------------------------------------
+# the escalation ladder, rung by rung, by fault injection
+
+
+def _failing_reconstruct(fails):
+    real = linalg._rat_reconstruct
+
+    def fake(a, modulus):
+        return None if fails(modulus) else real(a, modulus)
+    return fake
+
+
+@pytest.mark.parametrize("fails, method, logged", [
+    (lambda m: m == _PRIMES[0], "modp", ["reconstruction failed"]),
+    (lambda m: m in _PRIMES, "modp-crt", ["reconstruction failed"] * 2),
+    (lambda m: True, "fraction", ["reconstruction failed"] * 5 + ["falling back"]),
+])
+def test_reconstruction_failures_escalate(monkeypatch, caplog, fails, method, logged):
+    rows, ncols = _rank3_system()
+    ref = _reference_basis(rows, ncols)
+    monkeypatch.setattr(linalg, "_rat_reconstruct", _failing_reconstruct(fails))
+    caplog.set_level(logging.INFO, logger="htype.linalg")
+    res = nullspace(rows, ncols, context="ladder")
+    assert res.method == method
+    assert res.basis == ref and res.dimension == ncols - 3
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == len(logged)
+    assert all(part in msg for part, msg in zip(logged, messages))
+    assert all("ladder" in msg for msg in messages)
+    assert all(r.levelno == logging.INFO for r in caplog.records)
+
+
+def test_corrupt_reduction_is_rejected_by_verification(monkeypatch, caplog):
+    rows, ncols = _rank3_system()
+    ref = _reference_basis(rows, ncols)
+    real = linalg._rref_modp
+
+    def corrupt_first_prime(mat, p):
+        rref, pivots = real(mat, p)
+        if p == _PRIMES[0]:
+            free = next(c for c in range(ncols) if c not in pivots)
+            rref = rref.copy()
+            rref[0, free] = (rref[0, free] + 1) % p
+        return rref, pivots
+
+    monkeypatch.setattr(linalg, "_rref_modp", corrupt_first_prime)
+    caplog.set_level(logging.INFO, logger="htype.linalg")
+    res = nullspace(rows, ncols)
+    assert res.method == "modp" and res.basis == ref
+    assert [r.getMessage() for r in caplog.records] == [
+        f"nullspace : reconstruction mod {(_PRIMES[0],)} fails exact verification"]
+
+
+def test_disagreeing_primes_are_skipped(monkeypatch, caplog):
+    rows, ncols = _rank3_system()
+    ref = _reference_basis(rows, ncols)
+    real = linalg._rref_modp
+
+    def drop_pivot_second_prime(mat, p):
+        rref, pivots = real(mat, p)
+        return (rref[:-1], pivots[:-1]) if p == _PRIMES[1] else (rref, pivots)
+
+    monkeypatch.setattr(linalg, "_rref_modp", drop_pivot_second_prime)
+    monkeypatch.setattr(linalg, "_rat_reconstruct",
+                        _failing_reconstruct(lambda m: m in _PRIMES))
+    caplog.set_level(logging.INFO, logger="htype.linalg")
+    res = nullspace(rows, ncols)
+    assert res.method == "fraction" and res.basis == ref
+    messages = [r.getMessage() for r in caplog.records]
+    assert sum("disagree on the pivots" in m for m in messages) == 2
+    assert "falling back" in messages[-1]
+
+
+def test_python_int_verifier_rejects_what_int64_would_accept():
+    # row . v = 2**64 exactly: int64 arithmetic wraps it to 0
+    big = 2**32
+    system = linalg._IntSystem([[(0, big), (1, 1)], [(0, 1), (1, -1), (2, 1)]], 3)
+    wrong = [(0, big - 1), (1, big), (2, 1)]
+    assert not np.any(system.dense() @ np.array([big - 1, big, 1], dtype=np.int64))
+    assert system.max_a * big * system.ncols >= 2**62
+    assert not system.annihilates([wrong])
+    right = [(0, 1), (1, -big), (2, -big - 1)]
+    assert system.annihilates([right])
+    assert not system.annihilates([right, wrong])
+
+
+def test_entries_beyond_the_primes_take_the_exact_reduction():
+    rows, ncols = _rank3_system(seed=5)
+    rows = [[v * 2**40 if c % 7 == 0 else v for c, v in enumerate(row)] for row in rows]
+    ref = _reference_basis(rows, ncols)
+    assert linalg._IntSystem([linalg._integerize(enumerate(rows[0]))], ncols).max_a > max(_PRIMES)
+    res = nullspace(rows, ncols)
+    assert res.basis == ref and res.dimension == ncols - 3
+
+
+_entries = st.sampled_from([Fraction(0)] * 4 + [Fraction(n, d) for n in range(-3, 4)
+                                                for d in (1, 2, 3) if n])
+
+
+@st.composite
+def _systems(draw):
+    ncols = draw(st.integers(1, 8))
+    base = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=8))
+    # duplicates, equal up to a nonzero scalar, interleaved with the originals
+    copies = draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                     st.sampled_from([1, -1, 2, Fraction(-1, 3)])),
+                           max_size=6))
+    rows = base + [[x * k for x in base[i]] for i, k in copies]
+    # near duplicates: one entry's sign flipped, so only the zero pattern and
+    # the absolute values match an original row
+    for i, col in draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                          st.integers(0, ncols - 1)), max_size=3)):
+        rows.append([-x if c == col else x for c, x in enumerate(base[i])])
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems(), st.booleans())
+def test_modp_path_matches_fraction_path(system, sparse):
+    rows, ncols = system
+    ref = _reference_basis(rows, ncols)
+    given_rows = [{c: v for c, v in enumerate(row) if v} for row in rows] if sparse else rows
+    with mock.patch.object(linalg, "_FRACTION_CUTOFF", -1):
+        res = nullspace(given_rows, ncols)
+    assert res.basis == ref and res.dimension == len(ref)
+    if any(any(row) for row in rows):
+        assert res.method.startswith("modp")

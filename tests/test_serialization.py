@@ -65,6 +65,25 @@ def test_bad_entry_shape_rejected():
         from_json_dict({**base, "structure": [[0, 5, 0, "1"]]})
 
 
+@pytest.mark.parametrize("entry, match", [
+    (["a", 1, 0, "1"], "integers"),
+    ([0, 1.0, 0, "1"], "integers"),
+    ([0, 1, True, "1"], "integers"),
+    ([0, 1, 0, "x"], "unparsable"),
+    ([0, 1, 0, "1/0"], "unparsable"),
+    ([0, 1, 0, [1]], "unparsable"),
+    ("0101", "bad structure entry"),
+])
+def test_malformed_entry_rejected(entry, match):
+    with pytest.raises(StructureError, match=match):
+        from_json_dict({"dim_v": 2, "dim_z": 1, "structure": [entry]})
+
+
+def test_structure_must_be_a_list():
+    with pytest.raises(StructureError, match="not a list"):
+        from_json_dict({"dim_v": 2, "dim_z": 1, "structure": 7})
+
+
 def test_antisymmetry_revalidated_on_load():
     # one partner missing: post_init must catch it
     with pytest.raises(StructureError, match="antisymmetry"):
