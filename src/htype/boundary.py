@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import (
     ConvergenceError,
@@ -249,6 +247,8 @@ def _orthonormal_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 def grassmann_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Chordal distance between the row spans of a and b."""
+    import scipy.linalg  # deferred: scipy loads only for the experiments
+
     angles = scipy.linalg.subspace_angles(np.atleast_2d(a).T, np.atleast_2d(b).T)
     return float(np.linalg.norm(np.sin(angles)))
 
@@ -258,7 +258,8 @@ def cayley_inverse(alg: GradedNilpotent, b, tol: float = NEWTON_TOL,
     """Inverse Cayley map for interior ball points (norm < 1 - 1e-9).
 
     Deterministic closed-form seed polished by Newton iteration; raises
-    ConvergenceError if the residual target is not met within max_iter.
+    ConvergenceError if the residual target is not met within max_iter
+    or a Newton step meets a singular Jacobian.
     """
     mod = _model(alg)
     vec = b.vector if isinstance(b, BallPoint) else np.asarray(b, dtype=float)
@@ -294,7 +295,11 @@ def cayley_inverse(alg: GradedNilpotent, b, tol: float = NEWTON_TOL,
                 sd = 1.0
             cols.append(_dcayley(mod, p[:n], p[n:n + m], p[-1], Y, Wd, sd))
         jac = np.column_stack(cols)
-        p = p + np.linalg.solve(jac, -resid)
+        try:
+            step = np.linalg.solve(jac, -resid)
+        except np.linalg.LinAlgError:
+            raise ConvergenceError(float(np.linalg.norm(resid)), tol, it) from None
+        p = p + step
         resid = _cayley_arrays(mod, p[:n], p[n:n + m], p[-1]) - vec
         it += 1
     rnorm = float(np.linalg.norm(resid))
@@ -560,6 +565,8 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
             return 1e6
         score, _ = _violation_score(mod, *triple)
         return score * score
+
+    import scipy.optimize  # deferred: scipy loads only for the experiments
 
     rng = np.random.default_rng(seed)
     used = 0

@@ -14,10 +14,12 @@ nilradical dimensions into a maximal nilpotent subalgebra.
 
 from __future__ import annotations
 
+import ast
 import csv
 import hashlib
 import io
 import json
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator
@@ -184,8 +186,53 @@ class TableRow:
         return self.nil_series == "hn" and self.nil_algebra == "H"
 
 
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.FloorDiv: operator.floordiv}
+_UNARY = {ast.USub: operator.neg, ast.Not: operator.not_}
+_COMPARE = {ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
+            ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge}
+_CALLS = {"min": min, "max": max}
+
+
 def _eval(expr: str, env: dict[str, int]):
-    return eval(expr, {"__builtins__": {}, "min": min, "max": max}, env)
+    """Value of a table expression over the parameters in env.
+
+    Allowed: integer literals (True and False among them), the names in
+    env, + - * //, unary - and not, single comparisons (no chains), and/or,
+    and calls to min and max. Anything else raises DatasetError; nothing is
+    passed to eval.
+    """
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError:
+        raise DatasetError(f"table expression {expr!r} does not parse") from None
+
+    def ev(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, int):
+            return node.value
+        if isinstance(node, ast.Name) and node.id in env:
+            return env[node.id]
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](ev(node.left), ev(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            return _UNARY[type(node.op)](ev(node.operand))
+        if (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and type(node.ops[0]) in _COMPARE):
+            return _COMPARE[type(node.ops[0])](ev(node.left), ev(node.comparators[0]))
+        if isinstance(node, ast.BoolOp):
+            stop = isinstance(node.op, ast.Or)  # `or` stops at a true value
+            for value in node.values:
+                result = ev(value)
+                if bool(result) == stop:
+                    break
+            return result
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _CALLS and not node.keywords):
+            return _CALLS[node.func.id](*(ev(arg) for arg in node.args))
+        raise DatasetError(
+            f"table expression {expr!r}: {ast.unparse(node)!r} is not allowed")
+
+    return ev(tree.body)
 
 
 def compute_checksum(rows_json: list) -> str:

@@ -44,6 +44,8 @@ __all__ = [
     "check_budget",
     "rank_of_vectors",
     "integerize_row",
+    "det_exact",
+    "inverse_exact",
 ]
 
 _log = logging.getLogger("htype.linalg")
@@ -128,6 +130,37 @@ def _frac_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fracti
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def det_exact(mat: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square rational matrix by Fraction elimination."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pr = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            det = -det
+        prow = m[c]
+        det *= prow[c]
+        for i in range(c + 1, len(m)):
+            if m[i][c] != 0:
+                f = m[i][c] / prow[c]
+                m[i] = [a - f * b for a, b in zip(m[i], prow)]
+    return det
+
+
+def inverse_exact(mat: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of an invertible rational matrix: Gauss-Jordan on [M | I]."""
+    n = len(mat)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    rref, pivots = _frac_rref(aug, n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return [row[n:] for row in rref]
 
 
 def _basis_from_rref(rref, pivots: list[int], ncols: int, zero, one):

@@ -16,16 +16,18 @@ z-basis is the standard (or imaginary) basis of A. J-maps are defined by
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
+import numpy as np
 
 from . import division as da
 from .division import DivisionAlgebra
 from .errors import CenterDimensionError, StructureError
+from .linalg import det_exact, integerize_row, inverse_exact
 
 __all__ = [
     "GradedNilpotent",
@@ -283,26 +285,33 @@ def _matmul(a, b):
 
 
 def is_type_h(alg: GradedNilpotent) -> TypeHResult:
-    """J_Z^2 = -|Z|^2 I on a z-basis plus polarization on all pairs."""
+    """J_a J_b + J_b J_a = -2 delta_ab I on all pairs of z-basis vectors.
+
+    With D the common denominator of the structure tensor, K_k = D J_k is
+    an integer matrix and the identity reads K_a K_b + K_b K_a =
+    -2 delta_ab D^2 I, checked on Python integers (object arrays), which
+    cannot overflow.
+    """
     if alg.dim_z == 0:
         return TypeHResult(True, True, (), "vacuous: dim z = 0, no J-maps exist")
-    js = [_jmat(alg, k) for k in range(alg.dim_z)]
-    n = alg.dim_v
+    n, m = alg.dim_v, alg.dim_z
+    entries = [x for ci in alg.structure for cij in ci for x in cij if x]
+    D = math.lcm(*(x.denominator for x in entries))
+    # K[k, a, b] = D (J_k)_{ab} = D c[b][a][k]
+    K = np.zeros((m, n, n), dtype=object)
+    for b, cb in enumerate(alg.structure):
+        for a, cba in enumerate(cb):
+            for k, x in enumerate(cba):
+                if x:
+                    K[k, a, b] = x.numerator * (D // x.denominator)
+    square = -D * D * np.eye(n, dtype=object)
     failing = []
-    for a in range(alg.dim_z):
-        for b in range(a, alg.dim_z):
-            anti = _matmul(js[a], js[b])
-            if a != b:
-                other = _matmul(js[b], js[a])
-                anti = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(anti, other)]
-                target = Fraction(0)
+    for a in range(m):
+        for b in range(a, m):
+            if a == b:
+                ok = np.array_equal(K[a] @ K[a], square)
             else:
-                anti = [[2 * x for x in row] for row in anti]
-                target = Fraction(-2)
-            ok = all(
-                anti[i][j] == (target if i == j else 0)
-                for i in range(n) for j in range(n)
-            )
+                ok = not np.any(K[a] @ K[b] + K[b] @ K[a])
             if not ok:
                 failing.append((a, b))
     if failing:
@@ -312,11 +321,58 @@ def is_type_h(alg: GradedNilpotent) -> TypeHResult:
                        "J_a J_b + J_b J_a = -2 delta_ab I verified exactly on the z-basis")
 
 
-def _det_exact(mat: list[list[Fraction]]) -> Fraction:
-    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                      for row in mat])
-    d = sympy.Rational(m.det())
-    return Fraction(int(d.p), int(d.q))
+def _interpolate(values: Sequence[Fraction]) -> list[Fraction]:
+    """Coefficients, constant first, of the polynomial of degree
+    < len(values) that takes values[t] at t = 0, 1, 2, ... (Newton form)."""
+    coef = list(values)
+    for j in range(1, len(coef)):
+        for i in range(len(coef) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / j
+    poly = [coef[-1]]
+    for node in range(len(coef) - 2, -1, -1):
+        # poly <- poly * (t - node) + coef[node]
+        poly = ([coef[node] - node * poly[0]]
+                + [lo - node * hi for lo, hi in zip(poly, poly[1:])] + [poly[-1]])
+    return poly
+
+
+def _trim(poly: list) -> list:
+    while poly and poly[-1] == 0:
+        poly = poly[:-1]
+    return poly
+
+
+def _remainder(num: list[Fraction], den: list[int]) -> list[Fraction]:
+    """Remainder of polynomial division (constant first, den nonzero)."""
+    num = list(num)
+    while len(num) >= len(den):
+        f = num[-1] / den[-1]
+        shift = len(num) - len(den)
+        for i, d in enumerate(den):
+            num[shift + i] -= f * d
+        num = _trim(num[:-1])
+    return num
+
+
+def _count_real_roots(poly: list[int]) -> int:
+    """Distinct real roots of a nonzero polynomial (constant first).
+
+    Sturm's theorem: the sign changes of the chain p, p', -rem(p, p'), ...
+    at -oo minus those at +oo. The chain ends at gcd(p, p'), so a repeated
+    root counts once, as in sympy's count_roots.
+    """
+    chain = [poly]
+    nxt = _trim([i * c for i, c in enumerate(poly)][1:])
+    while nxt:
+        chain.append(integerize_row(nxt))  # a positive multiple: same signs
+        nxt = [-x for x in _remainder([Fraction(c) for c in chain[-2]], chain[-1])]
+
+    def changes(signs):
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    at_pos = [p[-1] > 0 for p in chain]
+    at_neg = [(p[-1] > 0) == (len(p) % 2 == 1) for p in chain]
+    return changes(at_neg) - changes(at_pos)
 
 
 def is_nonsingular(alg: GradedNilpotent) -> NonsingularResult:
@@ -330,22 +386,20 @@ def is_nonsingular(alg: GradedNilpotent) -> NonsingularResult:
     # ad_X surjective for all X != 0  <=>  J_Z nonsingular for all Z != 0
     # (failure of surjectivity pairs with a Z annihilating the image).
     if alg.dim_z == 1:
-        det = _det_exact(_jmat(alg, 0))
+        det = det_exact(_jmat(alg, 0))
         if det != 0:
             return NonsingularResult(True, False, f"det J = {det} != 0")
         return NonsingularResult(False, False, "det J = 0: singular direction exists")
     if alg.dim_z == 2:
-        j1 = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                           for row in _jmat(alg, 0)])
-        j2 = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                           for row in _jmat(alg, 1)])
-        if j2.det() == 0:
+        j1, j2 = _jmat(alg, 0), _jmat(alg, 1)
+        if det_exact(j2) == 0:
             return NonsingularResult(False, False, "det J_2 = 0")
-        t = sympy.Symbol("t")
-        poly = sympy.Poly((j1 + t * j2).det(), t)
-        if poly.is_zero:
-            return NonsingularResult(False, False, "pencil determinant vanishes identically")
-        n_real = sympy.polys.polytools.count_roots(poly, -sympy.oo, sympy.oo)
+        # det(J_1 + t J_2) has degree dim v and leading coefficient
+        # det J_2 != 0, so its values at t = 0..dim v fix it.
+        values = [det_exact([[x + t * y for x, y in zip(r1, r2)]
+                             for r1, r2 in zip(j1, j2)])
+                  for t in range(alg.dim_v + 1)]
+        n_real = _count_real_roots(integerize_row(_interpolate(values)))
         if n_real == 0:
             return NonsingularResult(
                 True, False,
@@ -412,7 +466,7 @@ def check_symplectic_isomorphic(a: GradedNilpotent, b: GradedNilpotent):
         return False, None
     # S_a = Pa^{-T} Omega Pa^{-1}; same for b. M = Pb Pa^{-1} gives
     # M^T S_b M = S_a.
-    Pa_inv = _invert(Pa)
+    Pa_inv = inverse_exact(Pa)
     M = _matmul(Pb, Pa_inv)
     # exact transport check
     n = a.dim_v
@@ -423,22 +477,6 @@ def check_symplectic_isomorphic(a: GradedNilpotent, b: GradedNilpotent):
             if transported[i][j] != Sa[i][j]:
                 raise StructureError("witness transport failed")  # pragma: no cover
     return True, tuple(tuple(row) for row in M)
-
-
-def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for c in range(n):
-        pr = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[pr] = aug[pr], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def dims(alg: GradedNilpotent) -> tuple[int, int, int]:

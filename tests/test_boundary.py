@@ -94,6 +94,19 @@ def test_cayley_inverse_reports_convergence_failure():
     assert exc.value.iterations == 3
 
 
+def test_cayley_inverse_singular_newton_step(monkeypatch):
+    alg = h1c()
+    rng = np.random.default_rng(8)
+    vec = rng.standard_normal(7)
+    vec *= 0.5 / np.linalg.norm(vec)
+    # every column of the Newton Jacobian vanishes, so solving for the step
+    # meets a singular matrix on the first iteration
+    monkeypatch.setattr(B, "_dcayley", lambda *args: np.zeros(7))
+    with pytest.raises(ConvergenceError) as exc:
+        B.cayley_inverse(alg, vec, tol=0.0)
+    assert exc.value.iterations == 0 and exc.value.target == 0.0
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_round_trip_property(seed):

@@ -9,6 +9,7 @@ import pytest
 
 from htype.catalog import (
     SimpleAlgebraDescriptor as D,
+    _eval,
     compute_checksum,
     default_grid,
     instantiate,
@@ -99,6 +100,45 @@ def test_verification_csv_quotes_row_names():
     assert all(len(row) == len(header) for row in rows)
     assert [row[0] for row in rows] == [r.name for r in summary.reports]
     assert ["sl(n,R)", "4"] in [row[:2] for row in rows]
+
+
+def _table_expressions():
+    for r in table_rows():
+        yield r, r.validity
+        yield r, r.minimal_when
+        yield from ((r, e) for e in r.g_params + r.nil_params)
+        yield from ((r, e) for _, exprs in r.m_factors for e in exprs)
+        yield from ((r, e) for orbit in r.sigma for e in orbit)
+
+
+def test_table_expressions_keep_their_python_values():
+    # the whitelist evaluator against Python's own, on every expression of
+    # the table over a grid of parameters (Python's eval is the oracle only)
+    seen = 0
+    for row, expr in _table_expressions():
+        for values in [(1, 1), (1, 2), (2, 3), (3, 1), (4, 4), (5, 2), (7, 9)]:
+            env = dict(zip(row.param_names, values))
+            want = eval(expr, {"__builtins__": {}, "min": min, "max": max}, env)
+            got = _eval(expr, env)
+            assert (got, type(got)) == (want, type(want)), (row.name, expr, env)
+            seen += 1
+    assert seen > 500
+
+
+@pytest.mark.parametrize("expr", [
+    "n.__class__", "().__class__.__base__", "__import__('os')", "open('x')",
+    "n ** 2", "n / 2", "1.5", "'n'", "lambda: n", "[n]", "min(n, key=abs)",
+    "min(*[n])", "x", "n if n else 0", "n; 1", "0 < n < 5", "+n",
+])
+def test_table_expression_whitelist_rejects(expr):
+    with pytest.raises(DatasetError):
+        _eval(expr, {"n": 3})
+
+
+def test_row_with_foreign_expression_is_dataset_error():
+    row = dataclasses.replace(row_by_name("sl(n,R)"), validity="__import__('os')")
+    with pytest.raises(DatasetError):
+        instantiate(row, (4,))
 
 
 def test_empty_grid_runs_exceptional_only():

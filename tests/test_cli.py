@@ -1,14 +1,20 @@
 """CLI subcommands, exit codes, and report determinism."""
 
+import ast
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import htype
 from htype.catalog import table_rows
-from htype.cli import main
+from htype.cli import ARTIFACT_VERSION, main
 from htype.nilpotent import random_two_step
 from htype.serialization import save_algebra
 
@@ -95,6 +101,27 @@ def test_check_structural_suite_passes(h1r, tmp_path):
     rep = read_json(out)
     assert rep["all_pass"] is True
     assert set(rep["tests"]) == {"jacobi", "typeh", "nonsingular"}
+
+
+def test_check_jacobi_report_is_pinned(h1r, tmp_path):
+    out = tmp_path / "jacobi.json"
+    assert main(["check", "--in", h1r, "--tests", "jacobi", "--out", str(out)]) == 0
+    expected = {
+        "algebra": "h1(R)",
+        "operation": "check",
+        "tests": {"jacobi": {"verdict": "pass"}},
+        "all_pass": True,
+        "seed": None,
+        "manifest": {
+            "command": "check",
+            "inputs": {"in": h1r, "samples": 200, "tests": "jacobi"},
+            "seed": None,
+            "tolerances": {"j2_residual": 1e-8},
+            "artifact_version": ARTIFACT_VERSION,
+            "outputs": [str(out)],
+        },
+    }
+    assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_check_j2_fail_is_exit_one_without_expect(h1c):
@@ -346,3 +373,29 @@ def test_report_schema_keys(h1c, tmp_path):
     assert man["command"] == "boundary"
     assert man["seed"] == 2
     assert man["artifact_version"]
+
+
+# ---------------------------------------------------------------------------
+# import surface
+
+
+def test_cli_import_loads_neither_sympy_nor_scipy():
+    src = str(Path(htype.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, htype.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'sympy', 'scipy'}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_package_module_imports_sympy():
+    for path in Path(htype.__file__).resolve().parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "sympy" for n in names), path.name

@@ -1,6 +1,8 @@
 """Certified rational nullspaces: the Fraction and mod-p routes must agree."""
 
+import itertools
 import logging
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -17,7 +19,9 @@ from htype.linalg import (
     _PRIMES,
     _rat_reconstruct,
     check_budget,
+    det_exact,
     integerize_row,
+    inverse_exact,
     nullity_float,
     nullspace,
     rank_of_vectors,
@@ -293,3 +297,30 @@ def test_modp_path_matches_fraction_path(system, sparse):
     assert res.basis == ref and res.dimension == len(ref)
     if any(any(row) for row in rows):
         assert res.method.startswith("modp")
+
+
+def _leibniz(mat):
+    n = len(mat)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(mat[i][perm[i]] for i in range(n))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+             min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_det_and_inverse_exact(mat):
+    det = det_exact(mat)
+    assert det == _leibniz(mat)
+    if det == 0:
+        with pytest.raises(ZeroDivisionError):
+            inverse_exact(mat)
+        return
+    inv = inverse_exact(mat)
+    n = len(mat)
+    product = [[sum(mat[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+               for i in range(n)]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]

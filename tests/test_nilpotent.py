@@ -4,7 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from htype import nilpotent
 from htype.division import DivisionAlgebra as DA
 from htype.errors import CenterDimensionError, StructureError
 from htype.nilpotent import (
@@ -236,6 +240,166 @@ def test_nonsingular_undetermined():
                       [(0, 1, 0, 1), (0, 2, 1, 1), (0, 3, 2, 1)])
     res = is_nonsingular(alg)
     assert res.verdict is None and "undetermined" in res.certificate
+
+
+def test_real_root_count_is_distinct_roots():
+    # (t - 1)^2 (t + 2) = t^3 - 3t + 2: two distinct real roots
+    assert nilpotent._count_real_roots([2, -3, 0, 1]) == 2
+    assert nilpotent._count_real_roots([1, 0, 1]) == 0          # t^2 + 1
+    assert nilpotent._count_real_roots([0, 0, 0, 0, 1]) == 1    # t^4
+    assert nilpotent._count_real_roots([-5]) == 0
+    t = sympy.Symbol("t")
+    p = sympy.Poly((t**2 - 2) ** 2 * (t**2 + 1) * (t - 3), t)
+    assert nilpotent._count_real_roots([int(c) for c in reversed(p.all_coeffs())]) == 3
+
+
+def test_interpolation_recovers_coefficients():
+    coeffs = [Fraction(3, 4), Fraction(-2), Fraction(0), Fraction(5, 3)]
+    values = [sum(c * t**i for i, c in enumerate(coeffs)) for t in range(4)]
+    assert nilpotent._interpolate(values) == coeffs
+
+
+def _sympy_nonsingular(alg):
+    """(verdict, certificate) of is_nonsingular for dim z = 1 or 2, computed
+    with sympy: the pencil polynomial comes from a characteristic polynomial,
+    not from interpolation."""
+    th = is_type_h(alg)
+    if th.holds and not th.degenerate:
+        return True, "type H implies non-singular: J_Z X != 0 for Z, X != 0"
+    n = alg.dim_v
+    J = [sympy.Matrix(n, n, lambda a, b: sympy.Rational(
+            alg.structure[b][a][k].numerator, alg.structure[b][a][k].denominator))
+         for k in range(alg.dim_z)]
+    if alg.dim_z == 1:
+        det = sympy.Rational(J[0].det())
+        if det != 0:
+            return True, f"det J = {Fraction(int(det.p), int(det.q))} != 0"
+        return False, "det J = 0: singular direction exists"
+    det2 = J[1].det()
+    if det2 == 0:
+        return False, "det J_2 = 0"
+    t = sympy.Symbol("t")
+    # det(J_1 + t J_2) = det J_2 * det(t I + J_2^{-1} J_1)
+    poly = (-J[1].inv() * J[0]).charpoly(t) * det2
+    n_real = sympy.polys.polytools.count_roots(poly, -sympy.oo, sympy.oo)
+    if n_real == 0:
+        return True, "pencil det(J_1 + t J_2) has no real roots and det J_2 != 0"
+    return False, f"pencil determinant has {n_real} real root(s)"
+
+
+_SMALL = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def _pencils(draw):
+    """Algebras with dim z in (1, 2). Dense random tensors; sums of 2x2
+    blocks, whose pencil determinants are products of squared linear
+    factors with shared roots; and rescaled, tilted quaternionic 4x4
+    blocks, whose pencils often have no real root. Zero entries make
+    det J_2 = 0 common."""
+    kind = draw(st.sampled_from(["dense", "blocks", "quaternionic"]))
+    dim_v = draw(st.integers(1, 6))
+    dim_z = draw(st.integers(1, 2))
+    entries = []
+    if kind == "dense":
+        for i in range(dim_v):
+            for j in range(i + 1, dim_v):
+                for k in range(dim_z):
+                    entries.append((i, j, k, draw(_SMALL)))
+    elif kind == "blocks":
+        ratios = draw(st.lists(st.tuples(_SMALL, _SMALL), min_size=1, max_size=2))
+        for b in range(0, dim_v - 1, 2):
+            for k, val in enumerate(draw(st.sampled_from(ratios))[:dim_z]):
+                entries.append((b, b + 1, k, val))
+    else:
+        dim_v, dim_z = 4 * draw(st.integers(1, 2)), 2
+        for b in range(0, dim_v, 4):
+            a1, a2, b1, b2, tilt = (draw(_SMALL) for _ in range(5))
+            entries += [(b, b + 1, 0, a1), (b + 2, b + 3, 0, a2),
+                        (b, b + 2, 1, b1), (b + 3, b + 1, 1, b2),
+                        (b, b + 3, 1, tilt), (b + 1, b + 2, 0, tilt)]
+    return make_custom("pencil", dim_v, dim_z, entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pencils())
+@example(make_custom("tilted", 4, 2, [(0, 1, 0, 1), (2, 3, 0, 2), (0, 2, 1, 1),
+                                      (3, 1, 1, 3), (0, 3, 1, 1), (1, 2, 0, 1)]))
+@example(make_custom("double", 6, 2, [(0, 1, 0, 1), (0, 1, 1, 1), (2, 3, 0, 1),
+                                      (2, 3, 1, 1), (4, 5, 0, 2), (4, 5, 1, -1)]))
+@example(make_custom("odd", 3, 2, [(0, 1, 0, 1), (1, 2, 1, 1)]))
+@example(make_custom("line", 4, 1, [(0, 1, 0, Fraction(7, 3)), (2, 3, 0, -2)]))
+def test_nonsingular_matches_sympy(alg):
+    res = is_nonsingular(alg)
+    assert (res.verdict, res.certificate) == _sympy_nonsingular(alg)
+    assert res.degenerate is False
+
+
+def test_nonsingular_counts_repeated_roots_once():
+    # det(J_1 + t J_2) = (1 + t)^4 (2 - t)^2: roots -1 and 2
+    alg = make_custom("double", 6, 2, [(0, 1, 0, 1), (0, 1, 1, 1), (2, 3, 0, 1),
+                                       (2, 3, 1, 1), (4, 5, 0, 2), (4, 5, 1, -1)])
+    res = is_nonsingular(alg)
+    assert res.verdict is False
+    assert res.certificate == "pencil determinant has 2 real root(s)"
+
+
+def _rotation(n, i, j, u):
+    """Rational rotation in the (i, j) plane: cos = (1-u^2)/(1+u^2)."""
+    q = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
+    c, s = (1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)
+    q[i][i], q[i][j], q[j][i], q[j][j] = c, -s, s, c
+    return q
+
+
+def _mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _rotate_v(alg, q):
+    """The same algebra in the orthonormal v-basis given by the columns of q:
+    J'_k = q^T J_k q, and <J_Z X, Y> = <Z, [X, Y]> fixes the new tensor."""
+    n = alg.dim_v
+    qt = [list(col) for col in zip(*q)]
+    entries = []
+    for k in range(alg.dim_z):
+        j = _mul(qt, _mul(nilpotent._jmat(alg, k), q))
+        entries += [(a, b, k, j[b][a]) for a in range(n) for b in range(a + 1, n)
+                    if j[b][a]]
+    return make_custom(alg.name + "'", n, alg.dim_z, entries)
+
+
+def _fraction_failing_pairs(alg):
+    """The J-identity checked pair by pair on Fraction matrices."""
+    js = [nilpotent._jmat(alg, k) for k in range(alg.dim_z)]
+    n = alg.dim_v
+    failing = []
+    for a in range(alg.dim_z):
+        for b in range(a, alg.dim_z):
+            ab, ba = _mul(js[a], js[b]), _mul(js[b], js[a])
+            want = -2 if a == b else 0
+            if any(ab[i][j] + ba[i][j] != (want if i == j else 0)
+                   for i in range(n) for j in range(n)):
+                failing.append((a, b))
+    return tuple(failing)
+
+
+@pytest.mark.parametrize("perturb", [False, True])
+def test_type_h_matches_fraction_reference(perturb):
+    alg = build_hn(DA.H, 1)
+    if perturb:  # J_1 gains an entry: it no longer squares to -I or anticommutes
+        entries = [(i, j, k, alg.structure[i][j][k]) for i in range(8)
+                   for j in range(i + 1, 8) for k in range(4) if alg.structure[i][j][k]]
+        alg = make_custom("bent", 8, 4, entries + [(0, 5, 1, Fraction(1, 3))])
+    q = _mul(_rotation(8, 0, 1, Fraction(1000003, 1000033)),
+             _rotation(8, 1, 5, Fraction(-999979, 1000037)))
+    rotated = _rotate_v(alg, q)  # common denominator near 10^24, far past int64
+    small, large = is_type_h(alg), is_type_h(rotated)
+    assert (small.holds, small.failing_pairs, small.certificate) == \
+        (large.holds, large.failing_pairs, large.certificate)
+    assert small.failing_pairs == _fraction_failing_pairs(alg)
+    assert large.failing_pairs == _fraction_failing_pairs(rotated)
+    assert small.holds is not perturb
 
 
 # --- graded isomorphism witness ---------------------------------------------
