@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,8 @@ __all__ = [
     "siegel_point",
     "cayley",
     "cayley_inverse",
-    "boundary_cayley",
     "boundary_distribution",
     "sphere_distribution",
-    "directional_derivative",
     "j2_test",
     "find_j2_violation",
     "limiting_plane_experiment",
@@ -52,7 +51,6 @@ __all__ = [
     "group_product",
     "translation_invariance_check",
     "grassmann_distance",
-    "random_boundary_pair",
     "boundary_identity_error",
     "round_trip_error",
 ]
@@ -75,7 +73,6 @@ class _FloatModel:
             raise StructureError(
                 f"{alg.name}: boundary maps are defined for type-H algebras only"
             )
-        self.alg = alg
         self.n = alg.dim_v
         self.m = alg.dim_z
         self.c = np.array(
@@ -91,14 +88,17 @@ class _FloatModel:
         return np.einsum("ijk,i,j->k", self.c, x, y)
 
 
+# Keyed by id(); each entry is dropped when its algebra is collected, so
+# the cache neither pins algebras nor outlives them under a reused id.
 _MODELS: dict[int, _FloatModel] = {}
 
 
 def _model(alg: GradedNilpotent) -> _FloatModel:
     got = _MODELS.get(id(alg))
-    if got is None or got.alg is not alg:
+    if got is None:
         got = _FloatModel(alg)
         _MODELS[id(alg)] = got
+        weakref.finalize(alg, _MODELS.pop, id(alg), None)
     return got
 
 
@@ -176,7 +176,7 @@ def cayley(alg: GradedNilpotent, p: SiegelPoint, tol: float = 1e-9) -> BallPoint
     return BallPoint(_cayley_arrays(mod, p.X, p.Z, p.t))
 
 
-def boundary_cayley(alg: GradedNilpotent, X, Z) -> np.ndarray:
+def _boundary_cayley(alg: GradedNilpotent, X, Z) -> np.ndarray:
     """Ball coordinates of the boundary point over (X, Z)."""
     mod = _model(alg)
     Xa = np.asarray(X, dtype=float)
@@ -197,13 +197,6 @@ def _dcayley(mod: _FloatModel, X, Z, t, Y, W, s) -> np.ndarray:
          [2.0 * t * s + 2.0 * zw]]
     )
     return (dN - (dD / D) * N) / D
-
-
-def directional_derivative(alg: GradedNilpotent, p: SiegelPoint, Y, W, s) -> np.ndarray:
-    """Closed-form d(cayley) at p applied to the tangent vector (Y, W, s)."""
-    mod = _model(alg)
-    return _dcayley(mod, p.X, p.Z, p.t,
-                    np.asarray(Y, dtype=float), np.asarray(W, dtype=float), float(s))
 
 
 def _dcayley_boundary(mod: _FloatModel, X, Z, Y, W) -> np.ndarray:
@@ -782,7 +775,7 @@ def puncture_point(alg: GradedNilpotent, seed: int = 0, directions: int = 6,
     zs = [np.zeros(mod.m)]
     if mod.m:
         zs.append(0.5 * np.eye(mod.m)[0])
-    pts = [boundary_cayley(alg, radius * x, z) for x in xs for z in zs]
+    pts = [_boundary_cayley(alg, radius * x, z) for x in xs for z in zs]
     spread = max(
         float(np.linalg.norm(p - q)) for i, p in enumerate(pts) for q in pts[i + 1:]
     )
@@ -834,11 +827,6 @@ def translation_invariance_check(alg: GradedNilpotent, X, Z,
 
 # ---------------------------------------------------------------------------
 # Sampled invariants
-
-
-def random_boundary_pair(mod_or_alg, rng: np.random.Generator):
-    mod = mod_or_alg if isinstance(mod_or_alg, _FloatModel) else _model(mod_or_alg)
-    return rng.standard_normal(mod.n), rng.standard_normal(mod.m)
 
 
 def boundary_identity_error(alg: GradedNilpotent, samples: int = 10_000,

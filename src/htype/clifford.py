@@ -23,11 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import division as da
 from .division import DivisionAlgebra
 from .errors import StructureError
 from .linalg import nullspace
-from .nilpotent import GradedNilpotent, _freeze, _zeros
+from .nilpotent import GradedNilpotent, _clifford_failures, _freeze, _zeros
 
 __all__ = ["CliffordGenerators", "clifford_generators", "build_htype_from_clifford",
            "REP_DIMS"]
@@ -108,22 +110,16 @@ def clifford_generators(m: int) -> CliffordGenerators:
         raise ValueError("m must be between 1 and 8")
     mats = _generator_matrices(m)
     d = len(mats[0])
-    # verify anticommutation and skewness exactly before returning
-    for a in range(m):
-        ja = mats[a]
-        for i in range(d):
-            for j in range(d):
-                if ja[i][j] != -ja[j][i]:
-                    raise StructureError(f"J_{a} is not skew")  # pragma: no cover
-        for b in range(a, m):
-            jb = mats[b]
-            for i in range(d):
-                for j in range(d):
-                    s = sum(ja[i][t] * jb[t][j] + jb[i][t] * ja[t][j] for t in range(d))
-                    want = Fraction(-2) if (a == b and i == j) else Fraction(0)
-                    if s != want:
-                        raise StructureError(  # pragma: no cover
-                            f"anticommutation fails for ({a},{b})")
+    # verify skewness and anticommutation exactly, on integers, before returning
+    K = np.array([[[int(x) for x in row] for row in j] for j in mats], dtype=object)
+    if K.tolist() != mats:
+        raise StructureError("generator entries are not integers")  # pragma: no cover
+    if np.any(K + K.transpose(0, 2, 1)):
+        raise StructureError("a generator is not skew")
+    failing = _clifford_failures(K, 1)
+    if failing:
+        a, b = failing[0]
+        raise StructureError(f"anticommutation fails for ({a},{b})")
     com = _commutant_dimension(mats)
     if com > 4:
         raise StructureError(  # pragma: no cover

@@ -6,7 +6,8 @@ must be exact, so every returned basis is certified over Q:
 1. Rows arrive sparse ({column: value}) or dense. Each is scaled once, over
    its nonzeros only, to a primitive integer row; zero rows and duplicate
    rows (equal up to sign) are dropped, since neither changes the nullspace.
-2. Small systems go straight to Fraction Gauss-Jordan. Whether a system is
+2. Small systems go straight to fraction-free integer Gauss-Jordan
+   (`_int_rref`, which keeps every row primitive). Whether a system is
    small, and the budget check, use the row count before deduplication.
 3. Large systems are row-reduced modulo a 31-bit prime in int64 numpy,
    candidate basis vectors are lifted back to Q by rational reconstruction,
@@ -16,13 +17,15 @@ must be exact, so every returned basis is certified over Q:
    integers otherwise. Since nullity over Q never exceeds nullity mod p, a
    verified set of nullity_p independent vectors certifies the dimension.
 4. Any reconstruction/verification failure escalates: second prime, CRT
-   combination, then the Fraction path as the final authority. Each failed
-   prime combination and each Fraction fallback is logged at INFO on the
-   "htype.linalg" logger.
+   combination, then fraction-free integer Gauss-Jordan as the final
+   authority. Each failed prime combination and each such fallback is
+   logged at INFO on the "htype.linalg" logger.
 
 The basis returned is the canonical reduced-echelon nullspace basis (one
 vector per free column, entry 1 there), so results are deterministic and
-method-independent.
+method-independent. `det_exact` and `inverse_exact` run on the same
+integer kernel. The method label "fraction" names this exact-elimination
+path.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "NullspaceResult",
     "nullspace",
     "check_budget",
-    "rank_of_vectors",
     "integerize_row",
     "det_exact",
     "inverse_exact",
@@ -53,7 +55,7 @@ _log = logging.getLogger("htype.linalg")
 # 31-bit primes: products stay inside int64 during elimination.
 _PRIMES = (2147483647, 2147483629, 2147483587)
 
-# Below this entry count the pure-Fraction path is fast enough.
+# Below this entry count integer Gauss-Jordan is fast enough.
 _FRACTION_CUTOFF = 20000
 
 Row = Union[Mapping[int, Fraction], Sequence[Fraction]]
@@ -109,84 +111,94 @@ def _distinct(rows: list[SparseInts]) -> list[SparseInts]:
     return list(keyed.values())
 
 
-def _frac_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+def _int_rref(rows: list[list[int]],
+              ncols: int) -> tuple[list[list[int]], list[int], list[tuple[int, int]]]:
+    """Fraction-free Gauss-Jordan on Python-int rows (Bareiss 1968, row-primitive).
+
+    The pivot p of column c is the first nonzero entry at or below the next
+    pivot row. Every other row with f = row[c] != 0 becomes
+    (p*row - f*pivot_row) / g, g the content of the result, so touched rows
+    stay primitive; rows with a zero in column c are left alone. Row k of
+    the result is a multiple of the canonical reduced row, whose entries are
+    rows[k][j] / rows[k][pivots[k]]. factors logs (-1, 1) per swap and (g, p)
+    per row update, so a square nonsingular input has determinant
+    prod(rows[k][k]) * prod(g) / prod(p). Only the log is kept, since
+    multiplying it out is costly when entries are large and only
+    `det_exact` needs it.
+    """
     mat = [list(r) for r in rows]
     pivots: list[int] = []
+    factors: list[tuple[int, int]] = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pr is None:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
+        if pr != r:
+            mat[r], mat[pr] = mat[pr], mat[r]
+            factors.append((-1, 1))
         prow = mat[r]
+        p = prow[c]
         for i, row in enumerate(mat):
-            if i != r and row[c] != 0:
-                f = row[c]
-                mat[i] = [a - f * b for a, b in zip(row, prow)]
+            f = row[c]
+            if f and i != r:
+                new = [p * a - f * b for a, b in zip(row, prow)]
+                g = math.gcd(*new) or 1
+                if g != 1:
+                    new = [a // g for a in new]
+                mat[i] = new
+                factors.append((g, p))
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    return mat[:r], pivots, factors
+
+
+def _common_denominator(mat: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Integer matrix D*M and D, the lcm of the entries' denominators."""
+    fracs = [[Fraction(x) for x in row] for row in mat]
+    d = math.lcm(*(x.denominator for row in fracs for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in fracs], d
 
 
 def det_exact(mat: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square rational matrix by Fraction elimination."""
-    m = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for c in range(len(m)):
-        pr = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        prow = m[c]
-        det *= prow[c]
-        for i in range(c + 1, len(m)):
-            if m[i][c] != 0:
-                f = m[i][c] / prow[c]
-                m[i] = [a - f * b for a, b in zip(m[i], prow)]
-    return det
+    """Determinant of a square rational matrix by integer elimination."""
+    n = len(mat)
+    ints, d = _common_denominator(mat)
+    rref, pivots, factors = _int_rref(ints, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    num = math.prod(g for g, _ in factors) * math.prod(rref[k][k] for k in range(n))
+    return Fraction(num, math.prod(p for _, p in factors) * d**n)
 
 
 def inverse_exact(mat: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of an invertible rational matrix: Gauss-Jordan on [M | I]."""
+    """Inverse of an invertible rational matrix: Gauss-Jordan on [D*M | I]."""
     n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    rref, pivots = _frac_rref(aug, n)
-    if len(pivots) < n:
+    ints, d = _common_denominator(mat)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ints)]
+    rref, pivots, _ = _int_rref(aug, 2 * n)
+    if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in rref]
-
-
-def _basis_from_rref(rref, pivots: list[int], ncols: int, zero, one):
-    """Canonical nullspace basis: one vector per free column."""
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for r, p in enumerate(pivots):
-            v[p] = -rref[r][f]
-        basis.append(tuple(v))
-    return basis
+    # (D*M)^{-1} row k is rref[k][n:] / rref[k][k], and M^{-1} = D (D*M)^{-1}
+    return [[Fraction(d * x, row[k]) for x in row[n:]] for k, row in enumerate(rref)]
 
 
 def _nullspace_fraction(int_rows: list[SparseInts], ncols: int) -> NullspaceResult:
-    zero = Fraction(0)
-    frac_rows = []
-    for row in int_rows:
-        dense = [zero] * ncols
-        for c, v in row:
-            dense[c] = Fraction(v)
-        frac_rows.append(dense)
-    rref, pivots = _frac_rref(frac_rows, ncols)
-    basis = _basis_from_rref(rref, pivots, ncols, zero, Fraction(1))
+    dense_rows = [[row.get(c, 0) for c in range(ncols)] for row in map(dict, int_rows)]
+    rref, pivots, _ = _int_rref(dense_rows, ncols)
+    pivot_set = set(pivots)
+    zero, one = Fraction(0), Fraction(1)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for row, p in zip(rref, pivots):
+            v[p] = Fraction(-row[f], row[p])
+        basis.append(tuple(v))
     return NullspaceResult(len(basis), tuple(basis), "fraction")
 
 
@@ -360,33 +372,16 @@ def nullspace(rows: Iterable[Row], ncols: int,
     """
     int_rows = [r for r in (_integerize(_sparse_items(row)) for row in rows) if r]
     check_budget(len(int_rows), ncols, budget, context)
-    if ncols == 0:
-        return NullspaceResult(0, (), "fraction")
-    if not int_rows:
-        basis = tuple(
-            tuple(Fraction(1) if c == f else Fraction(0) for c in range(ncols))
-            for f in range(ncols)
-        )
-        return NullspaceResult(ncols, basis, "fraction")
     small = len(int_rows) * ncols <= _FRACTION_CUTOFF
     int_rows = _distinct(int_rows)
-    if small:
+    if small or not int_rows:
         return _nullspace_fraction(int_rows, ncols)
     result = _nullspace_modp(_IntSystem(int_rows, ncols), context)
     if result is not None:
         return result
     _log.info("nullspace %s: every prime combination failed; "
-              "falling back to Fraction Gauss-Jordan", context)
+              "falling back to integer Gauss-Jordan", context)
     return _nullspace_fraction(int_rows, ncols)
-
-
-def rank_of_vectors(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a (small) list of rational vectors."""
-    if not vectors:
-        return 0
-    rows = [[Fraction(v) for v in vec] for vec in vectors]
-    rref, pivots = _frac_rref(rows, len(rows[0]))
-    return len(pivots)
 
 
 def nullity_float(rows: np.ndarray, tol: float = 1e-8) -> int:

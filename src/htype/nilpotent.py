@@ -284,6 +284,23 @@ def _matmul(a, b):
             for i in range(n)]
 
 
+def _clifford_failures(K: np.ndarray, D: int) -> list[tuple[int, int]]:
+    """Pairs a <= b with K_a K_b + K_b K_a != -2 delta_ab D^2 I, for a stack
+    K of integer (object) matrices."""
+    m, n = K.shape[:2]
+    square = -D * D * np.eye(n, dtype=object)
+    failing = []
+    for a in range(m):
+        for b in range(a, m):
+            if a == b:
+                ok = np.array_equal(K[a] @ K[a], square)
+            else:
+                ok = not np.any(K[a] @ K[b] + K[b] @ K[a])
+            if not ok:
+                failing.append((a, b))
+    return failing
+
+
 def is_type_h(alg: GradedNilpotent) -> TypeHResult:
     """J_a J_b + J_b J_a = -2 delta_ab I on all pairs of z-basis vectors.
 
@@ -304,16 +321,7 @@ def is_type_h(alg: GradedNilpotent) -> TypeHResult:
             for k, x in enumerate(cba):
                 if x:
                     K[k, a, b] = x.numerator * (D // x.denominator)
-    square = -D * D * np.eye(n, dtype=object)
-    failing = []
-    for a in range(m):
-        for b in range(a, m):
-            if a == b:
-                ok = np.array_equal(K[a] @ K[a], square)
-            else:
-                ok = not np.any(K[a] @ K[b] + K[b] @ K[a])
-            if not ok:
-                failing.append((a, b))
+    failing = _clifford_failures(K, D)
     if failing:
         return TypeHResult(False, False, tuple(failing),
                            f"{len(failing)} basis pair(s) violate the J-identity")

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, StructureError
-from .linalg import NullspaceResult, check_budget, nullity_float, nullspace
+from .errors import StructureError
+from .linalg import check_budget, nullspace
 from .nilpotent import GradedNilpotent
 
 __all__ = [
@@ -185,8 +185,8 @@ def verify_graded_derivation(alg: GradedNilpotent, a: Matrix, b: Matrix) -> bool
             cij = c[i][j]
             for k in range(m):
                 lhs = sum(b[k][l] * cij[l] for l in range(m) if cij[l])
-                rhs = sum(a[t][i] * c[t][j][k] + a[t][j] * c[i][t][k]
-                          for t in range(n))
+                rhs = (sum(a[t][i] * c[t][j][k] for t in range(n) if c[t][j][k])
+                       + sum(a[t][j] * c[i][t][k] for t in range(n) if c[i][t][k]))
                 if lhs != rhs:
                     return False
     return True

@@ -1,6 +1,8 @@
 """Cayley transform, sphere distributions, and J^2 experiments."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +30,18 @@ def h1c():
 
 # ---------------------------------------------------------------------------
 # Cayley transform
+
+
+def test_model_cache_does_not_pin_the_algebra():
+    alg = build_hn(DA.C, 1)
+    B.siegel_point(alg, [0, 0, 0, 0], [0, 0])
+    key = id(alg)
+    assert key in B._MODELS
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None
+    assert key not in B._MODELS
 
 
 def test_cayley_special_values():

@@ -1,11 +1,14 @@
 """Clifford generator families and the H-type algebras they induce."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
+from htype import clifford
 from htype.clifford import REP_DIMS, build_htype_from_clifford, clifford_generators
 from htype.division import DivisionAlgebra as DA
+from htype.errors import StructureError
 from htype.nilpotent import build_hn, check_symplectic_isomorphic, dims, is_type_h
 
 # commutant of the minimal module follows the R/C/H periodicity
@@ -32,6 +35,27 @@ def test_generator_relations_rechecked():
                     s = sum(js[a][i][t] * js[b][t][j]
                             + js[b][i][t] * js[a][t][j] for t in range(d))
                     assert s == (Fraction(-2) if (a == b and i == j) else 0)
+
+
+@pytest.mark.parametrize("both, message", [
+    (False, "not skew"),  # one entry flipped: J_1 is no longer skew
+    (True, "anticommutation fails for (0,1)"),  # a skew pair flipped: first failing pair
+])
+def test_corrupted_generator_is_refused(monkeypatch, both, message):
+    real = clifford._generator_matrices
+
+    def corrupted(m):
+        mats = real(m)
+        j = mats[1]
+        r, c = next((r, c) for r in range(len(j)) for c in range(len(j)) if j[r][c])
+        j[r][c] = -j[r][c]
+        if both:
+            j[c][r] = -j[c][r]
+        return mats
+
+    monkeypatch.setattr(clifford, "_generator_matrices", corrupted)
+    with pytest.raises(StructureError, match=re.escape(message)):
+        clifford_generators(3)
 
 
 def test_invalid_generator_count():

@@ -24,7 +24,6 @@ from htype.linalg import (
     inverse_exact,
     nullity_float,
     nullspace,
-    rank_of_vectors,
 )
 
 
@@ -82,9 +81,32 @@ def _rank3_system(seed=11, ncols=150):
 
 
 def _reference_basis(rows, ncols):
-    """Fraction Gauss-Jordan on the rows as given: no scaling, no deduplication."""
-    rref, pivots = linalg._frac_rref([[Fraction(x) for x in row] for row in rows], ncols)
-    return tuple(linalg._basis_from_rref(rref, pivots, ncols, Fraction(0), Fraction(1)))
+    """Canonical nullspace basis by textbook Fraction Gauss-Jordan on the
+    rows as given: no scaling, no deduplication, nothing from linalg."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i, row in enumerate(mat):
+            if i != r and row[c] != 0:
+                mat[i] = [a - row[c] * b for a, b in zip(row, mat[r])]
+        pivots.append(c)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -mat[r][f]
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 def test_modp_path_agrees_with_fraction_path():
@@ -93,7 +115,6 @@ def test_modp_path_agrees_with_fraction_path():
     rng = random.Random(11)
     ncols = 150
     gens = [[Fraction(rng.randint(-5, 5)) for _ in range(ncols)] for _ in range(3)]
-    assert rank_of_vectors(gens) == 3
     rows = []
     for _ in range(ncols):
         c = [rng.randint(-3, 3) for _ in range(3)]
@@ -128,15 +149,6 @@ def test_integerize_row():
     # primitive: common factors removed
     assert integerize_row([Fraction(4), Fraction(6)]) == [2, 3]
     assert integerize_row([Fraction(0)] * 3) == [0, 0, 0]
-
-
-def test_rank_of_vectors():
-    assert rank_of_vectors([]) == 0
-    assert rank_of_vectors([[Fraction(1), Fraction(2)]]) == 1
-    assert rank_of_vectors([[Fraction(1), Fraction(2)],
-                            [Fraction(2), Fraction(4)]]) == 1
-    assert rank_of_vectors([[Fraction(1), Fraction(0)],
-                            [Fraction(1), Fraction(1)]]) == 2
 
 
 def test_nullity_float_cross_check():
@@ -297,6 +309,17 @@ def test_modp_path_matches_fraction_path(system, sparse):
     assert res.basis == ref and res.dimension == len(ref)
     if any(any(row) for row in rows):
         assert res.method.startswith("modp")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems(), st.booleans())
+def test_small_path_matches_reference(system, sparse):
+    rows, ncols = system
+    ref = _reference_basis(rows, ncols)
+    given_rows = [{c: v for c, v in enumerate(row) if v} for row in rows] if sparse else rows
+    res = nullspace(given_rows, ncols)
+    assert res.basis == ref and res.dimension == len(ref)
+    assert res.method == "fraction"
 
 
 def _leibniz(mat):

@@ -1,10 +1,15 @@
 """Derivation spaces and prolongations against independently derived dimensions."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
+import htype
 from htype.clifford import build_htype_from_clifford
 from htype.division import DivisionAlgebra as DA
 from htype.errors import BudgetExceeded, StructureError
@@ -230,3 +235,36 @@ def test_result_serializes():
     assert d["total_dim"] == 3 + 4 + 6 + 9
     assert d["trivial"] is False
     assert isinstance(d["elapsed_ms"], int)
+
+
+# sha256 of repr(bases) from tanaka_prolong(store_bases=True) on h'1,0(A),
+# computed before the small exact systems moved to integer elimination:
+# every system of h'1,0(H) takes the "fraction" path, those of h'1,0(O) the
+# mod-p path. Float64 bases vary with the BLAS build and its thread count,
+# so each case runs in a fresh interpreter with one BLAS thread; the float
+# hash holds for numpy 2.4's OpenBLAS 0.3.31 build.
+PINNED_BASES = {
+    ("H", "exact"): "653b07019b2d0867052a74727ff92759ce899f38cf1d6ae03f2f6b3a159cbeb4",
+    ("O", "exact"): "68241ada2fdad6fa84f7a8e93289cee38803e6bc04f6aacfe96c729f9ba9e12b",
+    ("O", "float64"): "d88c0c2f86511d1e574915417e474057ea5a82e939ea7d33ed2add58b181af1e",
+}
+
+_BASES_HASH = (
+    "import hashlib, sys\n"
+    "from htype.division import DivisionAlgebra as DA\n"
+    "from htype.nilpotent import build_hprime\n"
+    "from htype.symmetry import tanaka_prolong\n"
+    "alg = build_hprime(DA.from_tag(sys.argv[1]), 1, 0)\n"
+    f"res = tanaka_prolong(alg, arithmetic=sys.argv[2], budget={BIG}, store_bases=True)\n"
+    "print(hashlib.sha256(repr(res.bases).encode()).hexdigest())\n"
+)
+
+
+@pytest.mark.parametrize("tag, arithmetic", sorted(PINNED_BASES))
+def test_prolongation_bases_pinned(tag, arithmetic):
+    src = str(Path(htype.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _BASES_HASH, tag, arithmetic],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == PINNED_BASES[(tag, arithmetic)]
