@@ -62,6 +62,8 @@ PLANE_TOL = 1e-6
 NEWTON_TOL = 1e-10
 BALL_MARGIN = 1e-9
 FD_STEP = 1e-4  # Richardson pair uses FD_STEP and FD_STEP / 2
+GN_STEP = 1e-7  # forward-difference step of the Gauss-Newton Jacobian
+GN_ITERATIONS = 50  # Gauss-Newton steps per restart of the witness search
 
 
 class _FloatModel:
@@ -113,10 +115,6 @@ class SiegelPoint:
     @property
     def height_excess(self) -> float:
         return self.t - 0.25 * float(self.X @ self.X)
-
-    @property
-    def is_interior(self) -> bool:
-        return self.height_excess > 0
 
     def ambient(self) -> np.ndarray:
         return np.concatenate([self.X, self.Z, [self.t]])
@@ -239,11 +237,16 @@ def _orthonormal_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def grassmann_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Chordal distance between the row spans of a and b."""
-    import scipy.linalg  # deferred: scipy loads only for the experiments
+    """Chordal distance between the row spans of a and b.
 
-    angles = scipy.linalg.subspace_angles(np.atleast_2d(a).T, np.atleast_2d(b).T)
-    return float(np.linalg.norm(np.sin(angles)))
+    The residual of the smaller span projected onto the larger one has the
+    sines of the principal angles as its singular values (Bjorck and Golub
+    1973), so its Frobenius norm is the distance, accurate at small angles.
+    """
+    qa, qb = _orthonormal_rows(a), _orthonormal_rows(b)
+    if qa.shape[0] < qb.shape[0]:
+        qa, qb = qb, qa
+    return float(np.linalg.norm(qb - (qb @ qa.T) @ qa))
 
 
 def cayley_inverse(alg: GradedNilpotent, b, tol: float = NEWTON_TOL,
@@ -493,13 +496,14 @@ class ViolationSearch:
         }
 
 
-def _violation_score(mod: _FloatModel, X, Z, W) -> tuple[float, np.ndarray]:
-    """Norm of the projection of J_Z J_W X onto span{J_z X} + R X, and the
-    complementary component (the violation direction)."""
+def _violation_score(mod: _FloatModel, X, Z, W) -> tuple[float, np.ndarray, np.ndarray]:
+    """Norm of the projection of J_Z J_W X onto span{J_z X} + R X, the
+    complementary component (the violation direction) and the projection
+    itself (zero at a witness)."""
     q = _span_projector(mod, X, include_x=True)
     u = mod.jz(Z) @ (mod.jz(W) @ X)
     proj = q @ (q.T @ u)
-    return float(np.linalg.norm(proj)) / float(np.linalg.norm(X)), u - proj
+    return float(np.linalg.norm(proj)) / float(np.linalg.norm(X)), u - proj, proj
 
 
 def _make_violation_witness(mod: _FloatModel, alg_name, X, Z, W, score, perp):
@@ -511,8 +515,8 @@ def _make_violation_witness(mod: _FloatModel, alg_name, X, Z, W, score, perp):
 def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
                       restarts: int = 8, sweep: bool = True) -> ViolationSearch:
     """Search for a unitary triple (X, Z, W) with J_Z J_W X orthogonal to
-    span{J_z X} + R X: structured sweep first, then seeded local
-    minimization of the projection norm."""
+    span{J_z X} + R X: structured sweep first, then seeded Gauss-Newton
+    restarts that drive the projection vector to zero."""
     mod = _model(alg)
     if mod.m <= 1:
         return ViolationSearch(alg.name, None, math.inf, 0, 0, seed, tol)
@@ -524,7 +528,7 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
         for X in _candidate_vectors(mod.n):
             for k in range(mod.m):
                 for l in range(k + 1, mod.m):
-                    score, perp = _violation_score(mod, X, eye_m[k], eye_m[l])
+                    score, perp, _ = _violation_score(mod, X, eye_m[k], eye_m[l])
                     evals += 1
                     if score < best[0]:
                         best = (score, (X, eye_m[k], eye_m[l], perp))
@@ -533,8 +537,8 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
         witness = _make_violation_witness(mod, alg.name, X, Z, W, best[0], perp)
         return ViolationSearch(alg.name, witness, best[0], evals, 0, seed, tol)
 
-    # Local minimization over (X, Z, W) with Gram-Schmidt inside the
-    # objective so the iterate is always a unitary triple.
+    # Gauss-Newton on the projection vector, a zero-residual problem, over
+    # the raw theta; unpack turns theta into a unitary triple.
     n, m = mod.n, mod.m
 
     def unpack(theta):
@@ -552,30 +556,39 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
             return None
         return x, z, w / nw
 
-    def objective(theta):
+    def evaluate(theta):
+        """(score, projection vector, witness data), or None off the domain."""
+        nonlocal evals
+        evals += 1
         triple = unpack(theta)
         if triple is None:
-            return 1e6
-        score, _ = _violation_score(mod, *triple)
-        return score * score
-
-    import scipy.optimize  # deferred: scipy loads only for the experiments
+            return None
+        score, perp, proj = _violation_score(mod, *triple)
+        return score, proj, (*triple, perp)
 
     rng = np.random.default_rng(seed)
     used = 0
     for _ in range(restarts):
         used += 1
-        theta0 = rng.standard_normal(n + 2 * m)
-        res = scipy.optimize.minimize(objective, theta0, method="BFGS",
-                                      options={"maxiter": 200})
-        evals += int(res.nfev)
-        triple = unpack(res.x)
-        if triple is None:
-            continue
-        score, perp = _violation_score(mod, *triple)
-        if score < best[0]:
-            best = (score, (*triple, perp))
-        if score <= tol:
+        theta = rng.standard_normal(n + 2 * m)
+        point = evaluate(theta)
+        steps = 0
+        while point is not None:
+            if point[0] < best[0]:
+                best = (point[0], point[2])
+            if steps == GN_ITERATIONS:
+                break
+            probes = [evaluate(theta + d) for d in GN_STEP * np.eye(theta.size)]
+            if any(p is None for p in probes):
+                break
+            jac = np.column_stack([(p[1] - point[1]) / GN_STEP for p in probes])
+            theta = theta + np.linalg.lstsq(jac, -point[1], rcond=None)[0]
+            stepped = evaluate(theta)
+            steps += 1
+            if point[0] <= tol and stepped is not None and stepped[0] >= point[0]:
+                break
+            point = stepped
+        if best[0] <= tol:
             break
     if best[0] <= tol and best[1] is not None:
         X, Z, W, perp = best[1]
@@ -658,7 +671,7 @@ def limiting_plane_experiment(alg: GradedNilpotent, witness: J2Witness,
     if np.linalg.norm(w) < 1e-8:
         raise StructureError("witness W is parallel to Z")
     w = w / np.linalg.norm(w)
-    score, _ = _violation_score(mod, x, z, w)
+    score, _, _ = _violation_score(mod, x, z, w)
     if score > PLANE_TOL:
         raise StructureError(
             f"witness does not violate the J^2 condition: projection "

@@ -123,15 +123,6 @@ class SimpleAlgebraDescriptor:
         return f
 
     @property
-    def is_compact(self) -> bool:
-        f, p = self.family, self.params
-        if f in ("su", "sp", "so"):
-            return p[0] == 0 or p[1] == 0
-        if f == "su_star":
-            return p[0] <= 1  # su*(2) = su(2)
-        return False
-
-    @property
     def in_S(self) -> bool:
         """Simple, non-compact, and not isomorphic to any so(1,n).
 

@@ -93,7 +93,7 @@ class ProlongationResult:
         }
 
 
-def _unflatten(vec: Sequence[Fraction], shapes: list[tuple[int, int]]):
+def _unflatten(vec: Sequence, shapes: list[tuple[int, int]]):
     """Split a flat vector into row-major matrices of the given shapes."""
     out = []
     pos = 0
@@ -202,7 +202,8 @@ def _solve_float(rows: list[dict], ncols: int, tol: float):
     for r, row in enumerate(rows):
         for col, x in row.items():
             mat[r, col] = x
-    u, s, vh = np.linalg.svd(mat)
+    # The thin U suffices when rows >= columns: vh is square either way.
+    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < ncols)
     cutoff = tol * max(1.0, s[0] if s.size else 1.0)
     rank = int(np.sum(s > cutoff))
     basis = [tuple(map(float, vh[r])) for r in range(rank, ncols)]
@@ -315,17 +316,8 @@ def tanaka_prolong(alg: GradedNilpotent,
     if g0_mode == "full_graded_derivations":
         npairs = n * (n - 1) // 2
         check_budget(npairs * m, n * n + m * m, budget, "degree-0 derivation system")
-        if exact:
-            der = graded_derivations(alg)
-            g0_basis = [(a, b) for a, b, _ in der.basis]
-        else:
-            rows = [{col: float(x) for col, x in row.items()} for row in _derivation_rows(alg)]
-            _, vecs = solve(rows, n * n + m * m)
-            g0_basis = []
-            for vec in vecs:
-                a = [[vec[t * n + s] for s in range(n)] for t in range(n)]
-                b = [[vec[n * n + k * m + l] for l in range(m)] for k in range(m)]
-                g0_basis.append((a, b))
+        _, vecs = solve(_derivation_rows(alg), n * n + m * m)
+        g0_basis = [_unflatten(vec, [(n, n), (m, m)]) for vec in vecs]
     elif g0_mode == "supplied_subalgebra":
         if not supplied_g0:
             raise ValueError("supplied_subalgebra mode needs supplied_g0")

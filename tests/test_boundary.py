@@ -2,13 +2,18 @@
 
 import gc
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import htype
 from htype import boundary as B
 from htype.division import DivisionAlgebra as DA
 from htype.errors import (
@@ -181,6 +186,27 @@ def test_translation_invariance_of_sphere_planes():
         assert B.translation_invariance_check(alg, X, Z) <= 1e-6
 
 
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(2, 9), ka=st.integers(1, 9), kb=st.integers(1, 9),
+       near=st.sampled_from([0.0, 1e-13, 1e-10, 1e-6, 1e-2]),
+       seed=st.integers(0, 2**32 - 1))
+def test_grassmann_distance_matches_subspace_angles(dim, ka, kb, near, seed):
+    linalg = pytest.importorskip("scipy.linalg")  # oracle only
+    ka, kb = min(ka, dim), min(kb, dim)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((ka, dim))
+    if near:
+        # a span inside a, or containing it, moved by about `near`
+        b = rng.standard_normal((kb, ka)) @ a if kb <= ka else np.vstack(
+            [a, rng.standard_normal((kb - ka, dim))])
+        b = b + near * rng.standard_normal(b.shape)
+    else:
+        b = rng.standard_normal((kb, dim))
+    want = float(np.linalg.norm(np.sin(linalg.subspace_angles(a.T, b.T))))
+    assert abs(B.grassmann_distance(a, b) - want) <= 1e-12
+    assert abs(B.grassmann_distance(b, a) - want) <= 1e-12
+
+
 def test_group_product_is_a_two_step_group_law():
     alg = h1c()
     rng = np.random.default_rng(7)
@@ -283,6 +309,20 @@ def test_violation_search_optimizer_path():
     assert search.restarts_used >= 1
 
 
+@pytest.mark.parametrize("make,seed", [(lambda: build_hn(DA.H, 1), 2),
+                                       (lambda: build_hn(DA.O, 1), 0),
+                                       (lambda: build_hn(DA.O, 1), 2)],
+                         ids=["h1H-seed2", "h1O-seed0", "h1O-seed2"])
+def test_violation_search_optimizer_reaches_tol(make, seed):
+    # inputs on which a quasi-Newton search of the squared score stalled
+    # just above tol (best scores 1.3e-8 to 3.5e-8)
+    alg = make()
+    search = B.find_j2_violation(alg, seed=seed, tol=1e-8, sweep=False)
+    assert search.witness is not None
+    assert search.best_score <= 1e-8
+    assert search.witness.bracket_norm <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # Limiting planes and the extension verdict
 
@@ -342,3 +382,24 @@ def test_extension_verdict_partition():
         assert v.experiment is not None
         assert v.experiment.rows[-1].grassmann_distance <= 1e-3
         json.dumps(v.to_report())
+
+
+def test_boundary_experiments_run_on_numpy_alone():
+    src = str(Path(htype.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from htype import boundary as B\n"
+        "from htype.division import DivisionAlgebra as DA\n"
+        "from htype.nilpotent import build_hn\n"
+        "alg = build_hn(DA.C, 1)\n"
+        "assert B.extension_verdict(alg, seed=0).experiment is not None\n"
+        "w = B.find_j2_violation(alg, seed=0, sweep=False).witness\n"
+        "B.limiting_plane_experiment(alg, w, seed=0)\n"
+        "B.translation_invariance_check(alg, np.ones(4), np.ones(2))\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy'}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
