@@ -12,22 +12,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 from dataclasses import dataclass
-from importlib import metadata
 
-import numpy as np
-
-from . import boundary as bnd
+# Each command imports what else it runs, so construct, check and table
+# never load numpy. The names bound here are cheap to import and can be
+# replaced on this module (the tests replace load_table).
 from .catalog import load_table, verify_all
-from .clifford import build_htype_from_clifford
 from .division import DivisionAlgebra
 from .errors import BudgetExceeded, HTypeError
-from .nilpotent import build_hn, build_hprime, is_nonsingular, is_type_h
 from .serialization import load_algebra, save_algebra
-from .symmetry import default_budget, tanaka_prolong
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -37,10 +34,17 @@ EXIT_BUDGET = 3
 CHECK_TESTS = ("jacobi", "typeh", "nonsingular", "j2")
 EXPERIMENTS = ("cayley-probe", "distribution", "j2", "limiting-plane")
 
-try:
-    ARTIFACT_VERSION = metadata.version("htype")
-except metadata.PackageNotFoundError:  # running from a checkout
-    ARTIFACT_VERSION = "0.0.0"
+
+@functools.cache
+def artifact_version() -> str:
+    """The installed distribution's version, looked up on first use only
+    (importlib.metadata is slow to import); "0.0.0" in a checkout."""
+    from importlib import metadata
+
+    try:
+        return metadata.version("htype")
+    except metadata.PackageNotFoundError:  # running from a checkout
+        return "0.0.0"
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ def _manifest(command: str, args, inputs: dict, tolerances: dict) -> dict:
         inputs={k: v for k, v in sorted(inputs.items()) if v is not None},
         seed=getattr(args, "seed", None),
         tolerances=tolerances,
-        artifact_version=ARTIFACT_VERSION,
+        artifact_version=artifact_version(),
         outputs=(out,) if out else (),
     ).to_dict()
 
@@ -98,6 +102,8 @@ def _verdict_exit(verdict: str, expect: str | None) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .nilpotent import build_hn, build_hprime
+
     if args.family in ("hn", "hprime") and args.algebra is None:
         raise ValueError("--algebra is required for hn/hprime")
     if args.family == "hn":
@@ -111,6 +117,8 @@ def cmd_construct(args) -> int:
     else:
         if args.m is None:
             raise ValueError("--m is required for clifford")
+        from .clifford import build_htype_from_clifford
+
         alg = build_htype_from_clifford(args.m, args.k)
     save_algebra(alg, args.out)
     print(f"wrote {args.out}: {alg.name} dim_v={alg.dim_v} dim_z={alg.dim_z}")
@@ -130,6 +138,8 @@ def cmd_check(args) -> int:
             raise ValueError(f"unknown test {t!r}; choose from {CHECK_TESTS}")
     if "j2" in tests and args.seed is None:
         raise ValueError("--seed is required for the j2 test")
+    from .nilpotent import is_nonsingular, is_type_h
+
     alg = load_algebra(getattr(args, "in"))
 
     results: dict[str, dict] = {}
@@ -149,6 +159,8 @@ def cmd_check(args) -> int:
             verdict = {True: "pass", False: "fail", None: "undetermined"}[res.verdict]
             results[t] = {"verdict": verdict, "certificate": res.certificate}
         else:
+            from . import boundary as bnd
+
             res = bnd.j2_test(alg, sample_count=args.samples, tol=1e-8,
                               seed=args.seed)
             results[t] = {"verdict": "pass" if res.holds else "fail",
@@ -176,6 +188,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_prolong(args) -> int:
+    from .symmetry import default_budget, tanaka_prolong
+
     alg = load_algebra(getattr(args, "in"))
     budget = args.budget if args.budget is not None else default_budget()
     result = tanaka_prolong(alg, max_degree=args.max_degree,
@@ -254,6 +268,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_boundary(args) -> int:
+    import numpy as np
+
+    from . import boundary as bnd
+
     alg = load_algebra(getattr(args, "in"))
     experiment = args.experiment
 

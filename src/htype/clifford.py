@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import division as da
 from .division import DivisionAlgebra
 from .errors import StructureError
@@ -111,11 +109,11 @@ def clifford_generators(m: int) -> CliffordGenerators:
     mats = _generator_matrices(m)
     d = len(mats[0])
     # verify skewness and anticommutation exactly, on integers, before returning
-    K = np.array([[[int(x) for x in row] for row in j] for j in mats], dtype=object)
-    if K.tolist() != mats:
+    if any(x.denominator != 1 for j in mats for row in j for x in row):
         raise StructureError("generator entries are not integers")  # pragma: no cover
-    if np.any(K + K.transpose(0, 2, 1)):
+    if any(j[r][c] != -j[c][r] for j in mats for r in range(d) for c in range(d)):
         raise StructureError("a generator is not skew")
+    K = [[{c: int(x) for c, x in enumerate(row) if x} for row in j] for j in mats]
     failing = _clifford_failures(K, 1)
     if failing:
         a, b = failing[0]

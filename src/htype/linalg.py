@@ -9,7 +9,8 @@ must be exact, so every returned basis is certified over Q:
 2. Small systems go straight to fraction-free integer Gauss-Jordan
    (`_int_rref`, which keeps every row primitive). Whether a system is
    small, and the budget check, use the row count before deduplication.
-3. Large systems are row-reduced modulo a 31-bit prime in int64 numpy,
+3. Large systems are row-reduced modulo a 31-bit prime in int64 numpy
+   (imported on this path only, so small exact work never loads numpy),
    candidate basis vectors are lifted back to Q by rational reconstruction,
    and all lifted vectors are re-checked against the integer matrix exactly
    with one product A @ N. The product runs in int64 when
@@ -19,7 +20,7 @@ must be exact, so every returned basis is certified over Q:
 4. Any reconstruction/verification failure escalates: second prime, CRT
    combination, then fraction-free integer Gauss-Jordan as the final
    authority. Each failed prime combination and each such fallback is
-   logged at INFO on the "htype.linalg" logger.
+   logged at INFO on the "htype.linalg" logger, as is each budget refusal.
 
 The basis returned is the canonical reduced-echelon nullspace basis (one
 vector per free column, entry 1 there), so results are deterministic and
@@ -35,11 +36,12 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import BudgetExceeded
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "NullspaceResult",
@@ -71,6 +73,8 @@ class NullspaceResult:
 
 def check_budget(nrows: int, ncols: int, budget: int | None, context: str = "") -> None:
     if budget is not None and nrows * ncols > budget:
+        _log.info("refused %s: %d entries requested, budget %d",
+                  context, nrows * ncols, budget)
         raise BudgetExceeded(nrows * ncols, budget, context)
 
 
@@ -203,6 +207,8 @@ def _nullspace_fraction(int_rows: list[SparseInts], ncols: int) -> NullspaceResu
 
 
 def _rref_modp(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    import numpy as np
+
     m = mat.copy()
     nrows, ncols = m.shape
     pivots: list[int] = []
@@ -268,6 +274,8 @@ class _IntSystem:
         self._dense: np.ndarray | None = None
 
     def _scatter(self, values) -> np.ndarray:
+        import numpy as np
+
         mat = np.zeros((len(self.rows), self.ncols), dtype=np.int64)
         mat[self.row_idx, self.col_idx] = values
         return mat
@@ -285,6 +293,8 @@ class _IntSystem:
 
     def annihilates(self, vectors: list[SparseInts]) -> bool:
         """Exact test of A @ v == 0 for every integer vector v."""
+        import numpy as np
+
         max_v = max(abs(x) for vec in vectors for _, x in vec)
         if self.max_a * max_v * self.ncols < 2**62:
             n = np.zeros((self.ncols, len(vectors)), dtype=np.int64)
@@ -386,6 +396,8 @@ def nullspace(rows: Iterable[Row], ncols: int,
 
 def nullity_float(rows: np.ndarray, tol: float = 1e-8) -> int:
     """Float64 nullity by singular values; used only as a cross-check."""
+    import numpy as np
+
     if rows.size == 0:
         return rows.shape[1] if rows.ndim == 2 else 0
     s = np.linalg.svd(rows, compute_uv=False)

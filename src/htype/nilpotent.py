@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import division as da
 from .division import DivisionAlgebra
 from .errors import CenterDimensionError, StructureError
@@ -284,20 +282,24 @@ def _matmul(a, b):
             for i in range(n)]
 
 
-def _clifford_failures(K: np.ndarray, D: int) -> list[tuple[int, int]]:
+def _clifford_failures(K: Sequence[Sequence[dict[int, int]]],
+                       D: int) -> list[tuple[int, int]]:
     """Pairs a <= b with K_a K_b + K_b K_a != -2 delta_ab D^2 I, for a stack
-    K of integer (object) matrices."""
-    m, n = K.shape[:2]
-    square = -D * D * np.eye(n, dtype=object)
+    K of integer matrices given as sparse rows {column: value}."""
     failing = []
-    for a in range(m):
-        for b in range(a, m):
-            if a == b:
-                ok = np.array_equal(K[a] @ K[a], square)
-            else:
-                ok = not np.any(K[a] @ K[b] + K[b] @ K[a])
-            if not ok:
-                failing.append((a, b))
+    for a, Ka in enumerate(K):
+        for b in range(a, len(K)):
+            Kb = K[b]
+            for i in range(len(Ka)):
+                # row i of K_a K_b + K_b K_a, less row i of the target
+                acc = {i: 2 * D * D} if a == b else {}
+                for X, Y in ((Ka, Kb), (Kb, Ka)):
+                    for t, x in X[i].items():
+                        for j, y in Y[t].items():
+                            acc[j] = acc.get(j, 0) + x * y
+                if any(acc.values()):
+                    failing.append((a, b))
+                    break
     return failing
 
 
@@ -306,21 +308,22 @@ def is_type_h(alg: GradedNilpotent) -> TypeHResult:
 
     With D the common denominator of the structure tensor, K_k = D J_k is
     an integer matrix and the identity reads K_a K_b + K_b K_a =
-    -2 delta_ab D^2 I, checked on Python integers (object arrays), which
-    cannot overflow.
+    -2 delta_ab D^2 I, checked on Python integers, which cannot overflow.
+    The J-maps of the division-algebra families are near-monomial, so K is
+    kept as sparse rows.
     """
     if alg.dim_z == 0:
         return TypeHResult(True, True, (), "vacuous: dim z = 0, no J-maps exist")
     n, m = alg.dim_v, alg.dim_z
     entries = [x for ci in alg.structure for cij in ci for x in cij if x]
     D = math.lcm(*(x.denominator for x in entries))
-    # K[k, a, b] = D (J_k)_{ab} = D c[b][a][k]
-    K = np.zeros((m, n, n), dtype=object)
+    # K[k][a][b] = D (J_k)_{ab} = D c[b][a][k]
+    K = [[{} for _ in range(n)] for _ in range(m)]
     for b, cb in enumerate(alg.structure):
         for a, cba in enumerate(cb):
             for k, x in enumerate(cba):
                 if x:
-                    K[k, a, b] = x.numerator * (D // x.denominator)
+                    K[k][a][b] = x.numerator * (D // x.denominator)
     failing = _clifford_failures(K, D)
     if failing:
         return TypeHResult(False, False, tuple(failing),

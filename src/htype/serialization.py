@@ -11,9 +11,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import StructureError
-from .nilpotent import GradedNilpotent
+
+if TYPE_CHECKING:
+    from .nilpotent import GradedNilpotent
 
 __all__ = ["to_json_dict", "from_json_dict", "save_algebra", "load_algebra"]
 
@@ -39,6 +42,8 @@ def to_json_dict(alg: GradedNilpotent) -> dict:
 
 
 def from_json_dict(data: dict) -> GradedNilpotent:
+    from .nilpotent import GradedNilpotent  # deferred: `htype table` never needs it
+
     try:
         dim_v = int(data["dim_v"])
         dim_z = int(data["dim_z"])

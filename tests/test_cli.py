@@ -14,9 +14,11 @@ import pytest
 
 import htype
 from htype.catalog import table_rows
-from htype.cli import ARTIFACT_VERSION, main
+from htype.cli import artifact_version, main
 from htype.nilpotent import random_two_step
 from htype.serialization import save_algebra
+
+ARTIFACT_VERSION = artifact_version()
 
 
 def run(capsys, *argv):
@@ -387,6 +389,55 @@ def test_cli_import_loads_neither_sympy_nor_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+_IMPORT_SURFACE = """
+import sys
+from pathlib import Path
+
+import htype
+loaded = sorted(m for m in sys.modules if m.startswith(("htype.", "numpy")))
+assert not loaded, f"import htype loaded {loaded}"
+
+import htype.cli
+tmp = Path(sys.argv[1])
+for argv in (
+        ["construct", "--family", "hn", "--algebra", "O", "--n", "1",
+         "--out", str(tmp / "h1O.json")],
+        ["check", "--in", str(tmp / "h1O.json"), "--tests", "jacobi,typeh,nonsingular",
+         "--out", str(tmp / "check.json")],
+        ["table", "--verify", "--out", str(tmp / "verify.json")],
+        ["table", "--dump", "--out", str(tmp / "dump.json")]):
+    assert htype.cli.main(argv) == 0, argv
+    unused = {"numpy", "htype.boundary", "htype.symmetry"} & set(sys.modules)
+    assert not unused, f"{argv[0]} loaded {unused}"
+
+for name in htype.__all__:
+    obj = getattr(htype, name)
+    assert obj.__module__.startswith("htype."), name
+    assert getattr(sys.modules[obj.__module__], name) is obj, name
+for path in Path(htype.__file__).parent.glob("[!_]*.py"):
+    assert getattr(htype, path.stem) is sys.modules["htype." + path.stem], path.stem
+assert set(htype.__all__) <= set(dir(htype))
+"""
+
+
+def test_commands_load_only_what_they_run(tmp_path):
+    src = str(Path(htype.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SURFACE, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_budget_refusal_log_stays_off_stderr(h1c):
+    src = str(Path(htype.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "htype.cli", "prolong", "--in", h1c,
+                           "--budget", "10"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == ("error: system size 240 entries exceeds budget 10 "
+                           "(degree-0 derivation system)\n")
 
 
 def test_no_package_module_imports_sympy():

@@ -143,6 +143,15 @@ def test_check_budget_passes_under_limit():
         check_budget(6, 10, 50)
 
 
+def test_budget_refusal_is_logged(caplog):
+    caplog.set_level(logging.INFO, logger="htype.linalg")
+    check_budget(5, 10, 50, "fits")
+    with pytest.raises(BudgetExceeded):
+        check_budget(6, 10, 50, "degree-2 prolongation system")
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.INFO, "refused degree-2 prolongation system: 60 entries requested, budget 50")]
+
+
 def test_integerize_row():
     row = [Fraction(1, 2), Fraction(1, 3), Fraction(0)]
     assert integerize_row(row) == [3, 2, 0]

@@ -1,5 +1,6 @@
 """Constructors, brackets, J-maps and structure predicates."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from htype import nilpotent
+from htype.clifford import clifford_generators
 from htype.division import DivisionAlgebra as DA
 from htype.errors import CenterDimensionError, StructureError
 from htype.nilpotent import (
@@ -369,19 +371,24 @@ def _rotate_v(alg, q):
     return make_custom(alg.name + "'", n, alg.dim_z, entries)
 
 
-def _fraction_failing_pairs(alg):
-    """The J-identity checked pair by pair on Fraction matrices."""
-    js = [nilpotent._jmat(alg, k) for k in range(alg.dim_z)]
-    n = alg.dim_v
+def _dense_failing_pairs(mats, scale=1):
+    """M_a M_b + M_b M_a = -2 delta_ab scale^2 I checked pair by pair on
+    dense matrices, by full products."""
+    n = len(mats[0])
     failing = []
-    for a in range(alg.dim_z):
-        for b in range(a, alg.dim_z):
-            ab, ba = _mul(js[a], js[b]), _mul(js[b], js[a])
-            want = -2 if a == b else 0
+    for a in range(len(mats)):
+        for b in range(a, len(mats)):
+            ab, ba = _mul(mats[a], mats[b]), _mul(mats[b], mats[a])
+            want = -2 * scale * scale if a == b else 0
             if any(ab[i][j] + ba[i][j] != (want if i == j else 0)
                    for i in range(n) for j in range(n)):
                 failing.append((a, b))
-    return tuple(failing)
+    return failing
+
+
+def _fraction_failing_pairs(alg):
+    """The J-identity checked pair by pair on Fraction matrices."""
+    return tuple(_dense_failing_pairs([nilpotent._jmat(alg, k) for k in range(alg.dim_z)]))
 
 
 @pytest.mark.parametrize("perturb", [False, True])
@@ -400,6 +407,37 @@ def test_type_h_matches_fraction_reference(perturb):
     assert small.failing_pairs == _fraction_failing_pairs(alg)
     assert large.failing_pairs == _fraction_failing_pairs(rotated)
     assert small.holds is not perturb
+
+
+_clifford_stack = functools.cache(lambda m: clifford_generators(m).generators)
+
+
+@st.composite
+def _integer_stacks(draw):
+    """(K, D): a random integer stack, or a Clifford stack scaled by D, and
+    in either case perhaps one entry moved by 1."""
+    D = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        gens = _clifford_stack(draw(st.integers(1, 8)))
+        K = [[[D * int(x) for x in row] for row in g] for g in gens]
+    else:
+        m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+        row = st.lists(st.integers(-D, D), min_size=n, max_size=n)
+        K = draw(st.lists(st.lists(row, min_size=n, max_size=n), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(K) - 1))
+        i = draw(st.integers(0, len(K[0]) - 1))
+        j = draw(st.integers(0, len(K[0]) - 1))
+        K[k][i][j] += draw(st.sampled_from((-1, 1)))
+    return K, D
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_stacks())
+def test_sparse_clifford_check_matches_dense(stack):
+    K, D = stack
+    sparse = [[{c: x for c, x in enumerate(row) if x} for row in M] for M in K]
+    assert nilpotent._clifford_failures(sparse, D) == _dense_failing_pairs(K, D)
 
 
 # --- graded isomorphism witness ---------------------------------------------
