@@ -64,6 +64,7 @@ BALL_MARGIN = 1e-9
 FD_STEP = 1e-4  # Richardson pair uses FD_STEP and FD_STEP / 2
 GN_STEP = 1e-7  # forward-difference step of the Gauss-Newton Jacobian
 GN_ITERATIONS = 50  # Gauss-Newton steps per restart of the witness search
+_BLOCK = 64  # X vectors per stacked J^2 evaluation: bounds memory, not results
 
 
 class _FloatModel:
@@ -84,7 +85,9 @@ class _FloatModel:
         self.jmats = np.ascontiguousarray(np.transpose(self.c, (2, 1, 0)))
 
     def jz(self, Z: np.ndarray) -> np.ndarray:
-        return np.tensordot(Z, self.jmats, axes=(0, 0))
+        """J_Z for one Z or a stack of them, one BLAS product per Z."""
+        flat = np.matmul(Z[..., None, :], self.jmats.reshape(self.m, self.n * self.n))
+        return flat.reshape(Z.shape[:-1] + (self.n, self.n))
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.einsum("ijk,i,j->k", self.c, x, y)
@@ -410,23 +413,46 @@ class J2Result:
         }
 
 
-def _candidate_vectors(n: int) -> list[np.ndarray]:
+def _candidate_vectors(n: int) -> np.ndarray:
+    """e_i, then (e_i + e_j)/sqrt 2 and (e_i - e_j)/sqrt 2 for each i < j."""
     eye = np.eye(n)
-    out = [eye[i] for i in range(n)]
+    i, j = np.triu_indices(n, 1)
     r = 1.0 / math.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(r * (eye[i] + eye[j]))
-            out.append(r * (eye[i] - eye[j]))
-    return out
+    pairs = np.stack([r * (eye[i] + eye[j]), r * (eye[i] - eye[j])], axis=1)
+    return np.concatenate([eye, pairs.reshape(-1, n)])
 
 
-def _span_projector(mod: _FloatModel, X: np.ndarray, include_x: bool) -> np.ndarray:
-    cols = [mod.jmats[k] @ X for k in range(mod.m)]
+def _x_blocks(n: int, sample_count: int, rng):
+    """The n^2 structured candidates, then sample_count random unit vectors
+    (one draw per block, the same stream as one per vector), _BLOCK rows at most."""
+    cand = _candidate_vectors(n)
+    for start in range(0, len(cand), _BLOCK):
+        yield cand[start:start + _BLOCK]
+    for start in range(0, sample_count, _BLOCK):
+        v = rng.standard_normal((min(_BLOCK, sample_count - start), n))
+        yield v / _norms(v)[:, None]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, each through the dot product
+    np.linalg.norm takes for one vector, so they agree with it bitwise."""
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0, 0]
+
+
+def _j2_stack(mod: _FloatModel, X: np.ndarray, JZ: np.ndarray, JW: np.ndarray,
+              include_x: bool) -> tuple[np.ndarray, np.ndarray]:
+    """u = J_Z J_W X and its projection onto span{J_z X} (+ R X), each (b, p, n),
+    for X (b, n) and pairs JZ, JW (p, n, n) applied to every X, or (b, 1, n, n).
+    Stacked matmul and qr make one BLAS or LAPACK call per vector or matrix,
+    so every entry is bit-identical to evaluating its X and pair alone."""
+    col = X[:, None, :, None]
+    span = np.matmul(mod.jmats, col)[..., 0].swapaxes(1, 2)  # columns J_k X
     if include_x:
-        cols.append(X)
-    q, _ = np.linalg.qr(np.column_stack(cols))
-    return q
+        span = np.concatenate([span, X[:, :, None]], axis=2)
+    q = np.linalg.qr(span)[0][:, None]
+    u = np.matmul(JZ, np.matmul(JW, col))
+    proj = np.matmul(q, np.matmul(q.swapaxes(-1, -2), u))
+    return u[..., 0], proj[..., 0]
 
 
 def j2_test(alg: GradedNilpotent, sample_count: int = 200, tol: float = 1e-8,
@@ -435,7 +461,8 @@ def j2_test(alg: GradedNilpotent, sample_count: int = 200, tol: float = 1e-8,
 
     Vacuous (holds) when dim z <= 1.  Checks all ordered central basis
     pairs on a structured sweep of X plus sample_count random draws; by
-    bilinearity in (Z, W) the basis pairs decide each X exactly.
+    bilinearity in (Z, W) the basis pairs decide each X exactly.  The X are
+    evaluated as stacks, in blocks of fixed size, bit-identical to one at a time.
     """
     mod = _model(alg)
     if mod.m <= 1:
@@ -443,34 +470,24 @@ def j2_test(alg: GradedNilpotent, sample_count: int = 200, tol: float = 1e-8,
     if sample_count > 0 and seed is None:
         raise ValueError("seed is required when sample_count > 0")
 
-    xs = _candidate_vectors(mod.n)
-    rng = np.random.default_rng(seed)
-    for _ in range(sample_count):
-        v = rng.standard_normal(mod.n)
-        xs.append(v / np.linalg.norm(v))
-
+    ks, ls = np.array([(k, l) for k in range(mod.m) for l in range(mod.m) if k != l]).T
     eye_m = np.eye(mod.m)
     worst = 0.0
     witness = None
-    for X in xs:
-        q = _span_projector(mod, X, include_x=False)
-        nx = float(np.linalg.norm(X))
-        for k in range(mod.m):
-            jk = mod.jmats[k]
-            for l in range(mod.m):
-                if k == l:
-                    continue
-                u = jk @ (mod.jmats[l] @ X)
-                perp = u - q @ (q.T @ u)
-                res = float(np.linalg.norm(perp)) / nx
-                if res > worst:
-                    worst = res
-                    if res > tol:
-                        witness = J2Witness(
-                            X.copy(), eye_m[k].copy(), eye_m[l].copy(), res,
-                            perp, float(np.linalg.norm(mod.bracket(X, perp))))
+    for X in _x_blocks(mod.n, sample_count, np.random.default_rng(seed)):
+        u, proj = _j2_stack(mod, X, mod.jmats[ks], mod.jmats[ls], include_x=False)
+        perp = u - proj
+        res = _norms(perp) / _norms(X)[:, None]
+        # First maximum in (X, k, l) order, as a strict running maximum keeps.
+        i, p = np.unravel_index(np.argmax(res), res.shape)
+        if res[i, p] > worst:
+            worst = float(res[i, p])
+            if worst > tol:
+                x, v = X[i].copy(), perp[i, p].copy()
+                witness = J2Witness(x, eye_m[ks[p]].copy(), eye_m[ls[p]].copy(), worst,
+                                    v, float(np.linalg.norm(mod.bracket(x, v))))
     return J2Result(alg.name, worst <= tol, False, worst,
-                    len(xs), tol, seed, witness)
+                    mod.n ** 2 + max(sample_count, 0), tol, seed, witness)
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,16 +513,6 @@ class ViolationSearch:
         }
 
 
-def _violation_score(mod: _FloatModel, X, Z, W) -> tuple[float, np.ndarray, np.ndarray]:
-    """Norm of the projection of J_Z J_W X onto span{J_z X} + R X, the
-    complementary component (the violation direction) and the projection
-    itself (zero at a witness)."""
-    q = _span_projector(mod, X, include_x=True)
-    u = mod.jz(Z) @ (mod.jz(W) @ X)
-    proj = q @ (q.T @ u)
-    return float(np.linalg.norm(proj)) / float(np.linalg.norm(X)), u - proj, proj
-
-
 def _make_violation_witness(mod: _FloatModel, alg_name, X, Z, W, score, perp):
     return J2Witness(X / np.linalg.norm(X), Z / np.linalg.norm(Z),
                      W / np.linalg.norm(W), score, perp,
@@ -516,7 +523,9 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
                       restarts: int = 8, sweep: bool = True) -> ViolationSearch:
     """Search for a unitary triple (X, Z, W) with J_Z J_W X orthogonal to
     span{J_z X} + R X: structured sweep first, then seeded Gauss-Newton
-    restarts that drive the projection vector to zero."""
+    restarts that drive the projection vector to zero.  The sweep (in blocks
+    of fixed size) and each step's probes are evaluated as stacks, with
+    results bit-identical to evaluating each triple alone."""
     mod = _model(alg)
     if mod.m <= 1:
         return ViolationSearch(alg.name, None, math.inf, 0, 0, seed, tol)
@@ -525,69 +534,74 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
     best = (math.inf, None)
     eye_m = np.eye(mod.m)
     if sweep:
-        for X in _candidate_vectors(mod.n):
-            for k in range(mod.m):
-                for l in range(k + 1, mod.m):
-                    score, perp, _ = _violation_score(mod, X, eye_m[k], eye_m[l])
-                    evals += 1
-                    if score < best[0]:
-                        best = (score, (X, eye_m[k], eye_m[l], perp))
+        ks, ls = np.triu_indices(mod.m, 1)
+        for X in _x_blocks(mod.n, 0, None):
+            u, proj = _j2_stack(mod, X, mod.jmats[ks], mod.jmats[ls], include_x=True)
+            score = _norms(proj) / _norms(X)[:, None]
+            evals += score.size
+            # First minimum in (X, k < l) order, as a strict running minimum keeps.
+            i, p = np.unravel_index(np.argmin(score), score.shape)
+            if score[i, p] < best[0]:
+                best = (float(score[i, p]),
+                        (X[i], eye_m[ks[p]], eye_m[ls[p]], u[i, p] - proj[i, p]))
     if best[0] <= tol:
         X, Z, W, perp = best[1]
         witness = _make_violation_witness(mod, alg.name, X, Z, W, best[0], perp)
         return ViolationSearch(alg.name, witness, best[0], evals, 0, seed, tol)
 
     # Gauss-Newton on the projection vector, a zero-residual problem, over
-    # the raw theta; unpack turns theta into a unitary triple.
+    # the raw theta; unpack turns each theta into a unitary triple.
     n, m = mod.n, mod.m
 
     def unpack(theta):
-        x = theta[:n]
-        z = theta[n:n + m]
-        w = theta[n + m:]
-        nx, nz = np.linalg.norm(x), np.linalg.norm(z)
-        if nx < 1e-8 or nz < 1e-8:
+        x, z, w = theta[:, :n], theta[:, n:n + m], theta[:, n + m:]
+        nx, nz = _norms(x), _norms(z)
+        if np.any(nx < 1e-8) or np.any(nz < 1e-8):
             return None
-        x = x / nx
-        z = z / nz
-        w = w - (w @ z) * z
-        nw = np.linalg.norm(w)
-        if nw < 1e-8:
+        x = x / nx[:, None]
+        z = z / nz[:, None]
+        w = w - np.matmul(w[:, None, :], z[:, :, None])[:, 0] * z
+        nw = _norms(w)
+        if np.any(nw < 1e-8):
             return None
-        return x, z, w / nw
+        return x, z, w / nw[:, None]
 
     def evaluate(theta):
-        """(score, projection vector, witness data), or None off the domain."""
+        """(scores, projection vectors, witness data) of a stack of theta,
+        or None if any of them is off the domain."""
         nonlocal evals
-        evals += 1
+        evals += len(theta)
         triple = unpack(theta)
         if triple is None:
             return None
-        score, perp, proj = _violation_score(mod, *triple)
-        return score, proj, (*triple, perp)
+        x, z, w = triple
+        u, proj = _j2_stack(mod, x, mod.jz(z)[:, None], mod.jz(w)[:, None],
+                            include_x=True)
+        u, proj = u[:, 0], proj[:, 0]
+        return _norms(proj) / _norms(x), proj, (x, z, w, u - proj)
 
     rng = np.random.default_rng(seed)
     used = 0
     for _ in range(restarts):
         used += 1
         theta = rng.standard_normal(n + 2 * m)
-        point = evaluate(theta)
+        point = evaluate(theta[None])
         steps = 0
         while point is not None:
-            if point[0] < best[0]:
-                best = (point[0], point[2])
+            score, proj = point[0][0], point[1][0]
+            if score < best[0]:
+                best = (float(score), tuple(a[0] for a in point[2]))
             if steps == GN_ITERATIONS:
                 break
-            probes = [evaluate(theta + d) for d in GN_STEP * np.eye(theta.size)]
-            if any(p is None for p in probes):
+            probes = evaluate(theta + GN_STEP * np.eye(theta.size))
+            if probes is None:
                 break
-            jac = np.column_stack([(p[1] - point[1]) / GN_STEP for p in probes])
-            theta = theta + np.linalg.lstsq(jac, -point[1], rcond=None)[0]
-            stepped = evaluate(theta)
+            jac = ((probes[1] - proj) / GN_STEP).T
+            theta = theta + np.linalg.lstsq(jac, -proj, rcond=None)[0]
+            point = evaluate(theta[None])
             steps += 1
-            if point[0] <= tol and stepped is not None and stepped[0] >= point[0]:
+            if score <= tol and point is not None and point[0][0] >= score:
                 break
-            point = stepped
         if best[0] <= tol:
             break
     if best[0] <= tol and best[1] is not None:
@@ -671,7 +685,9 @@ def limiting_plane_experiment(alg: GradedNilpotent, witness: J2Witness,
     if np.linalg.norm(w) < 1e-8:
         raise StructureError("witness W is parallel to Z")
     w = w / np.linalg.norm(w)
-    score, _, _ = _violation_score(mod, x, z, w)
+    _, proj = _j2_stack(mod, x[None], mod.jz(z)[None, None], mod.jz(w)[None, None],
+                        include_x=True)
+    score = float(_norms(proj[0, 0]) / _norms(x))
     if score > PLANE_TOL:
         raise StructureError(
             f"witness does not violate the J^2 condition: projection "

@@ -5,7 +5,8 @@ tolerances, version) so that re-running the same invocation reproduces
 the report byte for byte, elapsed-time fields aside.
 
 Exit codes: 0 success, 1 verdict mismatch under --expect, 2 usage or
-input error, 3 prolongation budget exceeded.
+input error, 3 entry budget exceeded (by a prolongation or by an
+algebra file's structure tensor).
 """
 
 from __future__ import annotations
@@ -272,8 +273,10 @@ def cmd_boundary(args) -> int:
 
     from . import boundary as bnd
 
-    alg = load_algebra(getattr(args, "in"))
     experiment = args.experiment
+    if args.samples == 0 and experiment in ("cayley-probe", "distribution"):
+        raise ValueError(f"--samples must be at least 1 for {experiment}")
+    alg = load_algebra(getattr(args, "in"))
 
     if experiment == "cayley-probe":
         samples = args.samples if args.samples is not None else 10_000
@@ -344,6 +347,13 @@ def cmd_boundary(args) -> int:
 # parser
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="htype",
@@ -366,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True)
     p.add_argument("--tests", required=True,
                    help="comma-separated subset of " + ",".join(CHECK_TESTS))
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=nonnegative_int, default=200)
     p.add_argument("--seed", type=int)
     p.add_argument("--expect", choices=["pass", "fail"])
     p.add_argument("--out")
@@ -394,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True)
     p.add_argument("--experiment", required=True, choices=list(EXPERIMENTS))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=nonnegative_int)
     p.add_argument("--expect")
     p.add_argument("--out")
     p.set_defaults(func=cmd_boundary)

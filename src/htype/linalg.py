@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +47,8 @@ if TYPE_CHECKING:
 __all__ = [
     "NullspaceResult",
     "nullspace",
+    "DEFAULT_BUDGET",
+    "default_budget",
     "check_budget",
     "integerize_row",
     "det_exact",
@@ -69,6 +72,20 @@ class NullspaceResult:
     dimension: int
     basis: tuple[tuple[Fraction, ...], ...]
     method: str  # "fraction" | "modp" | "modp-crt"
+
+
+DEFAULT_BUDGET = 200_000
+
+
+def default_budget() -> int:
+    """Entry cap per assembled system; DIVH_BUDGET overrides."""
+    raw = os.environ.get("DIVH_BUDGET")
+    if raw:
+        try:
+            return int(raw)
+        except ValueError:
+            raise ValueError(f"DIVH_BUDGET must be an integer, got {raw!r}") from None
+    return DEFAULT_BUDGET
 
 
 def check_budget(nrows: int, ncols: int, budget: int | None, context: str = "") -> None:

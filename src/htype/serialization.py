@@ -42,7 +42,9 @@ def to_json_dict(alg: GradedNilpotent) -> dict:
 
 
 def from_json_dict(data: dict) -> GradedNilpotent:
-    from .nilpotent import GradedNilpotent  # deferred: `htype table` never needs it
+    # Deferred: `htype table` never needs them (and neither loads numpy).
+    from .linalg import check_budget, default_budget
+    from .nilpotent import GradedNilpotent
 
     try:
         dim_v = int(data["dim_v"])
@@ -54,6 +56,8 @@ def from_json_dict(data: dict) -> GradedNilpotent:
         raise StructureError("negative dimension")
     if not isinstance(triples, list):
         raise StructureError("malformed algebra JSON: structure is not a list")
+    # Refuse before the dense tensor below is allocated.
+    check_budget(dim_v * dim_v, dim_z, default_budget(), "structure tensor")
     c = [[[Fraction(0)] * dim_z for _ in range(dim_v)] for _ in range(dim_v)]
     for entry in triples:
         if not isinstance(entry, list) or len(entry) != 4:

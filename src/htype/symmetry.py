@@ -15,7 +15,6 @@ budget so desk-scale refusals are loud rather than slow.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import StructureError
-from .linalg import check_budget, nullspace
+from .linalg import DEFAULT_BUDGET, check_budget, default_budget, nullspace
 from .nilpotent import GradedNilpotent
 
 __all__ = [
@@ -40,20 +39,6 @@ __all__ = [
 ]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-DEFAULT_BUDGET = 200_000
-
-
-def default_budget() -> int:
-    """Entry cap per assembled system; DIVH_BUDGET overrides."""
-    raw = os.environ.get("DIVH_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"DIVH_BUDGET must be an integer, got {raw!r}") from None
-    return DEFAULT_BUDGET
-
 
 @dataclass(frozen=True)
 class DerivationSpace:

@@ -2,9 +2,11 @@
 
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -321,6 +323,182 @@ def test_violation_search_optimizer_reaches_tol(make, seed):
     assert search.witness is not None
     assert search.best_score <= 1e-8
     assert search.witness.bracket_norm <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The stacked J^2 kernels against textbook per-vector loops
+
+REFERENCE_ALGEBRAS = [
+    ("h1C", lambda: build_hn(DA.C, 1)),
+    ("h2C", lambda: build_hn(DA.C, 2)),
+    ("h1H", lambda: build_hn(DA.H, 1)),
+    ("hp11H", lambda: build_hprime(DA.H, 1, 1)),
+    ("h1O", lambda: build_hn(DA.O, 1)),
+    ("hp10O", lambda: build_hprime(DA.O, 1, 0)),
+    ("hp20H", lambda: build_hprime(DA.H, 2, 0)),
+]
+# Random X fill three blocks and end inside the third.
+REFERENCE_SAMPLES = 2 * B._BLOCK + 45
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _reference_span(mod, X, include_x):
+    cols = [mod.jmats[k] @ X for k in range(mod.m)]
+    if include_x:
+        cols.append(X)
+    return np.linalg.qr(np.column_stack(cols))[0]
+
+
+def _reference_j2(alg, sample_count, seed):
+    """(max residual, its first (X, k, l, perp), number of X), one X and
+    one ordered basis pair at a time."""
+    mod = B._model(alg)
+    xs = list(B._candidate_vectors(mod.n))
+    rng = np.random.default_rng(seed)
+    for _ in range(sample_count):
+        v = rng.standard_normal(mod.n)
+        xs.append(v / np.linalg.norm(v))
+    worst, at = 0.0, None
+    for X in xs:
+        q = _reference_span(mod, X, include_x=False)
+        for k in range(mod.m):
+            for l in range(mod.m):
+                if k != l:
+                    u = mod.jmats[k] @ (mod.jmats[l] @ X)
+                    perp = u - q @ (q.T @ u)
+                    res = float(np.linalg.norm(perp)) / float(np.linalg.norm(X))
+                    if res > worst:
+                        worst, at = res, (X, k, l, perp)
+    return worst, at, len(xs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("make", [m for _, m in REFERENCE_ALGEBRAS],
+                         ids=[n for n, _ in REFERENCE_ALGEBRAS])
+def test_j2_test_matches_per_vector_reference(make, seed):
+    alg = make()
+    mod = B._model(alg)
+    res = B.j2_test(alg, sample_count=REFERENCE_SAMPLES, tol=1e-8, seed=seed)
+    worst, at, count = _reference_j2(alg, REFERENCE_SAMPLES, seed)
+    assert (res.max_residual, res.samples, res.holds) == (worst, count, worst <= 1e-8)
+    if worst <= 1e-8:
+        assert res.witness is None
+        return
+    X, k, l, perp = at
+    w = res.witness
+    assert [_bits(a) for a in (w.X, w.Z, w.W, w.perp)] == [
+        _bits(a) for a in (X, np.eye(mod.m)[k], np.eye(mod.m)[l], perp)]
+    assert (w.residual, w.bracket_norm) == (
+        worst, float(np.linalg.norm(mod.bracket(X, perp))))
+
+
+def _reference_score(mod, x, Z, W):
+    q = _reference_span(mod, x, include_x=True)
+    u = np.tensordot(Z, mod.jmats, axes=(0, 0)) @ (np.tensordot(W, mod.jmats, axes=(0, 0)) @ x)
+    proj = q @ (q.T @ u)
+    return float(np.linalg.norm(proj)) / float(np.linalg.norm(x)), proj, u - proj
+
+
+def _assert_witness(mod, w, best):
+    x, z, v, perp = best[1]
+    assert [_bits(a) for a in (w.X, w.Z, w.W, w.perp)] == [
+        _bits(a / np.linalg.norm(a)) for a in (x, z, v)] + [_bits(perp)]
+    assert (w.residual, w.bracket_norm) == (
+        best[0], float(np.linalg.norm(mod.bracket(x, perp))))
+
+
+@pytest.mark.parametrize("make", [m for _, m in REFERENCE_ALGEBRAS],
+                         ids=[n for n, _ in REFERENCE_ALGEBRAS])
+def test_violation_sweep_matches_per_vector_reference(make):
+    alg = make()
+    mod = B._model(alg)
+    eye = np.eye(mod.m)
+    best, evals = (math.inf, None), 0
+    for X in B._candidate_vectors(mod.n):
+        for k in range(mod.m):
+            for l in range(k + 1, mod.m):
+                score, _, perp = _reference_score(mod, X, eye[k], eye[l])
+                evals += 1
+                if score < best[0]:
+                    best = (score, (X, eye[k], eye[l], perp))
+    search = B.find_j2_violation(alg, seed=0, restarts=0)  # the sweep alone
+    assert (search.best_score, search.evaluations) == (best[0], evals)
+    assert (search.witness is None) == (best[0] > 1e-8)
+    if search.witness is not None:
+        _assert_witness(mod, search.witness, best)
+
+
+@pytest.mark.parametrize("key,seed", [("h1C", 1), ("h1H", 2), ("h1O", 0), ("hp10O", 0)])
+def test_gauss_newton_matches_per_probe_reference(key, seed):
+    alg = dict(REFERENCE_ALGEBRAS)[key]()
+    mod = B._model(alg)
+    n, m, tol = mod.n, mod.m, 1e-8
+    evals = 0
+
+    def evaluate(theta):
+        nonlocal evals
+        evals += 1
+        x, z, w = theta[:n], theta[n:n + m], theta[n + m:]
+        nx, nz = np.linalg.norm(x), np.linalg.norm(z)
+        if nx < 1e-8 or nz < 1e-8:
+            return None
+        x, z = x / nx, z / nz
+        w = w - (w @ z) * z
+        nw = np.linalg.norm(w)
+        if nw < 1e-8:
+            return None
+        score, proj, perp = _reference_score(mod, x, z, w / nw)
+        return score, proj, (x, z, w / nw, perp)
+
+    best, used = (math.inf, None), 0
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        used += 1
+        theta = rng.standard_normal(n + 2 * m)
+        point = evaluate(theta)
+        steps = 0
+        while point is not None:
+            if point[0] < best[0]:
+                best = (point[0], point[2])
+            if steps == B.GN_ITERATIONS:
+                break
+            probes = [evaluate(theta + d) for d in B.GN_STEP * np.eye(theta.size)]
+            if any(p is None for p in probes):
+                break
+            jac = np.column_stack([(p[1] - point[1]) / B.GN_STEP for p in probes])
+            theta = theta + np.linalg.lstsq(jac, -point[1], rcond=None)[0]
+            stepped = evaluate(theta)
+            steps += 1
+            if point[0] <= tol and stepped is not None and stepped[0] >= point[0]:
+                break
+            point = stepped
+        if best[0] <= tol:
+            break
+    search = B.find_j2_violation(alg, seed=seed, tol=tol, restarts=2, sweep=False)
+    assert (search.best_score, search.evaluations, search.restarts_used) == (
+        best[0], evals, used)
+    assert (search.witness is None) == (best[0] > tol)
+    if search.witness is not None:
+        _assert_witness(mod, search.witness, best)
+
+
+def test_j2_test_memory_is_bounded_by_blocks():
+    # Unblocked, the h1(O) stack of 10**4 X x 56 pairs x 16 floats takes
+    # about 82 MB per array. Blocks of _BLOCK X keep the peak near 3 MB;
+    # 8 MB leaves room for allocator noise and stays a tenth of that.
+    alg = build_hn(DA.O, 1)
+    B.j2_test(alg, sample_count=1, seed=0)  # build the model outside the trace
+    tracemalloc.start()
+    try:
+        B.j2_test(alg, sample_count=10_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------

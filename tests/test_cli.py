@@ -161,6 +161,14 @@ def test_check_malformed_structure_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and "integers" in err
 
 
+def test_check_oversized_structure_is_budget_refusal(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"dim_v":1000000,"dim_z":1000000,"structure":[]}')
+    code, out, err = run(capsys, "check", "--in", str(huge), "--tests", "jacobi")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "structure tensor" in err
+
+
 def test_check_nonsingular_undetermined(tmp_path):
     path = tmp_path / "r63.json"
     save_algebra(random_two_step(6, 3, random.Random(0)), path)
@@ -351,6 +359,34 @@ def test_boundary_distribution(h1c, tmp_path):
     rep = read_json(out)
     assert rep["max_tangency_residual"] <= 1e-8
     assert rep["max_invariance_distance"] <= 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ["boundary", "--experiment", "distribution", "--seed", "0", "--samples", "-3"],
+    ["boundary", "--experiment", "j2", "--seed", "0", "--samples", "-1"],
+    ["check", "--tests", "j2", "--seed", "0", "--samples", "-1"],
+], ids=["distribution", "boundary-j2", "check-j2"])
+def test_negative_samples_are_refused_at_parse_time(h1c, capsys, argv):
+    code, out, err = run(capsys, *argv, "--in", h1c)
+    assert code == 2 and out == ""
+    assert "argument --samples: must be non-negative, got -" in err
+
+
+@pytest.mark.parametrize("experiment", ["cayley-probe", "distribution"])
+def test_zero_samples_are_refused_where_they_make_the_check_vacuous(h1c, capsys,
+                                                                    experiment):
+    code, out, err = run(capsys, "boundary", "--in", h1c, "--experiment", experiment,
+                         "--seed", "0", "--samples", "0")
+    assert code == 2 and out == ""
+    assert err == f"error: --samples must be at least 1 for {experiment}\n"
+
+
+def test_j2_with_zero_samples_runs_the_structured_sweep(h1c, capsys):
+    code, out, _ = run(capsys, "boundary", "--in", h1c, "--experiment", "j2",
+                       "--seed", "0", "--samples", "0")
+    rep = json.loads(out)
+    assert code == 0 and rep["verdict"] == "fails"
+    assert rep["samples"] == 16  # the n^2 structured candidates of h1(C), n = 4
 
 
 def test_boundary_rerun_is_byte_identical(h1c, tmp_path):

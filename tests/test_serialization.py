@@ -1,11 +1,13 @@
 """Algebra JSON round trips and input validation."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from htype.division import DivisionAlgebra as DA
-from htype.errors import StructureError
+from htype.errors import BudgetExceeded, StructureError
+from htype.linalg import DEFAULT_BUDGET
 from htype.nilpotent import build_hn, build_hprime, make_custom
 from htype.serialization import from_json_dict, load_algebra, save_algebra, to_json_dict
 
@@ -106,3 +108,25 @@ def test_defaults_for_optional_fields(tmp_path):
     alg = load_algebra(p)
     assert alg.name == "unnamed" and alg.family == "custom"
     assert alg.basis_convention == "unspecified" and not alg.abelian
+
+
+def test_oversized_structure_is_refused_before_allocation():
+    # The dense tensor would hold 10**18 entries; the refusal must come first.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as exc:
+            from_json_dict({"dim_v": 10**6, "dim_z": 10**6, "structure": []})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.budget == DEFAULT_BUDGET
+    assert peak < 1 << 20
+
+
+def test_structure_cap_follows_the_budget_override(monkeypatch):
+    doc = to_json_dict(build_hn(DA.C, 1))  # 4 * 4 * 2 = 32 tensor entries
+    monkeypatch.setenv("DIVH_BUDGET", "31")
+    with pytest.raises(BudgetExceeded):
+        from_json_dict(doc)
+    monkeypatch.setenv("DIVH_BUDGET", "32")
+    assert from_json_dict(doc).dim_v == 4
