@@ -5,6 +5,11 @@ model U = {t > |X|^2/4} onto the unit ball, pushes the contact planes of
 the boundary forward to the sphere, and decides whether those sphere
 planes extend across the puncture left by the point at infinity.
 
+One closed-form derivative of the Cayley map, taken along a stack of
+directions, serves the Newton steps of the inverse map, the sphere planes
+and the limiting planes.  The only finite difference, along the group
+translation curves, checks every direction the sphere planes push.
+
 Witness convention: a J^2 violation is recorded as a triple (X, Z, W)
 with X a unit horizontal vector and Z, W orthonormal central vectors,
 such that J_Z J_W X is (numerically) orthogonal to J_z X + R X.  The
@@ -13,7 +18,6 @@ achieved norm of [X, J_Z J_W X - proj] is stored on the witness.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import weakref
 from dataclasses import dataclass
@@ -177,54 +181,50 @@ def cayley(alg: GradedNilpotent, p: SiegelPoint, tol: float = 1e-9) -> BallPoint
     return BallPoint(_cayley_arrays(mod, p.X, p.Z, p.t))
 
 
-def _boundary_cayley(alg: GradedNilpotent, X, Z) -> np.ndarray:
-    """Ball coordinates of the boundary point over (X, Z)."""
-    mod = _model(alg)
-    Xa = np.asarray(X, dtype=float)
-    Za = np.asarray(Z, dtype=float)
-    return _cayley_arrays(mod, Xa, Za, 0.25 * float(Xa @ Xa))
-
-
-def _dcayley(mod: _FloatModel, X, Z, t, Y, W, s) -> np.ndarray:
-    """Directional derivative of the Cayley map at (X,Z,t) along (Y,W,s)."""
+def _dcayley(mod: _FloatModel, X, Z, t, dirs: np.ndarray) -> np.ndarray:
+    """Derivatives of the Cayley map at (X, Z, t) along each row (Y, W, s) of
+    dirs.  Every product is the one a single direction would take (Z . W as
+    the dot product Z @ W, J_W X and J_Z Y as matrix-vector products), so
+    each row is bit-identical to differentiating along it alone."""
+    n, m = mod.n, mod.m
+    Y, W, s = dirs[:, :n], dirs[:, n:n + m], dirs[:, -1]
     zz = float(Z @ Z)
-    zw = float(Z @ W)
+    zw = np.matmul(W[:, None, :], Z[:, None])[:, 0, 0]
     D = (1.0 + t) ** 2 + zz
-    N = np.concatenate([(1.0 + t) * X - mod.jz(Z) @ X, 2.0 * Z, [t * t + zz - 1.0]])
+    JZ = mod.jz(Z)
+    N = np.concatenate([(1.0 + t) * X - JZ @ X, 2.0 * Z, [t * t + zz - 1.0]])
     dD = 2.0 * (1.0 + t) * s + 2.0 * zw
-    dN = np.concatenate(
-        [s * X + (1.0 + t) * Y - mod.jz(W) @ X - mod.jz(Z) @ Y,
-         2.0 * W,
-         [2.0 * t * s + 2.0 * zw]]
-    )
-    return (dN - (dD / D) * N) / D
+    head = (s[:, None] * X + (1.0 + t) * Y - np.matmul(mod.jz(W), X[:, None])[..., 0]
+            - np.matmul(JZ, Y[..., None])[..., 0])
+    dN = np.concatenate([head, 2.0 * W, (2.0 * t * s + 2.0 * zw)[:, None]], axis=1)
+    return (dN - (dD / D)[:, None] * N) / D
 
 
-def _dcayley_boundary(mod: _FloatModel, X, Z, Y, W) -> np.ndarray:
-    # The boundary is the graph t = |X|^2/4, so dt = <X, Y>/2.
-    return _dcayley(mod, X, Z, 0.25 * float(X @ X), Y, W, 0.5 * float(X @ Y))
+def _contact_rows(mod: _FloatModel, X, Ys: np.ndarray) -> np.ndarray:
+    """Rows (Y, [X,Y]/2, <X,Y>/2): each horizontal Y of the stack Ys carried
+    to the boundary point over X by the group translation, t = |X|^2/4."""
+    brackets = np.einsum("ijk,i,bj->bk", mod.c, X, Ys)
+    dots = np.matmul(Ys[:, None, :], X[:, None])[:, 0, 0]
+    return np.concatenate([Ys, 0.5 * brackets, 0.5 * dots[:, None]], axis=1)
 
 
-def _fd_boundary_jacobian(mod: _FloatModel, X, Z, step: float = FD_STEP) -> np.ndarray:
-    """Jacobian of (X,Z) -> boundary Cayley point, central FD with Richardson."""
-    q0 = np.concatenate([X, Z])
-    n = mod.n
+def _fd_push(mod: _FloatModel, X, Z, rows: np.ndarray) -> np.ndarray:
+    """Boundary Cayley map differentiated along the curves
+    h -> (X + hY, Z + hW, |X + hY|^2/4) of the rows (Y, W, .), by central
+    differences at FD_STEP and FD_STEP / 2 with Richardson extrapolation."""
+    n, m = mod.n, mod.m
+    out = []
+    for Y, W in zip(rows[:, :n], rows[:, n:n + m]):
 
-    def f(q):
-        return _cayley_arrays(mod, q[:n], q[n:], 0.25 * float(q[:n] @ q[:n]))
+        def curve(h):
+            Xh = X + h * Y
+            return _cayley_arrays(mod, Xh, Z + h * W, 0.25 * float(Xh @ Xh))
 
-    cols = []
-    for i in range(q0.size):
-        e = np.zeros_like(q0)
-        e[i] = 1.0
-
-        def central(h):
-            return (f(q0 + h * e) - f(q0 - h * e)) / (2.0 * h)
-
-        a1 = central(step)
-        a2 = central(step / 2.0)
-        cols.append((4.0 * a2 - a1) / 3.0)
-    return np.column_stack(cols)
+        h = FD_STEP
+        a1 = (curve(h) - curve(-h)) / (2.0 * h)
+        a2 = (curve(h / 2) - curve(-h / 2)) / h
+        out.append((4.0 * a2 - a1) / 3.0)
+    return np.vstack(out)
 
 
 def _orthonormal_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -257,6 +257,7 @@ def cayley_inverse(alg: GradedNilpotent, b, tol: float = NEWTON_TOL,
     """Inverse Cayley map for interior ball points (norm < 1 - 1e-9).
 
     Deterministic closed-form seed polished by Newton iteration; raises
+    DomainError for a point that is not finite or not inside, and
     ConvergenceError if the residual target is not met within max_iter
     or a Newton step meets a singular Jacobian.
     """
@@ -265,8 +266,9 @@ def cayley_inverse(alg: GradedNilpotent, b, tol: float = NEWTON_TOL,
     n, m = mod.n, mod.m
     if vec.shape != (n + m + 1,):
         raise StructureError(f"ball point has shape {vec.shape}, expected ({n + m + 1},)")
-    if float(np.linalg.norm(vec)) >= 1.0 - BALL_MARGIN:
-        raise DomainError("ball point is not strictly inside the unit sphere")
+    # Written so that a NaN or infinite coordinate fails the test too.
+    if not float(np.linalg.norm(vec)) < 1.0 - BALL_MARGIN:
+        raise DomainError("ball point is not finite and strictly inside the unit sphere")
 
     V, W, s = vec[:n], vec[n:n + m], float(vec[-1])
     # Solving the three scalar relations of the ball map for (t, Z) gives
@@ -279,30 +281,20 @@ def cayley_inverse(alg: GradedNilpotent, b, tol: float = NEWTON_TOL,
 
     p = np.concatenate([X, Z, [t]])
     resid = _cayley_arrays(mod, p[:n], p[n:n + m], p[-1]) - vec
+    rnorm = float(np.linalg.norm(resid))
     it = 0
-    while float(np.linalg.norm(resid)) > tol and it < max_iter:
-        cols = []
-        for i in range(n + m + 1):
-            Y = np.zeros(n)
-            Wd = np.zeros(m)
-            sd = 0.0
-            if i < n:
-                Y[i] = 1.0
-            elif i < n + m:
-                Wd[i - n] = 1.0
-            else:
-                sd = 1.0
-            cols.append(_dcayley(mod, p[:n], p[n:n + m], p[-1], Y, Wd, sd))
-        jac = np.column_stack(cols)
+    # Written so that a NaN residual counts as unconverged.
+    while not rnorm <= tol and it < max_iter:
+        jac = _dcayley(mod, p[:n], p[n:n + m], p[-1], np.eye(n + m + 1)).T
         try:
             step = np.linalg.solve(jac, -resid)
         except np.linalg.LinAlgError:
-            raise ConvergenceError(float(np.linalg.norm(resid)), tol, it) from None
+            raise ConvergenceError(rnorm, tol, it) from None
         p = p + step
         resid = _cayley_arrays(mod, p[:n], p[n:n + m], p[-1]) - vec
+        rnorm = float(np.linalg.norm(resid))
         it += 1
-    rnorm = float(np.linalg.norm(resid))
-    if rnorm > tol:
+    if not rnorm <= tol:
         raise ConvergenceError(rnorm, tol, it)
     return SiegelPoint(p[:n], p[n:n + m], float(p[-1]))
 
@@ -312,14 +304,7 @@ def boundary_distribution(alg: GradedNilpotent, X, Z) -> TangentPlane:
     mod = _model(alg)
     Xa = np.asarray(X, dtype=float)
     Za = np.asarray(Z, dtype=float)
-    rows = np.zeros((mod.n, mod.n + mod.m + 1))
-    for i in range(mod.n):
-        e = np.zeros(mod.n)
-        e[i] = 1.0
-        rows[i, :mod.n] = e
-        rows[i, mod.n:mod.n + mod.m] = 0.5 * mod.bracket(Xa, e)
-        rows[i, -1] = 0.5 * Xa[i]
-    basis = _orthonormal_rows(rows)
+    basis = _orthonormal_rows(_contact_rows(mod, Xa, np.eye(mod.n)))
     # Membership in T(boundary) = {(2Y, W, <X,Y>)}: last = <X, head>/2.
     scale = max(1.0, float(Xa @ Xa))
     for u in basis:
@@ -330,35 +315,24 @@ def boundary_distribution(alg: GradedNilpotent, X, Z) -> TangentPlane:
     return TangentPlane(base, basis)
 
 
-def sphere_distribution(alg: GradedNilpotent, X, Z,
-                        validate_fraction: float = 0.05) -> TangentPlane:
-    """Contact plane pushed to the sphere through the finite-difference
-    Jacobian of the boundary Cayley map, spot-checked against the
-    closed-form directional derivative."""
+def sphere_distribution(alg: GradedNilpotent, X, Z) -> TangentPlane:
+    """Contact plane pushed to the sphere by the closed-form derivative of
+    the Cayley map; every pushed direction is checked against a finite
+    difference along its translation curve."""
     mod = _model(alg)
     Xa = np.asarray(X, dtype=float)
     Za = np.asarray(Z, dtype=float)
-    jac = _fd_boundary_jacobian(mod, Xa, Za)
-    dirs = []
-    for i in range(mod.n):
-        e = np.zeros(mod.n)
-        e[i] = 1.0
-        dirs.append(np.concatenate([e, 0.5 * mod.bracket(Xa, e)]))
-    pushed = np.vstack([jac @ d for d in dirs])
-
-    # Deterministic spot check of ~5% of the pushed directions.
-    count = max(1, round(validate_fraction * mod.n))
-    digest = hashlib.sha256(Xa.tobytes() + Za.tobytes()).digest()
-    picks = sorted({digest[j] % mod.n for j in range(count)})
-    for i in picks:
-        closed = _dcayley_boundary(mod, Xa, Za, dirs[i][:mod.n], dirs[i][mod.n:])
-        err = float(np.linalg.norm(pushed[i] - closed))
-        rel = err / max(1.0, float(np.linalg.norm(closed)))
-        if rel > PLANE_TOL:
-            raise CrossValidationError("sphere Jacobian spot check", rel, PLANE_TOL)
+    t = 0.25 * float(Xa @ Xa)
+    rows = _contact_rows(mod, Xa, np.eye(mod.n))
+    pushed = _dcayley(mod, Xa, Za, t, rows)
+    rel = _norms(pushed - _fd_push(mod, Xa, Za, rows)) / np.maximum(1.0, _norms(pushed))
+    worst = float(np.max(rel))
+    if not worst <= PLANE_TOL:
+        raise CrossValidationError("sphere push against finite differences",
+                                   worst, PLANE_TOL)
 
     basis = _orthonormal_rows(pushed)
-    base = _cayley_arrays(mod, Xa, Za, 0.25 * float(Xa @ Xa))
+    base = _cayley_arrays(mod, Xa, Za, t)
     for u in basis:
         tangency = abs(float(u @ base))
         if tangency > ROUND_TRIP_TOL:
@@ -661,6 +635,16 @@ class LimitingPlaneReport:
         }
 
 
+def _check_radii(radii) -> tuple:
+    """The radii as a tuple, refused unless non-empty, finite and above 2
+    (the curve 1 + |Z|^2 = r^4 / 16 is real only for r >= 2)."""
+    radii = tuple(radii)
+    if not radii or not all(math.isfinite(r) and r > 2.0 for r in radii):
+        raise ValueError(f"radii must be a non-empty sequence of finite numbers "
+                         f"above 2 so each curve is real, got {radii!r}")
+    return radii
+
+
 def limiting_plane_experiment(alg: GradedNilpotent, witness: J2Witness,
                               radii=(10.0, 100.0, 1000.0, 10000.0),
                               seed: int | None = None) -> LimitingPlaneReport:
@@ -675,6 +659,7 @@ def limiting_plane_experiment(alg: GradedNilpotent, witness: J2Witness,
     (0, RW, 0).  Distinct limits along distinct approaches are the
     obstruction to extending the sphere distribution.
     """
+    radii = _check_radii(radii)
     mod = _model(alg)
     x = np.asarray(witness.X, dtype=float)
     z = np.asarray(witness.Z, dtype=float)
@@ -712,36 +697,26 @@ def limiting_plane_experiment(alg: GradedNilpotent, witness: J2Witness,
     for pa, pb in ((limit1, limit2), (limit1, limit3), (limit2, limit3)):
         orth = max(orth, float(np.max(np.abs(pa @ pb.T))))
 
-    def push_at(Xp, Zp, t, Y):
-        Wz = 0.5 * mod.bracket(Xp, Y)
-        s = 0.5 * float(Xp @ Y)
-        return _dcayley(mod, Xp, Zp, t, Y, Wz, s)
-
     rows = []
     for r in radii:
-        if r <= 2.0:
-            raise ValueError("radii must exceed 2 so the curve is real")
         zr = math.sqrt(r ** 4 / 16.0 - 1.0)
         Zp = zr * z
         t = r * r / 4.0
 
+        # First copy.  The third row is the horizontal field whose
+        # v-component cancels on this curve (needs [X, J_Z J_W X] = 0, i.e.
+        # the witness): its pushforward points along (0, RW, 0) exactly.
         Xp1 = r * x
-        p1 = _orthonormal_rows(np.vstack([push_at(Xp1, Zp, t, a1),
-                                          push_at(Xp1, Zp, t, a2)]))
-        d1 = grassmann_distance(p1, limit1)
+        yw = (1.0 + t) * (jw_hat @ Xp1) + mod.jz(Zp) @ (jw_hat @ Xp1)
+        pushed = _dcayley(mod, Xp1, Zp, t, _contact_rows(mod, Xp1, np.vstack([a1, a2, yw])))
+        d1 = grassmann_distance(_orthonormal_rows(pushed[:2]), limit1)
+        v3 = pushed[2] / np.linalg.norm(pushed[2])
 
         # Second copy: the same curve construction along J_W X.
         Xp2 = r * b1
-        p2 = _orthonormal_rows(np.vstack([push_at(Xp2, Zp, t, b1),
-                                          push_at(Xp2, Zp, t, b2)]))
-        d2 = grassmann_distance(p2, limit2)
+        pushed = _dcayley(mod, Xp2, Zp, t, _contact_rows(mod, Xp2, np.vstack([b1, b2])))
+        d2 = grassmann_distance(_orthonormal_rows(pushed), limit2)
 
-        # Horizontal field whose v-component cancels on the first curve
-        # (needs [X, J_Z J_W X] = 0, i.e. the witness): its pushforward
-        # points along (0, RW, 0) exactly.
-        yw = (1.0 + t) * (jw_hat @ Xp1) + mod.jz(Zp) @ (jw_hat @ Xp1)
-        v3 = push_at(Xp1, Zp, t, yw)
-        v3 = v3 / np.linalg.norm(v3)
         d3 = float(np.linalg.norm(v3 - limit3.T @ (limit3 @ v3)))
         rows.append(PlaneConvergenceRow(float(r), d1, d2, d3))
 
@@ -781,6 +756,7 @@ def extension_verdict(alg: GradedNilpotent, sample_count: int = 200,
     """Sphere planes extend across the puncture iff the J^2 condition
     holds; the negative verdict ships a violation witness plus the
     limiting-plane experiment as evidence."""
+    radii = _check_radii(radii)
     j2 = j2_test(alg, sample_count=sample_count, tol=tol, seed=seed)
     if j2.holds:
         return ExtensionVerdict(alg.name, "extends", j2, None, None)
@@ -804,7 +780,8 @@ def puncture_point(alg: GradedNilpotent, seed: int = 0, directions: int = 6,
     zs = [np.zeros(mod.m)]
     if mod.m:
         zs.append(0.5 * np.eye(mod.m)[0])
-    pts = [_boundary_cayley(alg, radius * x, z) for x in xs for z in zs]
+    pts = [_cayley_arrays(mod, X, z, 0.25 * float(X @ X))
+           for X in (radius * x for x in xs) for z in zs]
     spread = max(
         float(np.linalg.norm(p - q)) for i, p in enumerate(pts) for q in pts[i + 1:]
     )
@@ -833,21 +810,8 @@ def translation_invariance_check(alg: GradedNilpotent, X, Z,
 
     # d(C o L_g) at the identity applied to the flat base plane (Y, 0):
     # the translated curve is s -> (X + sY, Z + s[X,Y]/2) by the group law.
-    rows = []
-    for i in range(mod.n):
-        Y = np.zeros(mod.n)
-        Y[i] = 1.0
-        Wd = 0.5 * mod.bracket(Xa, Y)
-
-        def curve(s):
-            return _cayley_arrays(mod, Xa + s * Y, Za + s * Wd,
-                                  0.25 * float((Xa + s * Y) @ (Xa + s * Y)))
-
-        h = FD_STEP
-        a1 = (curve(h) - curve(-h)) / (2.0 * h)
-        a2 = (curve(h / 2) - curve(-h / 2)) / h
-        rows.append((4.0 * a2 - a1) / 3.0)
-    transported = _orthonormal_rows(np.vstack(rows))
+    rows = _contact_rows(mod, Xa, np.eye(mod.n))
+    transported = _orthonormal_rows(_fd_push(mod, Xa, Za, rows))
     dist = grassmann_distance(in_place.basis, transported)
     if dist > tol:
         raise CrossValidationError("translation invariance", dist, tol)
@@ -860,7 +824,12 @@ def translation_invariance_check(alg: GradedNilpotent, X, Z,
 
 def boundary_identity_error(alg: GradedNilpotent, samples: int = 10_000,
                             seed: int = 0) -> float:
-    """max | |C(p)|^2 - 1 | over random boundary points (vectorized)."""
+    """max | |C(p)|^2 - 1 | over random boundary points (vectorized).
+
+    Its own formula, not _cayley_arrays stacked over the points: a stack
+    would hold one J_Z matrix per point (about 20 MB on h1(O) at 10,000
+    points), and array powers need not round as the scalar map's do.
+    """
     mod = _model(alg)
     rng = np.random.default_rng(seed)
     Xs = rng.standard_normal((samples, mod.n))

@@ -410,13 +410,3 @@ def nullspace(rows: Iterable[Row], ncols: int,
               "falling back to integer Gauss-Jordan", context)
     return _nullspace_fraction(int_rows, ncols)
 
-
-def nullity_float(rows: np.ndarray, tol: float = 1e-8) -> int:
-    """Float64 nullity by singular values; used only as a cross-check."""
-    import numpy as np
-
-    if rows.size == 0:
-        return rows.shape[1] if rows.ndim == 2 else 0
-    s = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0])))
-    return rows.shape[1] - rank

@@ -103,6 +103,24 @@ def test_cayley_inverse_rejects_near_sphere_points():
         B.cayley_inverse(alg, vec)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cayley_inverse_rejects_non_finite_points(bad):
+    alg = h1c()
+    for vec in (np.full(7, bad), np.array([0.1, 0.0, bad, 0.0, 0.0, 0.0, 0.2])):
+        with pytest.raises(DomainError):
+            B.cayley_inverse(alg, vec)
+
+
+def test_cayley_inverse_nan_residual_is_not_convergence(monkeypatch):
+    alg = h1c()
+    vec = np.zeros(7)
+    vec[0] = 0.5
+    monkeypatch.setattr(B, "_cayley_arrays", lambda mod, X, Z, t: np.full(7, np.nan))
+    with pytest.raises(ConvergenceError) as exc:
+        B.cayley_inverse(alg, vec, max_iter=3)
+    assert math.isnan(exc.value.residual) and exc.value.iterations == 3
+
+
 def test_cayley_inverse_reports_convergence_failure():
     alg = h1c()
     rng = np.random.default_rng(8)
@@ -122,7 +140,7 @@ def test_cayley_inverse_singular_newton_step(monkeypatch):
     vec *= 0.5 / np.linalg.norm(vec)
     # every column of the Newton Jacobian vanishes, so solving for the step
     # meets a singular matrix on the first iteration
-    monkeypatch.setattr(B, "_dcayley", lambda *args: np.zeros(7))
+    monkeypatch.setattr(B, "_dcayley", lambda mod, X, Z, t, dirs: np.zeros_like(dirs))
     with pytest.raises(ConvergenceError) as exc:
         B.cayley_inverse(alg, vec, tol=0.0)
     assert exc.value.iterations == 0 and exc.value.target == 0.0
@@ -138,6 +156,92 @@ def test_round_trip_property(seed):
     p = B.siegel_point(alg, X, Z, 0.25 * float(X @ X) + rng.uniform(0.05, 2.0))
     q = B.cayley_inverse(alg, B.cayley(alg, p))
     assert np.linalg.norm(p.ambient() - q.ambient()) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The direction-stacked Cayley derivative against a per-direction reference
+
+DERIVATIVE_ALGEBRAS = [
+    ("h1R", lambda: build_hn(DA.R, 1)),
+    ("h1C", lambda: build_hn(DA.C, 1)),
+    ("hp10H", lambda: build_hprime(DA.H, 1, 0)),
+    ("hp11H", lambda: build_hprime(DA.H, 1, 1)),
+    ("h1O", lambda: build_hn(DA.O, 1)),
+    ("hp10O", lambda: build_hprime(DA.O, 1, 0)),
+]
+
+
+def _reference_dcayley(mod, X, Z, t, Y, W, s):
+    """Directional derivative of the Cayley map at (X, Z, t) along one
+    direction (Y, W, s): the quotient rule on C = N / D."""
+    zz = float(Z @ Z)
+    zw = float(Z @ W)
+    D = (1.0 + t) ** 2 + zz
+    N = np.concatenate([(1.0 + t) * X - mod.jz(Z) @ X, 2.0 * Z, [t * t + zz - 1.0]])
+    dD = 2.0 * (1.0 + t) * s + 2.0 * zw
+    dN = np.concatenate(
+        [s * X + (1.0 + t) * Y - mod.jz(W) @ X - mod.jz(Z) @ Y,
+         2.0 * W,
+         [2.0 * t * s + 2.0 * zw]]
+    )
+    return (dN - (dD / D) * N) / D
+
+
+def _per_direction(mod, X, Z, t, dirs):
+    n, m = mod.n, mod.m
+    return np.stack([_reference_dcayley(mod, X, Z, t, d[:n], d[n:n + m], d[-1])
+                     for d in dirs])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("make", [m for _, m in DERIVATIVE_ALGEBRAS],
+                         ids=[n for n, _ in DERIVATIVE_ALGEBRAS])
+def test_stacked_dcayley_matches_per_direction_reference(make, seed):
+    alg = make()
+    mod = B._model(alg)
+    n, m = mod.n, mod.m
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        X, Z = rng.standard_normal(n), rng.standard_normal(m)
+        t = 0.25 * float(X @ X) + float(rng.uniform(0.0, 2.0))
+        dirs = rng.standard_normal((int(rng.integers(1, n + m + 3)), n + m + 1))
+        assert _bits(B._dcayley(mod, X, Z, t, dirs)) == _bits(
+            _per_direction(mod, X, Z, t, dirs))
+        # The Newton Jacobian of cayley_inverse, column by column.
+        cols = [_reference_dcayley(mod, X, Z, t, e[:n], e[n:n + m], e[-1])
+                for e in np.eye(n + m + 1)]
+        assert _bits(B._dcayley(mod, X, Z, t, np.eye(n + m + 1)).T) == _bits(
+            np.column_stack(cols))
+        # Contact rows (Y, [X,Y]/2, <X,Y>/2), one Y at a time.
+        Ys = dirs[:, :n].copy()
+        assert _bits(B._contact_rows(mod, X, Ys)) == _bits(np.stack(
+            [np.concatenate([y, 0.5 * mod.bracket(X, y), [0.5 * float(X @ y)]])
+             for y in Ys]))
+
+
+@pytest.mark.parametrize("make", [m for _, m in DERIVATIVE_ALGEBRAS],
+                         ids=[n for n, _ in DERIVATIVE_ALGEBRAS])
+def test_newton_steps_match_per_direction_reference(make, monkeypatch):
+    # tol=0 makes Newton step from the exact seed until max_iter.
+    alg = make()
+    dim = alg.dim_v + alg.dim_z + 1
+    rng = np.random.default_rng(4)
+    vecs = [v * float(rng.uniform(0.05, 0.95)) / np.linalg.norm(v)
+            for v in rng.standard_normal((20, dim))]
+
+    def outcomes():
+        got = []
+        for vec in vecs:
+            try:
+                q = B.cayley_inverse(alg, vec, tol=0.0, max_iter=2)
+                got.append((_bits(q.ambient()),))
+            except ConvergenceError as exc:
+                got.append((exc.residual, exc.iterations))
+        return got
+
+    stacked = outcomes()
+    monkeypatch.setattr(B, "_dcayley", _per_direction)
+    assert stacked == outcomes()
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +278,28 @@ def test_sphere_distribution_matches_closed_form():
     rng = np.random.default_rng(5)
     X = rng.standard_normal(4)
     Z = rng.standard_normal(3)
-    # validate every pushed direction, not just the spot-check quota
-    plane = B.sphere_distribution(alg, X, Z, validate_fraction=1.0)
+    plane = B.sphere_distribution(alg, X, Z)
     assert plane.dimension == 4
+
+
+def test_sphere_distribution_checks_every_direction(monkeypatch):
+    # Doubling one pushed row leaves the plane, and so its tangency, as it
+    # is: only the per-direction finite-difference check can see it.
+    alg = build_hprime(DA.H, 1, 1)
+    rng = np.random.default_rng(12)
+    X, Z = rng.standard_normal(8), rng.standard_normal(3)
+    B.sphere_distribution(alg, X, Z)
+    exact = B._dcayley
+    for i in range(alg.dim_v):
+        def corrupt(mod, X, Z, t, dirs, i=i):
+            out = exact(mod, X, Z, t, dirs)
+            out[i] *= 2.0
+            return out
+
+        monkeypatch.setattr(B, "_dcayley", corrupt)
+        with pytest.raises(CrossValidationError) as exc:
+            B.sphere_distribution(alg, X, Z)
+        assert exc.value.label == "sphere push against finite differences"
 
 
 def test_translation_invariance_of_sphere_planes():
@@ -544,8 +667,14 @@ def test_limiting_planes_reject_non_violating_witness():
 def test_limiting_planes_reject_tiny_radii():
     alg = h1c()
     witness = B.find_j2_violation(alg, seed=3).witness
-    with pytest.raises(ValueError):
-        B.limiting_plane_experiment(alg, witness, radii=(1.5,))
+    # a witness that fails its own check shows the radii are refused first
+    fake = B.J2Witness(np.eye(4)[0], np.eye(2)[0], np.eye(2)[0], 0.0, np.zeros(4), 0.0)
+    for radii in [(1.5,), (), (math.nan,), (10.0, 1.5), (10.0, math.inf), (2.0,)]:
+        for w in (witness, fake):
+            with pytest.raises(ValueError):
+                B.limiting_plane_experiment(alg, w, radii=radii)
+        with pytest.raises(ValueError):  # J^2 holds: no limiting planes would run
+            B.extension_verdict(h1r(), seed=0, radii=radii)
 
 
 def test_extension_verdict_partition():
