@@ -160,7 +160,10 @@ def siegel_point(alg: GradedNilpotent, X, Z, t: float | None = None) -> SiegelPo
         )
     if t is None:
         t = 0.25 * float(Xa @ Xa)
-    return SiegelPoint(Xa, Za, float(t))
+    p = SiegelPoint(Xa, Za, float(t))
+    if not np.isfinite(p.ambient()).all():
+        raise DomainError("Siegel point is not finite")
+    return p
 
 
 def _cayley_arrays(mod: _FloatModel, X, Z, t) -> np.ndarray:
@@ -173,7 +176,10 @@ def _cayley_arrays(mod: _FloatModel, X, Z, t) -> np.ndarray:
 def cayley(alg: GradedNilpotent, p: SiegelPoint, tol: float = 1e-9) -> BallPoint:
     """Ball model of p; requires p in the closure of the domain."""
     mod = _model(alg)
-    if p.height_excess < -tol * max(1.0, float(p.X @ p.X)):
+    if not np.isfinite(p.ambient()).all():
+        raise DomainError("Siegel point is not finite")
+    # Written so that a NaN height excess fails the test too.
+    if not p.height_excess >= -tol * max(1.0, float(p.X @ p.X)):
         raise DomainError(
             f"point with height excess {p.height_excess:.3e} lies outside "
             "the closed Siegel domain"
@@ -315,29 +321,35 @@ def boundary_distribution(alg: GradedNilpotent, X, Z) -> TangentPlane:
     return TangentPlane(base, basis)
 
 
-def sphere_distribution(alg: GradedNilpotent, X, Z) -> TangentPlane:
-    """Contact plane pushed to the sphere by the closed-form derivative of
-    the Cayley map; every pushed direction is checked against a finite
-    difference along its translation curve."""
-    mod = _model(alg)
-    Xa = np.asarray(X, dtype=float)
-    Za = np.asarray(Z, dtype=float)
-    t = 0.25 * float(Xa @ Xa)
-    rows = _contact_rows(mod, Xa, np.eye(mod.n))
-    pushed = _dcayley(mod, Xa, Za, t, rows)
-    rel = _norms(pushed - _fd_push(mod, Xa, Za, rows)) / np.maximum(1.0, _norms(pushed))
+def _sphere_plane(mod: _FloatModel, X, Z) -> tuple[TangentPlane, np.ndarray]:
+    """Sphere plane at the boundary point over (X, Z), with the
+    finite-difference push of its contact rows that checked it."""
+    t = 0.25 * float(X @ X)
+    rows = _contact_rows(mod, X, np.eye(mod.n))
+    pushed = _dcayley(mod, X, Z, t, rows)
+    fd = _fd_push(mod, X, Z, rows)
+    rel = _norms(pushed - fd) / np.maximum(1.0, _norms(pushed))
     worst = float(np.max(rel))
     if not worst <= PLANE_TOL:
         raise CrossValidationError("sphere push against finite differences",
                                    worst, PLANE_TOL)
 
     basis = _orthonormal_rows(pushed)
-    base = _cayley_arrays(mod, Xa, Za, t)
+    base = _cayley_arrays(mod, X, Z, t)
     for u in basis:
         tangency = abs(float(u @ base))
         if tangency > ROUND_TRIP_TOL:
             raise CrossValidationError("sphere tangency", tangency, ROUND_TRIP_TOL)
-    return TangentPlane(base, basis)
+    return TangentPlane(base, basis), fd
+
+
+def sphere_distribution(alg: GradedNilpotent, X, Z) -> TangentPlane:
+    """Contact plane pushed to the sphere by the closed-form derivative of
+    the Cayley map; every pushed direction is checked against a finite
+    difference along its translation curve."""
+    plane, _ = _sphere_plane(_model(alg), np.asarray(X, dtype=float),
+                             np.asarray(Z, dtype=float))
+    return plane
 
 
 # ---------------------------------------------------------------------------
@@ -803,15 +815,12 @@ def translation_invariance_check(alg: GradedNilpotent, X, Z,
     """Sphere plane computed in place vs the base-point plane transported
     by the group translation (X, Z) = g . (0, 0); returns the Grassmann
     distance and raises if it exceeds tol."""
-    mod = _model(alg)
-    Xa = np.asarray(X, dtype=float)
-    Za = np.asarray(Z, dtype=float)
-    in_place = sphere_distribution(alg, Xa, Za)
-
     # d(C o L_g) at the identity applied to the flat base plane (Y, 0):
-    # the translated curve is s -> (X + sY, Z + s[X,Y]/2) by the group law.
-    rows = _contact_rows(mod, Xa, np.eye(mod.n))
-    transported = _orthonormal_rows(_fd_push(mod, Xa, Za, rows))
+    # the translated curve is s -> (X + sY, Z + s[X,Y]/2) by the group law,
+    # which is the curve the in-place plane's finite difference follows.
+    in_place, fd = _sphere_plane(_model(alg), np.asarray(X, dtype=float),
+                                 np.asarray(Z, dtype=float))
+    transported = _orthonormal_rows(fd)
     dist = grassmann_distance(in_place.basis, transported)
     if dist > tol:
         raise CrossValidationError("translation invariance", dist, tol)

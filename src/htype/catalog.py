@@ -37,6 +37,7 @@ __all__ = [
     "TowerReport",
     "load_table",
     "table_rows",
+    "row_by_name",
     "compute_checksum",
     "instantiate",
     "verify_row",

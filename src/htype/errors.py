@@ -1,5 +1,17 @@
 """Shared exception types."""
 
+__all__ = [
+    "HTypeError",
+    "AlgebraMismatch",
+    "StructureError",
+    "CenterDimensionError",
+    "BudgetExceeded",
+    "ConvergenceError",
+    "DatasetError",
+    "DomainError",
+    "CrossValidationError",
+]
+
 
 class HTypeError(Exception):
     """Base class for errors raised by this package."""

@@ -37,6 +37,7 @@ __all__ = [
     "build_hprime",
     "make_custom",
     "random_two_step",
+    "element",
     "bracket",
     "jmap",
     "is_type_h",

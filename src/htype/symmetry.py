@@ -1,16 +1,18 @@
 """Derivation algebras and Tanaka prolongations as exact nullspaces.
 
-Graded derivations are pairs (A, B) with B[x,y] = [Ax,y] + [x,Ay]; full
-derivations add C: v -> z (always unconstrained) and a z -> v block that
-the equations force to zero whenever the brackets span the center.
-
-The prolongation g_K (K >= 1) consists of degree-K maps f sending v ->
+The prolongation g_K (K >= 0) consists of degree-K maps f sending v ->
 g_{K-1} and z -> g_{K-2} subject to f([u,w]) = [f(u),w] + [u,f(w)] for
-all u, w in n, where bracketing a positive-degree element against n means
-applying the map. Each degree is one exact nullspace; iteration stops at
-the first zero component (transitivity kills everything above) or at
-max_degree. The per-degree system size is capped by a configurable entry
-budget so desk-scale refusals are loud rather than slow.
+all u, w in n, where bracketing an element of degree >= 0 against n
+means applying the map. One assembler builds the system of every degree
+from the level data below it. At K = 0 the maps are pairs (A, B) with
+B[x,y] = [Ax,y] + [x,Ay], so g_0 = Der_gr(n), the graded derivations;
+full derivations add C: v -> z (always unconstrained) and a z -> v block
+that the equations force to zero whenever the brackets span the center.
+
+Each degree is one nullspace; iteration stops at the first zero positive
+component (transitivity kills everything above) or at max_degree. The
+per-degree system size is capped by a configurable entry budget so
+desk-scale refusals are loud rather than slow.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .nilpotent import GradedNilpotent
 __all__ = [
     "DerivationSpace",
     "ProlongationResult",
+    "SymmetryExcess",
     "DEFAULT_BUDGET",
     "default_budget",
     "graded_derivations",
@@ -90,36 +93,10 @@ def _unflatten(vec: Sequence, shapes: list[tuple[int, int]]):
     return out
 
 
-def _derivation_rows(alg: GradedNilpotent) -> list[dict[int, Fraction]]:
-    """Sparse rows of B c(x,y) - c(Ax,y) - c(x,Ay) = 0 over basis pairs.
-
-    Columns: A[t][s] at t*n + s, then B[k][l] at n*n + k*m + l. No row
-    writes a column twice, so each entry is assigned, never accumulated.
-    """
-    n, m = alg.dim_v, alg.dim_z
-    c = alg.structure
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = c[i][j]
-            for k in range(m):
-                row = {n * n + k * m + l: cij[l] for l in range(m) if cij[l]}
-                for t in range(n):
-                    v = c[t][j][k]
-                    if v:
-                        row[t * n + i] = -v
-                    v = c[i][t][k]
-                    if v:
-                        row[t * n + j] = -v
-                rows.append(row)
-    return rows
-
-
 def graded_derivations(alg: GradedNilpotent) -> DerivationSpace:
     """All (A, B) with B[x,y] = [Ax,y] + [x,Ay], as a certified basis."""
     n, m = alg.dim_v, alg.dim_z
-    ncols = n * n + m * m
-    res = nullspace(_derivation_rows(alg), ncols)
+    res = nullspace(_prolong_rows(0, *_negative_levels(alg, _exact)), n * n + m * m)
     basis = []
     for vec in res.basis:
         a, b = _unflatten(vec, [(n, n), (m, m)])
@@ -140,7 +117,7 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
     ncols = n * n + m * m + m * n + n * m
     c_off = n * n + m * m
     e_off = c_off + m * n
-    rows = _derivation_rows(alg)
+    rows = _prolong_rows(0, *_negative_levels(alg, _exact))
     c = alg.structure
     for s in range(n):
         for k in range(m):
@@ -195,25 +172,51 @@ def _solve_float(rows: list[dict], ncols: int, tol: float):
     return ncols - rank, basis
 
 
-def _prolong_rows(c, n: int, m: int, K: int, dfun, ev_v: dict, ev_z: dict, co) -> list[dict]:
-    """Sparse rows of the degree-K prolongation system.
+def _exact(x):
+    return x
+
+
+def _negative_levels(alg: GradedNilpotent, co) -> tuple[dict, dict, dict]:
+    """Level data of n itself, from which every degree's system is built.
+
+    dims[j] = dim g_j; ev_v[j][a] is the D(j-1) x n matrix of basis element
+    a of g_j on v, ev_z[j][a] its D(j-2) x m matrix on z. At j = -1 the
+    matrix of x_i is ad x_i: v -> z, entry [s][t] = c(x_i, x_t)_s, and
+    x_i kills z, so ev_z has no level -1.
+    """
+    n, m = alg.dim_v, alg.dim_z
+    c = alg.structure
+    ev_v = {-1: [[[co(c[i][t][s]) for t in range(n)] for s in range(m)]
+                 for i in range(n)]}
+    return {-2: m, -1: n}, ev_v, {}
+
+
+def _prolong_rows(K: int, dims: dict, ev_v: dict, ev_z: dict) -> list[dict]:
+    """Sparse rows of the degree-K prolongation system, K >= 0.
 
     Columns: the D(K-1) x n block of f on v at a*n + i, then the
-    D(K-2) x m block of f on z at p_cols + b*m + l. No row writes a column
+    D(K-2) x m block of f on z at p_cols + b*m + l. At K = 0 these are
+    A[t][s] at t*n + s and B[k][l] at n*n + k*m + l, and the rows are
+    B c(x,y) = c(Ax,y) + c(x,Ay): Der_gr(n). No row writes a column
     twice, so each entry is assigned, never accumulated.
     """
+    n, m = dims[-1], dims[-2]
+
+    def dfun(j: int) -> int:
+        return dims.get(j, 0)
+
     d_prev, d_prev2 = dfun(K - 1), dfun(K - 2)
     p_cols = d_prev * n
+    ad = ev_v[-1]  # ad[i][k][j] = c(x_i, x_j)_k
     evp_v, evp_z = ev_v[K - 1], ev_z.get(K - 1)
-    ev2_v = ev_v[K - 2] if K - 2 >= -1 else None
-    ev2_z = ev_z.get(K - 2)
+    ev2_v, ev2_z = ev_v.get(K - 2), ev_z.get(K - 2)
     rows = []
     # f([x_i, x_j]) = [f(x_i), x_j] + [x_i, f(x_j)], values in g_{K-2}
     for i in range(n):
         for j in range(i + 1, n):
-            cij = c[i][j]
+            cij = [ad[i][k][j] for k in range(m)]
             for r in range(d_prev2):
-                row = {p_cols + r * m + k: co(cij[k]) for k in range(m) if cij[k]}
+                row = {p_cols + r * m + k: cij[k] for k in range(m) if cij[k]}
                 for a in range(d_prev):
                     ev = evp_v[a]
                     x = ev[r][j]
@@ -268,9 +271,10 @@ def tanaka_prolong(alg: GradedNilpotent,
                    store_bases: bool = False) -> ProlongationResult:
     """Degree-by-degree prolongation of (n, g0).
 
-    g0_mode "full_graded_derivations" computes g0 = Der_gr(n) first (its
-    system also counts against the budget); "supplied_subalgebra" takes
-    explicit (A, B) pairs, each re-verified to be a graded derivation.
+    g0_mode "full_graded_derivations" starts at degree 0, whose system is
+    Der_gr(n) and counts against the budget like every other degree;
+    "supplied_subalgebra" takes explicit (A, B) pairs, each re-verified to
+    be a graded derivation, as level 0 and starts at degree 1.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
@@ -281,7 +285,7 @@ def tanaka_prolong(alg: GradedNilpotent,
     t0 = time.perf_counter()
     n, m = alg.dim_v, alg.dim_z
     exact = arithmetic == "exact"
-    co = (lambda x: x) if exact else float
+    co = _exact if exact else float
 
     def solve(rows, ncols):
         if exact:
@@ -289,35 +293,21 @@ def tanaka_prolong(alg: GradedNilpotent,
             return res.dimension, res.basis
         return _solve_float(rows, ncols, float_tol)
 
-    # level data: ev_v[j][a] is a D(j-1) x n matrix, ev_z[j][a] a D(j-2) x m
-    ev_v: dict[int, list] = {}
-    ev_z: dict[int, list] = {}
-    c = alg.structure
-    ev_v[-1] = [
-        [[co(c[i][t][s]) for t in range(n)] for s in range(m)]
-        for i in range(n)
-    ]
-
+    level_dims, ev_v, ev_z = _negative_levels(alg, co)
     if g0_mode == "full_graded_derivations":
-        npairs = n * (n - 1) // 2
-        check_budget(npairs * m, n * n + m * m, budget, "degree-0 derivation system")
-        _, vecs = solve(_derivation_rows(alg), n * n + m * m)
-        g0_basis = [_unflatten(vec, [(n, n), (m, m)]) for vec in vecs]
+        first = 0  # g0 = Der_gr(n) is the degree-0 prolongation
     elif g0_mode == "supplied_subalgebra":
         if not supplied_g0:
             raise ValueError("supplied_subalgebra mode needs supplied_g0")
         for a, b in supplied_g0:
             if not verify_graded_derivation(alg, a, b):
                 raise StructureError("supplied g0 element is not a graded derivation")
-        g0_basis = [([[co(x) for x in row] for row in a],
-                     [[co(x) for x in row] for row in b]) for a, b in supplied_g0]
+        ev_v[0] = [[[co(x) for x in row] for row in a] for a, _ in supplied_g0]
+        ev_z[0] = [[[co(x) for x in row] for row in b] for _, b in supplied_g0]
+        level_dims[0] = len(supplied_g0)
+        first = 1
     else:
         raise ValueError(f"unknown g0_mode {g0_mode!r}")
-
-    ev_v[0] = [a for a, _ in g0_basis]
-    ev_z[0] = [b for _, b in g0_basis]
-    g0_dim = len(g0_basis)
-    level_dims = {-2: m, -1: n, 0: g0_dim}
 
     def dfun(j: int) -> int:
         return level_dims.get(j, 0)
@@ -325,7 +315,7 @@ def tanaka_prolong(alg: GradedNilpotent,
     component_dims: list[int] = []
     all_bases = [] if store_bases else None
     completed = False
-    for K in range(1, max_degree + 1):
+    for K in range(first, max_degree + 1):
         d_prev = dfun(K - 1)   # image of v
         d_prev2 = dfun(K - 2)  # image of z
         p_cols = d_prev * n
@@ -333,13 +323,13 @@ def tanaka_prolong(alg: GradedNilpotent,
         n_rows = ((n * (n - 1) // 2) * dfun(K - 2)
                   + n * m * dfun(K - 3)
                   + (m * (m - 1) // 2) * dfun(K - 4))
-        check_budget(n_rows, ncols, budget, f"degree-{K} prolongation system")
-        rows = _prolong_rows(c, n, m, K, dfun, ev_v, ev_z, co)
+        check_budget(n_rows, ncols, budget,
+                     f"degree-{K} prolongation system" if K else "degree-0 derivation system")
+        rows = _prolong_rows(K, level_dims, ev_v, ev_z)
         dim_k, vecs = solve(rows, ncols)
-        if dim_k == 0:
+        if K and dim_k == 0:  # a zero g0 does not end the loop
             completed = True
             break
-        component_dims.append(dim_k)
         level_dims[K] = dim_k
         # the new basis vectors are the evaluation tensors of level K
         ev_v[K] = []
@@ -349,9 +339,12 @@ def tanaka_prolong(alg: GradedNilpotent,
             q = [[vec[p_cols + b * m + l] for l in range(m)] for b in range(d_prev2)]
             ev_v[K].append(p)
             ev_z[K].append(q)
-        if store_bases:
-            all_bases.append((tuple(map(tuple, ev_v[K])), tuple(map(tuple, ev_z[K]))))
+        if K:
+            component_dims.append(dim_k)
+            if store_bases:
+                all_bases.append((tuple(map(tuple, ev_v[K])), tuple(map(tuple, ev_z[K]))))
 
+    g0_dim = level_dims[0]
     total = n + m + g0_dim + sum(component_dims)
     trivial = completed and not component_dims
     elapsed = int((time.perf_counter() - t0) * 1000)

@@ -111,6 +111,22 @@ def test_cayley_inverse_rejects_non_finite_points(bad):
             B.cayley_inverse(alg, vec)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cayley_rejects_non_finite_points(bad):
+    alg = h1c()
+    points = [([bad, 0.0, 0.0, 0.0], [0.0, 0.0], 1.0),
+              ([0.0, 0.0, 0.0, 0.0], [bad, 0.0], 1.0),
+              ([0.0, 0.0, 0.0, 0.0], [0.0, 0.0], bad)]
+    for X, Z, t in points:
+        with pytest.raises(DomainError):
+            B.siegel_point(alg, X, Z, t)
+        # a point built directly bypasses siegel_point's check
+        with pytest.raises(DomainError):
+            B.cayley(alg, B.SiegelPoint(np.array(X), np.array(Z), t))
+    with pytest.raises(DomainError):
+        B.siegel_point(alg, [bad, 0.0, 0.0, 0.0], [0.0, 0.0])
+
+
 def test_cayley_inverse_nan_residual_is_not_convergence(monkeypatch):
     alg = h1c()
     vec = np.zeros(7)
@@ -309,6 +325,22 @@ def test_translation_invariance_of_sphere_planes():
         X = rng.standard_normal(4)
         Z = rng.standard_normal(2)
         assert B.translation_invariance_check(alg, X, Z) <= 1e-6
+
+
+def test_translation_check_runs_one_finite_difference(monkeypatch):
+    alg = build_hn(DA.O, 1)
+    rng = np.random.default_rng(9)
+    X, Z = rng.standard_normal(16), rng.standard_normal(8)
+    calls = []
+    fd_push = B._fd_push
+
+    def counted(*args):
+        calls.append(1)
+        return fd_push(*args)
+
+    monkeypatch.setattr(B, "_fd_push", counted)
+    assert B.translation_invariance_check(alg, X, Z) <= 1e-6
+    assert len(calls) == 1
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import importlib
 import io
 import json
 import os
@@ -464,6 +465,12 @@ def test_commands_load_only_what_they_run(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_SURFACE, str(tmp_path)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_lazy_exports_are_in_their_module_all():
+    for module, names in htype._EXPORTS.items():
+        declared = importlib.import_module(f"htype.{module}").__all__
+        assert [n for n in names.split() if n not in declared] == [], module
 
 
 def test_budget_refusal_log_stays_off_stderr(h1c):

@@ -193,6 +193,38 @@ def test_supplied_g0_rejects_non_derivation():
         tanaka_prolong(alg, g0_mode="supplied_subalgebra", supplied_g0=[(a, b)])
 
 
+@pytest.mark.parametrize("key", [("hn", "H", 1), ("hp", "H", 1, 0), ("hp", "H", 1, 1),
+                                 ("hn", "C", 1)])
+def test_supplied_der_gr_matches_full_mode(key):
+    # Der_gr(n) supplied as level 0 and Der_gr(n) solved as degree 0 give
+    # the same prolongation; exactly, the same canonical bases too. The
+    # float SVD picks another basis of g0, so there only dimensions match.
+    alg = _build(key)
+    g0 = [(a, b) for a, b, _ in graded_derivations(alg).basis]
+    for arithmetic in ("exact", "float64"):
+        full = tanaka_prolong(alg, max_degree=3, arithmetic=arithmetic, budget=BIG,
+                              store_bases=True)
+        supplied = tanaka_prolong(alg, g0_mode="supplied_subalgebra", supplied_g0=g0,
+                                  max_degree=3, arithmetic=arithmetic, budget=BIG,
+                                  store_bases=True)
+        assert supplied.g0_dim == full.g0_dim == GRADED_DIMS[key]
+        assert supplied.component_dims == full.component_dims
+        if arithmetic == "exact":
+            assert repr(supplied.bases) == repr(full.bases)
+
+
+def test_degree0_budget_boundary():
+    # h1(C): the degree-0 system has 6 pairs x 2 center rows and
+    # 4^2 + 2^2 columns, 240 entries; degree 1 is the next to refuse.
+    alg = build_hn(DA.C, 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        tanaka_prolong(alg, budget=239)
+    assert (exc.value.requested, exc.value.context) == (240, "degree-0 derivation system")
+    with pytest.raises(BudgetExceeded) as exc:
+        tanaka_prolong(alg, budget=240)
+    assert exc.value.context == "degree-1 prolongation system"
+
+
 def test_budget_refusal_is_fast():
     import time
     alg = build_hn(DA.R, 28)
