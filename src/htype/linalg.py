@@ -9,14 +9,15 @@ must be exact, so every returned basis is certified over Q:
 2. Small systems go straight to fraction-free integer Gauss-Jordan
    (`_int_rref`, which keeps every row primitive). Whether a system is
    small, and the budget check, use the row count before deduplication.
-3. Large systems are row-reduced modulo a 31-bit prime in int64 numpy
-   (imported on this path only, so small exact work never loads numpy),
-   candidate basis vectors are lifted back to Q by rational reconstruction,
-   and all lifted vectors are re-checked against the integer matrix exactly
-   with one product A @ N. The product runs in int64 when
-   max|A| * max|N| * ncols < 2**62 bounds every partial sum, and in Python
-   integers otherwise. Since nullity over Q never exceeds nullity mod p, a
-   verified set of nullity_p independent vectors certifies the dimension.
+3. Large systems are row-reduced modulo a 31-bit prime by sparse
+   Gauss-Jordan on the same integer rows (`_rref_modp`, which streams the
+   rows into fully reduced pivot rows held as dicts; no dense matrix is
+   built and no numpy is used), candidate basis vectors are lifted back to
+   Q by rational reconstruction, and all lifted vectors are re-checked
+   against the integer rows exactly with one sparse product A @ N in Python
+   integers, so no overflow bound is needed. Since nullity over Q never
+   exceeds nullity mod p, a verified set of nullity_p independent vectors
+   certifies the dimension.
 4. Any reconstruction/verification failure escalates: second prime, CRT
    combination, then fraction-free integer Gauss-Jordan as the final
    authority. Each failed prime combination and each such fallback is
@@ -37,12 +38,9 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import BudgetExceeded
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "NullspaceResult",
@@ -57,7 +55,7 @@ __all__ = [
 
 _log = logging.getLogger("htype.linalg")
 
-# 31-bit primes: products stay inside int64 during elimination.
+# 31-bit primes: a product of two residues fits in 62 bits.
 _PRIMES = (2147483647, 2147483629, 2147483587)
 
 # Below this entry count integer Gauss-Jordan is fast enough.
@@ -223,32 +221,43 @@ def _nullspace_fraction(int_rows: list[SparseInts], ncols: int) -> NullspaceResu
     return NullspaceResult(len(basis), tuple(basis), "fraction")
 
 
-def _rref_modp(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    import numpy as np
+def _rref_modp(rows: list[SparseInts], p: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Reduced row echelon form mod p of sparse integer rows, one row at a time.
 
-    m = mat.copy()
-    nrows, ncols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+    The pivot rows found so far are kept fully reduced: 1 at their own
+    pivot column, 0 at every other. So an incoming row is reduced by one
+    pass over the pivot columns it holds, taken mod p once at the end; what
+    is left is normalized at its leftmost nonzero, and the earlier pivot
+    rows with a nonzero in that new pivot column are reduced by it. Over
+    F_p the RREF is unique, so the order of the rows does not matter.
+    Returns the pivot rows as {column: residue} dicts, nonzeros only,
+    sorted by pivot, and the pivots.
+    """
+    pivot_rows: dict[int, dict[int, int]] = {}  # pivot -> entries off the pivot
+    for row in rows:
+        vec = {c: y for c, v in row if (y := v % p)}
+        for c in [c for c in vec if c in pivot_rows]:
+            f = vec.pop(c)
+            for j, x in pivot_rows[c].items():
+                vec[j] = vec.get(j, 0) - f * x
+        vec = {j: y for j, x in vec.items() if (y := x % p)}
+        if not vec:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            m[hit] = (m[hit] - np.outer(col[hit], m[r])) % p
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
+        pc = min(vec)
+        inv = pow(vec.pop(pc), -1, p)
+        vec = {j: x * inv % p for j, x in vec.items()}
+        for prow in pivot_rows.values():
+            f = prow.pop(pc, 0)
+            if f:
+                for j, x in vec.items():
+                    y = (prow.get(j, 0) - f * x) % p
+                    if y:
+                        prow[j] = y
+                    else:
+                        del prow[j]
+        pivot_rows[pc] = vec
+    pivots = sorted(pivot_rows)
+    return [{c: 1, **pivot_rows[c]} for c in pivots], pivots
 
 
 def _rat_reconstruct(a: int, modulus: int) -> Fraction | None:
@@ -279,74 +288,51 @@ def _crt(residues: list[int], primes: Sequence[int]) -> int:
 
 
 class _IntSystem:
-    """Primitive integer rows A, with the dense int64 forms built once."""
+    """Primitive integer rows A of a system with ncols unknowns."""
 
     def __init__(self, rows: list[SparseInts], ncols: int):
         self.rows = rows
         self.ncols = ncols
-        self.row_idx = [i for i, row in enumerate(rows) for _ in row]
-        self.col_idx = [c for row in rows for c, _ in row]
-        self.values = [v for row in rows for _, v in row]
-        self.max_a = max(map(abs, self.values))
-        self._dense: np.ndarray | None = None
-
-    def _scatter(self, values) -> np.ndarray:
-        import numpy as np
-
-        mat = np.zeros((len(self.rows), self.ncols), dtype=np.int64)
-        mat[self.row_idx, self.col_idx] = values
-        return mat
-
-    def dense(self) -> np.ndarray:
-        """A itself in int64; callers ensure max|A| < 2**62."""
-        if self._dense is None:
-            self._dense = self._scatter(self.values)
-        return self._dense
-
-    def reduced(self, p: int) -> np.ndarray:
-        if self.max_a < p:
-            return self.dense() % p
-        return self._scatter([v % p for v in self.values])
 
     def annihilates(self, vectors: list[SparseInts]) -> bool:
-        """Exact test of A @ v == 0 for every integer vector v."""
-        import numpy as np
+        """Exact test of A @ v == 0 for every integer vector v, in Python ints.
 
-        max_v = max(abs(x) for vec in vectors for _, x in vec)
-        if self.max_a * max_v * self.ncols < 2**62:
-            n = np.zeros((self.ncols, len(vectors)), dtype=np.int64)
-            for k, vec in enumerate(vectors):
-                for c, x in vec:
-                    n[c, k] = x
-            return not np.any(self.dense() @ n)
-        for vec in vectors:
-            dense = dict(vec)
-            for row in self.rows:
-                if sum(a * dense.get(c, 0) for c, a in row):
-                    return False
+        The vectors are indexed by column, so each row meets only the
+        vectors that are nonzero on its own columns.
+        """
+        by_col: dict[int, list[tuple[int, int]]] = {}
+        for k, vec in enumerate(vectors):
+            for c, x in vec:
+                by_col.setdefault(c, []).append((k, x))
+        for row in self.rows:
+            acc: dict[int, int] = {}
+            for c, a in row:
+                for k, x in by_col.get(c, ()):
+                    acc[k] = acc.get(k, 0) + a * x
+            if any(acc.values()):
+                return False
         return True
 
 
 def _lift(infos, primes: tuple[int, ...], pivots: list[int],
           free: list[int]) -> list[dict[int, Fraction]] | None:
-    """Candidate basis vectors over Q from the RREF mod each prime, sparse."""
+    """Candidate basis vectors over Q from the RREF mod each prime, sparse.
+
+    Candidate f has 1 at free column f and -rref[r][f] at each pivot pivots[r];
+    the pivot rows hold nonzeros only, so only their free entries are read.
+    """
     modulus = math.prod(primes)
-    # residues[i][k][r]: entry of pivot row r in free column free[k] mod primes[i]
-    residues = [info[0][:, free].T.tolist() for info in infos]
-    candidates = []
-    for k, f in enumerate(free):
-        vec = {f: Fraction(1)}
-        for r, pc in enumerate(pivots):
-            res = [per_prime[k][r] for per_prime in residues]
+    candidates = {f: {f: Fraction(1)} for f in free}
+    for r, pc in enumerate(pivots):
+        rows = [info[0][r] for info in infos]
+        for f in set().union(*rows) - {pc}:
+            res = [row.get(f, 0) for row in rows]
             a = res[0] if len(primes) == 1 else _crt(res, primes)
-            if a == 0:
-                continue
             val = _rat_reconstruct((-a) % modulus, modulus)
             if val is None:
                 return None
-            vec[pc] = val
-        candidates.append(vec)
-    return candidates
+            candidates[f][pc] = val
+    return list(candidates.values())
 
 
 def _nullspace_modp(system: _IntSystem, context: str = "") -> NullspaceResult | None:
@@ -354,12 +340,12 @@ def _nullspace_modp(system: _IntSystem, context: str = "") -> NullspaceResult | 
     attempts: list[tuple[int, ...]] = [(_PRIMES[0],), (_PRIMES[1],),
                                        (_PRIMES[0], _PRIMES[1]), (_PRIMES[2],),
                                        _PRIMES]
-    rref_cache: dict[int, tuple[np.ndarray, list[int]]] = {}
+    rref_cache: dict[int, tuple[list[dict[int, int]], list[int]]] = {}
     for primes in attempts:
         infos = []
         for p in primes:
             if p not in rref_cache:
-                rref_cache[p] = _rref_modp(system.reduced(p), p)
+                rref_cache[p] = _rref_modp(system.rows, p)
             infos.append(rref_cache[p])
         pivots = infos[0][1]
         if any(info[1] != pivots for info in infos[1:]):

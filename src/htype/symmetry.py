@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import StructureError
 from .linalg import DEFAULT_BUDGET, check_budget, default_budget, nullspace
 from .nilpotent import GradedNilpotent
@@ -156,6 +154,8 @@ def verify_graded_derivation(alg: GradedNilpotent, a: Matrix, b: Matrix) -> bool
 
 def _solve_float(rows: list[dict], ncols: int, tol: float):
     """SVD nullity and nullspace basis of the rows scattered into float64."""
+    import numpy as np  # float work only: exact prolongation never loads numpy
+
     if not rows:
         basis = [tuple(1.0 if c == f else 0.0 for c in range(ncols))
                  for f in range(ncols)]
@@ -261,20 +261,37 @@ def _prolong_rows(K: int, dims: dict, ev_v: dict, ev_z: dict) -> list[dict]:
     return rows
 
 
+def _is_square(mat, size: int) -> bool:
+    return isinstance(mat, (tuple, list)) and len(mat) == size and all(
+        isinstance(row, (tuple, list)) and len(row) == size for row in mat)
+
+
+def _g0_pair(element, n: int, m: int) -> tuple[Matrix, Matrix]:
+    """(A, B) of a supplied g0 element: an (A, B) pair, or an (A, B, None)
+    triple as in `DerivationSpace.basis`, with A n x n and B m x m."""
+    if (isinstance(element, (tuple, list)) and len(element) >= 2
+            and tuple(element[2:]) in ((), (None,))
+            and _is_square(element[0], n) and _is_square(element[1], m)):
+        return element[0], element[1]
+    raise StructureError(f"supplied g0 element must be (A, B) or (A, B, None) "
+                         f"with A {n} x {n} and B {m} x {m}")
+
+
 def tanaka_prolong(alg: GradedNilpotent,
                    g0_mode: str = "full_graded_derivations",
                    max_degree: int = 3,
                    arithmetic: str = "exact",
                    budget: int | None = None,
-                   supplied_g0: Sequence[tuple[Matrix, Matrix]] | None = None,
+                   supplied_g0: Sequence[tuple[Matrix, ...]] | None = None,
                    float_tol: float = 1e-8,
                    store_bases: bool = False) -> ProlongationResult:
     """Degree-by-degree prolongation of (n, g0).
 
     g0_mode "full_graded_derivations" starts at degree 0, whose system is
     Der_gr(n) and counts against the budget like every other degree;
-    "supplied_subalgebra" takes explicit (A, B) pairs, each re-verified to
-    be a graded derivation, as level 0 and starts at degree 1.
+    "supplied_subalgebra" takes explicit (A, B) pairs or the (A, B, None)
+    triples of `DerivationSpace.basis`, each re-verified to be a graded
+    derivation, as level 0 and starts at degree 1.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
@@ -299,12 +316,13 @@ def tanaka_prolong(alg: GradedNilpotent,
     elif g0_mode == "supplied_subalgebra":
         if not supplied_g0:
             raise ValueError("supplied_subalgebra mode needs supplied_g0")
-        for a, b in supplied_g0:
+        pairs = [_g0_pair(element, n, m) for element in supplied_g0]
+        for a, b in pairs:
             if not verify_graded_derivation(alg, a, b):
                 raise StructureError("supplied g0 element is not a graded derivation")
-        ev_v[0] = [[[co(x) for x in row] for row in a] for a, _ in supplied_g0]
-        ev_z[0] = [[[co(x) for x in row] for row in b] for _, b in supplied_g0]
-        level_dims[0] = len(supplied_g0)
+        ev_v[0] = [[[co(x) for x in row] for row in a] for a, _ in pairs]
+        ev_z[0] = [[[co(x) for x in row] for row in b] for _, b in pairs]
+        level_dims[0] = len(pairs)
         first = 1
     else:
         raise ValueError(f"unknown g0_mode {g0_mode!r}")

@@ -449,6 +449,26 @@ for argv in (
     unused = {"numpy", "htype.boundary", "htype.symmetry"} & set(sys.modules)
     assert not unused, f"{argv[0]} loaded {unused}"
 
+# exact prolongation, modular path included, and the Clifford construction
+# run without numpy; only float work loads it
+import htype.linalg
+modular = []
+solve_modp = htype.linalg._nullspace_modp
+htype.linalg._nullspace_modp = lambda *a, **k: modular.append(a) or solve_modp(*a, **k)
+for argv in (
+        ["construct", "--family", "hn", "--algebra", "H", "--n", "1",
+         "--out", str(tmp / "h1H.json")],
+        ["prolong", "--in", str(tmp / "h1H.json"), "--out", str(tmp / "prolong.json")],
+        ["construct", "--family", "clifford", "--m", "8", "--k", "1",
+         "--out", str(tmp / "cl81.json")]):
+    assert htype.cli.main(argv) == 0, argv
+    unused = {"numpy", "htype.boundary"} & set(sys.modules)
+    assert not unused, f"{argv[0]} loaded {unused}"
+assert modular, "prolong h1(H) never reached the modular path"
+assert htype.cli.main(["prolong", "--in", str(tmp / "h1H.json"), "--arithmetic", "float64",
+                       "--out", str(tmp / "prolong64.json")]) == 0
+assert "numpy" in sys.modules and "htype.boundary" not in sys.modules
+
 for name in htype.__all__:
     obj = getattr(htype, name)
     assert obj.__module__.startswith("htype."), name

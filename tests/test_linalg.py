@@ -229,8 +229,8 @@ def test_corrupt_reduction_is_rejected_by_verification(monkeypatch, caplog):
         rref, pivots = real(mat, p)
         if p == _PRIMES[0]:
             free = next(c for c in range(ncols) if c not in pivots)
-            rref = rref.copy()
-            rref[0, free] = (rref[0, free] + 1) % p
+            rref = [dict(row) for row in rref]
+            rref[0][free] = (rref[0].get(free, 0) + 1) % p
         return rref, pivots
 
     monkeypatch.setattr(linalg, "_rref_modp", corrupt_first_prime)
@@ -266,21 +266,85 @@ def test_python_int_verifier_rejects_what_int64_would_accept():
     big = 2**32
     system = linalg._IntSystem([[(0, big), (1, 1)], [(0, 1), (1, -1), (2, 1)]], 3)
     wrong = [(0, big - 1), (1, big), (2, 1)]
-    assert not np.any(system.dense() @ np.array([big - 1, big, 1], dtype=np.int64))
-    assert system.max_a * big * system.ncols >= 2**62
+    dense = np.array([[big, 1, 0], [1, -1, 1]], dtype=np.int64)
+    assert not np.any(dense @ np.array([big - 1, big, 1], dtype=np.int64))
     assert not system.annihilates([wrong])
     right = [(0, 1), (1, -big), (2, -big - 1)]
     assert system.annihilates([right])
     assert not system.annihilates([right, wrong])
 
 
+def test_verifier_checks_every_row():
+    # rows x_i - x_4 = 0; the vector with 2 at i and 1 elsewhere breaks row i only
+    system = linalg._IntSystem([[(i, 1), (4, -1)] for i in range(4)], 5)
+    ones = [(c, 1) for c in range(5)]
+    assert system.annihilates([ones])
+    for i in range(4):
+        broken = [(c, 2 if c == i else 1) for c in range(5)]
+        assert not system.annihilates([broken]), i
+        assert not system.annihilates([ones, broken]), i
+
+
 def test_entries_beyond_the_primes_take_the_exact_reduction():
     rows, ncols = _rank3_system(seed=5)
     rows = [[v * 2**40 if c % 7 == 0 else v for c, v in enumerate(row)] for row in rows]
     ref = _reference_basis(rows, ncols)
-    assert linalg._IntSystem([linalg._integerize(enumerate(rows[0]))], ncols).max_a > max(_PRIMES)
+    assert max(abs(v) for _, v in linalg._integerize(enumerate(rows[0]))) > max(_PRIMES)
     res = nullspace(rows, ncols)
     assert res.basis == ref and res.dimension == ncols - 3
+
+
+def _dense_rref_modp(rows, ncols, p):
+    """Textbook Gauss-Jordan mod p on the dense matrix: pivot search down each
+    column, swap, scale the pivot to 1, clear the column in every other row."""
+    mat = [[row.get(c, 0) % p for c in range(ncols)] for row in map(dict, rows)]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        mat[r] = [x * inv % p for x in mat[r]]
+        for i, row in enumerate(mat):
+            if i != r and row[c]:
+                mat[i] = [(a - row[c] * b) % p for a, b in zip(row, mat[r])]
+        pivots.append(c)
+    return mat[:len(pivots)], pivots
+
+
+@st.composite
+def _modp_systems(draw):
+    p = draw(st.sampled_from([5, 7, _PRIMES[0]]))
+    ncols = draw(st.integers(2, 8))
+    dead = draw(st.integers(0, ncols - 1))  # a column no row touches: never a pivot
+    entry = st.one_of(st.integers(-3, 3),
+                      st.sampled_from([p - 1, p + 2, 3 * p - 1, -p - 1, -2 * p + 3]))
+    base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=7))
+    for row in base:
+        row[dead] = 0
+    i, j = draw(st.integers(0, len(base) - 1)), draw(st.integers(0, len(base) - 1))
+    k = draw(st.integers(1, p - 1))
+    rows = base + [
+        list(base[i]),                                          # duplicate
+        [a + k * b + p * a for a, b in zip(base[i], base[j])],  # reduces to nothing
+        [p * draw(st.integers(-2, 2)) for _ in range(ncols)],   # vanishes mod p
+    ]
+    order = draw(st.permutations(range(len(rows))))
+    return [[(c, v) for c, v in enumerate(rows[r]) if v] for r in order], ncols, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_modp_systems())
+def test_sparse_rref_modp_matches_dense_gauss_jordan(system):
+    rows, ncols, p = system
+    ref, ref_pivots = _dense_rref_modp(rows, ncols, p)
+    rref, pivots = linalg._rref_modp(rows, p)
+    assert pivots == ref_pivots
+    assert [[row.get(c, 0) for c in range(ncols)] for row in rref] == ref
+    assert all(0 < x < p for row in rref for x in row.values())
 
 
 _entries = st.sampled_from([Fraction(0)] * 4 + [Fraction(n, d) for n in range(-3, 4)

@@ -213,6 +213,28 @@ def test_supplied_der_gr_matches_full_mode(key):
             assert repr(supplied.bases) == repr(full.bases)
 
 
+def test_supplied_g0_takes_the_derivation_basis_as_it_is():
+    # DerivationSpace.basis holds (A, B, None) triples; they go in unchanged
+    alg = build_hn(DA.H, 1)
+    basis = graded_derivations(alg).basis
+    kwargs = dict(g0_mode="supplied_subalgebra", max_degree=3, budget=BIG, store_bases=True)
+    triples = tanaka_prolong(alg, supplied_g0=basis, **kwargs)
+    pairs = tanaka_prolong(alg, supplied_g0=[(a, b) for a, b, _ in basis], **kwargs)
+    assert triples.g0_dim == len(basis) == GRADED_DIMS[("hn", "H", 1)]
+    assert triples.component_dims == pairs.component_dims
+    assert repr(triples.bases) == repr(pairs.bases)
+
+
+def test_supplied_g0_rejects_malformed_elements():
+    alg = build_hn(DA.R, 1)
+    a = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    b = ((Fraction(2),),)
+    for element in [(a,), (a, b, b), (a, b, None, None), a[0], "ab", (b, a),
+                    (a[:1], b), (a, ((Fraction(2), Fraction(0)),))]:
+        with pytest.raises(StructureError, match="supplied g0 element must be"):
+            tanaka_prolong(alg, g0_mode="supplied_subalgebra", supplied_g0=[(a, b), element])
+
+
 def test_degree0_budget_boundary():
     # h1(C): the degree-0 system has 6 pairs x 2 center rows and
     # 4^2 + 2^2 columns, 240 entries; degree 1 is the next to refuse.
