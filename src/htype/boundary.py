@@ -499,7 +499,7 @@ class ViolationSearch:
         }
 
 
-def _make_violation_witness(mod: _FloatModel, alg_name, X, Z, W, score, perp):
+def _make_violation_witness(mod: _FloatModel, X, Z, W, score, perp):
     return J2Witness(X / np.linalg.norm(X), Z / np.linalg.norm(Z),
                      W / np.linalg.norm(W), score, perp,
                      float(np.linalg.norm(mod.bracket(X, perp))))
@@ -532,7 +532,7 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
                         (X[i], eye_m[ks[p]], eye_m[ls[p]], u[i, p] - proj[i, p]))
     if best[0] <= tol:
         X, Z, W, perp = best[1]
-        witness = _make_violation_witness(mod, alg.name, X, Z, W, best[0], perp)
+        witness = _make_violation_witness(mod, X, Z, W, best[0], perp)
         return ViolationSearch(alg.name, witness, best[0], evals, 0, seed, tol)
 
     # Gauss-Newton on the projection vector, a zero-residual problem, over
@@ -592,7 +592,7 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
             break
     if best[0] <= tol and best[1] is not None:
         X, Z, W, perp = best[1]
-        witness = _make_violation_witness(mod, alg.name, X, Z, W, best[0], perp)
+        witness = _make_violation_witness(mod, X, Z, W, best[0], perp)
         return ViolationSearch(alg.name, witness, best[0], evals, used, seed, tol)
     return ViolationSearch(alg.name, None, best[0], evals, used, seed, tol)
 

@@ -232,16 +232,15 @@ def compute_checksum(rows_json: list) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def load_table(verify_checksum: bool = True) -> tuple[str, list]:
+def load_table() -> tuple[str, list]:
     """Raw dataset (version, rows-json); DatasetError on checksum mismatch."""
     text = resources.files("htype.data").joinpath("parabolic_table.json").read_text()
     doc = json.loads(text)
-    if verify_checksum:
-        actual = compute_checksum(doc["rows"])
-        if actual != doc["checksum"]:
-            raise DatasetError(
-                f"table checksum mismatch: recorded {doc['checksum'][:12]}..., "
-                f"computed {actual[:12]}...")
+    actual = compute_checksum(doc["rows"])
+    if actual != doc["checksum"]:
+        raise DatasetError(
+            f"table checksum mismatch: recorded {doc['checksum'][:12]}..., "
+            f"computed {actual[:12]}...")
     return doc["version"], doc["rows"]
 
 

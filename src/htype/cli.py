@@ -17,7 +17,6 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 # Each command imports what else it runs, so construct, check and table
 # never load numpy. The names bound here are cheap to import and can be
@@ -48,36 +47,16 @@ def artifact_version() -> str:
         return "0.0.0"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    inputs: dict
-    seed: int | None
-    tolerances: dict
-    artifact_version: str
-    outputs: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "seed": self.seed,
-            "tolerances": self.tolerances,
-            "artifact_version": self.artifact_version,
-            "outputs": list(self.outputs),
-        }
-
-
 def _manifest(command: str, args, inputs: dict, tolerances: dict) -> dict:
     out = getattr(args, "out", None)
-    return RunManifest(
-        command=command,
-        inputs={k: v for k, v in sorted(inputs.items()) if v is not None},
-        seed=getattr(args, "seed", None),
-        tolerances=tolerances,
-        artifact_version=artifact_version(),
-        outputs=(out,) if out else (),
-    ).to_dict()
+    return {
+        "command": command,
+        "inputs": {k: v for k, v in sorted(inputs.items()) if v is not None},
+        "seed": getattr(args, "seed", None),
+        "tolerances": tolerances,
+        "artifact_version": artifact_version(),
+        "outputs": [out] if out else [],
+    }
 
 
 def _emit(text: str, out: str | None) -> None:

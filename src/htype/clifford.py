@@ -100,7 +100,8 @@ def _commutant_dimension(mats: list[list[list[Fraction]]]) -> int:
                     if j[r][t]:
                         row[t * d + c] = row.get(t * d + c, 0) - j[r][t]
                 rows.append(row)
-    return nullspace(rows, d * d).dimension
+    context = f"commutant of {len(mats)} Clifford generators"
+    return nullspace(rows, d * d, context=context).dimension
 
 
 def clifford_generators(m: int) -> CliffordGenerators:

@@ -1,33 +1,34 @@
 """Exact nullspace computation for sparse integer/rational systems.
 
 Rank decisions downstream (derivation dimensions, prolongation components)
-must be exact, so every returned basis is certified over Q:
+must be exact, so every returned basis is certified over Q. Every system
+takes the same path:
 
-1. Rows arrive sparse ({column: value}) or dense. Each is scaled once, over
-   its nonzeros only, to a primitive integer row; zero rows and duplicate
-   rows (equal up to sign) are dropped, since neither changes the nullspace.
-2. Small systems go straight to fraction-free integer Gauss-Jordan
-   (`_int_rref`, which keeps every row primitive). Whether a system is
-   small, and the budget check, use the row count before deduplication.
-3. Large systems are row-reduced modulo a 31-bit prime by sparse
-   Gauss-Jordan on the same integer rows (`_rref_modp`, which streams the
-   rows into fully reduced pivot rows held as dicts; no dense matrix is
-   built and no numpy is used), candidate basis vectors are lifted back to
-   Q by rational reconstruction, and all lifted vectors are re-checked
-   against the integer rows exactly with one sparse product A @ N in Python
-   integers, so no overflow bound is needed. Since nullity over Q never
-   exceeds nullity mod p, a verified set of nullity_p independent vectors
+1. Rows arrive sparse, as {column: value} mappings. Each is scaled once,
+   over its nonzeros only, to a primitive integer row; zero rows and
+   duplicate rows (equal up to sign) are dropped, since neither changes
+   the nullspace.
+2. The integer rows are row-reduced modulo a 31-bit prime by sparse
+   Gauss-Jordan (`_rref_modp`, which streams the rows into fully reduced
+   pivot rows held as dicts; no dense matrix is built and no numpy is
+   used), candidate basis vectors are lifted back to Q by rational
+   reconstruction, and all lifted vectors are re-checked against the
+   integer rows exactly with one sparse product A @ N in Python integers,
+   so no overflow bound is needed. Since nullity over Q never exceeds
+   nullity mod p, a verified set of nullity_p independent vectors
    certifies the dimension.
-4. Any reconstruction/verification failure escalates: second prime, CRT
-   combination, then fraction-free integer Gauss-Jordan as the final
-   authority. Each failed prime combination and each such fallback is
-   logged at INFO on the "htype.linalg" logger, as is each budget refusal.
+3. Any reconstruction/verification failure escalates: second prime, CRT
+   combination of the first two, third prime, CRT of all three. Each
+   failed prime combination is logged at INFO on the "htype.linalg"
+   logger, as is each budget refusal.
+4. Only when every prime combination fails does fraction-free integer
+   Gauss-Jordan (`_int_rref`) decide, as the final authority; that
+   fallback is logged too and labelled "fraction".
 
 The basis returned is the canonical reduced-echelon nullspace basis (one
 vector per free column, entry 1 there), so results are deterministic and
-method-independent. `det_exact` and `inverse_exact` run on the same
-integer kernel. The method label "fraction" names this exact-elimination
-path.
+method-independent. `det_exact` and `inverse_exact` run on the integer
+kernel `_int_rref` directly.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded
 
@@ -58,10 +59,6 @@ _log = logging.getLogger("htype.linalg")
 # 31-bit primes: a product of two residues fits in 62 bits.
 _PRIMES = (2147483647, 2147483629, 2147483587)
 
-# Below this entry count integer Gauss-Jordan is fast enough.
-_FRACTION_CUTOFF = 20000
-
-Row = Union[Mapping[int, Fraction], Sequence[Fraction]]
 SparseInts = list[tuple[int, int]]  # (column, value), columns ascending
 
 
@@ -104,12 +101,6 @@ def _integerize(items: Iterable[tuple[int, Fraction]]) -> SparseInts:
     if g > 1:
         ints = [(c, v // g) for c, v in ints]
     return ints
-
-
-def _sparse_items(row: Row) -> Iterable[tuple[int, Fraction]]:
-    if isinstance(row, Mapping):
-        return sorted(row.items())
-    return enumerate(row)
 
 
 def integerize_row(row: Sequence[Fraction]) -> list[int]:
@@ -287,31 +278,25 @@ def _crt(residues: list[int], primes: Sequence[int]) -> int:
     return x % m
 
 
-class _IntSystem:
-    """Primitive integer rows A of a system with ncols unknowns."""
+def _annihilates(rows: list[SparseInts], vectors: list[SparseInts]) -> bool:
+    """Exact test of A @ v == 0 for the integer rows A and every integer
+    vector v, in Python ints.
 
-    def __init__(self, rows: list[SparseInts], ncols: int):
-        self.rows = rows
-        self.ncols = ncols
-
-    def annihilates(self, vectors: list[SparseInts]) -> bool:
-        """Exact test of A @ v == 0 for every integer vector v, in Python ints.
-
-        The vectors are indexed by column, so each row meets only the
-        vectors that are nonzero on its own columns.
-        """
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for k, vec in enumerate(vectors):
-            for c, x in vec:
-                by_col.setdefault(c, []).append((k, x))
-        for row in self.rows:
-            acc: dict[int, int] = {}
-            for c, a in row:
-                for k, x in by_col.get(c, ()):
-                    acc[k] = acc.get(k, 0) + a * x
-            if any(acc.values()):
-                return False
-        return True
+    The vectors are indexed by column, so each row meets only the vectors
+    that are nonzero on its own columns.
+    """
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for k, vec in enumerate(vectors):
+        for c, x in vec:
+            by_col.setdefault(c, []).append((k, x))
+    for row in rows:
+        acc: dict[int, int] = {}
+        for c, a in row:
+            for k, x in by_col.get(c, ()):
+                acc[k] = acc.get(k, 0) + a * x
+        if any(acc.values()):
+            return False
+    return True
 
 
 def _lift(infos, primes: tuple[int, ...], pivots: list[int],
@@ -335,8 +320,8 @@ def _lift(infos, primes: tuple[int, ...], pivots: list[int],
     return list(candidates.values())
 
 
-def _nullspace_modp(system: _IntSystem, context: str = "") -> NullspaceResult | None:
-    ncols = system.ncols
+def _nullspace_modp(rows: list[SparseInts], ncols: int,
+                    context: str = "") -> NullspaceResult | None:
     attempts: list[tuple[int, ...]] = [(_PRIMES[0],), (_PRIMES[1],),
                                        (_PRIMES[0], _PRIMES[1]), (_PRIMES[2],),
                                        _PRIMES]
@@ -345,7 +330,7 @@ def _nullspace_modp(system: _IntSystem, context: str = "") -> NullspaceResult | 
         infos = []
         for p in primes:
             if p not in rref_cache:
-                rref_cache[p] = _rref_modp(system.rows, p)
+                rref_cache[p] = _rref_modp(rows, p)
             infos.append(rref_cache[p])
         pivots = infos[0][1]
         if any(info[1] != pivots for info in infos[1:]):
@@ -358,8 +343,8 @@ def _nullspace_modp(system: _IntSystem, context: str = "") -> NullspaceResult | 
             _log.info("nullspace %s: rational reconstruction failed mod %s",
                       context, primes)
             continue
-        if candidates and not system.annihilates(
-                [_integerize(sorted(vec.items())) for vec in candidates]):
+        if candidates and not _annihilates(
+                rows, [_integerize(sorted(vec.items())) for vec in candidates]):
             _log.info("nullspace %s: reconstruction mod %s fails exact verification",
                       context, primes)
             continue
@@ -375,24 +360,18 @@ def _nullspace_modp(system: _IntSystem, context: str = "") -> NullspaceResult | 
     return None
 
 
-def nullspace(rows: Iterable[Row], ncols: int,
-              budget: int | None = None, context: str = "") -> NullspaceResult:
+def nullspace(rows: Iterable[Mapping[int, Fraction]], ncols: int,
+              context: str = "") -> NullspaceResult:
     """Certified exact nullspace of the system rows . v = 0.
 
-    Rows are sparse mappings {column: value} or dense sequences of
-    rationals; zero rows are dropped. The budget, if given, caps
-    nrows*ncols before any heavy work happens.
+    Rows are sparse mappings {column: value} of rationals; zero rows are
+    dropped. The context names the system in the escalation log.
     """
-    int_rows = [r for r in (_integerize(_sparse_items(row)) for row in rows) if r]
-    check_budget(len(int_rows), ncols, budget, context)
-    small = len(int_rows) * ncols <= _FRACTION_CUTOFF
+    int_rows = [r for r in (_integerize(sorted(row.items())) for row in rows) if r]
     int_rows = _distinct(int_rows)
-    if small or not int_rows:
-        return _nullspace_fraction(int_rows, ncols)
-    result = _nullspace_modp(_IntSystem(int_rows, ncols), context)
+    result = _nullspace_modp(int_rows, ncols, context)
     if result is not None:
         return result
     _log.info("nullspace %s: every prime combination failed; "
               "falling back to integer Gauss-Jordan", context)
     return _nullspace_fraction(int_rows, ncols)
-

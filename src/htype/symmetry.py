@@ -94,7 +94,8 @@ def _unflatten(vec: Sequence, shapes: list[tuple[int, int]]):
 def graded_derivations(alg: GradedNilpotent) -> DerivationSpace:
     """All (A, B) with B[x,y] = [Ax,y] + [x,Ay], as a certified basis."""
     n, m = alg.dim_v, alg.dim_z
-    res = nullspace(_prolong_rows(0, *_negative_levels(alg, _exact)), n * n + m * m)
+    res = nullspace(_prolong_rows(0, *_negative_levels(alg, _exact)), n * n + m * m,
+                    context=f"graded derivation system of {alg.name}")
     basis = []
     for vec in res.basis:
         a, b = _unflatten(vec, [(n, n), (m, m)])
@@ -123,7 +124,7 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
                 row = {e_off + t * m + k: c[s][t][kp] for t in range(n) if c[s][t][kp]}
                 if row:
                     rows.append(row)
-    res = nullspace(rows, ncols)
+    res = nullspace(rows, ncols, context=f"full derivation system of {alg.name}")
     basis = []
     offgrade = 0
     for vec in res.basis:
@@ -304,9 +305,9 @@ def tanaka_prolong(alg: GradedNilpotent,
     exact = arithmetic == "exact"
     co = _exact if exact else float
 
-    def solve(rows, ncols):
+    def solve(rows, ncols, context):
         if exact:
-            res = nullspace(rows, ncols)
+            res = nullspace(rows, ncols, context=context)
             return res.dimension, res.basis
         return _solve_float(rows, ncols, float_tol)
 
@@ -341,10 +342,10 @@ def tanaka_prolong(alg: GradedNilpotent,
         n_rows = ((n * (n - 1) // 2) * dfun(K - 2)
                   + n * m * dfun(K - 3)
                   + (m * (m - 1) // 2) * dfun(K - 4))
-        check_budget(n_rows, ncols, budget,
-                     f"degree-{K} prolongation system" if K else "degree-0 derivation system")
+        label = f"degree-{K} prolongation system" if K else "degree-0 derivation system"
+        check_budget(n_rows, ncols, budget, label)
         rows = _prolong_rows(K, level_dims, ev_v, ev_z)
-        dim_k, vecs = solve(rows, ncols)
+        dim_k, vecs = solve(rows, ncols, label)
         if K and dim_k == 0:  # a zero g0 does not end the loop
             completed = True
             break

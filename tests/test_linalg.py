@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htype import linalg
+from htype import linalg, symmetry
+from htype.division import DivisionAlgebra
 from htype.errors import BudgetExceeded
 from htype.linalg import (
-    _FRACTION_CUTOFF,
     _PRIMES,
     _rat_reconstruct,
     check_budget,
@@ -24,22 +24,28 @@ from htype.linalg import (
     inverse_exact,
     nullspace,
 )
+from htype.nilpotent import build_hn
+
+
+def _sparse(rows):
+    """Dense rows as the {column: value} mappings nullspace takes."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
 
 
 def _residual(rows, vec):
-    return [sum(Fraction(a) * x for a, x in zip(row, vec)) for row in rows]
+    return [sum(Fraction(a) * vec[c] for c, a in row.items()) for row in rows]
 
 
 def test_known_plane():
-    rows = [[Fraction(1), Fraction(1), Fraction(1)]]
+    rows = [{0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}]
     res = nullspace(rows, 3)
-    assert res.dimension == 2 and res.method == "fraction"
+    assert res.dimension == 2 and res.method == "modp"
     for v in res.basis:
         assert all(r == 0 for r in _residual(rows, v))
 
 
 def test_full_rank_system():
-    rows = [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(3)]]
+    rows = [{0: Fraction(2)}, {0: Fraction(1), 1: Fraction(3)}]
     res = nullspace(rows, 2)
     assert res.dimension == 0 and res.basis == ()
 
@@ -51,7 +57,7 @@ def test_no_rows_gives_identity_basis():
 
 
 def test_zero_rows_dropped():
-    rows = [[Fraction(0)] * 3, [Fraction(1), Fraction(-1), Fraction(0)]]
+    rows = [{}, {0: Fraction(0), 2: Fraction(0)}, {0: Fraction(1), 1: Fraction(-1)}]
     assert nullspace(rows, 3).dimension == 2
 
 
@@ -60,7 +66,7 @@ def test_zero_columns():
 
 
 def test_rational_entries_handled_exactly():
-    rows = [[Fraction(1, 2), Fraction(1, 3), Fraction(-1, 6)]]
+    rows = [{0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(-1, 6)}]
     res = nullspace(rows, 3)
     assert res.dimension == 2
     for v in res.basis:
@@ -68,7 +74,7 @@ def test_rational_entries_handled_exactly():
 
 
 def _rank3_system(seed=11, ncols=150):
-    """150 rows spanning 3 generators: crosses the cutoff, nullity ncols - 3."""
+    """150 sparse rows spanning 3 generators: nullity ncols - 3."""
     rng = random.Random(seed)
     gens = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(ncols)]
             for _ in range(3)]
@@ -76,13 +82,13 @@ def _rank3_system(seed=11, ncols=150):
     for _ in range(ncols):
         c = [rng.randint(-3, 3) for _ in range(3)]
         rows.append([c[0] * a + c[1] * b + c[2] * d for a, b, d in zip(*gens)])
-    return rows, ncols
+    return _sparse(rows), ncols
 
 
 def _reference_basis(rows, ncols):
     """Canonical nullspace basis by textbook Fraction Gauss-Jordan on the
     rows as given: no scaling, no deduplication, nothing from linalg."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+    mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -109,8 +115,8 @@ def _reference_basis(rows, ncols):
 
 
 def test_modp_path_agrees_with_fraction_path():
-    # 150 x 150 crosses the entry cutoff; built from 3 independent rows so
-    # the nullity is known in advance
+    # 150 x 150, built from 3 independent rows so the nullity is known in
+    # advance
     rng = random.Random(11)
     ncols = 150
     gens = [[Fraction(rng.randint(-5, 5)) for _ in range(ncols)] for _ in range(3)]
@@ -119,20 +125,26 @@ def test_modp_path_agrees_with_fraction_path():
         c = [rng.randint(-3, 3) for _ in range(3)]
         rows.append([c[0] * a + c[1] * b + c[2] * d
                      for a, b, d in zip(*gens)])
-    assert len(rows) * ncols > _FRACTION_CUTOFF
-    res = nullspace(rows, ncols)
+    res = nullspace(_sparse(rows), ncols)
     assert res.method.startswith("modp")
     assert res.dimension == ncols - 3
     for v in res.basis[:5]:
-        assert all(r == 0 for r in _residual(gens, v))
+        assert all(r == 0 for r in _residual(_sparse(gens), v))
 
 
-def test_budget_refusal_happens_first():
-    rows = [[Fraction(1)] * 10 for _ in range(10)]
+def test_budget_refusal_happens_first(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
-        nullspace(rows, 10, budget=50, context="unit test")
+        check_budget(10, 10, 50, context="unit test")
     assert exc.value.requested == 100 and exc.value.budget == 50
     assert "unit test" in str(exc.value)
+    # a prolongation is refused before its first system is assembled
+    def never(*args):
+        raise AssertionError("system assembled despite the refusal")
+
+    monkeypatch.setattr(symmetry, "_prolong_rows", never)
+    with pytest.raises(BudgetExceeded) as exc:
+        symmetry.tanaka_prolong(build_hn(DivisionAlgebra.H, 1), budget=50)
+    assert exc.value.budget == 50 and "degree-0 derivation system" in str(exc.value)
 
 
 def test_check_budget_passes_under_limit():
@@ -169,7 +181,7 @@ def test_nullity_float_cross_check():
             c = [rng.randint(-2, 2) for _ in range(4)]
             rows.append([sum(ci * gi for ci, gi in zip(c, col))
                          for col in zip(*gens)])
-        exact = nullspace([[Fraction(x) for x in r] for r in rows], ncols)
+        exact = nullspace(_sparse([[Fraction(x) for x in r] for r in rows]), ncols)
         approx = ncols - np.linalg.matrix_rank(np.array(rows, dtype=float))
         assert exact.dimension == approx
 
@@ -182,10 +194,13 @@ def test_rational_reconstruction_round_trip():
             assert _rat_reconstruct(residue, p) == Fraction(num, den)
 
 
-def test_sparse_and_dense_rows_agree():
+def test_row_key_order_and_explicit_zeros_agree():
     rows, ncols = _rank3_system()
-    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
-    assert nullspace(sparse, ncols) == nullspace(rows, ncols)
+    ref = nullspace(rows, ncols)
+    reordered = [dict(sorted(row.items(), reverse=True)) for row in rows]
+    padded = [{**{c: Fraction(0) for c in range(ncols)}, **row} for row in rows]
+    assert nullspace(reordered, ncols) == ref
+    assert nullspace(padded, ncols) == ref
 
 
 # ---------------------------------------------------------------------------
@@ -264,32 +279,32 @@ def test_disagreeing_primes_are_skipped(monkeypatch, caplog):
 def test_python_int_verifier_rejects_what_int64_would_accept():
     # row . v = 2**64 exactly: int64 arithmetic wraps it to 0
     big = 2**32
-    system = linalg._IntSystem([[(0, big), (1, 1)], [(0, 1), (1, -1), (2, 1)]], 3)
+    rows = [[(0, big), (1, 1)], [(0, 1), (1, -1), (2, 1)]]
     wrong = [(0, big - 1), (1, big), (2, 1)]
     dense = np.array([[big, 1, 0], [1, -1, 1]], dtype=np.int64)
     assert not np.any(dense @ np.array([big - 1, big, 1], dtype=np.int64))
-    assert not system.annihilates([wrong])
+    assert not linalg._annihilates(rows, [wrong])
     right = [(0, 1), (1, -big), (2, -big - 1)]
-    assert system.annihilates([right])
-    assert not system.annihilates([right, wrong])
+    assert linalg._annihilates(rows, [right])
+    assert not linalg._annihilates(rows, [right, wrong])
 
 
 def test_verifier_checks_every_row():
     # rows x_i - x_4 = 0; the vector with 2 at i and 1 elsewhere breaks row i only
-    system = linalg._IntSystem([[(i, 1), (4, -1)] for i in range(4)], 5)
+    rows = [[(i, 1), (4, -1)] for i in range(4)]
     ones = [(c, 1) for c in range(5)]
-    assert system.annihilates([ones])
+    assert linalg._annihilates(rows, [ones])
     for i in range(4):
         broken = [(c, 2 if c == i else 1) for c in range(5)]
-        assert not system.annihilates([broken]), i
-        assert not system.annihilates([ones, broken]), i
+        assert not linalg._annihilates(rows, [broken]), i
+        assert not linalg._annihilates(rows, [ones, broken]), i
 
 
 def test_entries_beyond_the_primes_take_the_exact_reduction():
     rows, ncols = _rank3_system(seed=5)
-    rows = [[v * 2**40 if c % 7 == 0 else v for c, v in enumerate(row)] for row in rows]
+    rows = [{c: v * 2**40 if c % 7 == 0 else v for c, v in row.items()} for row in rows]
     ref = _reference_basis(rows, ncols)
-    assert max(abs(v) for _, v in linalg._integerize(enumerate(rows[0]))) > max(_PRIMES)
+    assert max(abs(v) for _, v in linalg._integerize(sorted(rows[0].items()))) > max(_PRIMES)
     res = nullspace(rows, ncols)
     assert res.basis == ref and res.dimension == ncols - 3
 
@@ -367,29 +382,27 @@ def _systems(draw):
                                           st.integers(0, ncols - 1)), max_size=3)):
         rows.append([-x if c == col else x for c, x in enumerate(base[i])])
     order = draw(st.permutations(range(len(rows))))
-    return [rows[i] for i in order], ncols
+    return _sparse([rows[i] for i in order]), ncols
 
 
 @settings(max_examples=150, deadline=None)
-@given(_systems(), st.booleans())
-def test_modp_path_matches_fraction_path(system, sparse):
+@given(_systems())
+def test_modp_path_matches_fraction_path(system):
     rows, ncols = system
     ref = _reference_basis(rows, ncols)
-    given_rows = [{c: v for c, v in enumerate(row) if v} for row in rows] if sparse else rows
-    with mock.patch.object(linalg, "_FRACTION_CUTOFF", -1):
-        res = nullspace(given_rows, ncols)
+    res = nullspace(rows, ncols)
     assert res.basis == ref and res.dimension == len(ref)
-    if any(any(row) for row in rows):
-        assert res.method.startswith("modp")
+    assert res.method.startswith("modp")
 
 
 @settings(max_examples=150, deadline=None)
-@given(_systems(), st.booleans())
-def test_small_path_matches_reference(system, sparse):
+@given(_systems())
+def test_small_path_matches_reference(system):
+    # the last rung alone: integer Gauss-Jordan once every prime has failed
     rows, ncols = system
     ref = _reference_basis(rows, ncols)
-    given_rows = [{c: v for c, v in enumerate(row) if v} for row in rows] if sparse else rows
-    res = nullspace(given_rows, ncols)
+    with mock.patch.object(linalg, "_nullspace_modp", lambda *args: None):
+        res = nullspace(rows, ncols)
     assert res.basis == ref and res.dimension == len(ref)
     assert res.method == "fraction"
 

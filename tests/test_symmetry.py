@@ -1,5 +1,6 @@
 """Derivation spaces and prolongations against independently derived dimensions."""
 
+import logging
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 import sympy
 
 import htype
-from htype.clifford import build_htype_from_clifford
+from htype import linalg
+from htype.clifford import build_htype_from_clifford, clifford_generators
 from htype.division import DivisionAlgebra as DA
 from htype.errors import BudgetExceeded, StructureError
 from htype.nilpotent import build_hn, build_hprime, random_two_step
@@ -264,6 +266,41 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("DIVH_BUDGET", "not-a-number")
     with pytest.raises(ValueError):
         default_budget()
+
+
+def _fail_every_prime(monkeypatch, caplog):
+    """Make every rational reconstruction fail, so that each exact system
+    climbs the whole prime ladder, falls back and logs each step."""
+    monkeypatch.setattr(linalg, "_rat_reconstruct", lambda a, modulus: None)
+    caplog.set_level(logging.INFO, logger="htype.linalg")
+
+
+def test_prolongation_escalations_name_their_system(monkeypatch, caplog):
+    alg = build_hn(DA.C, 1)
+    want = tanaka_prolong(alg, max_degree=2, budget=BIG)
+    _fail_every_prime(monkeypatch, caplog)
+    res = tanaka_prolong(alg, max_degree=2, budget=BIG)
+    assert (res.g0_dim, res.component_dims) == (want.g0_dim, want.component_dims)
+    messages = [r.getMessage() for r in caplog.records]
+    assert [m for m in messages if "falling back" in m] == [
+        f"nullspace {label}: every prime combination failed; "
+        "falling back to integer Gauss-Jordan"
+        for label in ("degree-0 derivation system", "degree-1 prolongation system",
+                      "degree-2 prolongation system")]
+    assert len(messages) == 3 * 6 and not any(m.startswith("nullspace :") for m in messages)
+
+
+@pytest.mark.parametrize("solve, label", [
+    (lambda: graded_derivations(build_hn(DA.C, 1)), "graded derivation system of h1(C)"),
+    (lambda: full_derivations(build_hn(DA.C, 1)), "full derivation system of h1(C)"),
+    (lambda: clifford_generators(3), "commutant of 3 Clifford generators"),
+], ids=["graded", "full", "clifford"])
+def test_derivation_escalations_name_their_system(monkeypatch, caplog, solve, label):
+    _fail_every_prime(monkeypatch, caplog)
+    solve()
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 6 and all(m.startswith(f"nullspace {label}: ") for m in messages)
+    assert "falling back" in messages[-1]
 
 
 def test_excess_bookkeeping():
