@@ -5,9 +5,11 @@ must be exact, so every returned basis is certified over Q. Every system
 takes the same path:
 
 1. Rows arrive sparse, as {column: value} mappings. Each is scaled once,
-   over its nonzeros only, to a primitive integer row; zero rows and
-   duplicate rows (equal up to sign) are dropped, since neither changes
-   the nullspace.
+   over its nonzeros only, to a primitive integer row; a row that is
+   already integral, as every row the prolongation assembler builds is,
+   is only divided by its content, with no lcm of denominators. Zero rows
+   and duplicate rows (equal up to sign) are dropped, since neither
+   changes the nullspace.
 2. The integer rows are row-reduced modulo a 31-bit prime by sparse
    Gauss-Jordan (`_rref_modp`, which streams the rows into fully reduced
    pivot rows held as dicts; no dense matrix is built and no numpy is
@@ -75,12 +77,15 @@ DEFAULT_BUDGET = 200_000
 def default_budget() -> int:
     """Entry cap per assembled system; DIVH_BUDGET overrides."""
     raw = os.environ.get("DIVH_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"DIVH_BUDGET must be an integer, got {raw!r}") from None
-    return DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise ValueError(f"DIVH_BUDGET must be an integer, got {raw!r}") from None
+    if budget <= 0:
+        raise ValueError(f"DIVH_BUDGET must be a positive entry count, got {raw!r}")
+    return budget
 
 
 def check_budget(nrows: int, ncols: int, budget: int | None, context: str = "") -> None:
@@ -90,13 +95,20 @@ def check_budget(nrows: int, ncols: int, budget: int | None, context: str = "") 
         raise BudgetExceeded(nrows * ncols, budget, context)
 
 
-def _integerize(items: Iterable[tuple[int, Fraction]]) -> SparseInts:
-    """Primitive integer multiple of a sparse rational row, zeros left out."""
+def _integerize(items: Iterable[tuple[int, Fraction | int]]) -> SparseInts:
+    """Primitive integer multiple of a sparse rational row, zeros left out.
+
+    A row whose values are all ints only loses its content; the lcm of
+    denominators is taken only when some value is not an int.
+    """
     nz = [(c, v) for c, v in items if v]
     if not nz:
         return []
-    scale = math.lcm(*(v.denominator for _, v in nz))
-    ints = [(c, v.numerator * (scale // v.denominator)) for c, v in nz]
+    if all(type(v) is int for _, v in nz):
+        ints = nz
+    else:
+        scale = math.lcm(*(v.denominator for _, v in nz))
+        ints = [(c, v.numerator * (scale // v.denominator)) for c, v in nz]
     g = math.gcd(*(v for _, v in ints))
     if g > 1:
         ints = [(c, v // g) for c, v in ints]
@@ -364,8 +376,8 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], ncols: int,
               context: str = "") -> NullspaceResult:
     """Certified exact nullspace of the system rows . v = 0.
 
-    Rows are sparse mappings {column: value} of rationals; zero rows are
-    dropped. The context names the system in the escalation log.
+    Rows are sparse mappings {column: value} of ints or rationals; zero
+    rows are dropped. The context names the system in the escalation log.
     """
     int_rows = [r for r in (_integerize(sorted(row.items())) for row in rows) if r]
     int_rows = _distinct(int_rows)

@@ -11,12 +11,21 @@ that the equations force to zero whenever the brackets span the center.
 
 Each degree is one nullspace; iteration stops at the first zero positive
 component (transitivity kills everything above) or at max_degree. The
-per-degree system size is capped by a configurable entry budget so
-desk-scale refusals are loud rather than slow.
+per-degree system size is capped by a configurable, positive entry
+budget so desk-scale refusals are loud rather than slow.
+
+Exact systems are assembled in Python ints. Each level j keeps the
+evaluation tensors of its basis once, as integers D_j T_j with one common
+denominator D_j (the structure tensor at j = -1, the canonical basis of
+g_j above it), and the assembler visits only their nonzeros; every row is
+a positive integer multiple of the rational row, so `nullspace` receives
+integral rows. Float systems read float tensors with scale 1, and the
+stored bases stay the canonical Fraction vectors.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,7 +103,7 @@ def _unflatten(vec: Sequence, shapes: list[tuple[int, int]]):
 def graded_derivations(alg: GradedNilpotent) -> DerivationSpace:
     """All (A, B) with B[x,y] = [Ax,y] + [x,Ay], as a certified basis."""
     n, m = alg.dim_v, alg.dim_z
-    res = nullspace(_prolong_rows(0, *_negative_levels(alg, _exact)), n * n + m * m,
+    res = nullspace(_prolong_rows(0, *_negative_levels(alg, exact=True)), n * n + m * m,
                     context=f"graded derivation system of {alg.name}")
     basis = []
     for vec in res.basis:
@@ -110,18 +119,20 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
     2-step algebra), E: z->v. The equations are the graded ones plus
     [x, Ez] = 0; E-solutions exist only when the skew forms share a
     kernel vector. Basis entries are (A, B, C) for the E = 0 vectors;
-    offgrade_dimension counts the rest.
+    offgrade_dimension counts the rest. The [x, Ez] rows read the same
+    integer tensor ad = D c as the graded rows, so every row is integral.
     """
     n, m = alg.dim_v, alg.dim_z
     ncols = n * n + m * m + m * n + n * m
     c_off = n * n + m * m
     e_off = c_off + m * n
-    rows = _prolong_rows(0, *_negative_levels(alg, _exact))
-    c = alg.structure
+    dims, ev_v, ev_z, scale = _negative_levels(alg, exact=True)
+    rows = _prolong_rows(0, dims, ev_v, ev_z, scale)
+    ad = ev_v[-1]  # ad[s][k][t] = D c(x_s, x_t)_k
     for s in range(n):
         for k in range(m):
             for kp in range(m):
-                row = {e_off + t * m + k: c[s][t][kp] for t in range(n) if c[s][t][kp]}
+                row = {e_off + t * m + k: x for t, x in enumerate(ad[s][kp]) if x}
                 if row:
                     rows.append(row)
     res = nullspace(rows, ncols, context=f"full derivation system of {alg.name}")
@@ -173,26 +184,58 @@ def _solve_float(rows: list[dict], ncols: int, tol: float):
     return ncols - rank, basis
 
 
-def _exact(x):
-    return x
+def _level(v_mats: list, z_mats: list, exact: bool) -> tuple[list, list, int]:
+    """One level's evaluation tensors on v and on z as the assembler reads
+    them, and their common scale.
+
+    Exact: the integer matrices D*M and D, the lcm of every entry's
+    denominator (ints and Fractions alike) over both tensors. Float: the
+    entries as floats, scale 1.
+    """
+    mats = v_mats + z_mats
+    if not exact:
+        out, d = [[[float(x) for x in row] for row in mat] for mat in mats], 1
+    else:
+        d = math.lcm(*(x.denominator for mat in mats for row in mat for x in row))
+        out = [[[x.numerator * (d // x.denominator) if d > 1 else x.numerator
+                 for x in row] for row in mat] for mat in mats]
+    return out[:len(v_mats)], out[len(v_mats):], d
 
 
-def _negative_levels(alg: GradedNilpotent, co) -> tuple[dict, dict, dict]:
+def _negative_levels(alg: GradedNilpotent, exact: bool) -> tuple[dict, dict, dict, dict]:
     """Level data of n itself, from which every degree's system is built.
 
     dims[j] = dim g_j; ev_v[j][a] is the D(j-1) x n matrix of basis element
-    a of g_j on v, ev_z[j][a] its D(j-2) x m matrix on z. At j = -1 the
-    matrix of x_i is ad x_i: v -> z, entry [s][t] = c(x_i, x_t)_s, and
-    x_i kills z, so ev_z has no level -1.
+    a of g_j on v, ev_z[j][a] its D(j-2) x m matrix on z, and scale[j] the
+    common denominator D_j of both: exact levels hold the integers D_j T_j
+    of the rational tensors T_j, float levels hold T_j with D_j = 1. At
+    j = -1 the matrix of x_i is ad x_i: v -> z, entry [s][t] = c(x_i, x_t)_s,
+    and x_i kills z, so ev_z has no level -1.
     """
     n, m = alg.dim_v, alg.dim_z
     c = alg.structure
-    ev_v = {-1: [[[co(c[i][t][s]) for t in range(n)] for s in range(m)]
-                 for i in range(n)]}
-    return {-2: m, -1: n}, ev_v, {}
+    ad, _, d = _level([[[c[i][t][s] for t in range(n)] for s in range(m)] for i in range(n)],
+                      [], exact)
+    return {-2: m, -1: n}, {-1: ad}, {}, {-1: d}
 
 
-def _prolong_rows(K: int, dims: dict, ev_v: dict, ev_z: dict) -> list[dict]:
+def _nonzeros(mats, nrows: int, ncols: int, offset: int, stride: int,
+              factor: int) -> list[list[list]]:
+    """idx[r][c] lists (offset + a*stride, factor * mats[a][r][c]) over the
+    nonzero entries, a ascending; a factor of 1 keeps the entries themselves
+    and -1 only negates them, so float entries are never multiplied."""
+    idx = [[[] for _ in range(ncols)] for _ in range(nrows)]
+    for a, mat in enumerate(mats):
+        col = offset + a * stride
+        for slots, row in zip(idx, mat):
+            for slot, x in zip(slots, row):
+                if x:
+                    slot.append((col, x if factor == 1 else -x if factor == -1
+                                 else factor * x))
+    return idx
+
+
+def _prolong_rows(K: int, dims: dict, ev_v: dict, ev_z: dict, scale: dict) -> list[dict]:
     """Sparse rows of the degree-K prolongation system, K >= 0.
 
     Columns: the D(K-1) x n block of f on v at a*n + i, then the
@@ -200,64 +243,59 @@ def _prolong_rows(K: int, dims: dict, ev_v: dict, ev_z: dict) -> list[dict]:
     A[t][s] at t*n + s and B[k][l] at n*n + k*m + l, and the rows are
     B c(x,y) = c(Ax,y) + c(x,Ay): Der_gr(n). No row writes a column
     twice, so each entry is assigned, never accumulated.
+
+    The level tensors come from `_negative_levels` and `tanaka_prolong`:
+    integers D_j T_j when exact. Each family of rows reads one nonzero
+    index per level tensor it uses, built once per system, and a row that
+    mixes two levels is multiplied by the product of their scales: v-v
+    rows mix levels -1 and K-1, v-z rows K-1 and K-2, and z-z rows use
+    level K-2 alone. So every row is a positive integer multiple of the
+    rational row, with the same nullspace. Float levels have scale 1 and
+    give the rational rows' float values, entry for entry.
     """
     n, m = dims[-1], dims[-2]
-
-    def dfun(j: int) -> int:
-        return dims.get(j, 0)
-
-    d_prev, d_prev2 = dfun(K - 1), dfun(K - 2)
+    d_prev, d_prev2, d3, d4 = (dims.get(j, 0) for j in (K - 1, K - 2, K - 3, K - 4))
     p_cols = d_prev * n
-    ad = ev_v[-1]  # ad[i][k][j] = c(x_i, x_j)_k
-    evp_v, evp_z = ev_v[K - 1], ev_z.get(K - 1)
-    ev2_v, ev2_z = ev_v.get(K - 2), ev_z.get(K - 2)
+    s_ad, s_prev = scale[-1], scale[K - 1]
+    ad = ev_v[-1]  # ad[i][k][j] = D_{-1} c(x_i, x_j)_k
     rows = []
     # f([x_i, x_j]) = [f(x_i), x_j] + [x_i, f(x_j)], values in g_{K-2}
+    pos = _nonzeros(ev_v[K - 1], d_prev2, n, 0, n, s_ad)
+    neg = _nonzeros(ev_v[K - 1], d_prev2, n, 0, n, -s_ad)
     for i in range(n):
+        ad_i = ad[i]
         for j in range(i + 1, n):
-            cij = [ad[i][k][j] for k in range(m)]
+            cij = [(k, x if s_prev == 1 else s_prev * x)
+                   for k in range(m) if (x := ad_i[k][j])]
             for r in range(d_prev2):
-                row = {p_cols + r * m + k: cij[k] for k in range(m) if cij[k]}
-                for a in range(d_prev):
-                    ev = evp_v[a]
-                    x = ev[r][j]
-                    if x:
-                        row[a * n + i] = -x
-                    x = ev[r][i]
-                    if x:
-                        row[a * n + j] = x
+                z0 = p_cols + r * m
+                row = {z0 + k: x for k, x in cij}
+                for col, x in neg[r][j]:
+                    row[col + i] = x
+                for col, x in pos[r][i]:
+                    row[col + j] = x
                 rows.append(row)
     # 0 = [f(x_i), z_l] + [x_i, f(z_l)], values in g_{K-3}
-    d3 = dfun(K - 3)
     if d3:
+        f_z = _nonzeros(ev_z[K - 1], d3, m, 0, n, scale[K - 2])
+        f_v = _nonzeros(ev_v[K - 2], d3, n, p_cols, m, -s_prev)
         for i in range(n):
             for l in range(m):
                 for s in range(d3):
-                    row = {}
-                    if evp_z is not None:
-                        for a in range(d_prev):
-                            x = evp_z[a][s][l]
-                            if x:
-                                row[a * n + i] = x
-                    for b in range(d_prev2):
-                        x = ev2_v[b][s][i]
-                        if x:
-                            row[p_cols + b * m + l] = -x
+                    row = {col + i: x for col, x in f_z[s][l]}
+                    for col, x in f_v[s][i]:
+                        row[col + l] = x
                     rows.append(row)
     # 0 = [f(z_l), z_l'] + [z_l, f(z_l')], values in g_{K-4}
-    d4 = dfun(K - 4)
-    if d4 and ev2_z is not None:
+    if d4:
+        pos = _nonzeros(ev_z[K - 2], d4, m, p_cols, m, 1)
+        neg = _nonzeros(ev_z[K - 2], d4, m, p_cols, m, -1)
         for l in range(m):
             for lp in range(l + 1, m):
                 for u_ in range(d4):
-                    row = {}
-                    for b in range(d_prev2):
-                        x = ev2_z[b][u_][lp]
-                        if x:
-                            row[p_cols + b * m + l] = x
-                        x = ev2_z[b][u_][l]
-                        if x:
-                            row[p_cols + b * m + lp] = -x
+                    row = {col + l: x for col, x in pos[u_][lp]}
+                    for col, x in neg[u_][l]:
+                        row[col + lp] = x
                     rows.append(row)
     return rows
 
@@ -300,10 +338,11 @@ def tanaka_prolong(alg: GradedNilpotent,
         raise ValueError(f"unknown arithmetic {arithmetic!r}")
     if budget is None:
         budget = default_budget()
+    elif budget <= 0:
+        raise ValueError(f"budget must be a positive entry count, got {budget}")
     t0 = time.perf_counter()
     n, m = alg.dim_v, alg.dim_z
     exact = arithmetic == "exact"
-    co = _exact if exact else float
 
     def solve(rows, ncols, context):
         if exact:
@@ -311,7 +350,7 @@ def tanaka_prolong(alg: GradedNilpotent,
             return res.dimension, res.basis
         return _solve_float(rows, ncols, float_tol)
 
-    level_dims, ev_v, ev_z = _negative_levels(alg, co)
+    level_dims, ev_v, ev_z, scale = _negative_levels(alg, exact)
     if g0_mode == "full_graded_derivations":
         first = 0  # g0 = Der_gr(n) is the degree-0 prolongation
     elif g0_mode == "supplied_subalgebra":
@@ -321,8 +360,8 @@ def tanaka_prolong(alg: GradedNilpotent,
         for a, b in pairs:
             if not verify_graded_derivation(alg, a, b):
                 raise StructureError("supplied g0 element is not a graded derivation")
-        ev_v[0] = [[[co(x) for x in row] for row in a] for a, _ in pairs]
-        ev_z[0] = [[[co(x) for x in row] for row in b] for _, b in pairs]
+        ev_v[0], ev_z[0], scale[0] = _level([a for a, _ in pairs], [b for _, b in pairs],
+                                            exact)
         level_dims[0] = len(pairs)
         first = 1
     else:
@@ -344,24 +383,21 @@ def tanaka_prolong(alg: GradedNilpotent,
                   + (m * (m - 1) // 2) * dfun(K - 4))
         label = f"degree-{K} prolongation system" if K else "degree-0 derivation system"
         check_budget(n_rows, ncols, budget, label)
-        rows = _prolong_rows(K, level_dims, ev_v, ev_z)
+        rows = _prolong_rows(K, level_dims, ev_v, ev_z, scale)
         dim_k, vecs = solve(rows, ncols, label)
         if K and dim_k == 0:  # a zero g0 does not end the loop
             completed = True
             break
         level_dims[K] = dim_k
         # the new basis vectors are the evaluation tensors of level K
-        ev_v[K] = []
-        ev_z[K] = []
-        for vec in vecs:
-            p = [[vec[a * n + i] for i in range(n)] for a in range(d_prev)]
-            q = [[vec[p_cols + b * m + l] for l in range(m)] for b in range(d_prev2)]
-            ev_v[K].append(p)
-            ev_z[K].append(q)
+        ps = [[[vec[a * n + i] for i in range(n)] for a in range(d_prev)] for vec in vecs]
+        qs = [[[vec[p_cols + b * m + l] for l in range(m)] for b in range(d_prev2)]
+              for vec in vecs]
+        ev_v[K], ev_z[K], scale[K] = _level(ps, qs, exact)
         if K:
             component_dims.append(dim_k)
             if store_bases:
-                all_bases.append((tuple(map(tuple, ev_v[K])), tuple(map(tuple, ev_z[K]))))
+                all_bases.append((tuple(map(tuple, ps)), tuple(map(tuple, qs))))
 
     g0_dim = level_dims[0]
     total = n + m + g0_dim + sum(component_dims)

@@ -228,6 +228,22 @@ def test_prolong_budget_flag_and_env(tmp_path, monkeypatch):
     assert main(["prolong", "--in", str(alg)]) == 0
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_prolong_non_positive_budget_is_input_error(h1c, capsys, budget):
+    code, out, err = run(capsys, "prolong", "--in", h1c, "--budget", budget)
+    assert (code, out) == (2, "")
+    assert err == f"error: budget must be a positive entry count, got {budget}\n"
+
+
+@pytest.mark.parametrize("command", [["prolong"], ["check", "--tests", "jacobi"]])
+def test_non_positive_budget_env_is_input_error(h1c, capsys, monkeypatch, command):
+    # refused when the budget is read, before the structure tensor is checked
+    monkeypatch.setenv("DIVH_BUDGET", "-1")
+    code, out, err = run(capsys, command[0], "--in", h1c, *command[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: DIVH_BUDGET must be a positive entry count, got '-1'\n"
+
+
 def test_prolong_determinism_modulo_elapsed(h1c, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["prolong", "--in", h1c, "--out", str(a)])

@@ -1,7 +1,10 @@
 """Derivation spaces and prolongations against independently derived dimensions."""
 
+import dataclasses
+import hashlib
 import logging
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,11 +14,11 @@ import pytest
 import sympy
 
 import htype
-from htype import linalg
+from htype import linalg, symmetry
 from htype.clifford import build_htype_from_clifford, clifford_generators
 from htype.division import DivisionAlgebra as DA
 from htype.errors import BudgetExceeded, StructureError
-from htype.nilpotent import build_hn, build_hprime, random_two_step
+from htype.nilpotent import build_hn, build_hprime, make_custom, random_two_step
 from htype.symmetry import (
     DEFAULT_BUDGET,
     default_budget,
@@ -116,7 +119,6 @@ def test_abelian_derivations_are_gl():
 def test_generic_dimension_is_usually_one():
     # needs pairs*dim_z >= dim_v^2 + dim_z^2 - 1, else nullity is forced
     # higher by counting; (5,4) is the smallest balanced shape that works
-    import random
     rng = random.Random(20260825)
     dims = []
     for _ in range(20):
@@ -266,6 +268,16 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("DIVH_BUDGET", "not-a-number")
     with pytest.raises(ValueError):
         default_budget()
+    for raw in ("0", "-1"):
+        monkeypatch.setenv("DIVH_BUDGET", raw)
+        with pytest.raises(ValueError, match="positive"):
+            default_budget()
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_non_positive_budget_is_refused_as_input(budget):
+    with pytest.raises(ValueError, match=f"budget must be a positive entry count, got {budget}"):
+        tanaka_prolong(build_hn(DA.R, 1), budget=budget)
 
 
 def _fail_every_prime(monkeypatch, caplog):
@@ -359,3 +371,174 @@ def test_prolongation_bases_pinned(tag, arithmetic):
     proc = subprocess.run([sys.executable, "-c", _BASES_HASH, tag, arithmetic],
                           env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == PINNED_BASES[(tag, arithmetic)]
+
+
+def _third(alg):
+    """alg with every structure constant divided by 3: level -1 has scale 3."""
+    c = tuple(tuple(tuple(x / 3 for x in cij) for cij in ci) for ci in alg.structure)
+    return dataclasses.replace(alg, structure=c, name=f"{alg.name}/3")
+
+
+def _h1h_third_g0():
+    alg = build_hn(DA.H, 1)
+    return [tuple(tuple(tuple(x / 3 for x in row) for row in mat) for mat in (a, b))
+            for a, b, _ in graded_derivations(alg).basis]
+
+
+# sha256 of repr(bases) from exact tanaka_prolong(store_bases=True), computed
+# before the assembler read integer level tensors. Each case has a level whose
+# common denominator is not 1 (level -1 for the scaled and random algebras,
+# level 0 for the scaled g0), so a dropped per-level scale changes the bases.
+PINNED_SCALED_BASES = {
+    "h1(H)/3": (lambda: dict(alg=_third(build_hn(DA.H, 1))),
+                "8367266ac89e03a87508af82c69aaf324e29aea3f24dce4bbc70839bd8c29d84"),
+    "random(5,2)": (lambda: dict(alg=random_two_step(5, 2, random.Random(0))),
+                    "b8813d2f164d7435d296e0e3e105ef317b43a7ede4bb78bc5c292309eb8c5e19"),
+    "h1(H) g0/3": (lambda: dict(alg=build_hn(DA.H, 1), g0_mode="supplied_subalgebra",
+                                supplied_g0=_h1h_third_g0()),
+                   "cf7d4cbae00384936768e53c2be029cc74cdb90c04aaffc6378f52b1f75117b6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SCALED_BASES))
+def test_scaled_level_bases_pinned(case):
+    kwargs, digest = PINNED_SCALED_BASES[case]
+    res = tanaka_prolong(budget=BIG, store_bases=True, **kwargs())
+    assert (res.g0_dim, res.component_dims) in ((11, (8, 4)), (9, (14, 20, 30)))
+    assert hashlib.sha256(repr(res.bases).encode()).hexdigest() == digest
+
+
+def _reference_rows(K, c, levels, zero):
+    """Dense rows of the degree-K system, straight from
+    f([u, w]) = [f(u), w] + [u, f(w)] on the basis of n, in the order the
+    assembler emits them. levels[j] = (v-matrices, z-matrices) of the basis
+    of g_j: matrix [r][i] is the g_{j-1} (resp. g_{j-2}) coordinate r of the
+    element applied to x_i (resp. z_i)."""
+    n, m = len(c), len(c[0][0]) if c else 0
+
+    def dim(j):
+        return {-2: m, -1: n}.get(j, len(levels[j][0]) if j in levels else 0)
+
+    d1, d2, d3, d4 = dim(K - 1), dim(K - 2), dim(K - 3), dim(K - 4)
+    p_cols = d1 * n
+    ncols = p_cols + d2 * m
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for r in range(d2):
+                row = [zero] * ncols
+                for k in range(m):
+                    row[p_cols + r * m + k] = c[i][j][k]
+                for a, t in enumerate(levels[K - 1][0]):
+                    row[a * n + i] -= t[r][j]
+                    row[a * n + j] += t[r][i]
+                rows.append(row)
+    for i in range(n):
+        for l in range(m):
+            for s in range(d3):
+                row = [zero] * ncols
+                for a, t in enumerate(levels[K - 1][1]):
+                    row[a * n + i] += t[s][l]
+                for b, t in enumerate(levels[K - 2][0]):
+                    row[p_cols + b * m + l] -= t[s][i]
+                rows.append(row)
+    for l in range(m):
+        for lp in range(l + 1, m):
+            for u in range(d4):
+                row = [zero] * ncols
+                for b, t in enumerate(levels[K - 2][1]):
+                    row[p_cols + b * m + l] += t[u][lp]
+                    row[p_cols + b * m + lp] -= t[u][l]
+                rows.append(row)
+    return rows
+
+
+def _record_assembly(monkeypatch):
+    """Wrap symmetry._prolong_rows; each call's K, level data and rows are kept."""
+    calls = []
+    assemble = symmetry._prolong_rows
+
+    def recording(K, dims, ev_v, ev_z, scale):
+        rows = assemble(K, dims, ev_v, ev_z, scale)
+        calls.append((K, dict(ev_v), dict(ev_z), dict(scale), rows))
+        return rows
+
+    monkeypatch.setattr(symmetry, "_prolong_rows", recording)
+    return calls
+
+
+ROW_ALGEBRAS = {
+    "h1(H)": lambda: build_hn(DA.H, 1),
+    "h'1,0(O)": lambda: build_hprime(DA.O, 1, 0),
+    "random(5,2)": lambda: random_two_step(5, 2, random.Random(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_ALGEBRAS))
+def test_exact_rows_are_positive_integer_multiples(monkeypatch, name):
+    # The rational levels come from outside the assembler: the structure
+    # tensor, the canonical Der_gr basis (= level 0) and the stored bases.
+    alg = ROW_ALGEBRAS[name]()
+    n, m, c = alg.dim_v, alg.dim_z, alg.structure
+    levels = {-1: ([[[c[a][t][s] for t in range(n)] for s in range(m)] for a in range(n)], []),
+              0: tuple(zip(*[(a, b) for a, b, _ in graded_derivations(alg).basis]))}
+    calls = _record_assembly(monkeypatch)
+    res = tanaka_prolong(alg, max_degree=2, budget=BIG, store_bases=True)
+    levels[1] = res.bases[0]
+    assert [call[0] for call in calls] == [0, 1, 2]
+    # h'1,0(O) has D_0 = 2 and the random algebra D_-1 = 4; h1(H) is integral
+    assert any(d != 1 for call in calls for d in call[3].values()) == (name != "h1(H)")
+    for K, _, _, _, rows in calls:
+        ref = _reference_rows(K, c, levels, Fraction(0))
+        assert len(rows) == len(ref)
+        for row, want in zip(rows, ref):
+            assert all(type(x) is int for x in row.values())
+            assert set(row) == {col for col, x in enumerate(want) if x}
+            ratios = {Fraction(x) / want[col] for col, x in row.items()}
+            assert len(ratios) <= 1 and all(q > 0 for q in ratios)
+
+
+@pytest.mark.parametrize("name", sorted(ROW_ALGEBRAS))
+def test_float_rows_are_the_rational_rows_in_float(monkeypatch, name):
+    alg = ROW_ALGEBRAS[name]()
+    n, m = alg.dim_v, alg.dim_z
+    c = [[[float(x) for x in cij] for cij in ci] for ci in alg.structure]
+    calls = _record_assembly(monkeypatch)
+    tanaka_prolong(alg, max_degree=2, arithmetic="float64", budget=BIG)
+    assert [call[0] for call in calls] == [0, 1, 2]
+    for K, ev_v, ev_z, scale, rows in calls:
+        assert set(scale.values()) == {1}
+        levels = {j: (ev_v[j], ev_z.get(j, [])) for j in ev_v}
+        assert levels[-1][0] == [[[c[a][t][s] for t in range(n)] for s in range(m)]
+                                 for a in range(n)]
+        ref = _reference_rows(K, c, levels, 0.0)
+        assert len(rows) == len(ref)
+        for row, want in zip(rows, ref):
+            assert all(type(x) is float for x in row.values())
+            assert [row.get(col, 0.0) for col in range(len(want))] == want
+
+
+def test_full_derivation_rows_are_integral(monkeypatch):
+    seen = []
+    solve = symmetry.nullspace
+
+    def recording(rows, ncols, context=""):
+        seen.append(list(rows))
+        return solve(seen[-1], ncols, context=context)
+
+    monkeypatch.setattr(symmetry, "nullspace", recording)
+    res = full_derivations(_third(build_hn(DA.C, 1)))
+    assert res.dimension == GRADED_DIMS[("hn", "C", 1)] + 4 * 2
+    assert all(type(x) is int for row in seen[0] for x in row.values())
+
+
+def test_offgrade_dimension_on_degenerate_algebras():
+    # x_2 (and x_4 below) are in the kernel of every skew form, so E: z -> v
+    # may map into them; values computed before the integer assembly.
+    deg = make_custom("deg", 3, 1, [(0, 1, 0, 1)])
+    deg2 = make_custom("deg2", 5, 2, [(0, 1, 0, 1), (2, 3, 1, Fraction(1, 2)), (0, 2, 1, 3)])
+    for alg, graded, offgrade in [(deg, 7, 1), (deg2, 13, 2)]:
+        full = full_derivations(alg)
+        assert graded_derivations(alg).dimension == graded
+        assert full.offgrade_dimension == offgrade
+        assert full.dimension == graded + alg.dim_v * alg.dim_z + offgrade
