@@ -21,6 +21,7 @@ import io
 import json
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Iterator
 
@@ -186,6 +187,19 @@ _COMPARE = {ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
 _CALLS = {"min": min, "max": max}
 
 
+@lru_cache(maxsize=256)
+def _parse(expr: str) -> ast.Expression:
+    """Parse tree of a table expression, kept per distinct string.
+
+    The tree walk in `_eval` only reads the tree. A SyntaxError is not
+    cached, so an unparsable expression raises on every call.
+    """
+    try:
+        return ast.parse(expr, mode="eval")
+    except SyntaxError:
+        raise DatasetError(f"table expression {expr!r} does not parse") from None
+
+
 def _eval(expr: str, env: dict[str, int]):
     """Value of a table expression over the parameters in env.
 
@@ -194,11 +208,6 @@ def _eval(expr: str, env: dict[str, int]):
     and calls to min and max. Anything else raises DatasetError; nothing is
     passed to eval.
     """
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError:
-        raise DatasetError(f"table expression {expr!r} does not parse") from None
-
     def ev(node):
         if isinstance(node, ast.Constant) and isinstance(node.value, int):
             return node.value
@@ -224,7 +233,7 @@ def _eval(expr: str, env: dict[str, int]):
         raise DatasetError(
             f"table expression {expr!r}: {ast.unparse(node)!r} is not allowed")
 
-    return ev(tree.body)
+    return ev(_parse(expr).body)
 
 
 def compute_checksum(rows_json: list) -> str:

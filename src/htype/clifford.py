@@ -85,22 +85,28 @@ def _generator_matrices(m: int) -> list[list[list[Fraction]]]:
     raise ValueError("m must be between 1 and 8")
 
 
-def _commutant_dimension(mats: list[list[list[Fraction]]]) -> int:
-    """dim of {A : A J_i = J_i A for all i}, computed exactly."""
-    d = len(mats[0])
+def _commutant_dimension(K: list[list[dict[int, int]]]) -> int:
+    """dim of {A : A J_i = J_i A for all i}, computed exactly.
+
+    Runs on sparse rows: K is the stack of integer generators as rows
+    {column: value}, and each of the d^2 conditions per generator is an
+    int row built from the nonzeros of one row and one column of J.
+    """
+    d = len(K[0])
     rows = []
-    for j in mats:
+    for J in K:
+        cols = [{} for _ in range(d)]
+        for t, row in enumerate(J):
+            for c, x in row.items():
+                cols[c][t] = x
         for r in range(d):
             for c in range(d):
                 # (A J - J A)[r][c] = sum_t A[r][t] J[t][c] - J[r][t] A[t][c]
-                row: dict[int, Fraction] = {}
-                for t in range(d):
-                    if j[t][c]:
-                        row[r * d + t] = row.get(r * d + t, 0) + j[t][c]
-                    if j[r][t]:
-                        row[t * d + c] = row.get(t * d + c, 0) - j[r][t]
+                row = {r * d + t: x for t, x in cols[c].items()}
+                for t, x in J[r].items():
+                    row[t * d + c] = row.get(t * d + c, 0) - x
                 rows.append(row)
-    context = f"commutant of {len(mats)} Clifford generators"
+    context = f"commutant of {len(K)} Clifford generators"
     return nullspace(rows, d * d, context=context).dimension
 
 
@@ -112,14 +118,14 @@ def clifford_generators(m: int) -> CliffordGenerators:
     # verify skewness and anticommutation exactly, on integers, before returning
     if any(x.denominator != 1 for j in mats for row in j for x in row):
         raise StructureError("generator entries are not integers")  # pragma: no cover
-    if any(j[r][c] != -j[c][r] for j in mats for r in range(d) for c in range(d)):
-        raise StructureError("a generator is not skew")
     K = [[{c: int(x) for c, x in enumerate(row) if x} for row in j] for j in mats]
+    if any(J[c].get(r, 0) != -x for J in K for r, row in enumerate(J) for c, x in row.items()):
+        raise StructureError("a generator is not skew")
     failing = _clifford_failures(K, 1)
     if failing:
         a, b = failing[0]
         raise StructureError(f"anticommutation fails for ({a},{b})")
-    com = _commutant_dimension(mats)
+    com = _commutant_dimension(K)
     if com > 4:
         raise StructureError(  # pragma: no cover
             f"commutant dimension {com} > 4: representation not minimal")

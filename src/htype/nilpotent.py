@@ -277,12 +277,6 @@ def _jmat(alg: GradedNilpotent, k: int) -> list[list[Fraction]]:
     return [[c[b][a][k] for b in range(n)] for a in range(n)]
 
 
-def _matmul(a, b):
-    n = len(a)
-    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
 def _clifford_failures(K: Sequence[Sequence[dict[int, int]]],
                        D: int) -> list[tuple[int, int]]:
     """Pairs a <= b with K_a K_b + K_b K_a != -2 delta_ab D^2 I, for a stack
@@ -422,46 +416,84 @@ def is_nonsingular(alg: GradedNilpotent) -> NonsingularResult:
                              "undetermined: dim z > 2 without type H structure")
 
 
-def _skew_form(alg: GradedNilpotent) -> list[list[Fraction]]:
+def _skew_form(alg: GradedNilpotent) -> list[dict[int, Fraction]]:
+    """Rows of the skew form S_ij = c[i][j][0], as sparse {j: S_ij} dicts."""
     if alg.dim_z != 1:
         raise CenterDimensionError("only center-dimension-1 supported")
-    return [[alg.structure[i][j][0] for j in range(alg.dim_v)] for i in range(alg.dim_v)]
+    return [{j: cij[0] for j, cij in enumerate(ci) if cij[0]} for ci in alg.structure]
 
 
-def _darboux(S: list[list[Fraction]]) -> list[list[Fraction]] | None:
+def _sparse_rows(mat: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+def _sparse_matmul(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:
+    """Product of two matrices given as sparse rows {column: value}."""
+    out = []
+    for arow in a:
+        acc = {}
+        for t, x in arow.items():
+            for j, y in b[t].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(acc)
+    return out
+
+
+def _darboux(S: list[dict[int, Fraction]]) -> list[list[Fraction]] | None:
     """Columns of the returned P form a Darboux basis: P^T S P = standard
-    symplectic form [[0, I], [-I, 0]]. None if S is degenerate."""
+    symplectic form [[0, I], [-I, 0]]. None if S is degenerate.
+
+    S is given as sparse rows, and the pool vectors are sparse
+    {index: value} dicts, so every pairing visits only nonzeros. The pool
+    starts as the standard basis; each step pairs its first vector u with
+    the first later vector w with form(u, w) != 0, and strips both from
+    the rest of the pool.
+    """
     n = len(S)
     if n % 2:
         return None
 
-    def form(u, v):
-        return sum(ui * sum(sij * vj for sij, vj in zip(Si, v))
-                   for ui, Si in zip(u, S))
+    def covector(u):
+        """u^T S as a sparse row, so that form(u, w) = covector(u) . w."""
+        out = {}
+        for i, ui in u.items():
+            for j, sij in S[i].items():
+                out[j] = out.get(j, 0) + ui * sij
+        return out
 
-    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    def pair(c, w):
+        return sum(c[j] * wj for j, wj in w.items() if j in c)
+
     us, vs = [], []
-    pool = list(basis)
+    pool = [{i: Fraction(1)} for i in range(n)]
     while pool:
         u = pool.pop(0)
-        partner = next((w for w in pool if form(u, w) != 0), None)
-        if partner is None:
+        cu = covector(u)
+        k = next((k for k, w in enumerate(pool) if pair(cu, w)), None)
+        if k is None:
             return None
-        pool.remove(partner)
-        s = form(u, partner)
-        v = [x / s for x in partner]
+        partner = pool.pop(k)
+        s = pair(cu, partner)
+        v = {i: x / s for i, x in partner.items()}
+        cv = covector(v)
         # strip symplectic components: w' = w + form(v,w) u - form(u,w) v
         new_pool = []
         for w in pool:
-            a, b = form(u, w), form(v, w)
-            w2 = [wi + b * ui - a * vi for wi, ui, vi in zip(w, u, v)]
-            if any(x != 0 for x in w2):
+            a, b = pair(cu, w), pair(cv, w)
+            w2 = dict(w)
+            for vec, f in ((u, b), (v, -a)):
+                if f:
+                    for i, x in vec.items():
+                        w2[i] = w2.get(i, 0) + f * x
+            w2 = {i: x for i, x in w2.items() if x}
+            if w2:
                 new_pool.append(w2)
         pool = new_pool
         us.append(u)
         vs.append(v)
     cols = us + vs
-    return [[cols[j][i] for j in range(n)] for i in range(n)]  # columns -> matrix
+    zero = Fraction(0)
+    return [[col.get(i, zero) for col in cols] for i in range(n)]  # columns -> matrix
 
 
 def check_symplectic_isomorphic(a: GradedNilpotent, b: GradedNilpotent):
@@ -478,17 +510,20 @@ def check_symplectic_isomorphic(a: GradedNilpotent, b: GradedNilpotent):
         return False, None
     # S_a = Pa^{-T} Omega Pa^{-1}; same for b. M = Pb Pa^{-1} gives
     # M^T S_b M = S_a.
-    Pa_inv = inverse_exact(Pa)
-    M = _matmul(Pb, Pa_inv)
-    # exact transport check
     n = a.dim_v
-    Mt = [[M[j][i] for j in range(n)] for i in range(n)]
-    transported = _matmul(Mt, _matmul(Sb, M))
+    M = _sparse_matmul(_sparse_rows(Pb), _sparse_rows(inverse_exact(Pa)))
+    # exact transport check, on all n^2 entries
+    Mt = [{} for _ in range(n)]
+    for r, row in enumerate(M):
+        for i, x in row.items():
+            Mt[i][r] = x
+    transported = _sparse_matmul(Mt, _sparse_matmul(Sb, M))
     for i in range(n):
         for j in range(n):
-            if transported[i][j] != Sa[i][j]:
+            if transported[i].get(j, 0) != Sa[i].get(j, 0):
                 raise StructureError("witness transport failed")  # pragma: no cover
-    return True, tuple(tuple(row) for row in M)
+    zero = Fraction(0)
+    return True, tuple(tuple(row.get(j, zero) for j in range(n)) for row in M)
 
 
 def dims(alg: GradedNilpotent) -> tuple[int, int, int]:

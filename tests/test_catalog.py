@@ -1,7 +1,9 @@
 """Catalog rows, dimension identities, towers, and dataset integrity."""
 
+import ast
 import csv
 import dataclasses
+import hashlib
 import io
 import time
 
@@ -10,6 +12,7 @@ import pytest
 from htype.catalog import (
     SimpleAlgebraDescriptor as D,
     _eval,
+    _parse,
     compute_checksum,
     default_grid,
     instantiate,
@@ -133,6 +136,38 @@ def test_table_expressions_keep_their_python_values():
 def test_table_expression_whitelist_rejects(expr):
     with pytest.raises(DatasetError):
         _eval(expr, {"n": 3})
+
+
+@pytest.mark.parametrize("expr", ["n +", "min(n,", ")", "n ** 2", "__import__('os')"])
+def test_rejected_expression_raises_on_every_call(expr):
+    # parse trees are kept per expression string; failures are not
+    for _ in range(3):
+        with pytest.raises(DatasetError):
+            _eval(expr, {"n": 3})
+
+
+def test_each_table_expression_is_parsed_once(monkeypatch):
+    parsed = []
+    real = ast.parse
+    monkeypatch.setattr(ast, "parse", lambda expr, **kw: parsed.append(expr) or real(expr, **kw))
+    _parse.cache_clear()
+    verify_all()
+    verify_all()
+    assert parsed and len(parsed) == len(set(parsed))
+    assert set(parsed) <= {e for _, e in _table_expressions()}
+
+
+# sha256 of verify_all().to_csv() and of repr(list(default_grid(500))),
+# computed when every evaluation parsed its expression afresh
+VERIFY_ALL_CSV_SHA256 = "73706b0430e0d80eadc676cae78c06e49688e6c3ba68e9138ef7a40e2a14311d"
+DEFAULT_GRID_SHA256 = "1c5b28d81ddc558965c556822b803b4cf3c18e9437bb89b6ab4ae3bd4108dfef"
+
+
+def test_verification_and_grid_pinned():
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+    assert digest(verify_all().to_csv()) == VERIFY_ALL_CSV_SHA256
+    assert digest(repr(list(default_grid(500)))) == DEFAULT_GRID_SHA256
 
 
 def test_row_with_foreign_expression_is_dataset_error():

@@ -444,6 +444,21 @@ def test_cli_import_loads_neither_sympy_nor_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_exactly_its_modules_and_no_table():
+    # a cold `htype` invocation pays for these imports before any work
+    src = str(Path(htype.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, htype.cli, htype.catalog; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'htype')); "
+            "print(htype.catalog._cached_rows is None)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split("\n")[:2] == [
+        "['htype', 'htype.catalog', 'htype.cli', 'htype.division', 'htype.errors', "
+        "'htype.serialization']",
+        "True"]
+
+
 _IMPORT_SURFACE = """
 import sys
 from pathlib import Path
