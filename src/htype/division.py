@@ -176,7 +176,8 @@ def _signed_table(algebra: DivisionAlgebra):
     tab = _SIGNED_TABLE.get(algebra)
     if tab is None:
         d = algebra.dimension
-        units = [tuple(Fraction(int(a == i)) for a in range(d)) for i in range(d)]
+        # int units keep the doubling recursion off Fraction arithmetic
+        units = [tuple(int(a == i) for a in range(d)) for i in range(d)]
         rows = []
         for i in range(d):
             row = []
@@ -184,7 +185,7 @@ def _signed_table(algebra: DivisionAlgebra):
                 prod = _mul_rec(units[i], units[j])
                 terms = [(k, c) for k, c in enumerate(prod) if c]
                 assert len(terms) == 1 and abs(terms[0][1]) == 1
-                row.append((terms[0][0], int(terms[0][1])))
+                row.append(terms[0])
             rows.append(tuple(row))
         tab = _SIGNED_TABLE[algebra] = tuple(rows)
     return tab

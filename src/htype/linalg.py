@@ -12,13 +12,13 @@ takes the same path:
    changes the nullspace.
 2. The integer rows are row-reduced modulo a 31-bit prime by sparse
    Gauss-Jordan (`_rref_modp`, which streams the rows into fully reduced
-   pivot rows held as dicts; no dense matrix is built and no numpy is
-   used), candidate basis vectors are lifted back to Q by rational
-   reconstruction, and all lifted vectors are re-checked against the
-   integer rows exactly with one sparse product A @ N in Python integers,
-   so no overflow bound is needed. Since nullity over Q never exceeds
-   nullity mod p, a verified set of nullity_p independent vectors
-   certifies the dimension.
+   pivot rows held as dicts and stops once every column has a pivot; no
+   dense matrix is built and no numpy is used), candidate basis vectors
+   are lifted back to Q by rational reconstruction, and all lifted vectors
+   are re-checked against the integer rows exactly with one sparse product
+   A @ N in Python integers, so no overflow bound is needed. Since nullity
+   over Q never exceeds nullity mod p, a verified set of nullity_p
+   independent vectors certifies the dimension.
 3. Any reconstruction/verification failure escalates: second prime, CRT
    combination of the first two, third prime, CRT of all three. Each
    failed prime combination is logged at INFO on the "htype.linalg"
@@ -224,7 +224,8 @@ def _nullspace_fraction(int_rows: list[SparseInts], ncols: int) -> NullspaceResu
     return NullspaceResult(len(basis), tuple(basis), "fraction")
 
 
-def _rref_modp(rows: list[SparseInts], p: int) -> tuple[list[dict[int, int]], list[int]]:
+def _rref_modp(rows: Iterable[SparseInts], p: int,
+               ncols: int) -> tuple[list[dict[int, int]], list[int]]:
     """Reduced row echelon form mod p of sparse integer rows, one row at a time.
 
     The pivot rows found so far are kept fully reduced: 1 at their own
@@ -233,8 +234,10 @@ def _rref_modp(rows: list[SparseInts], p: int) -> tuple[list[dict[int, int]], li
     is left is normalized at its leftmost nonzero, and the earlier pivot
     rows with a nonzero in that new pivot column are reduced by it. Over
     F_p the RREF is unique, so the order of the rows does not matter.
-    Returns the pivot rows as {column: residue} dicts, nonzeros only,
-    sorted by pivot, and the pivots.
+    Once all ncols columns hold a pivot the RREF is the identity, and the
+    remaining rows are not read: rank mod p <= rank over Q, so nullity 0
+    mod p certifies nullity 0. Returns the pivot rows as {column: residue}
+    dicts, nonzeros only, sorted by pivot, and the pivots.
     """
     pivot_rows: dict[int, dict[int, int]] = {}  # pivot -> entries off the pivot
     for row in rows:
@@ -259,6 +262,8 @@ def _rref_modp(rows: list[SparseInts], p: int) -> tuple[list[dict[int, int]], li
                     else:
                         del prow[j]
         pivot_rows[pc] = vec
+        if len(pivot_rows) == ncols:
+            break
     pivots = sorted(pivot_rows)
     return [{c: 1, **pivot_rows[c]} for c in pivots], pivots
 
@@ -342,7 +347,7 @@ def _nullspace_modp(rows: list[SparseInts], ncols: int,
         infos = []
         for p in primes:
             if p not in rref_cache:
-                rref_cache[p] = _rref_modp(rows, p)
+                rref_cache[p] = _rref_modp(rows, p, ncols)
             infos.append(rref_cache[p])
         pivots = infos[0][1]
         if any(info[1] != pivots for info in infos[1:]):

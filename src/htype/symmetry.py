@@ -19,8 +19,8 @@ evaluation tensors of its basis once, as integers D_j T_j with one common
 denominator D_j (the structure tensor at j = -1, the canonical basis of
 g_j above it), and the assembler visits only their nonzeros; every row is
 a positive integer multiple of the rational row, so `nullspace` receives
-integral rows. Float systems read float tensors with scale 1, and the
-stored bases stay the canonical Fraction vectors.
+integral rows. Stored bases are the canonical Fraction vectors; arithmetic
+"float64" runs the same certified solve and reports them as floats.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ class ProlongationResult:
     arithmetic: str
     elapsed_ms: int
     budget: int
-    float_tolerance: float | None = None
     bases: tuple | None = None
 
     def to_json_dict(self) -> dict:
@@ -103,7 +102,7 @@ def _unflatten(vec: Sequence, shapes: list[tuple[int, int]]):
 def graded_derivations(alg: GradedNilpotent) -> DerivationSpace:
     """All (A, B) with B[x,y] = [Ax,y] + [x,Ay], as a certified basis."""
     n, m = alg.dim_v, alg.dim_z
-    res = nullspace(_prolong_rows(0, *_negative_levels(alg, exact=True)), n * n + m * m,
+    res = nullspace(_prolong_rows(0, *_negative_levels(alg)), n * n + m * m,
                     context=f"graded derivation system of {alg.name}")
     basis = []
     for vec in res.basis:
@@ -126,7 +125,7 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
     ncols = n * n + m * m + m * n + n * m
     c_off = n * n + m * m
     e_off = c_off + m * n
-    dims, ev_v, ev_z, scale = _negative_levels(alg, exact=True)
+    dims, ev_v, ev_z, scale = _negative_levels(alg)
     rows = _prolong_rows(0, dims, ev_v, ev_z, scale)
     ad = ev_v[-1]  # ad[s][k][t] = D c(x_s, x_t)_k
     for s in range(n):
@@ -164,74 +163,46 @@ def verify_graded_derivation(alg: GradedNilpotent, a: Matrix, b: Matrix) -> bool
     return True
 
 
-def _solve_float(rows: list[dict], ncols: int, tol: float):
-    """SVD nullity and nullspace basis of the rows scattered into float64."""
-    import numpy as np  # float work only: exact prolongation never loads numpy
-
-    if not rows:
-        basis = [tuple(1.0 if c == f else 0.0 for c in range(ncols))
-                 for f in range(ncols)]
-        return ncols, basis
-    mat = np.zeros((len(rows), ncols))
-    for r, row in enumerate(rows):
-        for col, x in row.items():
-            mat[r, col] = x
-    # The thin U suffices when rows >= columns: vh is square either way.
-    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < ncols)
-    cutoff = tol * max(1.0, s[0] if s.size else 1.0)
-    rank = int(np.sum(s > cutoff))
-    basis = [tuple(map(float, vh[r])) for r in range(rank, ncols)]
-    return ncols - rank, basis
-
-
-def _level(v_mats: list, z_mats: list, exact: bool) -> tuple[list, list, int]:
+def _level(v_mats: list, z_mats: list) -> tuple[list, list, int]:
     """One level's evaluation tensors on v and on z as the assembler reads
-    them, and their common scale.
-
-    Exact: the integer matrices D*M and D, the lcm of every entry's
-    denominator (ints and Fractions alike) over both tensors. Float: the
-    entries as floats, scale 1.
+    them, and their common scale: the integer matrices D*M and D, the lcm
+    of every entry's denominator (ints and Fractions alike) over both
+    tensors.
     """
     mats = v_mats + z_mats
-    if not exact:
-        out, d = [[[float(x) for x in row] for row in mat] for mat in mats], 1
-    else:
-        d = math.lcm(*(x.denominator for mat in mats for row in mat for x in row))
-        out = [[[x.numerator * (d // x.denominator) if d > 1 else x.numerator
-                 for x in row] for row in mat] for mat in mats]
+    d = math.lcm(*(x.denominator for mat in mats for row in mat for x in row))
+    out = [[[x.numerator * (d // x.denominator) if d > 1 else x.numerator
+             for x in row] for row in mat] for mat in mats]
     return out[:len(v_mats)], out[len(v_mats):], d
 
 
-def _negative_levels(alg: GradedNilpotent, exact: bool) -> tuple[dict, dict, dict, dict]:
+def _negative_levels(alg: GradedNilpotent) -> tuple[dict, dict, dict, dict]:
     """Level data of n itself, from which every degree's system is built.
 
     dims[j] = dim g_j; ev_v[j][a] is the D(j-1) x n matrix of basis element
     a of g_j on v, ev_z[j][a] its D(j-2) x m matrix on z, and scale[j] the
-    common denominator D_j of both: exact levels hold the integers D_j T_j
-    of the rational tensors T_j, float levels hold T_j with D_j = 1. At
-    j = -1 the matrix of x_i is ad x_i: v -> z, entry [s][t] = c(x_i, x_t)_s,
-    and x_i kills z, so ev_z has no level -1.
+    common denominator D_j of both, so the levels hold the integers D_j T_j
+    of the rational tensors T_j. At j = -1 the matrix of x_i is
+    ad x_i: v -> z, entry [s][t] = c(x_i, x_t)_s, and x_i kills z, so ev_z
+    has no level -1.
     """
     n, m = alg.dim_v, alg.dim_z
     c = alg.structure
-    ad, _, d = _level([[[c[i][t][s] for t in range(n)] for s in range(m)] for i in range(n)],
-                      [], exact)
+    ad, _, d = _level([[[c[i][t][s] for t in range(n)] for s in range(m)] for i in range(n)], [])
     return {-2: m, -1: n}, {-1: ad}, {}, {-1: d}
 
 
 def _nonzeros(mats, nrows: int, ncols: int, offset: int, stride: int,
               factor: int) -> list[list[list]]:
     """idx[r][c] lists (offset + a*stride, factor * mats[a][r][c]) over the
-    nonzero entries, a ascending; a factor of 1 keeps the entries themselves
-    and -1 only negates them, so float entries are never multiplied."""
+    nonzero entries, a ascending."""
     idx = [[[] for _ in range(ncols)] for _ in range(nrows)]
     for a, mat in enumerate(mats):
         col = offset + a * stride
         for slots, row in zip(idx, mat):
             for slot, x in zip(slots, row):
                 if x:
-                    slot.append((col, x if factor == 1 else -x if factor == -1
-                                 else factor * x))
+                    slot.append((col, factor * x))
     return idx
 
 
@@ -245,13 +216,12 @@ def _prolong_rows(K: int, dims: dict, ev_v: dict, ev_z: dict, scale: dict) -> li
     twice, so each entry is assigned, never accumulated.
 
     The level tensors come from `_negative_levels` and `tanaka_prolong`:
-    integers D_j T_j when exact. Each family of rows reads one nonzero
-    index per level tensor it uses, built once per system, and a row that
-    mixes two levels is multiplied by the product of their scales: v-v
-    rows mix levels -1 and K-1, v-z rows K-1 and K-2, and z-z rows use
-    level K-2 alone. So every row is a positive integer multiple of the
-    rational row, with the same nullspace. Float levels have scale 1 and
-    give the rational rows' float values, entry for entry.
+    integers D_j T_j. Each family of rows reads one nonzero index per level
+    tensor it uses, built once per system, and a row that mixes two levels
+    is multiplied by the product of their scales: v-v rows mix levels -1
+    and K-1, v-z rows K-1 and K-2, and z-z rows use level K-2 alone. So
+    every row is a positive integer multiple of the rational row, with the
+    same nullspace.
     """
     n, m = dims[-1], dims[-2]
     d_prev, d_prev2, d3, d4 = (dims.get(j, 0) for j in (K - 1, K - 2, K - 3, K - 4))
@@ -300,6 +270,13 @@ def _prolong_rows(K: int, dims: dict, ev_v: dict, ev_z: dict, scale: dict) -> li
     return rows
 
 
+def _as_float(x):
+    """x with every entry as a float, in the same nesting."""
+    if isinstance(x, (tuple, list)):
+        return type(x)(map(_as_float, x))
+    return float(x)
+
+
 def _is_square(mat, size: int) -> bool:
     return isinstance(mat, (tuple, list)) and len(mat) == size and all(
         isinstance(row, (tuple, list)) and len(row) == size for row in mat)
@@ -322,7 +299,6 @@ def tanaka_prolong(alg: GradedNilpotent,
                    arithmetic: str = "exact",
                    budget: int | None = None,
                    supplied_g0: Sequence[tuple[Matrix, ...]] | None = None,
-                   float_tol: float = 1e-8,
                    store_bases: bool = False) -> ProlongationResult:
     """Degree-by-degree prolongation of (n, g0).
 
@@ -331,6 +307,10 @@ def tanaka_prolong(alg: GradedNilpotent,
     "supplied_subalgebra" takes explicit (A, B) pairs or the (A, B, None)
     triples of `DerivationSpace.basis`, each re-verified to be a graded
     derivation, as level 0 and starts at degree 1.
+
+    Both arithmetics run the same certified exact solve; "float64" only
+    reports the stored bases (store_bases=True) as floats of the canonical
+    exact entries, in the same nesting.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
@@ -342,15 +322,7 @@ def tanaka_prolong(alg: GradedNilpotent,
         raise ValueError(f"budget must be a positive entry count, got {budget}")
     t0 = time.perf_counter()
     n, m = alg.dim_v, alg.dim_z
-    exact = arithmetic == "exact"
-
-    def solve(rows, ncols, context):
-        if exact:
-            res = nullspace(rows, ncols, context=context)
-            return res.dimension, res.basis
-        return _solve_float(rows, ncols, float_tol)
-
-    level_dims, ev_v, ev_z, scale = _negative_levels(alg, exact)
+    level_dims, ev_v, ev_z, scale = _negative_levels(alg)
     if g0_mode == "full_graded_derivations":
         first = 0  # g0 = Der_gr(n) is the degree-0 prolongation
     elif g0_mode == "supplied_subalgebra":
@@ -360,8 +332,7 @@ def tanaka_prolong(alg: GradedNilpotent,
         for a, b in pairs:
             if not verify_graded_derivation(alg, a, b):
                 raise StructureError("supplied g0 element is not a graded derivation")
-        ev_v[0], ev_z[0], scale[0] = _level([a for a, _ in pairs], [b for _, b in pairs],
-                                            exact)
+        ev_v[0], ev_z[0], scale[0] = _level([a for a, _ in pairs], [b for _, b in pairs])
         level_dims[0] = len(pairs)
         first = 1
     else:
@@ -384,20 +355,22 @@ def tanaka_prolong(alg: GradedNilpotent,
         label = f"degree-{K} prolongation system" if K else "degree-0 derivation system"
         check_budget(n_rows, ncols, budget, label)
         rows = _prolong_rows(K, level_dims, ev_v, ev_z, scale)
-        dim_k, vecs = solve(rows, ncols, label)
-        if K and dim_k == 0:  # a zero g0 does not end the loop
+        vecs = nullspace(rows, ncols, context=label).basis
+        if K and not vecs:  # a zero g0 does not end the loop
             completed = True
             break
-        level_dims[K] = dim_k
+        level_dims[K] = len(vecs)
         # the new basis vectors are the evaluation tensors of level K
         ps = [[[vec[a * n + i] for i in range(n)] for a in range(d_prev)] for vec in vecs]
         qs = [[[vec[p_cols + b * m + l] for l in range(m)] for b in range(d_prev2)]
               for vec in vecs]
-        ev_v[K], ev_z[K], scale[K] = _level(ps, qs, exact)
+        ev_v[K], ev_z[K], scale[K] = _level(ps, qs)
         if K:
-            component_dims.append(dim_k)
+            component_dims.append(len(vecs))
             if store_bases:
                 all_bases.append((tuple(map(tuple, ps)), tuple(map(tuple, qs))))
+    if store_bases and arithmetic == "float64":
+        all_bases = _as_float(all_bases)
 
     g0_dim = level_dims[0]
     total = n + m + g0_dim + sum(component_dims)
@@ -413,7 +386,6 @@ def tanaka_prolong(alg: GradedNilpotent,
         arithmetic=arithmetic,
         elapsed_ms=elapsed,
         budget=budget,
-        float_tolerance=float_tol if arithmetic == "float64" else None,
         bases=tuple(all_bases) if store_bases else None,
     )
 

@@ -10,6 +10,7 @@ from htype.division import (
     DivisionAlgebra as DA,
     Element,
     _mul_rec,
+    _signed_table,
     add,
     basis_element,
     conj,
@@ -164,6 +165,24 @@ def test_table_mul_matches_doubling_recursion():
             x = random_element(algebra, rng)
             y = random_element(algebra, rng)
             assert mul(x, y).coefficients == _mul_rec(x.coefficients, y.coefficients)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_signed_table_matches_fraction_units(algebra):
+    # the table is built from int units; the doubling recursion on Fraction
+    # units gives the same signed basis products
+    d = algebra.dimension
+    units = [tuple(Fraction(int(a == i)) for a in range(d)) for i in range(d)]
+    want = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            [(k, c)] = [(k, c) for k, c in enumerate(_mul_rec(units[i], units[j])) if c]
+            row.append((k, c))
+        want.append(tuple(row))
+    table = _signed_table(algebra)
+    assert table == tuple(want)
+    assert all(type(c) is int and c in (1, -1) for row in table for _, c in row)
 
 
 def test_mixed_algebras_rejected():

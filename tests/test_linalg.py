@@ -240,8 +240,8 @@ def test_corrupt_reduction_is_rejected_by_verification(monkeypatch, caplog):
     ref = _reference_basis(rows, ncols)
     real = linalg._rref_modp
 
-    def corrupt_first_prime(mat, p):
-        rref, pivots = real(mat, p)
+    def corrupt_first_prime(mat, p, width):
+        rref, pivots = real(mat, p, width)
         if p == _PRIMES[0]:
             free = next(c for c in range(ncols) if c not in pivots)
             rref = [dict(row) for row in rref]
@@ -261,8 +261,8 @@ def test_disagreeing_primes_are_skipped(monkeypatch, caplog):
     ref = _reference_basis(rows, ncols)
     real = linalg._rref_modp
 
-    def drop_pivot_second_prime(mat, p):
-        rref, pivots = real(mat, p)
+    def drop_pivot_second_prime(mat, p, width):
+        rref, pivots = real(mat, p, width)
         return (rref[:-1], pivots[:-1]) if p == _PRIMES[1] else (rref, pivots)
 
     monkeypatch.setattr(linalg, "_rref_modp", drop_pivot_second_prime)
@@ -356,10 +356,28 @@ def _modp_systems(draw):
 def test_sparse_rref_modp_matches_dense_gauss_jordan(system):
     rows, ncols, p = system
     ref, ref_pivots = _dense_rref_modp(rows, ncols, p)
-    rref, pivots = linalg._rref_modp(rows, p)
+    rref, pivots = linalg._rref_modp(rows, p, ncols)
     assert pivots == ref_pivots
     assert [[row.get(c, 0) for c in range(ncols)] for row in rref] == ref
     assert all(0 < x < p for row in rref for x in row.values())
+
+
+def test_rref_modp_stops_at_full_column_rank():
+    # rows 0 and 2 already have rank 2 in 2 columns (row 1 is a multiple of
+    # row 0); the iterator raises if a row after that one is read
+    rows = [[(0, 1), (1, 2)], [(0, 2), (1, 4)], [(0, 3), (1, 1)], [(0, 5)], [(1, 7)]]
+
+    def stream():
+        yield from rows[:3]
+        raise AssertionError("read past the row that completes the rank")
+
+    p = _PRIMES[0]
+    rref, pivots = linalg._rref_modp(stream(), p, 2)
+    assert pivots == [0, 1] and rref == [{0: 1}, {1: 1}]
+    assert linalg._rref_modp(rows, p, 2) == (rref, pivots)
+    assert linalg._rref_modp(rows[:2], p, 2) == ([{0: 1, 1: 2}], [0])
+    res = nullspace([dict(r) for r in rows], 2)
+    assert res.dimension == 0 and res.basis == () and res.method == "modp"
 
 
 _entries = st.sampled_from([Fraction(0)] * 4 + [Fraction(n, d) for n in range(-3, 4)
