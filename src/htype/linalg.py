@@ -4,33 +4,36 @@ Rank decisions downstream (derivation dimensions, prolongation components)
 must be exact, so every returned basis is certified over Q. Every system
 takes the same path:
 
-1. Rows arrive sparse, as {column: value} mappings. Each is scaled once,
-   over its nonzeros only, to a primitive integer row; a row that is
-   already integral, as every row the prolongation assembler builds is,
-   is only divided by its content, with no lcm of denominators. Zero rows
-   and duplicate rows (equal up to sign) are dropped, since neither
-   changes the nullspace.
-2. The integer rows are row-reduced modulo a 31-bit prime by sparse
-   Gauss-Jordan (`_rref_modp`, which streams the rows into fully reduced
-   pivot rows held as dicts and stops once every column has a pivot; no
-   dense matrix is built and no numpy is used), candidate basis vectors
-   are lifted back to Q by rational reconstruction, and all lifted vectors
-   are re-checked against the integer rows exactly with one sparse product
-   A @ N in Python integers, so no overflow bound is needed. Since nullity
-   over Q never exceeds nullity mod p, a verified set of nullity_p
-   independent vectors certifies the dimension.
-3. Any reconstruction/verification failure escalates: second prime, CRT
-   combination of the first two, third prime, CRT of all three. Each
-   failed prime combination is logged at INFO on the "htype.linalg"
-   logger, as is each budget refusal.
-4. Only when every prime combination fails does fraction-free integer
-   Gauss-Jordan (`_int_rref`) decide, as the final authority; that
-   fallback is logged too and labelled "fraction".
+1. Rows arrive sparse, as {column: value} mappings of ints or Fractions
+   with columns in [0, ncols). Each is scaled once, over its nonzeros
+   only, to a primitive integer row (an integral row, as the prolongation
+   assembler builds them, is only divided by its content). Zero rows and
+   rows equal up to sign are dropped, since neither changes the nullspace.
+2. The integer rows are row-reduced modulo a 31-bit prime by a streaming
+   sparse Gauss-Jordan (`_rref_modp`: dict rows, no dense matrix, no
+   numpy), the candidate basis is lifted to Q by rational reconstruction,
+   and every lifted vector is re-checked against the integer rows with one
+   exact sparse product in Python ints. Since nullity over Q never exceeds
+   nullity mod p, nullity_p verified independent vectors certify the
+   dimension.
+3. A failed prime escalates to the next 31-bit prime, largest first
+   (`_primes`). Over F_p the pivots are the greedy column basis, so an
+   unlucky prime has lower rank or, at equal rank, lexicographically later
+   pivots: a worse prime is skipped, a better one restarts the image, an
+   equal one is folded into the CRT image (Garner), which is lifted and
+   verified again. Each rejected prime is logged at INFO on the
+   "htype.linalg" logger, as is each budget refusal.
+4. Every canonical basis entry is a quotient of two minors, each at most
+   the Hadamard bound H (the product of the ncols largest row norms), so
+   it reconstructs once the modulus passes 2 H^2; every unlucky prime
+   divides one nonzero minor, also at most H. So after
+   ceil((2 bits(H) + 1) / 30) + floor(bits(H) / 30) primes `nullspace`
+   raises: it never returns an uncertified basis.
 
 The basis returned is the canonical reduced-echelon nullspace basis (one
-vector per free column, entry 1 there), so results are deterministic and
-method-independent. `det_exact` and `inverse_exact` run on the integer
-kernel `_int_rref` directly.
+vector per free column, entry 1 there), so results are deterministic.
+`det_exact` and `inverse_exact` run on the integer kernel `_int_rref`,
+which no nullspace uses.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded
 
@@ -58,9 +61,6 @@ __all__ = [
 
 _log = logging.getLogger("htype.linalg")
 
-# 31-bit primes: a product of two residues fits in 62 bits.
-_PRIMES = (2147483647, 2147483629, 2147483587)
-
 SparseInts = list[tuple[int, int]]  # (column, value), columns ascending
 
 
@@ -68,7 +68,7 @@ SparseInts = list[tuple[int, int]]  # (column, value), columns ascending
 class NullspaceResult:
     dimension: int
     basis: tuple[tuple[Fraction, ...], ...]
-    method: str  # "fraction" | "modp" | "modp-crt"
+    method: str  # "modp" (the first prime) | "modp-crt" (more primes)
 
 
 DEFAULT_BUDGET = 200_000
@@ -106,6 +106,8 @@ def _integerize(items: Iterable[tuple[int, Fraction | int]]) -> SparseInts:
         return []
     if all(type(v) is int for _, v in nz):
         ints = nz
+    elif bad := [v for _, v in nz if not isinstance(v, (int, Fraction))]:
+        raise TypeError(f"row values must be ints or Fractions, not {type(bad[0]).__name__}")
     else:
         scale = math.lcm(*(v.denominator for _, v in nz))
         ints = [(c, v.numerator * (scale // v.denominator)) for c, v in nz]
@@ -207,23 +209,6 @@ def inverse_exact(mat: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return [[Fraction(d * x, row[k]) for x in row[n:]] for k, row in enumerate(rref)]
 
 
-def _nullspace_fraction(int_rows: list[SparseInts], ncols: int) -> NullspaceResult:
-    dense_rows = [[row.get(c, 0) for c in range(ncols)] for row in map(dict, int_rows)]
-    rref, pivots, _ = _int_rref(dense_rows, ncols)
-    pivot_set = set(pivots)
-    zero, one = Fraction(0), Fraction(1)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [zero] * ncols
-        v[f] = one
-        for row, p in zip(rref, pivots):
-            v[p] = Fraction(-row[f], row[p])
-        basis.append(tuple(v))
-    return NullspaceResult(len(basis), tuple(basis), "fraction")
-
-
 def _rref_modp(rows: Iterable[SparseInts], p: int,
                ncols: int) -> tuple[list[dict[int, int]], list[int]]:
     """Reduced row echelon form mod p of sparse integer rows, one row at a time.
@@ -286,15 +271,6 @@ def _rat_reconstruct(a: int, modulus: int) -> Fraction | None:
     return Fraction(n, d)
 
 
-def _crt(residues: list[int], primes: Sequence[int]) -> int:
-    x, m = residues[0], primes[0]
-    for r, p in zip(residues[1:], primes[1:]):
-        h = ((r - x) * pow(m, -1, p)) % p
-        x += m * h
-        m *= p
-    return x % m
-
-
 def _annihilates(rows: list[SparseInts], vectors: list[SparseInts]) -> bool:
     """Exact test of A @ v == 0 for the integer rows A and every integer
     vector v, in Python ints.
@@ -316,79 +292,103 @@ def _annihilates(rows: list[SparseInts], vectors: list[SparseInts]) -> bool:
     return True
 
 
-def _lift(infos, primes: tuple[int, ...], pivots: list[int],
-          free: list[int]) -> list[dict[int, Fraction]] | None:
-    """Candidate basis vectors over Q from the RREF mod each prime, sparse.
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin to bases 2, 3, 5 and 7, exact below
+    3215031751, the least strong pseudoprime to all four."""
+    if n < 11:
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1 and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
+            return False
+    return True
 
-    Candidate f has 1 at free column f and -rref[r][f] at each pivot pivots[r];
-    the pivot rows hold nonzeros only, so only their free entries are read.
-    """
-    modulus = math.prod(primes)
-    candidates = {f: {f: Fraction(1)} for f in free}
-    for r, pc in enumerate(pivots):
-        rows = [info[0][r] for info in infos]
-        for f in set().union(*rows) - {pc}:
-            res = [row.get(f, 0) for row in rows]
-            a = res[0] if len(primes) == 1 else _crt(res, primes)
-            val = _rat_reconstruct((-a) % modulus, modulus)
-            if val is None:
-                return None
-            candidates[f][pc] = val
+
+def _primes() -> Iterator[int]:
+    """The 31-bit primes, largest first, generated as needed. Each exceeds
+    2^30, and a product of two residues fits in 62 bits."""
+    return filter(_is_prime, range(2**31 - 1, 2**30, -2))
+
+
+def _reconstruct(image: list[dict[int, int]], modulus: int, pivots: list[int],
+                 ncols: int) -> list[dict[int, Fraction]] | None:
+    """Sparse candidate basis over Q from the RREF mod `modulus`: candidate f
+    has 1 at free column f and -rref[r][f] at each pivot pivots[r]."""
+    pivot_set = set(pivots)
+    candidates = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivot_set}
+    for row, pc in zip(image, pivots):
+        for f, a in row.items():
+            if f != pc:
+                val = _rat_reconstruct(-a, modulus)
+                if val is None:
+                    return None
+                candidates[f][pc] = val
     return list(candidates.values())
 
 
 def _nullspace_modp(rows: list[SparseInts], ncols: int,
-                    context: str = "") -> NullspaceResult | None:
-    attempts: list[tuple[int, ...]] = [(_PRIMES[0],), (_PRIMES[1],),
-                                       (_PRIMES[0], _PRIMES[1]), (_PRIMES[2],),
-                                       _PRIMES]
-    rref_cache: dict[int, tuple[list[dict[int, int]], list[int]]] = {}
-    for primes in attempts:
-        infos = []
-        for p in primes:
-            if p not in rref_cache:
-                rref_cache[p] = _rref_modp(rows, p, ncols)
-            infos.append(rref_cache[p])
-        pivots = infos[0][1]
-        if any(info[1] != pivots for info in infos[1:]):
-            _log.info("nullspace %s: primes %s disagree on the pivots", context, primes)
+                    context: str = "") -> NullspaceResult:
+    """Certified canonical nullspace basis of primitive integer rows by the
+    prime ladder of the module docstring: the image is the RREF modulo the
+    product of the primes kept, and H is taken once the first prime fails."""
+    image, pivots, modulus, limit = [], [], 0, 1
+    for count, p in enumerate(_primes(), 1):
+        if count == 2:
+            # the norms are rounded up: ceil(sqrt(s)) = isqrt(s - 1) + 1
+            norms = sorted((math.isqrt(sum(v * v for _, v in row) - 1) + 1 for row in rows),
+                           reverse=True)
+            bits = math.prod(norms[:ncols]).bit_length()
+            limit = -(-(2 * bits + 1) // 30) + bits // 30
+        if count > limit:
+            break
+        rref, new = _rref_modp(rows, p, ncols)
+        if count == 1 or (-len(new), new) < (-len(pivots), pivots):
+            image, pivots, modulus = rref, new, p
+        elif new == pivots:
+            inv = pow(modulus, -1, p)
+            for irow, prow in zip(image, rref):
+                for j in irow.keys() | prow.keys():
+                    x = irow.get(j, 0)
+                    irow[j] = x + modulus * ((prow.get(j, 0) - x) * inv % p)
+            modulus *= p
+        else:
+            _log.info("nullspace %s: prime %d has worse pivots; skipped", context, p)
             continue
-        pivot_set = set(pivots)
-        free = [c for c in range(ncols) if c not in pivot_set]
-        candidates = _lift(infos, primes, pivots, free)
+        candidates = _reconstruct(image, modulus, pivots, ncols)
         if candidates is None:
-            _log.info("nullspace %s: rational reconstruction failed mod %s",
-                      context, primes)
-            continue
-        if candidates and not _annihilates(
+            _log.info("nullspace %s: rational reconstruction failed at prime %d", context, p)
+        elif candidates and not _annihilates(
                 rows, [_integerize(sorted(vec.items())) for vec in candidates]):
-            _log.info("nullspace %s: reconstruction mod %s fails exact verification",
-                      context, primes)
-            continue
-        zero = Fraction(0)
-        basis = []
-        for vec in candidates:
-            dense = [zero] * ncols
-            for c, x in vec.items():
-                dense[c] = x
-            basis.append(tuple(dense))
-        method = "modp" if len(primes) == 1 else "modp-crt"
-        return NullspaceResult(len(basis), tuple(basis), method)
-    return None
+            _log.info("nullspace %s: lift at prime %d fails exact verification", context, p)
+        else:
+            zero = Fraction(0)
+            basis = []
+            for vec in candidates:
+                dense = [zero] * ncols
+                for c, x in vec.items():
+                    dense[c] = x
+                basis.append(tuple(dense))
+            return NullspaceResult(len(basis), tuple(basis),
+                                   "modp" if count == 1 else "modp-crt")
+    raise RuntimeError(f"nullspace {context}: no certified basis after {limit} primes")
 
 
 def nullspace(rows: Iterable[Mapping[int, Fraction]], ncols: int,
               context: str = "") -> NullspaceResult:
     """Certified exact nullspace of the system rows . v = 0.
 
-    Rows are sparse mappings {column: value} of ints or rationals; zero
-    rows are dropped. The context names the system in the escalation log.
+    Rows are sparse mappings {column: value}, with columns in [0, ncols)
+    and values ints or Fractions; zero rows are dropped. The context names
+    the system in the escalation log.
     """
-    int_rows = [r for r in (_integerize(sorted(row.items())) for row in rows) if r]
-    int_rows = _distinct(int_rows)
-    result = _nullspace_modp(int_rows, ncols, context)
-    if result is not None:
-        return result
-    _log.info("nullspace %s: every prime combination failed; "
-              "falling back to integer Gauss-Jordan", context)
-    return _nullspace_fraction(int_rows, ncols)
+    int_rows = []
+    for row in rows:
+        items = sorted(row.items())
+        if items and not (0 <= items[0][0] and items[-1][0] < ncols):
+            raise ValueError(f"nullspace {context}: row columns {items[0][0]}..{items[-1][0]} "
+                             f"outside [0, {ncols})")
+        if ints := _integerize(items):
+            int_rows.append(ints)
+    return _nullspace_modp(_distinct(int_rows), ncols, context)

@@ -1,4 +1,5 @@
-"""Certified rational nullspaces: the Fraction and mod-p routes must agree."""
+"""Certified rational nullspaces: the prime ladder must agree with a textbook
+Fraction reference."""
 
 import itertools
 import logging
@@ -16,7 +17,7 @@ from htype import linalg, symmetry
 from htype.division import DivisionAlgebra
 from htype.errors import BudgetExceeded
 from htype.linalg import (
-    _PRIMES,
+    _primes,
     _rat_reconstruct,
     check_budget,
     det_exact,
@@ -25,6 +26,9 @@ from htype.linalg import (
     nullspace,
 )
 from htype.nilpotent import build_hn
+
+# the first primes of the ladder, largest first
+_LADDER = list(itertools.islice(_primes(), 4))
 
 
 def _sparse(rows):
@@ -187,7 +191,7 @@ def test_nullity_float_cross_check():
 
 
 def test_rational_reconstruction_round_trip():
-    p = _PRIMES[0]
+    p = _LADDER[0]
     for num in (-7, -1, 0, 3, 11):
         for den in (1, 2, 9, 40):
             residue = num * pow(den, -2 + p, p) % p
@@ -204,23 +208,27 @@ def test_row_key_order_and_explicit_zeros_agree():
 
 
 # ---------------------------------------------------------------------------
-# the escalation ladder, rung by rung, by fault injection
+# the prime ladder, by fault injection
 
 
-def _failing_reconstruct(fails):
+def _failing_reconstruct(fails, seen=None):
     real = linalg._rat_reconstruct
 
     def fake(a, modulus):
+        if seen is not None:
+            seen.add(modulus)
         return None if fails(modulus) else real(a, modulus)
     return fake
 
 
 @pytest.mark.parametrize("fails, method, logged", [
-    (lambda m: m == _PRIMES[0], "modp", ["reconstruction failed"]),
-    (lambda m: m in _PRIMES, "modp-crt", ["reconstruction failed"] * 2),
-    (lambda m: True, "fraction", ["reconstruction failed"] * 5 + ["falling back"]),
+    (lambda m: False, "modp", []),
+    (lambda m: m < math.prod(_LADDER[:2]), "modp-crt", _LADDER[:1]),
+    (lambda m: m < math.prod(_LADDER[:4]), "modp-crt", _LADDER[:3]),
 ])
 def test_reconstruction_failures_escalate(monkeypatch, caplog, fails, method, logged):
+    # a fault below a k-prime modulus: k - 1 primes are rejected and logged,
+    # and the CRT image of the first k primes gives the reference basis
     rows, ncols = _rank3_system()
     ref = _reference_basis(rows, ncols)
     monkeypatch.setattr(linalg, "_rat_reconstruct", _failing_reconstruct(fails))
@@ -228,21 +236,34 @@ def test_reconstruction_failures_escalate(monkeypatch, caplog, fails, method, lo
     res = nullspace(rows, ncols, context="ladder")
     assert res.method == method
     assert res.basis == ref and res.dimension == ncols - 3
-    messages = [r.getMessage() for r in caplog.records]
-    assert len(messages) == len(logged)
-    assert all(part in msg for part, msg in zip(logged, messages))
-    assert all("ladder" in msg for msg in messages)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"nullspace ladder: rational reconstruction failed at prime {p}" for p in logged]
     assert all(r.levelno == logging.INFO for r in caplog.records)
 
 
+def test_derived_stop_raises_when_reconstruction_always_fails(monkeypatch, caplog):
+    # each integer row has norm sqrt(2^32 + 1), rounded up to 2^16 + 1, so
+    # H = (2^16 + 1)^2 has 33 bits and the ladder stops after
+    # ceil(67 / 30) + floor(33 / 30) = 4 primes
+    rows = [{0: 2**16, 2: 1}, {1: 2**16, 2: 1}]
+    monkeypatch.setattr(linalg, "_rat_reconstruct", lambda a, modulus: None)
+    caplog.set_level(logging.INFO, logger="htype.linalg")
+    with pytest.raises(RuntimeError, match="^nullspace stop: no certified basis after 4 primes$"):
+        nullspace(rows, 3, context="stop")
+    assert [r.getMessage() for r in caplog.records] == [
+        f"nullspace stop: rational reconstruction failed at prime {p}" for p in _LADDER]
+
+
 def test_corrupt_reduction_is_rejected_by_verification(monkeypatch, caplog):
+    # a wrong residue under the right pivots is not an unlucky prime: it
+    # stays in every CRT image, so no lift verifies and nullspace raises
+    # at the derived stop rather than return an uncertified basis
     rows, ncols = _rank3_system()
-    ref = _reference_basis(rows, ncols)
     real = linalg._rref_modp
 
     def corrupt_first_prime(mat, p, width):
         rref, pivots = real(mat, p, width)
-        if p == _PRIMES[0]:
+        if p == _LADDER[0]:
             free = next(c for c in range(ncols) if c not in pivots)
             rref = [dict(row) for row in rref]
             rref[0][free] = (rref[0].get(free, 0) + 1) % p
@@ -250,30 +271,104 @@ def test_corrupt_reduction_is_rejected_by_verification(monkeypatch, caplog):
 
     monkeypatch.setattr(linalg, "_rref_modp", corrupt_first_prime)
     caplog.set_level(logging.INFO, logger="htype.linalg")
-    res = nullspace(rows, ncols)
-    assert res.method == "modp" and res.basis == ref
-    assert [r.getMessage() for r in caplog.records] == [
-        f"nullspace : reconstruction mod {(_PRIMES[0],)} fails exact verification"]
+    with pytest.raises(RuntimeError, match="no certified basis"):
+        nullspace(rows, ncols)
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages[0] == (
+        f"nullspace : lift at prime {_LADDER[0]} fails exact verification")
+    assert len(messages) > 2 and all(
+        "fails exact verification" in m or "reconstruction failed" in m for m in messages)
 
 
-def test_disagreeing_primes_are_skipped(monkeypatch, caplog):
+def _skip_second_prime(monkeypatch, caplog, worsen):
+    """Give the second prime worse pivots: it must be skipped, and the image
+    of the first and third primes must give the reference basis."""
     rows, ncols = _rank3_system()
     ref = _reference_basis(rows, ncols)
     real = linalg._rref_modp
 
-    def drop_pivot_second_prime(mat, p, width):
+    def worse_second_prime(mat, p, width):
         rref, pivots = real(mat, p, width)
-        return (rref[:-1], pivots[:-1]) if p == _PRIMES[1] else (rref, pivots)
+        return worsen(rref, pivots) if p == _LADDER[1] else (rref, pivots)
 
-    monkeypatch.setattr(linalg, "_rref_modp", drop_pivot_second_prime)
+    monkeypatch.setattr(linalg, "_rref_modp", worse_second_prime)
     monkeypatch.setattr(linalg, "_rat_reconstruct",
-                        _failing_reconstruct(lambda m: m in _PRIMES))
+                        _failing_reconstruct(lambda m: m < _LADDER[0] * _LADDER[2]))
     caplog.set_level(logging.INFO, logger="htype.linalg")
     res = nullspace(rows, ncols)
-    assert res.method == "fraction" and res.basis == ref
-    messages = [r.getMessage() for r in caplog.records]
-    assert sum("disagree on the pivots" in m for m in messages) == 2
-    assert "falling back" in messages[-1]
+    assert res.method == "modp-crt" and res.basis == ref
+    assert [r.getMessage() for r in caplog.records] == [
+        f"nullspace : rational reconstruction failed at prime {_LADDER[0]}",
+        f"nullspace : prime {_LADDER[1]} has worse pivots; skipped"]
+
+
+def test_disagreeing_primes_are_skipped(monkeypatch, caplog):
+    # the second prime loses a pivot
+    _skip_second_prime(monkeypatch, caplog, lambda rref, pivots: (rref[:-1], pivots[:-1]))
+
+
+def test_later_pivots_at_equal_rank_are_skipped(monkeypatch, caplog):
+    # the second prime keeps the rank, but its last pivot row is re-keyed
+    # to the next column, so its pivots come later
+    def move_last_pivot(rref, pivots):
+        c = pivots[-1]
+        last = {(c + 1 if j == c else c if j == c + 1 else j): x for j, x in rref[-1].items()}
+        return rref[:-1] + [last], pivots[:-1] + [c + 1]
+
+    _skip_second_prime(monkeypatch, caplog, move_last_pivot)
+
+
+def test_worse_first_prime_is_replaced(monkeypatch, caplog):
+    # the first prime loses a pivot; the second has more pivots, so the image
+    # restarts from the second prime alone instead of folding the two
+    rows, ncols = _rank3_system()
+    ref = _reference_basis(rows, ncols)
+    real = linalg._rref_modp
+
+    def drop_pivot_first_prime(mat, p, width):
+        rref, pivots = real(mat, p, width)
+        return (rref[:-1], pivots[:-1]) if p == _LADDER[0] else (rref, pivots)
+
+    moduli = set()
+    monkeypatch.setattr(linalg, "_rref_modp", drop_pivot_first_prime)
+    monkeypatch.setattr(linalg, "_rat_reconstruct",
+                        _failing_reconstruct(lambda m: False, moduli))
+    caplog.set_level(logging.INFO, logger="htype.linalg")
+    res = nullspace(rows, ncols)
+    assert res.method == "modp-crt" and res.basis == ref
+    assert moduli == {_LADDER[0], _LADDER[1]}
+    assert [r.getMessage() for r in caplog.records] == [
+        f"nullspace : lift at prime {_LADDER[0]} fails exact verification"]
+
+
+def test_primes_start_with_the_three_largest_31_bit_primes():
+    assert _LADDER[:3] == [2147483647, 2147483629, 2147483587]
+    assert all(2**30 < p < q for p, q in zip(_LADDER[1:], _LADDER))
+
+
+def test_is_prime_matches_trial_division():
+    small = [q for q in range(2, 46341) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+
+    def trial(n):
+        return n >= 2 and all(n % q for q in small if q * q <= n)
+
+    for n in itertools.chain(range(200), range(2**31 - 3000, 2**31)):
+        assert linalg._is_prime(n) == trial(n), n
+    # a strong pseudoprime to the bases 2, 3 and 5: base 7 rejects it
+    assert not linalg._is_prime(25326001) and not trial(25326001)
+
+
+def test_malformed_rows_are_refused():
+    # refused, not solved: column -1 would alias the last column, column 5
+    # would drop out of a 3-column system, and a float has no exact value
+    with pytest.raises(ValueError, match=r"columns -1\.\.0 outside \[0, 2\)"):
+        nullspace([{-1: 1, 0: 1}], 2)
+    with pytest.raises(ValueError, match=r"columns 5\.\.5 outside \[0, 3\)"):
+        nullspace([{5: 1}], 3)
+    with pytest.raises(TypeError, match="ints or Fractions, not float"):
+        nullspace([{0: 0.5}], 2)
+    with pytest.raises(TypeError, match="ints or Fractions, not str"):
+        nullspace([{0: Fraction(1, 2), 1: "1"}], 2)
 
 
 def test_python_int_verifier_rejects_what_int64_would_accept():
@@ -304,7 +399,7 @@ def test_entries_beyond_the_primes_take_the_exact_reduction():
     rows, ncols = _rank3_system(seed=5)
     rows = [{c: v * 2**40 if c % 7 == 0 else v for c, v in row.items()} for row in rows]
     ref = _reference_basis(rows, ncols)
-    assert max(abs(v) for _, v in linalg._integerize(sorted(rows[0].items()))) > max(_PRIMES)
+    assert max(abs(v) for _, v in linalg._integerize(sorted(rows[0].items()))) > _LADDER[0]
     res = nullspace(rows, ncols)
     assert res.basis == ref and res.dimension == ncols - 3
 
@@ -331,7 +426,7 @@ def _dense_rref_modp(rows, ncols, p):
 
 @st.composite
 def _modp_systems(draw):
-    p = draw(st.sampled_from([5, 7, _PRIMES[0]]))
+    p = draw(st.sampled_from([5, 7, _LADDER[0]]))
     ncols = draw(st.integers(2, 8))
     dead = draw(st.integers(0, ncols - 1))  # a column no row touches: never a pivot
     entry = st.one_of(st.integers(-3, 3),
@@ -371,7 +466,7 @@ def test_rref_modp_stops_at_full_column_rank():
         yield from rows[:3]
         raise AssertionError("read past the row that completes the rank")
 
-    p = _PRIMES[0]
+    p = _LADDER[0]
     rref, pivots = linalg._rref_modp(stream(), p, 2)
     assert pivots == [0, 1] and rref == [{0: 1}, {1: 1}]
     assert linalg._rref_modp(rows, p, 2) == (rref, pivots)
@@ -403,26 +498,20 @@ def _systems(draw):
     return _sparse([rows[i] for i in order]), ncols
 
 
+def _no_integer_elimination(*args):
+    raise AssertionError("nullspace eliminated over Z")
+
+
 @settings(max_examples=150, deadline=None)
 @given(_systems())
 def test_modp_path_matches_fraction_path(system):
+    # the prime ladder is the only solver: integer elimination must not run
     rows, ncols = system
     ref = _reference_basis(rows, ncols)
-    res = nullspace(rows, ncols)
-    assert res.basis == ref and res.dimension == len(ref)
-    assert res.method.startswith("modp")
-
-
-@settings(max_examples=150, deadline=None)
-@given(_systems())
-def test_small_path_matches_reference(system):
-    # the last rung alone: integer Gauss-Jordan once every prime has failed
-    rows, ncols = system
-    ref = _reference_basis(rows, ncols)
-    with mock.patch.object(linalg, "_nullspace_modp", lambda *args: None):
+    with mock.patch.object(linalg, "_int_rref", _no_integer_elimination):
         res = nullspace(rows, ncols)
     assert res.basis == ref and res.dimension == len(ref)
-    assert res.method == "fraction"
+    assert res.method.startswith("modp")
 
 
 def _leibniz(mat):

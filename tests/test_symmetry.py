@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import logging
 import os
 import random
@@ -304,39 +305,40 @@ def test_non_positive_budget_is_refused_as_input(budget):
         tanaka_prolong(build_hn(DA.R, 1), budget=budget)
 
 
-def _fail_every_prime(monkeypatch, caplog):
-    """Make every rational reconstruction fail, so that each exact system
-    climbs the whole prime ladder, falls back and logs each step."""
-    monkeypatch.setattr(linalg, "_rat_reconstruct", lambda a, modulus: None)
+def _fail_below_two_primes(monkeypatch, caplog):
+    """Make rational reconstruction fail below the modulus of the first two
+    primes, so that each exact system rejects the first prime, logs it and
+    is certified by the CRT image of the first two."""
+    first, second = itertools.islice(linalg._primes(), 2)
+    real = linalg._rat_reconstruct
+    monkeypatch.setattr(linalg, "_rat_reconstruct",
+                        lambda a, modulus: None if modulus < first * second else real(a, modulus))
     caplog.set_level(logging.INFO, logger="htype.linalg")
+    return f"rational reconstruction failed at prime {first}"
 
 
 def test_prolongation_escalations_name_their_system(monkeypatch, caplog):
-    alg = build_hn(DA.C, 1)
-    want = tanaka_prolong(alg, max_degree=2, budget=BIG)
-    _fail_every_prime(monkeypatch, caplog)
-    res = tanaka_prolong(alg, max_degree=2, budget=BIG)
-    assert (res.g0_dim, res.component_dims) == (want.g0_dim, want.component_dims)
-    messages = [r.getMessage() for r in caplog.records]
-    assert [m for m in messages if "falling back" in m] == [
-        f"nullspace {label}: every prime combination failed; "
-        "falling back to integer Gauss-Jordan"
+    alg = build_hn(DA.H, 1)
+    want = tanaka_prolong(alg, max_degree=2, budget=BIG, store_bases=True)
+    failure = _fail_below_two_primes(monkeypatch, caplog)
+    res = tanaka_prolong(alg, max_degree=2, budget=BIG, store_bases=True)
+    assert res.bases == want.bases and res.component_dims == (8, 4)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"nullspace {label}: {failure}"
         for label in ("degree-0 derivation system", "degree-1 prolongation system",
                       "degree-2 prolongation system")]
-    assert len(messages) == 3 * 6 and not any(m.startswith("nullspace :") for m in messages)
 
 
 @pytest.mark.parametrize("solve, label", [
-    (lambda: graded_derivations(build_hn(DA.C, 1)), "graded derivation system of h1(C)"),
-    (lambda: full_derivations(build_hn(DA.C, 1)), "full derivation system of h1(C)"),
+    (lambda: graded_derivations(build_hn(DA.H, 1)).basis, "graded derivation system of h1(H)"),
+    (lambda: full_derivations(build_hn(DA.H, 1)).basis, "full derivation system of h1(H)"),
     (lambda: clifford_generators(3), "commutant of 3 Clifford generators"),
 ], ids=["graded", "full", "clifford"])
 def test_derivation_escalations_name_their_system(monkeypatch, caplog, solve, label):
-    _fail_every_prime(monkeypatch, caplog)
-    solve()
-    messages = [r.getMessage() for r in caplog.records]
-    assert len(messages) == 6 and all(m.startswith(f"nullspace {label}: ") for m in messages)
-    assert "falling back" in messages[-1]
+    want = solve()
+    failure = _fail_below_two_primes(monkeypatch, caplog)
+    assert solve() == want
+    assert [r.getMessage() for r in caplog.records] == [f"nullspace {label}: {failure}"]
 
 
 def test_excess_bookkeeping():
@@ -432,6 +434,21 @@ def test_scaled_level_bases_pinned(case):
     res = tanaka_prolong(budget=BIG, store_bases=True, **kwargs())
     assert (res.g0_dim, res.component_dims) in ((11, (8, 4)), (9, (14, 20, 30)))
     assert hashlib.sha256(repr(res.bases).encode()).hexdigest() == digest
+
+
+def test_large_entry_bases_pinned():
+    # The canonical bases of this algebra have entries beyond 46 bits, so no
+    # three-prime image reconstructs them; the digests were computed when
+    # integer Gauss-Jordan solved these systems. Both are certified now by
+    # a longer CRT image.
+    alg = random_two_step(8, 2, random.Random(3))
+    g0 = graded_derivations(alg)
+    assert g0.method == "modp-crt"
+    assert hashlib.sha256(repr(g0.basis).encode()).hexdigest() == (
+        "dbff1216a561c3fd060ef025c89eea88f878a2d8296ee56a64126e2ad6b2bf49")
+    res = tanaka_prolong(alg, max_degree=1, budget=BIG, store_bases=True)
+    assert hashlib.sha256(repr(res.bases).encode()).hexdigest() == (
+        "59c6ebe7946a6f4c959502141eb702bf5331978c5f506d974df95f238d5becda")
 
 
 def _same_floats(exact, floats):
