@@ -4,15 +4,20 @@ Rank decisions downstream (derivation dimensions, prolongation components)
 must be exact, so every returned basis is certified over Q. Every system
 takes the same path:
 
-1. Rows arrive sparse, as {column: value} mappings of ints or Fractions
-   with columns in [0, ncols). Each is scaled once, over its nonzeros
-   only, to a primitive integer row (an integral row, as the prolongation
-   assembler builds them, is only divided by its content). Zero rows and
-   rows equal up to sign are dropped, since neither changes the nullspace.
+1. Rows arrive sparse, as {column: value} mappings of ints or Fractions.
+   One intake pass per row sorts its items once; a row of nonzero ints
+   (as the prolongation assembler builds them) takes one gcd, gets its
+   sign fixed by its leading entry and is divided only when its content
+   is not 1, and any other row is scaled to a primitive integer row over
+   its nonzeros. Zero rows and rows equal up to sign are dropped, since
+   neither changes the nullspace, and the columns of the whole system are
+   checked once to be ints in [0, ncols). The distinct rows are fed to
+   step 2 shortest first: the RREF mod p does not depend on row order.
 2. The integer rows are row-reduced modulo a 31-bit prime by a streaming
    sparse Gauss-Jordan (`_rref_modp`: dict rows, no dense matrix, no
-   numpy), the candidate basis is lifted to Q by rational reconstruction,
-   and every lifted vector is re-checked against the integer rows with one
+   numpy), the candidate basis is lifted to Q by rational reconstruction
+   straight into integer vectors (a denominator D and the sparse integers
+   D v), and every one is re-checked against the integer rows with one
    exact sparse product in Python ints. Since nullity over Q never exceeds
    nullity mod p, nullity_p verified independent vectors certify the
    dimension.
@@ -31,7 +36,9 @@ takes the same path:
    raises: it never returns an uncertified basis.
 
 The basis returned is the canonical reduced-echelon nullspace basis (one
-vector per free column, entry 1 there), so results are deterministic.
+vector per free column, entry 1 there), so results are deterministic. It
+is kept as the verified integer vectors; the dense Fraction tuples are
+built only when `NullspaceResult.basis` is read.
 `det_exact` and `inverse_exact` run on the integer kernel `_int_rref`,
 which no nullspace uses.
 """
@@ -61,14 +68,34 @@ __all__ = [
 
 _log = logging.getLogger("htype.linalg")
 
-SparseInts = list[tuple[int, int]]  # (column, value), columns ascending
+SparseInts = Sequence[tuple[int, int]]  # (column, value), columns ascending
+_INT = frozenset({int})
 
 
 @dataclass(frozen=True)
 class NullspaceResult:
-    dimension: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    # one (D, D v) per canonical basis vector v, free columns ascending: D is
+    # the lcm of v's denominators, so D v is a primitive integer vector that
+    # holds D at v's free column; these are the integers verified exactly
+    vectors: tuple[tuple[int, SparseInts], ...]
+    ncols: int
     method: str  # "modp" (the first prime) | "modp-crt" (more primes)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.vectors)
+
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The canonical basis as dense Fraction tuples, built on each read."""
+        zero = Fraction(0)
+        out = []
+        for d, vec in self.vectors:
+            dense = [zero] * self.ncols
+            for c, x in vec:
+                dense[c] = Fraction(x, d)
+            out.append(tuple(dense))
+        return tuple(out)
 
 
 DEFAULT_BUDGET = 200_000
@@ -123,16 +150,6 @@ def integerize_row(row: Sequence[Fraction]) -> list[int]:
     for c, v in _integerize(enumerate(row)):
         out[c] = v
     return out
-
-
-def _distinct(rows: list[SparseInts]) -> list[SparseInts]:
-    """Drop rows equal to an earlier one up to sign, keeping first order."""
-    keyed = {}
-    for row in rows:
-        if row[0][1] < 0:
-            row = [(c, -v) for c, v in row]
-        keyed.setdefault(tuple(row), row)
-    return list(keyed.values())
 
 
 def _int_rref(rows: list[list[int]],
@@ -313,19 +330,28 @@ def _primes() -> Iterator[int]:
 
 
 def _reconstruct(image: list[dict[int, int]], modulus: int, pivots: list[int],
-                 ncols: int) -> list[dict[int, Fraction]] | None:
-    """Sparse candidate basis over Q from the RREF mod `modulus`: candidate f
-    has 1 at free column f and -rref[r][f] at each pivot pivots[r]."""
+                 ncols: int) -> list[tuple[int, SparseInts]] | None:
+    """Candidate basis over Q from the RREF mod `modulus`, as the integer
+    vectors (D, D v) of `NullspaceResult.vectors`: candidate v has 1 at free
+    column f and -rref[r][f] at each pivot pivots[r]."""
     pivot_set = set(pivots)
-    candidates = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivot_set}
+    entries: dict[int, list[tuple[int, Fraction]]] = {
+        f: [] for f in range(ncols) if f not in pivot_set}
     for row, pc in zip(image, pivots):
         for f, a in row.items():
             if f != pc:
                 val = _rat_reconstruct(-a, modulus)
                 if val is None:
                     return None
-                candidates[f][pc] = val
-    return list(candidates.values())
+                entries[f].append((pc, val))
+    vectors = []
+    for f, vals in entries.items():
+        d = math.lcm(*(x.denominator for _, x in vals))
+        vec = [(c, x.numerator * (d // x.denominator)) for c, x in vals]
+        vec.append((f, d))
+        vec.sort()
+        vectors.append((d, tuple(vec)))
+    return vectors
 
 
 def _nullspace_modp(rows: list[SparseInts], ncols: int,
@@ -356,22 +382,13 @@ def _nullspace_modp(rows: list[SparseInts], ncols: int,
         else:
             _log.info("nullspace %s: prime %d has worse pivots; skipped", context, p)
             continue
-        candidates = _reconstruct(image, modulus, pivots, ncols)
-        if candidates is None:
+        vectors = _reconstruct(image, modulus, pivots, ncols)
+        if vectors is None:
             _log.info("nullspace %s: rational reconstruction failed at prime %d", context, p)
-        elif candidates and not _annihilates(
-                rows, [_integerize(sorted(vec.items())) for vec in candidates]):
+        elif vectors and not _annihilates(rows, [vec for _, vec in vectors]):
             _log.info("nullspace %s: lift at prime %d fails exact verification", context, p)
         else:
-            zero = Fraction(0)
-            basis = []
-            for vec in candidates:
-                dense = [zero] * ncols
-                for c, x in vec.items():
-                    dense[c] = x
-                basis.append(tuple(dense))
-            return NullspaceResult(len(basis), tuple(basis),
-                                   "modp" if count == 1 else "modp-crt")
+            return NullspaceResult(tuple(vectors), ncols, "modp" if count == 1 else "modp-crt")
     raise RuntimeError(f"nullspace {context}: no certified basis after {limit} primes")
 
 
@@ -379,16 +396,32 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], ncols: int,
               context: str = "") -> NullspaceResult:
     """Certified exact nullspace of the system rows . v = 0.
 
-    Rows are sparse mappings {column: value}, with columns in [0, ncols)
-    and values ints or Fractions; zero rows are dropped. The context names
-    the system in the escalation log.
+    Rows are sparse mappings {column: value}, with int columns in
+    [0, ncols) and values ints or Fractions; zero rows are dropped. The
+    context names the system in the escalation log.
     """
-    int_rows = []
+    distinct: dict[SparseInts, None] = {}  # the rows, deduplicated in first order
+    cols: set = set()
     for row in rows:
+        cols.update(row)
+        vals = row.values()
         items = sorted(row.items())
-        if items and not (0 <= items[0][0] and items[-1][0] < ncols):
-            raise ValueError(f"nullspace {context}: row columns {items[0][0]}..{items[-1][0]} "
+        if set(map(type, vals)) == _INT and 0 not in vals:
+            g = math.gcd(*vals)
+        else:
+            items, g = _integerize(items), 1
+        if not items:
+            continue
+        if items[0][1] < 0:
+            g = -g
+        if g != 1:
+            items = [(c, v // g) for c, v in items]
+        distinct[tuple(items)] = None
+    if cols:
+        if bad := [c for c in cols if type(c) is not int]:
+            raise TypeError(f"nullspace {context}: row columns must be ints, "
+                            f"not {type(bad[0]).__name__}")
+        if min(cols) < 0 or max(cols) >= ncols:
+            raise ValueError(f"nullspace {context}: row columns {min(cols)}..{max(cols)} "
                              f"outside [0, {ncols})")
-        if ints := _integerize(items):
-            int_rows.append(ints)
-    return _nullspace_modp(_distinct(int_rows), ncols, context)
+    return _nullspace_modp(sorted(distinct, key=len), ncols, context)

@@ -19,8 +19,12 @@ evaluation tensors of its basis once, as integers D_j T_j with one common
 denominator D_j (the structure tensor at j = -1, the canonical basis of
 g_j above it), and the assembler visits only their nonzeros; every row is
 a positive integer multiple of the rational row, so `nullspace` receives
-integral rows. Stored bases are the canonical Fraction vectors; arithmetic
-"float64" runs the same certified solve and reports them as floats.
+integral rows. The levels that a nullspace solves are read off its
+verified integer vectors, with D_j the lcm of their denominators; only
+level -1 and a supplied g0 are scaled from rational entries (`_level`).
+Fraction vectors are built only where a caller reads them: stored bases
+(the canonical vectors) and the derivation spaces. Arithmetic "float64"
+runs the same certified solve and reports the stored bases as floats.
 """
 
 from __future__ import annotations
@@ -167,7 +171,8 @@ def _level(v_mats: list, z_mats: list) -> tuple[list, list, int]:
     """One level's evaluation tensors on v and on z as the assembler reads
     them, and their common scale: the integer matrices D*M and D, the lcm
     of every entry's denominator (ints and Fractions alike) over both
-    tensors.
+    tensors. Only the levels that no nullspace produced come through here:
+    level -1 and a supplied g0.
     """
     mats = v_mats + z_mats
     d = math.lcm(*(x.denominator for mat in mats for row in mat for x in row))
@@ -355,19 +360,31 @@ def tanaka_prolong(alg: GradedNilpotent,
         label = f"degree-{K} prolongation system" if K else "degree-0 derivation system"
         check_budget(n_rows, ncols, budget, label)
         rows = _prolong_rows(K, level_dims, ev_v, ev_z, scale)
-        vecs = nullspace(rows, ncols, context=label).basis
-        if K and not vecs:  # a zero g0 does not end the loop
+        res = nullspace(rows, ncols, context=label)
+        if K and not res.vectors:  # a zero g0 does not end the loop
             completed = True
             break
-        level_dims[K] = len(vecs)
-        # the new basis vectors are the evaluation tensors of level K
-        ps = [[[vec[a * n + i] for i in range(n)] for a in range(d_prev)] for vec in vecs]
-        qs = [[[vec[p_cols + b * m + l] for l in range(m)] for b in range(d_prev2)]
-              for vec in vecs]
-        ev_v[K], ev_z[K], scale[K] = _level(ps, qs)
+        level_dims[K] = res.dimension
+        # the new basis vectors are the evaluation tensors of level K: D_K T_K
+        # is read off the verified integer vectors (d, d v), D_K the lcm of
+        # their d, so no Fraction is built on the way
+        d = math.lcm(*(dk for dk, _ in res.vectors))
+        dense = [[0] * ncols for _ in res.vectors]
+        for row, (dk, vec) in zip(dense, res.vectors):
+            for c, x in vec:
+                row[c] = x * (d // dk)
+        ev_v[K] = [[row[a * n:a * n + n] for a in range(d_prev)] for row in dense]
+        ev_z[K] = [[row[p_cols + b * m:p_cols + b * m + m] for b in range(d_prev2)]
+                   for row in dense]
+        scale[K] = d
         if K:
-            component_dims.append(len(vecs))
+            component_dims.append(res.dimension)
             if store_bases:
+                vecs = res.basis
+                ps = [[[vec[a * n + i] for i in range(n)] for a in range(d_prev)]
+                      for vec in vecs]
+                qs = [[[vec[p_cols + b * m + l] for l in range(m)] for b in range(d_prev2)]
+                      for vec in vecs]
                 all_bases.append((tuple(map(tuple, ps)), tuple(map(tuple, qs))))
     if store_bases and arithmetic == "float64":
         all_bases = _as_float(all_bases)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htype import linalg, symmetry
+from htype import clifford, linalg, symmetry
 from htype.division import DivisionAlgebra
 from htype.errors import BudgetExceeded
 from htype.linalg import (
@@ -369,6 +369,12 @@ def test_malformed_rows_are_refused():
         nullspace([{0: 0.5}], 2)
     with pytest.raises(TypeError, match="ints or Fractions, not str"):
         nullspace([{0: Fraction(1, 2), 1: "1"}], 2)
+    # a column is an index: a float one is refused, neither taken for a
+    # free column nor sent on to the elimination
+    with pytest.raises(TypeError, match="columns must be ints, not float"):
+        nullspace([{0.5: 1}], 2)
+    with pytest.raises(TypeError, match="columns must be ints, not float"):
+        nullspace([{0.5: 1, 1: 1}], 2)
 
 
 def test_python_int_verifier_rejects_what_int64_would_accept():
@@ -512,6 +518,66 @@ def test_modp_path_matches_fraction_path(system):
         res = nullspace(rows, ncols)
     assert res.basis == ref and res.dimension == len(ref)
     assert res.method.startswith("modp")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems())
+def test_integer_vectors_are_the_basis(system):
+    # each vector is (D, D v) for the canonical v: D the lcm of v's
+    # denominators, held at v's free column, and basis is its Fraction form
+    rows, ncols = system
+    res = nullspace(rows, ncols)
+    basis = res.basis
+    assert basis == _reference_basis(rows, ncols)
+    assert res.dimension == len(res.vectors) and res.ncols == ncols
+    dense = []
+    for k, ((d, vec), v) in enumerate(zip(res.vectors, basis)):
+        assert [c for c, _ in vec] == sorted(c for c, x in enumerate(v) if x)
+        assert all(type(x) is int for _, x in vec)
+        assert d == math.lcm(*(x.denominator for x in v))
+        # the free column: 1 here, 0 in every other canonical vector
+        free = next(c for c, x in enumerate(v) if x == 1 and all(
+            b[c] == 0 for i, b in enumerate(basis) if i != k))
+        assert dict(vec)[free] == d
+        row = [Fraction(0)] * ncols
+        for c, x in vec:
+            row[c] = Fraction(x, d)
+        dense.append(tuple(row))
+    assert tuple(dense) == basis
+
+
+def test_mixed_rows_give_the_reference_basis():
+    # int and Fraction values in one system, explicit zeros as the Clifford
+    # commutant emits them, negative leading entries, duplicates up to sign
+    # and up to content: one intake, the reference basis
+    rows = [
+        {0: 2, 1: -4, 3: 6},
+        {3: 3, 0: 1, 1: -2},
+        {0: -1, 1: 2, 3: -3},
+        {0: Fraction(-1, 2), 1: 1, 3: Fraction(-3, 2)},
+        {1: -3, 2: 0, 4: 5},
+        {1: 0, 2: 1, 4: Fraction(2, 3)},
+        {4: 0, 1: 0},
+        {2: -7, 4: 7, 0: 0},
+    ]
+    ref = _reference_basis(rows, 6)
+    res = nullspace(rows, 6)
+    assert res.basis == ref and res.dimension == 2
+    # the same system with every row negated or reordered
+    assert nullspace([{c: -v for c, v in row.items()} for row in rows], 6) == res
+    assert nullspace([dict(reversed(row.items())) for row in reversed(rows)], 6) == res
+
+
+def test_callers_bind_the_one_solver():
+    # the benchmark tracer replaces `nullspace` in the modules that call it,
+    # by name: a second solver bound there would escape the trace
+    assert symmetry.nullspace is linalg.nullspace
+    assert clifford.nullspace is linalg.nullspace
+    public = {linalg.nullspace, linalg.check_budget, linalg.default_budget}
+    for mod in (symmetry, clifford):
+        bound = {v for v in vars(mod).values()
+                 if callable(v) and getattr(v, "__module__", None) == linalg.__name__}
+        assert bound <= public, mod.__name__
 
 
 def _leibniz(mat):

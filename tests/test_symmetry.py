@@ -451,6 +451,44 @@ def test_large_entry_bases_pinned():
         "59c6ebe7946a6f4c959502141eb702bf5331978c5f506d974df95f238d5becda")
 
 
+# sha256 of repr() of the largest outputs that the prolongation levels and the
+# derivation spaces are rebuilt from, computed before the levels were read off
+# the solver's integer vectors.
+PINNED_LARGE_OUTPUTS = {
+    "prolong h1(O)": (
+        lambda: tanaka_prolong(build_hn(DA.O, 1), max_degree=3, budget=BIG,
+                               store_bases=True).bases,
+        "44251def2fa5052689be78e66fd9e431ecc61e3836122683a785948f828976fd"),
+    "graded h1(O)": (
+        lambda: graded_derivations(build_hn(DA.O, 1)).basis,
+        "ef725cfa39ea0e11295c868e8ba7736e31be19735b750a8d61443ac09aeed9d9"),
+    "full h'1,0(O)": (
+        lambda: full_derivations(build_hprime(DA.O, 1, 0)).basis,
+        "93c6a5f0d06cb6b83cc92bcf8d7aefe7fa5eeb761e6f6510955eacb360c63f11"),
+    "graded h2(H)": (
+        lambda: graded_derivations(build_hn(DA.H, 2)).basis,
+        "178e97f521a02c904e4cfa42845a60f9bbd50edb638bfaf26f3ce5ab16d52c6e"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_LARGE_OUTPUTS))
+def test_large_outputs_pinned(case):
+    compute, digest = PINNED_LARGE_OUTPUTS[case]
+    assert hashlib.sha256(repr(compute()).encode()).hexdigest() == digest
+
+
+def test_prolongation_reads_no_fraction_basis(monkeypatch):
+    # without store_bases every level is read off NullspaceResult.vectors
+    def refuse(self):
+        raise AssertionError("NullspaceResult.basis read")
+
+    monkeypatch.setattr(linalg.NullspaceResult, "basis", property(refuse))
+    res = tanaka_prolong(build_hprime(DA.O, 1, 0), max_degree=3, budget=BIG)
+    assert (res.g0_dim, res.component_dims, res.total_dim) == (22, (8, 7), 52)
+    with pytest.raises(AssertionError, match="basis read"):
+        tanaka_prolong(build_hprime(DA.O, 1, 0), max_degree=1, budget=BIG, store_bases=True)
+
+
 def _same_floats(exact, floats):
     if isinstance(exact, (tuple, list)):
         assert type(floats) is type(exact) and len(floats) == len(exact)
