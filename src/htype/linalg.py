@@ -15,12 +15,14 @@ takes the same path:
    step 2 shortest first: the RREF mod p does not depend on row order.
 2. The integer rows are row-reduced modulo a 31-bit prime by a streaming
    sparse Gauss-Jordan (`_rref_modp`: dict rows, no dense matrix, no
-   numpy), the candidate basis is lifted to Q by rational reconstruction
-   straight into integer vectors (a denominator D and the sparse integers
-   D v), and every one is re-checked against the integer rows with one
-   exact sparse product in Python ints. Since nullity over Q never exceeds
-   nullity mod p, nullity_p verified independent vectors certify the
-   dimension.
+   numpy). Each row is taken as given and reduced mod p once, after the
+   pivot rows have cleared it, and a column index sends each new pivot
+   only to the pivot rows that hold its column. The candidate basis is
+   lifted to Q by rational reconstruction straight into integer vectors
+   (a denominator D and the sparse integers D v), and every one is
+   re-checked against the integer rows with one exact sparse product in
+   Python ints. Since nullity over Q never exceeds nullity mod p,
+   nullity_p verified independent vectors certify the dimension.
 3. A failed prime escalates to the next 31-bit prime, largest first
    (`_primes`). Over F_p the pivots are the greedy column basis, so an
    unlucky prime has lower rank or, at equal rank, lexicographically later
@@ -231,38 +233,51 @@ def _rref_modp(rows: Iterable[SparseInts], p: int,
     """Reduced row echelon form mod p of sparse integer rows, one row at a time.
 
     The pivot rows found so far are kept fully reduced: 1 at their own
-    pivot column, 0 at every other. So an incoming row is reduced by one
-    pass over the pivot columns it holds, taken mod p once at the end; what
-    is left is normalized at its leftmost nonzero, and the earlier pivot
-    rows with a nonzero in that new pivot column are reduced by it. Over
-    F_p the RREF is unique, so the order of the rows does not matter.
-    Once all ncols columns hold a pivot the RREF is the identity, and the
-    remaining rows are not read: rank mod p <= rank over Q, so nullity 0
-    mod p certifies nullity 0. Returns the pivot rows as {column: residue}
-    dicts, nonzeros only, sorted by pivot, and the pivots.
+    pivot column, 0 at every other. An incoming row is taken as given, its
+    entries not yet reduced, and cleared by one pass over the pivot columns
+    it holds, each with the row's own entry as factor (no pivot row touches
+    another pivot column); only then is every entry taken mod p, once, so
+    an entry or a factor that is 0 mod p only adds multiples of p. What is
+    left is normalized at its leftmost nonzero. A column index maps each
+    column to the pivots whose rows hold a nonzero there, so the new pivot
+    updates just those rows; every entry an update creates or cancels
+    enters or leaves the index. Over F_p the RREF is unique, so the order
+    of the rows does not matter. Once all ncols columns hold a pivot the
+    RREF is the identity, and the remaining rows are not read: rank mod p
+    <= rank over Q, so nullity 0 mod p certifies nullity 0. Returns the
+    pivot rows as {column: residue} dicts, nonzeros only, sorted by pivot,
+    and the pivots.
     """
     pivot_rows: dict[int, dict[int, int]] = {}  # pivot -> entries off the pivot
+    holders: dict[int, set[int]] = {}  # column -> pivots whose rows hold it
     for row in rows:
-        vec = {c: y for c, v in row if (y := v % p)}
-        for c in [c for c in vec if c in pivot_rows]:
-            f = vec.pop(c)
-            for j, x in pivot_rows[c].items():
-                vec[j] = vec.get(j, 0) - f * x
+        vec = dict(row)
+        for c, f in row:
+            if c in pivot_rows:
+                del vec[c]
+                for j, x in pivot_rows[c].items():
+                    vec[j] = vec.get(j, 0) - f * x
         vec = {j: y for j, x in vec.items() if (y := x % p)}
         if not vec:
             continue
         pc = min(vec)
         inv = pow(vec.pop(pc), -1, p)
         vec = {j: x * inv % p for j, x in vec.items()}
-        for prow in pivot_rows.values():
-            f = prow.pop(pc, 0)
-            if f:
-                for j, x in vec.items():
-                    y = (prow.get(j, 0) - f * x) % p
-                    if y:
-                        prow[j] = y
-                    else:
-                        del prow[j]
+        for j in vec:
+            holders.setdefault(j, set()).add(pc)
+        for r in holders.pop(pc, ()):
+            prow = pivot_rows[r]
+            f = prow.pop(pc)
+            for j, x in vec.items():
+                y = prow.get(j)
+                if y is None:
+                    prow[j] = -f * x % p
+                    holders[j].add(r)
+                elif y := (y - f * x) % p:
+                    prow[j] = y
+                else:
+                    del prow[j]
+                    holders[j].remove(r)
         pivot_rows[pc] = vec
         if len(pivot_rows) == ncols:
             break

@@ -1,6 +1,7 @@
 """Certified rational nullspaces: the prime ladder must agree with a textbook
 Fraction reference."""
 
+import hashlib
 import itertools
 import logging
 import math
@@ -461,6 +462,73 @@ def test_sparse_rref_modp_matches_dense_gauss_jordan(system):
     assert pivots == ref_pivots
     assert [[row.get(c, 0) for c in range(ncols)] for row in rref] == ref
     assert all(0 < x < p for row in rref for x in row.values())
+
+
+@st.composite
+def _sparse_modp_systems(draw):
+    """Sparse rows of 2-5 entries in 10-30 columns, enough rows that later
+    pivots land on columns where back-reduction already filled in or
+    cancelled entries of earlier pivot rows."""
+    p = draw(st.sampled_from([5, 7, _LADDER[0]]))
+    ncols = draw(st.integers(10, 30))
+    entry = st.one_of(st.integers(1, 3), st.integers(-3, -1),
+                      st.sampled_from([p, -2 * p, p - 1, p + 2, 3 * p - 1, -p - 1]))
+    rows = []
+    for _ in range(draw(st.integers(10, 40))):
+        cols = draw(st.sets(st.integers(0, ncols - 1), min_size=2, max_size=5))
+        rows.append([(c, draw(entry)) for c in sorted(cols)])
+    return rows, ncols, p, draw(st.permutations(range(len(rows))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_modp_systems())
+def test_sparse_rref_modp_matches_dense_gauss_jordan_at_scale(system):
+    rows, ncols, p, order = system
+    ref, ref_pivots = _dense_rref_modp(rows, ncols, p)
+    rref, pivots = linalg._rref_modp(rows, p, ncols)
+    assert pivots == ref_pivots
+    assert [[row.get(c, 0) for c in range(ncols)] for row in rref] == ref
+    assert linalg._rref_modp([rows[k] for k in order], p, ncols) == (rref, pivots)
+
+
+@pytest.mark.parametrize("rows", [
+    # row 1's pivot cancels row 0's entry in column 2, then row 2's pivot
+    # lands on column 2: row 0 must no longer be listed as holding it
+    [[(0, 1), (1, 1), (2, 1)], [(1, 1), (2, 1)], [(2, 1), (3, 1)]],
+    # row 1's pivot fills in column 2 of row 0, then row 2's pivot lands
+    # on column 2: row 0 must now be listed as holding it
+    [[(0, 1), (1, 1)], [(1, 1), (2, 1)], [(2, 1), (3, 1)]],
+    # pivots 1, 2 and 3 fill in, cancel and fill in again column 5 of row 0
+    # before the last pivot lands on it; that row holds multiples of p at
+    # pivot columns and an entry >= p
+    [[(0, 1), (1, 1), (2, 1), (3, 1)], [(1, 1), (5, 1)], [(2, 1), (5, -1)],
+     [(3, 1), (5, 2)], [(1, 14), (2, 7), (5, 15)]],
+    # one pivot row that is updated by every later pivot
+    [[(c, 1) for c in range(6)], *([(c, 2), (c + 1, 5)] for c in range(1, 5))],
+])
+def test_rref_modp_column_index_follows_fill_in_and_cancellation(rows):
+    p = 7
+    ref, ref_pivots = _dense_rref_modp(rows, 6, p)
+    rref, pivots = linalg._rref_modp(rows, p, 6)
+    assert pivots == ref_pivots
+    assert [[row.get(c, 0) for c in range(6)] for row in rref] == ref
+
+
+# sha256 of repr((rows, pivots)) for the RREF modulo the largest 31-bit prime
+# of the h1(O) degree-1 prolongation system (rows as sorted items), computed
+# before the back-reduction kept a column index
+H1O_DEGREE1_RREF = "dd11bb5c7c5e11d2052f95a9ac4e54c38be5a97b5aa9733a5adc51d68b713b17"
+
+
+def test_rref_modp_pinned_on_h1o_degree_1_system():
+    with mock.patch.object(linalg, "_rref_modp", wraps=linalg._rref_modp) as spy:
+        symmetry.tanaka_prolong(build_hn(DivisionAlgebra.O, 1), max_degree=1, budget=10**8)
+    rows, p, ncols = spy.call_args.args
+    assert (len(rows), ncols, p) == (2496, 608, _LADDER[0])
+    rref, pivots = linalg._rref_modp(rows, p, ncols)
+    assert len(pivots) == 592 and sum(map(len, rref)) == 1184
+    canonical = repr(([sorted(row.items()) for row in rref], pivots))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == H1O_DEGREE1_RREF
 
 
 def test_rref_modp_stops_at_full_column_rank():
