@@ -41,8 +41,10 @@ The basis returned is the canonical reduced-echelon nullspace basis (one
 vector per free column, entry 1 there), so results are deterministic. It
 is kept as the verified integer vectors; the dense Fraction tuples are
 built only when `NullspaceResult.basis` is read.
-`det_exact` and `inverse_exact` run on the integer kernel `_int_rref`,
-which no nullspace uses.
+`det_exact` runs on the same kernel: the rows of D*M are fed in their
+given order, det(D*M) mod p is the signed product of the entries
+normalized at the pivots, and the residues are folded by CRT until the
+modulus passes twice the Hadamard bound.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ __all__ = [
     "check_budget",
     "integerize_row",
     "det_exact",
-    "inverse_exact",
 ]
 
 _log = logging.getLogger("htype.linalg")
@@ -154,82 +155,9 @@ def integerize_row(row: Sequence[Fraction]) -> list[int]:
     return out
 
 
-def _int_rref(rows: list[list[int]],
-              ncols: int) -> tuple[list[list[int]], list[int], list[tuple[int, int]]]:
-    """Fraction-free Gauss-Jordan on Python-int rows (Bareiss 1968, row-primitive).
-
-    The pivot p of column c is the first nonzero entry at or below the next
-    pivot row. Every other row with f = row[c] != 0 becomes
-    (p*row - f*pivot_row) / g, g the content of the result, so touched rows
-    stay primitive; rows with a zero in column c are left alone. Row k of
-    the result is a multiple of the canonical reduced row, whose entries are
-    rows[k][j] / rows[k][pivots[k]]. factors logs (-1, 1) per swap and (g, p)
-    per row update, so a square nonsingular input has determinant
-    prod(rows[k][k]) * prod(g) / prod(p). Only the log is kept, since
-    multiplying it out is costly when entries are large and only
-    `det_exact` needs it.
-    """
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    factors: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            mat[r], mat[pr] = mat[pr], mat[r]
-            factors.append((-1, 1))
-        prow = mat[r]
-        p = prow[c]
-        for i, row in enumerate(mat):
-            f = row[c]
-            if f and i != r:
-                new = [p * a - f * b for a, b in zip(row, prow)]
-                g = math.gcd(*new) or 1
-                if g != 1:
-                    new = [a // g for a in new]
-                mat[i] = new
-                factors.append((g, p))
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots, factors
-
-
-def _common_denominator(mat: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Integer matrix D*M and D, the lcm of the entries' denominators."""
-    fracs = [[Fraction(x) for x in row] for row in mat]
-    d = math.lcm(*(x.denominator for row in fracs for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in fracs], d
-
-
-def det_exact(mat: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square rational matrix by integer elimination."""
-    n = len(mat)
-    ints, d = _common_denominator(mat)
-    rref, pivots, factors = _int_rref(ints, n)
-    if len(pivots) < n:
-        return Fraction(0)
-    num = math.prod(g for g, _ in factors) * math.prod(rref[k][k] for k in range(n))
-    return Fraction(num, math.prod(p for _, p in factors) * d**n)
-
-
-def inverse_exact(mat: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of an invertible rational matrix: Gauss-Jordan on [D*M | I]."""
-    n = len(mat)
-    ints, d = _common_denominator(mat)
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ints)]
-    rref, pivots, _ = _int_rref(aug, 2 * n)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    # (D*M)^{-1} row k is rref[k][n:] / rref[k][k], and M^{-1} = D (D*M)^{-1}
-    return [[Fraction(d * x, row[k]) for x in row[n:]] for k, row in enumerate(rref)]
-
-
-def _rref_modp(rows: Iterable[SparseInts], p: int,
-               ncols: int) -> tuple[list[dict[int, int]], list[int]]:
+def _rref_modp(rows: Iterable[SparseInts], p: int, ncols: int,
+               leads: list[tuple[int, int]] | None = None,
+               ) -> tuple[list[dict[int, int]], list[int]]:
     """Reduced row echelon form mod p of sparse integer rows, one row at a time.
 
     The pivot rows found so far are kept fully reduced: 1 at their own
@@ -246,7 +174,8 @@ def _rref_modp(rows: Iterable[SparseInts], p: int,
     RREF is the identity, and the remaining rows are not read: rank mod p
     <= rank over Q, so nullity 0 mod p certifies nullity 0. Returns the
     pivot rows as {column: residue} dicts, nonzeros only, sorted by pivot,
-    and the pivots.
+    and the pivots. If `leads` is given, each new pivot appends to it the
+    pair (pivot column, residue normalized there), for `det_exact`.
     """
     pivot_rows: dict[int, dict[int, int]] = {}  # pivot -> entries off the pivot
     holders: dict[int, set[int]] = {}  # column -> pivots whose rows hold it
@@ -261,7 +190,10 @@ def _rref_modp(rows: Iterable[SparseInts], p: int,
         if not vec:
             continue
         pc = min(vec)
-        inv = pow(vec.pop(pc), -1, p)
+        lead = vec.pop(pc)
+        if leads is not None:
+            leads.append((pc, lead))
+        inv = pow(lead, -1, p)
         vec = {j: x * inv % p for j, x in vec.items()}
         for j in vec:
             holders.setdefault(j, set()).add(pc)
@@ -440,3 +372,40 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], ncols: int,
             raise ValueError(f"nullspace {context}: row columns {min(cols)}..{max(cols)} "
                              f"outside [0, {ncols})")
     return _nullspace_modp(sorted(distinct, key=len), ncols, context)
+
+
+def det_exact(mat: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square rational matrix, on the kernel `_rref_modp`.
+
+    The rows of D*M (D the lcm of the denominators) are fed in their given
+    order. Every step of the elimination adds multiples of rows, except the
+    normalization of row k by its lead entry, and the full-rank RREF is the
+    permutation matrix of sigma (row k -> its pivot column), so
+    det(D*M) = sgn(sigma) * prod(lead_k) mod p; a row that clears to 0 gives
+    residue 0. The residues are folded by CRT over `_primes` until the
+    modulus passes 2H, H the Hadamard bound, and read in the symmetric range.
+    """
+    n = len(mat)
+    fracs = [[Fraction(x) for x in row] for row in mat]
+    d = math.lcm(*(x.denominator for row in fracs for x in row))
+    rows = [[(j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x]
+            for row in fracs]
+    # |det(D*M)| <= sqrt(prod of the squared row norms) < bound
+    bound = math.isqrt(math.prod(sum(v * v for _, v in row) for row in rows)) + 1
+    det, modulus = 0, 1
+    for p in _primes():
+        leads: list[tuple[int, int]] = []
+        _rref_modp(rows, p, n, leads)
+        residue = 0
+        if len(leads) == n:
+            cols = [c for c, _ in leads]
+            residue = (-1) ** sum(a > b for k, a in enumerate(cols) for b in cols[k + 1:])
+            for _, x in leads:
+                residue = residue * x % p
+        det += modulus * ((residue - det) * pow(modulus, -1, p) % p)
+        modulus *= p
+        if modulus > 2 * bound:
+            break
+    if det > modulus // 2:
+        det -= modulus
+    return Fraction(det, d**n)

@@ -25,7 +25,7 @@ from typing import Sequence
 from . import division as da
 from .division import DivisionAlgebra
 from .errors import CenterDimensionError, StructureError
-from .linalg import det_exact, integerize_row, inverse_exact
+from .linalg import det_exact, integerize_row
 
 __all__ = [
     "GradedNilpotent",
@@ -423,10 +423,6 @@ def _skew_form(alg: GradedNilpotent) -> list[dict[int, Fraction]]:
     return [{j: cij[0] for j, cij in enumerate(ci) if cij[0]} for ci in alg.structure]
 
 
-def _sparse_rows(mat: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
-    return [{j: x for j, x in enumerate(row) if x} for row in mat]
-
-
 def _sparse_matmul(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:
     """Product of two matrices given as sparse rows {column: value}."""
     out = []
@@ -439,9 +435,14 @@ def _sparse_matmul(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:
     return out
 
 
-def _darboux(S: list[dict[int, Fraction]]) -> list[list[Fraction]] | None:
-    """Columns of the returned P form a Darboux basis: P^T S P = standard
-    symplectic form [[0, I], [-I, 0]]. None if S is degenerate.
+def _darboux(S: list[dict[int, Fraction]]
+             ) -> tuple[list[dict[int, Fraction]], list[dict[int, Fraction]]] | None:
+    """A Darboux basis of S and its dual, or None if S is degenerate.
+
+    Returns (P, P^{-1}) as sparse rows {column: value}. The columns
+    u_1..u_m, v_1..v_m of P satisfy P^T S P = Omega = [[0, I], [-I, 0]],
+    so P^{-1} = Omega^T P^T S: its rows are -(v_k^T S) and then u_k^T S,
+    the covectors each step computes anyway. No inverse is taken.
 
     S is given as sparse rows, and the pool vectors are sparse
     {index: value} dicts, so every pairing visits only nonzeros. The pool
@@ -464,7 +465,7 @@ def _darboux(S: list[dict[int, Fraction]]) -> list[list[Fraction]] | None:
     def pair(c, w):
         return sum(c[j] * wj for j, wj in w.items() if j in c)
 
-    us, vs = [], []
+    us, vs, cus, cvs = [], [], [], []
     pool = [{i: Fraction(1)} for i in range(n)]
     while pool:
         u = pool.pop(0)
@@ -491,9 +492,13 @@ def _darboux(S: list[dict[int, Fraction]]) -> list[list[Fraction]] | None:
         pool = new_pool
         us.append(u)
         vs.append(v)
-    cols = us + vs
-    zero = Fraction(0)
-    return [[col.get(i, zero) for col in cols] for i in range(n)]  # columns -> matrix
+        cus.append(cu)
+        cvs.append(cv)
+    P: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for k, col in enumerate(us + vs):
+        for i, x in col.items():
+            P[i][k] = x
+    return P, [{j: -x for j, x in cv.items()} for cv in cvs] + cus
 
 
 def check_symplectic_isomorphic(a: GradedNilpotent, b: GradedNilpotent):
@@ -501,17 +506,19 @@ def check_symplectic_isomorphic(a: GradedNilpotent, b: GradedNilpotent):
 
     Returns (True, M) with exact M such that M^T S_b M = S_a (so
     (v, z) |-> (M^{-1} v, z) carries a to b), or (False, None).
+    M = Pb Pa^{-1} for the Darboux bases of `_darboux`, which gives Pa^{-1}
+    from its covectors, and M is checked against S_a and S_b exactly.
     """
     Sa, Sb = _skew_form(a), _skew_form(b)
     if a.dim_v != b.dim_v:
         return False, None
-    Pa, Pb = _darboux(Sa), _darboux(Sb)
-    if Pa is None or Pb is None:
+    darboux_a, darboux_b = _darboux(Sa), _darboux(Sb)
+    if darboux_a is None or darboux_b is None:
         return False, None
     # S_a = Pa^{-T} Omega Pa^{-1}; same for b. M = Pb Pa^{-1} gives
     # M^T S_b M = S_a.
     n = a.dim_v
-    M = _sparse_matmul(_sparse_rows(Pb), _sparse_rows(inverse_exact(Pa)))
+    M = _sparse_matmul(darboux_b[0], darboux_a[1])
     # exact transport check, on all n^2 entries
     Mt = [{} for _ in range(n)]
     for r, row in enumerate(M):
@@ -521,7 +528,7 @@ def check_symplectic_isomorphic(a: GradedNilpotent, b: GradedNilpotent):
     for i in range(n):
         for j in range(n):
             if transported[i].get(j, 0) != Sa[i].get(j, 0):
-                raise StructureError("witness transport failed")  # pragma: no cover
+                raise StructureError("witness transport failed")
     zero = Fraction(0)
     return True, tuple(tuple(row.get(j, zero) for j in range(n)) for row in M)
 

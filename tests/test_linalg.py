@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htype import clifford, linalg, symmetry
+from htype import clifford, linalg, nilpotent, symmetry
 from htype.division import DivisionAlgebra
 from htype.errors import BudgetExceeded
 from htype.linalg import (
@@ -23,7 +23,6 @@ from htype.linalg import (
     check_budget,
     det_exact,
     integerize_row,
-    inverse_exact,
     nullspace,
 )
 from htype.nilpotent import build_hn
@@ -572,20 +571,23 @@ def _systems(draw):
     return _sparse([rows[i] for i in order]), ncols
 
 
-def _no_integer_elimination(*args):
-    raise AssertionError("nullspace eliminated over Z")
-
-
 @settings(max_examples=150, deadline=None)
 @given(_systems())
 def test_modp_path_matches_fraction_path(system):
-    # the prime ladder is the only solver: integer elimination must not run
     rows, ncols = system
     ref = _reference_basis(rows, ncols)
-    with mock.patch.object(linalg, "_int_rref", _no_integer_elimination):
-        res = nullspace(rows, ncols)
+    res = nullspace(rows, ncols)
     assert res.basis == ref and res.dimension == len(ref)
     assert res.method.startswith("modp")
+
+
+def test_det_exact_runs_on_the_one_kernel():
+    def no_kernel(*args):
+        raise AssertionError("eliminated outside _rref_modp")
+
+    with mock.patch.object(linalg, "_rref_modp", no_kernel):
+        with pytest.raises(AssertionError, match="outside _rref_modp"):
+            det_exact([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
 
 
 @settings(max_examples=150, deadline=None)
@@ -638,14 +640,17 @@ def test_mixed_rows_give_the_reference_basis():
 
 def test_callers_bind_the_one_solver():
     # the benchmark tracer replaces `nullspace` in the modules that call it,
-    # by name: a second solver bound there would escape the trace
+    # by name: a second solver bound there would escape the trace, and
+    # `nilpotent` may bind no elimination routine beside `det_exact`
     assert symmetry.nullspace is linalg.nullspace
     assert clifford.nullspace is linalg.nullspace
     public = {linalg.nullspace, linalg.check_budget, linalg.default_budget}
-    for mod in (symmetry, clifford):
+    allowed = {symmetry: public, clifford: public,
+               nilpotent: {linalg.det_exact, linalg.integerize_row}}
+    for mod, names in allowed.items():
         bound = {v for v in vars(mod).values()
                  if callable(v) and getattr(v, "__module__", None) == linalg.__name__}
-        assert bound <= public, mod.__name__
+        assert bound <= names, mod.__name__
 
 
 def _leibniz(mat):
@@ -661,15 +666,54 @@ def _leibniz(mat):
 @given(st.integers(0, 5).flatmap(lambda n: st.lists(
     st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
              min_size=n, max_size=n), min_size=n, max_size=n)))
-def test_det_and_inverse_exact(mat):
-    det = det_exact(mat)
-    assert det == _leibniz(mat)
-    if det == 0:
-        with pytest.raises(ZeroDivisionError):
-            inverse_exact(mat)
-        return
-    inv = inverse_exact(mat)
-    n = len(mat)
-    product = [[sum(mat[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
-               for i in range(n)]
-    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+def test_det_exact(mat):
+    assert det_exact(mat) == _leibniz(mat)
+
+
+def _recorded_leads(monkeypatch):
+    """Wrap `_rref_modp` to record, per prime, the (pivot, lead) pairs."""
+    seen = []
+    kernel = linalg._rref_modp
+
+    def recording(rows, p, ncols, leads=None):
+        out = kernel(rows, p, ncols, leads)
+        seen.append((p, list(leads)))
+        return out
+
+    monkeypatch.setattr(linalg, "_rref_modp", recording)
+    return seen
+
+
+def test_det_exact_carries_a_zero_residue_at_the_first_prime(monkeypatch):
+    # 2^31 - 1 is the first prime, so the row clears to 0 there and the
+    # second prime alone fixes the determinant
+    seen = _recorded_leads(monkeypatch)
+    assert det_exact([[2**31 - 1]]) == 2**31 - 1
+    assert [p for p, _ in seen] == _LADDER[:2]
+    assert seen[0][1] == [] and seen[1][1] == [(0, 2**31 - 1 - _LADDER[1])]
+    assert det_exact([[Fraction(-(2**31 - 1), 7)]]) == Fraction(-(2**31 - 1), 7)
+
+
+def test_det_exact_reads_past_half_the_first_prime():
+    # |det| < 2^31 - 1, but one prime cannot tell -(2^30 + 5) from 2^30 - 6:
+    # the modulus must pass twice the Hadamard bound, not the bound
+    assert det_exact([[-(2**30 + 5)]]) == -(2**30 + 5)
+    assert det_exact([[0, 2**30 + 5], [1, 0]]) == -(2**30 + 5)
+
+
+def test_det_exact_folds_several_primes(monkeypatch):
+    # entries near 10^12: the Hadamard bound needs more than three primes
+    rng = random.Random(5)
+    mat = [[Fraction(rng.randint(-10**12, 10**12), rng.choice((1, 3, 7)))
+            for _ in range(4)] for _ in range(4)]
+    seen = _recorded_leads(monkeypatch)
+    assert det_exact(mat) == _leibniz(mat) != 0
+    assert len(seen) >= 3 and all(len(leads) == 4 for _, leads in seen)
+
+
+def test_det_exact_singular_at_every_prime(monkeypatch):
+    big = 10**15 + 37
+    mat = [[big, 2 * big, 3], [1, 2, 5], [big + 1, 2 * big + 2, 8]]
+    seen = _recorded_leads(monkeypatch)
+    assert det_exact(mat) == _leibniz(mat) == 0
+    assert len(seen) >= 3 and all(len(leads) < 3 for _, leads in seen)

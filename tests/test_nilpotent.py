@@ -225,6 +225,12 @@ def test_nonsingular_center_dim_one():
     assert is_nonsingular(dead).verdict is False
 
 
+def test_nonsingular_det_past_the_first_prime():
+    # det J = (2^31 - 1)^2 is 0 modulo the first prime of the ladder
+    res = is_nonsingular(make_custom("m31", 2, 1, [(0, 1, 0, 2**31 - 1)]))
+    assert (res.verdict, res.certificate) == (True, "det J = 4611686014132420609 != 0")
+
+
 def test_nonsingular_pencil_branch():
     # quaternionic pair with J_2 rescaled: not type H, still nonsingular
     entries_1 = [(0, 1, 0, 1), (2, 3, 0, 1)]
@@ -584,6 +590,19 @@ def test_witness_matches_textbook_reference(pair):
     a, b = pair
     got = check_symplectic_isomorphic(a, b)
     assert repr(got) == repr(_textbook_witness(a, b))
+
+
+def test_witness_transport_check_fires(monkeypatch):
+    # one dual row with its minus sign dropped: M is no longer Pb Pa^{-1}
+    darboux = nilpotent._darboux
+
+    def wrong_dual(S):
+        P, dual = darboux(S)
+        return P, [{j: -x for j, x in dual[0].items()}] + dual[1:]
+
+    monkeypatch.setattr(nilpotent, "_darboux", wrong_dual)
+    with pytest.raises(StructureError, match="witness transport failed"):
+        check_symplectic_isomorphic(build_hprime(DA.C, 1, 1), build_hn(DA.R, 2))
 
 
 def test_symplectic_witness_needs_line_center():
