@@ -5,10 +5,10 @@ model U = {t > |X|^2/4} onto the unit ball, pushes the contact planes of
 the boundary forward to the sphere, and decides whether those sphere
 planes extend across the puncture left by the point at infinity.
 
-One closed-form derivative of the Cayley map, taken along a stack of
-directions, serves the Newton steps of the inverse map, the sphere planes
-and the limiting planes.  The only finite difference, along the group
-translation curves, checks every direction the sphere planes push.
+One formula maps forward and one, closed-form on type-H data, inverts, each
+on one point or a stack.  One closed-form derivative of the map, along a
+stack of directions, serves the sphere planes and the limiting planes.  The
+only finite difference, along the translation curves, checks their pushes.
 
 Witness convention: a J^2 violation is recorded as a triple (X, Z, W)
 with X a unit horizontal vector and Z, W orthonormal central vectors,
@@ -63,12 +63,13 @@ __all__ = [
 IDENTITY_TOL = 1e-12
 ROUND_TRIP_TOL = 1e-8
 PLANE_TOL = 1e-6
-NEWTON_TOL = 1e-10
+INVERSE_TOL = 1e-10  # residual certificate of the closed-form inverse
 BALL_MARGIN = 1e-9
+SIEGEL_TOL = 1e-9  # height excess tolerated below the boundary, relative to |X|^2
 FD_STEP = 1e-4  # Richardson pair uses FD_STEP and FD_STEP / 2
 GN_STEP = 1e-7  # forward-difference step of the Gauss-Newton Jacobian
 GN_ITERATIONS = 50  # Gauss-Newton steps per restart of the witness search
-_BLOCK = 64  # X vectors per stacked J^2 evaluation: bounds memory, not results
+_BLOCK = 64  # X vectors or points per stacked evaluation: bounds memory, not results
 
 
 class _FloatModel:
@@ -119,10 +120,6 @@ class SiegelPoint:
     Z: np.ndarray
     t: float
 
-    @property
-    def height_excess(self) -> float:
-        return self.t - 0.25 * float(self.X @ self.X)
-
     def ambient(self) -> np.ndarray:
         return np.concatenate([self.X, self.Z, [self.t]])
 
@@ -166,25 +163,53 @@ def siegel_point(alg: GradedNilpotent, X, Z, t: float | None = None) -> SiegelPo
     return p
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, each bitwise the a @ b of one pair."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, each bitwise np.linalg.norm of one."""
+    return np.sqrt(_dots(v, v))
+
+
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x over stacks of A or x, each bitwise the A @ x of one pair."""
+    return np.matmul(A, x[..., None])[..., 0]
+
+
+def _cayley_parts(mod: _FloatModel, X, Z, t) -> tuple[np.ndarray, np.ndarray]:
+    """N and D of the Cayley map C = N / D at one point or a stack; np.float_power
+    is the C pow of a float's ** (an array's ** squares), so rows match points bitwise."""
+    t = np.asarray(t)
+    zz = _dots(Z, Z)
+    with np.errstate(over="raise"):  # an overflow raises, as a float's ** does
+        D = np.float_power(1.0 + t, 2) + zz
+    N = np.concatenate([(1.0 + t)[..., None] * X - _matvec(mod.jz(Z), X), 2.0 * Z,
+                        (t * t + zz - 1.0)[..., None]], axis=-1)
+    return N, D
+
+
 def _cayley_arrays(mod: _FloatModel, X, Z, t) -> np.ndarray:
-    zz = float(Z @ Z)
-    D = (1.0 + t) ** 2 + zz
-    head = (1.0 + t) * X - mod.jz(Z) @ X
-    return np.concatenate([head, 2.0 * Z, [t * t + zz - 1.0]]) / D
+    N, D = _cayley_parts(mod, X, Z, t)
+    return N / D[..., None]
 
 
-def cayley(alg: GradedNilpotent, p: SiegelPoint, tol: float = 1e-9) -> BallPoint:
-    """Ball model of p; requires p in the closure of the domain."""
-    mod = _model(alg)
-    if not np.isfinite(p.ambient()).all():
+def _check_siegel(X, Z, t, tol: float) -> None:
+    """DomainError unless each point (X, Z, t) is finite and in the closed domain."""
+    if not (np.isfinite(X).all() and np.isfinite(Z).all() and np.isfinite(t).all()):
         raise DomainError("Siegel point is not finite")
-    # Written so that a NaN height excess fails the test too.
-    if not p.height_excess >= -tol * max(1.0, float(p.X @ p.X)):
-        raise DomainError(
-            f"point with height excess {p.height_excess:.3e} lies outside "
-            "the closed Siegel domain"
-        )
-    return BallPoint(_cayley_arrays(mod, p.X, p.Z, p.t))
+    xx = _dots(X, X)
+    excess = t - 0.25 * xx
+    if (outside := excess < -tol * np.maximum(1.0, xx)).any():
+        raise DomainError(f"point with height excess {np.extract(outside, excess)[0]:.3e} "
+                          "lies outside the closed Siegel domain")
+
+
+def cayley(alg: GradedNilpotent, p: SiegelPoint, tol: float = SIEGEL_TOL) -> BallPoint:
+    """Ball model of p; requires p in the closure of the domain."""
+    _check_siegel(p.X, p.Z, p.t, tol)
+    return BallPoint(_cayley_arrays(_model(alg), p.X, p.Z, p.t))
 
 
 def _dcayley(mod: _FloatModel, X, Z, t, dirs: np.ndarray) -> np.ndarray:
@@ -192,16 +217,11 @@ def _dcayley(mod: _FloatModel, X, Z, t, dirs: np.ndarray) -> np.ndarray:
     dirs.  Every product is the one a single direction would take (Z . W as
     the dot product Z @ W, J_W X and J_Z Y as matrix-vector products), so
     each row is bit-identical to differentiating along it alone."""
-    n, m = mod.n, mod.m
-    Y, W, s = dirs[:, :n], dirs[:, n:n + m], dirs[:, -1]
-    zz = float(Z @ Z)
-    zw = np.matmul(W[:, None, :], Z[:, None])[:, 0, 0]
-    D = (1.0 + t) ** 2 + zz
-    JZ = mod.jz(Z)
-    N = np.concatenate([(1.0 + t) * X - JZ @ X, 2.0 * Z, [t * t + zz - 1.0]])
+    Y, W, s = dirs[:, :mod.n], dirs[:, mod.n:-1], dirs[:, -1]
+    N, D = _cayley_parts(mod, X, Z, t)
+    zw = _dots(W, Z)
     dD = 2.0 * (1.0 + t) * s + 2.0 * zw
-    head = (s[:, None] * X + (1.0 + t) * Y - np.matmul(mod.jz(W), X[:, None])[..., 0]
-            - np.matmul(JZ, Y[..., None])[..., 0])
+    head = s[:, None] * X + (1.0 + t) * Y - _matvec(mod.jz(W), X) - _matvec(mod.jz(Z), Y)
     dN = np.concatenate([head, 2.0 * W, (2.0 * t * s + 2.0 * zw)[:, None]], axis=1)
     return (dN - (dD / D)[:, None] * N) / D
 
@@ -210,27 +230,23 @@ def _contact_rows(mod: _FloatModel, X, Ys: np.ndarray) -> np.ndarray:
     """Rows (Y, [X,Y]/2, <X,Y>/2): each horizontal Y of the stack Ys carried
     to the boundary point over X by the group translation, t = |X|^2/4."""
     brackets = np.einsum("ijk,i,bj->bk", mod.c, X, Ys)
-    dots = np.matmul(Ys[:, None, :], X[:, None])[:, 0, 0]
-    return np.concatenate([Ys, 0.5 * brackets, 0.5 * dots[:, None]], axis=1)
+    return np.concatenate([Ys, 0.5 * brackets, 0.5 * _dots(Ys, X)[:, None]], axis=1)
 
 
 def _fd_push(mod: _FloatModel, X, Z, rows: np.ndarray) -> np.ndarray:
-    """Boundary Cayley map differentiated along the curves
-    h -> (X + hY, Z + hW, |X + hY|^2/4) of the rows (Y, W, .), by central
-    differences at FD_STEP and FD_STEP / 2 with Richardson extrapolation."""
-    n, m = mod.n, mod.m
-    out = []
-    for Y, W in zip(rows[:, :n], rows[:, n:n + m]):
+    """Boundary Cayley map differentiated along the curves h -> (X + hY, Z + hW,
+    |X + hY|^2/4) of the rows (Y, W, .), all at once, by central differences
+    at FD_STEP and FD_STEP / 2 with Richardson extrapolation."""
+    Y, W = rows[:, :mod.n], rows[:, mod.n:-1]
 
-        def curve(h):
-            Xh = X + h * Y
-            return _cayley_arrays(mod, Xh, Z + h * W, 0.25 * float(Xh @ Xh))
+    def curve(h):
+        Xh = X + h * Y
+        return _cayley_arrays(mod, Xh, Z + h * W, 0.25 * _dots(Xh, Xh))
 
-        h = FD_STEP
-        a1 = (curve(h) - curve(-h)) / (2.0 * h)
-        a2 = (curve(h / 2) - curve(-h / 2)) / h
-        out.append((4.0 * a2 - a1) / 3.0)
-    return np.vstack(out)
+    h = FD_STEP
+    a1 = (curve(h) - curve(-h)) / (2.0 * h)
+    a2 = (curve(h / 2) - curve(-h / 2)) / h
+    return (4.0 * a2 - a1) / 3.0
 
 
 def _orthonormal_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -258,51 +274,36 @@ def grassmann_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(qb - (qb @ qa.T) @ qa))
 
 
-def cayley_inverse(alg: GradedNilpotent, b, tol: float = NEWTON_TOL,
-                   max_iter: int = 50) -> SiegelPoint:
-    """Inverse Cayley map for interior ball points (norm < 1 - 1e-9).
+def _inverse(mod: _FloatModel, vec, tol: float):
+    """Points (X, Z, t) that the map takes to vec, one or a stack, in closed
+    form as J_Z^2 = -|Z|^2 I inverts (1 + t) - J_Z on v (Cowling, Dooley,
+    Koranyi and Ricci 1991); DomainError unless each vec is finite and strictly
+    inside, ConvergenceError(residual, tol, 0) unless each maps back within tol."""
+    # Written so that a NaN or infinite coordinate fails the test too.
+    if not (_norms(vec) < 1.0 - BALL_MARGIN).all():
+        raise DomainError("ball point is not finite and strictly inside the unit sphere")
+    V, W, s = vec[..., :mod.n], vec[..., mod.n:-1], vec[..., -1]
+    D = (4.0 / (np.float_power(1.0 - s, 2) + _dots(W, W)))[..., None]
+    t = D[..., 0] * (1.0 - s) / 2.0 - 1.0
+    Z = D * W / 2.0
+    denom = np.float_power(1.0 + t, 2) + _dots(Z, Z)
+    X = ((1.0 + t)[..., None] * (D * V) + _matvec(mod.jz(Z), D * V)) / denom[..., None]
+    rnorm = _norms(_cayley_arrays(mod, X, Z, t) - vec)
+    if (miss := ~(rnorm <= tol)).any():  # a NaN residual is a miss too
+        raise ConvergenceError(float(np.extract(miss, rnorm)[0]), tol, 0)
+    return np.concatenate([X, Z, t[..., None]], axis=-1)
 
-    Deterministic closed-form seed polished by Newton iteration; raises
-    DomainError for a point that is not finite or not inside, and
-    ConvergenceError if the residual target is not met within max_iter
-    or a Newton step meets a singular Jacobian.
-    """
+
+def cayley_inverse(alg: GradedNilpotent, b, tol: float = INVERSE_TOL) -> SiegelPoint:
+    """Inverse Cayley map for interior ball points (norm < 1 - 1e-9), in
+    closed form; raises DomainError for a point that is not finite or not
+    inside, and ConvergenceError if it maps back further than tol from b."""
     mod = _model(alg)
     vec = b.vector if isinstance(b, BallPoint) else np.asarray(b, dtype=float)
-    n, m = mod.n, mod.m
-    if vec.shape != (n + m + 1,):
-        raise StructureError(f"ball point has shape {vec.shape}, expected ({n + m + 1},)")
-    # Written so that a NaN or infinite coordinate fails the test too.
-    if not float(np.linalg.norm(vec)) < 1.0 - BALL_MARGIN:
-        raise DomainError("ball point is not finite and strictly inside the unit sphere")
-
-    V, W, s = vec[:n], vec[n:n + m], float(vec[-1])
-    # Solving the three scalar relations of the ball map for (t, Z) gives
-    # this seed in closed form; for exact type-H data it is already exact.
-    D = 4.0 / ((1.0 - s) ** 2 + float(W @ W))
-    t = D * (1.0 - s) / 2.0 - 1.0
-    Z = D * W / 2.0
-    denom = (1.0 + t) ** 2 + float(Z @ Z)
-    X = ((1.0 + t) * (D * V) + mod.jz(Z) @ (D * V)) / denom
-
-    p = np.concatenate([X, Z, [t]])
-    resid = _cayley_arrays(mod, p[:n], p[n:n + m], p[-1]) - vec
-    rnorm = float(np.linalg.norm(resid))
-    it = 0
-    # Written so that a NaN residual counts as unconverged.
-    while not rnorm <= tol and it < max_iter:
-        jac = _dcayley(mod, p[:n], p[n:n + m], p[-1], np.eye(n + m + 1)).T
-        try:
-            step = np.linalg.solve(jac, -resid)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError(rnorm, tol, it) from None
-        p = p + step
-        resid = _cayley_arrays(mod, p[:n], p[n:n + m], p[-1]) - vec
-        rnorm = float(np.linalg.norm(resid))
-        it += 1
-    if not rnorm <= tol:
-        raise ConvergenceError(rnorm, tol, it)
-    return SiegelPoint(p[:n], p[n:n + m], float(p[-1]))
+    if vec.shape != (dim := mod.n + mod.m + 1,):
+        raise StructureError(f"ball point has shape {vec.shape}, expected ({dim},)")
+    p = _inverse(mod, vec, tol)
+    return SiegelPoint(p[:mod.n], p[mod.n:-1], float(p[-1]))
 
 
 def boundary_distribution(alg: GradedNilpotent, X, Z) -> TangentPlane:
@@ -417,12 +418,6 @@ def _x_blocks(n: int, sample_count: int, rng):
     for start in range(0, sample_count, _BLOCK):
         v = rng.standard_normal((min(_BLOCK, sample_count - start), n))
         yield v / _norms(v)[:, None]
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, each through the dot product
-    np.linalg.norm takes for one vector, so they agree with it bitwise."""
-    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0, 0]
 
 
 def _j2_stack(mod: _FloatModel, X: np.ndarray, JZ: np.ndarray, JW: np.ndarray,
@@ -833,37 +828,37 @@ def translation_invariance_check(alg: GradedNilpotent, X, Z,
 
 def boundary_identity_error(alg: GradedNilpotent, samples: int = 10_000,
                             seed: int = 0) -> float:
-    """max | |C(p)|^2 - 1 | over random boundary points (vectorized).
-
-    Its own formula, not _cayley_arrays stacked over the points: a stack
-    would hold one J_Z matrix per point (about 20 MB on h1(O) at 10,000
-    points), and array powers need not round as the scalar map's do.
-    """
+    """max | |C(p)|^2 - 1 | over random boundary points, in stacks of _BLOCK."""
     mod = _model(alg)
     rng = np.random.default_rng(seed)
     Xs = rng.standard_normal((samples, mod.n))
     Zs = rng.standard_normal((samples, mod.m))
-    ts = 0.25 * np.einsum("ij,ij->i", Xs, Xs)
-    JZX = np.einsum("kab,ik,ib->ia", mod.jmats, Zs, Xs)
-    zz = np.einsum("ij,ij->i", Zs, Zs)
-    D = (1.0 + ts) ** 2 + zz
-    head = (1.0 + ts)[:, None] * Xs - JZX
-    norm_sq = (np.einsum("ij,ij->i", head, head) + 4.0 * zz
-               + (ts * ts + zz - 1.0) ** 2) / D ** 2
-    return float(np.max(np.abs(norm_sq - 1.0)))
+    worst = 0.0
+    for start in range(0, samples, _BLOCK):
+        X, Z = Xs[start:start + _BLOCK], Zs[start:start + _BLOCK]
+        C = _cayley_arrays(mod, X, Z, 0.25 * _dots(X, X))
+        worst = max(worst, float(np.max(np.abs(_dots(C, C) - 1.0))))
+    return worst
 
 
 def round_trip_error(alg: GradedNilpotent, samples: int = 1000,
                      seed: int = 0) -> float:
-    """max |p - cayley_inverse(cayley(p))| over random interior points."""
+    """max |p - cayley_inverse(cayley(p))| over random interior points, drawn
+    one at a time and mapped out and back in stacks of _BLOCK, through the
+    checks of `cayley` and `cayley_inverse`, bit-identical to one at a time."""
     mod = _model(alg)
+    n, m = mod.n, mod.m
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        X = rng.standard_normal(mod.n)
-        Z = rng.standard_normal(mod.m)
-        t = 0.25 * float(X @ X) + float(rng.uniform(0.05, 2.0))
-        p = SiegelPoint(X, Z, t)
-        q = cayley_inverse(alg, cayley(alg, p))
-        worst = max(worst, float(np.linalg.norm(p.ambient() - q.ambient())))
+    for start in range(0, samples, _BLOCK):
+        P = np.empty((min(_BLOCK, samples - start), n + m + 1))
+        for row in P:  # the draws of one point at a time, in their order
+            row[:n] = rng.standard_normal(n)
+            row[n:n + m] = rng.standard_normal(m)
+            row[-1] = rng.uniform(0.05, 2.0)
+        X, Z, t = P[:, :n], P[:, n:n + m], P[:, -1]
+        t += 0.25 * _dots(X, X)  # t views P, which now holds the points
+        _check_siegel(X, Z, t, SIEGEL_TOL)
+        back = _inverse(mod, _cayley_arrays(mod, X, Z, t), INVERSE_TOL)
+        worst = max(worst, float(np.max(_norms(P - back))))
     return worst

@@ -43,7 +43,7 @@ class BudgetExceeded(HTypeError, RuntimeError):
 
 
 class ConvergenceError(HTypeError, RuntimeError):
-    """An iterative solver failed to reach its residual target."""
+    """A solver or a closed form missed its residual target."""
 
     def __init__(self, residual, target, iterations):
         self.residual = residual

@@ -270,10 +270,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_PRIMES = [2**31 - 1]  # 31-bit primes found so far, largest first; a fixed sequence
+
+
 def _primes() -> Iterator[int]:
-    """The 31-bit primes, largest first, generated as needed. Each exceeds
-    2^30, and a product of two residues fits in 62 bits."""
-    return filter(_is_prime, range(2**31 - 1, 2**30, -2))
+    """The 31-bit primes, largest first, each found once (one ahead of use) and
+    kept. Each exceeds 2^30, and a product of two residues fits in 62 bits."""
+    for p in _PRIMES:  # the walk goes on over entries appended as it runs
+        if p == _PRIMES[-1]:
+            _PRIMES.append(next(filter(_is_prime, range(p - 2, 2**30, -2))))
+        yield p
 
 
 def _reconstruct(image: list[dict[int, int]], modulus: int, pivots: list[int],

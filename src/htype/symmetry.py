@@ -379,13 +379,10 @@ def tanaka_prolong(alg: GradedNilpotent,
         scale[K] = d
         if K:
             component_dims.append(res.dimension)
-            if store_bases:
-                vecs = res.basis
-                ps = [[[vec[a * n + i] for i in range(n)] for a in range(d_prev)]
-                      for vec in vecs]
-                qs = [[[vec[p_cols + b * m + l] for l in range(m)] for b in range(d_prev2)]
-                      for vec in vecs]
-                all_bases.append((tuple(map(tuple, ps)), tuple(map(tuple, qs))))
+            if store_bases:  # the canonical basis T_K = (D_K T_K) / D_K
+                all_bases.append(tuple(
+                    tuple(tuple([Fraction(x, d) for x in row] for row in mat) for mat in ev[K])
+                    for ev in (ev_v, ev_z)))
     if store_bases and arithmetic == "float64":
         all_bases = _as_float(all_bases)
 

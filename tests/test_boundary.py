@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -133,8 +134,8 @@ def test_cayley_inverse_nan_residual_is_not_convergence(monkeypatch):
     vec[0] = 0.5
     monkeypatch.setattr(B, "_cayley_arrays", lambda mod, X, Z, t: np.full(7, np.nan))
     with pytest.raises(ConvergenceError) as exc:
-        B.cayley_inverse(alg, vec, max_iter=3)
-    assert math.isnan(exc.value.residual) and exc.value.iterations == 3
+        B.cayley_inverse(alg, vec)
+    assert math.isnan(exc.value.residual) and exc.value.iterations == 0
 
 
 def test_cayley_inverse_reports_convergence_failure():
@@ -145,21 +146,8 @@ def test_cayley_inverse_reports_convergence_failure():
     # an unreachable residual target turns the usual rounding floor
     # (~1e-16) into a reportable failure
     with pytest.raises(ConvergenceError) as exc:
-        B.cayley_inverse(alg, vec, tol=0.0, max_iter=3)
-    assert exc.value.iterations == 3
-
-
-def test_cayley_inverse_singular_newton_step(monkeypatch):
-    alg = h1c()
-    rng = np.random.default_rng(8)
-    vec = rng.standard_normal(7)
-    vec *= 0.5 / np.linalg.norm(vec)
-    # every column of the Newton Jacobian vanishes, so solving for the step
-    # meets a singular matrix on the first iteration
-    monkeypatch.setattr(B, "_dcayley", lambda mod, X, Z, t, dirs: np.zeros_like(dirs))
-    with pytest.raises(ConvergenceError) as exc:
         B.cayley_inverse(alg, vec, tol=0.0)
-    assert exc.value.iterations == 0 and exc.value.target == 0.0
+    assert exc.value.iterations == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -223,7 +211,7 @@ def test_stacked_dcayley_matches_per_direction_reference(make, seed):
         dirs = rng.standard_normal((int(rng.integers(1, n + m + 3)), n + m + 1))
         assert _bits(B._dcayley(mod, X, Z, t, dirs)) == _bits(
             _per_direction(mod, X, Z, t, dirs))
-        # The Newton Jacobian of cayley_inverse, column by column.
+        # The full Jacobian, column by column.
         cols = [_reference_dcayley(mod, X, Z, t, e[:n], e[n:n + m], e[-1])
                 for e in np.eye(n + m + 1)]
         assert _bits(B._dcayley(mod, X, Z, t, np.eye(n + m + 1)).T) == _bits(
@@ -235,29 +223,141 @@ def test_stacked_dcayley_matches_per_direction_reference(make, seed):
              for y in Ys]))
 
 
-@pytest.mark.parametrize("make", [m for _, m in DERIVATIVE_ALGEBRAS],
-                         ids=[n for n, _ in DERIVATIVE_ALGEBRAS])
-def test_newton_steps_match_per_direction_reference(make, monkeypatch):
-    # tol=0 makes Newton step from the exact seed until max_iter.
+def _rotated_h1h():
+    """h1(H) with its center turned by the rational rotation (3/5, 4/5) in
+    the (z0, z1) plane: type H, with J_Z no longer a signed permutation."""
+    alg = build_hn(DA.H, 1)
+    n, m = alg.dim_v, alg.dim_z
+    rot = {(0, 0): Fraction(3, 5), (0, 1): Fraction(-4, 5),
+           (1, 0): Fraction(4, 5), (1, 1): Fraction(3, 5)}
+    entries = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(m):
+                c = sum(rot.get((k, l), Fraction(k == l)) * alg.structure[i][j][l]
+                        for l in range(m))
+                if c:
+                    entries.append((i, j, k, c))
+    return make_custom("h1(H) rotated", n, m, entries)
+
+
+@pytest.mark.parametrize("make", [m for _, m in DERIVATIVE_ALGEBRAS] + [_rotated_h1h],
+                         ids=[n for n, _ in DERIVATIVE_ALGEBRAS] + ["h1H-rotated"])
+def test_closed_form_inverse_is_exact_to_the_ball_margin(make):
+    # No Newton polish follows the closed form: every interior point up to
+    # the margin, the puncture side (s -> 1) included, meets INVERSE_TOL.
     alg = make()
     dim = alg.dim_v + alg.dim_z + 1
-    rng = np.random.default_rng(4)
-    vecs = [v * float(rng.uniform(0.05, 0.95)) / np.linalg.norm(v)
-            for v in rng.standard_normal((20, dim))]
+    rng = np.random.default_rng(11)
+    for radius in (0.5, 0.9, 0.999, 1 - 1e-6, 1 - 1e-8, 1 - 2e-9):
+        for k in range(30):
+            vec = rng.standard_normal(dim)
+            if k % 3 == 0:  # near the puncture (0, 0, 1)
+                vec[:-1] *= 10.0 ** -int(rng.integers(1, 8))
+                vec[-1] = abs(vec[-1]) + 1.0
+            vec *= radius / np.linalg.norm(vec)
+            q = B.cayley_inverse(alg, vec)  # raises ConvergenceError on a miss
+            back = B._cayley_arrays(B._model(alg), q.X, q.Z, q.t)
+            assert np.linalg.norm(back - vec) <= B.INVERSE_TOL
 
-    def outcomes():
-        got = []
-        for vec in vecs:
-            try:
-                q = B.cayley_inverse(alg, vec, tol=0.0, max_iter=2)
-                got.append((_bits(q.ambient()),))
-            except ConvergenceError as exc:
-                got.append((exc.residual, exc.iterations))
-        return got
 
-    stacked = outcomes()
-    monkeypatch.setattr(B, "_dcayley", _per_direction)
-    assert stacked == outcomes()
+# ---------------------------------------------------------------------------
+# The stacked Cayley probes against a per-point reference
+
+CAYLEY_PROBE_ALGEBRAS = [
+    ("h1R", lambda: build_hn(DA.R, 1)),
+    ("h1C", lambda: build_hn(DA.C, 1)),
+    ("hp10H", lambda: build_hprime(DA.H, 1, 0)),
+    ("h1O", lambda: build_hn(DA.O, 1)),
+]
+
+
+def _reference_round_trip(alg, samples, seed):
+    """round_trip_error one point at a time, through the public maps."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        X = rng.standard_normal(alg.dim_v)
+        Z = rng.standard_normal(alg.dim_z)
+        t = 0.25 * float(X @ X) + float(rng.uniform(0.05, 2.0))
+        p = B.SiegelPoint(X, Z, t)
+        q = B.cayley_inverse(alg, B.cayley(alg, p))
+        worst = max(worst, float(np.linalg.norm(p.ambient() - q.ambient())))
+    return worst
+
+
+@pytest.mark.parametrize("make", [m for _, m in CAYLEY_PROBE_ALGEBRAS],
+                         ids=[n for n, _ in CAYLEY_PROBE_ALGEBRAS])
+def test_stacked_maps_match_per_point_reference(make):
+    # Thousands of points, so that powers the C pow and an array square round
+    # differently (about one in a thousand) would show.
+    alg = make()
+    mod = B._model(alg)
+    n, m = mod.n, mod.m
+    rng = np.random.default_rng(2)
+    X, Z = rng.standard_normal((2000, n)), rng.standard_normal((2000, m))
+    t = 0.25 * np.einsum("ij,ij->i", X, X) + rng.uniform(0.05, 2.0, 2000)
+    ball = B._cayley_arrays(mod, X, Z, t)
+    assert _bits(ball) == _bits(np.stack(
+        [B.cayley(alg, B.SiegelPoint(x, z, float(s))).vector for x, z, s in zip(X, Z, t)]))
+    assert _bits(B._inverse(mod, ball, B.INVERSE_TOL)) == _bits(np.stack(
+        [B.cayley_inverse(alg, b).ambient() for b in ball]))
+
+
+@pytest.mark.parametrize("make", [m for _, m in CAYLEY_PROBE_ALGEBRAS],
+                         ids=[n for n, _ in CAYLEY_PROBE_ALGEBRAS])
+def test_round_trip_matches_per_point_reference(make):
+    alg = make()
+    for seed in range(10):
+        # Random points fill three blocks and end inside the third.
+        got = B.round_trip_error(alg, samples=2 * B._BLOCK + 45, seed=seed)
+        want = _reference_round_trip(alg, 2 * B._BLOCK + 45, seed)
+        assert abs(got - want) <= 1e-14
+        assert got == want  # each stacked row is bit-identical to its point
+
+
+def test_cayley_probes_map_whole_blocks(monkeypatch):
+    alg = build_hn(DA.O, 1)
+    B.boundary_identity_error(alg, samples=1, seed=0)  # build the model first
+    calls = {"forward": [], "inverse": [], "domain": []}
+
+    def counted(name, fn):
+        def wrapper(mod, *args):
+            calls[name].append(args[0].shape[:-1])
+            return fn(mod, *args)
+        return wrapper
+
+    def no_derivative(*args):
+        raise AssertionError("_dcayley called")
+
+    monkeypatch.setattr(B, "_cayley_arrays", counted("forward", B._cayley_arrays))
+    monkeypatch.setattr(B, "_inverse", counted("inverse", B._inverse))
+    monkeypatch.setattr(B, "_check_siegel",
+                        lambda X, *args: calls["domain"].append(X.shape[:-1]))
+    monkeypatch.setattr(B, "_dcayley", no_derivative)
+    blocks = -(-1000 // B._BLOCK)
+    B.round_trip_error(alg, samples=1000, seed=0)
+    # one domain check and one map out per block, and the way back certified
+    # by one forward map per block
+    assert len(calls["domain"]) == len(calls["inverse"]) == blocks
+    assert len(calls["forward"]) == 2 * blocks
+    assert all(len(shape) == 1 and shape[0] <= B._BLOCK
+               for shape in calls["forward"] + calls["inverse"] + calls["domain"])
+    calls["forward"].clear()
+    B.boundary_identity_error(alg, samples=1000, seed=0)
+    assert len(calls["forward"]) == blocks
+
+
+def test_round_trip_raises_what_the_scalar_path_raises(monkeypatch):
+    alg = h1c()
+    monkeypatch.setattr(B, "_cayley_arrays",
+                        lambda mod, X, Z, t: np.full(X.shape[:-1] + (7,), np.nan))
+    p = B.siegel_point(alg, np.ones(4), np.zeros(2), 2.0)
+    with pytest.raises(DomainError) as scalar:
+        B.cayley_inverse(alg, B.cayley(alg, p))
+    with pytest.raises(DomainError) as stacked:
+        B.round_trip_error(alg, samples=5, seed=0)
+    assert str(stacked.value) == str(scalar.value)
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,25 @@ def test_primes_start_with_the_three_largest_31_bit_primes():
     assert all(2**30 < p < q for p, q in zip(_LADDER[1:], _LADDER))
 
 
+def test_primes_are_searched_once(monkeypatch):
+    monkeypatch.setattr(linalg, "_PRIMES", [2**31 - 1])
+    calls = []
+    is_prime = linalg._is_prime
+    monkeypatch.setattr(linalg, "_is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert list(itertools.islice(_primes(), 3)) == _LADDER[:3]
+    assert calls
+    calls.clear()
+    assert list(itertools.islice(_primes(), 3)) == _LADDER[:3]
+    assert calls == []
+    # walks that interleave share the kept primes and repeat none
+    monkeypatch.setattr(linalg, "_PRIMES", [2**31 - 1])
+    a, b = _primes(), _primes()
+    assert [next(a), next(b), next(b), next(a), next(a), next(b), next(b)] == [
+        _LADDER[0], _LADDER[0], _LADDER[1], _LADDER[1], _LADDER[2], _LADDER[2], _LADDER[3]]
+    kept = linalg._PRIMES
+    assert kept[:len(_LADDER)] == _LADDER and kept == sorted(set(kept), reverse=True)
+
+
 def test_is_prime_matches_trial_division():
     small = [q for q in range(2, 46341) if all(q % d for d in range(2, math.isqrt(q) + 1))]
 
