@@ -19,9 +19,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "boundary": """BallPoint ExtensionVerdict J2Result J2Witness LimitingPlaneReport
         SiegelPoint TangentPlane ViolationSearch boundary_distribution
-        boundary_identity_error cayley cayley_inverse extension_verdict
-        find_j2_violation j2_test limiting_plane_experiment puncture_point
-        round_trip_error siegel_point sphere_distribution""",
+        boundary_identity_error cayley cayley_inverse cayley_probe
+        distribution_experiment extension_verdict find_j2_violation j2_test
+        limiting_plane_experiment puncture_point round_trip_error siegel_point
+        sphere_distribution""",
     "catalog": """InstantiatedRow RowReport SimpleAlgebraDescriptor TableRow TowerReport
         VerificationSummary default_grid instantiate langlands_annotations
         row_by_name table_rows tower verify_all verify_row""",

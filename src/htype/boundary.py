@@ -10,6 +10,9 @@ on one point or a stack.  One closed-form derivative of the map, along a
 stack of directions, serves the sphere planes and the limiting planes.  The
 only finite difference, along the translation curves, checks their pushes.
 
+Every experiment reports in one shape, built by `_report` with the
+tolerance constants below.
+
 Witness convention: a J^2 violation is recorded as a triple (X, Z, W)
 with X a unit horizontal vector and Z, W orthonormal central vectors,
 such that J_Z J_W X is (numerically) orthogonal to J_z X + R X.  The
@@ -54,6 +57,8 @@ __all__ = [
     "puncture_point",
     "group_product",
     "translation_invariance_check",
+    "cayley_probe",
+    "distribution_experiment",
     "grassmann_distance",
     "boundary_identity_error",
     "round_trip_error",
@@ -63,6 +68,8 @@ __all__ = [
 IDENTITY_TOL = 1e-12
 ROUND_TRIP_TOL = 1e-8
 PLANE_TOL = 1e-6
+FINAL_DISTANCE_TOL = 1e-3  # limiting-plane distance at the largest radius
+MAX_RADIUS = 1e5  # limiting planes: see _check_radii
 INVERSE_TOL = 1e-10  # residual certificate of the closed-form inverse
 BALL_MARGIN = 1e-9
 SIEGEL_TOL = 1e-9  # height excess tolerated below the boundary, relative to |X|^2
@@ -376,6 +383,22 @@ class J2Witness:
         }
 
 
+def _report(algebra: str, operation: str, samples: int, tolerances: dict, verdict: str,
+            seed: int | None, witness: J2Witness | None = None, rows=(), **extra) -> dict:
+    """The report of every boundary experiment: eight common keys, then its own."""
+    return {
+        "algebra": algebra,
+        "operation": operation,
+        "samples": samples,
+        "tolerances": tolerances,
+        "verdict": verdict,
+        "witnesses": [witness.to_dict()] if witness else [],
+        "convergence_table": [r.to_dict() for r in rows],
+        "seed": seed,
+        **extra,
+    }
+
+
 @dataclass(frozen=True, eq=False)
 class J2Result:
     algebra: str
@@ -388,16 +411,8 @@ class J2Result:
     witness: J2Witness | None
 
     def to_report(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "operation": "j2_test",
-            "samples": self.samples,
-            "tolerances": {"residual": self.tol},
-            "verdict": "holds" if self.holds else "fails",
-            "witnesses": [self.witness.to_dict()] if self.witness else [],
-            "convergence_table": [],
-            "seed": self.seed,
-        }
+        return _report(self.algebra, "j2_test", self.samples, {"residual": self.tol},
+                       "holds" if self.holds else "fails", self.seed, self.witness)
 
 
 def _candidate_vectors(n: int) -> np.ndarray:
@@ -482,16 +497,10 @@ class ViolationSearch:
     tol: float
 
     def to_report(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "operation": "find_j2_violation",
-            "samples": self.evaluations,
-            "tolerances": {"projection": self.tol},
-            "verdict": "witness_found" if self.witness else "no_witness_found",
-            "witnesses": [self.witness.to_dict()] if self.witness else [],
-            "convergence_table": [],
-            "seed": self.seed,
-        }
+        return _report(self.algebra, "find_j2_violation", self.evaluations,
+                       {"projection": self.tol},
+                       "witness_found" if self.witness else "no_witness_found",
+                       self.seed, self.witness)
 
 
 def _make_violation_witness(mod: _FloatModel, X, Z, W, score, perp):
@@ -630,25 +639,21 @@ class LimitingPlaneReport:
     seed: int | None
 
     def to_report(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "operation": "limiting_plane_experiment",
-            "samples": len(self.rows),
-            "tolerances": {"plane": PLANE_TOL, "final_distance": 1e-3},
-            "verdict": self.verdict,
-            "witnesses": [self.witness.to_dict()],
-            "convergence_table": [r.to_dict() for r in self.rows],
-            "seed": self.seed,
-        }
+        return _report(self.algebra, "limiting_plane_experiment", len(self.rows),
+                       {"plane": PLANE_TOL, "final_distance": FINAL_DISTANCE_TOL},
+                       self.verdict, self.seed, self.witness, self.rows)
 
 
 def _check_radii(radii) -> tuple:
-    """The radii as a tuple, refused unless non-empty, finite and above 2
-    (the curve 1 + |Z|^2 = r^4 / 16 is real only for r >= 2)."""
+    """The radii as a tuple, refused unless non-empty and each in (2, MAX_RADIUS].
+    The curve 1 + |Z|^2 = r^4 / 16 is real only for r >= 2; the pushed
+    planes along it have singular values down to 2 sqrt(2) / r^2, which
+    fall under the 1e-10 cut of `_orthonormal_rows` beyond about 1.7e5."""
     radii = tuple(radii)
-    if not radii or not all(math.isfinite(r) and r > 2.0 for r in radii):
-        raise ValueError(f"radii must be a non-empty sequence of finite numbers "
-                         f"above 2 so each curve is real, got {radii!r}")
+    if not radii or not all(2.0 < r <= MAX_RADIUS for r in radii):
+        raise ValueError(f"radii must be a non-empty sequence of numbers above 2 "
+                         f"(so each curve is real) and at most {MAX_RADIUS:g}, "
+                         f"got {radii!r}")
     return radii
 
 
@@ -728,7 +733,7 @@ def limiting_plane_experiment(alg: GradedNilpotent, witness: J2Witness,
         rows.append(PlaneConvergenceRow(float(r), d1, d2, d3))
 
     final = rows[-1]
-    ok = (final.grassmann_distance <= 1e-3) and orth <= PLANE_TOL
+    ok = final.grassmann_distance <= FINAL_DISTANCE_TOL and orth <= PLANE_TOL
     verdict = "planes_collapse_to_orthogonal_limits" if ok else "inconclusive"
     return LimitingPlaneReport(alg.name, witness, tuple(rows),
                                limit1, limit2, limit3, orth, verdict, seed)
@@ -743,18 +748,9 @@ class ExtensionVerdict:
     experiment: LimitingPlaneReport | None
 
     def to_report(self) -> dict:
-        rep = {
-            "algebra": self.algebra,
-            "operation": "extension_verdict",
-            "samples": self.j2.samples,
-            "tolerances": {"residual": self.j2.tol},
-            "verdict": self.verdict,
-            "witnesses": ([self.j2.witness.to_dict()] if self.j2.witness else []),
-            "convergence_table": ([r.to_dict() for r in self.experiment.rows]
-                                  if self.experiment else []),
-            "seed": self.j2.seed,
-        }
-        return rep
+        return _report(self.algebra, "extension_verdict", self.j2.samples,
+                       {"residual": self.j2.tol}, self.verdict, self.j2.seed,
+                       self.j2.witness, self.experiment.rows if self.experiment else ())
 
 
 def extension_verdict(alg: GradedNilpotent, sample_count: int = 200,
@@ -777,7 +773,10 @@ def extension_verdict(alg: GradedNilpotent, sample_count: int = 200,
 def puncture_point(alg: GradedNilpotent, seed: int = 0, directions: int = 6,
                    radius: float = 1e9, tol: float = 1e-8) -> np.ndarray:
     """Common limit of the boundary Cayley map as |X| grows, checked to be
-    direction-independent; this is the puncture of the sphere model."""
+    direction-independent; this is the puncture of the sphere model.  The
+    radius must be finite and positive."""
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
     mod = _model(alg)
     rng = np.random.default_rng(seed)
     xs = [np.eye(mod.n)[0]]
@@ -792,7 +791,7 @@ def puncture_point(alg: GradedNilpotent, seed: int = 0, directions: int = 6,
     spread = max(
         float(np.linalg.norm(p - q)) for i, p in enumerate(pts) for q in pts[i + 1:]
     )
-    if spread > tol:
+    if not spread <= tol:  # a NaN spread fails too
         raise CrossValidationError("puncture limit spread", spread, tol)
     return np.mean(pts, axis=0)
 
@@ -805,6 +804,13 @@ def group_product(alg: GradedNilpotent, g1, g2):
     return X1 + X2, Z1 + Z2 + 0.5 * mod.bracket(X1, X2)
 
 
+def _invariance_distance(in_place: TangentPlane, fd: np.ndarray, tol: float) -> float:
+    dist = grassmann_distance(in_place.basis, _orthonormal_rows(fd))
+    if dist > tol:
+        raise CrossValidationError("translation invariance", dist, tol)
+    return dist
+
+
 def translation_invariance_check(alg: GradedNilpotent, X, Z,
                                  tol: float = PLANE_TOL) -> float:
     """Sphere plane computed in place vs the base-point plane transported
@@ -813,13 +819,32 @@ def translation_invariance_check(alg: GradedNilpotent, X, Z,
     # d(C o L_g) at the identity applied to the flat base plane (Y, 0):
     # the translated curve is s -> (X + sY, Z + s[X,Y]/2) by the group law,
     # which is the curve the in-place plane's finite difference follows.
-    in_place, fd = _sphere_plane(_model(alg), np.asarray(X, dtype=float),
-                                 np.asarray(Z, dtype=float))
-    transported = _orthonormal_rows(fd)
-    dist = grassmann_distance(in_place.basis, transported)
-    if dist > tol:
-        raise CrossValidationError("translation invariance", dist, tol)
-    return dist
+    return _invariance_distance(*_sphere_plane(_model(alg), np.asarray(X, dtype=float),
+                                               np.asarray(Z, dtype=float)), tol)
+
+
+def distribution_experiment(alg: GradedNilpotent, sample_count: int = 25,
+                            seed: int = 0) -> dict:
+    """Contact planes at sample_count random boundary points, as a boundary
+    report: each lies in the tangent space of the boundary, its push to the
+    sphere is tangent there, and that push matches the transport along the
+    translation curves.  Each check raises on failure, so the verdict is pass."""
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
+    mod = _model(alg)
+    rng = np.random.default_rng(seed)
+    tangency = invariance = 0.0
+    for _ in range(sample_count):
+        X = rng.standard_normal(mod.n)
+        Z = rng.standard_normal(mod.m)
+        boundary_distribution(alg, X, Z)  # raises on membership failure
+        plane, fd = _sphere_plane(mod, X, Z)
+        tangency = max(tangency, float(np.max(np.abs(_dots(plane.basis, plane.base)))))
+        invariance = max(invariance, _invariance_distance(plane, fd, PLANE_TOL))
+    return _report(alg.name, "distribution", sample_count,
+                   {"membership": IDENTITY_TOL, "tangency": ROUND_TRIP_TOL,
+                    "invariance": PLANE_TOL}, "pass", seed,
+                   max_tangency_residual=tangency, max_invariance_distance=invariance)
 
 
 # ---------------------------------------------------------------------------
@@ -862,3 +887,16 @@ def round_trip_error(alg: GradedNilpotent, samples: int = 1000,
         back = _inverse(mod, _cayley_arrays(mod, X, Z, t), INVERSE_TOL)
         worst = max(worst, float(np.max(_norms(P - back))))
     return worst
+
+
+def cayley_probe(alg: GradedNilpotent, sample_count: int = 10_000, seed: int = 0) -> dict:
+    """`boundary_identity_error` on sample_count points and `round_trip_error`
+    on a tenth as many (at least one), as a boundary report."""
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
+    ident = boundary_identity_error(alg, samples=sample_count, seed=seed)
+    rt = round_trip_error(alg, samples=max(1, sample_count // 10), seed=seed)
+    return _report(alg.name, "cayley-probe", sample_count,
+                   {"boundary_identity": IDENTITY_TOL, "round_trip": ROUND_TRIP_TOL},
+                   "pass" if ident <= IDENTITY_TOL and rt <= ROUND_TRIP_TOL else "fail",
+                   seed, max_boundary_residual=ident, max_round_trip_error=rt)

@@ -168,19 +168,18 @@ def cmd_check(args) -> int:
 
 
 def cmd_prolong(args) -> int:
-    from .symmetry import default_budget, tanaka_prolong
+    from .symmetry import tanaka_prolong
 
     alg = load_algebra(getattr(args, "in"))
-    budget = args.budget if args.budget is not None else default_budget()
     result = tanaka_prolong(alg, max_degree=args.max_degree,
-                            arithmetic=args.arithmetic, budget=budget)
+                            arithmetic=args.arithmetic, budget=args.budget)
     verdict = "trivial" if result.trivial else "nontrivial"
     report = result.to_json_dict()
     report["verdict"] = verdict
     report["manifest"] = _manifest(
         "prolong", args,
         {"in": getattr(args, "in"), "max_degree": args.max_degree,
-         "arithmetic": args.arithmetic, "budget": budget}, {})
+         "arithmetic": args.arithmetic, "budget": result.budget}, {})
     _emit_json(report, args.out)
     return _verdict_exit(verdict, args.expect)
 
@@ -248,64 +247,20 @@ def cmd_table(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    import numpy as np
-
-    from . import boundary as bnd
-
     experiment = args.experiment
     if args.samples == 0 and experiment in ("cayley-probe", "distribution"):
         raise ValueError(f"--samples must be at least 1 for {experiment}")
-    alg = load_algebra(getattr(args, "in"))
+    from . import boundary as bnd
 
+    alg = load_algebra(getattr(args, "in"))
+    # each experiment's default sample count is its library default
+    sized = {} if args.samples is None else {"sample_count": args.samples}
     if experiment == "cayley-probe":
-        samples = args.samples if args.samples is not None else 10_000
-        ident = bnd.boundary_identity_error(alg, samples=samples, seed=args.seed)
-        rt = bnd.round_trip_error(alg, samples=max(1, samples // 10),
-                                  seed=args.seed)
-        verdict = "pass" if ident <= 1e-12 and rt <= 1e-8 else "fail"
-        report = {
-            "algebra": alg.name,
-            "operation": "cayley-probe",
-            "samples": samples,
-            "tolerances": {"boundary_identity": 1e-12, "round_trip": 1e-8},
-            "verdict": verdict,
-            "witnesses": [],
-            "convergence_table": [],
-            "seed": args.seed,
-            "max_boundary_residual": ident,
-            "max_round_trip_error": rt,
-        }
+        report = bnd.cayley_probe(alg, seed=args.seed, **sized)
     elif experiment == "distribution":
-        samples = args.samples if args.samples is not None else 25
-        rng = np.random.default_rng(args.seed)
-        worst_tangency = 0.0
-        worst_invariance = 0.0
-        for _ in range(samples):
-            X = rng.standard_normal(alg.dim_v)
-            Z = rng.standard_normal(alg.dim_z)
-            bnd.boundary_distribution(alg, X, Z)  # raises on membership failure
-            plane = bnd.sphere_distribution(alg, X, Z)
-            worst_tangency = max(worst_tangency, max(
-                abs(float(u @ plane.base)) for u in plane.basis))
-            worst_invariance = max(
-                worst_invariance, bnd.translation_invariance_check(alg, X, Z))
-        report = {
-            "algebra": alg.name,
-            "operation": "distribution",
-            "samples": samples,
-            "tolerances": {"membership": 1e-12, "tangency": 1e-8,
-                           "invariance": 1e-6},
-            "verdict": "pass",
-            "witnesses": [],
-            "convergence_table": [],
-            "seed": args.seed,
-            "max_tangency_residual": worst_tangency,
-            "max_invariance_distance": worst_invariance,
-        }
+        report = bnd.distribution_experiment(alg, seed=args.seed, **sized)
     elif experiment == "j2":
-        samples = args.samples if args.samples is not None else 200
-        res = bnd.j2_test(alg, sample_count=samples, tol=1e-8, seed=args.seed)
-        report = res.to_report()
+        report = bnd.j2_test(alg, seed=args.seed, **sized).to_report()
     else:  # limiting-plane
         search = bnd.find_j2_violation(alg, seed=args.seed)
         if search.witness is None:
@@ -317,7 +272,7 @@ def cmd_boundary(args) -> int:
     report["manifest"] = _manifest(
         "boundary", args,
         {"in": getattr(args, "in"), "experiment": experiment,
-         "samples": args.samples}, report.get("tolerances", {}))
+         "samples": args.samples}, report["tolerances"])
     _emit_json(report, args.out)
     return _verdict_exit(report["verdict"], args.expect)
 

@@ -7,7 +7,8 @@ means applying the map. One assembler builds the system of every degree
 from the level data below it. At K = 0 the maps are pairs (A, B) with
 B[x,y] = [Ax,y] + [x,Ay], so g_0 = Der_gr(n), the graded derivations;
 full derivations add C: v -> z (always unconstrained) and a z -> v block
-that the equations force to zero whenever the brackets span the center.
+E, which vanishes on [v, v] and maps into rad v = {w : [v, w] = 0}, so
+Der = Der_gr + Hom(v, z) + Hom(z / [v, v], rad v).
 
 Each degree is one nullspace; iteration stops at the first zero positive
 component (transitivity kills everything above) or at max_degree. The
@@ -120,10 +121,11 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
 
     Unknown blocks: A: v->v, B: z->z, C: v->z (never constrained in a
     2-step algebra), E: z->v. The equations are the graded ones plus
-    [x, Ez] = 0; E-solutions exist only when the skew forms share a
-    kernel vector. Basis entries are (A, B, C) for the E = 0 vectors;
-    offgrade_dimension counts the rest. The [x, Ez] rows read the same
-    integer tensor ad = D c as the graded rows, so every row is integral.
+    [x, Ez] = 0 and E[x, y] = 0, so E is a map z / [v, v] -> rad v: E-solutions
+    exist only when the skew forms share a kernel vector and the brackets do
+    not span z. Basis entries are (A, B, C) for the E = 0 vectors;
+    offgrade_dimension counts the rest. The E rows read the same integer
+    tensor ad = D c as the graded rows, so every row is integral.
     """
     n, m = alg.dim_v, alg.dim_z
     ncols = n * n + m * m + m * n + n * m
@@ -138,6 +140,11 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
                 row = {e_off + t * m + k: x for t, x in enumerate(ad[s][kp]) if x}
                 if row:
                     rows.append(row)
+    for i in range(n):  # E[x_i, x_j] = 0, one row per v-coordinate t
+        for j in range(i + 1, n):
+            cij = [(k, x) for k in range(m) if (x := ad[i][k][j])]
+            if cij:
+                rows.extend({e_off + t * m + k: x for k, x in cij} for t in range(n))
     res = nullspace(rows, ncols, context=f"full derivation system of {alg.name}")
     basis = []
     offgrade = 0
@@ -299,7 +306,6 @@ def _g0_pair(element, n: int, m: int) -> tuple[Matrix, Matrix]:
 
 
 def tanaka_prolong(alg: GradedNilpotent,
-                   g0_mode: str = "full_graded_derivations",
                    max_degree: int = 3,
                    arithmetic: str = "exact",
                    budget: int | None = None,
@@ -307,11 +313,12 @@ def tanaka_prolong(alg: GradedNilpotent,
                    store_bases: bool = False) -> ProlongationResult:
     """Degree-by-degree prolongation of (n, g0).
 
-    g0_mode "full_graded_derivations" starts at degree 0, whose system is
-    Der_gr(n) and counts against the budget like every other degree;
-    "supplied_subalgebra" takes explicit (A, B) pairs or the (A, B, None)
-    triples of `DerivationSpace.basis`, each re-verified to be a graded
-    derivation, as level 0 and starts at degree 1.
+    With supplied_g0 None, g0 = Der_gr(n) is solved as degree 0, whose
+    system counts against the budget like every other degree. A non-empty
+    supplied_g0 of (A, B) pairs or the (A, B, None) triples of
+    `DerivationSpace.basis`, each re-verified to be a graded derivation,
+    is level 0 instead, and the solve starts at degree 1; an empty one is
+    refused.
 
     Both arithmetics run the same certified exact solve; "float64" only
     reports the stored bases (store_bases=True) as floats of the canonical
@@ -328,11 +335,10 @@ def tanaka_prolong(alg: GradedNilpotent,
     t0 = time.perf_counter()
     n, m = alg.dim_v, alg.dim_z
     level_dims, ev_v, ev_z, scale = _negative_levels(alg)
-    if g0_mode == "full_graded_derivations":
-        first = 0  # g0 = Der_gr(n) is the degree-0 prolongation
-    elif g0_mode == "supplied_subalgebra":
+    first = 0  # g0 = Der_gr(n) is the degree-0 prolongation
+    if supplied_g0 is not None:
         if not supplied_g0:
-            raise ValueError("supplied_subalgebra mode needs supplied_g0")
+            raise ValueError("supplied_g0 must be None or a non-empty sequence")
         pairs = [_g0_pair(element, n, m) for element in supplied_g0]
         for a, b in pairs:
             if not verify_graded_derivation(alg, a, b):
@@ -340,8 +346,6 @@ def tanaka_prolong(alg: GradedNilpotent,
         ev_v[0], ev_z[0], scale[0] = _level([a for a, _ in pairs], [b for _, b in pairs])
         level_dims[0] = len(pairs)
         first = 1
-    else:
-        raise ValueError(f"unknown g0_mode {g0_mode!r}")
 
     def dfun(j: int) -> int:
         return level_dims.get(j, 0)

@@ -443,6 +443,31 @@ def test_translation_check_runs_one_finite_difference(monkeypatch):
     assert len(calls) == 1
 
 
+def test_distribution_and_cayley_probe_reports(monkeypatch):
+    alg = h1c()
+    calls = []
+    fd_push = B._fd_push
+
+    def counted(*args):
+        calls.append(1)
+        return fd_push(*args)
+
+    monkeypatch.setattr(B, "_fd_push", counted)
+    dist = B.distribution_experiment(alg, sample_count=3, seed=1)
+    assert len(calls) == 3  # one sphere plane, so one finite difference, per sample
+    probe = B.cayley_probe(alg, sample_count=20, seed=1)
+    common = {"algebra", "operation", "samples", "tolerances", "verdict", "witnesses",
+              "convergence_table", "seed"}
+    assert set(dist) == common | {"max_tangency_residual", "max_invariance_distance"}
+    assert set(probe) == common | {"max_boundary_residual", "max_round_trip_error"}
+    assert (dist["samples"], probe["samples"]) == (3, 20)
+    assert dist["verdict"] == probe["verdict"] == "pass"
+    assert dist["max_invariance_distance"] <= B.PLANE_TOL
+    for experiment in (B.cayley_probe, B.distribution_experiment):
+        with pytest.raises(ValueError, match="at least 1"):
+            experiment(alg, sample_count=0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(dim=st.integers(2, 9), ka=st.integers(1, 9), kb=st.integers(1, 9),
        near=st.sampled_from([0.0, 1e-13, 1e-10, 1e-6, 1e-2]),
@@ -482,6 +507,16 @@ def test_puncture_point_is_direction_independent():
         north = np.zeros(alg.dim_v + alg.dim_z + 1)
         north[-1] = 1.0
         assert np.linalg.norm(p - north) <= 1e-8
+
+
+def test_puncture_point_refuses_bad_radii():
+    # radius >= 1e155 makes every mapped coordinate NaN; the spread check
+    # must not let a NaN through, and a bad radius is refused up front
+    for radius in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            B.puncture_point(h1c(), radius=radius)
+    with pytest.raises(CrossValidationError), np.errstate(over="ignore", invalid="ignore"):
+        B.puncture_point(h1c(), radius=1e160)
 
 
 # ---------------------------------------------------------------------------
@@ -801,12 +836,23 @@ def test_limiting_planes_reject_tiny_radii():
     witness = B.find_j2_violation(alg, seed=3).witness
     # a witness that fails its own check shows the radii are refused first
     fake = B.J2Witness(np.eye(4)[0], np.eye(2)[0], np.eye(2)[0], 0.0, np.zeros(4), 0.0)
-    for radii in [(1.5,), (), (math.nan,), (10.0, 1.5), (10.0, math.inf), (2.0,)]:
+    for radii in [(1.5,), (), (math.nan,), (10.0, 1.5), (10.0, math.inf), (2.0,),
+                  (2e5,), (10.0, 1e10), (1e78,)]:
         for w in (witness, fake):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="radii must be"):
                 B.limiting_plane_experiment(alg, w, radii=radii)
-        with pytest.raises(ValueError):  # J^2 holds: no limiting planes would run
+        with pytest.raises(ValueError, match="radii must be"):  # J^2 holds: no planes would run
             B.extension_verdict(h1r(), seed=0, radii=radii)
+
+
+def test_limiting_planes_resolve_the_largest_radius():
+    # The pushed planes have singular values 2 sqrt(2) / r^2, above the
+    # 1e-10 orthonormalization cut up to about 1.7e5; past MAX_RADIUS the
+    # radii are refused (test_limiting_planes_reject_tiny_radii).
+    alg = h1c()
+    witness = B.find_j2_violation(alg, seed=3).witness
+    rep = B.limiting_plane_experiment(alg, witness, radii=(B.MAX_RADIUS,), seed=3)
+    assert rep.rows[-1].grassmann_distance <= 1e-4
 
 
 def test_extension_verdict_partition():

@@ -210,10 +210,14 @@ def test_supplied_g0_scaling_only():
     alg = build_hn(DA.R, 1)
     a = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     b = ((Fraction(2),),)
-    res = tanaka_prolong(alg, g0_mode="supplied_subalgebra",
-                         supplied_g0=[(a, b)], max_degree=2)
+    res = tanaka_prolong(alg, supplied_g0=[(a, b)], max_degree=2)
     assert res.g0_dim == 1
     assert res.trivial
+
+
+def test_empty_supplied_g0_is_refused():
+    with pytest.raises(ValueError, match="non-empty"):
+        tanaka_prolong(build_hn(DA.R, 1), supplied_g0=[])
 
 
 def test_supplied_g0_rejects_non_derivation():
@@ -221,7 +225,7 @@ def test_supplied_g0_rejects_non_derivation():
     a = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     b = ((Fraction(1),),)  # identity on v must double the center action
     with pytest.raises(StructureError):
-        tanaka_prolong(alg, g0_mode="supplied_subalgebra", supplied_g0=[(a, b)])
+        tanaka_prolong(alg, supplied_g0=[(a, b)])
 
 
 @pytest.mark.parametrize("key", [("hn", "H", 1), ("hp", "H", 1, 0), ("hp", "H", 1, 1),
@@ -234,9 +238,8 @@ def test_supplied_der_gr_matches_full_mode(key):
     for arithmetic in ("exact", "float64"):
         full = tanaka_prolong(alg, max_degree=3, arithmetic=arithmetic, budget=BIG,
                               store_bases=True)
-        supplied = tanaka_prolong(alg, g0_mode="supplied_subalgebra", supplied_g0=g0,
-                                  max_degree=3, arithmetic=arithmetic, budget=BIG,
-                                  store_bases=True)
+        supplied = tanaka_prolong(alg, supplied_g0=g0, max_degree=3, arithmetic=arithmetic,
+                                  budget=BIG, store_bases=True)
         assert supplied.g0_dim == full.g0_dim == GRADED_DIMS[key]
         assert supplied.component_dims == full.component_dims
         assert repr(supplied.bases) == repr(full.bases)
@@ -246,7 +249,7 @@ def test_supplied_g0_takes_the_derivation_basis_as_it_is():
     # DerivationSpace.basis holds (A, B, None) triples; they go in unchanged
     alg = build_hn(DA.H, 1)
     basis = graded_derivations(alg).basis
-    kwargs = dict(g0_mode="supplied_subalgebra", max_degree=3, budget=BIG, store_bases=True)
+    kwargs = dict(max_degree=3, budget=BIG, store_bases=True)
     triples = tanaka_prolong(alg, supplied_g0=basis, **kwargs)
     pairs = tanaka_prolong(alg, supplied_g0=[(a, b) for a, b, _ in basis], **kwargs)
     assert triples.g0_dim == len(basis) == GRADED_DIMS[("hn", "H", 1)]
@@ -261,7 +264,7 @@ def test_supplied_g0_rejects_malformed_elements():
     for element in [(a,), (a, b, b), (a, b, None, None), a[0], "ab", (b, a),
                     (a[:1], b), (a, ((Fraction(2), Fraction(0)),))]:
         with pytest.raises(StructureError, match="supplied g0 element must be"):
-            tanaka_prolong(alg, g0_mode="supplied_subalgebra", supplied_g0=[(a, b), element])
+            tanaka_prolong(alg, supplied_g0=[(a, b), element])
 
 
 def test_degree0_budget_boundary():
@@ -422,8 +425,7 @@ PINNED_SCALED_BASES = {
                 "8367266ac89e03a87508af82c69aaf324e29aea3f24dce4bbc70839bd8c29d84"),
     "random(5,2)": (lambda: dict(alg=random_two_step(5, 2, random.Random(0))),
                     "b8813d2f164d7435d296e0e3e105ef317b43a7ede4bb78bc5c292309eb8c5e19"),
-    "h1(H) g0/3": (lambda: dict(alg=build_hn(DA.H, 1), g0_mode="supplied_subalgebra",
-                                supplied_g0=_h1h_third_g0()),
+    "h1(H) g0/3": (lambda: dict(alg=build_hn(DA.H, 1), supplied_g0=_h1h_third_g0()),
                    "cf7d4cbae00384936768e53c2be029cc74cdb90c04aaffc6378f52b1f75117b6"),
 }
 
@@ -617,12 +619,55 @@ def test_full_derivation_rows_are_integral(monkeypatch):
 
 
 def test_offgrade_dimension_on_degenerate_algebras():
-    # x_2 (and x_4 below) are in the kernel of every skew form, so E: z -> v
-    # may map into them; values computed before the integer assembly.
+    # E: z -> v maps into rad v and vanishes on [v, v], so offgrade is
+    # dim(z / [v, v]) * dim rad v. x_2 (and x_4 below) span rad v, but the
+    # brackets of deg and deg2 span z, so E = 0; deg3 leaves z_1 unspanned.
     deg = make_custom("deg", 3, 1, [(0, 1, 0, 1)])
     deg2 = make_custom("deg2", 5, 2, [(0, 1, 0, 1), (2, 3, 1, Fraction(1, 2)), (0, 2, 1, 3)])
-    for alg, graded, offgrade in [(deg, 7, 1), (deg2, 13, 2)]:
+    deg3 = make_custom("deg3", 3, 2, [(0, 1, 0, 1)])
+    for alg, graded, offgrade in [(deg, 7, 0), (deg2, 13, 0), (deg3, 9, 1)]:
         full = full_derivations(alg)
         assert graded_derivations(alg).dimension == graded
         assert full.offgrade_dimension == offgrade
         assert full.dimension == graded + alg.dim_v * alg.dim_z + offgrade
+
+
+def _sympy_derivation_dimension(alg) -> int:
+    """dim Der(n) by brute force over all (n+m)^2 entries of D: the rows of
+    D[e_a, e_b] = [D e_a, e_b] + [e_a, D e_b] on the basis of n = v + z."""
+    n, N = alg.dim_v, alg.dim_v + alg.dim_z
+
+    def br(a, b):
+        vec = [0] * N
+        if a < n and b < n:
+            vec[n:] = alg.structure[a][b]
+        return vec
+
+    rows = []
+    for a, b in itertools.combinations(range(N), 2):
+        for r in range(N):
+            row = [0] * (N * N)  # D[r][s] at r * N + s
+            for s in range(N):
+                row[r * N + s] += br(a, b)[s]
+                row[s * N + a] -= br(s, b)[r]
+                row[s * N + b] -= br(a, s)[r]
+            rows.append([sympy.Rational(x) for x in row])
+    return N * N - sympy.Matrix(rows).rank()
+
+
+def test_full_derivations_match_sympy_on_degenerate_algebras():
+    # few random brackets, so rad v != 0 and [v, v] != z are both common
+    rng = random.Random(20261019)
+    degenerate = 0
+    for _ in range(12):
+        n, m = rng.randint(2, 4), rng.randint(1, 3)
+        pairs = list(itertools.combinations(range(n), 2))
+        entries = [(i, j, rng.randrange(m), Fraction(rng.choice([-2, -1, 1, 3]), 2))
+                   for i, j in rng.sample(pairs, rng.randint(1, min(3, len(pairs))))]
+        alg = make_custom("sparse", n, m, entries)
+        full = full_derivations(alg)
+        degenerate += full.offgrade_dimension > 0
+        assert full.dimension == _sympy_derivation_dimension(alg), entries
+        assert full.dimension == (graded_derivations(alg).dimension + n * m
+                                  + full.offgrade_dimension)
+    assert degenerate >= 3
