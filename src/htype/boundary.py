@@ -258,7 +258,10 @@ def _fd_push(mod: _FloatModel, X, Z, rows: np.ndarray) -> np.ndarray:
 
 def _orthonormal_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     u, s, vh = np.linalg.svd(np.atleast_2d(rows), full_matrices=False)
-    keep = s > tol * max(1.0, s[0] if s.size else 0.0)
+    cut = tol * max(1.0, s[0] if s.size else 0.0)
+    keep = s > cut
+    if not keep.any():
+        raise ValueError(f"the rows span nothing: no singular value exceeds {cut:g}")
     basis = vh[keep]
     gram = basis @ basis.T
     if np.max(np.abs(gram - np.eye(basis.shape[0]))) > 1e-10:
@@ -774,9 +777,10 @@ def puncture_point(alg: GradedNilpotent, seed: int = 0, directions: int = 6,
                    radius: float = 1e9, tol: float = 1e-8) -> np.ndarray:
     """Common limit of the boundary Cayley map as |X| grows, checked to be
     direction-independent; this is the puncture of the sphere model.  The
-    radius must be finite and positive."""
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and positive, got {radius!r}")
+    radius must be finite and positive, and at most 1e77: above about 7.3e77
+    the denominator (1 + r^2/4)^2 of the map overflows float64."""
+    if not 0 < radius <= 1e77:  # NaN fails too
+        raise ValueError(f"radius must be finite and positive, at most 1e77, got {radius!r}")
     mod = _model(alg)
     rng = np.random.default_rng(seed)
     xs = [np.eye(mod.n)[0]]

@@ -10,6 +10,11 @@ dimension identity dim g = dim m + dim a + 2 dim n exactly.
 The tower recursion follows m' (the factors staying in the class S of
 simple non-compact algebras other than so(1,n)) downward, stacking
 nilradical dimensions into a maximal nilpotent subalgebra.
+
+Everything known of one algebra family (dimension, display name,
+membership in S, classical type) is one record of `_FAMILIES`. Every
+`htype table` output is built here: `dump_csv`, and the verification
+summary's `to_csv` and `to_report`.
 """
 
 from __future__ import annotations
@@ -18,12 +23,13 @@ import ast
 import csv
 import hashlib
 import io
+import itertools
 import json
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .division import DivisionAlgebra
 from .errors import DatasetError, StructureError
@@ -37,6 +43,7 @@ __all__ = [
     "TowerStep",
     "TowerReport",
     "load_table",
+    "dump_csv",
     "table_rows",
     "row_by_name",
     "compute_checksum",
@@ -48,106 +55,98 @@ __all__ = [
     "langlands_annotations",
 ]
 
-_EXCEPTIONAL_DIMS = {
-    "EI": 78, "EII": 78, "EIII": 78, "EIV": 78, "E6": 156,
-    "EV": 133, "EVI": 133, "EVII": 133, "E7": 266,
-    "EVIII": 248, "EIX": 248, "E8": 496,
-    "FI": 52, "FII": 52, "F4": 104, "G": 14, "G2": 28,
-}
 
-# type letter for the same-classical-type property of the tower
-_TYPE_LETTER = {
-    "sl_R": "sl", "sl_C": "sl", "su_star": "su", "su": "su",
-    "sp_R": "sp", "sp": "sp", "sp_C": "sp",
-    "so": "so", "so_star": "so", "so_C": "so",
+class _Family(NamedTuple):
+    """What the catalog knows of one family: each formula takes the params."""
+
+    dimension: Callable[..., int]
+    name: Callable[..., str]
+    in_S: Callable[..., bool]
+    type_letter: str | None = None  # shared classical type, for the tower
+
+    @property
+    def arity(self) -> int:
+        return self.dimension.__code__.co_argcount
+
+
+def _pq_in_S(low: int, size: int) -> Callable[[int, int], bool]:
+    return lambda p, q: p >= low and q >= low and p + q >= size
+
+
+def _exceptional(family: str, dim: int) -> _Family:
+    return _Family(lambda: dim, lambda: family, lambda: True)
+
+
+# S: simple, non-compact, and not isomorphic to any so(1,n). The bounds
+# exclude sl(2,R) = su(1,1) = sp(1,R) = so(1,2), sl(2,C) = sp(1,C) =
+# so(3,C) = so(1,3), sp(1,1) = so(1,4), su*(4) = so(1,5), plus the
+# non-simple so(2,2), so*(4), so(4,C). Every exceptional family is in S.
+_FAMILIES = {
+    "sl_R": _Family(lambda n: n ** 2 - 1, lambda n: f"sl({n},R)",
+                    lambda n: n >= 3, "sl"),
+    "sl_C": _Family(lambda n: 2 * (n ** 2 - 1), lambda n: f"sl({n},C)",
+                    lambda n: n >= 3, "sl"),
+    "su_star": _Family(lambda n: 4 * n ** 2 - 1, lambda n: f"su*({2 * n})",
+                       lambda n: n >= 3, "su"),
+    "su": _Family(lambda p, q: (p + q) ** 2 - 1, lambda p, q: f"su({p},{q})",
+                  _pq_in_S(1, 3), "su"),
+    "sp_R": _Family(lambda n: n * (2 * n + 1), lambda n: f"sp({n},R)",
+                    lambda n: n >= 2, "sp"),
+    "sp": _Family(lambda p, q: (p + q) * (2 * (p + q) + 1), lambda p, q: f"sp({p},{q})",
+                  _pq_in_S(1, 3), "sp"),
+    "sp_C": _Family(lambda n: 2 * n * (2 * n + 1), lambda n: f"sp({n},C)",
+                    lambda n: n >= 2, "sp"),
+    "so": _Family(lambda p, q: (p + q) * (p + q - 1) // 2, lambda p, q: f"so({p},{q})",
+                  _pq_in_S(2, 5), "so"),
+    "so_star": _Family(lambda n: n * (2 * n - 1), lambda n: f"so*({2 * n})",
+                       lambda n: n >= 3, "so"),
+    "so_C": _Family(lambda n: n * (n - 1), lambda n: f"so({n},C)",
+                    lambda n: n >= 5, "so"),
 }
+_FAMILIES.update(
+    (family, _exceptional(family, dim)) for family, dim in {
+        "EI": 78, "EII": 78, "EIII": 78, "EIV": 78, "E6": 156,
+        "EV": 133, "EVI": 133, "EVII": 133, "E7": 266,
+        "EVIII": 248, "EIX": 248, "E8": 496,
+        "FI": 52, "FII": 52, "F4": 104, "G": 14, "G2": 28,
+    }.items())
 
 
 @dataclass(frozen=True)
 class SimpleAlgebraDescriptor:
-    """A simple (or small degenerate) real Lie algebra, by family and params."""
+    """A simple (or small degenerate) real Lie algebra, by family and params.
+
+    su*(2n) and so*(2n) take n; StructureError for an unknown family or a
+    wrong number of params.
+    """
 
     family: str
     params: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        record = _FAMILIES.get(self.family)
+        if record is None:
+            raise StructureError(f"unknown family {self.family!r}")
+        if len(self.params) != record.arity:
+            raise StructureError(f"family {self.family!r} takes {record.arity} "
+                                 f"params, got {tuple(self.params)}")
+
     @property
     def dimension(self) -> int:
-        f, p = self.family, self.params
-        if f == "sl_R":
-            return p[0] ** 2 - 1
-        if f == "sl_C":
-            return 2 * (p[0] ** 2 - 1)
-        if f == "su_star":  # su*(2n), n = p[0]
-            return 4 * p[0] ** 2 - 1
-        if f == "su":
-            return (p[0] + p[1]) ** 2 - 1
-        if f == "sp_R":
-            return p[0] * (2 * p[0] + 1)
-        if f == "sp":
-            s = p[0] + p[1]
-            return s * (2 * s + 1)
-        if f == "sp_C":
-            return 2 * p[0] * (2 * p[0] + 1)
-        if f == "so":
-            s = p[0] + p[1]
-            return s * (s - 1) // 2
-        if f == "so_star":  # so*(2n)
-            return p[0] * (2 * p[0] - 1)
-        if f == "so_C":
-            return p[0] * (p[0] - 1)
-        if f in _EXCEPTIONAL_DIMS:
-            return _EXCEPTIONAL_DIMS[f]
-        raise StructureError(f"unknown family {f!r}")
+        return _FAMILIES[self.family].dimension(*self.params)
 
     @property
     def name(self) -> str:
-        f, p = self.family, self.params
-        if f == "sl_R":
-            return f"sl({p[0]},R)"
-        if f == "sl_C":
-            return f"sl({p[0]},C)"
-        if f == "su_star":
-            return f"su*({2 * p[0]})"
-        if f == "su":
-            return f"su({p[0]},{p[1]})"
-        if f == "sp_R":
-            return f"sp({p[0]},R)"
-        if f == "sp":
-            return f"sp({p[0]},{p[1]})"
-        if f == "sp_C":
-            return f"sp({p[0]},C)"
-        if f == "so":
-            return f"so({p[0]},{p[1]})"
-        if f == "so_star":
-            return f"so*({2 * p[0]})"
-        if f == "so_C":
-            return f"so({p[0]},C)"
-        return f
+        return _FAMILIES[self.family].name(*self.params)
 
     @property
     def in_S(self) -> bool:
-        """Simple, non-compact, and not isomorphic to any so(1,n).
-
-        Low-dimensional exclusions: sl(2,R) = su(1,1) = sp(1,R) = so(1,2),
-        sl(2,C) = sp(1,C) = so(3,C) = so(1,3), sp(1,1) = so(1,4),
-        su*(4) = so(1,5), plus the non-simple so(2,2), so*(4), so(4,C).
-        """
-        f, p = self.family, self.params
-        if f in ("sl_R", "sl_C", "su_star", "so_star"):
-            return p[0] >= 3
-        if f in ("su", "sp"):
-            return p[0] >= 1 and p[1] >= 1 and p[0] + p[1] >= 3
-        if f in ("sp_R", "sp_C"):
-            return p[0] >= 2
-        if f == "so":
-            return p[0] >= 2 and p[1] >= 2 and p[0] + p[1] >= 5
-        if f == "so_C":
-            return p[0] >= 5
-        return f in _EXCEPTIONAL_DIMS
+        """Simple, non-compact, and not isomorphic to any so(1,n)."""
+        return _FAMILIES[self.family].in_S(*self.params)
 
     @property
     def type_letter(self) -> str | None:
-        return _TYPE_LETTER.get(self.family)
+        return _FAMILIES[self.family].type_letter
 
 
 @dataclass(frozen=True)
@@ -253,34 +252,54 @@ def load_table() -> tuple[str, list]:
     return doc["version"], doc["rows"]
 
 
-_cached_rows: tuple[TableRow, ...] | None = None
-
-
+@cache
 def table_rows() -> tuple[TableRow, ...]:
-    global _cached_rows
-    if _cached_rows is None:
-        _, raw = load_table()
-        _cached_rows = tuple(
-            TableRow(
-                name=r["name"],
-                param_names=tuple(r["param_names"]),
-                validity=r["validity"],
-                g_family=r["g"]["family"],
-                g_params=tuple(r["g"]["params"]),
-                m_factors=tuple((f["family"], tuple(f["params"]))
-                                for f in r["m_factors"]),
-                m_abelian=r["m_abelian"],
-                dim_a=r["dim_a"],
-                nil_series=r["nilradical"]["series"],
-                nil_algebra=r["nilradical"]["algebra"],
-                nil_params=tuple(r["nilradical"]["params"]),
-                sigma=tuple(tuple(orbit) for orbit in r["sigma"]),
-                maximal=r["maximal"],
-                minimal_when=r["minimal_when"],
-                exceptional=r["exceptional"],
-            )
-            for r in raw)
-    return _cached_rows
+    _, raw = load_table()
+    return tuple(
+        TableRow(
+            name=r["name"],
+            param_names=tuple(r["param_names"]),
+            validity=r["validity"],
+            g_family=r["g"]["family"],
+            g_params=tuple(r["g"]["params"]),
+            m_factors=tuple((f["family"], tuple(f["params"]))
+                            for f in r["m_factors"]),
+            m_abelian=r["m_abelian"],
+            dim_a=r["dim_a"],
+            nil_series=r["nilradical"]["series"],
+            nil_algebra=r["nilradical"]["algebra"],
+            nil_params=tuple(r["nilradical"]["params"]),
+            sigma=tuple(tuple(orbit) for orbit in r["sigma"]),
+            maximal=r["maximal"],
+            minimal_when=r["minimal_when"],
+            exceptional=r["exceptional"],
+        )
+        for r in raw)
+
+
+def _csv(header: list[str], rows: Iterable[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def dump_csv(raw_rows: list) -> str:
+    """The rows of load_table() as CSV, one line per row."""
+    def line(row):
+        m_desc = "+".join(f"{f['family']}({','.join(f['params'])})"
+                          for f in row["m_factors"]) or "0"
+        if row["m_abelian"]:
+            m_desc += f"+R^{row['m_abelian']}"
+        nil = row["nilradical"]
+        return [row["name"], " ".join(row["param_names"]), m_desc, str(row["dim_a"]),
+                f"{nil['series']}[{nil['algebra']}]({','.join(nil['params'])})",
+                "|".join("~".join(orbit) for orbit in row["sigma"]),
+                str(row["maximal"]).lower(), str(row["exceptional"]).lower()]
+
+    return _csv(["name", "params", "m", "dim_a", "nilradical", "sigma",
+                 "maximal", "exceptional"], map(line, raw_rows))
 
 
 def row_by_name(name: str) -> TableRow:
@@ -322,6 +341,11 @@ class InstantiatedRow:
         return self.g.name
 
 
+def _descriptor(family: str, exprs: tuple[str, ...],
+                env: dict[str, int]) -> SimpleAlgebraDescriptor:
+    return SimpleAlgebraDescriptor(family, tuple(_eval(e, env) for e in exprs))
+
+
 def instantiate(row: TableRow, params: Iterable[int] = ()) -> InstantiatedRow:
     params = tuple(params)
     if len(params) != len(row.param_names):
@@ -329,10 +353,8 @@ def instantiate(row: TableRow, params: Iterable[int] = ()) -> InstantiatedRow:
     env = dict(zip(row.param_names, params))
     if not _eval(row.validity, env):
         raise ValueError(f"params {params} out of range for {row.name} ({row.validity})")
-    g = SimpleAlgebraDescriptor(row.g_family,
-                                tuple(_eval(e, env) for e in row.g_params))
-    m_desc = tuple(SimpleAlgebraDescriptor(f, tuple(_eval(e, env) for e in exprs))
-                   for f, exprs in row.m_factors)
+    g = _descriptor(row.g_family, row.g_params, env)
+    m_desc = tuple(_descriptor(f, exprs, env) for f, exprs in row.m_factors)
     nil_params = tuple(_eval(e, env) for e in row.nil_params)
     dim_v, dim_z = nilradical_dims(row.nil_series, row.nil_algebra, nil_params)
     sigma = tuple(tuple(f"alpha_{_eval(e, env)}" for e in orbit)
@@ -393,41 +415,20 @@ def verify_row(row: TableRow, params: Iterable[int] = ()) -> RowReport:
 
 def default_grid(max_dim: int = 500) -> Iterator[tuple[TableRow, tuple[int, ...]]]:
     """Every valid classical parameter choice with dim g <= max_dim."""
+    # Sizes s = n, or s = p + q with p <= q. dim g grows with s and depends
+    # on s alone, so the walk stops at the first size whose g is too large,
+    # never at a validity gap (so(p,q) has none below p + q = 5).
     for row in table_rows():
         if row.exceptional:
             continue
-        if len(row.param_names) == 1:
-            n = 1
-            while True:
-                n += 1
-                env = {row.param_names[0]: n}
-                if not _eval(row.validity, env):
-                    continue
-                g = SimpleAlgebraDescriptor(
-                    row.g_family, tuple(_eval(e, env) for e in row.g_params))
-                if g.dimension > max_dim:
-                    break
-                yield row, (n,)
-        else:
-            # dim g depends only on p + q for the two-parameter families,
-            # so termination keys on the size, never on validity gaps
-            # (so(p,q) has none below p + q = 5)
-            s = 2
-            while True:
-                s += 1
-                probe = {"p": 1, "q": s - 1}
-                g = SimpleAlgebraDescriptor(
-                    row.g_family, tuple(_eval(e, probe) for e in row.g_params))
-                if g.dimension > max_dim:
-                    break
-                for p in range(1, s):
-                    q = s - p
-                    if p > q:
-                        break
-                    env = {"p": p, "q": q}
-                    if not _eval(row.validity, env):
-                        continue
-                    yield row, (p, q)
+        for s in itertools.count(2):
+            choices = ([(s,)] if len(row.param_names) == 1
+                       else [(p, s - p) for p in range(1, s // 2 + 1)])
+            probe = dict(zip(row.param_names, choices[0]))
+            if _descriptor(row.g_family, row.g_params, probe).dimension > max_dim:
+                break
+            yield from ((row, ps) for ps in choices
+                        if _eval(row.validity, dict(zip(row.param_names, ps))))
 
 
 @dataclass(frozen=True)
@@ -449,13 +450,22 @@ class VerificationSummary:
         return sum(1 for r in self.reports if r.name in names)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["row", "params", "dim_g", "dim_m", "dim_a", "dim_n", "pass"])
-        for r in self.reports:
-            writer.writerow([r.name, ";".join(map(str, r.params)), r.dim_g, r.dim_m,
-                             r.dim_a, r.dim_n, str(r.passed).lower()])
-        return buf.getvalue()
+        return _csv(["row", "params", "dim_g", "dim_m", "dim_a", "dim_n", "pass"],
+                    ([r.name, ";".join(map(str, r.params)), r.dim_g, r.dim_m,
+                      r.dim_a, r.dim_n, str(r.passed).lower()] for r in self.reports))
+
+    def to_report(self) -> dict:
+        """The `htype table --verify` JSON body, manifest aside."""
+        return {
+            "operation": "table-verify",
+            "rows": [{"name": r.name, "params": list(r.params), "dim_g": r.dim_g,
+                      "dim_m": r.dim_m, "dim_a": r.dim_a, "dim_n": r.dim_n,
+                      "passed": r.passed} for r in self.reports],
+            "counts": {"total": self.count(),
+                       "exceptional": self.count(exceptional=True),
+                       "classical": self.count(exceptional=False)},
+            "all_pass": self.all_pass,
+        }
 
 
 def verify_all(grid: Iterable[tuple[TableRow, tuple[int, ...]]] | None = None,
@@ -470,17 +480,12 @@ def verify_all(grid: Iterable[tuple[TableRow, tuple[int, ...]]] | None = None,
     return VerificationSummary(tuple(reports))
 
 
-_CLASSICAL_ROW_BY_FAMILY = None
-
-
-def _row_for(desc: SimpleAlgebraDescriptor) -> tuple[TableRow, tuple[int, ...]]:
-    global _CLASSICAL_ROW_BY_FAMILY
-    if _CLASSICAL_ROW_BY_FAMILY is None:
-        _CLASSICAL_ROW_BY_FAMILY = {r.g_family: r for r in table_rows()}
-    row = _CLASSICAL_ROW_BY_FAMILY.get(desc.family)
-    if row is None:
-        raise StructureError(f"no catalog row for family {desc.family!r}")
-    return row, desc.params
+@cache
+def _row_for(family: str) -> TableRow:
+    for row in table_rows():
+        if row.g_family == family:
+            return row
+    raise StructureError(f"no catalog row for family {family!r}")
 
 
 @dataclass(frozen=True)
@@ -520,7 +525,7 @@ def tower(desc: SimpleAlgebraDescriptor) -> TowerReport:
     level = 0
     current: SimpleAlgebraDescriptor | None = desc
     while current is not None:
-        row, params = _row_for(current)
+        row, params = _row_for(current.family), current.params
         report = verify_row(row, params)
         if not report.passed:
             raise StructureError(f"tower step {current.name} fails verification")

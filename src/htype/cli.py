@@ -12,16 +12,14 @@ algebra file's structure tensor).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 
 # Each command imports what else it runs, so construct, check and table
 # never load numpy. The names bound here are cheap to import and can be
 # replaced on this module (the tests replace load_table).
-from .catalog import load_table, verify_all
+from .catalog import dump_csv, load_table, verify_all
 from .division import DivisionAlgebra
 from .errors import BudgetExceeded, HTypeError
 from .serialization import load_algebra, save_algebra
@@ -192,25 +190,7 @@ def cmd_table(args) -> int:
     version, raw_rows = load_table()  # checksum-verified; DatasetError on corruption
     if args.dump:
         if args.format == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["name", "params", "m", "dim_a", "nilradical", "sigma",
-                             "maximal", "exceptional"])
-            for row in raw_rows:
-                m_desc = "+".join(
-                    f"{f['family']}({','.join(f['params'])})" for f in row["m_factors"]
-                ) or "0"
-                if row["m_abelian"]:
-                    m_desc += f"+R^{row['m_abelian']}"
-                nil = f"{row['nilradical']['series']}[{row['nilradical']['algebra']}]" \
-                      f"({','.join(row['nilradical']['params'])})"
-                sigma = "|".join("~".join(orbit) for orbit in row["sigma"])
-                writer.writerow([
-                    row["name"], " ".join(row["param_names"]), m_desc,
-                    str(row["dim_a"]), nil, sigma,
-                    str(row["maximal"]).lower(), str(row["exceptional"]).lower(),
-                ])
-            _emit(buf.getvalue(), args.out)
+            _emit(dump_csv(raw_rows), args.out)
         else:
             _emit_json({"version": version, "rows": raw_rows,
                         "manifest": _manifest("table", args, {"mode": "dump"}, {})},
@@ -221,23 +201,9 @@ def cmd_table(args) -> int:
     if args.format == "csv":
         _emit(summary.to_csv(), args.out)
     else:
-        report = {
-            "operation": "table-verify",
-            "rows": [
-                {"name": r.name, "params": list(r.params), "dim_g": r.dim_g,
-                 "dim_m": r.dim_m, "dim_a": r.dim_a, "dim_n": r.dim_n,
-                 "passed": r.passed}
-                for r in summary.reports
-            ],
-            "counts": {
-                "total": summary.count(),
-                "exceptional": summary.count(exceptional=True),
-                "classical": summary.count(exceptional=False),
-            },
-            "all_pass": summary.all_pass,
-            "manifest": _manifest("table", args,
-                                  {"mode": "verify", "max_dim": args.max_dim}, {}),
-        }
+        report = summary.to_report()
+        report["manifest"] = _manifest("table", args,
+                                       {"mode": "verify", "max_dim": args.max_dim}, {})
         _emit_json(report, args.out)
     return EXIT_OK if summary.all_pass else EXIT_MISMATCH
 

@@ -30,7 +30,7 @@ class CenterDimensionError(HTypeError, ValueError):
 
 
 class BudgetExceeded(HTypeError, RuntimeError):
-    """A linear system is larger than the configured entry budget."""
+    """A linear system or structure tensor is larger than the entry budget."""
 
     def __init__(self, requested, budget, context=""):
         self.requested = requested

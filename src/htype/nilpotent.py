@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import division as da
+from . import linalg
 from .division import DivisionAlgebra
 from .errors import CenterDimensionError, StructureError
 from .linalg import det_exact, integerize_row
@@ -118,7 +119,15 @@ class NonsingularResult:
     certificate: str
 
 
+def _check_tensor_budget(dim_v: int, dim_z: int) -> None:
+    """BudgetExceeded when a structure tensor would hold more entries than
+    the budget (DIVH_BUDGET overrides), before anything is allocated."""
+    linalg.check_budget(dim_v * dim_v, dim_z, linalg.default_budget(), "structure tensor")
+
+
 def _zeros(dim_v: int, dim_z: int) -> list[list[list[Fraction]]]:
+    """The zero structure tensor: every builder and loader allocates here."""
+    _check_tensor_budget(dim_v, dim_z)
     return [[[Fraction(0)] * dim_z for _ in range(dim_v)] for _ in range(dim_v)]
 
 
@@ -220,6 +229,7 @@ def make_custom(name: str, dim_v: int, dim_z: int,
 def random_two_step(dim_v: int, dim_z: int, rng: random.Random,
                     denom: int = 4) -> GradedNilpotent:
     """Random rational structure tensor; for genericity experiments."""
+    _check_tensor_budget(dim_v, dim_z)
     entries = []
     for i in range(dim_v):
         for j in range(i + 1, dim_v):

@@ -42,9 +42,8 @@ def to_json_dict(alg: GradedNilpotent) -> dict:
 
 
 def from_json_dict(data: dict) -> GradedNilpotent:
-    # Deferred: `htype table` never needs them (and neither loads numpy).
-    from .linalg import check_budget, default_budget
-    from .nilpotent import GradedNilpotent
+    # Deferred: `htype table` never needs it (and it loads no numpy).
+    from .nilpotent import GradedNilpotent, _freeze, _zeros
 
     try:
         dim_v = int(data["dim_v"])
@@ -56,9 +55,7 @@ def from_json_dict(data: dict) -> GradedNilpotent:
         raise StructureError("negative dimension")
     if not isinstance(triples, list):
         raise StructureError("malformed algebra JSON: structure is not a list")
-    # Refuse before the dense tensor below is allocated.
-    check_budget(dim_v * dim_v, dim_z, default_budget(), "structure tensor")
-    c = [[[Fraction(0)] * dim_z for _ in range(dim_v)] for _ in range(dim_v)]
+    c = _zeros(dim_v, dim_z)  # BudgetExceeded before an oversized tensor
     for entry in triples:
         if not isinstance(entry, list) or len(entry) != 4:
             raise StructureError(f"bad structure entry {entry!r}")
@@ -71,7 +68,6 @@ def from_json_dict(data: dict) -> GradedNilpotent:
             c[i][j][k] = Fraction(val)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise StructureError(f"unparsable structure value in {entry!r}: {exc}") from None
-    structure = tuple(tuple(tuple(e) for e in row) for row in c)
     # GradedNilpotent.__post_init__ re-validates antisymmetry.
     return GradedNilpotent(
         name=data.get("name", "unnamed"),
@@ -80,7 +76,7 @@ def from_json_dict(data: dict) -> GradedNilpotent:
         params=data.get("params", {}),
         dim_v=dim_v,
         dim_z=dim_z,
-        structure=structure,
+        structure=_freeze(c),
         basis_convention=data.get("basis_convention", "unspecified"),
         abelian=bool(data.get("abelian", False)),
     )

@@ -489,6 +489,14 @@ def test_grassmann_distance_matches_subspace_angles(dim, ka, kb, near, seed):
     assert abs(B.grassmann_distance(b, a) - want) <= 1e-12
 
 
+def test_grassmann_distance_names_an_empty_span():
+    # rows of norm <= 1e-10 fall under the absolute cut and span nothing
+    tiny, unit = 1e-11 * np.eye(3)[:2], np.eye(3)[:2]
+    for a, b in ((tiny, unit), (unit, tiny)):
+        with pytest.raises(ValueError, match="span nothing"):
+            B.grassmann_distance(a, b)
+
+
 def test_group_product_is_a_two_step_group_law():
     alg = h1c()
     rng = np.random.default_rng(7)
@@ -510,13 +518,13 @@ def test_puncture_point_is_direction_independent():
 
 
 def test_puncture_point_refuses_bad_radii():
-    # radius >= 1e155 makes every mapped coordinate NaN; the spread check
-    # must not let a NaN through, and a bad radius is refused up front
-    for radius in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite and positive"):
-            B.puncture_point(h1c(), radius=radius)
-    with pytest.raises(CrossValidationError), np.errstate(over="ignore", invalid="ignore"):
-        B.puncture_point(h1c(), radius=1e160)
+    # (1 + r^2/4)^2 overflows above r of about 7.3e77, and from about 1.3e154
+    # every mapped coordinate is NaN; a bad radius is refused up front,
+    # before any float work that could warn
+    with np.errstate(all="raise"):
+        for radius in (0.0, -1.0, math.inf, math.nan, 1e78, 1e160):
+            with pytest.raises(ValueError, match="finite and positive"):
+                B.puncture_point(h1c(), radius=radius)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import time
 
 import pytest
 
 from htype.catalog import (
     SimpleAlgebraDescriptor as D,
+    _FAMILIES,
     _eval,
     _parse,
     compute_checksum,
@@ -328,3 +330,69 @@ def test_in_S_exclusions():
     assert D("su_star", (3,)).in_S
     assert D("sp", (1, 2)).in_S
     assert D("EIV", ()).in_S
+
+
+def _brute_grid(max_dim, bound=40):
+    """Every valid classical choice with params up to bound (p <= q for two
+    params) and dim g <= max_dim, found by trying them all."""
+    found = []
+    for row in table_rows():
+        if row.exceptional:
+            continue
+        for ps in itertools.product(range(1, bound + 1), repeat=len(row.param_names)):
+            if list(ps) != sorted(ps):
+                continue
+            try:
+                dim = instantiate(row, ps).g.dimension
+            except ValueError:  # fails the row's validity
+                continue
+            if dim <= max_dim:
+                assert bound not in ps, "bound too small for this max_dim"
+                found.append((row, ps))
+    return found
+
+
+@pytest.mark.parametrize("max_dim", [0, 3, 14, 40, 78, 133, 500])
+def test_default_grid_matches_brute_force(max_dim):
+    grid = list(default_grid(max_dim))
+    assert len(grid) == len(set(grid))
+    assert set(grid) == set(_brute_grid(max_dim))
+
+
+def test_every_dataset_family_has_a_record():
+    _, raw = load_table()
+    named = [(r["g"]["family"], r["g"]["params"]) for r in raw]
+    named += [(f["family"], f["params"]) for r in raw for f in r["m_factors"]]
+    assert {family for family, _ in named} == set(_FAMILIES)
+    for family, params in named:
+        assert len(params) == _FAMILIES[family].arity, family
+
+
+# family, params, name, dim, in S, type letter (one case per classical family)
+DESCRIPTOR_CASES = [
+    ("sl_R", (3,), "sl(3,R)", 8, True, "sl"),
+    ("sl_C", (2,), "sl(2,C)", 6, False, "sl"),
+    ("su_star", (3,), "su*(6)", 35, True, "su"),
+    ("su", (1, 1), "su(1,1)", 3, False, "su"),
+    ("sp_R", (2,), "sp(2,R)", 10, True, "sp"),
+    ("sp", (1, 2), "sp(1,2)", 21, True, "sp"),
+    ("sp_C", (1,), "sp(1,C)", 6, False, "sp"),
+    ("so", (2, 3), "so(2,3)", 10, True, "so"),
+    ("so_star", (2,), "so*(4)", 6, False, "so"),
+    ("so_C", (5,), "so(5,C)", 20, True, "so"),
+    ("EVIII", (), "EVIII", 248, True, None),
+    ("G2", (), "G2", 28, True, None),
+]
+
+
+@pytest.mark.parametrize("family,params,name,dim,in_s,letter", DESCRIPTOR_CASES)
+def test_descriptor_reads_its_family_record(family, params, name, dim, in_s, letter):
+    d = D(family, params)
+    assert (d.name, d.dimension, d.in_S, d.type_letter) == (name, dim, in_s, letter)
+
+
+@pytest.mark.parametrize("family,params", [("xx", ()), ("sl_R", ()), ("EV", (3,)),
+                                           ("su", (2,))])
+def test_descriptor_refuses_unknown_family_or_arity(family, params):
+    with pytest.raises(StructureError):
+        D(family, params)

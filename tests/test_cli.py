@@ -71,6 +71,16 @@ def test_construct_octonion_hprime(tmp_path):
     assert (data["dim_v"], data["dim_z"]) == (8, 7)
 
 
+def test_construct_refuses_an_oversized_tensor(tmp_path, capsys):
+    out = tmp_path / "h250R.json"
+    code, stdout, err = run(capsys, "construct", "--family", "hn", "--algebra", "R",
+                            "--n", "250", "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err == ("error: system size 250000 entries exceeds budget 200000 "
+                   "(structure tensor)\n")
+    assert not out.exists()
+
+
 def test_construct_negative_n_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "construct", "--family", "hn", "--algebra", "R",
                        "--n", "-1", "--out", str(tmp_path / "x.json"))
@@ -450,7 +460,7 @@ def test_cli_import_loads_exactly_its_modules_and_no_table():
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, htype.cli, htype.catalog; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'htype')); "
-            "print(htype.catalog._cached_rows is None)")
+            "print(htype.catalog.table_rows.cache_info().currsize == 0)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split("\n")[:2] == [

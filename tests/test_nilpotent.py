@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from htype import nilpotent
-from htype.clifford import clifford_generators
+from htype.clifford import build_htype_from_clifford, clifford_generators
 from htype.division import DivisionAlgebra as DA
-from htype.errors import CenterDimensionError, StructureError
+from htype.errors import BudgetExceeded, CenterDimensionError, StructureError
+from htype.linalg import DEFAULT_BUDGET
 from htype.nilpotent import (
     GradedNilpotent,
     bracket,
@@ -109,6 +111,43 @@ def test_random_two_step_deterministic():
     b = random_two_step(4, 2, random.Random(9))
     assert a.structure == b.structure
     assert dims(a) == (4, 2, 6)
+
+
+BUILDERS = {
+    "hn": lambda: build_hn(DA.C, 1),
+    "hprime": lambda: build_hprime(DA.H, 1, 1),
+    "custom": lambda: make_custom("pair", 3, 1, [(0, 1, 0, 1)]),
+    "clifford": lambda: build_htype_from_clifford(3, 1),
+    "random": lambda: random_two_step(3, 2, random.Random(0)),
+}
+
+
+@pytest.mark.parametrize("builder", BUILDERS.values(), ids=BUILDERS)
+def test_structure_tensor_follows_the_budget(builder, monkeypatch):
+    alg = builder()
+    entries = alg.dim_v * alg.dim_v * alg.dim_z
+    monkeypatch.setenv("DIVH_BUDGET", str(entries - 1))
+    with pytest.raises(BudgetExceeded, match="structure tensor"):
+        builder()
+    monkeypatch.setenv("DIVH_BUDGET", str(entries))
+    assert builder() == alg
+
+
+def test_oversized_tensor_is_refused_before_allocation():
+    rng = random.Random(0)
+    state = rng.getstate()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as exc:
+            build_hn(DA.R, 250)  # 500 * 500 * 1 entries
+        with pytest.raises(BudgetExceeded):
+            random_two_step(500, 1, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.requested, exc.value.budget) == (250_000, DEFAULT_BUDGET)
+    assert peak < 1 << 20
+    assert rng.getstate() == state  # refused before any entry was drawn
 
 
 # --- elements and brackets --------------------------------------------------
