@@ -13,7 +13,7 @@ submodules resolve the same way.
 
 import importlib
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # pyproject.toml's version; every CLI report carries it
 
 # submodule -> the public names it exports through the package
 _EXPORTS = {

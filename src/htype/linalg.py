@@ -49,7 +49,6 @@ modulus passes twice the Hadamard bound.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from collections.abc import Mapping
@@ -69,7 +68,15 @@ __all__ = [
     "det_exact",
 ]
 
-_log = logging.getLogger("htype.linalg")
+
+def _log(msg: str, *args) -> None:
+    """INFO on the "htype.linalg" logger. logging is imported only when a
+    record is written, so a run that writes none never loads it."""
+    import logging
+
+    # stacklevel: the record names the caller, as a module logger would
+    logging.getLogger("htype.linalg").info(msg, *args, stacklevel=2)
+
 
 SparseInts = Sequence[tuple[int, int]]  # (column, value), columns ascending
 _INT = frozenset({int})
@@ -120,7 +127,7 @@ def default_budget() -> int:
 
 def check_budget(nrows: int, ncols: int, budget: int | None, context: str = "") -> None:
     if budget is not None and nrows * ncols > budget:
-        _log.info("refused %s: %d entries requested, budget %d",
+        _log("refused %s: %d entries requested, budget %d",
                   context, nrows * ncols, budget)
         raise BudgetExceeded(nrows * ncols, budget, context)
 
@@ -333,13 +340,13 @@ def _nullspace_modp(rows: list[SparseInts], ncols: int,
                     irow[j] = x + modulus * ((prow.get(j, 0) - x) * inv % p)
             modulus *= p
         else:
-            _log.info("nullspace %s: prime %d has worse pivots; skipped", context, p)
+            _log("nullspace %s: prime %d has worse pivots; skipped", context, p)
             continue
         vectors = _reconstruct(image, modulus, pivots, ncols)
         if vectors is None:
-            _log.info("nullspace %s: rational reconstruction failed at prime %d", context, p)
+            _log("nullspace %s: rational reconstruction failed at prime %d", context, p)
         elif vectors and not _annihilates(rows, [vec for _, vec in vectors]):
-            _log.info("nullspace %s: lift at prime %d fails exact verification", context, p)
+            _log("nullspace %s: lift at prime %d fails exact verification", context, p)
         else:
             return NullspaceResult(tuple(vectors), ncols, "modp" if count == 1 else "modp-crt")
     raise RuntimeError(f"nullspace {context}: no certified basis after {limit} primes")

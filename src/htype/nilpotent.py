@@ -17,16 +17,18 @@ z-basis is the standard (or imaginary) basis of A. J-maps are defined by
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import division as da
 from . import linalg
-from .division import DivisionAlgebra
 from .errors import CenterDimensionError, StructureError
 from .linalg import det_exact, integerize_row
+
+if TYPE_CHECKING:  # annotations only: loading an algebra needs neither
+    import random
+
+    from .division import DivisionAlgebra
 
 __all__ = [
     "GradedNilpotent",
@@ -137,6 +139,8 @@ def _freeze(c: list[list[list[Fraction]]]) -> Structure:
 
 def build_hn(algebra: DivisionAlgebra, n: int) -> GradedNilpotent:
     """h_n(A): v = A^n (x-block) (+) A^n (y-block), z = A."""
+    from . import division as da
+
     if n < 0:
         raise ValueError("n must be >= 0")
     d = algebra.dimension
@@ -169,6 +173,8 @@ def build_hn(algebra: DivisionAlgebra, n: int) -> GradedNilpotent:
 
 def build_hprime(algebra: DivisionAlgebra, p: int, q: int) -> GradedNilpotent:
     """h'_{p,q}(A): v = A^p (+) A^q, z = Im(A). Abelian when A = R."""
+    from . import division as da
+
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError("need p, q >= 0 with p + q >= 1")
     d = algebra.dimension

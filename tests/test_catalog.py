@@ -10,7 +10,9 @@ import time
 
 import pytest
 
+from htype import catalog
 from htype.catalog import (
+    MAX_GRID_DIM,
     SimpleAlgebraDescriptor as D,
     _FAMILIES,
     _eval,
@@ -357,6 +359,20 @@ def test_default_grid_matches_brute_force(max_dim):
     grid = list(default_grid(max_dim))
     assert len(grid) == len(set(grid))
     assert set(grid) == set(_brute_grid(max_dim))
+
+
+def test_grid_at_the_cap():
+    grid = list(default_grid(MAX_GRID_DIM))
+    assert len(grid) == len(set(grid)) == 9047
+    assert max(instantiate(row, ps).g.dimension for row, ps in grid) <= MAX_GRID_DIM
+
+
+def test_grid_above_the_cap_is_refused_before_any_work(monkeypatch):
+    monkeypatch.setattr(catalog, "table_rows", lambda: pytest.fail("table read"))
+    with pytest.raises(ValueError, match="exceeds the grid cap"):
+        default_grid(MAX_GRID_DIM + 1)
+    with pytest.raises(ValueError, match="exceeds the grid cap"):
+        verify_all(max_dim=MAX_GRID_DIM + 1)
 
 
 def test_every_dataset_family_has_a_record():

@@ -14,12 +14,12 @@ from pathlib import Path
 import pytest
 
 import htype
-from htype.catalog import table_rows
-from htype.cli import artifact_version, main
+from htype.catalog import MAX_GRID_DIM, table_rows
+from htype.cli import main
 from htype.nilpotent import random_two_step
 from htype.serialization import save_algebra
 
-ARTIFACT_VERSION = artifact_version()
+ARTIFACT_VERSION = htype.__version__
 
 
 def run(capsys, *argv):
@@ -307,10 +307,26 @@ def test_table_dump_csv_quotes_fields(capsys):
     assert len(rows) == 27 and "sl(n,R)" in [row[0] for row in rows]
 
 
+def test_table_verify_max_dim_at_the_cap(tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(["table", "--verify", "--format", "csv", "--max-dim", str(MAX_GRID_DIM),
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 17 + 9047
+
+
+@pytest.mark.parametrize("max_dim", ["10001", "99999999999999999999999"])
+def test_table_verify_max_dim_above_the_cap_is_usage_error(max_dim, tmp_path, capsys):
+    out = tmp_path / "t.json"
+    code, _, err = run(capsys, "table", "--verify", "--max-dim", max_dim, "--out", str(out))
+    assert code == 2
+    assert "exceeds the grid cap 10000" in err
+    assert not out.exists()
+
+
 def test_table_corrupted_dataset(capsys, monkeypatch):
     # dataset corruption detection itself is covered by the catalog tests;
     # here: the CLI surfaces it as exit 2 with the checksum message
-    import htype.cli as cli
+    import htype.catalog
     from htype.catalog import compute_checksum, load_table
 
     _, rows = load_table()
@@ -323,7 +339,7 @@ def test_table_corrupted_dataset(capsys, monkeypatch):
             raise DatasetError("dataset checksum mismatch: parabolic_table.json")
         return "1.0", rows  # pragma: no cover
 
-    monkeypatch.setattr(cli, "load_table", corrupted_load)
+    monkeypatch.setattr(htype.catalog, "load_table", corrupted_load)
     code, _, err = run(capsys, "table", "--verify")
     assert code == 2
     assert "checksum" in err
@@ -440,6 +456,27 @@ def test_report_schema_keys(h1c, tmp_path):
     assert man["artifact_version"]
 
 
+def test_version_is_the_pyproject_version():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert f'version = "{htype.__version__}"' in pyproject.read_text().splitlines()
+
+
+def test_every_report_carries_the_package_version(h1c, tmp_path):
+    reports = {
+        "check": ["check", "--in", h1c, "--tests", "typeh,j2", "--seed", "1",
+                  "--samples", "5"],
+        "prolong": ["prolong", "--in", h1c, "--max-degree", "1"],
+        "table-verify": ["table", "--verify", "--max-dim", "20"],
+        "table-dump": ["table", "--dump"],
+        "boundary": ["boundary", "--in", h1c, "--experiment", "distribution",
+                     "--seed", "1", "--samples", "5"],
+    }
+    for name, argv in reports.items():
+        out = tmp_path / f"{name}.json"
+        main(argv + ["--out", str(out)])
+        assert read_json(out)["manifest"]["artifact_version"] == htype.__version__, name
+
+
 # ---------------------------------------------------------------------------
 # import surface
 
@@ -458,15 +495,51 @@ def test_cli_import_loads_exactly_its_modules_and_no_table():
     # a cold `htype` invocation pays for these imports before any work
     src = str(Path(htype.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, htype.cli, htype.catalog; "
+    code = ("import sys, htype.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'htype')); "
+            "import htype.catalog; "
             "print(htype.catalog.table_rows.cache_info().currsize == 0)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split("\n")[:2] == [
-        "['htype', 'htype.catalog', 'htype.cli', 'htype.division', 'htype.errors', "
-        "'htype.serialization']",
-        "True"]
+        "['htype', 'htype.cli', 'htype.errors', 'htype.serialization']", "True"]
+
+
+_COMMAND_SURFACE = """
+import contextlib, io, json, sys
+import htype.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = htype.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+# command -> (argv, modules it must not load); the input files are built first
+_SURFACE_CASES = {
+    "construct-hn": (["construct", "--family", "hn", "--algebra", "H", "--n", "1",
+                      "--out", "h1H.json"], {"htype.catalog"}),
+    "construct-clifford": (["construct", "--family", "clifford", "--m", "5",
+                            "--out", "c51.json"], {"htype.catalog"}),
+    "check": (["check", "--in", "h1H.json", "--tests", "typeh,nonsingular"],
+              {"htype.catalog", "htype.division"}),
+    "prolong": (["prolong", "--in", "h1H.json"], {"htype.catalog", "htype.division"}),
+    "table-verify": (["table", "--verify"], {"htype.nilpotent"}),
+    "table-dump": (["table", "--dump", "--format", "csv"], {"htype.nilpotent"}),
+    "boundary": (["boundary", "--in", "h1C.json", "--experiment", "cayley-probe",
+                  "--seed", "1", "--samples", "10"], {"htype.catalog", "htype.division"}),
+}
+
+
+@pytest.mark.parametrize("argv,unused", _SURFACE_CASES.values(), ids=_SURFACE_CASES)
+def test_each_command_loads_only_what_it_runs(argv, unused, tmp_path):
+    src = str(Path(htype.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    save_algebra(htype.build_hn(htype.DivisionAlgebra.H, 1), tmp_path / "h1H.json")
+    save_algebra(htype.build_hn(htype.DivisionAlgebra.C, 1), tmp_path / "h1C.json")
+    proc = subprocess.run([sys.executable, "-c", _COMMAND_SURFACE, *argv], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, check=True)
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert not (unused | {"importlib.metadata", "logging"}) & set(loaded)
 
 
 _IMPORT_SURFACE = """

@@ -5,8 +5,12 @@ import hashlib
 import itertools
 import logging
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -165,6 +169,28 @@ def test_budget_refusal_is_logged(caplog):
         check_budget(6, 10, 50, "degree-2 prolongation system")
     assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
         (logging.INFO, "refused degree-2 prolongation system: 60 entries requested, budget 50")]
+
+
+_LAZY_LOGGING = """
+import sys
+import htype.linalg
+assert "logging" not in sys.modules
+import logging
+logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s %(funcName)s: %(message)s")
+try:
+    htype.linalg.check_budget(6, 10, 50, "probe system")
+except htype.errors.BudgetExceeded:
+    pass
+"""
+
+
+def test_logging_is_loaded_only_to_write_a_record():
+    src = str(Path(linalg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _LAZY_LOGGING], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stderr == ("INFO htype.linalg check_budget: "
+                           "refused probe system: 60 entries requested, budget 50\n")
 
 
 def test_integerize_row():
