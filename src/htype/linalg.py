@@ -5,14 +5,14 @@ must be exact, so every returned basis is certified over Q. Every system
 takes the same path:
 
 1. Rows arrive sparse, as {column: value} mappings of ints or Fractions.
-   One intake pass per row sorts its items once; a row of nonzero ints
-   (as the prolongation assembler builds them) takes one gcd, gets its
-   sign fixed by its leading entry and is divided only when its content
-   is not 1, and any other row is scaled to a primitive integer row over
-   its nonzeros. Zero rows and rows equal up to sign are dropped, since
-   neither changes the nullspace, and the columns of the whole system are
-   checked once to be ints in [0, ncols). The distinct rows are fed to
-   step 2 shortest first: the RREF mod p does not depend on row order.
+   One validation pass over the system skips empty rows, checks the
+   columns to be ints in [0, ncols) and collects one set of value types,
+   refusing any value that is not an int or a Fraction. A system of ints
+   is read in place: each mapping goes on as its own items, with no copy,
+   sort or scaling, and duplicate or zero rows clear to zero in step 2.
+   Only a system that holds a Fraction has its rows scaled to primitive
+   integer rows over their nonzeros. The rows are fed to step 2 shortest
+   first: the RREF mod p does not depend on row order.
 2. The integer rows are row-reduced modulo a 31-bit prime by a streaming
    sparse Gauss-Jordan (`_rref_modp`: dict rows, no dense matrix, no
    numpy). Each row is taken as given and reduced mod p once, after the
@@ -54,7 +54,7 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded
 
@@ -78,8 +78,7 @@ def _log(msg: str, *args) -> None:
     logging.getLogger("htype.linalg").info(msg, *args, stacklevel=2)
 
 
-SparseInts = Sequence[tuple[int, int]]  # (column, value), columns ascending
-_INT = frozenset({int})
+SparseInts = Collection[tuple[int, int]]  # (column, value) pairs, ascending in a vector
 
 
 @dataclass(frozen=True)
@@ -133,21 +132,12 @@ def check_budget(nrows: int, ncols: int, budget: int | None, context: str = "") 
 
 
 def _integerize(items: Iterable[tuple[int, Fraction | int]]) -> SparseInts:
-    """Primitive integer multiple of a sparse rational row, zeros left out.
-
-    A row whose values are all ints only loses its content; the lcm of
-    denominators is taken only when some value is not an int.
-    """
+    """Primitive integer multiple of a sparse rational row, zeros left out."""
     nz = [(c, v) for c, v in items if v]
-    if not nz:
-        return []
-    if all(type(v) is int for _, v in nz):
-        ints = nz
-    elif bad := [v for _, v in nz if not isinstance(v, (int, Fraction))]:
+    if bad := [v for _, v in nz if not isinstance(v, (int, Fraction))]:
         raise TypeError(f"row values must be ints or Fractions, not {type(bad[0]).__name__}")
-    else:
-        scale = math.lcm(*(v.denominator for _, v in nz))
-        ints = [(c, v.numerator * (scale // v.denominator)) for c, v in nz]
+    scale = math.lcm(*(v.denominator for _, v in nz))
+    ints = [(c, v.numerator * (scale // v.denominator)) for c, v in nz]
     g = math.gcd(*(v for _, v in ints))
     if g > 1:
         ints = [(c, v // g) for c, v in ints]
@@ -316,15 +306,16 @@ def _reconstruct(image: list[dict[int, int]], modulus: int, pivots: list[int],
 
 def _nullspace_modp(rows: list[SparseInts], ncols: int,
                     context: str = "") -> NullspaceResult:
-    """Certified canonical nullspace basis of primitive integer rows by the
+    """Certified canonical nullspace basis of integer rows by the
     prime ladder of the module docstring: the image is the RREF modulo the
     product of the primes kept, and H is taken once the first prime fails."""
     image, pivots, modulus, limit = [], [], 0, 1
     for count, p in enumerate(_primes(), 1):
         if count == 2:
-            # the norms are rounded up: ceil(sqrt(s)) = isqrt(s - 1) + 1
-            norms = sorted((math.isqrt(sum(v * v for _, v in row) - 1) + 1 for row in rows),
-                           reverse=True)
+            # the norms are rounded up: ceil(sqrt(s)) = isqrt(s - 1) + 1; a
+            # row that is zero (explicit zeros, or no entries) has none
+            norms = sorted((math.isqrt(s - 1) + 1 for row in rows
+                            if (s := sum(v * v for _, v in row))), reverse=True)
             bits = math.prod(norms[:ncols]).bit_length()
             limit = -(-(2 * bits + 1) // 30) + bits // 30
         if count > limit:
@@ -357,26 +348,23 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], ncols: int,
     """Certified exact nullspace of the system rows . v = 0.
 
     Rows are sparse mappings {column: value}, with int columns in
-    [0, ncols) and values ints or Fractions; zero rows are dropped. The
-    context names the system in the escalation log.
+    [0, ncols) and values ints or Fractions. One validation pass keeps the
+    non-empty rows and collects their columns and value types; a system of
+    ints is read as the callers' mappings, never copied or changed, and
+    only one that holds a Fraction is integerized row by row. The context
+    names the system in the escalation log.
     """
-    distinct: dict[SparseInts, None] = {}  # the rows, deduplicated in first order
+    kept: list[Mapping[int, Fraction]] = []
     cols: set = set()
+    types: set = set()
     for row in rows:
-        cols.update(row)
-        vals = row.values()
-        items = sorted(row.items())
-        if set(map(type, vals)) == _INT and 0 not in vals:
-            g = math.gcd(*vals)
-        else:
-            items, g = _integerize(items), 1
-        if not items:
-            continue
-        if items[0][1] < 0:
-            g = -g
-        if g != 1:
-            items = [(c, v // g) for c, v in items]
-        distinct[tuple(items)] = None
+        if row:
+            kept.append(row)
+            cols.update(row)
+            types.update(map(type, row.values()))
+    if not all(issubclass(t, (int, Fraction)) for t in types):
+        bad = next(v for row in kept for v in row.values() if not isinstance(v, (int, Fraction)))
+        raise TypeError(f"row values must be ints or Fractions, not {type(bad).__name__}")
     if cols:
         if bad := [c for c in cols if type(c) is not int]:
             raise TypeError(f"nullspace {context}: row columns must be ints, "
@@ -384,7 +372,12 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], ncols: int,
         if min(cols) < 0 or max(cols) >= ncols:
             raise ValueError(f"nullspace {context}: row columns {min(cols)}..{max(cols)} "
                              f"outside [0, {ncols})")
-    return _nullspace_modp(sorted(distinct, key=len), ncols, context)
+    if all(issubclass(t, int) for t in types):
+        ints = [row.items() for row in kept]
+    else:
+        ints = [_integerize(row.items()) for row in kept]
+    ints.sort(key=len)
+    return _nullspace_modp(ints, ncols, context)
 
 
 def det_exact(mat: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -233,7 +233,7 @@ def _prolong_rows(K: int, dims: dict, ev_v: dict, ev_z: dict, scale: dict) -> li
     is multiplied by the product of their scales: v-v rows mix levels -1
     and K-1, v-z rows K-1 and K-2, and z-z rows use level K-2 alone. So
     every row is a positive integer multiple of the rational row, with the
-    same nullspace.
+    same nullspace. Empty rows are left out.
     """
     n, m = dims[-1], dims[-2]
     d_prev, d_prev2, d3, d4 = (dims.get(j, 0) for j in (K - 1, K - 2, K - 3, K - 4))
@@ -256,7 +256,8 @@ def _prolong_rows(K: int, dims: dict, ev_v: dict, ev_z: dict, scale: dict) -> li
                     row[col + i] = x
                 for col, x in pos[r][i]:
                     row[col + j] = x
-                rows.append(row)
+                if row:  # empty where c(x_i, x_j) = 0 and the level has no entry
+                    rows.append(row)
     # 0 = [f(x_i), z_l] + [x_i, f(z_l)], values in g_{K-3}
     if d3:
         f_z = _nonzeros(ev_z[K - 1], d3, m, 0, n, scale[K - 2])
@@ -267,7 +268,8 @@ def _prolong_rows(K: int, dims: dict, ev_v: dict, ev_z: dict, scale: dict) -> li
                     row = {col + i: x for col, x in f_z[s][l]}
                     for col, x in f_v[s][i]:
                         row[col + l] = x
-                    rows.append(row)
+                    if row:
+                        rows.append(row)
     # 0 = [f(z_l), z_l'] + [z_l, f(z_l')], values in g_{K-4}
     if d4:
         pos = _nonzeros(ev_z[K - 2], d4, m, p_cols, m, 1)
@@ -278,7 +280,8 @@ def _prolong_rows(K: int, dims: dict, ev_v: dict, ev_z: dict, scale: dict) -> li
                     row = {col + l: x for col, x in pos[u_][lp]}
                     for col, x in neg[u_][l]:
                         row[col + lp] = x
-                    rows.append(row)
+                    if row:
+                        rows.append(row)
     return rows
 
 

@@ -267,6 +267,26 @@ def test_reconstruction_failures_escalate(monkeypatch, caplog, fails, method, lo
     assert all(r.levelno == logging.INFO for r in caplog.records)
 
 
+@pytest.mark.parametrize("value", [int, Fraction])
+def test_repeated_and_zero_rows_reach_the_later_primes(monkeypatch, value):
+    # duplicate, negated, scaled, explicit-zero and all-zero rows go to the
+    # kernel as given; past the first prime the ladder takes the Hadamard
+    # norms of every row, and a zero row has none
+    rows, ncols = _rank3_system(seed=7, ncols=40)
+    rows = [{c: math.lcm(*(x.denominator for x in row.values())) * v for c, v in row.items()}
+            for row in rows]
+    extra = [dict(rows[0]), {c: -v for c, v in rows[1].items()},
+             {c: 6 * v for c, v in rows[2].items()}, {c: rows[3].get(c, 0) for c in range(ncols)},
+             {0: 0, 9: 0}, {}]
+    system = [{c: value(v) for c, v in row.items()} for row in rows[:4] + extra + rows[4:]]
+    assert {type(v) for row in system for v in row.values()} == {value}
+    monkeypatch.setattr(linalg, "_rat_reconstruct",
+                        _failing_reconstruct(lambda m: m < math.prod(_LADDER[:2])))
+    res = nullspace(system, ncols)
+    assert res.method == "modp-crt" and res.dimension == ncols - 3
+    assert res.basis == _reference_basis(system, ncols)
+
+
 def test_derived_stop_raises_when_reconstruction_always_fails(monkeypatch, caplog):
     # each integer row has norm sqrt(2^32 + 1), rounded up to 2^16 + 1, so
     # H = (2^16 + 1)^2 has 33 bits and the ladder stops after
@@ -414,6 +434,11 @@ def test_malformed_rows_are_refused():
         nullspace([{0: 0.5}], 2)
     with pytest.raises(TypeError, match="ints or Fractions, not str"):
         nullspace([{0: Fraction(1, 2), 1: "1"}], 2)
+    # a float is refused when it is zero too
+    with pytest.raises(TypeError, match="ints or Fractions, not float"):
+        nullspace([{0: 0.0, 1: 1}], 2)
+    with pytest.raises(TypeError, match="ints or Fractions, not float"):
+        nullspace([{0: 0.0}], 2)
     # a column is an index: a float one is refused, neither taken for a
     # free column nor sent on to the elimination
     with pytest.raises(TypeError, match="columns must be ints, not float"):
@@ -624,6 +649,25 @@ def test_modp_path_matches_fraction_path(system):
     res = nullspace(rows, ncols)
     assert res.basis == ref and res.dimension == len(ref)
     assert res.method.startswith("modp")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems(), st.data())
+def test_repeated_and_empty_rows_change_no_output(system, data):
+    # the kernel clears what the intake no longer drops: duplicates,
+    # negated and integer-scaled copies and empty rows; both the Fraction
+    # intake and the int one (each row times the lcm of its denominators)
+    rows, ncols = system
+    if data.draw(st.booleans()):
+        rows = [{c: int(v * math.lcm(*(x.denominator for x in row.values())))
+                 for c, v in row.items()} for row in rows]
+    copies = data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                          st.sampled_from([1, -1, 2, -3])), max_size=8))
+    padded = rows + [{c: k * v for c, v in rows[i].items()} for i, k in copies]
+    padded += [{}] * data.draw(st.integers(0, 3))
+    padded = [padded[i] for i in data.draw(st.permutations(range(len(padded))))]
+    plain, res = nullspace(rows, ncols), nullspace(padded, ncols)
+    assert res.vectors == plain.vectors and res.method == plain.method
 
 
 def test_det_exact_runs_on_the_one_kernel():

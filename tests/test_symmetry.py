@@ -595,13 +595,27 @@ def test_exact_rows_are_positive_integer_multiples(monkeypatch, name):
     # h'1,0(O) has D_0 = 2 and the random algebra D_-1 = 4; h1(H) is integral
     assert any(d != 1 for call in calls for d in call[3].values()) == (name != "h1(H)")
     for K, _, _, _, rows in calls:
-        ref = _reference_rows(K, c, levels, Fraction(0))
+        # the assembler leaves out the rows that are zero
+        ref = [want for want in _reference_rows(K, c, levels, Fraction(0)) if any(want)]
         assert len(rows) == len(ref)
         for row, want in zip(rows, ref):
             assert all(type(x) is int for x in row.values())
             assert set(row) == {col for col, x in enumerate(want) if x}
             ratios = {Fraction(x) / want[col] for col, x in row.items()}
             assert len(ratios) <= 1 and all(q > 0 for q in ratios)
+
+
+@pytest.mark.parametrize("alg", [build_hn(DA.O, 1), build_hprime(DA.O, 1, 0),
+                                 make_custom("deg3", 4, 2, [(0, 1, 0, 1)])],
+                         ids=["h1(O)", "h'1,0(O)", "degenerate"])
+def test_assembled_rows_are_never_empty(monkeypatch, alg):
+    # h1(O) has c(x_i, x_j) = 0 with no level entry 448 times each at degrees
+    # 1 and 3, and the degenerate algebra (z_1 not in [v, v]) has empty v-z
+    # rows at degrees 1 and 3 as well; no such row reaches nullspace
+    calls = _record_assembly(monkeypatch)
+    tanaka_prolong(alg, max_degree=3, budget=BIG)
+    assert [call[0] for call in calls] == [0, 1, 2, 3]
+    assert all(row for *_, rows in calls for row in rows)
 
 
 def test_full_derivation_rows_are_integral(monkeypatch):
