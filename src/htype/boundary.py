@@ -71,6 +71,7 @@ PLANE_TOL = 1e-6
 FINAL_DISTANCE_TOL = 1e-3  # limiting-plane distance at the largest radius
 MAX_RADIUS = 1e5  # limiting planes: see _check_radii
 INVERSE_TOL = 1e-10  # residual certificate of the closed-form inverse
+ORTHONORMAL_TOL = 1e-10  # singular-value cut and Gram check of _orthonormal_rows
 BALL_MARGIN = 1e-9
 SIEGEL_TOL = 1e-9  # height excess tolerated below the boundary, relative to |X|^2
 FD_STEP = 1e-4  # Richardson pair uses FD_STEP and FD_STEP / 2
@@ -256,18 +257,16 @@ def _fd_push(mod: _FloatModel, X, Z, rows: np.ndarray) -> np.ndarray:
     return (4.0 * a2 - a1) / 3.0
 
 
-def _orthonormal_rows(rows: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
     u, s, vh = np.linalg.svd(np.atleast_2d(rows), full_matrices=False)
-    cut = tol * max(1.0, s[0] if s.size else 0.0)
+    cut = ORTHONORMAL_TOL * max(1.0, s[0] if s.size else 0.0)
     keep = s > cut
     if not keep.any():
         raise ValueError(f"the rows span nothing: no singular value exceeds {cut:g}")
     basis = vh[keep]
-    gram = basis @ basis.T
-    if np.max(np.abs(gram - np.eye(basis.shape[0]))) > 1e-10:
-        raise CrossValidationError("orthonormalization",
-                                   float(np.max(np.abs(gram - np.eye(basis.shape[0])))),
-                                   1e-10)
+    err = float(np.max(np.abs(basis @ basis.T - np.eye(basis.shape[0]))))
+    if err > ORTHONORMAL_TOL:
+        raise CrossValidationError("orthonormalization", err, ORTHONORMAL_TOL)
     return basis
 
 
@@ -651,7 +650,8 @@ def _check_radii(radii) -> tuple:
     """The radii as a tuple, refused unless non-empty and each in (2, MAX_RADIUS].
     The curve 1 + |Z|^2 = r^4 / 16 is real only for r >= 2; the pushed
     planes along it have singular values down to 2 sqrt(2) / r^2, which
-    fall under the 1e-10 cut of `_orthonormal_rows` beyond about 1.7e5."""
+    fall under the ORTHONORMAL_TOL cut of `_orthonormal_rows` beyond about
+    1.7e5."""
     radii = tuple(radii)
     if not radii or not all(2.0 < r <= MAX_RADIUS for r in radii):
         raise ValueError(f"radii must be a non-empty sequence of numbers above 2 "

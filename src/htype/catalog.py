@@ -394,12 +394,6 @@ class RowReport:
     def passed(self) -> bool:
         return self.identity_ok and self.sigma_ok
 
-    def terms(self) -> str:
-        return (f"{self.dim_g} = {self.dim_m} + {self.dim_a} + 2*{self.dim_n}"
-                f" [{'ok' if self.identity_ok else 'FAIL'}],"
-                f" |sigma| = {self.sigma_orbits} vs dim_a = {self.dim_a}"
-                f" [{'ok' if self.sigma_ok else 'FAIL'}]")
-
 
 def verify_row(row: TableRow, params: Iterable[int] = ()) -> RowReport:
     inst = instantiate(row, params)

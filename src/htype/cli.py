@@ -27,7 +27,14 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 CHECK_TESTS = ("jacobi", "typeh", "nonsingular", "j2")
-EXPERIMENTS = ("cayley-probe", "distribution", "j2", "limiting-plane")
+# each boundary experiment and the verdicts it can report
+EXPERIMENTS = {
+    "cayley-probe": ("pass", "fail"),
+    "distribution": ("pass",),
+    "j2": ("holds", "fails"),
+    "limiting-plane": ("planes_collapse_to_orthogonal_limits", "inconclusive",
+                       "no_witness_found"),
+}
 
 
 def _manifest(command: str, args, inputs: dict, tolerances: dict) -> dict:
@@ -204,6 +211,9 @@ def cmd_boundary(args) -> int:
     experiment = args.experiment
     if args.samples == 0 and experiment in ("cayley-probe", "distribution"):
         raise ValueError(f"--samples must be at least 1 for {experiment}")
+    if args.expect is not None and args.expect not in EXPERIMENTS[experiment]:
+        raise ValueError(f"--expect for {experiment} must be one of "
+                         f"{', '.join(EXPERIMENTS[experiment])}, got {args.expect!r}")
     from . import boundary as bnd
 
     alg = load_algebra(getattr(args, "in"))

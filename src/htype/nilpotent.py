@@ -137,6 +137,16 @@ def _freeze(c: list[list[list[Fraction]]]) -> Structure:
     return tuple(tuple(tuple(e) for e in row) for row in c)
 
 
+def _check_indices(entry, dim_v: int, dim_z: int) -> None:
+    """StructureError unless the (i, j, k) that open a structure entry are
+    ints (a bool is not) with i, j in [0, dim_v) and k in [0, dim_z)."""
+    i, j, k = entry[:3]
+    if not all(type(x) is int for x in (i, j, k)):
+        raise StructureError(f"structure indices must be integers in {entry!r}")
+    if not (0 <= i < dim_v and 0 <= j < dim_v and 0 <= k < dim_z):
+        raise StructureError(f"structure index out of range in {entry!r}")
+
+
 def build_hn(algebra: DivisionAlgebra, n: int) -> GradedNilpotent:
     """h_n(A): v = A^n (x-block) (+) A^n (y-block), z = A."""
     from . import division as da
@@ -219,7 +229,9 @@ def make_custom(name: str, dim_v: int, dim_z: int,
                 family: str = "custom") -> GradedNilpotent:
     """Build from sparse (i, j, k, value) entries; antisymmetry is filled in."""
     c = _zeros(dim_v, dim_z)
-    for i, j, k, val in entries:
+    for entry in entries:
+        _check_indices(entry, dim_v, dim_z)
+        i, j, k, val = entry
         if i == j:
             raise StructureError("diagonal bracket entry must vanish")
         val = Fraction(val)

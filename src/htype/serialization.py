@@ -43,7 +43,7 @@ def to_json_dict(alg: GradedNilpotent) -> dict:
 
 def from_json_dict(data: dict) -> GradedNilpotent:
     # Deferred: `htype table` never needs it (and it loads no numpy).
-    from .nilpotent import GradedNilpotent, _freeze, _zeros
+    from .nilpotent import GradedNilpotent, _check_indices, _freeze, _zeros
 
     try:
         dim_v = int(data["dim_v"])
@@ -59,11 +59,8 @@ def from_json_dict(data: dict) -> GradedNilpotent:
     for entry in triples:
         if not isinstance(entry, list) or len(entry) != 4:
             raise StructureError(f"bad structure entry {entry!r}")
+        _check_indices(entry, dim_v, dim_z)
         i, j, k, val = entry
-        if not all(type(x) is int for x in (i, j, k)):
-            raise StructureError(f"structure indices must be integers in {entry!r}")
-        if not (0 <= i < dim_v and 0 <= j < dim_v and 0 <= k < dim_z):
-            raise StructureError(f"structure index out of range in {entry!r}")
         try:
             c[i][j][k] = Fraction(val)
         except (TypeError, ValueError, ZeroDivisionError) as exc:

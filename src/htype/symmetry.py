@@ -13,19 +13,22 @@ Der = Der_gr + Hom(v, z) + Hom(z / [v, v], rad v).
 Each degree is one nullspace; iteration stops at the first zero positive
 component (transitivity kills everything above) or at max_degree. The
 per-degree system size is capped by a configurable, positive entry
-budget so desk-scale refusals are loud rather than slow.
+budget so an oversized system is refused loudly rather than solved slowly.
 
-Exact systems are assembled in Python ints. Each level j keeps the
-evaluation tensors of its basis once, as integers D_j T_j with one common
-denominator D_j (the structure tensor at j = -1, the canonical basis of
-g_j above it), and the assembler visits only their nonzeros; every row is
-a positive integer multiple of the rational row, so `nullspace` receives
-integral rows. The levels that a nullspace solves are read off its
-verified integer vectors, with D_j the lcm of their denominators; only
-level -1 and a supplied g0 are scaled from rational entries (`_level`).
-Fraction vectors are built only where a caller reads them: stored bases
-(the canonical vectors) and the derivation spaces. Arithmetic "float64"
-runs the same certified solve and reports the stored bases as floats.
+Exact systems are assembled in Python ints. Every level j >= -2 is one
+record levels[j] = (v, z, D_j): v[a] and z[a] are the integer matrices
+D_j T_j of basis element a of g_j on v and on z, D_j their common
+denominator, and dim g_j = len(v). g_-2 = z is m elements whose matrices
+have no rows; g_-1 = v is (ad, no rows, D_-1), ad the structure tensor;
+above, v and z hold the canonical basis of g_j. The assembler visits only
+their nonzeros; every row is a positive integer multiple of the rational
+row, so `nullspace` receives integral rows. The levels that a nullspace
+solves are read off its verified integer vectors, with D_j the lcm of
+their denominators; only the negative levels and a supplied g0 are read
+from rational entries (`_level`). Fraction vectors are built only where a
+caller reads them: stored bases (the canonical vectors) and the
+derivation spaces. Arithmetic "float64" runs the same certified solve
+and reports the stored bases as floats.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ def _unflatten(vec: Sequence, shapes: list[tuple[int, int]]):
 def graded_derivations(alg: GradedNilpotent) -> DerivationSpace:
     """All (A, B) with B[x,y] = [Ax,y] + [x,Ay], as a certified basis."""
     n, m = alg.dim_v, alg.dim_z
-    res = nullspace(_prolong_rows(0, *_negative_levels(alg)), n * n + m * m,
+    res = nullspace(_prolong_rows(0, _negative_levels(alg)), n * n + m * m,
                     context=f"graded derivation system of {alg.name}")
     basis = []
     for vec in res.basis:
@@ -131,9 +134,9 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
     ncols = n * n + m * m + m * n + n * m
     c_off = n * n + m * m
     e_off = c_off + m * n
-    dims, ev_v, ev_z, scale = _negative_levels(alg)
-    rows = _prolong_rows(0, dims, ev_v, ev_z, scale)
-    ad = ev_v[-1]  # ad[s][k][t] = D c(x_s, x_t)_k
+    levels = _negative_levels(alg)
+    rows = _prolong_rows(0, levels)
+    ad = levels[-1][0]  # ad[s][k][t] = D c(x_s, x_t)_k
     for s in range(n):
         for k in range(m):
             for kp in range(m):
@@ -175,11 +178,11 @@ def verify_graded_derivation(alg: GradedNilpotent, a: Matrix, b: Matrix) -> bool
 
 
 def _level(v_mats: list, z_mats: list) -> tuple[list, list, int]:
-    """One level's evaluation tensors on v and on z as the assembler reads
-    them, and their common scale: the integer matrices D*M and D, the lcm
-    of every entry's denominator (ints and Fractions alike) over both
-    tensors. Only the levels that no nullspace produced come through here:
-    level -1 and a supplied g0.
+    """The level record (v, z, D) of the rational matrices of a basis on v
+    and on z: the integer matrices D*M and D, the lcm of every entry's
+    denominator (ints and Fractions alike) over both. Only the levels that
+    no nullspace produced come through here: the negative levels and a
+    supplied g0.
     """
     mats = v_mats + z_mats
     d = math.lcm(*(x.denominator for mat in mats for row in mat for x in row))
@@ -188,20 +191,17 @@ def _level(v_mats: list, z_mats: list) -> tuple[list, list, int]:
     return out[:len(v_mats)], out[len(v_mats):], d
 
 
-def _negative_levels(alg: GradedNilpotent) -> tuple[dict, dict, dict, dict]:
-    """Level data of n itself, from which every degree's system is built.
-
-    dims[j] = dim g_j; ev_v[j][a] is the D(j-1) x n matrix of basis element
-    a of g_j on v, ev_z[j][a] its D(j-2) x m matrix on z, and scale[j] the
-    common denominator D_j of both, so the levels hold the integers D_j T_j
-    of the rational tensors T_j. At j = -1 the matrix of x_i is
-    ad x_i: v -> z, entry [s][t] = c(x_i, x_t)_s, and x_i kills z, so ev_z
-    has no level -1.
+def _negative_levels(alg: GradedNilpotent) -> dict[int, tuple[list, list, int]]:
+    """The level records of n itself, from which every degree's system is
+    built: g_-2 = z, whose m elements have matrices with no rows, and
+    g_-1 = v, where x_i is ad x_i: v -> z, entry [s][t] = c(x_i, x_t)_s,
+    and x_i kills z, so its z-matrix has no rows either.
     """
     n, m = alg.dim_v, alg.dim_z
     c = alg.structure
-    ad, _, d = _level([[[c[i][t][s] for t in range(n)] for s in range(m)] for i in range(n)], [])
-    return {-2: m, -1: n}, {-1: ad}, {}, {-1: d}
+    return {-2: _level([[]] * m, [[]] * m),
+            -1: _level([[[c[i][t][s] for t in range(n)] for s in range(m)]
+                        for i in range(n)], [[]] * n)}
 
 
 def _nonzeros(mats, nrows: int, ncols: int, offset: int, stride: int,
@@ -218,7 +218,7 @@ def _nonzeros(mats, nrows: int, ncols: int, offset: int, stride: int,
     return idx
 
 
-def _prolong_rows(K: int, dims: dict, ev_v: dict, ev_z: dict, scale: dict) -> list[dict]:
+def _prolong_rows(K: int, levels: dict) -> list[dict]:
     """Sparse rows of the degree-K prolongation system, K >= 0.
 
     Columns: the D(K-1) x n block of f on v at a*n + i, then the
@@ -227,23 +227,24 @@ def _prolong_rows(K: int, dims: dict, ev_v: dict, ev_z: dict, scale: dict) -> li
     B c(x,y) = c(Ax,y) + c(x,Ay): Der_gr(n). No row writes a column
     twice, so each entry is assigned, never accumulated.
 
-    The level tensors come from `_negative_levels` and `tanaka_prolong`:
+    The level records come from `_negative_levels` and `tanaka_prolong`:
     integers D_j T_j. Each family of rows reads one nonzero index per level
     tensor it uses, built once per system, and a row that mixes two levels
-    is multiplied by the product of their scales: v-v rows mix levels -1
+    is multiplied by the product of their D_j: v-v rows mix levels -1
     and K-1, v-z rows K-1 and K-2, and z-z rows use level K-2 alone. So
     every row is a positive integer multiple of the rational row, with the
     same nullspace. Empty rows are left out.
     """
-    n, m = dims[-1], dims[-2]
-    d_prev, d_prev2, d3, d4 = (dims.get(j, 0) for j in (K - 1, K - 2, K - 3, K - 4))
-    p_cols = d_prev * n
-    s_ad, s_prev = scale[-1], scale[K - 1]
-    ad = ev_v[-1]  # ad[i][k][j] = D_{-1} c(x_i, x_j)_k
+    ad, _, s_ad = levels[-1]  # ad[i][k][j] = D_{-1} c(x_i, x_j)_k
+    v_prev, z_prev, s_prev = levels[K - 1]
+    v_prev2, z_prev2, s_prev2 = levels[K - 2]
+    n, m, d_prev2 = len(ad), len(levels[-2][0]), len(v_prev2)
+    d4, d3 = (len(levels[j][0]) if j in levels else 0 for j in (K - 4, K - 3))
+    p_cols = len(v_prev) * n
     rows = []
     # f([x_i, x_j]) = [f(x_i), x_j] + [x_i, f(x_j)], values in g_{K-2}
-    pos = _nonzeros(ev_v[K - 1], d_prev2, n, 0, n, s_ad)
-    neg = _nonzeros(ev_v[K - 1], d_prev2, n, 0, n, -s_ad)
+    pos = _nonzeros(v_prev, d_prev2, n, 0, n, s_ad)
+    neg = _nonzeros(v_prev, d_prev2, n, 0, n, -s_ad)
     for i in range(n):
         ad_i = ad[i]
         for j in range(i + 1, n):
@@ -260,8 +261,8 @@ def _prolong_rows(K: int, dims: dict, ev_v: dict, ev_z: dict, scale: dict) -> li
                     rows.append(row)
     # 0 = [f(x_i), z_l] + [x_i, f(z_l)], values in g_{K-3}
     if d3:
-        f_z = _nonzeros(ev_z[K - 1], d3, m, 0, n, scale[K - 2])
-        f_v = _nonzeros(ev_v[K - 2], d3, n, p_cols, m, -s_prev)
+        f_z = _nonzeros(z_prev, d3, m, 0, n, s_prev2)
+        f_v = _nonzeros(v_prev2, d3, n, p_cols, m, -s_prev)
         for i in range(n):
             for l in range(m):
                 for s in range(d3):
@@ -272,8 +273,8 @@ def _prolong_rows(K: int, dims: dict, ev_v: dict, ev_z: dict, scale: dict) -> li
                         rows.append(row)
     # 0 = [f(z_l), z_l'] + [z_l, f(z_l')], values in g_{K-4}
     if d4:
-        pos = _nonzeros(ev_z[K - 2], d4, m, p_cols, m, 1)
-        neg = _nonzeros(ev_z[K - 2], d4, m, p_cols, m, -1)
+        pos = _nonzeros(z_prev2, d4, m, p_cols, m, 1)
+        neg = _nonzeros(z_prev2, d4, m, p_cols, m, -1)
         for l in range(m):
             for lp in range(l + 1, m):
                 for u_ in range(d4):
@@ -299,13 +300,16 @@ def _is_square(mat, size: int) -> bool:
 
 def _g0_pair(element, n: int, m: int) -> tuple[Matrix, Matrix]:
     """(A, B) of a supplied g0 element: an (A, B) pair, or an (A, B, None)
-    triple as in `DerivationSpace.basis`, with A n x n and B m x m."""
+    triple as in `DerivationSpace.basis`, with A n x n and B m x m, every
+    entry an int or a Fraction."""
     if (isinstance(element, (tuple, list)) and len(element) >= 2
             and tuple(element[2:]) in ((), (None,))
-            and _is_square(element[0], n) and _is_square(element[1], m)):
+            and _is_square(element[0], n) and _is_square(element[1], m)
+            and all(isinstance(x, (int, Fraction))
+                    for mat in element[:2] for row in mat for x in row)):
         return element[0], element[1]
-    raise StructureError(f"supplied g0 element must be (A, B) or (A, B, None) "
-                         f"with A {n} x {n} and B {m} x {m}")
+    raise StructureError(f"supplied g0 element must be (A, B) or (A, B, None) with "
+                         f"A {n} x {n} and B {m} x {m} of ints or Fractions")
 
 
 def tanaka_prolong(alg: GradedNilpotent,
@@ -337,7 +341,7 @@ def tanaka_prolong(alg: GradedNilpotent,
         raise ValueError(f"budget must be a positive entry count, got {budget}")
     t0 = time.perf_counter()
     n, m = alg.dim_v, alg.dim_z
-    level_dims, ev_v, ev_z, scale = _negative_levels(alg)
+    levels = _negative_levels(alg)
     first = 0  # g0 = Der_gr(n) is the degree-0 prolongation
     if supplied_g0 is not None:
         if not supplied_g0:
@@ -346,32 +350,22 @@ def tanaka_prolong(alg: GradedNilpotent,
         for a, b in pairs:
             if not verify_graded_derivation(alg, a, b):
                 raise StructureError("supplied g0 element is not a graded derivation")
-        ev_v[0], ev_z[0], scale[0] = _level([a for a, _ in pairs], [b for _, b in pairs])
-        level_dims[0] = len(pairs)
+        levels[0] = _level([a for a, _ in pairs], [b for _, b in pairs])
         first = 1
 
-    def dfun(j: int) -> int:
-        return level_dims.get(j, 0)
-
-    component_dims: list[int] = []
-    all_bases = [] if store_bases else None
     completed = False
     for K in range(first, max_degree + 1):
-        d_prev = dfun(K - 1)   # image of v
-        d_prev2 = dfun(K - 2)  # image of z
+        d4, d3, d_prev2, d_prev = (len(levels[j][0]) if j in levels else 0
+                                   for j in range(K - 4, K))
         p_cols = d_prev * n
         ncols = p_cols + d_prev2 * m
-        n_rows = ((n * (n - 1) // 2) * dfun(K - 2)
-                  + n * m * dfun(K - 3)
-                  + (m * (m - 1) // 2) * dfun(K - 4))
+        n_rows = (n * (n - 1) // 2) * d_prev2 + n * m * d3 + (m * (m - 1) // 2) * d4
         label = f"degree-{K} prolongation system" if K else "degree-0 derivation system"
         check_budget(n_rows, ncols, budget, label)
-        rows = _prolong_rows(K, level_dims, ev_v, ev_z, scale)
-        res = nullspace(rows, ncols, context=label)
+        res = nullspace(_prolong_rows(K, levels), ncols, context=label)
         if K and not res.vectors:  # a zero g0 does not end the loop
             completed = True
             break
-        level_dims[K] = res.dimension
         # the new basis vectors are the evaluation tensors of level K: D_K T_K
         # is read off the verified integer vectors (d, d v), D_K the lcm of
         # their d, so no Fraction is built on the way
@@ -380,34 +374,28 @@ def tanaka_prolong(alg: GradedNilpotent,
         for row, (dk, vec) in zip(dense, res.vectors):
             for c, x in vec:
                 row[c] = x * (d // dk)
-        ev_v[K] = [[row[a * n:a * n + n] for a in range(d_prev)] for row in dense]
-        ev_z[K] = [[row[p_cols + b * m:p_cols + b * m + m] for b in range(d_prev2)]
-                   for row in dense]
-        scale[K] = d
-        if K:
-            component_dims.append(res.dimension)
-            if store_bases:  # the canonical basis T_K = (D_K T_K) / D_K
-                all_bases.append(tuple(
-                    tuple(tuple([Fraction(x, d) for x in row] for row in mat) for mat in ev[K])
-                    for ev in (ev_v, ev_z)))
-    if store_bases and arithmetic == "float64":
-        all_bases = _as_float(all_bases)
+        levels[K] = ([[row[a * n:a * n + n] for a in range(d_prev)] for row in dense],
+                     [[row[p_cols + b * m:p_cols + b * m + m] for b in range(d_prev2)]
+                      for row in dense], d)
 
-    g0_dim = level_dims[0]
-    total = n + m + g0_dim + sum(component_dims)
-    trivial = completed and not component_dims
-    elapsed = int((time.perf_counter() - t0) * 1000)
+    positive = [levels[K] for K in sorted(levels) if K > 0]
+    bases = None
+    if store_bases:  # the canonical basis T_K = (D_K T_K) / D_K
+        bases = tuple(tuple(tuple(tuple([Fraction(x, d) for x in row] for row in mat)
+                                  for mat in ev) for ev in (v, z)) for v, z, d in positive)
+        if arithmetic == "float64":
+            bases = _as_float(bases)
     return ProlongationResult(
         algebra_name=alg.name,
-        g0_dim=g0_dim,
-        component_dims=tuple(component_dims),
-        total_dim=total,
-        trivial=trivial,
+        g0_dim=len(levels[0][0]),
+        component_dims=tuple(len(v) for v, _, _ in positive),
+        total_dim=sum(len(v) for v, _, _ in levels.values()),
+        trivial=completed and not positive,
         completed=completed,
         arithmetic=arithmetic,
-        elapsed_ms=elapsed,
+        elapsed_ms=int((time.perf_counter() - t0) * 1000),
         budget=budget,
-        bases=tuple(all_bases) if store_bases else None,
+        bases=bases,
     )
 
 

@@ -364,11 +364,31 @@ def test_boundary_seed_is_mandatory(h1c):
     assert main(["boundary", "--in", h1c, "--experiment", "j2"]) == 2
 
 
-def test_boundary_j2_expect(h1c):
+def test_boundary_j2_expect(h1c, capsys):
     assert main(["boundary", "--in", h1c, "--experiment", "j2",
                  "--seed", "11", "--expect", "fails"]) == 0
     assert main(["boundary", "--in", h1c, "--experiment", "j2",
                  "--seed", "11", "--expect", "holds"]) == 1
+    # a verdict j2 can never report is malformed input, not a mismatch
+    for verdict in ("holdz", "pass"):
+        assert main(["boundary", "--in", h1c, "--experiment", "j2",
+                     "--seed", "11", "--expect", verdict]) == 2
+    # refused before the algebra file is read
+    assert main(["boundary", "--in", "missing.json", "--experiment", "j2",
+                 "--seed", "11", "--expect", "holdz"]) == 2
+    assert "--expect for j2 must be one of holds, fails" in capsys.readouterr().err
+
+
+def test_boundary_expect_refusal_loads_no_numpy(tmp_path):
+    src = str(Path(htype.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["boundary", "--in", "missing.json", "--experiment", "distribution",
+            "--seed", "1", "--expect", "fail"]
+    proc = subprocess.run([sys.executable, "-c", _COMMAND_SURFACE, *argv], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, check=True)
+    code, loaded = json.loads(proc.stdout)
+    assert code == 2
+    assert not {"numpy", "htype.boundary", "htype.nilpotent"} & set(loaded)
 
 
 def test_boundary_limiting_plane_emits_convergence_table(h1c, tmp_path):

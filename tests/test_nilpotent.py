@@ -106,6 +106,20 @@ def test_make_custom_antisymmetrizes():
         make_custom("bad", 2, 1, [(1, 1, 0, 1)])
 
 
+@pytest.mark.parametrize("entry, match", [
+    ((-1, 0, 0, 1), "out of range"),  # would write [x_2, x_0]
+    ((0, 1, -1, 1), "out of range"),  # would write z_0
+    ((0, 5, 0, 1), "out of range"),
+    ((0, 1, 1, 1), "out of range"),
+    ((True, 0, 0, 1), "must be integers"),  # would be index 1
+    ((0, 1.0, 0, 1), "must be integers"),
+])
+def test_make_custom_refuses_bad_indices(entry, match):
+    # the same rule as serialization.from_json_dict
+    with pytest.raises(StructureError, match=match):
+        make_custom("t", 3, 1, [entry])
+
+
 def test_random_two_step_deterministic():
     a = random_two_step(4, 2, random.Random(9))
     b = random_two_step(4, 2, random.Random(9))

@@ -265,6 +265,36 @@ def test_supplied_g0_rejects_malformed_elements():
                     (a[:1], b), (a, ((Fraction(2), Fraction(0)),))]:
         with pytest.raises(StructureError, match="supplied g0 element must be"):
             tanaka_prolong(alg, supplied_g0=[(a, b), element])
+    # entries that are neither ints nor Fractions are refused before any work
+    # (a float once reached `_level`, a str or None `verify_graded_derivation`)
+    h1h = build_hn(DA.H, 1)
+    a, b, _ = graded_derivations(h1h).basis[0]
+    for bad in (0.5, "1", None):
+        for element in [(((bad,) + a[0][1:],) + a[1:], b), (a, ((bad,) + b[0][1:],) + b[1:])]:
+            with pytest.raises(StructureError, match="of ints or Fractions"):
+                tanaka_prolong(h1h, supplied_g0=[element])
+
+
+@pytest.mark.parametrize("make, kwargs, components, completed", [
+    (lambda: build_htype_from_clifford(5, 1), {"max_degree": 1}, (), True),
+    (lambda: build_hn(DA.H, 1), {}, (8, 4), True),
+    (lambda: build_hn(DA.R, 1), {"max_degree": 2}, (6, 9), False),
+    (lambda: build_hn(DA.H, 1), {"max_degree": 1, "supplied_g0": "own"}, (8,), False),
+], ids=["trivial-at-1", "completed", "max-degree", "supplied-g0"])
+def test_reported_fields_match_the_levels(make, kwargs, components, completed):
+    # every way the degree loop can end: the reported dimensions and bases
+    # are read off the same levels
+    alg = make()
+    if "supplied_g0" in kwargs:
+        kwargs = dict(kwargs, supplied_g0=graded_derivations(alg).basis)
+    res = tanaka_prolong(alg, budget=BIG, store_bases=True, **kwargs)
+    assert (res.component_dims, res.completed) == (components, completed)
+    assert res.trivial == (completed and not components)
+    assert res.g0_dim == graded_derivations(alg).dimension
+    assert res.total_dim == alg.dim_v + alg.dim_z + res.g0_dim + sum(components)
+    assert len(res.bases) == len(res.component_dims)
+    for (v_mats, z_mats), dim in zip(res.bases, res.component_dims):
+        assert len(v_mats) == len(z_mats) == dim
 
 
 def test_degree0_budget_boundary():
@@ -564,9 +594,11 @@ def _record_assembly(monkeypatch):
     calls = []
     assemble = symmetry._prolong_rows
 
-    def recording(K, dims, ev_v, ev_z, scale):
-        rows = assemble(K, dims, ev_v, ev_z, scale)
-        calls.append((K, dict(ev_v), dict(ev_z), dict(scale), rows))
+    def recording(K, levels):
+        rows = assemble(K, levels)
+        calls.append((K, {j: v for j, (v, _, _) in levels.items()},
+                      {j: z for j, (_, z, _) in levels.items()},
+                      {j: d for j, (_, _, d) in levels.items()}, rows))
         return rows
 
     monkeypatch.setattr(symmetry, "_prolong_rows", recording)
