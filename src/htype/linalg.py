@@ -5,24 +5,29 @@ must be exact, so every returned basis is certified over Q. Every system
 takes the same path:
 
 1. Rows arrive sparse, as {column: value} mappings of ints or Fractions.
-   One validation pass over the system skips empty rows, checks the
-   columns to be ints in [0, ncols) and collects one set of value types,
-   refusing any value that is not an int or a Fraction. A system of ints
-   is read in place: each mapping goes on as its own items, with no copy,
-   sort or scaling, and duplicate or zero rows clear to zero in step 2.
-   Only a system that holds a Fraction has its rows scaled to primitive
-   integer rows over their nonzeros. The rows are fed to step 2 shortest
-   first: the RREF mod p does not depend on row order.
+   The system is validated by C-level passes (`filter`, `chain`) that drop
+   empty rows, check the columns to be ints in [0, ncols) and collect one
+   set of value types, refusing any value that is not an int or a
+   Fraction. A system of ints is read in place: the callers' mappings go
+   on as they are, with no copy or scaling, and duplicate or zero rows
+   clear to zero in step 2. Only a system that holds a Fraction has its
+   rows scaled to primitive integer rows over their nonzeros. The rows
+   are fed to step 2 shortest first: the RREF mod p does not depend on
+   row order.
 2. The integer rows are row-reduced modulo a 31-bit prime by a streaming
    sparse Gauss-Jordan (`_rref_modp`: dict rows, no dense matrix, no
    numpy). Each row is taken as given and reduced mod p once, after the
    pivot rows have cleared it, and a column index sends each new pivot
-   only to the pivot rows that hold its column. The candidate basis is
-   lifted to Q by rational reconstruction straight into integer vectors
-   (a denominator D and the sparse integers D v), and every one is
-   re-checked against the integer rows with one exact sparse product in
-   Python ints. Since nullity over Q never exceeds nullity mod p,
-   nullity_p verified independent vectors certify the dimension.
+   only to the pivot rows that hold its column. A row whose columns are
+   all unit pivots (pivot rows with no other entry) clears to exactly
+   zero, so it is skipped unread. The candidate basis is lifted to Q by
+   rational reconstruction straight into integer vectors (a denominator
+   D and the sparse integers D v), and every one is re-checked against
+   the integer rows with one exact sparse product in Python ints
+   (`_annihilates`); a row that holds no column where a candidate is
+   nonzero has product exactly 0 with each, so it passes unread. Since
+   nullity over Q never exceeds nullity mod p, nullity_p verified
+   independent vectors certify the dimension.
 3. A failed prime escalates to the next 31-bit prime, largest first
    (`_primes`). Over F_p the pivots are the greedy column basis, so an
    unlucky prime has lower rank or, at equal rank, lexicographically later
@@ -54,6 +59,7 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded
@@ -131,7 +137,7 @@ def check_budget(nrows: int, ncols: int, budget: int | None, context: str = "") 
         raise BudgetExceeded(nrows * ncols, budget, context)
 
 
-def _integerize(items: Iterable[tuple[int, Fraction | int]]) -> SparseInts:
+def _integerize(items: Iterable[tuple[int, Fraction | int]]) -> dict[int, int]:
     """Primitive integer multiple of a sparse rational row, zeros left out."""
     nz = [(c, v) for c, v in items if v]
     if bad := [v for _, v in nz if not isinstance(v, (int, Fraction))]:
@@ -141,18 +147,18 @@ def _integerize(items: Iterable[tuple[int, Fraction | int]]) -> SparseInts:
     g = math.gcd(*(v for _, v in ints))
     if g > 1:
         ints = [(c, v // g) for c, v in ints]
-    return ints
+    return dict(ints)
 
 
 def integerize_row(row: Sequence[Fraction]) -> list[int]:
     """Scale a rational row to a primitive integer row."""
     out = [0] * len(row)
-    for c, v in _integerize(enumerate(row)):
+    for c, v in _integerize(enumerate(row)).items():
         out[c] = v
     return out
 
 
-def _rref_modp(rows: Iterable[SparseInts], p: int, ncols: int,
+def _rref_modp(rows: Iterable[Mapping[int, int]], p: int, ncols: int,
                leads: list[tuple[int, int]] | None = None,
                ) -> tuple[list[dict[int, int]], list[int]]:
     """Reduced row echelon form mod p of sparse integer rows, one row at a time.
@@ -169,16 +175,29 @@ def _rref_modp(rows: Iterable[SparseInts], p: int, ncols: int,
     enters or leaves the index. Over F_p the RREF is unique, so the order
     of the rows does not matter. Once all ncols columns hold a pivot the
     RREF is the identity, and the remaining rows are not read: rank mod p
-    <= rank over Q, so nullity 0 mod p certifies nullity 0. Returns the
-    pivot rows as {column: residue} dicts, nonzeros only, sorted by pivot,
-    and the pivots. If `leads` is given, each new pivot appends to it the
-    pair (pivot column, residue normalized there), for `det_exact`.
+    <= rank over Q, so nullity 0 mod p certifies nullity 0.
+
+    A unit pivot row holds nothing off its pivot, from the start or once
+    updates have cancelled its last other entry. It is in no list of the
+    column index, so no later pivot updates it: the set of unit pivots only
+    grows. A row whose columns are all unit pivots (an empty row too) clears
+    to zero exactly, each entry taking away its own multiple of a unit
+    row, so it is skipped before it is copied or its entries are read: it
+    would leave no pivot and change no pivot row.
+
+    Returns the pivot rows as {column: residue} dicts, nonzeros only,
+    sorted by pivot, and the pivots. If `leads` is given, each new pivot
+    appends to it the pair (pivot column, residue normalized there), for
+    `det_exact`.
     """
     pivot_rows: dict[int, dict[int, int]] = {}  # pivot -> entries off the pivot
     holders: dict[int, set[int]] = {}  # column -> pivots whose rows hold it
+    units: set[int] = set()  # pivots whose rows hold nothing else
     for row in rows:
+        if units.issuperset(row):
+            continue
         vec = dict(row)
-        for c, f in row:
+        for c, f in row.items():
             if c in pivot_rows:
                 del vec[c]
                 for j, x in pivot_rows[c].items():
@@ -192,6 +211,8 @@ def _rref_modp(rows: Iterable[SparseInts], p: int, ncols: int,
             leads.append((pc, lead))
         inv = pow(lead, -1, p)
         vec = {j: x * inv % p for j, x in vec.items()}
+        if not vec:
+            units.add(pc)
         for j in vec:
             holders.setdefault(j, set()).add(pc)
         for r in holders.pop(pc, ()):
@@ -207,6 +228,8 @@ def _rref_modp(rows: Iterable[SparseInts], p: int, ncols: int,
                 else:
                     del prow[j]
                     holders[j].remove(r)
+            if not prow:
+                units.add(r)
         pivot_rows[pc] = vec
         if len(pivot_rows) == ncols:
             break
@@ -232,20 +255,25 @@ def _rat_reconstruct(a: int, modulus: int) -> Fraction | None:
     return Fraction(n, d)
 
 
-def _annihilates(rows: list[SparseInts], vectors: list[SparseInts]) -> bool:
+def _annihilates(rows: list[Mapping[int, int]], vectors: list[SparseInts]) -> bool:
     """Exact test of A @ v == 0 for the integer rows A and every integer
     vector v, in Python ints.
 
     The vectors are indexed by column, so each row meets only the vectors
-    that are nonzero on its own columns.
+    that are nonzero on its own columns. A row that holds none of the
+    columns where some vector is nonzero has a product of exactly 0 with
+    every vector, so it is passed without reading its entries.
     """
     by_col: dict[int, list[tuple[int, int]]] = {}
     for k, vec in enumerate(vectors):
         for c, x in vec:
             by_col.setdefault(c, []).append((k, x))
+    support = by_col.keys()
     for row in rows:
+        if support.isdisjoint(row):
+            continue
         acc: dict[int, int] = {}
-        for c, a in row:
+        for c, a in row.items():
             for k, x in by_col.get(c, ()):
                 acc[k] = acc.get(k, 0) + a * x
         if any(acc.values()):
@@ -304,7 +332,7 @@ def _reconstruct(image: list[dict[int, int]], modulus: int, pivots: list[int],
     return vectors
 
 
-def _nullspace_modp(rows: list[SparseInts], ncols: int,
+def _nullspace_modp(rows: list[Mapping[int, int]], ncols: int,
                     context: str = "") -> NullspaceResult:
     """Certified canonical nullspace basis of integer rows by the
     prime ladder of the module docstring: the image is the RREF modulo the
@@ -315,7 +343,7 @@ def _nullspace_modp(rows: list[SparseInts], ncols: int,
             # the norms are rounded up: ceil(sqrt(s)) = isqrt(s - 1) + 1; a
             # row that is zero (explicit zeros, or no entries) has none
             norms = sorted((math.isqrt(s - 1) + 1 for row in rows
-                            if (s := sum(v * v for _, v in row))), reverse=True)
+                            if (s := sum(v * v for v in row.values()))), reverse=True)
             bits = math.prod(norms[:ncols]).bit_length()
             limit = -(-(2 * bits + 1) // 30) + bits // 30
         if count > limit:
@@ -348,20 +376,18 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], ncols: int,
     """Certified exact nullspace of the system rows . v = 0.
 
     Rows are sparse mappings {column: value}, with int columns in
-    [0, ncols) and values ints or Fractions. One validation pass keeps the
-    non-empty rows and collects their columns and value types; a system of
-    ints is read as the callers' mappings, never copied or changed, and
-    only one that holds a Fraction is integerized row by row. The context
-    names the system in the escalation log.
+    [0, ncols) and values ints or Fractions. C-level passes keep the
+    non-empty rows (`filter`) and collect their columns and value types
+    (`chain.from_iterable`); a system of ints is read as the callers'
+    mappings, never copied or changed, and only one that holds a Fraction
+    is integerized row by row, into dicts. The kernel skips the rows that
+    clear to zero against its unit pivots, and the verifier the rows that
+    miss the candidates' support: both results are exactly zero. The
+    context names the system in the escalation log.
     """
-    kept: list[Mapping[int, Fraction]] = []
-    cols: set = set()
-    types: set = set()
-    for row in rows:
-        if row:
-            kept.append(row)
-            cols.update(row)
-            types.update(map(type, row.values()))
+    kept = list(filter(None, rows))
+    cols = set(chain.from_iterable(kept))
+    types = set(map(type, chain.from_iterable(row.values() for row in kept)))
     if not all(issubclass(t, (int, Fraction)) for t in types):
         bad = next(v for row in kept for v in row.values() if not isinstance(v, (int, Fraction)))
         raise TypeError(f"row values must be ints or Fractions, not {type(bad).__name__}")
@@ -372,12 +398,10 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], ncols: int,
         if min(cols) < 0 or max(cols) >= ncols:
             raise ValueError(f"nullspace {context}: row columns {min(cols)}..{max(cols)} "
                              f"outside [0, {ncols})")
-    if all(issubclass(t, int) for t in types):
-        ints = [row.items() for row in kept]
-    else:
-        ints = [_integerize(row.items()) for row in kept]
-    ints.sort(key=len)
-    return _nullspace_modp(ints, ncols, context)
+    if not all(issubclass(t, int) for t in types):
+        kept = [_integerize(row.items()) for row in kept]
+    kept.sort(key=len)
+    return _nullspace_modp(kept, ncols, context)
 
 
 def det_exact(mat: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -394,10 +418,10 @@ def det_exact(mat: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(mat)
     fracs = [[Fraction(x) for x in row] for row in mat]
     d = math.lcm(*(x.denominator for row in fracs for x in row))
-    rows = [[(j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x]
+    rows = [{j: x.numerator * (d // x.denominator) for j, x in enumerate(row) if x}
             for row in fracs]
     # |det(D*M)| <= sqrt(prod of the squared row norms) < bound
-    bound = math.isqrt(math.prod(sum(v * v for _, v in row) for row in rows)) + 1
+    bound = math.isqrt(math.prod(sum(v * v for v in row.values()) for row in rows)) + 1
     det, modulus = 0, 1
     for p in _primes():
         leads: list[tuple[int, int]] = []

@@ -138,9 +138,12 @@ def _freeze(c: list[list[list[Fraction]]]) -> Structure:
 
 
 def _check_indices(entry, dim_v: int, dim_z: int) -> None:
-    """StructureError unless the (i, j, k) that open a structure entry are
-    ints (a bool is not) with i, j in [0, dim_v) and k in [0, dim_z)."""
-    i, j, k = entry[:3]
+    """StructureError unless the structure entry is a list or tuple
+    (i, j, k, value) whose i, j, k are ints (a bool is not) with i, j in
+    [0, dim_v) and k in [0, dim_z)."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 4:
+        raise StructureError(f"bad structure entry {entry!r}")
+    i, j, k, _ = entry
     if not all(type(x) is int for x in (i, j, k)):
         raise StructureError(f"structure indices must be integers in {entry!r}")
     if not (0 <= i < dim_v and 0 <= j < dim_v and 0 <= k < dim_z):

@@ -57,8 +57,6 @@ def from_json_dict(data: dict) -> GradedNilpotent:
         raise StructureError("malformed algebra JSON: structure is not a list")
     c = _zeros(dim_v, dim_z)  # BudgetExceeded before an oversized tensor
     for entry in triples:
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise StructureError(f"bad structure entry {entry!r}")
         _check_indices(entry, dim_v, dim_z)
         i, j, k, val = entry
         try:

@@ -323,9 +323,9 @@ def tanaka_prolong(alg: GradedNilpotent,
     With supplied_g0 None, g0 = Der_gr(n) is solved as degree 0, whose
     system counts against the budget like every other degree. A non-empty
     supplied_g0 of (A, B) pairs or the (A, B, None) triples of
-    `DerivationSpace.basis`, each re-verified to be a graded derivation,
-    is level 0 instead, and the solve starts at degree 1; an empty one is
-    refused.
+    `DerivationSpace.basis`, each re-verified to be a graded derivation
+    and all together rank-checked to be linearly independent, is level 0
+    instead, and the solve starts at degree 1; an empty one is refused.
 
     Both arithmetics run the same certified exact solve; "float64" only
     reports the stored bases (store_bases=True) as floats of the canonical
@@ -351,6 +351,13 @@ def tanaka_prolong(alg: GradedNilpotent,
             if not verify_graded_derivation(alg, a, b):
                 raise StructureError("supplied g0 element is not a graded derivation")
         levels[0] = _level([a for a, _ in pairs], [b for _, b in pairs])
+        # one coordinate of the k elements per row: a nonzero kernel is a
+        # linear relation, which would be a zero of the evaluation map
+        v0, z0, _ = levels[0]
+        coords = zip(*([x for mat in ev for row in mat for x in row] for ev in zip(v0, z0)))
+        if nullspace([{a: x for a, x in enumerate(col) if x} for col in coords], len(v0),
+                     context="supplied g0").vectors:
+            raise StructureError("supplied g0 elements are linearly dependent")
         first = 1
 
     completed = False

@@ -2,6 +2,7 @@
 Fraction reference."""
 
 import hashlib
+import inspect
 import itertools
 import logging
 import math
@@ -15,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from htype import clifford, linalg, nilpotent, symmetry
@@ -450,7 +451,7 @@ def test_malformed_rows_are_refused():
 def test_python_int_verifier_rejects_what_int64_would_accept():
     # row . v = 2**64 exactly: int64 arithmetic wraps it to 0
     big = 2**32
-    rows = [[(0, big), (1, 1)], [(0, 1), (1, -1), (2, 1)]]
+    rows = [{0: big, 1: 1}, {0: 1, 1: -1, 2: 1}]
     wrong = [(0, big - 1), (1, big), (2, 1)]
     dense = np.array([[big, 1, 0], [1, -1, 1]], dtype=np.int64)
     assert not np.any(dense @ np.array([big - 1, big, 1], dtype=np.int64))
@@ -462,7 +463,7 @@ def test_python_int_verifier_rejects_what_int64_would_accept():
 
 def test_verifier_checks_every_row():
     # rows x_i - x_4 = 0; the vector with 2 at i and 1 elsewhere breaks row i only
-    rows = [[(i, 1), (4, -1)] for i in range(4)]
+    rows = [{i: 1, 4: -1} for i in range(4)]
     ones = [(c, 1) for c in range(5)]
     assert linalg._annihilates(rows, [ones])
     for i in range(4):
@@ -475,7 +476,7 @@ def test_entries_beyond_the_primes_take_the_exact_reduction():
     rows, ncols = _rank3_system(seed=5)
     rows = [{c: v * 2**40 if c % 7 == 0 else v for c, v in row.items()} for row in rows]
     ref = _reference_basis(rows, ncols)
-    assert max(abs(v) for _, v in linalg._integerize(sorted(rows[0].items()))) > _LADDER[0]
+    assert max(map(abs, linalg._integerize(sorted(rows[0].items())).values())) > _LADDER[0]
     res = nullspace(rows, ncols)
     assert res.basis == ref and res.dimension == ncols - 3
 
@@ -483,7 +484,7 @@ def test_entries_beyond_the_primes_take_the_exact_reduction():
 def _dense_rref_modp(rows, ncols, p):
     """Textbook Gauss-Jordan mod p on the dense matrix: pivot search down each
     column, swap, scale the pivot to 1, clear the column in every other row."""
-    mat = [[row.get(c, 0) % p for c in range(ncols)] for row in map(dict, rows)]
+    mat = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -519,7 +520,7 @@ def _modp_systems(draw):
         [p * draw(st.integers(-2, 2)) for _ in range(ncols)],   # vanishes mod p
     ]
     order = draw(st.permutations(range(len(rows))))
-    return [[(c, v) for c, v in enumerate(rows[r]) if v] for r in order], ncols, p
+    return [{c: v for c, v in enumerate(rows[r]) if v} for r in order], ncols, p
 
 
 @settings(max_examples=200, deadline=None)
@@ -545,7 +546,7 @@ def _sparse_modp_systems(draw):
     rows = []
     for _ in range(draw(st.integers(10, 40))):
         cols = draw(st.sets(st.integers(0, ncols - 1), min_size=2, max_size=5))
-        rows.append([(c, draw(entry)) for c in sorted(cols)])
+        rows.append({c: draw(entry) for c in sorted(cols)})
     return rows, ncols, p, draw(st.permutations(range(len(rows))))
 
 
@@ -563,17 +564,17 @@ def test_sparse_rref_modp_matches_dense_gauss_jordan_at_scale(system):
 @pytest.mark.parametrize("rows", [
     # row 1's pivot cancels row 0's entry in column 2, then row 2's pivot
     # lands on column 2: row 0 must no longer be listed as holding it
-    [[(0, 1), (1, 1), (2, 1)], [(1, 1), (2, 1)], [(2, 1), (3, 1)]],
+    [{0: 1, 1: 1, 2: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}],
     # row 1's pivot fills in column 2 of row 0, then row 2's pivot lands
     # on column 2: row 0 must now be listed as holding it
-    [[(0, 1), (1, 1)], [(1, 1), (2, 1)], [(2, 1), (3, 1)]],
+    [{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}],
     # pivots 1, 2 and 3 fill in, cancel and fill in again column 5 of row 0
     # before the last pivot lands on it; that row holds multiples of p at
     # pivot columns and an entry >= p
-    [[(0, 1), (1, 1), (2, 1), (3, 1)], [(1, 1), (5, 1)], [(2, 1), (5, -1)],
-     [(3, 1), (5, 2)], [(1, 14), (2, 7), (5, 15)]],
+    [{0: 1, 1: 1, 2: 1, 3: 1}, {1: 1, 5: 1}, {2: 1, 5: -1},
+     {3: 1, 5: 2}, {1: 14, 2: 7, 5: 15}],
     # one pivot row that is updated by every later pivot
-    [[(c, 1) for c in range(6)], *([(c, 2), (c + 1, 5)] for c in range(1, 5))],
+    [dict.fromkeys(range(6), 1), *({c: 2, c + 1: 5} for c in range(1, 5))],
 ])
 def test_rref_modp_column_index_follows_fill_in_and_cancellation(rows):
     p = 7
@@ -581,6 +582,112 @@ def test_rref_modp_column_index_follows_fill_in_and_cancellation(rows):
     rref, pivots = linalg._rref_modp(rows, p, 6)
     assert pivots == ref_pivots
     assert [[row.get(c, 0) for c in range(6)] for row in rref] == ref
+
+
+def _streamed_leads(rows, ncols, p):
+    """Dense reference of `leads`: each row reduced against the dense RREF
+    of the rows before it; a nonzero remainder gives (its first column,
+    its entry there)."""
+    leads = []
+    for t, row in enumerate(rows):
+        rest = [row.get(c, 0) % p for c in range(ncols)]
+        for prow, c in zip(*_dense_rref_modp(rows[:t], ncols, p)):
+            f = rest[c]
+            rest = [(a - f * b) % p for a, b in zip(rest, prow)]
+        if any(rest):
+            c = next(c for c, x in enumerate(rest) if x)
+            leads.append((c, rest[c]))
+    return leads
+
+
+@st.composite
+def _unit_systems(draw):
+    """Unit rows, rows in their span (which clear to zero once the units are
+    pivots), and pairs {a, b}, {b} whose second row cancels the first's only
+    other entry, so that pivot a becomes a unit; shuffled or fed shortest
+    first, as `nullspace` feeds them."""
+    p = draw(st.sampled_from([5, 7, _LADDER[0]]))
+    ncols = draw(st.integers(2, 12))
+    cols = st.integers(0, ncols - 1)
+    value = st.one_of(st.integers(1, 4), st.integers(-4, -1), st.sampled_from([p + 1, -p - 2]))
+    units = draw(st.sets(cols, min_size=1))
+    rows = [{c: draw(value)} for c in units]
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(cols), draw(cols)
+        if a != b:
+            rows += [{a: draw(value), b: draw(value)}, {b: draw(value)}]
+            units.add(b)
+    span = sorted(units)
+    for _ in range(draw(st.integers(1, 6))):
+        picked = draw(st.lists(st.sampled_from(span), min_size=1, unique=True))
+        rows.append({c: draw(st.one_of(value, st.just(p))) for c in picked})
+    for _ in range(draw(st.integers(0, 4))):  # rows with other columns
+        picked = draw(st.lists(cols, min_size=1, max_size=4, unique=True))
+        rows.append({c: draw(value) for c in picked})
+    rows = [rows[k] for k in draw(st.permutations(range(len(rows))))]
+    if draw(st.booleans()):
+        rows.sort(key=len)
+    return rows, ncols, p
+
+
+def _check_unit_system(system):
+    rows, ncols, p = system
+    ref, ref_pivots = _dense_rref_modp(rows, ncols, p)
+    leads = []
+    rref, pivots = linalg._rref_modp(rows, p, ncols, leads)
+    assert pivots == ref_pivots
+    assert [[row.get(c, 0) for c in range(ncols)] for row in rref] == ref
+    assert leads == _streamed_leads(rows, ncols, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unit_systems())
+def test_skipped_unit_rows_change_no_pivot_and_no_lead(system):
+    _check_unit_system(system)
+
+
+class _Unreadable(dict):
+    """A row whose entries raise if they are read: the kernel and the
+    verifier may test its columns, never iterate its items."""
+
+    def items(self):
+        raise AssertionError(f"row {dict(self)} was read")
+
+
+def test_rows_that_clear_to_zero_are_never_read():
+    p = _LADDER[0]
+    # {0: 1, 1: 1} becomes a unit pivot once {1: 1} cancels its entry at 1
+    rows = [{0: 1, 1: 1}, {1: 1}, _Unreadable({0: 3, 1: -5}), {2: 1, 3: 2},
+            _Unreadable({1: 7}), _Unreadable({})]
+    assert linalg._rref_modp(rows, p, 4) == ([{0: 1}, {1: 1}, {2: 1, 3: 2}], [0, 1, 2])
+    with pytest.raises(AssertionError, match="was read"):
+        linalg._rref_modp([_Unreadable({0: 1})], p, 4)
+    # the null vector (0, 0, -2, 1) has support {2, 3}: the unreadable rows miss it
+    assert linalg._annihilates(rows[2:], [((2, -2), (3, 1))])
+    with pytest.raises(AssertionError, match="was read"):
+        linalg._annihilates([_Unreadable({3: 1})], [((2, -2), (3, 1))])
+    res = nullspace(rows, 4)
+    assert res.vectors == ((1, ((2, -2), (3, 1))),) and res.method == "modp"
+
+
+def test_a_unit_pivot_that_holds_entries_is_caught(monkeypatch):
+    # mutation check: a kernel that marks every new pivot a unit, entries or
+    # not, skips rows that do not clear to zero; the unit-row systems above
+    # must tell it from the real kernel
+    source = inspect.getsource(linalg._rref_modp)
+    marked = "        if not vec:\n            units.add(pc)\n"
+    assert source.count(marked) == 1
+    namespace = dict(vars(linalg))
+    exec(source.replace(marked, "        units.add(pc)\n"), namespace)
+    mutant = namespace["_rref_modp"]
+    rows, p = [{0: 1, 1: 1}, {0: 2}], 7
+    assert linalg._rref_modp(rows, p, 2) == ([{0: 1}, {1: 1}], [0, 1])
+    assert mutant(rows, p, 2) == ([{0: 1, 1: 1}], [0])
+    monkeypatch.setattr(linalg, "_rref_modp", mutant)
+    hunt = settings(max_examples=150, deadline=None, database=None, phases=[Phase.generate])(
+        given(_unit_systems())(_check_unit_system))
+    with pytest.raises(AssertionError):
+        hunt()
 
 
 # sha256 of repr((rows, pivots)) for the RREF modulo the largest 31-bit prime
@@ -600,10 +707,39 @@ def test_rref_modp_pinned_on_h1o_degree_1_system():
     assert hashlib.sha256(canonical.encode()).hexdigest() == H1O_DEGREE1_RREF
 
 
+class _CountedRow(dict):
+    """A row that counts how often its entries are read."""
+
+    reads = 0
+
+    def items(self):
+        _CountedRow.reads += 1
+        return super().items()
+
+
+def test_rows_read_on_h1o_prolongation_are_pinned():
+    # the rows the kernel and the verifier read on h1(O), as fed to the
+    # kernel; the counts repeat exactly, so a lost skip shows without timing
+    with mock.patch.object(linalg, "_rref_modp", wraps=linalg._rref_modp) as spy:
+        symmetry.tanaka_prolong(build_hn(DivisionAlgebra.O, 1), max_degree=2, budget=10**8)
+    counts = []
+    for call in spy.call_args_list:
+        rows, p, ncols = call.args
+        res = nullspace(rows, ncols)
+        rows = [_CountedRow(row) for row in rows]
+        _CountedRow.reads = 0
+        rank = len(linalg._rref_modp(rows, p, ncols)[1])
+        kernel, _CountedRow.reads = _CountedRow.reads, 0
+        assert linalg._annihilates(rows, [vec for _, vec in res.vectors])
+        counts.append((len(rows), rank, kernel, _CountedRow.reads))
+    # (rows, pivots, rows the kernel reads, rows the verifier reads) per degree
+    assert counts == [(960, 290, 640, 512), (2496, 592, 2496, 2496), (5872, 488, 3296, 3000)]
+
+
 def test_rref_modp_stops_at_full_column_rank():
     # rows 0 and 2 already have rank 2 in 2 columns (row 1 is a multiple of
     # row 0); the iterator raises if a row after that one is read
-    rows = [[(0, 1), (1, 2)], [(0, 2), (1, 4)], [(0, 3), (1, 1)], [(0, 5)], [(1, 7)]]
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {0: 3, 1: 1}, {0: 5}, {1: 7}]
 
     def stream():
         yield from rows[:3]
@@ -614,7 +750,7 @@ def test_rref_modp_stops_at_full_column_rank():
     assert pivots == [0, 1] and rref == [{0: 1}, {1: 1}]
     assert linalg._rref_modp(rows, p, 2) == (rref, pivots)
     assert linalg._rref_modp(rows[:2], p, 2) == ([{0: 1, 1: 2}], [0])
-    res = nullspace([dict(r) for r in rows], 2)
+    res = nullspace(rows, 2)
     assert res.dimension == 0 and res.basis == () and res.method == "modp"
 
 

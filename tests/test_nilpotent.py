@@ -113,6 +113,9 @@ def test_make_custom_antisymmetrizes():
     ((0, 1, 1, 1), "out of range"),
     ((True, 0, 0, 1), "must be integers"),  # would be index 1
     ((0, 1.0, 0, 1), "must be integers"),
+    ((0, 1), "bad structure entry"),
+    ((0, 1, 0), "bad structure entry"),  # no value
+    ((0, 1, 0, 1, 1), "bad structure entry"),
 ])
 def test_make_custom_refuses_bad_indices(entry, match):
     # the same rule as serialization.from_json_dict

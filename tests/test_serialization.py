@@ -75,6 +75,9 @@ def test_bad_entry_shape_rejected():
     ([0, 1, 0, "1/0"], "unparsable"),
     ([0, 1, 0, [1]], "unparsable"),
     ("0101", "bad structure entry"),
+    ([0, 1], "bad structure entry"),
+    ([0, 1, 0], "bad structure entry"),
+    ([0, 1, 0, "1", "1"], "bad structure entry"),
 ])
 def test_malformed_entry_rejected(entry, match):
     with pytest.raises(StructureError, match=match):

@@ -275,6 +275,24 @@ def test_supplied_g0_rejects_malformed_elements():
                 tanaka_prolong(h1h, supplied_g0=[element])
 
 
+def test_supplied_g0_rejects_dependent_elements(monkeypatch):
+    # a repeated element once turned h1(H)'s components (8, 4) into (16, 44);
+    # linear relations are refused before any degree is assembled
+    alg = build_hn(DA.H, 1)
+    basis = [(a, b) for a, b, _ in graded_derivations(alg).basis]
+    (a0, b0), (a1, b1) = basis[:2]
+    total = tuple(tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(m0, m1))
+                  for m0, m1 in ((a0, a1), (b0, b1)))
+    zero = tuple(tuple(tuple(0 * x for x in row) for row in mat) for mat in (a0, b0))
+    monkeypatch.setattr(symmetry, "_prolong_rows", lambda *args: pytest.fail("solved"))
+    for g0 in (basis + basis[:1], basis[:2] + [total], [zero], basis[:1] + [zero]):
+        with pytest.raises(StructureError, match="linearly dependent"):
+            tanaka_prolong(alg, supplied_g0=g0, max_degree=2, budget=BIG)
+    monkeypatch.undo()
+    res = tanaka_prolong(alg, supplied_g0=basis[1:] + [total], max_degree=2, budget=BIG)
+    assert (res.g0_dim, res.component_dims) == (len(basis), (8, 4))
+
+
 @pytest.mark.parametrize("make, kwargs, components, completed", [
     (lambda: build_htype_from_clifford(5, 1), {"max_degree": 1}, (), True),
     (lambda: build_hn(DA.H, 1), {}, (8, 4), True),
