@@ -31,8 +31,7 @@ from functools import cache, lru_cache
 from importlib import resources
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .division import DivisionAlgebra
-from .errors import DatasetError, StructureError
+from .errors import AlgebraMismatch, DatasetError, StructureError
 
 __all__ = [
     "SimpleAlgebraDescriptor",
@@ -188,52 +187,72 @@ _CALLS = {"min": min, "max": max}
 
 
 @lru_cache(maxsize=256)
-def _parse(expr: str) -> ast.Expression:
-    """Parse tree of a table expression, kept per distinct string.
+def _compile(expr: str) -> Callable[[dict[str, int]], int]:
+    """A table expression as a function of the parameters, built once per
+    distinct string.
 
-    The tree walk in `_eval` only reads the tree. A SyntaxError is not
-    cached, so an unparsable expression raises on every call.
+    Allowed: integer literals (True and False among them), names, + - * //,
+    unary - and not, single comparisons (no chains), and/or (stopping at
+    the first value that decides), and calls to min and max. The tree is
+    walked once, here: a node outside this list raises DatasetError at the
+    first call, on any branch; a name that the parameters do not hold raises
+    DatasetError each time the function is called. Nothing is passed to
+    eval. A failure is not cached, so a rejected expression raises on every
+    call.
     """
     try:
-        return ast.parse(expr, mode="eval")
+        tree = ast.parse(expr, mode="eval")
     except SyntaxError:
         raise DatasetError(f"table expression {expr!r} does not parse") from None
 
+    def refusal(node) -> str:
+        return f"table expression {expr!r}: {ast.unparse(node)!r} is not allowed"
 
-def _eval(expr: str, env: dict[str, int]):
-    """Value of a table expression over the parameters in env.
-
-    Allowed: integer literals (True and False among them), the names in
-    env, + - * //, unary - and not, single comparisons (no chains), and/or,
-    and calls to min and max. Anything else raises DatasetError; nothing is
-    passed to eval.
-    """
-    def ev(node):
+    def comp(node):
         if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            return node.value
-        if isinstance(node, ast.Name) and node.id in env:
-            return env[node.id]
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-            return _BINARY[type(node.op)](ev(node.left), ev(node.right))
-        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-            return _UNARY[type(node.op)](ev(node.operand))
-        if (isinstance(node, ast.Compare) and len(node.ops) == 1
-                and type(node.ops[0]) in _COMPARE):
-            return _COMPARE[type(node.ops[0])](ev(node.left), ev(node.comparators[0]))
+            value = node.value
+            return lambda env: value
+        if isinstance(node, ast.Name):
+            name, message = node.id, refusal(node)
+
+            def lookup(env):
+                try:
+                    return env[name]
+                except KeyError:
+                    raise DatasetError(message) from None
+            return lookup
         if isinstance(node, ast.BoolOp):
             stop = isinstance(node.op, ast.Or)  # `or` stops at a true value
-            for value in node.values:
-                result = ev(value)
-                if bool(result) == stop:
-                    break
-            return result
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in _CALLS and not node.keywords):
-            return _CALLS[node.func.id](*(ev(arg) for arg in node.args))
-        raise DatasetError(
-            f"table expression {expr!r}: {ast.unparse(node)!r} is not allowed")
+            values = [comp(value) for value in node.values]
 
-    return ev(_parse(expr).body)
+            def boolop(env):
+                for value in values:
+                    result = value(env)
+                    if bool(result) == stop:
+                        break
+                return result
+            return boolop
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            op, args = _BINARY[type(node.op)], (node.left, node.right)
+        elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            op, args = _UNARY[type(node.op)], (node.operand,)
+        elif (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and type(node.ops[0]) in _COMPARE):
+            op, args = _COMPARE[type(node.ops[0])], (node.left, node.comparators[0])
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _CALLS and not node.keywords):
+            op, args = _CALLS[node.func.id], node.args
+        else:
+            raise DatasetError(refusal(node))
+        parts = [comp(arg) for arg in args]
+        return lambda env: op(*[part(env) for part in parts])
+
+    return comp(tree.body)
+
+
+def _eval(expr: str, env: dict[str, int]):
+    """Value of a table expression over the parameters in env; see `_compile`."""
+    return _compile(expr)(env)
 
 
 def compute_checksum(rows_json: list) -> str:
@@ -310,9 +329,17 @@ def row_by_name(name: str) -> TableRow:
     raise StructureError(f"no catalog row named {name!r}")
 
 
+# dim A of R, C, H and O, as `DivisionAlgebra.dimension` gives them; the
+# catalog reads no other fact of the division algebras
+_DIVISION_DIMS = {"R": 1, "C": 2, "H": 4, "O": 8}
+
+
 def nilradical_dims(series: str, algebra_tag: str, params: tuple[int, ...]) -> tuple[int, int]:
-    """(dim v, dim z) of h_n(A) or h'_{p,q}(A) without building the tensor."""
-    d = DivisionAlgebra.from_tag(algebra_tag).dimension
+    """(dim v, dim z) of h_n(A) or h'_{p,q}(A) without building the tensor.
+    The tag is read case-insensitively, as `DivisionAlgebra.from_tag` does."""
+    d = _DIVISION_DIMS.get(algebra_tag.upper())
+    if d is None:
+        raise AlgebraMismatch(f"unknown division algebra tag {algebra_tag!r}")
     if series == "hn":
         return 2 * params[0] * d, d
     if series == "hprime":

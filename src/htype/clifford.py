@@ -46,10 +46,14 @@ class CliffordGenerators:
 
 
 def _left_mult_matrix(algebra: DivisionAlgebra, index: int) -> list[list[Fraction]]:
+    """The matrix of x -> e_index x: column j holds e_index e_j = sign e_k."""
     d = algebra.dimension
-    u = da.basis_element(algebra, index)
-    cols = [da.mul(u, da.basis_element(algebra, j)).coefficients for j in range(d)]
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+    zero = Fraction(0)
+    mat = [[zero] * d for _ in range(d)]
+    for j in range(d):
+        k, sign = da.unit_product(algebra, index, j)
+        mat[k][j] = Fraction(sign)
+    return mat
 
 
 def _doubled(algebra: DivisionAlgebra) -> list[list[list[Fraction]]]:

@@ -34,6 +34,7 @@ __all__ = [
     "sub",
     "scale",
     "mul",
+    "unit_product",
     "conj",
     "re",
     "im",
@@ -191,6 +192,12 @@ def _signed_table(algebra: DivisionAlgebra):
             rows.append(tuple(row))
         tab = _SIGNED_TABLE[algebra] = tuple(rows)
     return tab
+
+
+def unit_product(algebra: DivisionAlgebra, a: int, b: int) -> tuple[int, int]:
+    """(k, sign) with e_a e_b = sign * e_k, sign = +1 or -1: the product of
+    two basis units read off the signed table, with no Element built."""
+    return _signed_table(algebra)[a][b]
 
 
 def mul(a: Element, b: Element) -> Element:

@@ -6,9 +6,9 @@ takes the same path:
 
 1. Rows arrive sparse, as {column: value} mappings of ints or Fractions.
    The system is validated by C-level passes (`filter`, `chain`) that drop
-   empty rows, check the columns to be ints in [0, ncols) and collect one
-   set of value types, refusing any value that is not an int or a
-   Fraction. A system of ints is read in place: the callers' mappings go
+   empty rows, refuse any other row that is not a mapping, check the
+   columns to be ints in [0, ncols) and collect one set of value types,
+   refusing any value that is not an int or a Fraction. A system of ints is read in place: the callers' mappings go
    on as they are, with no copy or scaling, and duplicate or zero rows
    clear to zero in step 2. Only a system that holds a Fraction has its
    rows scaled to primitive integer rows over their nonzeros. The rows
@@ -376,7 +376,9 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], ncols: int,
     """Certified exact nullspace of the system rows . v = 0.
 
     Rows are sparse mappings {column: value}, with int columns in
-    [0, ncols) and values ints or Fractions. C-level passes keep the
+    [0, ncols) and values ints or Fractions; a non-empty row of another
+    type, such as a list of (column, value) pairs, raises TypeError (the
+    check runs once per distinct row type). C-level passes keep the
     non-empty rows (`filter`) and collect their columns and value types
     (`chain.from_iterable`); a system of ints is read as the callers'
     mappings, never copied or changed, and only one that holds a Fraction
@@ -386,6 +388,10 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], ncols: int,
     context names the system in the escalation log.
     """
     kept = list(filter(None, rows))
+    if not all(issubclass(t, Mapping) for t in set(map(type, kept))):
+        bad = next(row for row in kept if not isinstance(row, Mapping))
+        raise TypeError(f"nullspace {context}: rows must be mappings {{column: value}}, "
+                        f"not {type(bad).__name__}")
     cols = set(chain.from_iterable(kept))
     types = set(map(type, chain.from_iterable(row.values() for row in kept)))
     if not all(issubclass(t, (int, Fraction)) for t in types):

@@ -159,16 +159,14 @@ def build_hn(algebra: DivisionAlgebra, n: int) -> GradedNilpotent:
     d = algebra.dimension
     dim_v, dim_z = 2 * n * d, d
     c = _zeros(dim_v, dim_z)
-    basis = [da.basis_element(algebra, a) for a in range(d)]
     for slot in range(n):
         for a in range(d):
             for b in range(d):
-                prod = da.mul(basis[a], basis[b]).coefficients
+                k, sign = da.unit_product(algebra, a, b)  # e_a e_b = sign e_k
                 i = slot * d + a              # x_slot = e_a
                 j = n * d + slot * d + b      # y^_slot = e_b
-                for k in range(d):
-                    c[i][j][k] += prod[k]
-                    c[j][i][k] -= prod[k]
+                c[i][j][k] += sign
+                c[j][i][k] -= sign
     return GradedNilpotent(
         name=f"h{n}({algebra.value})",
         family="hn",
@@ -193,24 +191,25 @@ def build_hprime(algebra: DivisionAlgebra, p: int, q: int) -> GradedNilpotent:
     d = algebra.dimension
     dim_v, dim_z = (p + q) * d, d - 1
     c = _zeros(dim_v, dim_z)
-    basis = [da.basis_element(algebra, a) for a in range(d)]
+    # conj(e_b) = e_b for b = 0 and -e_b otherwise, so e_a conj(e_b) and
+    # conj(e_b) e_a are -e_a e_b and -e_b e_a for b > 0. A real part (k = 0)
+    # has no z-coordinate; imaginary unit e_k is z-coordinate k - 1.
     # x-slots: -Im(x_j conj(x^_j)); first argument supplies x, second x^.
     for slot in range(p):
         for a in range(d):
             for b in range(d):
-                prod = da.mul(basis[a], da.conj(basis[b])).coefficients
-                i, j = slot * d + a, slot * d + b
-                for k in range(dim_z):
-                    c[i][j][k] -= prod[k + 1]
+                k, sign = da.unit_product(algebra, a, b)
+                if k:
+                    i, j = slot * d + a, slot * d + b
+                    c[i][j][k - 1] -= sign if b == 0 else -sign
     # y-slots: -Im(conj(y^_k) y_k); first argument supplies y, second y^.
     for slot in range(q):
         for a in range(d):
             for b in range(d):
-                prod = da.mul(da.conj(basis[b]), basis[a]).coefficients
-                i = (p + slot) * d + a
-                j = (p + slot) * d + b
-                for k in range(dim_z):
-                    c[i][j][k] -= prod[k + 1]
+                k, sign = da.unit_product(algebra, b, a)
+                if k:
+                    i, j = (p + slot) * d + a, (p + slot) * d + b
+                    c[i][j][k - 1] -= sign if b == 0 else -sign
     return GradedNilpotent(
         name=f"h'{p},{q}({algebra.value})",
         family="hprime",

@@ -96,13 +96,14 @@ class ProlongationResult:
 
 
 def _unflatten(vec: Sequence, shapes: list[tuple[int, int]]):
-    """Split a flat vector into row-major matrices of the given shapes."""
+    """Split a flat vector into row-major matrices of the given shapes,
+    each row one slice of vec (a tuple of the same entries); entries past
+    the last shape are not read."""
     out = []
     pos = 0
     for rows, cols in shapes:
-        mat = tuple(tuple(vec[pos + r * cols + c] for c in range(cols))
-                    for r in range(rows))
-        out.append(mat)
+        out.append(tuple(tuple(vec[pos + r * cols:pos + (r + 1) * cols])
+                         for r in range(rows)))
         pos += rows * cols
     return out
 
@@ -127,8 +128,10 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
     [x, Ez] = 0 and E[x, y] = 0, so E is a map z / [v, v] -> rad v: E-solutions
     exist only when the skew forms share a kernel vector and the brackets do
     not span z. Basis entries are (A, B, C) for the E = 0 vectors;
-    offgrade_dimension counts the rest. The E rows read the same integer
-    tensor ad = D c as the graded rows, so every row is integral.
+    offgrade_dimension counts the rest, read off the sparse integer vectors
+    of the solve: a vector is off-grade when it holds a column of the E
+    block, the last block. The E rows read the same integer tensor
+    ad = D c as the graded rows, so every row is integral.
     """
     n, m = alg.dim_v, alg.dim_z
     ncols = n * n + m * m + m * n + n * m
@@ -151,12 +154,11 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
     res = nullspace(rows, ncols, context=f"full derivation system of {alg.name}")
     basis = []
     offgrade = 0
-    for vec in res.basis:
-        a, b, cm, e = _unflatten(vec, [(n, n), (m, m), (m, n), (n, m)])
-        if any(x != 0 for r in e for x in r):
+    for (_, entries), vec in zip(res.vectors, res.basis):
+        if entries[-1][0] >= e_off:  # columns ascend, so the last is the largest
             offgrade += 1
         else:
-            basis.append((a, b, cm))
+            basis.append(tuple(_unflatten(vec, [(n, n), (m, m), (m, n)])))
     return DerivationSpace(alg, False, tuple(basis), res.dimension, res.method,
                            offgrade_dimension=offgrade)
 

@@ -6,7 +6,11 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +18,10 @@ from htype import catalog
 from htype.catalog import (
     MAX_GRID_DIM,
     SimpleAlgebraDescriptor as D,
+    _DIVISION_DIMS,
     _FAMILIES,
+    _compile,
     _eval,
-    _parse,
     compute_checksum,
     default_grid,
     instantiate,
@@ -30,7 +35,7 @@ from htype.catalog import (
     verify_row,
 )
 from htype.division import DivisionAlgebra as DA
-from htype.errors import DatasetError, StructureError
+from htype.errors import AlgebraMismatch, DatasetError, StructureError
 from htype.nilpotent import build_hn, build_hprime
 
 
@@ -154,11 +159,32 @@ def test_each_table_expression_is_parsed_once(monkeypatch):
     parsed = []
     real = ast.parse
     monkeypatch.setattr(ast, "parse", lambda expr, **kw: parsed.append(expr) or real(expr, **kw))
-    _parse.cache_clear()
+    _compile.cache_clear()
     verify_all()
     verify_all()
     assert parsed and len(parsed) == len(set(parsed))
     assert set(parsed) <= {e for _, e in _table_expressions()}
+
+
+def test_disallowed_node_on_a_short_circuited_branch_is_refused():
+    # the whole tree is checked when the expression is compiled, so a
+    # branch that `or` would never evaluate is refused at the first call
+    _compile.cache_clear()
+    for expr in ["1 or n ** 2", "0 and n / 2", "max(n, 1) or n.real"]:
+        for _ in range(2):
+            with pytest.raises(DatasetError, match="is not allowed"):
+                _eval(expr, {"n": 3})
+    assert _eval("1 or n", {}) == 1  # a name is looked up only when it is read
+
+
+def test_missing_name_raises_on_every_call():
+    _compile.cache_clear()
+    assert _eval("n + 1", {"n": 3}) == 4
+    for env in [{}, {"m": 3}, {}]:
+        with pytest.raises(DatasetError, match="'n' is not allowed"):
+            _eval("n + 1", env)
+    assert _eval("n + 1", {"n": 5}) == 6
+    assert _compile.cache_info().misses == 1
 
 
 # sha256 of verify_all().to_csv() and of repr(list(default_grid(500))),
@@ -172,6 +198,32 @@ def test_verification_and_grid_pinned():
         return hashlib.sha256(text.encode()).hexdigest()
     assert digest(verify_all().to_csv()) == VERIFY_ALL_CSV_SHA256
     assert digest(repr(list(default_grid(500)))) == DEFAULT_GRID_SHA256
+
+
+def test_division_dimensions_match_the_algebras():
+    assert _DIVISION_DIMS == {t.value: t.dimension for t in DA}
+    for tag in ["R", "c", "H", "o"]:
+        d = DA.from_tag(tag).dimension
+        assert nilradical_dims("hn", tag, (2,)) == (4 * d, d)
+        assert nilradical_dims("hprime", tag, (1, 2)) == (3 * d, d - 1)
+    for tag in ["X", "", "RR"]:
+        with pytest.raises(AlgebraMismatch) as got:
+            nilradical_dims("hn", tag, (1,))
+        with pytest.raises(AlgebraMismatch) as want:
+            DA.from_tag(tag)
+        assert str(got.value) == str(want.value)
+
+
+def test_verify_all_loads_no_division_module():
+    src = str(Path(catalog.__file__).resolve().parent.parent)
+    code = ("import sys\n"
+            "from htype import catalog\n"
+            "assert catalog.verify_all().all_pass\n"
+            "print(sorted(m for m in sys.modules if m.startswith('htype')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src))
+    loaded = ast.literal_eval(proc.stdout)
+    assert "htype.catalog" in loaded and "htype.division" not in loaded
 
 
 def test_row_with_foreign_expression_is_dataset_error():

@@ -542,8 +542,8 @@ _SURFACE_CASES = {
     "check": (["check", "--in", "h1H.json", "--tests", "typeh,nonsingular"],
               {"htype.catalog", "htype.division"}),
     "prolong": (["prolong", "--in", "h1H.json"], {"htype.catalog", "htype.division"}),
-    "table-verify": (["table", "--verify"], {"htype.nilpotent"}),
-    "table-dump": (["table", "--dump", "--format", "csv"], {"htype.nilpotent"}),
+    "table-verify": (["table", "--verify"], {"htype.nilpotent", "htype.division"}),
+    "table-dump": (["table", "--dump", "--format", "csv"], {"htype.nilpotent", "htype.division"}),
     "boundary": (["boundary", "--in", "h1C.json", "--experiment", "cayley-probe",
                   "--seed", "1", "--samples", "10"], {"htype.catalog", "htype.division"}),
 }

@@ -25,6 +25,7 @@ from htype.division import (
     re,
     scale,
     sub,
+    unit_product,
     zero,
 )
 from htype.errors import AlgebraMismatch
@@ -183,6 +184,17 @@ def test_signed_table_matches_fraction_units(algebra):
     table = _signed_table(algebra)
     assert table == tuple(want)
     assert all(type(c) is int and c in (1, -1) for row in table for _, c in row)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_unit_product_is_the_element_product(algebra):
+    d = algebra.dimension
+    e = [basis_element(algebra, i) for i in range(d)]
+    for a in range(d):
+        for b in range(d):
+            k, sign = unit_product(algebra, a, b)
+            assert sign in (1, -1)
+            assert mul(e[a], e[b]) == scale(sign, e[k])
 
 
 def test_mixed_algebras_rejected():

@@ -448,6 +448,21 @@ def test_malformed_rows_are_refused():
         nullspace([{0.5: 1, 1: 1}], 2)
 
 
+def test_rows_that_are_not_mappings_are_refused():
+    # a (column, value) pair list would reach the verifier, whose column
+    # test compares ints with tuples and passes every row: refused at intake
+    with pytest.raises(TypeError, match="rows must be mappings .* not list"):
+        nullspace([[(0, 1), (1, -1)]], 2)
+    with pytest.raises(TypeError, match="rows must be mappings .* not list"):
+        nullspace([{0: 1}, [1, -1]], 2)  # a dense list
+    with pytest.raises(TypeError, match="rows must be mappings .* not tuple"):
+        nullspace([((0, 1), (1, -1))], 2)
+    with pytest.raises(TypeError, match="rows must be mappings .* not tuple"):
+        nullspace([(1, -1)], 2)
+    # an empty row is no equation, whatever its type
+    assert nullspace([[], (), {0: 1}], 2).vectors == ((1, ((1, 1),)),)
+
+
 def test_python_int_verifier_rejects_what_int64_would_accept():
     # row . v = 2**64 exactly: int64 arithmetic wraps it to 0
     big = 2**32

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from htype import nilpotent
+from htype import division, nilpotent
 from htype.clifford import build_htype_from_clifford, clifford_generators
 from htype.division import DivisionAlgebra as DA
 from htype.errors import BudgetExceeded, CenterDimensionError, StructureError
@@ -165,6 +166,85 @@ def test_oversized_tensor_is_refused_before_allocation():
     assert (exc.value.requested, exc.value.budget) == (250_000, DEFAULT_BUDGET)
     assert peak < 1 << 20
     assert rng.getstate() == state  # refused before any entry was drawn
+
+
+def _all_builds():
+    """Every h_n(A) with n = 0..3, every h'_{p,q}(A) with p + q = 1..3, and
+    clifford(m, 1) for m = 1..8: 60 structure tensors."""
+    out = []
+    for algebra in DA:
+        out += [build_hn(algebra, n) for n in range(4)]
+        out += [build_hprime(algebra, p, t - p) for t in range(1, 4) for p in range(t + 1)]
+    return out + [build_htype_from_clifford(m, 1) for m in range(1, 9)]
+
+
+# sha256 of repr() of the names and structure tensors of `_all_builds`, and
+# of the Clifford generators, computed when every builder multiplied basis
+# Elements in Fractions and added all d coordinates of each product
+BUILDS_SHA256 = "2d0ee853338a3d8db1c77b68874fc2e8f9e41ef4620ba84ab4ca23428dd7608f"
+CLIFFORD_GENERATORS_SHA256 = "162caeab7e92e09fe31f0f21dc0f1e20b32f785dc92048bcc2280200d06367dc"
+
+
+def test_built_tensors_pinned():
+    builds = _all_builds()
+    assert len(builds) == 60
+    digest = hashlib.sha256(repr([(a.name, a.structure) for a in builds]).encode())
+    assert digest.hexdigest() == BUILDS_SHA256
+    gens = [clifford_generators(m).generators for m in range(1, 9)]
+    assert hashlib.sha256(repr(gens).encode()).hexdigest() == CLIFFORD_GENERATORS_SHA256
+
+
+def _element_tensor(algebra, series, params):
+    """The structure tensor by Element products, each of the d coordinates
+    of e_a e_b (or e_a conj(e_b), conj(e_b) e_a) added: the reference that
+    the signed-unit builders must match entry by entry, types included."""
+    e = [division.basis_element(algebra, a) for a in range(algebra.dimension)]
+    d = len(e)
+    if series == "hn":
+        (n,) = params
+        c = [[[Fraction(0)] * d for _ in range(2 * n * d)] for _ in range(2 * n * d)]
+        for slot, a, b in itertools.product(range(n), range(d), range(d)):
+            prod = division.mul(e[a], e[b]).coefficients
+            i, j = slot * d + a, n * d + slot * d + b
+            for k in range(d):
+                c[i][j][k] += prod[k]
+                c[j][i][k] -= prod[k]
+        return c
+    p, q = params
+    c = [[[Fraction(0)] * (d - 1) for _ in range((p + q) * d)] for _ in range((p + q) * d)]
+    for slot, a, b in itertools.product(range(p + q), range(d), range(d)):
+        if slot < p:
+            prod = division.mul(e[a], division.conj(e[b])).coefficients
+        else:
+            prod = division.mul(division.conj(e[b]), e[a]).coefficients
+        for k in range(d - 1):
+            c[slot * d + a][slot * d + b][k] -= prod[k + 1]
+    return c
+
+
+@pytest.mark.parametrize("algebra", list(DA), ids=lambda a: a.value)
+def test_signed_unit_builders_match_element_products(algebra):
+    for alg in [build_hn(algebra, n) for n in range(3)] + [
+            build_hprime(algebra, p, q) for p, q in [(1, 0), (0, 1), (1, 1), (2, 1)]]:
+        want = _element_tensor(algebra, alg.family, tuple(alg.params.values()))
+        assert repr(alg.structure) == repr(nilpotent._freeze(want)), alg.name
+
+
+def test_builders_multiply_no_elements(monkeypatch):
+    # counts repeat exactly, so a builder that goes back to Element products
+    # shows here without a timer
+    calls = []
+    real = division.mul
+    monkeypatch.setattr(division, "mul", lambda a, b: calls.append(1) or real(a, b))
+    e1, e2 = division.basis_element(DA.H, 1), division.basis_element(DA.H, 2)
+    assert e1 * e2 == division.basis_element(DA.H, 3) and len(calls) == 1  # counted
+    calls.clear()
+    for algebra in DA:
+        build_hn(algebra, 2)
+        build_hprime(algebra, 1, 1)
+    for m in range(1, 9):
+        clifford_generators(m)
+    assert calls == []
 
 
 # --- elements and brackets --------------------------------------------------

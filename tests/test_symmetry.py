@@ -696,6 +696,52 @@ def test_offgrade_dimension_on_degenerate_algebras():
         assert full.dimension == graded + alg.dim_v * alg.dim_z + offgrade
 
 
+def test_unflatten_matches_the_entrywise_split():
+    # the row slices against one entry at a time; zero-width blocks (the
+    # z-blocks of an abelian algebra) keep their rows
+    vec = tuple(Fraction(k, 3) for k in range(40))
+    for shapes in ([(2, 0), (0, 0), (2, 3), (3, 0)], [(3, 3), (2, 2), (2, 3), (3, 2)],
+                   [(4, 4)], [(5, 5), (0, 0), (0, 5), (5, 0)]):
+        pos, want = 0, []
+        for rows, cols in shapes:
+            want.append(tuple(tuple(vec[pos + r * cols + c] for c in range(cols))
+                              for r in range(rows)))
+            pos += rows * cols
+        assert symmetry._unflatten(vec, shapes) == want, shapes
+
+
+def _pinned_derivation_algebras():
+    algs = [build_hn(DA.R, n) for n in (1, 2, 3)] + [build_hn(DA.C, n) for n in (1, 2)]
+    algs += [build_hn(DA.H, 1), build_hn(DA.O, 1), build_hprime(DA.O, 1, 0)]
+    algs += [build_hprime(DA.H, p, q) for p, q in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
+    algs += [build_htype_from_clifford(m, 1) for m in range(1, 7)]
+    return algs + [
+        make_custom("deg", 3, 1, [(0, 1, 0, 1)]),
+        make_custom("deg2", 5, 2, [(0, 1, 0, 1), (2, 3, 1, Fraction(1, 2)), (0, 2, 1, 3)]),
+        # offgrade_dimension 1 each; deg4's E-solution is E[0][0], the first
+        # column of the E block
+        make_custom("deg3", 3, 2, [(0, 1, 0, 1)]),
+        make_custom("deg4", 3, 2, [(1, 2, 1, 1)]),
+    ]
+
+
+# sha256 of repr() of (name, graded basis, graded dimension, full basis, full
+# dimension, offgrade_dimension) over `_pinned_derivation_algebras`, computed
+# when _unflatten read one entry at a time and off-grade vectors were found
+# by comparing their dense E block with 0
+DERIVATIONS_SHA256 = "12a91822e29ee42f404932eb3153187fa42f588091b2b132e54495af4b3e9330"
+
+
+def test_derivation_bases_pinned():
+    out = []
+    for alg in _pinned_derivation_algebras():
+        full, graded = full_derivations(alg), graded_derivations(alg)
+        out.append((alg.name, graded.basis, graded.dimension, full.basis, full.dimension,
+                    full.offgrade_dimension))
+    assert [o[-1] for o in out][-4:] == [0, 0, 1, 1] and not any(o[-1] for o in out[:-2])
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == DERIVATIONS_SHA256
+
+
 def _sympy_derivation_dimension(alg) -> int:
     """dim Der(n) by brute force over all (n+m)^2 entries of D: the rows of
     D[e_a, e_b] = [D e_a, e_b] + [e_a, D e_b] on the basis of n = v + z."""
