@@ -12,9 +12,9 @@ simple non-compact algebras other than so(1,n)) downward, stacking
 nilradical dimensions into a maximal nilpotent subalgebra.
 
 Everything known of one algebra family (dimension, display name,
-membership in S, classical type) is one record of `_FAMILIES`. Every
-`htype table` output is built here: `dump_csv`, and the verification
-summary's `to_csv` and `to_report`.
+membership in S) is one record of `_FAMILIES`. Every `htype table` output
+is built here: `dump_csv`, and the verification summary's `to_csv` and
+`to_report`.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class _Family(NamedTuple):
     dimension: Callable[..., int]
     name: Callable[..., str]
     in_S: Callable[..., bool]
-    type_letter: str | None = None  # shared classical type, for the tower
 
     @property
     def arity(self) -> int:
@@ -83,25 +82,25 @@ def _exceptional(family: str, dim: int) -> _Family:
 # non-simple so(2,2), so*(4), so(4,C). Every exceptional family is in S.
 _FAMILIES = {
     "sl_R": _Family(lambda n: n ** 2 - 1, lambda n: f"sl({n},R)",
-                    lambda n: n >= 3, "sl"),
+                    lambda n: n >= 3),
     "sl_C": _Family(lambda n: 2 * (n ** 2 - 1), lambda n: f"sl({n},C)",
-                    lambda n: n >= 3, "sl"),
+                    lambda n: n >= 3),
     "su_star": _Family(lambda n: 4 * n ** 2 - 1, lambda n: f"su*({2 * n})",
-                       lambda n: n >= 3, "su"),
+                       lambda n: n >= 3),
     "su": _Family(lambda p, q: (p + q) ** 2 - 1, lambda p, q: f"su({p},{q})",
-                  _pq_in_S(1, 3), "su"),
+                  _pq_in_S(1, 3)),
     "sp_R": _Family(lambda n: n * (2 * n + 1), lambda n: f"sp({n},R)",
-                    lambda n: n >= 2, "sp"),
+                    lambda n: n >= 2),
     "sp": _Family(lambda p, q: (p + q) * (2 * (p + q) + 1), lambda p, q: f"sp({p},{q})",
-                  _pq_in_S(1, 3), "sp"),
+                  _pq_in_S(1, 3)),
     "sp_C": _Family(lambda n: 2 * n * (2 * n + 1), lambda n: f"sp({n},C)",
-                    lambda n: n >= 2, "sp"),
+                    lambda n: n >= 2),
     "so": _Family(lambda p, q: (p + q) * (p + q - 1) // 2, lambda p, q: f"so({p},{q})",
-                  _pq_in_S(2, 5), "so"),
+                  _pq_in_S(2, 5)),
     "so_star": _Family(lambda n: n * (2 * n - 1), lambda n: f"so*({2 * n})",
-                       lambda n: n >= 3, "so"),
+                       lambda n: n >= 3),
     "so_C": _Family(lambda n: n * (n - 1), lambda n: f"so({n},C)",
-                    lambda n: n >= 5, "so"),
+                    lambda n: n >= 5),
 }
 _FAMILIES.update(
     (family, _exceptional(family, dim)) for family, dim in {
@@ -143,10 +142,6 @@ class SimpleAlgebraDescriptor:
     def in_S(self) -> bool:
         """Simple, non-compact, and not isomorphic to any so(1,n)."""
         return _FAMILIES[self.family].in_S(*self.params)
-
-    @property
-    def type_letter(self) -> str | None:
-        return _FAMILIES[self.family].type_letter
 
 
 @dataclass(frozen=True)

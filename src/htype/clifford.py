@@ -27,7 +27,7 @@ from . import division as da
 from .division import DivisionAlgebra
 from .errors import StructureError
 from .linalg import nullspace
-from .nilpotent import GradedNilpotent, _clifford_failures, _freeze, _zeros
+from .nilpotent import GradedNilpotent, _algebra, _clifford_failures
 
 __all__ = ["CliffordGenerators", "clifford_generators", "build_htype_from_clifford",
            "REP_DIMS"]
@@ -146,25 +146,11 @@ def build_htype_from_clifford(m: int, k: int) -> GradedNilpotent:
         raise ValueError("k must be >= 1")
     gens = clifford_generators(m)
     d = gens.rep_dim
-    dim_v, dim_z = k * d, m
-    c = _zeros(dim_v, dim_z)
-    for l, j in enumerate(gens.generators):
-        for copy in range(k):
-            off = copy * d
-            for a in range(d):
-                for b in range(d):
-                    # <z_l, [v_i, v_j]> = <J_l v_i, v_j>
-                    if j[b][a]:
-                        c[off + a][off + b][l] = j[b][a]
-    return GradedNilpotent(
-        name=f"clifford({m},{k})",
-        family="clifford",
-        algebra_tag=None,
-        params={"m": m, "k": k},
-        dim_v=dim_v,
-        dim_z=dim_z,
-        structure=_freeze(c),
-        basis_convention=(
-            f"v: {k} copies of the {d}-dim Clifford module; z: R^{m} standard basis"
-        ),
-    )
+    # <z_l, [v_i, v_j]> = <J_l v_i, v_j> = J_l[j][i]; J_l is skew, so
+    # each pair a < b of a copy is written once
+    entries = ((off + a, off + b, l, j[b][a])
+               for l, j in enumerate(gens.generators) for off in range(0, k * d, d)
+               for a in range(d) for b in range(a + 1, d) if j[b][a])
+    return _algebra(f"clifford({m},{k})", "clifford", None, {"m": m, "k": k}, k * d, m,
+                    entries,
+                    f"v: {k} copies of the {d}-dim Clifford module; z: R^{m} standard basis")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import AlgebraMismatch
+from .errors import AlgebraMismatch, StructureError
 
 if TYPE_CHECKING:  # annotations only
     import random
@@ -187,7 +187,8 @@ def _signed_table(algebra: DivisionAlgebra):
             for j in range(d):
                 prod = _mul_rec(units[i], units[j])
                 terms = [(k, c) for k, c in enumerate(prod) if c]
-                assert len(terms) == 1 and abs(terms[0][1]) == 1
+                if len(terms) != 1 or abs(terms[0][1]) != 1:
+                    raise StructureError(f"e_{i} e_{j} has terms {terms}, not one signed unit")
                 row.append(terms[0])
             rows.append(tuple(row))
         tab = _SIGNED_TABLE[algebra] = tuple(rows)

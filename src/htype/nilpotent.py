@@ -10,8 +10,14 @@ layers. The two division-algebra series are
 
 expanded over the standard real basis of A. The v-basis order is the
 x-block then the y-block, each A-slot over (1, e1, ..., e_{d-1}); the
-z-basis is the standard (or imaginary) basis of A. J-maps are defined by
-<J_Z X, Y> = <Z, [X, Y]>.
+z-basis is the standard (or imaginary) basis of A. h'_{p,q}(A) is written
+from the pairs a < b of each slot only: there b >= 1, so conj(e_b) = -e_b.
+J-maps are defined by <J_Z X, Y> = <Z, [X, Y]>.
+
+Every constructor, here and in `clifford`, emits (i, j, k, x) entries into
+the one builder `_algebra`, which writes x at c[i][j][k] and -x at
+c[j][i][k]. Only `serialization.from_json_dict` fills a tensor itself, as
+given, so that its antisymmetry is checked rather than made.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import linalg
 from .errors import CenterDimensionError, StructureError
@@ -74,8 +80,9 @@ class GradedNilpotent:
                     raise StructureError("structure tensor z-dimension inconsistent")
         for i in range(self.dim_v):
             for j in range(i + 1):
-                for k in range(self.dim_z):
-                    if c[i][j][k] != -c[j][i][k]:
+                # a pair of zeros is antisymmetric: only nonzero pairs compare
+                for k, (x, y) in enumerate(zip(c[i][j], c[j][i])):
+                    if (x or y) and x != -y:
                         raise StructureError(
                             f"antisymmetry violated at ({i},{j},{k})"
                         )
@@ -121,20 +128,33 @@ class NonsingularResult:
     certificate: str
 
 
-def _check_tensor_budget(dim_v: int, dim_z: int) -> None:
-    """BudgetExceeded when a structure tensor would hold more entries than
-    the budget (DIVH_BUDGET overrides), before anything is allocated."""
-    linalg.check_budget(dim_v * dim_v, dim_z, linalg.default_budget(), "structure tensor")
-
-
 def _zeros(dim_v: int, dim_z: int) -> list[list[list[Fraction]]]:
-    """The zero structure tensor: every builder and loader allocates here."""
-    _check_tensor_budget(dim_v, dim_z)
+    """The zero structure tensor: `_algebra` and the JSON loader allocate
+    here. BudgetExceeded when it would hold more entries than the budget
+    (DIVH_BUDGET overrides), before anything is allocated."""
+    linalg.check_budget(dim_v * dim_v, dim_z, linalg.default_budget(), "structure tensor")
     return [[[Fraction(0)] * dim_z for _ in range(dim_v)] for _ in range(dim_v)]
 
 
 def _freeze(c: list[list[list[Fraction]]]) -> Structure:
     return tuple(tuple(tuple(e) for e in row) for row in c)
+
+
+def _algebra(name: str, family: str, tag: str | None, params: dict,
+             dim_v: int, dim_z: int, entries: Iterable[tuple[int, int, int, Fraction]],
+             convention: str, abelian: bool = False) -> GradedNilpotent:
+    """The algebra with [v_i, v_j] = x z_k and [v_j, v_i] = -x z_k summed
+    over its (i, j, k, x) entries: every builder's one writer.
+
+    The tensor is allocated, and the budget checked, before the first
+    entry is drawn, so `entries` may be a lazy generator.
+    """
+    c = _zeros(dim_v, dim_z)
+    for i, j, k, x in entries:
+        c[i][j][k] += x
+        c[j][i][k] -= x
+    return GradedNilpotent(name, family, tag, params, dim_v, dim_z, _freeze(c),
+                           convention, abelian)
 
 
 def _check_indices(entry, dim_v: int, dim_z: int) -> None:
@@ -150,6 +170,9 @@ def _check_indices(entry, dim_v: int, dim_z: int) -> None:
         raise StructureError(f"structure index out of range in {entry!r}")
 
 
+_SLOT_CONVENTION = "v: x-block then y-block, each slot over (1,e1,...,e_{d-1}); "
+
+
 def build_hn(algebra: DivisionAlgebra, n: int) -> GradedNilpotent:
     """h_n(A): v = A^n (x-block) (+) A^n (y-block), z = A."""
     from . import division as da
@@ -157,29 +180,12 @@ def build_hn(algebra: DivisionAlgebra, n: int) -> GradedNilpotent:
     if n < 0:
         raise ValueError("n must be >= 0")
     d = algebra.dimension
-    dim_v, dim_z = 2 * n * d, d
-    c = _zeros(dim_v, dim_z)
-    for slot in range(n):
-        for a in range(d):
-            for b in range(d):
-                k, sign = da.unit_product(algebra, a, b)  # e_a e_b = sign e_k
-                i = slot * d + a              # x_slot = e_a
-                j = n * d + slot * d + b      # y^_slot = e_b
-                c[i][j][k] += sign
-                c[j][i][k] -= sign
-    return GradedNilpotent(
-        name=f"h{n}({algebra.value})",
-        family="hn",
-        algebra_tag=algebra.value,
-        params={"n": n},
-        dim_v=dim_v,
-        dim_z=dim_z,
-        structure=_freeze(c),
-        basis_convention=(
-            "v: x-block then y-block, each slot over (1,e1,...,e_{d-1}); "
-            "z: standard basis of the coefficient algebra"
-        ),
-    )
+    # [x_slot = e_a, y^_slot = e_b] = e_a e_b = sign e_k
+    entries = ((slot * d + a, (n + slot) * d + b, *da.unit_product(algebra, a, b))
+               for slot in range(n) for a in range(d) for b in range(d))
+    return _algebra(f"h{n}({algebra.value})", "hn", algebra.value, {"n": n},
+                    2 * n * d, d, entries,
+                    _SLOT_CONVENTION + "z: standard basis of the coefficient algebra")
 
 
 def build_hprime(algebra: DivisionAlgebra, p: int, q: int) -> GradedNilpotent:
@@ -189,72 +195,45 @@ def build_hprime(algebra: DivisionAlgebra, p: int, q: int) -> GradedNilpotent:
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError("need p, q >= 0 with p + q >= 1")
     d = algebra.dimension
-    dim_v, dim_z = (p + q) * d, d - 1
-    c = _zeros(dim_v, dim_z)
-    # conj(e_b) = e_b for b = 0 and -e_b otherwise, so e_a conj(e_b) and
-    # conj(e_b) e_a are -e_a e_b and -e_b e_a for b > 0. A real part (k = 0)
-    # has no z-coordinate; imaginary unit e_k is z-coordinate k - 1.
-    # x-slots: -Im(x_j conj(x^_j)); first argument supplies x, second x^.
-    for slot in range(p):
-        for a in range(d):
-            for b in range(d):
-                k, sign = da.unit_product(algebra, a, b)
-                if k:
-                    i, j = slot * d + a, slot * d + b
-                    c[i][j][k - 1] -= sign if b == 0 else -sign
-    # y-slots: -Im(conj(y^_k) y_k); first argument supplies y, second y^.
-    for slot in range(q):
-        for a in range(d):
-            for b in range(d):
-                k, sign = da.unit_product(algebra, b, a)
-                if k:
-                    i, j = (p + slot) * d + a, (p + slot) * d + b
-                    c[i][j][k - 1] -= sign if b == 0 else -sign
-    return GradedNilpotent(
-        name=f"h'{p},{q}({algebra.value})",
-        family="hprime",
-        algebra_tag=algebra.value,
-        params={"p": p, "q": q},
-        dim_v=dim_v,
-        dim_z=dim_z,
-        structure=_freeze(c),
-        basis_convention=(
-            "v: x-block then y-block, each slot over (1,e1,...,e_{d-1}); "
-            "z: imaginary basis (e1,...,e_{d-1})"
-        ),
-        abelian=(dim_z == 0),
-    )
+
+    def entries():
+        # Only pairs a < b are written, so b >= 1 and conj(e_b) = -e_b:
+        # an x-slot's -Im(e_a conj(e_b)) is Im(e_a e_b) and a y-slot's
+        # -Im(conj(e_b) e_a) is Im(e_b e_a). Two distinct units multiply to
+        # an imaginary unit e_k, which is z-coordinate k - 1.
+        for slot in range(p + q):
+            for a in range(d):
+                for b in range(a + 1, d):
+                    k, sign = da.unit_product(algebra, *((a, b) if slot < p else (b, a)))
+                    yield slot * d + a, slot * d + b, k - 1, sign
+
+    return _algebra(f"h'{p},{q}({algebra.value})", "hprime", algebra.value,
+                    {"p": p, "q": q}, (p + q) * d, d - 1, entries(),
+                    _SLOT_CONVENTION + "z: imaginary basis (e1,...,e_{d-1})",
+                    abelian=(d == 1))
 
 
 def make_custom(name: str, dim_v: int, dim_z: int,
-                entries: Sequence[tuple[int, int, int, Fraction]],
+                entries: Iterable[tuple[int, int, int, Fraction]],
                 family: str = "custom") -> GradedNilpotent:
     """Build from sparse (i, j, k, value) entries; antisymmetry is filled in."""
-    c = _zeros(dim_v, dim_z)
-    for entry in entries:
-        _check_indices(entry, dim_v, dim_z)
-        i, j, k, val = entry
-        if i == j:
-            raise StructureError("diagonal bracket entry must vanish")
-        val = Fraction(val)
-        c[i][j][k] += val
-        c[j][i][k] -= val
-    return GradedNilpotent(
-        name=name, family=family, algebra_tag=None,
-        params={}, dim_v=dim_v, dim_z=dim_z, structure=_freeze(c),
-        basis_convention="custom",
-    )
+    def checked():
+        for entry in entries:
+            _check_indices(entry, dim_v, dim_z)
+            i, j, k, val = entry
+            if i == j:
+                raise StructureError("diagonal bracket entry must vanish")
+            yield i, j, k, Fraction(val)
+
+    return _algebra(name, family, None, {}, dim_v, dim_z, checked(), "custom")
 
 
 def random_two_step(dim_v: int, dim_z: int, rng: random.Random,
                     denom: int = 4) -> GradedNilpotent:
-    """Random rational structure tensor; for genericity experiments."""
-    _check_tensor_budget(dim_v, dim_z)
-    entries = []
-    for i in range(dim_v):
-        for j in range(i + 1, dim_v):
-            for k in range(dim_z):
-                entries.append((i, j, k, Fraction(rng.randint(-denom, denom), denom)))
+    """Random rational structure tensor; for genericity experiments. The
+    budget is checked before the first entry is drawn from rng."""
+    entries = ((i, j, k, Fraction(rng.randint(-denom, denom), denom))
+               for i in range(dim_v) for j in range(i + 1, dim_v) for k in range(dim_z))
     return make_custom(f"random({dim_v},{dim_z})", dim_v, dim_z, entries)
 
 

@@ -49,7 +49,7 @@ def from_json_dict(data: dict) -> GradedNilpotent:
         dim_v = int(data["dim_v"])
         dim_z = int(data["dim_z"])
         triples = data["structure"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise StructureError(f"malformed algebra JSON: {exc}") from None
     if dim_v < 0 or dim_z < 0:
         raise StructureError("negative dimension")
@@ -61,7 +61,7 @@ def from_json_dict(data: dict) -> GradedNilpotent:
         i, j, k, val = entry
         try:
             c[i][j][k] = Fraction(val)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise StructureError(f"unparsable structure value in {entry!r}: {exc}") from None
     # GradedNilpotent.__post_init__ re-validates antisymmetry.
     return GradedNilpotent(

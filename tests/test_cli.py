@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and report determinism."""
 
 import ast
+import contextlib
 import csv
 import importlib
 import io
@@ -9,15 +10,18 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import htype
 from htype.catalog import MAX_GRID_DIM, table_rows
 from htype.cli import main
 from htype.nilpotent import random_two_step
-from htype.serialization import save_algebra
+from htype.serialization import save_algebra, to_json_dict
 
 ARTIFACT_VERSION = htype.__version__
 
@@ -476,6 +480,59 @@ def test_report_schema_keys(h1c, tmp_path):
     assert man["artifact_version"]
 
 
+# ---------------------------------------------------------------------------
+# malformed algebra files
+
+
+_FUZZ_BASES = [to_json_dict(alg) for alg in (
+    htype.build_hn(htype.DivisionAlgebra.R, 1), htype.build_hn(htype.DivisionAlgebra.C, 1),
+    htype.build_hprime(htype.DivisionAlgebra.H, 1, 0))]
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9), st.just(10 ** 9),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(alphabet="019ab/-. ", max_size=2),
+    st.lists(st.integers(-1, 3), max_size=5),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
+
+
+@st.composite
+def _mutated_algebra(draw):
+    """A small algebra's JSON with one fault: a wrong type or value in a
+    field or a structure entry, a removed field, or a one-sided partner."""
+    data = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_BASES))))
+    kind = draw(st.sampled_from(["field", "removed", "entry", "one-sided"]))
+    if kind == "field":
+        data[draw(st.sampled_from(sorted(data)))] = draw(_JUNK)
+    elif kind == "removed":
+        del data[draw(st.sampled_from(sorted(data)))]
+    else:
+        entries = data["structure"]
+        at = draw(st.integers(0, len(entries) - 1))
+        if kind == "one-sided":
+            del entries[at]
+        elif draw(st.booleans()):
+            entries[at] = draw(_JUNK)
+        else:
+            entries[at][draw(st.integers(0, 3))] = draw(_JUNK)
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated_algebra())
+@example({**_FUZZ_BASES[1], "dim_v": float("inf")})
+def test_malformed_algebra_files_give_an_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "alg.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        for argv in (["check", "--in", path, "--tests", "jacobi,typeh,nonsingular"],
+                     ["prolong", "--in", path, "--max-degree", "1"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (argv[0], code)
+
+
 def test_version_is_the_pyproject_version():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     assert f'version = "{htype.__version__}"' in pyproject.read_text().splitlines()
@@ -650,3 +707,11 @@ def test_no_package_module_imports_sympy():
             else:
                 continue
             assert not banned & {n.split(".")[0] for n in names}, path.name
+
+
+def test_no_package_module_uses_assert():
+    # `python -O` strips assert statements, so a check made with one vanishes
+    for path in Path(htype.__file__).resolve().parent.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert on lines {lines}"

@@ -1,11 +1,16 @@
 """Exact Cayley-Dickson arithmetic in R, C, H and O."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from htype import division
 from htype.division import (
     DivisionAlgebra as DA,
     Element,
@@ -184,6 +189,21 @@ def test_signed_table_matches_fraction_units(algebra):
     table = _signed_table(algebra)
     assert table == tuple(want)
     assert all(type(c) is int and c in (1, -1) for row in table for _, c in row)
+
+
+def test_signed_table_refuses_a_product_that_is_not_a_unit_under_O():
+    # the table's check must survive `python -O`, which strips asserts
+    src = str(Path(division.__file__).resolve().parent.parent)
+    code = ("from htype import division\n"
+            "from htype.errors import StructureError\n"
+            "division._mul_rec = lambda a, b: (1, 1)\n"
+            "try:\n"
+            "    division._signed_table(division.DivisionAlgebra.C)\n"
+            "except StructureError as exc:\n"
+            "    print('refused:', exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "refused: e_0 e_0 has terms [(0, 1), (1, 1)], not one signed unit\n"
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)

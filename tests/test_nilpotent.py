@@ -12,7 +12,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from htype import division, nilpotent
+from htype import clifford, division, nilpotent
 from htype.clifford import build_htype_from_clifford, clifford_generators
 from htype.division import DivisionAlgebra as DA
 from htype.errors import BudgetExceeded, CenterDimensionError, StructureError
@@ -92,6 +92,14 @@ def test_post_init_rejects_bad_tensors():
     with pytest.raises(StructureError, match="antisymmetry"):
         GradedNilpotent("bad", "custom", None, {}, 2, 1,
                         (((f0,), (f1,)), ((f1,), (f0,))), "test")
+    # a pair with one zero entry still compares: a one-sided entry, and a
+    # nonzero diagonal entry
+    with pytest.raises(StructureError, match=r"antisymmetry violated at \(1,0,0\)"):
+        GradedNilpotent("bad", "custom", None, {}, 2, 1,
+                        (((f0,), (f1,)), ((f0,), (f0,))), "test")
+    with pytest.raises(StructureError, match=r"antisymmetry violated at \(0,0,0\)"):
+        GradedNilpotent("bad", "custom", None, {}, 2, 1,
+                        (((f1,), (f0,)), ((f0,), (f0,))), "test")
     with pytest.raises(StructureError, match="z-dimension"):
         GradedNilpotent("bad", "custom", None, {}, 1, 2,
                         (((f0,),),), "test")
@@ -228,6 +236,22 @@ def test_signed_unit_builders_match_element_products(algebra):
             build_hprime(algebra, p, q) for p, q in [(1, 0), (0, 1), (1, 1), (2, 1)]]:
         want = _element_tensor(algebra, alg.family, tuple(alg.params.values()))
         assert repr(alg.structure) == repr(nilpotent._freeze(want)), alg.name
+
+
+@pytest.mark.parametrize("builder", BUILDERS.values(), ids=BUILDERS)
+def test_every_builder_writes_through_one_builder(builder, monkeypatch):
+    calls = []
+    real = nilpotent._algebra
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nilpotent, "_algebra", counted)
+    monkeypatch.setattr(clifford, "_algebra", counted)
+    alg = builder()
+    assert calls == [alg.name]
+    assert not {"_zeros", "_freeze"} & set(vars(clifford))
 
 
 def test_builders_multiply_no_elements(monkeypatch):

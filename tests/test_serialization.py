@@ -59,6 +59,14 @@ def test_negative_dimension_rejected():
         from_json_dict({"dim_v": -1, "dim_z": 1, "structure": []})
 
 
+@pytest.mark.parametrize("key", ["dim_v", "dim_z"])
+def test_infinite_dimension_rejected(key):
+    # json reads Infinity as a float, and int() of it overflows
+    data = {"dim_v": 2, "dim_z": 1, "structure": [], key: float("inf")}
+    with pytest.raises(StructureError, match="malformed"):
+        from_json_dict(data)
+
+
 def test_bad_entry_shape_rejected():
     base = {"dim_v": 2, "dim_z": 1}
     with pytest.raises(StructureError, match="bad structure entry"):
@@ -78,6 +86,7 @@ def test_bad_entry_shape_rejected():
     ([0, 1], "bad structure entry"),
     ([0, 1, 0], "bad structure entry"),
     ([0, 1, 0, "1", "1"], "bad structure entry"),
+    ([0, 1, 0, float("inf")], "unparsable"),  # json reads Infinity
 ])
 def test_malformed_entry_rejected(entry, match):
     with pytest.raises(StructureError, match=match):
