@@ -20,6 +20,7 @@ by the commutant of the generated matrix algebra staying <= 4-dimensional
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -140,11 +141,17 @@ def clifford_generators(m: int) -> CliffordGenerators:
     )
 
 
+# The builders' generators, certified once per m: the generators are
+# constants of m and the record is frozen tuples, so it is shared. A call
+# of clifford_generators itself always recomputes and re-certifies.
+_shared_generators = functools.cache(clifford_generators)
+
+
 def build_htype_from_clifford(m: int, k: int) -> GradedNilpotent:
     """H-type algebra with v = k copies of the Clifford module, z = R^m."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    gens = clifford_generators(m)
+    gens = _shared_generators(m)
     d = gens.rep_dim
     # <z_l, [v_i, v_j]> = <J_l v_i, v_j> = J_l[j][i]; J_l is skew, so
     # each pair a < b of a copy is written once

@@ -149,6 +149,8 @@ def _mul_rec(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ..
     n = len(a)
     if n == 1:
         return (a[0] * b[0],)
+    if not any(a) or not any(b):  # a unit's zero halves: no recursion below
+        return (0,) * n
     h = n // 2
     p, q = a[:h], a[h:]
     r, s = b[:h], b[h:]

@@ -5,29 +5,31 @@ must be exact, so every returned basis is certified over Q. Every system
 takes the same path:
 
 1. Rows arrive sparse, as {column: value} mappings of ints or Fractions.
-   The system is validated by C-level passes (`filter`, `chain`) that drop
-   empty rows, refuse any other row that is not a mapping, check the
-   columns to be ints in [0, ncols) and collect one set of value types,
-   refusing any value that is not an int or a Fraction. A system of ints is read in place: the callers' mappings go
-   on as they are, with no copy or scaling, and duplicate or zero rows
-   clear to zero in step 2. Only a system that holds a Fraction has its
-   rows scaled to primitive integer rows over their nonzeros. The rows
-   are fed to step 2 shortest first: the RREF mod p does not depend on
-   row order.
+   The system is validated by C-level passes (`filter`, `set().union`,
+   `chain`) that drop empty rows, refuse any other row that is not a
+   mapping, check the columns to be ints in [0, ncols) and collect one set
+   of value types, refusing any value that is not an int or a Fraction.
+   A system of ints is read in place: the callers' mappings go on as
+   they are, with no copy or scaling, and duplicate or zero rows clear to
+   zero in step 2. Only a system that holds a Fraction has its rows scaled
+   to primitive integer rows over their nonzeros. The rows are fed to
+   step 2 shortest first: the RREF mod p does not depend on row order.
 2. The integer rows are row-reduced modulo a 31-bit prime by a streaming
    sparse Gauss-Jordan (`_rref_modp`: dict rows, no dense matrix, no
-   numpy). Each row is taken as given and reduced mod p once, after the
-   pivot rows have cleared it, and a column index sends each new pivot
-   only to the pivot rows that hold its column. A row whose columns are
-   all unit pivots (pivot rows with no other entry) clears to exactly
-   zero, so it is skipped unread. The candidate basis is lifted to Q by
-   rational reconstruction straight into integer vectors (a denominator
-   D and the sparse integers D v), and every one is re-checked against
-   the integer rows with one exact sparse product in Python ints
-   (`_annihilates`); a row that holds no column where a candidate is
-   nonzero has product exactly 0 with each, so it passes unread. Since
-   nullity over Q never exceeds nullity mod p, nullity_p verified
-   independent vectors certify the dimension.
+   numpy). Each row is read once and never copied: its working vector is
+   built from its entries, a multiple of the pivot row standing in for
+   each entry at a pivot column, and is reduced mod p once. A column
+   index sends each new pivot only to the pivot rows that hold its
+   column. A row whose columns are all unit pivots (pivot rows with no
+   other entry) clears to exactly zero, so it is skipped unread. The
+   candidate basis is lifted to Q by rational reconstruction into integer
+   pairs (numerator, denominator), and from those into integer vectors (a
+   denominator D and the sparse integers D v), with no Fraction built.
+   Every one is re-checked against the integer rows with one exact sparse
+   product in Python ints (`_annihilates`); a row that holds no column
+   where a candidate is nonzero has product exactly 0 with each, so it
+   passes unread. Since nullity over Q never exceeds nullity mod p,
+   nullity_p verified independent vectors certify the dimension.
 3. A failed prime escalates to the next 31-bit prime, largest first
    (`_primes`). Over F_p the pivots are the greedy column basis, so an
    unlucky prime has lower rank or, at equal rank, lexicographically later
@@ -164,11 +166,12 @@ def _rref_modp(rows: Iterable[Mapping[int, int]], p: int, ncols: int,
     """Reduced row echelon form mod p of sparse integer rows, one row at a time.
 
     The pivot rows found so far are kept fully reduced: 1 at their own
-    pivot column, 0 at every other. An incoming row is taken as given, its
-    entries not yet reduced, and cleared by one pass over the pivot columns
-    it holds, each with the row's own entry as factor (no pivot row touches
-    another pivot column); only then is every entry taken mod p, once, so
-    an entry or a factor that is 0 mod p only adds multiples of p. What is
+    pivot column, 0 at every other. An incoming row is read once and not
+    copied: its working vector is built from its entries, each entry at a
+    pivot column replaced by that multiple of the pivot row (no pivot row
+    touches another pivot column, so no pivot column enters the vector);
+    only then is every entry taken mod p, once, so an entry or a factor
+    that is 0 mod p only adds multiples of p. What is
     left is normalized at its leftmost nonzero. A column index maps each
     column to the pivots whose rows hold a nonzero there, so the new pivot
     updates just those rows; every entry an update creates or cancels
@@ -182,7 +185,7 @@ def _rref_modp(rows: Iterable[Mapping[int, int]], p: int, ncols: int,
     column index, so no later pivot updates it: the set of unit pivots only
     grows. A row whose columns are all unit pivots (an empty row too) clears
     to zero exactly, each entry taking away its own multiple of a unit
-    row, so it is skipped before it is copied or its entries are read: it
+    row, so it is skipped before its entries are read: it
     would leave no pivot and change no pivot row.
 
     Returns the pivot rows as {column: residue} dicts, nonzeros only,
@@ -196,13 +199,21 @@ def _rref_modp(rows: Iterable[Mapping[int, int]], p: int, ncols: int,
     for row in rows:
         if units.issuperset(row):
             continue
-        vec = dict(row)
+        acc: dict[int, int] = {}
+        get = acc.get
         for c, f in row.items():
-            if c in pivot_rows:
-                del vec[c]
-                for j, x in pivot_rows[c].items():
-                    vec[j] = vec.get(j, 0) - f * x
-        vec = {j: y for j, x in vec.items() if (y := x % p)}
+            prow = pivot_rows.get(c)
+            if prow is None:
+                acc[c] = get(c, 0) + f
+            else:
+                for j, x in prow.items():
+                    acc[j] = get(j, 0) - f * x
+        # plain loops, not comprehensions: on CPython 3.11 each comprehension
+        # is a function call, and this runs once per row
+        vec: dict[int, int] = {}
+        for j, x in acc.items():
+            if y := x % p:
+                vec[j] = y
         if not vec:
             continue
         pc = min(vec)
@@ -210,7 +221,8 @@ def _rref_modp(rows: Iterable[Mapping[int, int]], p: int, ncols: int,
         if leads is not None:
             leads.append((pc, lead))
         inv = pow(lead, -1, p)
-        vec = {j: x * inv % p for j, x in vec.items()}
+        for j, x in vec.items():  # values only: the keys stay as they are
+            vec[j] = x * inv % p
         if not vec:
             units.add(pc)
         for j in vec:
@@ -237,8 +249,9 @@ def _rref_modp(rows: Iterable[Mapping[int, int]], p: int, ncols: int,
     return [{c: 1, **pivot_rows[c]} for c in pivots], pivots
 
 
-def _rat_reconstruct(a: int, modulus: int) -> Fraction | None:
-    """Wang's algorithm: the unique n/d with |n|, d <= sqrt(modulus/2)."""
+def _rat_reconstruct(a: int, modulus: int) -> tuple[int, int] | None:
+    """Wang's algorithm: the unique n/d with |n|, d <= sqrt(modulus/2), as
+    the pair (n, d) in lowest terms with d > 0."""
     bound = math.isqrt(modulus // 2)
     a %= modulus
     r0, r1 = modulus, a
@@ -251,8 +264,7 @@ def _rat_reconstruct(a: int, modulus: int) -> Fraction | None:
         return None
     if math.gcd(r1, abs(t1)) != 1:
         return None
-    n, d = (r1, t1) if t1 > 0 else (-r1, -t1)
-    return Fraction(n, d)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _annihilates(rows: list[Mapping[int, int]], vectors: list[SparseInts]) -> bool:
@@ -311,9 +323,11 @@ def _reconstruct(image: list[dict[int, int]], modulus: int, pivots: list[int],
                  ncols: int) -> list[tuple[int, SparseInts]] | None:
     """Candidate basis over Q from the RREF mod `modulus`, as the integer
     vectors (D, D v) of `NullspaceResult.vectors`: candidate v has 1 at free
-    column f and -rref[r][f] at each pivot pivots[r]."""
+    column f and -rref[r][f] at each pivot pivots[r]. Each entry is lifted
+    to its pair (numerator, denominator), and D v is built from the pairs
+    in ints, with no Fraction."""
     pivot_set = set(pivots)
-    entries: dict[int, list[tuple[int, Fraction]]] = {
+    entries: dict[int, list[tuple[int, int, int]]] = {
         f: [] for f in range(ncols) if f not in pivot_set}
     for row, pc in zip(image, pivots):
         for f, a in row.items():
@@ -321,11 +335,11 @@ def _reconstruct(image: list[dict[int, int]], modulus: int, pivots: list[int],
                 val = _rat_reconstruct(-a, modulus)
                 if val is None:
                     return None
-                entries[f].append((pc, val))
+                entries[f].append((pc, *val))
     vectors = []
     for f, vals in entries.items():
-        d = math.lcm(*(x.denominator for _, x in vals))
-        vec = [(c, x.numerator * (d // x.denominator)) for c, x in vals]
+        d = math.lcm(*(den for _, _, den in vals))
+        vec = [(c, num * (d // den)) for c, num, den in vals]
         vec.append((f, d))
         vec.sort()
         vectors.append((d, tuple(vec)))
@@ -379,20 +393,20 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], ncols: int,
     [0, ncols) and values ints or Fractions; a non-empty row of another
     type, such as a list of (column, value) pairs, raises TypeError (the
     check runs once per distinct row type). C-level passes keep the
-    non-empty rows (`filter`) and collect their columns and value types
-    (`chain.from_iterable`); a system of ints is read as the callers'
-    mappings, never copied or changed, and only one that holds a Fraction
-    is integerized row by row, into dicts. The kernel skips the rows that
-    clear to zero against its unit pivots, and the verifier the rows that
-    miss the candidates' support: both results are exactly zero. The
-    context names the system in the escalation log.
+    non-empty rows (`filter`) and collect their columns (`set().union`)
+    and value types (`chain.from_iterable`); a system of ints is read as
+    the callers' mappings, never copied or changed, and only one that holds
+    a Fraction is integerized row by row, into dicts. The kernel skips the
+    rows that clear to zero against its unit pivots, and the verifier the
+    rows that miss the candidates' support: both results are exactly zero.
+    The context names the system in the escalation log.
     """
     kept = list(filter(None, rows))
     if not all(issubclass(t, Mapping) for t in set(map(type, kept))):
         bad = next(row for row in kept if not isinstance(row, Mapping))
         raise TypeError(f"nullspace {context}: rows must be mappings {{column: value}}, "
                         f"not {type(bad).__name__}")
-    cols = set(chain.from_iterable(kept))
+    cols = set().union(*kept)
     types = set(map(type, chain.from_iterable(row.values() for row in kept)))
     if not all(issubclass(t, (int, Fraction)) for t in types):
         bad = next(v for row in kept for v in row.values() if not isinstance(v, (int, Fraction)))

@@ -130,9 +130,12 @@ class NonsingularResult:
 
 def _zeros(dim_v: int, dim_z: int) -> list[list[list[Fraction]]]:
     """The zero structure tensor: `_algebra` and the JSON loader allocate
-    here. BudgetExceeded when it would hold more entries than the budget
-    (DIVH_BUDGET overrides), before anything is allocated."""
-    linalg.check_budget(dim_v * dim_v, dim_z, linalg.default_budget(), "structure tensor")
+    here. BudgetExceeded when it would take more slots than the budget
+    (DIVH_BUDGET overrides), before anything is allocated. Each of the
+    dim_v^2 cells is a list even when dim_z = 0, so a cell counts as at
+    least one slot: dim_v^2 * max(dim_z, 1)."""
+    linalg.check_budget(dim_v * dim_v, max(dim_z, 1), linalg.default_budget(),
+                        "structure tensor")
     return [[[Fraction(0)] * dim_z for _ in range(dim_v)] for _ in range(dim_v)]
 
 

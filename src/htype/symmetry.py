@@ -16,27 +16,33 @@ per-degree system size is capped by a configurable, positive entry
 budget so an oversized system is refused loudly rather than solved slowly.
 
 Exact systems are assembled in Python ints. Every level j >= -2 is one
-record levels[j] = (v, z, D_j): v[a] and z[a] are the integer matrices
-D_j T_j of basis element a of g_j on v and on z, D_j their common
-denominator, and dim g_j = len(v). g_-2 = z is m elements whose matrices
-have no rows; g_-1 = v is (ad, no rows, D_-1), ad the structure tensor;
-above, v and z hold the canonical basis of g_j. The assembler visits only
-their nonzeros; every row is a positive integer multiple of the rational
-row, so `nullspace` receives integral rows. The levels that a nullspace
-solves are read off its verified integer vectors, with D_j the lcm of
-their denominators; only the negative levels and a supplied g0 are read
-from rational entries (`_level`). Fraction vectors are built only where a
-caller reads them: stored bases (the canonical vectors) and the
-derivation spaces. Arithmetic "float64" runs the same certified solve
-and reports the stored bases as floats.
+record levels[j] = (v, z, D_j): v[a] and z[a] list the nonzeros
+(slot, x) of the integer matrices D_j T_j of basis element a of g_j on v
+and on z, slot r*n + i for row r (a basis element of g_{j-1}) and
+v-coordinate i, slot r*m + l for row r (of g_{j-2}) and z-coordinate l;
+D_j is their common denominator, and dim g_j = len(v). No record holds a
+zero. g_-2 = z is m elements with no entries; g_-1 = v is
+(ad, no entries, D_-1), ad read off the structure tensor's nonzeros;
+above, v and z hold the canonical basis of g_j, read straight off the
+verified integer vectors (d, d v) of its nullspace, split at the z block
+and scaled to D_j, the lcm of their d. A supplied g0 is read off its
+rational matrices (`_level`). The assembler regroups each record's
+entries by slot once per system; every row is a positive integer multiple
+of the rational row, so `nullspace` receives integral rows. Fraction
+vectors are built only where a caller reads them: stored bases (the
+canonical vectors, densified on output) and the derivation spaces.
+Arithmetic "float64" runs the same certified solve and reports the stored
+bases as floats.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .errors import StructureError
@@ -139,17 +145,20 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
     e_off = c_off + m * n
     levels = _negative_levels(alg)
     rows = _prolong_rows(0, levels)
-    ad = levels[-1][0]  # ad[s][k][t] = D c(x_s, x_t)_k
-    for s in range(n):
+    brackets = _brackets(levels[-1][0], n)  # brackets[s][t]: (k, D c(x_s, x_t)_k)
+    for cs in brackets:
+        by_k = [[] for _ in range(m)]
+        for t, cst in enumerate(cs):
+            for kp, x in cst:
+                by_k[kp].append((t, x))
         for k in range(m):
             for kp in range(m):
-                row = {e_off + t * m + k: x for t, x in enumerate(ad[s][kp]) if x}
+                row = {e_off + t * m + k: x for t, x in by_k[kp]}
                 if row:
                     rows.append(row)
     for i in range(n):  # E[x_i, x_j] = 0, one row per v-coordinate t
         for j in range(i + 1, n):
-            cij = [(k, x) for k in range(m) if (x := ad[i][k][j])]
-            if cij:
+            if cij := brackets[i][j]:
                 rows.extend({e_off + t * m + k: x for k, x in cij} for t in range(n))
     res = nullspace(rows, ncols, context=f"full derivation system of {alg.name}")
     basis = []
@@ -179,44 +188,58 @@ def verify_graded_derivation(alg: GradedNilpotent, a: Matrix, b: Matrix) -> bool
     return True
 
 
-def _level(v_mats: list, z_mats: list) -> tuple[list, list, int]:
-    """The level record (v, z, D) of the rational matrices of a basis on v
-    and on z: the integer matrices D*M and D, the lcm of every entry's
-    denominator (ints and Fractions alike) over both. Only the levels that
-    no nullspace produced come through here: the negative levels and a
-    supplied g0.
+def _level(v: list, z: list) -> tuple[list, list, int]:
+    """The level record (v, z, D) of a basis given by the rational nonzeros
+    (slot, x) of its matrices on v and on z: the entries (slot, D x) and D,
+    the lcm of every entry's denominator (ints and Fractions alike) over
+    both. Only the levels that no nullspace produced come through here: the
+    negative levels and a supplied g0.
     """
-    mats = v_mats + z_mats
-    d = math.lcm(*(x.denominator for mat in mats for row in mat for x in row))
-    out = [[[x.numerator * (d // x.denominator) if d > 1 else x.numerator
-             for x in row] for row in mat] for mat in mats]
-    return out[:len(v_mats)], out[len(v_mats):], d
+    d = math.lcm(*(x.denominator for entries in chain(v, z) for _, x in entries))
+    v, z = ([[(slot, x.numerator * (d // x.denominator)) for slot, x in entries]
+             for entries in mats] for mats in (v, z))
+    return v, z, d
+
+
+def _slots(mat, ncols: int) -> list:
+    """The nonzeros (r*ncols + c, x) of a matrix with rows of length ncols."""
+    return [(r * ncols + c, x) for r, row in enumerate(mat) for c, x in enumerate(row) if x]
 
 
 def _negative_levels(alg: GradedNilpotent) -> dict[int, tuple[list, list, int]]:
     """The level records of n itself, from which every degree's system is
-    built: g_-2 = z, whose m elements have matrices with no rows, and
-    g_-1 = v, where x_i is ad x_i: v -> z, entry [s][t] = c(x_i, x_t)_s,
-    and x_i kills z, so its z-matrix has no rows either.
+    built, read off the structure tensor's nonzeros: g_-2 = z, whose m
+    elements have matrices with no rows and so no entries, and g_-1 = v,
+    where x_i is ad x_i: v -> z, entry [s][t] = c(x_i, x_t)_s at slot
+    s*n + t, and x_i kills z, so its z-matrix has no entries either.
     """
     n, m = alg.dim_v, alg.dim_z
-    c = alg.structure
-    return {-2: _level([[]] * m, [[]] * m),
-            -1: _level([[[c[i][t][s] for t in range(n)] for s in range(m)]
-                        for i in range(n)], [[]] * n)}
+    ad = [[(s * n + t, x) for t, cit in enumerate(ci) for s, x in enumerate(cit) if x]
+          for ci in alg.structure]
+    return {-2: ([[]] * m, [[]] * m, 1), -1: _level(ad, [[]] * n)}
 
 
-def _nonzeros(mats, nrows: int, ncols: int, offset: int, stride: int,
-              factor: int) -> list[list[list]]:
-    """idx[r][c] lists (offset + a*stride, factor * mats[a][r][c]) over the
-    nonzero entries, a ascending."""
-    idx = [[[] for _ in range(ncols)] for _ in range(nrows)]
-    for a, mat in enumerate(mats):
+def _brackets(ad: list, n: int) -> list[list[list[tuple[int, int]]]]:
+    """cij[i][j] lists (k, D c(x_i, x_j)_k) over the nonzeros of the level
+    -1 entries ad, k ascending."""
+    cij = [[[] for _ in range(n)] for _ in range(n)]
+    for ci, entries in zip(cij, ad):
+        for slot, x in entries:
+            k, j = divmod(slot, n)
+            ci[j].append((k, x))
+    return cij
+
+
+def _nonzeros(mats: list, size: int, offset: int, stride: int,
+              factor: int) -> list[list[tuple[int, int]]]:
+    """idx[slot] lists (offset + a*stride, factor * x) over the entries
+    (slot, x) of mats[a], a ascending: the level's nonzeros regrouped by
+    slot, with no zero read."""
+    idx = [[] for _ in range(size)]
+    for a, entries in enumerate(mats):
         col = offset + a * stride
-        for slots, row in zip(idx, mat):
-            for slot, x in zip(slots, row):
-                if x:
-                    slot.append((col, factor * x))
+        for slot, x in entries:
+            idx[slot].append((col, factor * x))
     return idx
 
 
@@ -230,14 +253,16 @@ def _prolong_rows(K: int, levels: dict) -> list[dict]:
     twice, so each entry is assigned, never accumulated.
 
     The level records come from `_negative_levels` and `tanaka_prolong`:
-    integers D_j T_j. Each family of rows reads one nonzero index per level
-    tensor it uses, built once per system, and a row that mixes two levels
-    is multiplied by the product of their D_j: v-v rows mix levels -1
-    and K-1, v-z rows K-1 and K-2, and z-z rows use level K-2 alone. So
+    the nonzeros of the integers D_j T_j. Each family of rows reads one
+    index per level tensor it uses, built once per system and negated in
+    the row loop where the equation subtracts, and a row that mixes two
+    levels is multiplied by the product of their D_j: v-v rows mix levels
+    -1 and K-1, v-z rows K-1 and K-2, and z-z rows use level K-2 alone. So
     every row is a positive integer multiple of the rational row, with the
-    same nullspace. Empty rows are left out.
+    same nullspace. Empty rows are left out. Rows are filled by plain loops:
+    on CPython 3.11 a comprehension is a function call, one per row.
     """
-    ad, _, s_ad = levels[-1]  # ad[i][k][j] = D_{-1} c(x_i, x_j)_k
+    ad, _, s_ad = levels[-1]  # ad[i] lists (k*n + j, D_{-1} c(x_i, x_j)_k)
     v_prev, z_prev, s_prev = levels[K - 1]
     v_prev2, z_prev2, s_prev2 = levels[K - 2]
     n, m, d_prev2 = len(ad), len(levels[-2][0]), len(v_prev2)
@@ -245,47 +270,66 @@ def _prolong_rows(K: int, levels: dict) -> list[dict]:
     p_cols = len(v_prev) * n
     rows = []
     # f([x_i, x_j]) = [f(x_i), x_j] + [x_i, f(x_j)], values in g_{K-2}
-    pos = _nonzeros(v_prev, d_prev2, n, 0, n, s_ad)
-    neg = _nonzeros(v_prev, d_prev2, n, 0, n, -s_ad)
+    idx = _nonzeros(v_prev, d_prev2 * n, 0, n, s_ad)
+    brackets = _brackets(ad, n)
     for i in range(n):
-        ad_i = ad[i]
         for j in range(i + 1, n):
-            cij = [(k, x if s_prev == 1 else s_prev * x)
-                   for k in range(m) if (x := ad_i[k][j])]
+            cij = brackets[i][j]
+            if s_prev != 1:
+                cij = [(k, s_prev * x) for k, x in cij]
             for r in range(d_prev2):
-                z0 = p_cols + r * m
-                row = {z0 + k: x for k, x in cij}
-                for col, x in neg[r][j]:
-                    row[col + i] = x
-                for col, x in pos[r][i]:
+                z0, rn = p_cols + r * m, r * n
+                row = {}
+                for k, x in cij:
+                    row[z0 + k] = x
+                for col, x in idx[rn + j]:
+                    row[col + i] = -x
+                for col, x in idx[rn + i]:
                     row[col + j] = x
                 if row:  # empty where c(x_i, x_j) = 0 and the level has no entry
                     rows.append(row)
     # 0 = [f(x_i), z_l] + [x_i, f(z_l)], values in g_{K-3}
     if d3:
-        f_z = _nonzeros(z_prev, d3, m, 0, n, s_prev2)
-        f_v = _nonzeros(v_prev2, d3, n, p_cols, m, -s_prev)
+        f_z = _nonzeros(z_prev, d3 * m, 0, n, s_prev2)
+        f_v = _nonzeros(v_prev2, d3 * n, p_cols, m, s_prev)
         for i in range(n):
             for l in range(m):
                 for s in range(d3):
-                    row = {col + i: x for col, x in f_z[s][l]}
-                    for col, x in f_v[s][i]:
-                        row[col + l] = x
+                    row = {}
+                    for col, x in f_z[s * m + l]:
+                        row[col + i] = x
+                    for col, x in f_v[s * n + i]:
+                        row[col + l] = -x
                     if row:
                         rows.append(row)
     # 0 = [f(z_l), z_l'] + [z_l, f(z_l')], values in g_{K-4}
     if d4:
-        pos = _nonzeros(z_prev2, d4, m, p_cols, m, 1)
-        neg = _nonzeros(z_prev2, d4, m, p_cols, m, -1)
+        idx = _nonzeros(z_prev2, d4 * m, p_cols, m, 1)
         for l in range(m):
             for lp in range(l + 1, m):
                 for u_ in range(d4):
-                    row = {col + l: x for col, x in pos[u_][lp]}
-                    for col, x in neg[u_][l]:
-                        row[col + lp] = x
+                    row = {}
+                    for col, x in idx[u_ * m + lp]:
+                        row[col + l] = x
+                    for col, x in idx[u_ * m + l]:
+                        row[col + lp] = -x
                     if row:
                         rows.append(row)
     return rows
+
+
+def _dense(mats: list, nrows: int, ncols: int, d: int) -> tuple:
+    """The nrows x ncols matrices (slot, x) / d as a tuple of row lists of
+    Fractions, zeros included."""
+    zero = Fraction(0)
+    out = []
+    for entries in mats:
+        mat = [[zero] * ncols for _ in range(nrows)]
+        for slot, x in entries:
+            r, c = divmod(slot, ncols)
+            mat[r][c] = Fraction(x, d)
+        out.append(tuple(mat))
+    return tuple(out)
 
 
 def _as_float(x):
@@ -352,13 +396,13 @@ def tanaka_prolong(alg: GradedNilpotent,
         for a, b in pairs:
             if not verify_graded_derivation(alg, a, b):
                 raise StructureError("supplied g0 element is not a graded derivation")
-        levels[0] = _level([a for a, _ in pairs], [b for _, b in pairs])
-        # one coordinate of the k elements per row: a nonzero kernel is a
-        # linear relation, which would be a zero of the evaluation map
+        levels[0] = _level([_slots(a, n) for a, _ in pairs], [_slots(b, m) for _, b in pairs])
+        # one coordinate of the k elements per row, {element: entry}: a
+        # nonzero kernel is a linear relation, which would be a zero of the
+        # evaluation map
         v0, z0, _ = levels[0]
-        coords = zip(*([x for mat in ev for row in mat for x in row] for ev in zip(v0, z0)))
-        if nullspace([{a: x for a, x in enumerate(col) if x} for col in coords], len(v0),
-                     context="supplied g0").vectors:
+        coords = _nonzeros(v0, n * n, 0, 1, 1) + _nonzeros(z0, m * m, 0, 1, 1)
+        if nullspace(list(map(dict, coords)), len(v0), context="supplied g0").vectors:
             raise StructureError("supplied g0 elements are linearly dependent")
         first = 1
 
@@ -375,23 +419,26 @@ def tanaka_prolong(alg: GradedNilpotent,
         if K and not res.vectors:  # a zero g0 does not end the loop
             completed = True
             break
-        # the new basis vectors are the evaluation tensors of level K: D_K T_K
-        # is read off the verified integer vectors (d, d v), D_K the lcm of
-        # their d, so no Fraction is built on the way
+        # the new basis vectors are the evaluation tensors of level K: the
+        # nonzeros of D_K T_K are the verified integer vectors (d, d v)
+        # scaled to D_K, the lcm of their d, so no Fraction and no zero is
+        # built; column a*n + i is slot a*n + i of the map on v, column
+        # p_cols + b*m + l slot b*m + l of the map on z
         d = math.lcm(*(dk for dk, _ in res.vectors))
-        dense = [[0] * ncols for _ in res.vectors]
-        for row, (dk, vec) in zip(dense, res.vectors):
-            for c, x in vec:
-                row[c] = x * (d // dk)
-        levels[K] = ([[row[a * n:a * n + n] for a in range(d_prev)] for row in dense],
-                     [[row[p_cols + b * m:p_cols + b * m + m] for b in range(d_prev2)]
-                      for row in dense], d)
+        v_k, z_k = [], []
+        for dk, vec in res.vectors:
+            s = d // dk
+            split = bisect_left(vec, (p_cols,))
+            v_k.append(vec[:split] if s == 1 else [(c, x * s) for c, x in vec[:split]])
+            z_k.append([(c - p_cols, x * s) for c, x in vec[split:]])
+        levels[K] = (v_k, z_k, d)
 
     positive = [levels[K] for K in sorted(levels) if K > 0]
     bases = None
-    if store_bases:  # the canonical basis T_K = (D_K T_K) / D_K
-        bases = tuple(tuple(tuple(tuple([Fraction(x, d) for x in row] for row in mat)
-                                  for mat in ev) for ev in (v, z)) for v, z, d in positive)
+    if store_bases:  # the canonical basis T_K = (D_K T_K) / D_K, densified here
+        dims = {K: len(v) for K, (v, _, _) in levels.items()}
+        bases = tuple((_dense(v, dims[K - 1], n, d), _dense(z, dims[K - 2], m, d))
+                      for K, (v, z, d) in sorted(levels.items()) if K > 0)
         if arithmetic == "float64":
             bases = _as_float(bases)
     return ProlongationResult(

@@ -184,6 +184,14 @@ def test_check_oversized_structure_is_budget_refusal(tmp_path, capsys):
     assert err.startswith("error: ") and "structure tensor" in err
 
 
+def test_check_flat_oversized_structure_is_budget_refusal(tmp_path, capsys):
+    flat = tmp_path / "flat.json"
+    flat.write_text('{"dim_v":600,"dim_z":0,"structure":[]}')
+    code, out, err = run(capsys, "check", "--in", str(flat), "--tests", "jacobi")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "structure tensor" in err
+
+
 def test_check_nonsingular_undetermined(tmp_path):
     path = tmp_path / "r63.json"
     save_algebra(random_two_step(6, 3, random.Random(0)), path)

@@ -93,3 +93,18 @@ def test_copies_share_the_block_structure():
             assert double.structure[d + i][d + j] == single.structure[i][j]
             # no brackets across distinct copies
             assert all(c == 0 for c in double.structure[i][d + j])
+
+
+def test_builds_certify_the_generators_once_per_m(monkeypatch):
+    # clifford(m, 1) and clifford(m, 2) share one certified record per m
+    calls = []
+    real = clifford._commutant_dimension
+    monkeypatch.setattr(clifford, "_commutant_dimension",
+                        lambda K: calls.append(len(K)) or real(K))
+    clifford._shared_generators.cache_clear()
+    for m in sorted(REP_DIMS):
+        for k in (1, 2):
+            assert is_type_h(build_htype_from_clifford(m, k)).holds
+    assert calls == sorted(REP_DIMS)
+    assert clifford_generators(3) == clifford._shared_generators(3)
+    assert calls == sorted(REP_DIMS) + [3]  # a direct call still certifies

@@ -191,6 +191,42 @@ def test_signed_table_matches_fraction_units(algebra):
     assert all(type(c) is int and c in (1, -1) for row in table for _, c in row)
 
 
+def _doubling(a, b):
+    """The Cayley-Dickson recursion with no shortcut, as the reference."""
+    if len(a) == 1:
+        return (a[0] * b[0],)
+    h = len(a) // 2
+    p, q, r, s = a[:h], a[h:], b[:h], b[h:]
+    cj = lambda x: (x[0],) + tuple(-c for c in x[1:])
+    return (tuple(x - y for x, y in zip(_doubling(p, r), _doubling(cj(s), q)))
+            + tuple(x + y for x, y in zip(_doubling(s, p), _doubling(q, cj(r)))))
+
+
+def test_signed_table_recursion_skips_zero_halves(monkeypatch):
+    # a unit has zero halves, and a product with an all-zero factor returns
+    # at once; the call count repeats exactly, so a lost shortcut shows
+    # without timing, and every table equals the full recursion's
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    real = division._mul_rec
+    monkeypatch.setattr(division, "_mul_rec", counted)
+    monkeypatch.setattr(division, "_SIGNED_TABLE", {})
+    table = _signed_table(DA.O)
+    assert calls == 832  # 5,440 without the shortcut
+    for algebra in ALGEBRAS:
+        d = algebra.dimension
+        units = [tuple(int(a == i) for a in range(d)) for i in range(d)]
+        assert _signed_table(algebra) == tuple(
+            tuple(next((k, c) for k, c in enumerate(_doubling(units[i], units[j])) if c)
+                  for j in range(d)) for i in range(d))
+    assert _signed_table(DA.O) is table
+
+
 def test_signed_table_refuses_a_product_that_is_not_a_unit_under_O():
     # the table's check must survive `python -O`, which strips asserts
     src = str(Path(division.__file__).resolve().parent.parent)

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -218,11 +219,13 @@ def test_nullity_float_cross_check():
 
 
 def test_rational_reconstruction_round_trip():
+    # the lift is the pair (numerator, denominator) in lowest terms, d > 0
     p = _LADDER[0]
     for num in (-7, -1, 0, 3, 11):
         for den in (1, 2, 9, 40):
             residue = num * pow(den, -2 + p, p) % p
-            assert _rat_reconstruct(residue, p) == Fraction(num, den)
+            want = Fraction(num, den)
+            assert _rat_reconstruct(residue, p) == (want.numerator, want.denominator)
 
 
 def test_row_key_order_and_explicit_zeros_agree():
@@ -461,6 +464,38 @@ def test_rows_that_are_not_mappings_are_refused():
         nullspace([(1, -1)], 2)
     # an empty row is no equation, whatever its type
     assert nullspace([[], (), {0: 1}], 2).vectors == ((1, ((1, 1),)),)
+
+
+class _PlainMapping(Mapping):
+    """A read-only mapping that is not a dict."""
+
+    def __init__(self, data):
+        self._data = dict(data)
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)
+
+
+def test_rows_of_any_mapping_type_are_read_alike():
+    # the intake, the kernel and the verifier read a row only through the
+    # Mapping interface, so a row need not be a dict, nor all rows one type
+    from types import MappingProxyType
+
+    rows, ncols = _rank3_system()
+    ref = nullspace(rows, ncols)
+    for wrap in (MappingProxyType, _PlainMapping, dict):
+        assert nullspace([wrap(row) for row in rows], ncols) == ref
+    mixed = [(MappingProxyType, _PlainMapping, dict)[k % 3](row) for k, row in enumerate(rows)]
+    assert nullspace(mixed, ncols) == ref
+    for bad in ([MappingProxyType({0: 1.0})], [{0: 1}, _PlainMapping({1: "1"})]):
+        with pytest.raises(TypeError, match="^row values must be ints or Fractions, not "):
+            nullspace(bad, 2)
 
 
 def test_python_int_verifier_rejects_what_int64_would_accept():
@@ -736,7 +771,7 @@ def test_rows_read_on_h1o_prolongation_are_pinned():
     # the rows the kernel and the verifier read on h1(O), as fed to the
     # kernel; the counts repeat exactly, so a lost skip shows without timing
     with mock.patch.object(linalg, "_rref_modp", wraps=linalg._rref_modp) as spy:
-        symmetry.tanaka_prolong(build_hn(DivisionAlgebra.O, 1), max_degree=2, budget=10**8)
+        symmetry.tanaka_prolong(build_hn(DivisionAlgebra.O, 1), max_degree=3, budget=10**8)
     counts = []
     for call in spy.call_args_list:
         rows, p, ncols = call.args
@@ -748,7 +783,8 @@ def test_rows_read_on_h1o_prolongation_are_pinned():
         assert linalg._annihilates(rows, [vec for _, vec in res.vectors])
         counts.append((len(rows), rank, kernel, _CountedRow.reads))
     # (rows, pivots, rows the kernel reads, rows the verifier reads) per degree
-    assert counts == [(960, 290, 640, 512), (2496, 592, 2496, 2496), (5872, 488, 3296, 3000)]
+    assert counts == [(960, 290, 640, 512), (2496, 592, 2496, 2496), (5872, 488, 3296, 3000),
+                      (5760, 256, 256, 0)]
 
 
 def test_rref_modp_stops_at_full_column_rank():

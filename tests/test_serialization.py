@@ -135,6 +135,21 @@ def test_oversized_structure_is_refused_before_allocation():
     assert peak < 1 << 20
 
 
+def test_flat_structure_counts_its_empty_cells():
+    # dim_z = 0 holds no entries, but each of the 600 * 600 cells is a
+    # list: 360,000 slots against the 200,000 budget, refused first
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as exc:
+            from_json_dict({"dim_v": 600, "dim_z": 0, "structure": []})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.requested, exc.value.budget) == (360_000, DEFAULT_BUDGET)
+    assert peak < 1 << 20
+    assert from_json_dict({"dim_v": 400, "dim_z": 0, "structure": []}).dim_v == 400
+
+
 def test_structure_cap_follows_the_budget_override(monkeypatch):
     doc = to_json_dict(build_hn(DA.C, 1))  # 4 * 4 * 2 = 32 tensor entries
     monkeypatch.setenv("DIVH_BUDGET", "31")

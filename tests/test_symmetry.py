@@ -527,6 +527,29 @@ def test_large_outputs_pinned(case):
     assert hashlib.sha256(repr(compute()).encode()).hexdigest() == digest
 
 
+# sha256 of repr([(ncols, rows), ...]) for the systems that tanaka_prolong
+# feeds to nullspace on h1(O), degrees 0-3, each row as its sorted items in
+# emission order; computed while the level records held dense matrices
+H1O_SYSTEMS_SHA256 = "d7980c1aef04eb64291cb5b1818194bedc04923fa8027d5698db1fc4e8a5fbcb"
+
+
+def test_h1o_prolongation_systems_pinned(monkeypatch):
+    systems = []
+    real = symmetry.nullspace
+
+    def recorded(rows, ncols, context=""):
+        rows = list(rows)
+        systems.append((ncols, [sorted(row.items()) for row in rows]))
+        return real(rows, ncols, context)
+
+    monkeypatch.setattr(symmetry, "nullspace", recorded)
+    res = tanaka_prolong(build_hn(DA.O, 1), max_degree=3, budget=BIG)
+    assert res.component_dims == (16, 8) and res.completed
+    assert [(ncols, len(rows)) for ncols, rows in systems] == [
+        (320, 960), (608, 2496), (496, 5872), (256, 5760)]
+    assert hashlib.sha256(repr(systems).encode()).hexdigest() == H1O_SYSTEMS_SHA256
+
+
 def test_prolongation_reads_no_fraction_basis(monkeypatch):
     # every level is read off NullspaceResult.vectors, and the stored bases
     # off those levels, as Fractions over the level's scale
