@@ -45,6 +45,7 @@ __all__ = [
     "PlaneConvergenceRow",
     "LimitingPlaneReport",
     "ExtensionVerdict",
+    "MAX_PROBE_DRAWS",
     "siegel_point",
     "cayley",
     "cayley_inverse",
@@ -78,6 +79,11 @@ FD_STEP = 1e-4  # Richardson pair uses FD_STEP and FD_STEP / 2
 GN_STEP = 1e-7  # forward-difference step of the Gauss-Newton Jacobian
 GN_ITERATIONS = 50  # Gauss-Newton steps per restart of the witness search
 _BLOCK = 64  # X vectors or points per stacked evaluation: bounds memory, not results
+# The most normals boundary_identity_error draws up front, samples * (dim v +
+# dim z): 80 MB of float64, over 40x its largest caller, 10**4 samples on
+# h1(O) (dim v + dim z = 24) in the benchmark. Drawing per block instead would
+# change the random stream, and so every reported residual.
+MAX_PROBE_DRAWS = 10**7
 
 
 class _FloatModel:
@@ -91,9 +97,9 @@ class _FloatModel:
             )
         self.n = alg.dim_v
         self.m = alg.dim_z
-        self.c = np.array(
-            [[[float(x) for x in cij] for cij in ci] for ci in alg.structure]
-        )
+        self.c = np.zeros((self.n, self.n, self.m))
+        for i, j, k, x in alg.nonzeros:
+            self.c[i, j, k] = x
         # (J_Z)_{ab} = sum_k Z_k c[b][a][k]
         self.jmats = np.ascontiguousarray(np.transpose(self.c, (2, 1, 0)))
 
@@ -857,7 +863,11 @@ def distribution_experiment(alg: GradedNilpotent, sample_count: int = 25,
 
 def boundary_identity_error(alg: GradedNilpotent, samples: int = 10_000,
                             seed: int = 0) -> float:
-    """max | |C(p)|^2 - 1 | over random boundary points, in stacks of _BLOCK."""
+    """max | |C(p)|^2 - 1 | over random boundary points, in stacks of _BLOCK.
+    Every point is drawn up front, so more than MAX_PROBE_DRAWS normals
+    raise ValueError before anything is drawn."""
+    if samples * (alg.dim_v + alg.dim_z) > MAX_PROBE_DRAWS:
+        raise ValueError(f"{samples} samples draw over the cap of {MAX_PROBE_DRAWS} normals")
     mod = _model(alg)
     rng = np.random.default_rng(seed)
     Xs = rng.standard_normal((samples, mod.n))

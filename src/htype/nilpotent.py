@@ -17,13 +17,18 @@ J-maps are defined by <J_Z X, Y> = <Z, [X, Y]>.
 Every constructor, here and in `clifford`, emits (i, j, k, x) entries into
 the one builder `_algebra`, which writes x at c[i][j][k] and -x at
 c[j][i][k]. Only `serialization.from_json_dict` fills a tensor itself, as
-given, so that its antisymmetry is checked rather than made.
+given, so that its antisymmetry is checked rather than made. Every reader
+outside this module, and every certificate here, reads the one sparse view
+`GradedNilpotent.nonzeros`, made once per algebra; only `bracket` and the
+direct-substitution reference `symmetry.verify_graded_derivation` index
+the dense tensor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -78,14 +83,19 @@ class GradedNilpotent:
             for cij in ci:
                 if len(cij) != self.dim_z:
                     raise StructureError("structure tensor z-dimension inconsistent")
-        for i in range(self.dim_v):
-            for j in range(i + 1):
-                # a pair of zeros is antisymmetric: only nonzero pairs compare
-                for k, (x, y) in enumerate(zip(c[i][j], c[j][i])):
-                    if (x or y) and x != -y:
-                        raise StructureError(
-                            f"antisymmetry violated at ({i},{j},{k})"
-                        )
+        # a pair of zeros is antisymmetric: only nonzeros compare; the least
+        # bad pair, written with i >= j, is reported
+        bad = [(max(i, j), min(i, j), k) for i, j, k, x in self.nonzeros
+               if c[j][i][k] != -x]
+        if bad:
+            raise StructureError("antisymmetry violated at (%d,%d,%d)" % min(bad))
+
+    @cached_property
+    def nonzeros(self) -> tuple[tuple[int, int, int, Fraction], ...]:
+        """(i, j, k, c[i][j][k]) for every nonzero entry, in (i, j, k) order:
+        the sparse view of the tensor, computed once per algebra."""
+        return tuple((i, j, k, x) for i, ci in enumerate(self.structure)
+                     for j, cij in enumerate(ci) for k, x in enumerate(cij) if x)
 
     @property
     def dim_total(self) -> int:
@@ -272,21 +282,10 @@ def jmap(alg: GradedNilpotent, Z: Sequence) -> JMap:
     Zf = tuple(Fraction(z) for z in Z)
     if len(Zf) != alg.dim_z:
         raise StructureError("Z dimension mismatch")
-    c = alg.structure
-    n = alg.dim_v
-    matrix = tuple(
-        tuple(sum((zk * c[b][a][k] for k, zk in enumerate(Zf) if zk), Fraction(0))
-              for b in range(n))
-        for a in range(n)
-    )
-    return JMap(Zf, matrix)
-
-
-def _jmat(alg: GradedNilpotent, k: int) -> list[list[Fraction]]:
-    """J for the k-th z-basis vector, as lists."""
-    c = alg.structure
-    n = alg.dim_v
-    return [[c[b][a][k] for b in range(n)] for a in range(n)]
+    matrix = [[Fraction(0)] * alg.dim_v for _ in range(alg.dim_v)]
+    for b, a, k, x in alg.nonzeros:
+        matrix[a][b] += Zf[k] * x
+    return JMap(Zf, tuple(map(tuple, matrix)))
 
 
 def _clifford_failures(K: Sequence[Sequence[dict[int, int]]],
@@ -322,15 +321,11 @@ def is_type_h(alg: GradedNilpotent) -> TypeHResult:
     if alg.dim_z == 0:
         return TypeHResult(True, True, (), "vacuous: dim z = 0, no J-maps exist")
     n, m = alg.dim_v, alg.dim_z
-    entries = [x for ci in alg.structure for cij in ci for x in cij if x]
-    D = math.lcm(*(x.denominator for x in entries))
+    D = math.lcm(*(x.denominator for *_, x in alg.nonzeros))
     # K[k][a][b] = D (J_k)_{ab} = D c[b][a][k]
     K = [[{} for _ in range(n)] for _ in range(m)]
-    for b, cb in enumerate(alg.structure):
-        for a, cba in enumerate(cb):
-            for k, x in enumerate(cba):
-                if x:
-                    K[k][a][b] = x.numerator * (D // x.denominator)
+    for b, a, k, x in alg.nonzeros:
+        K[k][a][b] = x.numerator * (D // x.denominator)
     failing = _clifford_failures(K, D)
     if failing:
         return TypeHResult(False, False, tuple(failing),
@@ -404,12 +399,12 @@ def is_nonsingular(alg: GradedNilpotent) -> NonsingularResult:
     # ad_X surjective for all X != 0  <=>  J_Z nonsingular for all Z != 0
     # (failure of surjectivity pairs with a Z annihilating the image).
     if alg.dim_z == 1:
-        det = det_exact(_jmat(alg, 0))
+        det = det_exact(jmap(alg, [1]).matrix)
         if det != 0:
             return NonsingularResult(True, False, f"det J = {det} != 0")
         return NonsingularResult(False, False, "det J = 0: singular direction exists")
     if alg.dim_z == 2:
-        j1, j2 = _jmat(alg, 0), _jmat(alg, 1)
+        j1, j2 = jmap(alg, [1, 0]).matrix, jmap(alg, [0, 1]).matrix
         if det_exact(j2) == 0:
             return NonsingularResult(False, False, "det J_2 = 0")
         # det(J_1 + t J_2) has degree dim v and leading coefficient
@@ -432,7 +427,10 @@ def _skew_form(alg: GradedNilpotent) -> list[dict[int, Fraction]]:
     """Rows of the skew form S_ij = c[i][j][0], as sparse {j: S_ij} dicts."""
     if alg.dim_z != 1:
         raise CenterDimensionError("only center-dimension-1 supported")
-    return [{j: cij[0] for j, cij in enumerate(ci) if cij[0]} for ci in alg.structure]
+    S = [{} for _ in range(alg.dim_v)]
+    for i, j, _, x in alg.nonzeros:
+        S[i][j] = x
+    return S
 
 
 def _sparse_matmul(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:

@@ -22,12 +22,6 @@ __all__ = ["to_json_dict", "from_json_dict", "save_algebra", "load_algebra"]
 
 
 def to_json_dict(alg: GradedNilpotent) -> dict:
-    triples = []
-    for i in range(alg.dim_v):
-        for j in range(alg.dim_v):
-            for k, val in enumerate(alg.structure[i][j]):
-                if val != 0:
-                    triples.append([i, j, k, str(val)])
     return {
         "name": alg.name,
         "family": alg.family,
@@ -35,7 +29,7 @@ def to_json_dict(alg: GradedNilpotent) -> dict:
         "params": dict(alg.params),
         "dim_v": alg.dim_v,
         "dim_z": alg.dim_z,
-        "structure": triples,
+        "structure": [[i, j, k, str(x)] for i, j, k, x in alg.nonzeros],
         "basis_convention": alg.basis_convention,
         "abelian": alg.abelian,
     }

@@ -22,7 +22,7 @@ and on z, slot r*n + i for row r (a basis element of g_{j-1}) and
 v-coordinate i, slot r*m + l for row r (of g_{j-2}) and z-coordinate l;
 D_j is their common denominator, and dim g_j = len(v). No record holds a
 zero. g_-2 = z is m elements with no entries; g_-1 = v is
-(ad, no entries, D_-1), ad read off the structure tensor's nonzeros;
+(ad, no entries, D_-1), ad regrouped from `GradedNilpotent.nonzeros`;
 above, v and z hold the canonical basis of g_j, read straight off the
 verified integer vectors (d, d v) of its nullspace, split at the z block
 and scaled to D_j, the lcm of their d. A supplied g0 is read off its
@@ -208,14 +208,15 @@ def _slots(mat, ncols: int) -> list:
 
 def _negative_levels(alg: GradedNilpotent) -> dict[int, tuple[list, list, int]]:
     """The level records of n itself, from which every degree's system is
-    built, read off the structure tensor's nonzeros: g_-2 = z, whose m
+    built, read off the algebra's view `nonzeros`: g_-2 = z, whose m
     elements have matrices with no rows and so no entries, and g_-1 = v,
     where x_i is ad x_i: v -> z, entry [s][t] = c(x_i, x_t)_s at slot
     s*n + t, and x_i kills z, so its z-matrix has no entries either.
     """
     n, m = alg.dim_v, alg.dim_z
-    ad = [[(s * n + t, x) for t, cit in enumerate(ci) for s, x in enumerate(cit) if x]
-          for ci in alg.structure]
+    ad = [[] for _ in range(n)]
+    for i, t, s, x in alg.nonzeros:
+        ad[i].append((s * n + t, x))
     return {-2: ([[]] * m, [[]] * m, 1), -1: _level(ad, [[]] * n)}
 
 

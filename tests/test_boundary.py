@@ -316,6 +316,18 @@ def test_round_trip_matches_per_point_reference(make):
         assert got == want  # each stacked row is bit-identical to its point
 
 
+def test_boundary_identity_refuses_draws_over_the_cap():
+    alg = h1r()  # dim v + dim z = 3
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over the cap"):
+            B.boundary_identity_error(alg, samples=B.MAX_PROBE_DRAWS // 3 + 1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_cayley_probes_map_whole_blocks(monkeypatch):
     alg = build_hn(DA.O, 1)
     B.boundary_identity_error(alg, samples=1, seed=0)  # build the model first

@@ -372,6 +372,16 @@ def test_boundary_cayley_probe(h1r, tmp_path):
     assert rep["max_round_trip_error"] <= 1e-8
 
 
+def test_cayley_probe_over_the_draw_cap_is_refused(h1r, capsys):
+    from htype.boundary import MAX_PROBE_DRAWS
+
+    samples = MAX_PROBE_DRAWS // 3 + 1  # h1(R): dim v + dim z = 3
+    code, out, err = run(capsys, "boundary", "--in", h1r, "--experiment", "cayley-probe",
+                         "--seed", "0", "--samples", str(samples))
+    assert code == 2 and out == ""
+    assert err == f"error: {samples} samples draw over the cap of {MAX_PROBE_DRAWS} normals\n"
+
+
 def test_boundary_seed_is_mandatory(h1c):
     assert main(["boundary", "--in", h1c, "--experiment", "j2"]) == 2
 
@@ -723,3 +733,19 @@ def test_no_package_module_uses_assert():
         tree = ast.parse(path.read_text())
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name}: assert on lines {lines}"
+
+
+def test_only_nilpotent_reads_the_dense_structure_tensor():
+    # every other reader goes through the sparse view GradedNilpotent.nonzeros;
+    # symmetry.verify_graded_derivation is the direct-substitution reference
+    for path in Path(htype.__file__).resolve().parent.rglob("*.py"):
+        if path.name == "nilpotent.py":
+            continue
+        tree = ast.parse(path.read_text())
+        exempt = {id(node) for f in tree.body if path.name == "symmetry.py"
+                  and isinstance(f, ast.FunctionDef) and f.name == "verify_graded_derivation"
+                  for node in ast.walk(f)}
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "structure"
+                 and isinstance(node.ctx, ast.Load) and id(node) not in exempt]
+        assert lines == [], f"{path.name}: .structure read on lines {lines}"

@@ -1,5 +1,6 @@
 """Constructors, brackets, J-maps and structure predicates."""
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -12,7 +13,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from htype import clifford, division, nilpotent
+from htype import clifford, division, nilpotent, serialization
 from htype.clifford import build_htype_from_clifford, clifford_generators
 from htype.division import DivisionAlgebra as DA
 from htype.errors import BudgetExceeded, CenterDimensionError, StructureError
@@ -100,6 +101,12 @@ def test_post_init_rejects_bad_tensors():
     with pytest.raises(StructureError, match=r"antisymmetry violated at \(0,0,0\)"):
         GradedNilpotent("bad", "custom", None, {}, 2, 1,
                         (((f1,), (f0,)), ((f0,), (f0,))), "test")
+    # bad pairs at (2,1,0), both entries 1, and at (3,0,0), only c[0][3][0]
+    # set: the first nonzero is (0,3,0), but the least pair with i >= j is named
+    c = [[[f0] for _ in range(4)] for _ in range(4)]
+    c[0][3][0] = c[2][1][0] = c[1][2][0] = f1
+    with pytest.raises(StructureError, match=r"^antisymmetry violated at \(2,1,0\)$"):
+        GradedNilpotent("bad", "custom", None, {}, 4, 1, nilpotent._freeze(c), "test")
     with pytest.raises(StructureError, match="z-dimension"):
         GradedNilpotent("bad", "custom", None, {}, 1, 2,
                         (((f0,),),), "test")
@@ -200,6 +207,34 @@ def test_built_tensors_pinned():
     assert digest.hexdigest() == BUILDS_SHA256
     gens = [clifford_generators(m).generators for m in range(1, 9)]
     assert hashlib.sha256(repr(gens).encode()).hexdigest() == CLIFFORD_GENERATORS_SHA256
+
+
+def _dense_nonzeros(alg):
+    """The nonzero entries of alg.structure by a full scan, (i, j, k) order."""
+    c = alg.structure
+    return tuple((i, j, k, c[i][j][k]) for i in range(alg.dim_v)
+                 for j in range(alg.dim_v) for k in range(alg.dim_z) if c[i][j][k] != 0)
+
+
+def test_nonzeros_is_the_dense_scan():
+    # a loaded tensor keeps its entries as given, here out of order
+    loaded = serialization.from_json_dict({"dim_v": 3, "dim_z": 2, "structure": [
+        [2, 0, 1, "1/2"], [0, 1, 0, "-3"], [0, 2, 1, "-1/2"], [1, 0, 0, "3"]]})
+    for alg in _all_builds() + [random_two_step(5, 3, random.Random(4)), loaded]:
+        assert alg.nonzeros == _dense_nonzeros(alg), alg.name
+    assert loaded.nonzeros == ((0, 1, 0, -3), (0, 2, 1, Fraction(-1, 2)),
+                               (1, 0, 0, 3), (2, 0, 1, Fraction(1, 2)))
+
+
+def test_nonzeros_is_computed_once_and_stays_out_of_the_fields():
+    alg = build_hn(DA.C, 1)
+    assert alg.nonzeros is alg.nonzeros
+    assert "nonzeros" not in repr(alg)
+    assert alg == dataclasses.replace(alg)  # eq reads the fields alone
+    doubled = tuple(tuple(tuple(2 * x for x in cij) for cij in ci) for ci in alg.structure)
+    other = dataclasses.replace(alg, structure=doubled)
+    assert other.nonzeros == tuple((i, j, k, 2 * x) for i, j, k, x in alg.nonzeros)
+    assert other.nonzeros == _dense_nonzeros(other)
 
 
 def _element_tensor(algebra, series, params):
@@ -525,6 +560,12 @@ def _mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def _dense_jmat(alg, k):
+    """J_k read straight off the dense tensor: (J_k)_{ab} = c[b][a][k]."""
+    n = alg.dim_v
+    return [[alg.structure[b][a][k] for b in range(n)] for a in range(n)]
+
+
 def _rotate_v(alg, q):
     """The same algebra in the orthonormal v-basis given by the columns of q:
     J'_k = q^T J_k q, and <J_Z X, Y> = <Z, [X, Y]> fixes the new tensor."""
@@ -532,7 +573,7 @@ def _rotate_v(alg, q):
     qt = [list(col) for col in zip(*q)]
     entries = []
     for k in range(alg.dim_z):
-        j = _mul(qt, _mul(nilpotent._jmat(alg, k), q))
+        j = _mul(qt, _mul(_dense_jmat(alg, k), q))
         entries += [(a, b, k, j[b][a]) for a in range(n) for b in range(a + 1, n)
                     if j[b][a]]
     return make_custom(alg.name + "'", n, alg.dim_z, entries)
@@ -555,7 +596,7 @@ def _dense_failing_pairs(mats, scale=1):
 
 def _fraction_failing_pairs(alg):
     """The J-identity checked pair by pair on Fraction matrices."""
-    return tuple(_dense_failing_pairs([nilpotent._jmat(alg, k) for k in range(alg.dim_z)]))
+    return tuple(_dense_failing_pairs([_dense_jmat(alg, k) for k in range(alg.dim_z)]))
 
 
 @pytest.mark.parametrize("perturb", [False, True])
