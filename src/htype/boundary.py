@@ -10,6 +10,13 @@ on one point or a stack.  One closed-form derivative of the map, along a
 stack of directions, serves the sphere planes and the limiting planes.  The
 only finite difference, along the translation curves, checks their pushes.
 
+Points and candidates are evaluated in stacks, each row bit-identical to
+evaluating it alone: stacked matmul and qr make one BLAS or LAPACK call per
+vector or matrix.  Stack sizes bound memory, not results.  The Cayley probes
+map _PROBE_BLOCK points per stack, the J^2 kernels take _BLOCK vectors X, and
+each Gauss-Newton step evaluates its point with its n + 2m forward-difference
+probes as one stack.
+
 Every experiment reports in one shape, built by `_report` with the
 tolerance constants below.
 
@@ -78,7 +85,8 @@ SIEGEL_TOL = 1e-9  # height excess tolerated below the boundary, relative to |X|
 FD_STEP = 1e-4  # Richardson pair uses FD_STEP and FD_STEP / 2
 GN_STEP = 1e-7  # forward-difference step of the Gauss-Newton Jacobian
 GN_ITERATIONS = 50  # Gauss-Newton steps per restart of the witness search
-_BLOCK = 64  # X vectors or points per stacked evaluation: bounds memory, not results
+_BLOCK = 64  # X vectors per stacked J^2 evaluation: bounds memory, not results
+_PROBE_BLOCK = 256  # points per stacked Cayley probe: a 512 KB J_Z stack on h1(O)
 # The most normals boundary_identity_error draws up front, samples * (dim v +
 # dim z): 80 MB of float64, over 40x its largest caller, 10**4 samples on
 # h1(O) (dim v + dim z = 24) in the benchmark. Drawing per block instead would
@@ -283,7 +291,12 @@ def grassmann_distance(a: np.ndarray, b: np.ndarray) -> float:
     sines of the principal angles as its singular values (Bjorck and Golub
     1973), so its Frobenius norm is the distance, accurate at small angles.
     """
-    qa, qb = _orthonormal_rows(a), _orthonormal_rows(b)
+    return _distance(_orthonormal_rows(a), _orthonormal_rows(b))
+
+
+def _distance(qa: np.ndarray, qb: np.ndarray) -> float:
+    """grassmann_distance of two orthonormal bases, as they come out of
+    `_orthonormal_rows`."""
     if qa.shape[0] < qb.shape[0]:
         qa, qb = qb, qa
     return float(np.linalg.norm(qb - (qb @ qa.T) @ qa))
@@ -443,18 +456,22 @@ def _x_blocks(n: int, sample_count: int, rng):
         yield v / _norms(v)[:, None]
 
 
-def _j2_stack(mod: _FloatModel, X: np.ndarray, JZ: np.ndarray, JW: np.ndarray,
-              include_x: bool) -> tuple[np.ndarray, np.ndarray]:
+def _j2_stack(mod: _FloatModel, X: np.ndarray, JZ: np.ndarray, include_x: bool,
+              JW: np.ndarray | None = None,
+              ls: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """u = J_Z J_W X and its projection onto span{J_z X} (+ R X), each (b, p, n),
     for X (b, n) and pairs JZ, JW (p, n, n) applied to every X, or (b, 1, n, n).
+    For central basis pairs, pass the indices ls of W instead of JW: each J_W X
+    is then read off the span's columns J_k X, which are the same products.
     Stacked matmul and qr make one BLAS or LAPACK call per vector or matrix,
     so every entry is bit-identical to evaluating its X and pair alone."""
     col = X[:, None, :, None]
-    span = np.matmul(mod.jmats, col)[..., 0].swapaxes(1, 2)  # columns J_k X
+    jx = np.matmul(mod.jmats, col)  # J_k X, (b, m, n, 1)
+    span = jx[..., 0].swapaxes(1, 2)
     if include_x:
         span = np.concatenate([span, X[:, :, None]], axis=2)
     q = np.linalg.qr(span)[0][:, None]
-    u = np.matmul(JZ, np.matmul(JW, col))
+    u = np.matmul(JZ, jx[:, ls] if JW is None else np.matmul(JW, col))
     proj = np.matmul(q, np.matmul(q.swapaxes(-1, -2), u))
     return u[..., 0], proj[..., 0]
 
@@ -475,11 +492,12 @@ def j2_test(alg: GradedNilpotent, sample_count: int = 200, tol: float = 1e-8,
         raise ValueError("seed is required when sample_count > 0")
 
     ks, ls = np.array([(k, l) for k in range(mod.m) for l in range(mod.m) if k != l]).T
+    JZ = mod.jmats[ks]
     eye_m = np.eye(mod.m)
     worst = 0.0
     witness = None
     for X in _x_blocks(mod.n, sample_count, np.random.default_rng(seed)):
-        u, proj = _j2_stack(mod, X, mod.jmats[ks], mod.jmats[ls], include_x=False)
+        u, proj = _j2_stack(mod, X, JZ, include_x=False, ls=ls)
         perp = u - proj
         res = _norms(perp) / _norms(X)[:, None]
         # First maximum in (X, k, l) order, as a strict running maximum keeps.
@@ -522,8 +540,8 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
     """Search for a unitary triple (X, Z, W) with J_Z J_W X orthogonal to
     span{J_z X} + R X: structured sweep first, then seeded Gauss-Newton
     restarts that drive the projection vector to zero.  The sweep (in blocks
-    of fixed size) and each step's probes are evaluated as stacks, with
-    results bit-identical to evaluating each triple alone."""
+    of fixed size) and each step's point with its probes are evaluated as
+    stacks, with results bit-identical to evaluating each triple alone."""
     mod = _model(alg)
     if mod.m <= 1:
         return ViolationSearch(alg.name, None, math.inf, 0, 0, seed, tol)
@@ -533,8 +551,9 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
     eye_m = np.eye(mod.m)
     if sweep:
         ks, ls = np.triu_indices(mod.m, 1)
+        JZ = mod.jmats[ks]
         for X in _x_blocks(mod.n, 0, None):
-            u, proj = _j2_stack(mod, X, mod.jmats[ks], mod.jmats[ls], include_x=True)
+            u, proj = _j2_stack(mod, X, JZ, include_x=True, ls=ls)
             score = _norms(proj) / _norms(X)[:, None]
             evals += score.size
             # First minimum in (X, k < l) order, as a strict running minimum keeps.
@@ -567,39 +586,55 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
     def evaluate(theta):
         """(scores, projection vectors, witness data) of a stack of theta,
         or None if any of them is off the domain."""
-        nonlocal evals
-        evals += len(theta)
         triple = unpack(theta)
         if triple is None:
             return None
         x, z, w = triple
-        u, proj = _j2_stack(mod, x, mod.jz(z)[:, None], mod.jz(w)[:, None],
-                            include_x=True)
+        u, proj = _j2_stack(mod, x, mod.jz(z)[:, None], include_x=True,
+                            JW=mod.jz(w)[:, None])
         u, proj = u[:, 0], proj[:, 0]
         return _norms(proj) / _norms(x), proj, (x, z, w, u - proj)
 
+    # Each step evaluates its point and the point's forward-difference probes
+    # as one stack, and counts the probes only once it uses them; the last
+    # step needs none.  If a row of the stack is off the domain, the point
+    # and then its probes are evaluated apart, so a restart ends on the same
+    # evaluation as when the two are always evaluated apart.
+    offsets = GN_STEP * np.eye(n + 2 * m)
     rng = np.random.default_rng(seed)
     used = 0
     for _ in range(restarts):
         used += 1
         theta = rng.standard_normal(n + 2 * m)
-        point = evaluate(theta[None])
-        steps = 0
-        while point is not None:
-            score, proj = point[0][0], point[1][0]
+        last = math.inf  # the score of the step before
+        for steps in range(GN_ITERATIONS + 1):
+            got = None
+            if steps < GN_ITERATIONS:
+                got = evaluate(np.concatenate([theta[None], theta + offsets]))
+            joint = got is not None
+            if not joint:
+                got = evaluate(theta[None])
+            evals += 1
+            if got is None:
+                break
+            score, proj = got[0][0], got[1][0]
+            if last <= tol and score >= last:  # the step no longer lowers the score
+                break
             if score < best[0]:
-                best = (float(score), tuple(a[0] for a in point[2]))
+                best = (float(score), tuple(a[0] for a in got[2]))
             if steps == GN_ITERATIONS:
                 break
-            probes = evaluate(theta + GN_STEP * np.eye(theta.size))
-            if probes is None:
-                break
-            jac = ((probes[1] - proj) / GN_STEP).T
+            evals += len(offsets)
+            if joint:
+                probes = got[1][1:]
+            else:
+                got = evaluate(theta + offsets)
+                if got is None:
+                    break
+                probes = got[1]
+            jac = ((probes - proj) / GN_STEP).T
             theta = theta + np.linalg.lstsq(jac, -proj, rcond=None)[0]
-            point = evaluate(theta[None])
-            steps += 1
-            if score <= tol and point is not None and point[0][0] >= score:
-                break
+            last = score
         if best[0] <= tol:
             break
     if best[0] <= tol and best[1] is not None:
@@ -691,8 +726,8 @@ def limiting_plane_experiment(alg: GradedNilpotent, witness: J2Witness,
     if np.linalg.norm(w) < 1e-8:
         raise StructureError("witness W is parallel to Z")
     w = w / np.linalg.norm(w)
-    _, proj = _j2_stack(mod, x[None], mod.jz(z)[None, None], mod.jz(w)[None, None],
-                        include_x=True)
+    _, proj = _j2_stack(mod, x[None], mod.jz(z)[None, None], include_x=True,
+                        JW=mod.jz(w)[None, None])
     score = float(_norms(proj[0, 0]) / _norms(x))
     if score > PLANE_TOL:
         raise StructureError(
@@ -717,6 +752,10 @@ def limiting_plane_experiment(alg: GradedNilpotent, witness: J2Witness,
     orth = 0.0
     for pa, pb in ((limit1, limit2), (limit1, limit3), (limit2, limit3)):
         orth = max(orth, float(np.max(np.abs(pa @ pb.T))))
+    # Each distance below is grassmann_distance of the orthonormalized pushed
+    # rows and a limit plane, both orthonormalized once more; the limit
+    # planes' second pass is the same at every radius, so it is done here.
+    q1, q2 = _orthonormal_rows(limit1), _orthonormal_rows(limit2)
 
     rows = []
     for r in radii:
@@ -730,13 +769,13 @@ def limiting_plane_experiment(alg: GradedNilpotent, witness: J2Witness,
         Xp1 = r * x
         yw = (1.0 + t) * (jw_hat @ Xp1) + mod.jz(Zp) @ (jw_hat @ Xp1)
         pushed = _dcayley(mod, Xp1, Zp, t, _contact_rows(mod, Xp1, np.vstack([a1, a2, yw])))
-        d1 = grassmann_distance(_orthonormal_rows(pushed[:2]), limit1)
+        d1 = _distance(_orthonormal_rows(_orthonormal_rows(pushed[:2])), q1)
         v3 = pushed[2] / np.linalg.norm(pushed[2])
 
         # Second copy: the same curve construction along J_W X.
         Xp2 = r * b1
         pushed = _dcayley(mod, Xp2, Zp, t, _contact_rows(mod, Xp2, np.vstack([b1, b2])))
-        d2 = grassmann_distance(_orthonormal_rows(pushed), limit2)
+        d2 = _distance(_orthonormal_rows(_orthonormal_rows(pushed)), q2)
 
         d3 = float(np.linalg.norm(v3 - limit3.T @ (limit3 @ v3)))
         rows.append(PlaneConvergenceRow(float(r), d1, d2, d3))
@@ -863,7 +902,7 @@ def distribution_experiment(alg: GradedNilpotent, sample_count: int = 25,
 
 def boundary_identity_error(alg: GradedNilpotent, samples: int = 10_000,
                             seed: int = 0) -> float:
-    """max | |C(p)|^2 - 1 | over random boundary points, in stacks of _BLOCK.
+    """max | |C(p)|^2 - 1 | over random boundary points, in stacks of _PROBE_BLOCK.
     Every point is drawn up front, so more than MAX_PROBE_DRAWS normals
     raise ValueError before anything is drawn."""
     if samples * (alg.dim_v + alg.dim_z) > MAX_PROBE_DRAWS:
@@ -873,8 +912,8 @@ def boundary_identity_error(alg: GradedNilpotent, samples: int = 10_000,
     Xs = rng.standard_normal((samples, mod.n))
     Zs = rng.standard_normal((samples, mod.m))
     worst = 0.0
-    for start in range(0, samples, _BLOCK):
-        X, Z = Xs[start:start + _BLOCK], Zs[start:start + _BLOCK]
+    for start in range(0, samples, _PROBE_BLOCK):
+        X, Z = Xs[start:start + _PROBE_BLOCK], Zs[start:start + _PROBE_BLOCK]
         C = _cayley_arrays(mod, X, Z, 0.25 * _dots(X, X))
         worst = max(worst, float(np.max(np.abs(_dots(C, C) - 1.0))))
     return worst
@@ -883,17 +922,16 @@ def boundary_identity_error(alg: GradedNilpotent, samples: int = 10_000,
 def round_trip_error(alg: GradedNilpotent, samples: int = 1000,
                      seed: int = 0) -> float:
     """max |p - cayley_inverse(cayley(p))| over random interior points, drawn
-    one at a time and mapped out and back in stacks of _BLOCK, through the
-    checks of `cayley` and `cayley_inverse`, bit-identical to one at a time."""
+    one at a time and mapped out and back in stacks of _PROBE_BLOCK, through
+    the checks of `cayley` and `cayley_inverse`, bit-identical to one at a time."""
     mod = _model(alg)
     n, m = mod.n, mod.m
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for start in range(0, samples, _BLOCK):
-        P = np.empty((min(_BLOCK, samples - start), n + m + 1))
+    for start in range(0, samples, _PROBE_BLOCK):
+        P = np.empty((min(_PROBE_BLOCK, samples - start), n + m + 1))
         for row in P:  # the draws of one point at a time, in their order
-            row[:n] = rng.standard_normal(n)
-            row[n:n + m] = rng.standard_normal(m)
+            rng.standard_normal(out=row[:-1])  # X then Z, as two draws of n and m would
             row[-1] = rng.uniform(0.05, 2.0)
         X, Z, t = P[:, :n], P[:, n:n + m], P[:, -1]
         t += 0.25 * _dots(X, X)  # t views P, which now holds the points

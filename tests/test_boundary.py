@@ -25,7 +25,7 @@ from htype.errors import (
     DomainError,
     StructureError,
 )
-from htype.nilpotent import build_hn, build_hprime, make_custom
+from htype.nilpotent import NilpotentElement, bracket, build_hn, build_hprime, make_custom
 
 
 def h1r():
@@ -310,8 +310,8 @@ def test_round_trip_matches_per_point_reference(make):
     alg = make()
     for seed in range(10):
         # Random points fill three blocks and end inside the third.
-        got = B.round_trip_error(alg, samples=2 * B._BLOCK + 45, seed=seed)
-        want = _reference_round_trip(alg, 2 * B._BLOCK + 45, seed)
+        got = B.round_trip_error(alg, samples=2 * B._PROBE_BLOCK + 45, seed=seed)
+        want = _reference_round_trip(alg, 2 * B._PROBE_BLOCK + 45, seed)
         assert abs(got - want) <= 1e-14
         assert got == want  # each stacked row is bit-identical to its point
 
@@ -347,13 +347,13 @@ def test_cayley_probes_map_whole_blocks(monkeypatch):
     monkeypatch.setattr(B, "_check_siegel",
                         lambda X, *args: calls["domain"].append(X.shape[:-1]))
     monkeypatch.setattr(B, "_dcayley", no_derivative)
-    blocks = -(-1000 // B._BLOCK)
+    blocks = -(-1000 // B._PROBE_BLOCK)
     B.round_trip_error(alg, samples=1000, seed=0)
     # one domain check and one map out per block, and the way back certified
     # by one forward map per block
     assert len(calls["domain"]) == len(calls["inverse"]) == blocks
     assert len(calls["forward"]) == 2 * blocks
-    assert all(len(shape) == 1 and shape[0] <= B._BLOCK
+    assert all(len(shape) == 1 and shape[0] <= B._PROBE_BLOCK
                for shape in calls["forward"] + calls["inverse"] + calls["domain"])
     calls["forward"].clear()
     B.boundary_identity_error(alg, samples=1000, seed=0)
@@ -519,6 +519,24 @@ def test_group_product_is_a_two_step_group_law():
         assert np.max(np.abs(a - b)) <= 1e-12
     ident = B.group_product(alg, g[0], (np.zeros(4), np.zeros(2)))
     assert np.allclose(ident[0], g[0][0]) and np.allclose(ident[1], g[0][1])
+
+
+@pytest.mark.parametrize("make", [h1c, lambda: build_hprime(DA.H, 1, 1),
+                                  lambda: build_hn(DA.O, 1)],
+                         ids=["h1C", "hp11H", "h1O"])
+def test_group_product_carries_half_the_exact_bracket(make):
+    # Pins the sign and scale of the float model's tensor: building it from
+    # -c leaves the identities and planes alone, but not this.
+    alg = make()
+    n, m = alg.dim_v, alg.dim_z
+    basis = [tuple(Fraction(int(a == i)) for a in range(n)) for i in range(n)]
+    zero_z = (Fraction(0),) * m
+    for i in range(n):
+        for j in range(n):
+            _, z = B.group_product(alg, (np.eye(n)[i], np.zeros(m)), (np.eye(n)[j], np.zeros(m)))
+            exact = bracket(alg, NilpotentElement(basis[i], zero_z),
+                            NilpotentElement(basis[j], zero_z)).z_part
+            assert z.tolist() == [0.5 * float(x) for x in exact]
 
 
 def test_puncture_point_is_direction_independent():
@@ -794,6 +812,122 @@ def test_gauss_newton_matches_per_probe_reference(key, seed):
     assert (search.witness is None) == (best[0] > tol)
     if search.witness is not None:
         _assert_witness(mod, search.witness, best)
+
+
+def _two_call_search(alg, seed, tol=1e-8, restarts=8):
+    """The Gauss-Newton restarts of find_j2_violation(sweep=False), each step
+    evaluating its point by one stacked call and then its probes by another:
+    (best, evaluations, restarts used)."""
+    mod = B._model(alg)
+    n, m = mod.n, mod.m
+    evals = 0
+
+    def evaluate(theta):
+        nonlocal evals
+        evals += len(theta)
+        x, z, w = theta[:, :n], theta[:, n:n + m], theta[:, n + m:]
+        nx, nz = B._norms(x), B._norms(z)
+        if np.any(nx < 1e-8) or np.any(nz < 1e-8):
+            return None
+        x, z = x / nx[:, None], z / nz[:, None]
+        w = w - np.matmul(w[:, None, :], z[:, :, None])[:, 0] * z
+        nw = B._norms(w)
+        if np.any(nw < 1e-8):
+            return None
+        w = w / nw[:, None]
+        u, proj = B._j2_stack(mod, x, mod.jz(z)[:, None], include_x=True,
+                              JW=mod.jz(w)[:, None])
+        u, proj = u[:, 0], proj[:, 0]
+        return B._norms(proj) / B._norms(x), proj, (x, z, w, u - proj)
+
+    best, used = (math.inf, None), 0
+    rng = np.random.default_rng(seed)
+    for _ in range(restarts):
+        used += 1
+        theta = rng.standard_normal(n + 2 * m)
+        point = evaluate(theta[None])
+        steps = 0
+        while point is not None:
+            score, proj = point[0][0], point[1][0]
+            if score < best[0]:
+                best = (float(score), tuple(a[0] for a in point[2]))
+            if steps == B.GN_ITERATIONS:
+                break
+            probes = evaluate(theta + B.GN_STEP * np.eye(theta.size))
+            if probes is None:
+                break
+            jac = ((probes[1] - proj) / B.GN_STEP).T
+            theta = theta + np.linalg.lstsq(jac, -proj, rcond=None)[0]
+            point = evaluate(theta[None])
+            steps += 1
+            if score <= tol and point is not None and point[0][0] >= score:
+                break
+        if best[0] <= tol:
+            break
+    return best, evals, used
+
+
+def _assert_search_is(mod, search, best, evals, used, tol=1e-8):
+    assert (search.best_score, search.evaluations, search.restarts_used) == (
+        best[0], evals, used)
+    assert (search.witness is None) == (best[0] > tol)
+    if search.witness is not None:
+        _assert_witness(mod, search.witness, best)
+
+
+GAUSS_NEWTON_ALGEBRAS = [
+    ("hp10O", lambda: build_hprime(DA.O, 1, 0)),  # J^2 holds: 8 restarts x 50 steps
+    ("hp20H", lambda: build_hprime(DA.H, 2, 0)),
+    ("h1C", lambda: build_hn(DA.C, 1)),
+    ("hp11H", lambda: build_hprime(DA.H, 1, 1)),
+    ("h1O", lambda: build_hn(DA.O, 1)),
+]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("make", [m for _, m in GAUSS_NEWTON_ALGEBRAS],
+                         ids=[n for n, _ in GAUSS_NEWTON_ALGEBRAS])
+def test_gauss_newton_joint_stack_matches_two_calls(make, seed):
+    alg = make()
+    search = B.find_j2_violation(alg, seed=seed, sweep=False)
+    _assert_search_is(B._model(alg), search, *_two_call_search(alg, seed))
+
+
+def test_gauss_newton_falls_back_to_two_calls_off_the_domain(monkeypatch):
+    alg = build_hprime(DA.H, 1, 1)
+    mod = B._model(alg)
+    want = _two_call_search(alg, 0)
+    joint = mod.n + 2 * mod.m + 1
+    norms, seen = B._norms, []
+
+    def off_when_joint(v):
+        # Every stack of a point with its probes reads as off the domain.
+        if v.ndim == 2 and len(v) == joint:
+            seen.append(len(v))
+            return np.zeros(len(v))
+        return norms(v)
+
+    monkeypatch.setattr(B, "_norms", off_when_joint)
+    search = B.find_j2_violation(alg, seed=0, sweep=False)
+    assert seen
+    _assert_search_is(mod, search, *want)
+
+
+def test_cayley_probe_memory_is_bounded_by_blocks():
+    # Unblocked, the h1(O) stack of J_Z for 10**4 points takes 20 MB. Blocks
+    # of _PROBE_BLOCK points keep it at 512 KB; the 10**4 points drawn up
+    # front take 1.9 MB.
+    alg = build_hn(DA.O, 1)
+    B.boundary_identity_error(alg, samples=1, seed=0)  # build the model outside the trace
+    for probe, samples, megabytes in ((B.boundary_identity_error, 10**4, 6),
+                                      (B.round_trip_error, 10**3, 2)):
+        tracemalloc.start()
+        try:
+            probe(alg, samples=samples, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < megabytes * 2**20, probe.__name__
 
 
 def test_j2_test_memory_is_bounded_by_blocks():
