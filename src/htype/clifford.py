@@ -15,7 +15,9 @@ Left multiplications by orthonormal imaginary units anticommute by
 linearized alternativity; the doubling adds one extra generator (u = 1).
 These dimensions d(m) = 2, 4, 4, 8, 8, 8, 8, 16 are minimal, witnessed
 by the commutant of the generated matrix algebra staying <= 4-dimensional
-(an irreducible module over R, C or H).
+(an irreducible module over R, C or H). Every generator is a signed
+permutation matrix, so the commutant dimension is read off the characters
+of the Clifford group {+-J_I}, with no linear system.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from fractions import Fraction
 from . import division as da
 from .division import DivisionAlgebra
 from .errors import StructureError
-from .linalg import nullspace
 from .nilpotent import GradedNilpotent, _algebra, _clifford_failures
 
 __all__ = ["CliffordGenerators", "clifford_generators", "build_htype_from_clifford",
@@ -91,28 +92,42 @@ def _generator_matrices(m: int) -> list[list[list[Fraction]]]:
 
 
 def _commutant_dimension(K: list[list[dict[int, int]]]) -> int:
-    """dim of {A : A J_i = J_i A for all i}, computed exactly.
+    """dim of {A : A J_i = J_i A for all i}, computed exactly from characters.
 
-    Runs on sparse rows: K is the stack of integer generators as rows
-    {column: value}, and each of the d^2 conditions per generator is an
-    int row built from the nonzeros of one row and one column of J.
+    K is the stack of integer generators as rows {column: value}, already
+    certified to satisfy the Clifford relations, so J_I = J_i1 ... J_ik
+    (i1 < ... < ik) and their negatives form the Clifford group of order
+    2^(m+1), and the commutant is End_G(R^d). For a real representation
+    its dimension is the character inner product <chi, chi> (Serre, Linear
+    Representations of Finite Groups, 2.3): chi(-J_I) = -chi(J_I), so it is
+    2^-m times the sum over I of tr(J_I)^2. Each J_I is a signed
+    permutation (column and sign per row, in ints), built as J_(I - max I)
+    J_(max I).
     """
-    d = len(K[0])
-    rows = []
+    gens = []
     for J in K:
-        cols = [{} for _ in range(d)]
-        for t, row in enumerate(J):
-            for c, x in row.items():
-                cols[c][t] = x
-        for r in range(d):
-            for c in range(d):
-                # (A J - J A)[r][c] = sum_t A[r][t] J[t][c] - J[r][t] A[t][c]
-                row = {r * d + t: x for t, x in cols[c].items()}
-                for t, x in J[r].items():
-                    row[t * d + c] = row.get(t * d + c, 0) - x
-                rows.append(row)
-    context = f"commutant of {len(K)} Clifford generators"
-    return nullspace(rows, d * d, context=context).dimension
+        cols = [c for row in J if len(row) == 1 for c in row]
+        signs = [x for row in J if len(row) == 1 for x in row.values()]
+        if (len(cols) != len(J) or set(cols) != set(range(len(J)))
+                or any(x not in (1, -1) for x in signs)):
+            raise StructureError("a Clifford generator is not a signed permutation")
+        gens.append((cols, signs))
+    d, m = len(K[0]), len(K)
+    products = [(list(range(d)), [1] * d)]  # J_I at bit mask I; J_{} = identity
+    total = d * d
+    for mask in range(1, 1 << m):
+        top = mask.bit_length() - 1
+        cols, signs = products[mask ^ (1 << top)]
+        gcols, gsigns = gens[top]
+        # row r of J_I' J_top is signs[r] times row cols[r] of J_top
+        cols, signs = [gcols[c] for c in cols], [s * gsigns[c] for s, c in zip(signs, cols)]
+        products.append((cols, signs))
+        trace = sum(s for r, (c, s) in enumerate(zip(cols, signs)) if c == r)
+        total += trace * trace
+    dim, rest = divmod(total, 1 << m)
+    if rest:
+        raise StructureError(f"character sum {total} is not a multiple of 2^{m}")
+    return dim
 
 
 def clifford_generators(m: int) -> CliffordGenerators:

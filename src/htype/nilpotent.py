@@ -93,9 +93,12 @@ class GradedNilpotent:
     @cached_property
     def nonzeros(self) -> tuple[tuple[int, int, int, Fraction], ...]:
         """(i, j, k, c[i][j][k]) for every nonzero entry, in (i, j, k) order:
-        the sparse view of the tensor, computed once per algebra."""
+        the sparse view of the tensor, computed once per algebra. A built
+        tensor's zero cells are all the one `_ZERO`, passed by identity; a
+        tensor filled by hand may hold other zeros, which fail `if x`."""
         return tuple((i, j, k, x) for i, ci in enumerate(self.structure)
-                     for j, cij in enumerate(ci) for k, x in enumerate(cij) if x)
+                     for j, cij in enumerate(ci) for k, x in enumerate(cij)
+                     if x is not _ZERO and x)
 
     @property
     def dim_total(self) -> int:
@@ -138,15 +141,18 @@ class NonsingularResult:
     certificate: str
 
 
+_ZERO = Fraction(0)  # every zero cell of a tensor from `_zeros`
+
+
 def _zeros(dim_v: int, dim_z: int) -> list[list[list[Fraction]]]:
-    """The zero structure tensor: `_algebra` and the JSON loader allocate
-    here. BudgetExceeded when it would take more slots than the budget
-    (DIVH_BUDGET overrides), before anything is allocated. Each of the
-    dim_v^2 cells is a list even when dim_z = 0, so a cell counts as at
-    least one slot: dim_v^2 * max(dim_z, 1)."""
+    """The zero structure tensor, every cell the one `_ZERO`: `_algebra`
+    and the JSON loader allocate here. BudgetExceeded when it would take
+    more slots than the budget (DIVH_BUDGET overrides), before anything is
+    allocated. Each of the dim_v^2 cells is a list even when dim_z = 0, so
+    a cell counts as at least one slot: dim_v^2 * max(dim_z, 1)."""
     linalg.check_budget(dim_v * dim_v, max(dim_z, 1), linalg.default_budget(),
                         "structure tensor")
-    return [[[Fraction(0)] * dim_z for _ in range(dim_v)] for _ in range(dim_v)]
+    return [[[_ZERO] * dim_z for _ in range(dim_v)] for _ in range(dim_v)]
 
 
 def _freeze(c: list[list[list[Fraction]]]) -> Structure:
@@ -160,12 +166,27 @@ def _algebra(name: str, family: str, tag: str | None, params: dict,
     over its (i, j, k, x) entries: every builder's one writer.
 
     The tensor is allocated, and the budget checked, before the first
-    entry is drawn, so `entries` may be a lazy generator.
+    entry is drawn, so `entries` may be a lazy generator. The entries are
+    summed per pair i < j and z-index k, an entry with i > j as -x and one
+    with i = j not at all (it would cancel itself); only a key that repeats
+    is added to. Each nonzero sum is written once as a Fraction at c[i][j][k]
+    and its negative at c[j][i][k]; a sum of 0 leaves both cells `_ZERO`.
     """
     c = _zeros(dim_v, dim_z)
+    sums: dict[tuple[int, int, int], Fraction | int] = {}
     for i, j, k, x in entries:
-        c[i][j][k] += x
-        c[j][i][k] -= x
+        if i > j:
+            i, j, x = j, i, -x
+        elif i == j:
+            continue
+        key = (i, j, k)
+        sums[key] = sums[key] + x if key in sums else x
+    for (i, j, k), x in sums.items():
+        if x:
+            if type(x) is Fraction:
+                c[i][j][k], c[j][i][k] = x, -x
+            else:
+                c[i][j][k], c[j][i][k] = Fraction(x), Fraction(-x)
     return GradedNilpotent(name, family, tag, params, dim_v, dim_z, _freeze(c),
                            convention, abelian)
 

@@ -8,7 +8,12 @@ from the level data below it. At K = 0 the maps are pairs (A, B) with
 B[x,y] = [Ax,y] + [x,Ay], so g_0 = Der_gr(n), the graded derivations;
 full derivations add C: v -> z (always unconstrained) and a z -> v block
 E, which vanishes on [v, v] and maps into rad v = {w : [v, w] = 0}, so
-Der = Der_gr + Hom(v, z) + Hom(z / [v, v], rad v).
+Der = Der_gr + Hom(v, z) + Hom(z / [v, v], rad v). The degree-0 system is
+solved once per algebra object: `graded_derivations`, `full_derivations`
+and degree 0 of `tanaka_prolong` share one certified result, kept by id()
+until the algebra is collected. `full_derivations` solves nothing else
+but the two small systems whose nullities are dim rad v and
+dim(z / [v, v]).
 
 Each degree is one nullspace; iteration stops at the first zero positive
 component (transitivity kills everything above) or at max_degree. The
@@ -39,15 +44,20 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from . import linalg
 from .errors import StructureError
 from .linalg import DEFAULT_BUDGET, check_budget, default_budget, nullspace
 from .nilpotent import GradedNilpotent
+
+if TYPE_CHECKING:  # annotations only
+    from .linalg import NullspaceResult
 
 __all__ = [
     "DerivationSpace",
@@ -114,16 +124,33 @@ def _unflatten(vec: Sequence, shapes: list[tuple[int, int]]):
     return out
 
 
+# The certified Der_gr(n) solve of each algebra object, keyed by id(); each
+# entry is dropped when its algebra is collected, so the cache neither pins
+# algebras nor outlives them under a reused id.
+_DER_GR: dict[int, NullspaceResult] = {}
+
+
+def _der_gr(alg: GradedNilpotent, context: str, levels: dict | None = None) -> NullspaceResult:
+    """The nullspace of the degree-0 system of alg, Der_gr(n), solved by
+    the first caller under its own context and then read by every caller:
+    `graded_derivations`, `full_derivations` and degree 0 of
+    `tanaka_prolong`. levels, if given, are alg's `_negative_levels`."""
+    res = _DER_GR.get(id(alg))
+    if res is None:
+        n, m = alg.dim_v, alg.dim_z
+        res = nullspace(_prolong_rows(0, levels or _negative_levels(alg)), n * n + m * m,
+                        context=context)
+        _DER_GR[id(alg)] = res
+        weakref.finalize(alg, _DER_GR.pop, id(alg), None)
+    return res
+
+
 def graded_derivations(alg: GradedNilpotent) -> DerivationSpace:
     """All (A, B) with B[x,y] = [Ax,y] + [x,Ay], as a certified basis."""
     n, m = alg.dim_v, alg.dim_z
-    res = nullspace(_prolong_rows(0, _negative_levels(alg)), n * n + m * m,
-                    context=f"graded derivation system of {alg.name}")
-    basis = []
-    for vec in res.basis:
-        a, b = _unflatten(vec, [(n, n), (m, m)])
-        basis.append((a, b, None))
-    return DerivationSpace(alg, True, tuple(basis), res.dimension, res.method)
+    res = _der_gr(alg, f"graded derivation system of {alg.name}")
+    basis = tuple((*_unflatten(vec, [(n, n), (m, m)]), None) for vec in res.basis)
+    return DerivationSpace(alg, True, basis, res.dimension, res.method)
 
 
 def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
@@ -133,42 +160,39 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
     2-step algebra), E: z->v. The equations are the graded ones plus
     [x, Ez] = 0 and E[x, y] = 0, so E is a map z / [v, v] -> rad v: E-solutions
     exist only when the skew forms share a kernel vector and the brackets do
-    not span z. Basis entries are (A, B, C) for the E = 0 vectors;
-    offgrade_dimension counts the rest, read off the sparse integer vectors
-    of the solve: a vector is off-grade when it holds a column of the E
-    block, the last block. The E rows read the same integer tensor
-    ad = D c as the graded rows, so every row is integral.
+    not span z. The blocks share no equation, so the system splits: its
+    canonical basis is the Der_gr basis with C = 0, then the n*m unit maps
+    C: v -> z in column order (row-major in C), then the E-solutions.
+    Basis entries are (A, B, C) for all but the E-solutions;
+    offgrade_dimension counts those, dim rad v * dim(z / [v, v]), each
+    factor the nullity of a small system read off the level -1 record:
+    rad v the kernel of the rows c(x_s, .)_k (n columns), and the dual of
+    z / [v, v] the kernel of the rows c(x_i, x_j) (m columns).
     """
     n, m = alg.dim_v, alg.dim_z
-    ncols = n * n + m * m + m * n + n * m
-    c_off = n * n + m * m
-    e_off = c_off + m * n
     levels = _negative_levels(alg)
-    rows = _prolong_rows(0, levels)
-    brackets = _brackets(levels[-1][0], n)  # brackets[s][t]: (k, D c(x_s, x_t)_k)
-    for cs in brackets:
-        by_k = [[] for _ in range(m)]
-        for t, cst in enumerate(cs):
-            for kp, x in cst:
-                by_k[kp].append((t, x))
-        for k in range(m):
-            for kp in range(m):
-                row = {e_off + t * m + k: x for t, x in by_k[kp]}
-                if row:
-                    rows.append(row)
-    for i in range(n):  # E[x_i, x_j] = 0, one row per v-coordinate t
-        for j in range(i + 1, n):
-            if cij := brackets[i][j]:
-                rows.extend({e_off + t * m + k: x for k, x in cij} for t in range(n))
-    res = nullspace(rows, ncols, context=f"full derivation system of {alg.name}")
-    basis = []
-    offgrade = 0
-    for (_, entries), vec in zip(res.vectors, res.basis):
-        if entries[-1][0] >= e_off:  # columns ascend, so the last is the largest
-            offgrade += 1
-        else:
-            basis.append(tuple(_unflatten(vec, [(n, n), (m, m), (m, n)])))
-    return DerivationSpace(alg, False, tuple(basis), res.dimension, res.method,
+    graded = _der_gr(alg, f"full derivation system of {alg.name}", levels)
+    rad_rows: dict[tuple[int, int], dict[int, int]] = {}
+    span_rows: dict[tuple[int, int], dict[int, int]] = {}
+    for s, entries in enumerate(levels[-1][0]):  # (k*n + t, D c(x_s, x_t)_k)
+        for slot, x in entries:
+            k, t = divmod(slot, n)
+            rad_rows.setdefault((s, k), {})[t] = x
+            if s < t:
+                span_rows.setdefault((s, t), {})[k] = x
+    rad = nullspace(rad_rows.values(), n, context=f"rad v system of {alg.name}")
+    quotient = nullspace(span_rows.values(), m, context=f"z / [v, v] system of {alg.name}")
+    zero = Fraction(0)
+    zero_a, zero_b, zero_c = _unflatten((zero,) * (n * n + m * m + m * n),
+                                        [(n, n), (m, m), (m, n)])
+    basis = [(*_unflatten(vec, [(n, n), (m, m)]), zero_c) for vec in graded.basis]
+    for slot in range(m * n):
+        cells = [zero] * (m * n)
+        cells[slot] = Fraction(1)
+        basis.append((zero_a, zero_b, _unflatten(cells, [(m, n)])[0]))
+    offgrade = rad.dimension * quotient.dimension
+    method = "modp" if {graded.method, rad.method, quotient.method} == {"modp"} else "modp-crt"
+    return DerivationSpace(alg, False, tuple(basis), len(basis) + offgrade, method,
                            offgrade_dimension=offgrade)
 
 
@@ -394,9 +418,6 @@ def tanaka_prolong(alg: GradedNilpotent,
         if not supplied_g0:
             raise ValueError("supplied_g0 must be None or a non-empty sequence")
         pairs = [_g0_pair(element, n, m) for element in supplied_g0]
-        for a, b in pairs:
-            if not verify_graded_derivation(alg, a, b):
-                raise StructureError("supplied g0 element is not a graded derivation")
         levels[0] = _level([_slots(a, n) for a, _ in pairs], [_slots(b, m) for _, b in pairs])
         # one coordinate of the k elements per row, {element: entry}: a
         # nonzero kernel is a linear relation, which would be a zero of the
@@ -405,6 +426,11 @@ def tanaka_prolong(alg: GradedNilpotent,
         coords = _nonzeros(v0, n * n, 0, 1, 1) + _nonzeros(z0, m * m, 0, 1, 1)
         if nullspace(list(map(dict, coords)), len(v0), context="supplied g0").vectors:
             raise StructureError("supplied g0 elements are linearly dependent")
+        # each element D (A, B) on the degree-0 columns, A[t][s] at t*n + s
+        # and B[k][l] at n*n + k*m + l, against the integer Der_gr rows
+        vectors = [v + [(n * n + slot, x) for slot, x in z] for v, z in zip(v0, z0)]
+        if not linalg._annihilates(_prolong_rows(0, levels), vectors):
+            raise StructureError("supplied g0 element is not a graded derivation")
         first = 1
 
     completed = False
@@ -416,7 +442,8 @@ def tanaka_prolong(alg: GradedNilpotent,
         n_rows = (n * (n - 1) // 2) * d_prev2 + n * m * d3 + (m * (m - 1) // 2) * d4
         label = f"degree-{K} prolongation system" if K else "degree-0 derivation system"
         check_budget(n_rows, ncols, budget, label)
-        res = nullspace(_prolong_rows(K, levels), ncols, context=label)
+        res = (_der_gr(alg, label, levels) if K == 0
+               else nullspace(_prolong_rows(K, levels), ncols, context=label))
         if K and not res.vectors:  # a zero g0 does not end the loop
             completed = True
             break

@@ -9,7 +9,9 @@ from htype import clifford
 from htype.clifford import REP_DIMS, build_htype_from_clifford, clifford_generators
 from htype.division import DivisionAlgebra as DA
 from htype.errors import StructureError
-from htype.nilpotent import build_hn, check_symplectic_isomorphic, dims, is_type_h
+from htype.linalg import nullspace
+from htype.nilpotent import (_clifford_failures, build_hn, check_symplectic_isomorphic, dims,
+                             is_type_h)
 
 # commutant of the minimal module follows the R/C/H periodicity
 COMMUTANT_DIMS = {1: 2, 2: 4, 3: 4, 4: 4, 5: 2, 6: 1, 7: 1, 8: 1}
@@ -108,3 +110,66 @@ def test_builds_certify_the_generators_once_per_m(monkeypatch):
     assert calls == sorted(REP_DIMS)
     assert clifford_generators(3) == clifford._shared_generators(3)
     assert calls == sorted(REP_DIMS) + [3]  # a direct call still certifies
+
+
+def _reference_commutant_dimension(K):
+    """dim {A : A J = J A for every J in K} as the nullspace of the d^2
+    conditions (A J - J A)[r][c] = 0 per generator: the linear system that
+    certified minimality before the character sum."""
+    d = len(K[0])
+    rows = []
+    for J in K:
+        cols = [{} for _ in range(d)]
+        for t, row in enumerate(J):
+            for c, x in row.items():
+                cols[c][t] = x
+        for r in range(d):
+            for c in range(d):
+                # (A J - J A)[r][c] = sum_t A[r][t] J[t][c] - J[r][t] A[t][c]
+                row = {r * d + t: x for t, x in cols[c].items()}
+                for t, x in J[r].items():
+                    row[t * d + c] = row.get(t * d + c, 0) - x
+                rows.append(row)
+    return nullspace(rows, d * d).dimension
+
+
+def _int_stack(m):
+    return [[{c: int(x) for c, x in enumerate(row) if x} for row in j]
+            for j in clifford._generator_matrices(m)]
+
+
+def _direct_sum(K, signs):
+    """The block-diagonal stack s_1 J (+) s_2 J (+) ... for each J of K."""
+    d = len(K[0])
+    return [[{b * d + c: s * x for c, x in row.items()} for b, s in enumerate(signs)
+             for row in J] for J in K]
+
+
+@pytest.mark.parametrize("m", sorted(REP_DIMS))
+def test_commutant_matches_the_nullspace_reference(m):
+    K = _int_stack(m)
+    assert clifford._commutant_dimension(K) == _reference_commutant_dimension(K) \
+        == COMMUTANT_DIMS[m]
+
+
+@pytest.mark.parametrize("m, signs, want", [
+    (3, (1, 1), 16), (3, (1, -1), 8), (7, (1, 1), 4), (7, (1, -1), 2)])
+def test_commutant_of_non_minimal_stacks(m, signs, want):
+    # J (+) J is twice one irreducible module: the commutant is M_2(D),
+    # D = H (m = 3) or R (m = 7); J (+) -J is the sum of the two inequivalent
+    # irreducible modules of Cl_3 and Cl_7, so the commutant is D + D
+    K = _direct_sum(_int_stack(m), signs)
+    assert not _clifford_failures(K, 1)
+    assert clifford._commutant_dimension(K) == _reference_commutant_dimension(K) == want
+
+
+def test_commutant_refuses_what_is_not_a_clifford_group():
+    J = _int_stack(2)
+    for bad in ([{1: -1, 2: 1}] + J[0][1:],  # a row with two entries
+                [{1: -2}] + J[0][1:],  # an entry that is not a sign
+                [{1: -1}, {1: 1}] + J[0][2:]):  # a column used twice
+        with pytest.raises(StructureError, match="not a signed permutation"):
+            clifford._commutant_dimension([bad, J[1]])
+    # a 3-cycle satisfies no Clifford relation: (9 + 0) / 2 is no dimension
+    with pytest.raises(StructureError, match="character sum 9 is not a multiple of 2"):
+        clifford._commutant_dimension([[{1: 1}, {2: 1}, {0: 1}]])

@@ -917,11 +917,11 @@ def test_mixed_rows_give_the_reference_basis():
 def test_callers_bind_the_one_solver():
     # the benchmark tracer replaces `nullspace` in the modules that call it,
     # by name: a second solver bound there would escape the trace, and
-    # `nilpotent` may bind no elimination routine beside `det_exact`
+    # `nilpotent` may bind no elimination routine beside `det_exact`;
+    # `clifford` solves no system (its commutant is a character sum)
     assert symmetry.nullspace is linalg.nullspace
-    assert clifford.nullspace is linalg.nullspace
     public = {linalg.nullspace, linalg.check_budget, linalg.default_budget}
-    allowed = {symmetry: public, clifford: public,
+    allowed = {symmetry: public, clifford: set(),
                nilpotent: {linalg.det_exact, linalg.integerize_row}}
     for mod, names in allowed.items():
         bound = {v for v in vars(mod).values()

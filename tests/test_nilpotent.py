@@ -237,6 +237,41 @@ def test_nonzeros_is_computed_once_and_stays_out_of_the_fields():
     assert other.nonzeros == _dense_nonzeros(other)
 
 
+def test_builders_write_one_fraction_per_nonzero():
+    # entries are summed per pair before anything is written: (0, 1) and
+    # (1, 0) cancel, and (0, 2) + (2, 0) + (0, 2) sum to 1/2 - 1 + 1/2 = 0;
+    # a cancelled or a zero entry leaves both cells the shared zero
+    alg = make_custom("cancel", 4, 2, [(0, 1, 0, 1), (1, 0, 0, 1), (0, 2, 1, Fraction(1, 2)),
+                                       (2, 0, 1, 1), (0, 2, 1, Fraction(1, 2)), (1, 3, 0, 0),
+                                       (3, 2, 1, 2), (2, 3, 1, Fraction(1, 3))])
+    assert alg.nonzeros == ((2, 3, 1, Fraction(-5, 3)), (3, 2, 1, Fraction(5, 3)))
+    assert alg.nonzeros == _dense_nonzeros(alg)
+    for built in _all_builds() + [alg]:
+        cells = [x for ci in built.structure for cij in ci for x in cij]
+        assert all(type(x) is Fraction for x in cells), built.name
+        zeros = [x for x in cells if not x]
+        assert all(x is nilpotent._ZERO for x in zeros), built.name
+        assert len(cells) - len(zeros) == len(built.nonzeros), built.name
+
+
+def test_hand_built_zeros_are_read_by_value():
+    # cells that are zero but not the builders' shared zero: a tensor written
+    # by hand, and a dataclasses.replace copy of a built one
+    zero = Fraction(0)
+    c = [[[Fraction(0) for _ in range(2)] for _ in range(3)] for _ in range(3)]
+    c[0][1][0], c[1][0][0] = Fraction(2), Fraction(-2)
+    c[1][2][1], c[2][1][1] = Fraction(-1, 3), Fraction(1, 3)
+    hand = GradedNilpotent("hand", "custom", None, {}, 3, 2, nilpotent._freeze(c), "custom")
+    assert hand.nonzeros == _dense_nonzeros(hand) == (
+        (0, 1, 0, 2), (1, 0, 0, -2), (1, 2, 1, Fraction(-1, 3)), (2, 1, 1, Fraction(1, 3)))
+    alg = build_hprime(DA.H, 1, 1)
+    fresh = tuple(tuple(tuple(x if x else Fraction(0) for x in cij) for cij in ci)
+                  for ci in alg.structure)
+    copy = dataclasses.replace(alg, structure=fresh)
+    assert not any(x is nilpotent._ZERO for ci in fresh for cij in ci for x in cij)
+    assert copy.nonzeros == _dense_nonzeros(copy) == alg.nonzeros
+
+
 def _element_tensor(algebra, series, params):
     """The structure tensor by Element products, each of the d coordinates
     of e_a e_b (or e_a conj(e_b), conj(e_b) e_a) added: the reference that

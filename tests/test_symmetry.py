@@ -1,6 +1,7 @@
 """Derivation spaces and prolongations against independently derived dimensions."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import logging
@@ -101,6 +102,56 @@ def test_h1r_matches_independent_solver():
     assert graded_derivations(alg).dimension == 4
 
 
+def _reference_full_derivations(alg):
+    """(basis, dimension, offgrade_dimension, method) of Der(n) from one
+    solve of the whole (A, B, C, E) system: the graded rows, no C rows, the
+    E rows [x, Ez] = 0 and E[x, y] = 0. A basis vector is off-grade when
+    it holds a column of the E block, the last block."""
+    n, m = alg.dim_v, alg.dim_z
+    ncols = n * n + m * m + m * n + n * m
+    e_off = n * n + m * m + m * n
+    levels = symmetry._negative_levels(alg)
+    rows = symmetry._prolong_rows(0, levels)
+    brackets = symmetry._brackets(levels[-1][0], n)  # [s][t]: (k, D c(x_s, x_t)_k)
+    for cs in brackets:
+        by_k = [[] for _ in range(m)]
+        for t, cst in enumerate(cs):
+            for kp, x in cst:
+                by_k[kp].append((t, x))
+        for k in range(m):
+            for kp in range(m):
+                row = {e_off + t * m + k: x for t, x in by_k[kp]}
+                if row:
+                    rows.append(row)
+    for i in range(n):  # E[x_i, x_j] = 0, one row per v-coordinate t
+        for j in range(i + 1, n):
+            if cij := brackets[i][j]:
+                rows.extend({e_off + t * m + k: x for k, x in cij} for t in range(n))
+    res = linalg.nullspace(rows, ncols)
+    basis = tuple(tuple(symmetry._unflatten(vec, [(n, n), (m, m), (m, n)]))
+                  for (_, entries), vec in zip(res.vectors, res.basis)
+                  if entries[-1][0] < e_off)
+    return basis, res.dimension, res.dimension - len(basis), res.method
+
+
+def _sparse_degenerate_algebras(seed, count):
+    """Algebras with few random brackets, so rad v != 0 and [v, v] != z
+    are both common."""
+    rng = random.Random(seed)
+    algs = []
+    for _ in range(count):
+        n, m = rng.randint(2, 4), rng.randint(1, 3)
+        pairs = list(itertools.combinations(range(n), 2))
+        entries = [(i, j, rng.randrange(m), Fraction(rng.choice([-2, -1, 1, 3]), 2))
+                   for i, j in rng.sample(pairs, rng.randint(1, min(3, len(pairs))))]
+        algs.append(make_custom("sparse", n, m, entries))
+    return algs
+
+
+def _full_fields(full):
+    return full.basis, full.dimension, full.offgrade_dimension, full.method
+
+
 def test_full_equals_graded_plus_hom():
     for alg in [build_hn(DA.R, 1), build_hn(DA.R, 2), build_hn(DA.C, 1),
                 build_hprime(DA.H, 1, 0), build_hprime(DA.H, 1, 1),
@@ -109,6 +160,7 @@ def test_full_equals_graded_plus_hom():
         f = full_derivations(alg)
         assert f.dimension == g.dimension + alg.dim_v * alg.dim_z
         assert f.offgrade_dimension == 0
+        assert _full_fields(f) == _reference_full_derivations(alg)
     assert full_derivations(build_hn(DA.R, 1)).dimension == 6
 
 
@@ -372,7 +424,8 @@ def test_prolongation_escalations_name_their_system(monkeypatch, caplog):
     alg = build_hn(DA.H, 1)
     want = tanaka_prolong(alg, max_degree=2, budget=BIG, store_bases=True)
     failure = _fail_below_two_primes(monkeypatch, caplog)
-    res = tanaka_prolong(alg, max_degree=2, budget=BIG, store_bases=True)
+    # a fresh algebra: Der_gr of alg is solved once, and read from then on
+    res = tanaka_prolong(build_hn(DA.H, 1), max_degree=2, budget=BIG, store_bases=True)
     assert res.bases == want.bases and res.component_dims == (8, 4)
     assert [r.getMessage() for r in caplog.records] == [
         f"nullspace {label}: {failure}"
@@ -380,16 +433,20 @@ def test_prolongation_escalations_name_their_system(monkeypatch, caplog):
                       "degree-2 prolongation system")]
 
 
-@pytest.mark.parametrize("solve, label", [
-    (lambda: graded_derivations(build_hn(DA.H, 1)).basis, "graded derivation system of h1(H)"),
-    (lambda: full_derivations(build_hn(DA.H, 1)).basis, "full derivation system of h1(H)"),
-    (lambda: clifford_generators(3), "commutant of 3 Clifford generators"),
+# full: the rad v and z / [v, v] systems of h1(H) have full rank, so their
+# RREF has no entry to reconstruct and nothing escalates; clifford: the
+# commutant is a character sum, and no nullspace runs
+@pytest.mark.parametrize("solve, labels", [
+    (lambda: graded_derivations(build_hn(DA.H, 1)).basis, ["graded derivation system of h1(H)"]),
+    (lambda: full_derivations(build_hn(DA.H, 1)).basis, ["full derivation system of h1(H)"]),
+    (lambda: clifford_generators(3), []),
 ], ids=["graded", "full", "clifford"])
-def test_derivation_escalations_name_their_system(monkeypatch, caplog, solve, label):
+def test_derivation_escalations_name_their_system(monkeypatch, caplog, solve, labels):
     want = solve()
     failure = _fail_below_two_primes(monkeypatch, caplog)
     assert solve() == want
-    assert [r.getMessage() for r in caplog.records] == [f"nullspace {label}: {failure}"]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"nullspace {label}: {failure}" for label in labels]
 
 
 def test_excess_bookkeeping():
@@ -662,7 +719,8 @@ def test_exact_rows_are_positive_integer_multiples(monkeypatch, name):
     levels = {-1: ([[[c[a][t][s] for t in range(n)] for s in range(m)] for a in range(n)], []),
               0: tuple(zip(*[(a, b) for a, b, _ in graded_derivations(alg).basis]))}
     calls = _record_assembly(monkeypatch)
-    res = tanaka_prolong(alg, max_degree=2, budget=BIG, store_bases=True)
+    # a fresh algebra, whose degree-0 system is assembled, not read from alg's solve
+    res = tanaka_prolong(ROW_ALGEBRAS[name](), max_degree=2, budget=BIG, store_bases=True)
     levels[1] = res.bases[0]
     assert [call[0] for call in calls] == [0, 1, 2]
     # h'1,0(O) has D_0 = 2 and the random algebra D_-1 = 4; h1(H) is integral
@@ -804,3 +862,128 @@ def test_full_derivations_match_sympy_on_degenerate_algebras():
         assert full.dimension == (graded_derivations(alg).dimension + n * m
                                   + full.offgrade_dimension)
     assert degenerate >= 3
+
+
+def test_full_derivations_match_the_one_system_reference():
+    # the split (Der_gr, the n*m unit maps of C, and the E count as the
+    # product of two nullities) against one solve of the whole system
+    algs = _pinned_derivation_algebras() + _sparse_degenerate_algebras(20261020, 12)
+    offgrade = 0
+    for alg in algs:
+        full = full_derivations(alg)
+        assert _full_fields(full) == _reference_full_derivations(alg), alg.name
+        offgrade += full.offgrade_dimension > 0
+    assert offgrade >= 5
+
+
+def _record_solves(monkeypatch):
+    """Wrap symmetry.nullspace; the context of every call is kept."""
+    contexts = []
+    solve = symmetry.nullspace
+
+    def recording(rows, ncols, context=""):
+        contexts.append(context)
+        return solve(rows, ncols, context=context)
+
+    monkeypatch.setattr(symmetry, "nullspace", recording)
+    return contexts
+
+
+def test_der_gr_is_solved_once_per_algebra(monkeypatch):
+    contexts = _record_solves(monkeypatch)
+    alg = build_hn(DA.H, 1)
+    full = full_derivations(alg)
+    graded = graded_derivations(alg)
+    res = tanaka_prolong(alg, max_degree=2, budget=BIG)
+    assert contexts == ["full derivation system of h1(H)", "rad v system of h1(H)",
+                        "z / [v, v] system of h1(H)", "degree-1 prolongation system",
+                        "degree-2 prolongation system"]
+    assert (full.dimension, graded.dimension, res.g0_dim) == (11 + 32, 11, 11)
+    # a fresh build and a dataclasses.replace copy are other objects: each solves
+    contexts.clear()
+    for other in (build_hn(DA.H, 1), dataclasses.replace(alg)):
+        assert graded_derivations(other) == dataclasses.replace(graded, algebra=other)
+        assert tanaka_prolong(other, max_degree=1, budget=BIG).g0_dim == 11
+    assert contexts == ["graded derivation system of h1(H)", "degree-1 prolongation system"] * 2
+
+
+def test_der_gr_cache_entry_goes_with_its_algebra():
+    alg = build_hn(DA.C, 1)
+    key = id(alg)
+    graded_derivations(alg)
+    assert key in symmetry._DER_GR
+    del alg
+    gc.collect()
+    assert key not in symmetry._DER_GR
+
+
+def test_degree0_budget_is_checked_before_the_cache_is_read():
+    alg = build_hn(DA.C, 1)
+    graded_derivations(alg)
+    with pytest.raises(BudgetExceeded) as exc:
+        tanaka_prolong(alg, budget=239)
+    assert (exc.value.requested, exc.value.context) == (240, "degree-0 derivation system")
+
+
+def test_supplied_g0_bypasses_the_cache(monkeypatch):
+    alg = build_hn(DA.R, 1)
+    a = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    b = ((Fraction(2),),)
+    res = tanaka_prolong(alg, supplied_g0=[(a, b)], max_degree=2)
+    assert res.g0_dim == 1 and id(alg) not in symmetry._DER_GR
+    assert graded_derivations(alg).dimension == 4  # now cached; still not read
+    contexts = _record_solves(monkeypatch)
+    res = tanaka_prolong(alg, supplied_g0=[(a, b)], max_degree=2)
+    assert res.g0_dim == 1 and res.trivial
+    assert contexts == ["supplied g0", "degree-1 prolongation system"]
+
+
+def _raises_not_a_derivation(alg, pair) -> bool:
+    try:
+        tanaka_prolong(alg, supplied_g0=[pair], max_degree=1, budget=BIG)
+    except StructureError as exc:
+        assert str(exc) == "supplied g0 element is not a graded derivation"
+        return True
+    return False
+
+
+@pytest.mark.parametrize("make", [lambda: build_hn(DA.H, 1), lambda: build_hprime(DA.H, 1, 1),
+                                  lambda: make_custom("deg3", 3, 2, [(0, 1, 0, 1)])],
+                         ids=["h1(H)", "h'1,1(H)", "degenerate"])
+def test_supplied_g0_check_agrees_with_substitution(make):
+    # every Der_gr element, and each with one entry of A or B moved by 1 or
+    # by -1/2: the sparse check refuses exactly what direct substitution does
+    alg = make()
+    n, m = alg.dim_v, alg.dim_z
+    refused = 0
+    for a, b, _ in graded_derivations(alg).basis:
+        assert not _raises_not_a_derivation(alg, (a, b))
+        for which, size in ((0, n), (1, m)):
+            for r, c in itertools.product(range(size), repeat=2):
+                for step in (1, Fraction(-1, 2)):
+                    pair = [[list(row) for row in a], [list(row) for row in b]]
+                    pair[which][r][c] += step
+                    if not any(x for mat in pair for row in mat for x in row):
+                        continue
+                    raised = _raises_not_a_derivation(alg, pair)
+                    assert raised == (not verify_graded_derivation(alg, *pair)), (which, r, c)
+                    refused += raised
+    assert refused
+
+
+@pytest.mark.parametrize("escalated", ["full derivation system", "rad v system",
+                                       "z / [v, v] system"])
+def test_full_method_is_modp_only_when_every_solve_is(monkeypatch, escalated):
+    # one of the three solves reported as certified by CRT makes the space's too
+    solve = symmetry.nullspace
+
+    def relabelled(rows, ncols, context=""):
+        res = solve(rows, ncols, context=context)
+        if context.startswith(escalated):
+            return dataclasses.replace(res, method="modp-crt")
+        return res
+
+    assert full_derivations(make_custom("deg3", 3, 2, [(0, 1, 0, 1)])).method == "modp"
+    monkeypatch.setattr(symmetry, "nullspace", relabelled)
+    full = full_derivations(make_custom("deg3", 3, 2, [(0, 1, 0, 1)]))
+    assert (full.method, full.offgrade_dimension) == ("modp-crt", 1)
