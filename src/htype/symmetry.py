@@ -391,12 +391,13 @@ def tanaka_prolong(alg: GradedNilpotent,
                    store_bases: bool = False) -> ProlongationResult:
     """Degree-by-degree prolongation of (n, g0).
 
-    With supplied_g0 None, g0 = Der_gr(n) is solved as degree 0, whose
-    system counts against the budget like every other degree. A non-empty
-    supplied_g0 of (A, B) pairs or the (A, B, None) triples of
-    `DerivationSpace.basis`, each re-verified to be a graded derivation
-    and all together rank-checked to be linearly independent, is level 0
-    instead, and the solve starts at degree 1; an empty one is refused.
+    With supplied_g0 None, g0 = Der_gr(n) is degree 0, whose system counts
+    against the budget like every other degree before the one solve per
+    algebra object is read (or made). A non-empty supplied_g0 of (A, B)
+    pairs or the (A, B, None) triples of `DerivationSpace.basis`, all
+    together rank-checked to be linearly independent and then each checked
+    to be a graded derivation against the integer degree-0 rows, is level
+    0 instead, and the solve starts at degree 1; an empty one is refused.
 
     Both arithmetics run the same certified exact solve; "float64" only
     reports the stored bases (store_bases=True) as floats of the canonical
