@@ -25,7 +25,6 @@ import hashlib
 import io
 import itertools
 import json
-import operator
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from importlib import resources
@@ -173,12 +172,30 @@ class TableRow:
         return self.nil_series == "hn" and self.nil_algebra == "H"
 
 
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
-           ast.Mult: operator.mul, ast.FloorDiv: operator.floordiv}
-_UNARY = {ast.USub: operator.neg, ast.Not: operator.not_}
-_COMPARE = {ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
-            ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge}
 _CALLS = {"min": min, "max": max}
+_SCOPE = {"__builtins__": {}, **_CALLS}
+
+
+def _refused(node):
+    """The first node outside the whitelist of `_compile`, depth first and
+    left to right, or None. An operator is checked on its parent node, so
+    the whole refused subexpression is named."""
+    match node:
+        case (ast.Constant(value=int()) | ast.BoolOp()
+              | ast.BinOp(op=ast.Add() | ast.Sub() | ast.Mult() | ast.FloorDiv())
+              | ast.UnaryOp(op=ast.USub() | ast.Not())
+              | ast.Compare(ops=[ast.Eq() | ast.NotEq() | ast.Lt() | ast.LtE() | ast.Gt() | ast.GtE()])):
+            pass
+        case ast.Name(id=name) if name not in _SCOPE:
+            pass
+        case ast.Call(func=ast.Name(id=name), keywords=[]) if name in _CALLS:
+            pass
+        case _:
+            return node
+    for child in node.args if isinstance(node, ast.Call) else ast.iter_child_nodes(node):
+        if isinstance(child, ast.expr) and (bad := _refused(child)):
+            return bad
+    return None
 
 
 @lru_cache(maxsize=256)
@@ -187,62 +204,34 @@ def _compile(expr: str) -> Callable[[dict[str, int]], int]:
     distinct string.
 
     Allowed: integer literals (True and False among them), names, + - * //,
-    unary - and not, single comparisons (no chains), and/or (stopping at
-    the first value that decides), and calls to min and max. The tree is
-    walked once, here: a node outside this list raises DatasetError at the
-    first call, on any branch; a name that the parameters do not hold raises
-    DatasetError each time the function is called. Nothing is passed to
-    eval. A failure is not cached, so a rejected expression raises on every
-    call.
+    unary - and not, single comparisons (no chains), and/or, and calls to
+    min and max. The tree is checked once, here: a node outside this list
+    raises DatasetError at the first call, on any branch, and so does a
+    name of the evaluation scope (min, max, __builtins__) anywhere but as
+    a call's function. Only a checked tree is compiled, and it is evaluated
+    by Python with the parameters as its only names, min and max its only
+    callables, and no builtins. A name that the parameters do not hold
+    raises DatasetError each time the function reaches it. A failure is
+    not cached, so a rejected expression raises on every call.
     """
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError:
         raise DatasetError(f"table expression {expr!r} does not parse") from None
 
-    def refusal(node) -> str:
-        return f"table expression {expr!r}: {ast.unparse(node)!r} is not allowed"
+    def refusal(text: str) -> DatasetError:
+        return DatasetError(f"table expression {expr!r}: {text!r} is not allowed")
 
-    def comp(node):
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            value = node.value
-            return lambda env: value
-        if isinstance(node, ast.Name):
-            name, message = node.id, refusal(node)
+    if (bad := _refused(tree.body)) is not None:
+        raise refusal(ast.unparse(bad))
+    code = compile(tree, "<table expression>", "eval")
 
-            def lookup(env):
-                try:
-                    return env[name]
-                except KeyError:
-                    raise DatasetError(message) from None
-            return lookup
-        if isinstance(node, ast.BoolOp):
-            stop = isinstance(node.op, ast.Or)  # `or` stops at a true value
-            values = [comp(value) for value in node.values]
-
-            def boolop(env):
-                for value in values:
-                    result = value(env)
-                    if bool(result) == stop:
-                        break
-                return result
-            return boolop
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-            op, args = _BINARY[type(node.op)], (node.left, node.right)
-        elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-            op, args = _UNARY[type(node.op)], (node.operand,)
-        elif (isinstance(node, ast.Compare) and len(node.ops) == 1
-                and type(node.ops[0]) in _COMPARE):
-            op, args = _COMPARE[type(node.ops[0])], (node.left, node.comparators[0])
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in _CALLS and not node.keywords):
-            op, args = _CALLS[node.func.id], node.args
-        else:
-            raise DatasetError(refusal(node))
-        parts = [comp(arg) for arg in args]
-        return lambda env: op(*[part(env) for part in parts])
-
-    return comp(tree.body)
+    def evaluate(env: dict[str, int]) -> int:
+        try:
+            return eval(code, _SCOPE, env)
+        except NameError as exc:
+            raise refusal(exc.name) from None
+    return evaluate
 
 
 def _eval(expr: str, env: dict[str, int]):

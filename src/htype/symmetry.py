@@ -166,8 +166,10 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
     Basis entries are (A, B, C) for all but the E-solutions;
     offgrade_dimension counts those, dim rad v * dim(z / [v, v]), each
     factor the nullity of a small system read off the level -1 record:
-    rad v the kernel of the rows c(x_s, .)_k (n columns), and the dual of
-    z / [v, v] the kernel of the rows c(x_i, x_j) (m columns).
+    the dual of z / [v, v] the kernel of the rows c(x_i, x_j) (m columns),
+    and rad v the kernel of the rows c(x_s, .)_k (n columns), solved only
+    when z / [v, v] is nonzero. method is "modp" only when every system
+    solved was.
     """
     n, m = alg.dim_v, alg.dim_z
     levels = _negative_levels(alg)
@@ -180,8 +182,11 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
             rad_rows.setdefault((s, k), {})[t] = x
             if s < t:
                 span_rows.setdefault((s, t), {})[k] = x
-    rad = nullspace(rad_rows.values(), n, context=f"rad v system of {alg.name}")
     quotient = nullspace(span_rows.values(), m, context=f"z / [v, v] system of {alg.name}")
+    solved = [graded, quotient]
+    if quotient.dimension:  # otherwise E = 0 whatever rad v is
+        solved.append(nullspace(rad_rows.values(), n, context=f"rad v system of {alg.name}"))
+    offgrade = quotient.dimension and quotient.dimension * solved[2].dimension
     zero = Fraction(0)
     zero_a, zero_b, zero_c = _unflatten((zero,) * (n * n + m * m + m * n),
                                         [(n, n), (m, m), (m, n)])
@@ -190,8 +195,7 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
         cells = [zero] * (m * n)
         cells[slot] = Fraction(1)
         basis.append((zero_a, zero_b, _unflatten(cells, [(m, n)])[0]))
-    offgrade = rad.dimension * quotient.dimension
-    method = "modp" if {graded.method, rad.method, quotient.method} == {"modp"} else "modp-crt"
+    method = "modp" if {res.method for res in solved} == {"modp"} else "modp-crt"
     return DerivationSpace(alg, False, tuple(basis), len(basis) + offgrade, method,
                            offgrade_dimension=offgrade)
 

@@ -141,6 +141,7 @@ def test_table_expressions_keep_their_python_values():
     "n.__class__", "().__class__.__base__", "__import__('os')", "open('x')",
     "n ** 2", "n / 2", "1.5", "'n'", "lambda: n", "[n]", "min(n, key=abs)",
     "min(*[n])", "x", "n if n else 0", "n; 1", "0 < n < 5", "+n",
+    "min", "max + 1", "min(1, max)", "__builtins__",
 ])
 def test_table_expression_whitelist_rejects(expr):
     with pytest.raises(DatasetError):
@@ -175,6 +176,17 @@ def test_disallowed_node_on_a_short_circuited_branch_is_refused():
             with pytest.raises(DatasetError, match="is not allowed"):
                 _eval(expr, {"n": 3})
     assert _eval("1 or n", {}) == 1  # a name is looked up only when it is read
+
+
+@pytest.mark.parametrize("expr, node", [
+    ("1 or n ** 2", "n ** 2"), ("min(n ** 2, n / 2)", "n ** 2"),
+    ("max(n, 1) or n.real", "n.real"),
+])
+def test_refusal_names_the_first_refused_node(expr, node):
+    # depth first and left to right; an operator is named with its operands
+    with pytest.raises(DatasetError) as exc:
+        _eval(expr, {"n": 3})
+    assert str(exc.value) == f"table expression {expr!r}: {node!r} is not allowed"
 
 
 def test_missing_name_raises_on_every_call():

@@ -735,6 +735,23 @@ def test_no_package_module_uses_assert():
         assert lines == [], f"{path.name}: assert on lines {lines}"
 
 
+def test_only_the_catalog_compiler_evaluates_code():
+    # table expressions are checked against a whitelist, then compiled and
+    # evaluated, inside catalog._compile; no other code names eval, exec or compile
+    banned, inside = {"eval", "exec", "compile"}, set()
+    for path in Path(htype.__file__).resolve().parent.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        exempt = {id(node) for f in tree.body if path.name == "catalog.py"
+                  and isinstance(f, ast.FunctionDef) and f.name == "_compile"
+                  for node in ast.walk(f)}
+        names = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and node.id in banned]
+        inside |= {node.id for node in names if id(node) in exempt}
+        lines = [node.lineno for node in names if id(node) not in exempt]
+        assert lines == [], f"{path.name}: eval, exec or compile on lines {lines}"
+    assert inside == {"eval", "compile"}
+
+
 def test_only_nilpotent_reads_the_dense_structure_tensor():
     # every other reader goes through the sparse view GradedNilpotent.nonzeros;
     # symmetry.verify_graded_derivation is the direct-substitution reference

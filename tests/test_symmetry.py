@@ -895,9 +895,8 @@ def test_der_gr_is_solved_once_per_algebra(monkeypatch):
     full = full_derivations(alg)
     graded = graded_derivations(alg)
     res = tanaka_prolong(alg, max_degree=2, budget=BIG)
-    assert contexts == ["full derivation system of h1(H)", "rad v system of h1(H)",
-                        "z / [v, v] system of h1(H)", "degree-1 prolongation system",
-                        "degree-2 prolongation system"]
+    assert contexts == ["full derivation system of h1(H)", "z / [v, v] system of h1(H)",
+                        "degree-1 prolongation system", "degree-2 prolongation system"]
     assert (full.dimension, graded.dimension, res.g0_dim) == (11 + 32, 11, 11)
     # a fresh build and a dataclasses.replace copy are other objects: each solves
     contexts.clear()
@@ -905,6 +904,23 @@ def test_der_gr_is_solved_once_per_algebra(monkeypatch):
         assert graded_derivations(other) == dataclasses.replace(graded, algebra=other)
         assert tanaka_prolong(other, max_degree=1, budget=BIG).g0_dim == 11
     assert contexts == ["graded derivation system of h1(H)", "degree-1 prolongation system"] * 2
+
+
+def test_rad_v_is_solved_only_when_z_mod_brackets_is_nonzero(monkeypatch):
+    # E: z -> v vanishes on [v, v], so where the brackets span z the rad v
+    # system is not solved; deg and deg2 have rad v != 0 but offgrade 0
+    contexts = _record_solves(monkeypatch)
+    assert full_derivations(build_hn(DA.H, 1)).offgrade_dimension == 0
+    assert contexts == ["full derivation system of h1(H)", "z / [v, v] system of h1(H)"]
+    for name, dim_v, dim_z, entries, offgrade in [
+            ("deg", 3, 1, [(0, 1, 0, 1)], 0),
+            ("deg2", 5, 2, [(0, 1, 0, 1), (2, 3, 1, Fraction(1, 2)), (0, 2, 1, 3)], 0),
+            ("deg3", 3, 2, [(0, 1, 0, 1)], 1)]:
+        contexts.clear()
+        full = full_derivations(make_custom(name, dim_v, dim_z, entries))
+        assert full.offgrade_dimension == offgrade
+        solved = [f"full derivation system of {name}", f"z / [v, v] system of {name}"]
+        assert contexts == solved + [f"rad v system of {name}"] * offgrade
 
 
 def test_der_gr_cache_entry_goes_with_its_algebra():
