@@ -141,7 +141,7 @@ def test_table_expressions_keep_their_python_values():
     "n.__class__", "().__class__.__base__", "__import__('os')", "open('x')",
     "n ** 2", "n / 2", "1.5", "'n'", "lambda: n", "[n]", "min(n, key=abs)",
     "min(*[n])", "x", "n if n else 0", "n; 1", "0 < n < 5", "+n",
-    "min", "max + 1", "min(1, max)", "__builtins__",
+    "min", "max + 1", "min(1, max)", "__builtins__", "abs", "n % 2", "n is n",
 ])
 def test_table_expression_whitelist_rejects(expr):
     with pytest.raises(DatasetError):
