@@ -11,8 +11,9 @@ The tower recursion follows m' (the factors staying in the class S of
 simple non-compact algebras other than so(1,n)) downward, stacking
 nilradical dimensions into a maximal nilpotent subalgebra.
 
-Everything known of one algebra family (dimension, display name,
-membership in S) is one record of `_FAMILIES`. Every `htype table` output
+Each row is evaluated through one plan, compiled once from its checked
+table expressions (`_compile`). Everything known of one algebra family
+(dimension, display name, membership in S) is one record of `_FAMILIES`. Every `htype table` output
 is built here: `dump_csv`, and the verification summary's `to_csv` and
 `to_report`.
 """
@@ -110,6 +111,18 @@ _FAMILIES.update(
     }.items())
 
 
+def _record(family: str, params: tuple[int, ...]) -> _Family:
+    """The record of a family, given its params; StructureError for an
+    unknown family or a wrong number of params."""
+    record = _FAMILIES.get(family)
+    if record is None:
+        raise StructureError(f"unknown family {family!r}")
+    if len(params) != record.arity:
+        raise StructureError(f"family {family!r} takes {record.arity} "
+                             f"params, got {tuple(params)}")
+    return record
+
+
 @dataclass(frozen=True)
 class SimpleAlgebraDescriptor:
     """A simple (or small degenerate) real Lie algebra, by family and params.
@@ -122,12 +135,7 @@ class SimpleAlgebraDescriptor:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
-        record = _FAMILIES.get(self.family)
-        if record is None:
-            raise StructureError(f"unknown family {self.family!r}")
-        if len(self.params) != record.arity:
-            raise StructureError(f"family {self.family!r} takes {record.arity} "
-                                 f"params, got {tuple(self.params)}")
+        _record(self.family, self.params)
 
     @property
     def dimension(self) -> int:
@@ -198,22 +206,72 @@ def _refused(node):
     return None
 
 
-@lru_cache(maxsize=256)
-def _compile(expr: str) -> Callable[[dict[str, int]], int]:
-    """A table expression as a function of the parameters, built once per
-    distinct string.
+class _Plan(NamedTuple):
+    """A row's table expressions as functions of its params, passed in the
+    order of `param_names`; built by `_compile`."""
 
-    Allowed: integer literals (True and False among them), names, + - * //,
-    unary - and not, single comparisons (no chains), and/or, and calls to
-    min and max. The tree is checked once, here: a node outside this list
-    raises DatasetError at the first call, on any branch, and so does a
-    name of the evaluation scope (min, max, __builtins__) anywhere but as
-    a call's function. Only a checked tree is compiled, and it is evaluated
-    by Python with the parameters as its only names, min and max its only
-    callables, and no builtins. A name that the parameters do not hold
-    raises DatasetError each time the function reaches it. A failure is
-    not cached, so a rejected expression raises on every call.
+    valid: Callable[..., object]
+    g_params: Callable[..., tuple[int, ...]]  # alone, for the grid's size probe
+    # (g params, each m factor's params, nil params, sigma orbits, minimal_when)
+    values: Callable[..., tuple]
+
+
+@lru_cache(maxsize=256)
+def _compile(source: str | TableRow):
+    """A table expression as a function of the parameters, or a row's
+    evaluation plan: each built once per distinct string or row.
+
+    Allowed in an expression: integer literals (True and False among them),
+    names, + - * //, unary - and not, single comparisons (no chains),
+    and/or, and calls to min and max. The tree is checked once, here: a
+    node outside this list raises DatasetError at the first call, on any
+    branch, and so does a name of the evaluation scope (min, max,
+    __builtins__) anywhere but as a call's function. Only a checked tree is
+    compiled, and it is evaluated by Python with the parameters as its only
+    names, min and max its only callables, and no builtins. A name that the
+    parameters do not hold raises DatasetError each time the function
+    reaches it. A failure is not cached, so a rejected expression raises on
+    every call. The checked tree is kept on the function as `tree`.
+
+    A row's plan (`_Plan`) puts the checked trees of its expressions, in
+    the row's order (validity, g, the m factors, the nilradical, sigma,
+    minimal_when), into three functions of the positional params, each one
+    compiled lambda that returns its values as nested tuples. Building the
+    plan checks every expression of the row. A missing name raises the
+    refusal of the first expression, in that order, that reads one.
     """
+    if isinstance(source, TableRow):
+        row = source
+        args = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in row.param_names],
+                             kwonlyargs=[], kw_defaults=[], defaults=[])
+
+        def function(shape):
+            exprs = []
+
+            def node(part):
+                if isinstance(part, str):
+                    exprs.append(part)
+                    return _compile(part).tree
+                return ast.Tuple([node(p) for p in part], ast.Load())
+
+            tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, node(shape))))
+            fn = eval(compile(tree, "<table row>", "eval"), _SCOPE)
+
+            def run(*params):
+                try:
+                    return fn(*params)
+                except NameError:
+                    env = dict(zip(row.param_names, params))
+                    for expr in exprs:
+                        _compile(expr)(env)
+                    raise
+            return run
+
+        return _Plan(function(row.validity), function(row.g_params),
+                     function((row.g_params, tuple(ps for _, ps in row.m_factors),
+                               row.nil_params, row.sigma, row.minimal_when)))
+
+    expr = source
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError:
@@ -231,6 +289,7 @@ def _compile(expr: str) -> Callable[[dict[str, int]], int]:
             return eval(code, _SCOPE, env)
         except NameError as exc:
             raise refusal(exc.name) from None
+    evaluate.tree = tree.body
     return evaluate
 
 
@@ -244,8 +303,11 @@ def compute_checksum(rows_json: list) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+@cache
 def load_table() -> tuple[str, list]:
-    """Raw dataset (version, rows-json); DatasetError on checksum mismatch."""
+    """Raw dataset (version, rows-json); DatasetError on checksum mismatch.
+    Read and checked once per process: every caller, `table_rows` among
+    them, shares the one parsed list, so a caller copies before changing it."""
     text = resources.files("htype.data").joinpath("parabolic_table.json").read_text()
     doc = json.loads(text)
     actual = compute_checksum(doc["rows"])
@@ -353,24 +415,24 @@ class InstantiatedRow:
         return self.g.name
 
 
-def _descriptor(family: str, exprs: tuple[str, ...],
-                env: dict[str, int]) -> SimpleAlgebraDescriptor:
-    return SimpleAlgebraDescriptor(family, tuple(_eval(e, env) for e in exprs))
-
-
-def instantiate(row: TableRow, params: Iterable[int] = ()) -> InstantiatedRow:
+def _values(row: TableRow, params: Iterable[int]) -> tuple[tuple[int, ...], tuple]:
+    """(params, the row plan's values there); ValueError for a wrong number
+    of params or a choice outside the row's validity."""
     params = tuple(params)
     if len(params) != len(row.param_names):
         raise ValueError(f"{row.name} expects params {row.param_names}, got {params}")
-    env = dict(zip(row.param_names, params))
-    if not _eval(row.validity, env):
+    plan = _compile(row)
+    if not plan.valid(*params):
         raise ValueError(f"params {params} out of range for {row.name} ({row.validity})")
-    g = _descriptor(row.g_family, row.g_params, env)
-    m_desc = tuple(_descriptor(f, exprs, env) for f, exprs in row.m_factors)
-    nil_params = tuple(_eval(e, env) for e in row.nil_params)
+    return params, plan.values(*params)
+
+
+def instantiate(row: TableRow, params: Iterable[int] = ()) -> InstantiatedRow:
+    params, (g_params, m_params, nil_params, sigma, minimal) = _values(row, params)
+    g = SimpleAlgebraDescriptor(row.g_family, g_params)
+    m_desc = tuple(SimpleAlgebraDescriptor(f, ps)
+                   for (f, _), ps in zip(row.m_factors, m_params))
     dim_v, dim_z = nilradical_dims(row.nil_series, row.nil_algebra, nil_params)
-    sigma = tuple(tuple(f"alpha_{_eval(e, env)}" for e in orbit)
-                  for orbit in row.sigma)
     return InstantiatedRow(
         row=row,
         params=params,
@@ -383,9 +445,9 @@ def instantiate(row: TableRow, params: Iterable[int] = ()) -> InstantiatedRow:
         dim_v=dim_v,
         dim_z=dim_z,
         dim_n=dim_v + dim_z,
-        sigma=sigma,
+        sigma=tuple(tuple(f"alpha_{e}" for e in orbit) for orbit in sigma),
         maximal=row.maximal,
-        minimal=bool(_eval(row.minimal_when, env)),
+        minimal=bool(minimal),
     )
 
 
@@ -406,17 +468,26 @@ class RowReport:
         return self.identity_ok and self.sigma_ok
 
 
-def verify_row(row: TableRow, params: Iterable[int] = ()) -> RowReport:
-    inst = instantiate(row, params)
-    dim_g = inst.g.dimension
-    identity_ok = dim_g == inst.dim_m + inst.dim_a + 2 * inst.dim_n
-    sigma_ok = len(inst.sigma) == inst.dim_a
+def _report(row: TableRow, params: tuple[int, ...], dim_g: int, dim_m: int,
+            dim_n: int, sigma_orbits: int) -> RowReport:
     return RowReport(
-        name=row.name, params=inst.params,
-        dim_g=dim_g, dim_m=inst.dim_m, dim_a=inst.dim_a, dim_n=inst.dim_n,
-        sigma_orbits=len(inst.sigma),
-        identity_ok=identity_ok, sigma_ok=sigma_ok,
+        name=row.name, params=params,
+        dim_g=dim_g, dim_m=dim_m, dim_a=row.dim_a, dim_n=dim_n,
+        sigma_orbits=sigma_orbits,
+        identity_ok=dim_g == dim_m + row.dim_a + 2 * dim_n,
+        sigma_ok=sigma_orbits == row.dim_a,
     )
+
+
+def verify_row(row: TableRow, params: Iterable[int] = ()) -> RowReport:
+    """The row's dimension identity and sigma count at params, read straight
+    off its plan's values and family records."""
+    params, (g_params, m_params, nil_params, sigma, _) = _values(row, params)
+    dim_g = _record(row.g_family, g_params).dimension(*g_params)
+    dim_m = sum(_record(f, ps).dimension(*ps)
+                for (f, _), ps in zip(row.m_factors, m_params)) + row.m_abelian
+    dim_v, dim_z = nilradical_dims(row.nil_series, row.nil_algebra, nil_params)
+    return _report(row, params, dim_g, dim_m, dim_v + dim_z, len(sigma))
 
 
 # The largest max_dim a grid walk accepts: default_grid(10_000) has 9,047
@@ -439,14 +510,14 @@ def _grid(max_dim: int) -> Iterator[tuple[TableRow, tuple[int, ...]]]:
     for row in table_rows():
         if row.exceptional:
             continue
+        plan = _compile(row)
         for s in itertools.count(2):
             choices = ([(s,)] if len(row.param_names) == 1
                        else [(p, s - p) for p in range(1, s // 2 + 1)])
-            probe = dict(zip(row.param_names, choices[0]))
-            if _descriptor(row.g_family, row.g_params, probe).dimension > max_dim:
+            probe = plan.g_params(*choices[0])
+            if _record(row.g_family, probe).dimension(*probe) > max_dim:
                 break
-            yield from ((row, ps) for ps in choices
-                        if _eval(row.validity, dict(zip(row.param_names, ps))))
+            yield from ((row, ps) for ps in choices if plan.valid(*ps))
 
 
 @dataclass(frozen=True)
@@ -543,11 +614,10 @@ def tower(desc: SimpleAlgebraDescriptor) -> TowerReport:
     level = 0
     current: SimpleAlgebraDescriptor | None = desc
     while current is not None:
-        row, params = _row_for(current.family), current.params
-        report = verify_row(row, params)
-        if not report.passed:
+        inst = instantiate(_row_for(current.family), current.params)
+        if not _report(inst.row, inst.params, inst.g.dimension, inst.dim_m, inst.dim_n,
+                       len(inst.sigma)).passed:
             raise StructureError(f"tower step {current.name} fails verification")
-        inst = instantiate(row, params)
         in_s = [f for f in inst.m_descriptors if f.in_S]
         dropped = tuple((f.name, f.dimension)
                         for f in inst.m_descriptors if not f.in_S)

@@ -182,7 +182,9 @@ def cmd_prolong(args) -> int:
 def cmd_table(args) -> int:
     from . import catalog
 
-    version, raw_rows = catalog.load_table()  # checksum-verified; DatasetError on corruption
+    # checksum-verified; DatasetError on corruption. The parse is cached, so
+    # the rows that verify_all reads through table_rows() are the same read.
+    version, raw_rows = catalog.load_table()
     if args.dump:
         if args.format == "csv":
             _emit(catalog.dump_csv(raw_rows), args.out)

@@ -17,13 +17,16 @@ These dimensions d(m) = 2, 4, 4, 8, 8, 8, 8, 16 are minimal, witnessed
 by the commutant of the generated matrix algebra staying <= 4-dimensional
 (an irreducible module over R, C or H). Every generator is a signed
 permutation matrix, so the commutant dimension is read off the characters
-of the Clifford group {+-J_I}, with no linear system.
+of the Clifford group {+-J_I}, with no linear system. The generators are
+built and certified as sparse integer rows, one signed unit per row; the
+record's dense Fraction matrices and the builders' entries are read off
+those rows.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import division as da
@@ -35,6 +38,7 @@ __all__ = ["CliffordGenerators", "clifford_generators", "build_htype_from_cliffo
            "REP_DIMS"]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Rows = list[dict[int, int]]  # an integer matrix as sparse rows {column: value}
 
 REP_DIMS = {1: 2, 2: 4, 3: 4, 4: 8, 5: 8, 6: 8, 7: 8, 8: 16}
 
@@ -45,47 +49,43 @@ class CliffordGenerators:
     rep_dim: int
     generators: tuple[Matrix, ...]
     commutant_dim: int
+    # (column, sign) of the one signed unit in each row of each generator:
+    # what the builders read
+    units: tuple[tuple[tuple[int, int], ...], ...] = field(default=(), repr=False,
+                                                            compare=False)
 
 
-def _left_mult_matrix(algebra: DivisionAlgebra, index: int) -> list[list[Fraction]]:
-    """The matrix of x -> e_index x: column j holds e_index e_j = sign e_k."""
-    d = algebra.dimension
-    zero = Fraction(0)
-    mat = [[zero] * d for _ in range(d)]
-    for j in range(d):
+def _left_mult(algebra: DivisionAlgebra, index: int) -> Rows:
+    """The rows of x -> e_index x: e_index e_j = sign e_k is sign at row k,
+    column j, one signed unit per row."""
+    rows = [{} for _ in range(algebra.dimension)]
+    for j in range(algebra.dimension):
         k, sign = da.unit_product(algebra, index, j)
-        mat[k][j] = Fraction(sign)
-    return mat
+        rows[k][j] = sign
+    return rows
 
 
-def _doubled(algebra: DivisionAlgebra) -> list[list[list[Fraction]]]:
+def _doubled(algebra: DivisionAlgebra) -> list[Rows]:
     """J_u(x, y) = (-u y, conj(u) x) over the full basis of the algebra."""
     d = algebra.dimension
-    zero = Fraction(0)
     out = []
     for idx in range(d):
-        lu = _left_mult_matrix(algebra, idx)
-        # conj(e_0) = e_0, conj(e_i) = -e_i
-        lconj = lu if idx == 0 else [[-x for x in row] for row in lu]
-        mat = [[zero] * (2 * d) for _ in range(2 * d)]
-        for i in range(d):
-            for j in range(d):
-                mat[i][d + j] = -lu[i][j]
-                mat[d + i][j] = lconj[i][j]
-        out.append(mat)
+        lu = _left_mult(algebra, idx)
+        conj = 1 if idx == 0 else -1  # conj(e_0) = e_0, conj(e_i) = -e_i
+        out.append([{d + j: -x for j, x in row.items()} for row in lu]
+                   + [{j: conj * x for j, x in row.items()} for row in lu])
     return out
 
 
-def _generator_matrices(m: int) -> list[list[list[Fraction]]]:
+def _generator_rows(m: int) -> list[Rows]:
     if m == 1:
-        o, l = Fraction(1), Fraction(0)
-        return [[[l, -o], [o, l]]]
+        return [[{1: -1}, {0: 1}]]
     if m in (2, 3):
-        return [_left_mult_matrix(DivisionAlgebra.H, i + 1) for i in range(m)]
+        return [_left_mult(DivisionAlgebra.H, i + 1) for i in range(m)]
     if m == 4:
         return _doubled(DivisionAlgebra.H)
     if m in (5, 6, 7):
-        return [_left_mult_matrix(DivisionAlgebra.O, i + 1) for i in range(m)]
+        return [_left_mult(DivisionAlgebra.O, i + 1) for i in range(m)]
     if m == 8:
         return _doubled(DivisionAlgebra.O)
     raise ValueError("m must be between 1 and 8")
@@ -130,29 +130,32 @@ def _commutant_dimension(K: list[list[dict[int, int]]]) -> int:
     return dim
 
 
+# the entries of the dense generators, shared by every record
+_UNITS = {-1: Fraction(-1), 0: Fraction(0), 1: Fraction(1)}
+
+
 def clifford_generators(m: int) -> CliffordGenerators:
     if not 1 <= m <= 8:
         raise ValueError("m must be between 1 and 8")
-    mats = _generator_matrices(m)
-    d = len(mats[0])
+    K = _generator_rows(m)
+    d = len(K[0])
     # verify skewness and anticommutation exactly, on integers, before returning
-    if any(x.denominator != 1 for j in mats for row in j for x in row):
-        raise StructureError("generator entries are not integers")  # pragma: no cover
-    K = [[{c: int(x) for c, x in enumerate(row) if x} for row in j] for j in mats]
     if any(J[c].get(r, 0) != -x for J in K for r, row in enumerate(J) for c, x in row.items()):
         raise StructureError("a generator is not skew")
     failing = _clifford_failures(K, 1)
     if failing:
         a, b = failing[0]
         raise StructureError(f"anticommutation fails for ({a},{b})")
-    com = _commutant_dimension(K)
+    com = _commutant_dimension(K)  # StructureError unless every row is one signed unit
     if com > 4:
         raise StructureError(  # pragma: no cover
             f"commutant dimension {com} > 4: representation not minimal")
     return CliffordGenerators(
         m=m, rep_dim=d,
-        generators=tuple(tuple(tuple(row) for row in j) for j in mats),
+        generators=tuple(tuple(tuple(_UNITS[row.get(c, 0)] for c in range(d)) for row in J)
+                         for J in K),
         commutant_dim=com,
+        units=tuple(tuple(next(iter(row.items())) for row in J) for J in K),
     )
 
 
@@ -169,10 +172,10 @@ def build_htype_from_clifford(m: int, k: int) -> GradedNilpotent:
     gens = _shared_generators(m)
     d = gens.rep_dim
     # <z_l, [v_i, v_j]> = <J_l v_i, v_j> = J_l[j][i]; J_l is skew, so
-    # each pair a < b of a copy is written once
-    entries = ((off + a, off + b, l, j[b][a])
-               for l, j in enumerate(gens.generators) for off in range(0, k * d, d)
-               for a in range(d) for b in range(a + 1, d) if j[b][a])
+    # each pair a < b of a copy is written once, from the unit of row b
+    entries = ((off + a, off + b, l, x)
+               for l, J in enumerate(gens.units) for off in range(0, k * d, d)
+               for b, (a, x) in enumerate(J) if a < b)
     return _algebra(f"clifford({m},{k})", "clifford", None, {"m": m, "k": k}, k * d, m,
                     entries,
                     f"v: {k} copies of the {d}-dim Clifford module; z: R^{m} standard basis")

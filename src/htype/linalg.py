@@ -74,6 +74,7 @@ __all__ = [
     "check_budget",
     "integerize_row",
     "det_exact",
+    "det_integer",
 ]
 
 
@@ -425,22 +426,30 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], ncols: int,
 
 
 def det_exact(mat: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square rational matrix, on the kernel `_rref_modp`.
-
-    The rows of D*M (D the lcm of the denominators) are fed in their given
-    order. Every step of the elimination adds multiples of rows, except the
-    normalization of row k by its lead entry, and the full-rank RREF is the
-    permutation matrix of sigma (row k -> its pivot column), so
-    det(D*M) = sgn(sigma) * prod(lead_k) mod p; a row that clears to 0 gives
-    residue 0. The residues are folded by CRT over `_primes` until the
-    modulus passes 2H, H the Hadamard bound, and read in the symmetric range.
-    """
+    """Determinant of a square rational matrix: det(D*M) / D^n by
+    `det_integer`, D the lcm of the denominators."""
     n = len(mat)
     fracs = [[Fraction(x) for x in row] for row in mat]
     d = math.lcm(*(x.denominator for row in fracs for x in row))
     rows = [{j: x.numerator * (d // x.denominator) for j, x in enumerate(row) if x}
             for row in fracs]
-    # |det(D*M)| <= sqrt(prod of the squared row norms) < bound
+    return Fraction(det_integer(rows), d**n)
+
+
+def det_integer(rows: Sequence[Mapping[int, int]]) -> int:
+    """Determinant of a square integer matrix given as sparse rows
+    {column: value}, on the kernel `_rref_modp`.
+
+    The rows are fed in their given order. Every step of the elimination
+    adds multiples of rows, except the normalization of row k by its lead
+    entry, and the full-rank RREF is the permutation matrix of sigma (row
+    k -> its pivot column), so det = sgn(sigma) * prod(lead_k) mod p; a row
+    that clears to 0 gives residue 0. The residues are folded by CRT over
+    `_primes` until the modulus passes 2H, H the Hadamard bound, and read
+    in the symmetric range.
+    """
+    n = len(rows)
+    # |det| <= sqrt(prod of the squared row norms) < bound
     bound = math.isqrt(math.prod(sum(v * v for v in row.values()) for row in rows)) + 1
     det, modulus = 0, 1
     for p in _primes():
@@ -458,4 +467,4 @@ def det_exact(mat: Sequence[Sequence[Fraction]]) -> Fraction:
             break
     if det > modulus // 2:
         det -= modulus
-    return Fraction(det, d**n)
+    return det

@@ -330,6 +330,17 @@ def _clifford_failures(K: Sequence[Sequence[dict[int, int]]],
     return failing
 
 
+def _integer_jmaps(alg: GradedNilpotent) -> tuple[int, list[list[dict[int, int]]]]:
+    """(D, K): D the common denominator of the structure tensor and
+    K_k = D J_k the integer J-maps, as sparse rows {column: value}:
+    (K_k)_{ab} = D c[b][a][k]."""
+    D = math.lcm(*(x.denominator for *_, x in alg.nonzeros))
+    K = [[{} for _ in range(alg.dim_v)] for _ in range(alg.dim_z)]
+    for b, a, k, x in alg.nonzeros:
+        K[k][a][b] = x.numerator * (D // x.denominator)
+    return D, K
+
+
 def is_type_h(alg: GradedNilpotent) -> TypeHResult:
     """J_a J_b + J_b J_a = -2 delta_ab I on all pairs of z-basis vectors.
 
@@ -341,12 +352,7 @@ def is_type_h(alg: GradedNilpotent) -> TypeHResult:
     """
     if alg.dim_z == 0:
         return TypeHResult(True, True, (), "vacuous: dim z = 0, no J-maps exist")
-    n, m = alg.dim_v, alg.dim_z
-    D = math.lcm(*(x.denominator for *_, x in alg.nonzeros))
-    # K[k][a][b] = D (J_k)_{ab} = D c[b][a][k]
-    K = [[{} for _ in range(n)] for _ in range(m)]
-    for b, a, k, x in alg.nonzeros:
-        K[k][a][b] = x.numerator * (D // x.denominator)
+    D, K = _integer_jmaps(alg)
     failing = _clifford_failures(K, D)
     if failing:
         return TypeHResult(False, False, tuple(failing),
@@ -425,14 +431,17 @@ def is_nonsingular(alg: GradedNilpotent) -> NonsingularResult:
             return NonsingularResult(True, False, f"det J = {det} != 0")
         return NonsingularResult(False, False, "det J = 0: singular direction exists")
     if alg.dim_z == 2:
-        j1, j2 = jmap(alg, [1, 0]).matrix, jmap(alg, [0, 1]).matrix
-        if det_exact(j2) == 0:
+        # K_k = D J_k in integers: det(K_1 + t K_2) = D^dim v det(J_1 + t J_2)
+        # has the same roots and, after integerize_row, the same polynomial
+        _, (k1, k2) = _integer_jmaps(alg)
+        if linalg.det_integer(k2) == 0:
             return NonsingularResult(False, False, "det J_2 = 0")
-        # det(J_1 + t J_2) has degree dim v and leading coefficient
-        # det J_2 != 0, so its values at t = 0..dim v fix it.
-        values = [det_exact([[x + t * y for x, y in zip(r1, r2)]
-                             for r1, r2 in zip(j1, j2)])
-                  for t in range(alg.dim_v + 1)]
+        # det(K_1 + t K_2) has degree dim v and leading coefficient
+        # det K_2 != 0, so its values at t = 0..dim v fix it.
+        def pencil(t):
+            return [{c: x for c in r1.keys() | r2.keys()
+                     if (x := r1.get(c, 0) + t * r2.get(c, 0))} for r1, r2 in zip(k1, k2)]
+        values = [Fraction(linalg.det_integer(pencil(t))) for t in range(alg.dim_v + 1)]
         n_real = _count_real_roots(integerize_row(_interpolate(values)))
         if n_real == 0:
             return NonsingularResult(

@@ -479,3 +479,95 @@ def test_descriptor_reads_its_family_record(family, params, name, dim, in_s, let
 def test_descriptor_refuses_unknown_family_or_arity(family, params):
     with pytest.raises(StructureError):
         D(family, params)
+
+
+# --- the row plan against per-expression evaluation --------------------------
+
+def _reference_instantiate(row, params=()):
+    """instantiate as it was before row plans: each expression evaluated
+    on its own, in the row's order, through `_eval`."""
+    params = tuple(params)
+    if len(params) != len(row.param_names):
+        raise ValueError(f"{row.name} expects params {row.param_names}, got {params}")
+    env = dict(zip(row.param_names, params))
+    if not _eval(row.validity, env):
+        raise ValueError(f"params {params} out of range for {row.name} ({row.validity})")
+    g = D(row.g_family, tuple(_eval(e, env) for e in row.g_params))
+    m_desc = tuple(D(f, tuple(_eval(e, env) for e in exprs)) for f, exprs in row.m_factors)
+    nil_params = tuple(_eval(e, env) for e in row.nil_params)
+    dim_v, dim_z = nilradical_dims(row.nil_series, row.nil_algebra, nil_params)
+    sigma = tuple(tuple(f"alpha_{_eval(e, env)}" for e in orbit) for orbit in row.sigma)
+    return catalog.InstantiatedRow(
+        row=row, params=params, g=g, m_descriptors=m_desc, m_abelian=row.m_abelian,
+        dim_m=sum(f.dimension for f in m_desc) + row.m_abelian, dim_a=row.dim_a,
+        nil_params=nil_params, dim_v=dim_v, dim_z=dim_z, dim_n=dim_v + dim_z,
+        sigma=sigma, maximal=row.maximal, minimal=bool(_eval(row.minimal_when, env)))
+
+
+def _reference_verify_row(row, params=()):
+    inst = _reference_instantiate(row, params)
+    dim_g = inst.g.dimension
+    return catalog.RowReport(
+        name=row.name, params=inst.params, dim_g=dim_g, dim_m=inst.dim_m,
+        dim_a=inst.dim_a, dim_n=inst.dim_n, sigma_orbits=len(inst.sigma),
+        identity_ok=dim_g == inst.dim_m + inst.dim_a + 2 * inst.dim_n,
+        sigma_ok=len(inst.sigma) == inst.dim_a)
+
+
+def test_row_plans_match_per_expression_evaluation():
+    points = [(row, ()) for row in table_rows() if row.exceptional]
+    points += list(default_grid(MAX_GRID_DIM))
+    assert len(points) == 17 + 9047
+    for row, ps in points:
+        assert instantiate(row, ps) == _reference_instantiate(row, ps), (row.name, ps)
+        assert verify_row(row, ps) == _reference_verify_row(row, ps), (row.name, ps)
+    assert verify_all().reports == tuple(
+        _reference_verify_row(row, ps) for row, ps
+        in [(r, ()) for r in table_rows() if r.exceptional] + list(default_grid()))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type and message are the result
+        return type(exc), str(exc)
+
+
+# one fault per row; each raises before any plan existed
+MALFORMED = [
+    ("sl(n,R)", {"validity": "n ** 2 >= 3"}, (4,)),  # refused validity expression
+    ("su(p,q)", {"g_params": ("p", "q.real")}, (2, 3)),  # refused g parameter
+    ("so(p,q)", {"sigma": (("2", "p / 2"),)}, (3, 4)),  # refused sigma entry
+    ("sp(p,q)", {"nil_params": ("p-1", "r")}, (1, 2)),  # missing name
+    ("sl(n,C)", {"minimal_when": "m == 3"}, (3,)),  # missing name, last expression
+    # out-of-range params, the row's g naming a missing name: validity comes first
+    ("sl(n,R)", {"g_params": ("x",)}, (2,)),
+    ("so(p,q)", {}, (1, 5)),  # out-of-range params
+    ("sp(p,q)", {}, (1, 1, 1)),  # wrong number of params
+    ("su*(2n)", {"m_factors": (("su", ("2", "0")), ("xx", ("n-2",)))}, (4,)),  # unknown m family
+    ("su*(2n)", {"m_factors": (("su", ("2",)),)}, (4,)),  # wrong arity of an m factor
+    ("sl(n,R)", {"g_family": "su"}, (4,)),  # wrong arity of g
+    ("EI", {"nil_algebra": "X"}, ()),  # unknown division algebra
+]
+
+
+@pytest.mark.parametrize("name, fields, params", MALFORMED)
+def test_malformed_rows_raise_as_before(name, fields, params):
+    row = dataclasses.replace(row_by_name(name), **fields)
+    for fn, ref in ((instantiate, _reference_instantiate),
+                    (verify_row, _reference_verify_row)):
+        _compile.cache_clear()
+        want = _outcome(ref, row, params)
+        assert want[0] != "ok"
+        _compile.cache_clear()
+        assert _outcome(fn, row, params) == want
+        assert _outcome(fn, row, params) == want  # and again, from the cached plan
+
+
+def test_tower_checks_each_step_once(monkeypatch):
+    # each step is one plan evaluation: instantiate, with no verify_row
+    seen = []
+    real = catalog._values
+    monkeypatch.setattr(catalog, "_values", lambda row, ps: seen.append(row.name) or real(row, ps))
+    assert tower(D("EVIII", ())).total_nilradical_dim == 57 + 33 + 17 + 9
+    assert seen == ["EVIII", "EV", "so(p,q)", "so(p,q)"]

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from htype import clifford
+from htype import clifford, division
 from htype.clifford import REP_DIMS, build_htype_from_clifford, clifford_generators
 from htype.division import DivisionAlgebra as DA
 from htype.errors import StructureError
 from htype.linalg import nullspace
-from htype.nilpotent import (_clifford_failures, build_hn, check_symplectic_isomorphic, dims,
-                             is_type_h)
+from htype.nilpotent import (_algebra, _clifford_failures, build_hn,
+                             check_symplectic_isomorphic, dims, is_type_h)
 
 # commutant of the minimal module follows the R/C/H periodicity
 COMMUTANT_DIMS = {1: 2, 2: 4, 3: 4, 4: 4, 5: 2, 6: 1, 7: 1, 8: 1}
@@ -44,18 +44,18 @@ def test_generator_relations_rechecked():
     (True, "anticommutation fails for (0,1)"),  # a skew pair flipped: first failing pair
 ])
 def test_corrupted_generator_is_refused(monkeypatch, both, message):
-    real = clifford._generator_matrices
+    real = clifford._generator_rows
 
     def corrupted(m):
-        mats = real(m)
-        j = mats[1]
-        r, c = next((r, c) for r in range(len(j)) for c in range(len(j)) if j[r][c])
+        rows = real(m)
+        j = rows[1]
+        r, c = next((r, c) for r in range(len(j)) for c in sorted(j[r]) if j[r][c])
         j[r][c] = -j[r][c]
         if both:
             j[c][r] = -j[c][r]
-        return mats
+        return rows
 
-    monkeypatch.setattr(clifford, "_generator_matrices", corrupted)
+    monkeypatch.setattr(clifford, "_generator_rows", corrupted)
     with pytest.raises(StructureError, match=re.escape(message)):
         clifford_generators(3)
 
@@ -134,8 +134,7 @@ def _reference_commutant_dimension(K):
 
 
 def _int_stack(m):
-    return [[{c: int(x) for c, x in enumerate(row) if x} for row in j]
-            for j in clifford._generator_matrices(m)]
+    return clifford._generator_rows(m)
 
 
 def _direct_sum(K, signs):
@@ -173,3 +172,55 @@ def test_commutant_refuses_what_is_not_a_clifford_group():
     # a 3-cycle satisfies no Clifford relation: (9 + 0) / 2 is no dimension
     with pytest.raises(StructureError, match="character sum 9 is not a multiple of 2"):
         clifford._commutant_dimension([[{1: 1}, {2: 1}, {0: 1}]])
+
+
+def _reference_generator_matrices(m):
+    """The generators as dense Fraction matrices, built as before the
+    signed-unit rows: one matrix per left multiplication, negated entry by
+    entry for the doubled algebras."""
+    def left(algebra, index):
+        d = algebra.dimension
+        mat = [[Fraction(0)] * d for _ in range(d)]
+        for j in range(d):
+            k, sign = division.unit_product(algebra, index, j)
+            mat[k][j] = Fraction(sign)
+        return mat
+
+    def doubled(algebra):
+        d = algebra.dimension
+        out = []
+        for idx in range(d):
+            lu = left(algebra, idx)
+            lconj = lu if idx == 0 else [[-x for x in row] for row in lu]
+            mat = [[Fraction(0)] * (2 * d) for _ in range(2 * d)]
+            for i in range(d):
+                for j in range(d):
+                    mat[i][d + j] = -lu[i][j]
+                    mat[d + i][j] = lconj[i][j]
+            out.append(mat)
+        return out
+
+    if m == 1:
+        return [[[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]]
+    if m in (2, 3):
+        return [left(DA.H, i + 1) for i in range(m)]
+    if m == 4:
+        return doubled(DA.H)
+    if m in (5, 6, 7):
+        return [left(DA.O, i + 1) for i in range(m)]
+    return doubled(DA.O)
+
+
+@pytest.mark.parametrize("m", sorted(REP_DIMS))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_builds_match_the_dense_fraction_construction(m, k):
+    mats = _reference_generator_matrices(m)
+    d = len(mats[0])
+    entries = ((off + a, off + b, l, j[b][a])
+               for l, j in enumerate(mats) for off in range(0, k * d, d)
+               for a in range(d) for b in range(a + 1, d) if j[b][a])
+    want = _algebra(f"clifford({m},{k})", "clifford", None, {"m": m, "k": k}, k * d, m,
+                    entries, "reference")
+    got = build_htype_from_clifford(m, k)
+    assert (got.name, got.structure, got.nonzeros) == (want.name, want.structure, want.nonzeros)
+    assert clifford_generators(m).generators == tuple(tuple(map(tuple, j)) for j in mats)

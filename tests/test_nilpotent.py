@@ -844,3 +844,36 @@ def test_witness_transport_check_fires(monkeypatch):
 def test_symplectic_witness_needs_line_center():
     with pytest.raises(CenterDimensionError):
         check_symplectic_isomorphic(build_hn(DA.C, 1), build_hn(DA.C, 1))
+
+
+# rational J-maps: the integer pencil is scaled by D^dim v, D > 1 here
+_F = Fraction
+RATIONAL_PENCILS = [
+    # a tilted quaternionic pair: no real root
+    (make_custom("q", 4, 2, [(0, 1, 0, _F(1, 2)), (2, 3, 0, _F(1, 2)), (0, 2, 1, _F(2, 3)),
+                             (3, 1, 1, _F(2, 3)), (0, 3, 1, _F(1, 5)), (1, 2, 0, _F(1, 5))]),
+     True, "pencil det(J_1 + t J_2) has no real roots and det J_2 != 0"),
+    # (1/2 + t)^2 (1 + 2t)^2: one root, repeated; D = 2 on J_1 alone
+    # would give two
+    (make_custom("one", 4, 2, [(0, 1, 0, _F(1, 2)), (0, 1, 1, 1), (2, 3, 0, 1), (2, 3, 1, 2)]),
+     False, "pencil determinant has 1 real root(s)"),
+    # (1/2 + t/3)^2 (1 - 3t/5)^2: roots -3/2 and 5/3
+    (make_custom("two", 4, 2, [(0, 1, 0, _F(1, 2)), (0, 1, 1, _F(1, 3)), (2, 3, 0, 1),
+                               (2, 3, 1, _F(-3, 5))]),
+     False, "pencil determinant has 2 real root(s)"),
+    # J_2 has rank 2
+    (make_custom("flat", 4, 2, [(0, 1, 0, _F(1, 3)), (2, 3, 0, _F(1, 2)), (0, 2, 1, _F(5, 7))]),
+     False, "det J_2 = 0"),
+    # dim z = 1: the determinant is printed as the Fraction it is
+    (make_custom("line", 4, 1, [(0, 1, 0, _F(7, 3)), (2, 3, 0, -2)]),
+     True, "det J = 196/9 != 0"),
+]
+
+
+@pytest.mark.parametrize("alg, verdict, certificate", RATIONAL_PENCILS,
+                         ids=[a.name for a, *_ in RATIONAL_PENCILS])
+def test_rational_pencils(alg, verdict, certificate):
+    assert not is_type_h(alg).holds
+    res = is_nonsingular(alg)
+    assert (res.verdict, res.certificate, res.degenerate) == (verdict, certificate, False)
+    assert (res.verdict, res.certificate) == _sympy_nonsingular(alg)
