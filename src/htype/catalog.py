@@ -231,45 +231,50 @@ def _compile(source: str | TableRow):
     names, min and max its only callables, and no builtins. A name that the
     parameters do not hold raises DatasetError each time the function
     reaches it. A failure is not cached, so a rejected expression raises on
-    every call. The checked tree is kept on the function as `tree`.
+    every call. The checked tree is kept on the function as `tree`, and the
+    function compiles it at each call: only `_eval` and the refusal of a
+    missing name call it, while a row's plan compiles its trees once.
 
     A row's plan (`_Plan`) puts the checked trees of its expressions, in
     the row's order (validity, g, the m factors, the nilradical, sigma,
-    minimal_when), into three functions of the positional params, each one
-    compiled lambda that returns its values as nested tuples. Building the
-    plan checks every expression of the row. A missing name raises the
-    refusal of the first expression, in that order, that reads one.
+    minimal_when), into three lambdas of the positional params, compiled
+    together, each returning its values nested as the row nests them.
+    Building the plan checks every expression of the row. A missing name
+    raises the refusal of the first expression, in that order, that reads
+    one.
     """
     if isinstance(source, TableRow):
         row = source
-        args = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in row.param_names],
+        at = {"lineno": 1, "col_offset": 0}  # for the new nodes; parsed trees keep theirs
+        args = ast.arguments(posonlyargs=[], args=[ast.arg(p, **at) for p in row.param_names],
                              kwonlyargs=[], kw_defaults=[], defaults=[])
 
-        def function(shape):
-            exprs = []
+        def node(shape):
+            if isinstance(shape, str):
+                return _compile(shape).tree
+            return ast.Tuple([node(part) for part in shape], ast.Load(), **at)
 
-            def node(part):
-                if isinstance(part, str):
-                    exprs.append(part)
-                    return _compile(part).tree
-                return ast.Tuple([node(p) for p in part], ast.Load())
+        def flat(shape):
+            return [shape] if isinstance(shape, str) else [e for part in shape for e in flat(part)]
 
-            tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, node(shape))))
-            fn = eval(compile(tree, "<table row>", "eval"), _SCOPE)
-
+        def named(fn, shape):
             def run(*params):
                 try:
                     return fn(*params)
                 except NameError:
                     env = dict(zip(row.param_names, params))
-                    for expr in exprs:
+                    for expr in flat(shape):
                         _compile(expr)(env)
                     raise
             return run
 
-        return _Plan(function(row.validity), function(row.g_params),
-                     function((row.g_params, tuple(ps for _, ps in row.m_factors),
-                               row.nil_params, row.sigma, row.minimal_when)))
+        shapes = (row.validity, row.g_params,
+                  (row.g_params, tuple(ps for _, ps in row.m_factors), row.nil_params,
+                   row.sigma, row.minimal_when))
+        lambdas = [ast.Lambda(args, node(shape), **at) for shape in shapes]
+        fns = eval(compile(ast.Expression(ast.Tuple(lambdas, ast.Load(), **at)),
+                           "<table row>", "eval"), _SCOPE)
+        return _Plan(*map(named, fns, shapes))
 
     expr = source
     try:
@@ -282,11 +287,10 @@ def _compile(source: str | TableRow):
 
     if (bad := _refused(tree.body)) is not None:
         raise refusal(ast.unparse(bad))
-    code = compile(tree, "<table expression>", "eval")
 
     def evaluate(env: dict[str, int]) -> int:
         try:
-            return eval(code, _SCOPE, env)
+            return eval(compile(tree, "<table expression>", "eval"), _SCOPE, env)
         except NameError as exc:
             raise refusal(exc.name) from None
     evaluate.tree = tree.body
