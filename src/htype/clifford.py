@@ -131,7 +131,7 @@ def _commutant_dimension(K: list[list[dict[int, int]]]) -> int:
 
 
 # the entries of the dense generators, shared by every record
-_UNITS = {-1: Fraction(-1), 0: Fraction(0), 1: Fraction(1)}
+_ZERO, _UNITS = Fraction(0), {-1: Fraction(-1), 1: Fraction(1)}
 
 
 def clifford_generators(m: int) -> CliffordGenerators:
@@ -150,12 +150,13 @@ def clifford_generators(m: int) -> CliffordGenerators:
     if com > 4:
         raise StructureError(  # pragma: no cover
             f"commutant dimension {com} > 4: representation not minimal")
+    units = tuple(tuple(next(iter(row.items())) for row in J) for J in K)
     return CliffordGenerators(
         m=m, rep_dim=d,
-        generators=tuple(tuple(tuple(_UNITS[row.get(c, 0)] for c in range(d)) for row in J)
-                         for J in K),
+        generators=tuple(tuple((_ZERO,) * c + (_UNITS[x],) + (_ZERO,) * (d - 1 - c)
+                               for c, x in J) for J in units),
         commutant_dim=com,
-        units=tuple(tuple(next(iter(row.items())) for row in J) for J in K),
+        units=units,
     )
 
 
