@@ -51,8 +51,7 @@ class CliffordGenerators:
     commutant_dim: int
     # (column, sign) of the one signed unit in each row of each generator:
     # what the builders read
-    units: tuple[tuple[tuple[int, int], ...], ...] = field(default=(), repr=False,
-                                                            compare=False)
+    units: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, compare=False)
 
 
 def _left_mult(algebra: DivisionAlgebra, index: int) -> Rows:
