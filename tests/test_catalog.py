@@ -529,7 +529,7 @@ def test_row_plans_match_per_expression_evaluation():
 def _outcome(fn, *args):
     try:
         return "ok", fn(*args)
-    except Exception as exc:  # noqa: BLE001 - the type and message are the result
+    except Exception as exc:  # the type and message are the result
         return type(exc), str(exc)
 
 
