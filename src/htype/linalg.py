@@ -326,17 +326,20 @@ def _reconstruct(image: list[dict[int, int]], modulus: int, pivots: list[int],
     vectors (D, D v) of `NullspaceResult.vectors`: candidate v has 1 at free
     column f and -rref[r][f] at each pivot pivots[r]. Each entry is lifted
     to its pair (numerator, denominator), and D v is built from the pairs
-    in ints, with no Fraction."""
+    in ints, with no Fraction. A residue is lifted once per call: the
+    off-pivot entries repeat few distinct values."""
     pivot_set = set(pivots)
     entries: dict[int, list[tuple[int, int, int]]] = {
         f: [] for f in range(ncols) if f not in pivot_set}
+    lifted: dict[int, tuple[int, int] | None] = {}
     for row, pc in zip(image, pivots):
         for f, a in row.items():
             if f != pc:
-                val = _rat_reconstruct(-a, modulus)
-                if val is None:
+                if a not in lifted:
+                    lifted[a] = _rat_reconstruct(-a, modulus)
+                if lifted[a] is None:
                     return None
-                entries[f].append((pc, *val))
+                entries[f].append((pc, *lifted[a]))
     vectors = []
     for f, vals in entries.items():
         d = math.lcm(*(den for _, _, den in vals))

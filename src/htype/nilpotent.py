@@ -1,8 +1,9 @@
 """2-step graded metric nilpotent Lie algebras n = v (+) z.
 
-An algebra is a dense rational structure tensor c with [v_i, v_j] =
-sum_k c[i][j][k] z_k; the metric is the coordinate inner product on both
-layers. The two division-algebra series are
+An algebra is its rational structure constants, stored as the sorted
+nonzeros (i, j, k, c[i][j][k]) with [v_i, v_j] = sum_k c[i][j][k] z_k; the
+metric is the coordinate inner product on both layers. The two
+division-algebra series are
 
     h_n(A)      = (A^n (+) A^n) (+) A,        [x+y, x^+y^] = sum x_i y^_i - x^_i y_i
     h'_{p,q}(A) = (A^p (+) A^q) (+) Im(A),    [.,.] = -Im(sum x_j conj(x^_j)
@@ -15,13 +16,13 @@ from the pairs a < b of each slot only: there b >= 1, so conj(e_b) = -e_b.
 J-maps are defined by <J_Z X, Y> = <Z, [X, Y]>.
 
 Every constructor, here and in `clifford`, emits (i, j, k, x) entries into
-the one builder `_algebra`, which writes x at c[i][j][k] and -x at
-c[j][i][k]. Only `serialization.from_json_dict` fills a tensor itself, as
-given, so that its antisymmetry is checked rather than made. Every reader
-outside this module, and every certificate here, reads the one sparse view
-`GradedNilpotent.nonzeros`, made once per algebra; only `bracket` and the
-direct-substitution reference `symmetry.verify_graded_derivation` index
-the dense tensor.
+the one builder `_algebra`, which writes x at (i, j, k) and -x at
+(j, i, k). Only `serialization.from_json_dict` writes entries as given, so
+that their antisymmetry is checked, in `GradedNilpotent.__post_init__`,
+rather than made. `bracket` and every certificate read
+`GradedNilpotent.nonzeros`; the dense tensor `GradedNilpotent.structure`
+is built from them at its first read, and only `bracket_basis` and the
+direct-substitution reference `symmetry.verify_graded_derivation` read it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import linalg
 from .errors import CenterDimensionError, StructureError
-from .linalg import det_exact, integerize_row
+from .linalg import integerize_row
 
 if TYPE_CHECKING:  # annotations only: loading an algebra needs neither
     import random
@@ -65,40 +66,41 @@ Structure = tuple[tuple[tuple[Fraction, ...], ...], ...]
 
 @dataclass(frozen=True)
 class GradedNilpotent:
+    """The algebra with [v_i, v_j] = sum x z_k over its `nonzeros`
+    (i, j, k, x): every nonzero constant, both antisymmetric partners, in
+    ascending (i, j, k) order, so that equal algebras have equal fields."""
     name: str
     family: str  # "hn" | "hprime" | "clifford" | "custom"
     algebra_tag: str | None
     params: dict
     dim_v: int
     dim_z: int
-    structure: Structure  # c[i][j][k]
+    nonzeros: tuple[tuple[int, int, int, Fraction], ...]
     basis_convention: str
     abelian: bool = False
 
     def __post_init__(self):
-        c = self.structure
-        if len(c) != self.dim_v or any(len(ci) != self.dim_v for ci in c):
-            raise StructureError("structure tensor v-dimensions inconsistent")
-        for ci in c:
-            for cij in ci:
-                if len(cij) != self.dim_z:
-                    raise StructureError("structure tensor z-dimension inconsistent")
-        # a pair of zeros is antisymmetric: only nonzeros compare; the least
-        # bad pair, written with i >= j, is reported
-        bad = [(max(i, j), min(i, j), k) for i, j, k, x in self.nonzeros
-               if c[j][i][k] != -x]
+        n, m = range(self.dim_v), range(self.dim_z)
+        keys = [(i, j, k) for i, j, k, x in self.nonzeros if x and i in n and j in n and k in m]
+        if len(keys) < len(self.nonzeros) or any(a >= b for a, b in zip(keys, keys[1:])):
+            raise StructureError("structure entries must be nonzero, in range and in "
+                                 "(i, j, k) order")
+        # partners compare as (numerator, denominator) pairs; the least bad
+        # pair, written with i >= j, is reported
+        pairs = {(i, j, k): (x.numerator, x.denominator) for i, j, k, x in self.nonzeros}
+        bad = [(max(i, j), min(i, j), k) for (i, j, k), (p, q) in pairs.items()
+               if pairs.get((j, i, k)) != (-p, q)]
         if bad:
             raise StructureError("antisymmetry violated at (%d,%d,%d)" % min(bad))
 
     @cached_property
-    def nonzeros(self) -> tuple[tuple[int, int, int, Fraction], ...]:
-        """(i, j, k, c[i][j][k]) for every nonzero entry, in (i, j, k) order:
-        the sparse view of the tensor, computed once per algebra. A built
-        tensor's zero cells are all the one `_ZERO`, passed by identity; a
-        tensor filled by hand may hold other zeros, which fail `if x`."""
-        return tuple((i, j, k, x) for i, ci in enumerate(self.structure)
-                     for j, cij in enumerate(ci) for k, x in enumerate(cij)
-                     if x is not _ZERO and x)
+    def structure(self) -> Structure:
+        """The dense tensor c[i][j][k], allocated by `_zeros` at the first
+        read and kept: every zero cell is the one `_ZERO`."""
+        c = _zeros(self.dim_v, self.dim_z)
+        for i, j, k, x in self.nonzeros:
+            c[i][j][k] = x
+        return _freeze(c)
 
     @property
     def dim_total(self) -> int:
@@ -144,14 +146,20 @@ class NonsingularResult:
 _ZERO = Fraction(0)  # every zero cell of a tensor from `_zeros`
 
 
-def _zeros(dim_v: int, dim_z: int) -> list[list[list[Fraction]]]:
-    """The zero structure tensor, every cell the one `_ZERO`: `_algebra`
-    and the JSON loader allocate here. BudgetExceeded when it would take
-    more slots than the budget (DIVH_BUDGET overrides), before anything is
-    allocated. Each of the dim_v^2 cells is a list even when dim_z = 0, so
-    a cell counts as at least one slot: dim_v^2 * max(dim_z, 1)."""
+def _check_tensor_budget(dim_v: int, dim_z: int) -> None:
+    """BudgetExceeded when the dense tensor would take more slots than the
+    budget (DIVH_BUDGET overrides). Each of the dim_v^2 cells is a list
+    even when dim_z = 0, so a cell counts as at least one slot:
+    dim_v^2 * max(dim_z, 1). Every build and load is charged this before
+    its first entry is read, though only the `structure` view allocates."""
     linalg.check_budget(dim_v * dim_v, max(dim_z, 1), linalg.default_budget(),
                         "structure tensor")
+
+
+def _zeros(dim_v: int, dim_z: int) -> list[list[list[Fraction]]]:
+    """The zero dense tensor for `GradedNilpotent.structure`, every cell
+    the one `_ZERO`, charged to the budget before anything is allocated."""
+    _check_tensor_budget(dim_v, dim_z)
     return [[[_ZERO] * dim_z for _ in range(dim_v)] for _ in range(dim_v)]
 
 
@@ -165,14 +173,14 @@ def _algebra(name: str, family: str, tag: str | None, params: dict,
     """The algebra with [v_i, v_j] = x z_k and [v_j, v_i] = -x z_k summed
     over its (i, j, k, x) entries: every builder's one writer.
 
-    The tensor is allocated, and the budget checked, before the first
-    entry is drawn, so `entries` may be a lazy generator. The entries are
-    summed per pair i < j and z-index k, an entry with i > j as -x and one
-    with i = j not at all (it would cancel itself); only a key that repeats
-    is added to. Each nonzero sum is written once as a Fraction at c[i][j][k]
-    and its negative at c[j][i][k]; a sum of 0 leaves both cells `_ZERO`.
+    The budget is checked before the first entry is drawn, so `entries` may
+    be a lazy generator. The entries are summed per pair i < j and z-index
+    k, an entry with i > j as -x and one with i = j not at all (it would
+    cancel itself); only a key that repeats is added to. Each nonzero sum
+    gives the entries (i, j, k, x) and (j, i, k, -x), x a Fraction; a sum
+    of 0 gives none. No dense tensor is allocated.
     """
-    c = _zeros(dim_v, dim_z)
+    _check_tensor_budget(dim_v, dim_z)
     sums: dict[tuple[int, int, int], Fraction | int] = {}
     for i, j, k, x in entries:
         if i > j:
@@ -181,13 +189,13 @@ def _algebra(name: str, family: str, tag: str | None, params: dict,
             continue
         key = (i, j, k)
         sums[key] = sums[key] + x if key in sums else x
+    nonzeros = []
     for (i, j, k), x in sums.items():
         if x:
-            if type(x) is Fraction:
-                c[i][j][k], c[j][i][k] = x, -x
-            else:
-                c[i][j][k], c[j][i][k] = Fraction(x), Fraction(-x)
-    return GradedNilpotent(name, family, tag, params, dim_v, dim_z, _freeze(c),
+            x = x if type(x) is Fraction else Fraction(x)
+            nonzeros += (i, j, k, x), (j, i, k, -x)
+    nonzeros.sort()  # the keys are distinct: no two values are compared
+    return GradedNilpotent(name, family, tag, params, dim_v, dim_z, tuple(nonzeros),
                            convention, abelian)
 
 
@@ -275,18 +283,8 @@ def bracket(alg: GradedNilpotent, u: NilpotentElement, w: NilpotentElement) -> N
     if len(u.v_part) != alg.dim_v or len(w.v_part) != alg.dim_v:
         raise StructureError("element dimension mismatch")
     z = [Fraction(0)] * alg.dim_z
-    c = alg.structure
-    for i, ui in enumerate(u.v_part):
-        if ui == 0:
-            continue
-        for j, wj in enumerate(w.v_part):
-            if wj == 0:
-                continue
-            cij = c[i][j]
-            s = ui * wj
-            for k in range(alg.dim_z):
-                if cij[k]:
-                    z[k] += s * cij[k]
+    for i, j, k, x in alg.nonzeros:
+        z[k] += u.v_part[i] * w.v_part[j] * x
     return NilpotentElement((Fraction(0),) * alg.dim_v, tuple(z))
 
 
@@ -425,22 +423,23 @@ def is_nonsingular(alg: GradedNilpotent) -> NonsingularResult:
                                  "type H implies non-singular: J_Z X != 0 for Z, X != 0")
     # ad_X surjective for all X != 0  <=>  J_Z nonsingular for all Z != 0
     # (failure of surjectivity pairs with a Z annihilating the image).
+    # K_k = D J_k in integers: det K_1 = D^dim v det J_1, and det(K_1 + t K_2)
+    # = D^dim v det(J_1 + t J_2) has the same roots and, after integerize_row,
+    # the same polynomial
+    D, K = _integer_jmaps(alg)
     if alg.dim_z == 1:
-        det = det_exact(jmap(alg, [1]).matrix)
+        det = Fraction(linalg.det_integer(K[0]), D**alg.dim_v)
         if det != 0:
             return NonsingularResult(True, False, f"det J = {det} != 0")
         return NonsingularResult(False, False, "det J = 0: singular direction exists")
     if alg.dim_z == 2:
-        # K_k = D J_k in integers: det(K_1 + t K_2) = D^dim v det(J_1 + t J_2)
-        # has the same roots and, after integerize_row, the same polynomial
-        _, (k1, k2) = _integer_jmaps(alg)
-        if linalg.det_integer(k2) == 0:
+        if linalg.det_integer(K[1]) == 0:
             return NonsingularResult(False, False, "det J_2 = 0")
         # det(K_1 + t K_2) has degree dim v and leading coefficient
         # det K_2 != 0, so its values at t = 0..dim v fix it.
         def pencil(t):
             return [{c: x for c in r1.keys() | r2.keys()
-                     if (x := r1.get(c, 0) + t * r2.get(c, 0))} for r1, r2 in zip(k1, k2)]
+                     if (x := r1.get(c, 0) + t * r2.get(c, 0))} for r1, r2 in zip(*K)]
         values = [Fraction(linalg.det_integer(pencil(t))) for t in range(alg.dim_v + 1)]
         n_real = _count_real_roots(integerize_row(_interpolate(values)))
         if n_real == 0:

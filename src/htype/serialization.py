@@ -36,28 +36,35 @@ def to_json_dict(alg: GradedNilpotent) -> dict:
 
 
 def from_json_dict(data: dict) -> GradedNilpotent:
+    """The algebra of a JSON document. dim_v and dim_z must be integers (a
+    bool is not) and `abelian`, when given, a bool. The budget is charged
+    before the first entry is read; a later entry at the same (i, j, k)
+    replaces an earlier one, zeros are dropped, and
+    GradedNilpotent.__post_init__ checks the antisymmetry of the rest."""
     # Deferred: `htype table` never needs it (and it loads no numpy).
-    from .nilpotent import GradedNilpotent, _check_indices, _freeze, _zeros
+    from .nilpotent import GradedNilpotent, _check_indices, _check_tensor_budget
 
     try:
-        dim_v = int(data["dim_v"])
-        dim_z = int(data["dim_z"])
-        triples = data["structure"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+        dim_v, dim_z, triples = data["dim_v"], data["dim_z"], data["structure"]
+    except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed algebra JSON: {exc}") from None
+    for key, kind in (("dim_v", int), ("dim_z", int), ("abelian", bool)):
+        if type(value := data.get(key, False)) is not kind:
+            raise StructureError(f"malformed algebra JSON: {key} must be {kind.__name__}, "
+                                 f"not {value!r}")
     if dim_v < 0 or dim_z < 0:
         raise StructureError("negative dimension")
     if not isinstance(triples, list):
         raise StructureError("malformed algebra JSON: structure is not a list")
-    c = _zeros(dim_v, dim_z)  # BudgetExceeded before an oversized tensor
+    _check_tensor_budget(dim_v, dim_z)
+    cells = {}
     for entry in triples:
         _check_indices(entry, dim_v, dim_z)
         i, j, k, val = entry
         try:
-            c[i][j][k] = Fraction(val)
+            cells[i, j, k] = Fraction(val)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise StructureError(f"unparsable structure value in {entry!r}: {exc}") from None
-    # GradedNilpotent.__post_init__ re-validates antisymmetry.
     return GradedNilpotent(
         name=data.get("name", "unnamed"),
         family=data.get("family", "custom"),
@@ -65,9 +72,9 @@ def from_json_dict(data: dict) -> GradedNilpotent:
         params=data.get("params", {}),
         dim_v=dim_v,
         dim_z=dim_z,
-        structure=_freeze(c),
+        nonzeros=tuple(sorted((*key, x) for key, x in cells.items() if x)),
         basis_convention=data.get("basis_convention", "unspecified"),
-        abelian=bool(data.get("abelian", False)),
+        abelian=data.get("abelian", False),
     )
 
 

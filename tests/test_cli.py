@@ -176,6 +176,17 @@ def test_check_malformed_structure_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and "integers" in err
 
 
+@pytest.mark.parametrize("doc", ['{"dim_v":2.5,"dim_z":1,"structure":[]}',
+                                 '{"dim_v":2,"dim_z":true,"structure":[]}',
+                                 '{"dim_v":2,"dim_z":1,"structure":[],"abelian":"no"}'])
+def test_check_mistyped_header_is_usage_error(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    code, _, err = run(capsys, "check", "--in", str(bad), "--tests", "typeh")
+    assert code == 2
+    assert err.startswith("error: malformed algebra JSON: ")
+
+
 def test_check_oversized_structure_is_budget_refusal(tmp_path, capsys):
     huge = tmp_path / "huge.json"
     huge.write_text('{"dim_v":1000000,"dim_z":1000000,"structure":[]}')

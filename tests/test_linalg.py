@@ -917,12 +917,12 @@ def test_mixed_rows_give_the_reference_basis():
 def test_callers_bind_the_one_solver():
     # the benchmark tracer replaces `nullspace` in the modules that call it,
     # by name: a second solver bound there would escape the trace, and
-    # `nilpotent` may bind no elimination routine beside `det_exact`;
-    # `clifford` solves no system (its commutant is a character sum)
+    # `nilpotent` binds no elimination routine (its determinants go through
+    # `linalg.det_integer` by attribute); `clifford` solves no system (its
+    # commutant is a character sum)
     assert symmetry.nullspace is linalg.nullspace
     public = {linalg.nullspace, linalg.check_budget, linalg.default_budget}
-    allowed = {symmetry: public, clifford: set(),
-               nilpotent: {linalg.det_exact, linalg.integerize_row}}
+    allowed = {symmetry: public, clifford: set(), nilpotent: {linalg.integerize_row}}
     for mod, names in allowed.items():
         bound = {v for v in vars(mod).values()
                  if callable(v) and getattr(v, "__module__", None) == linalg.__name__}

@@ -13,11 +13,12 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from htype import clifford, division, nilpotent, serialization
+from htype import clifford, division, nilpotent, serialization, symmetry
 from htype.clifford import build_htype_from_clifford, clifford_generators
 from htype.division import DivisionAlgebra as DA
 from htype.errors import BudgetExceeded, CenterDimensionError, StructureError
-from htype.linalg import DEFAULT_BUDGET
+from htype import linalg
+from htype.linalg import DEFAULT_BUDGET, det_exact
 from htype.nilpotent import (
     GradedNilpotent,
     bracket,
@@ -89,30 +90,39 @@ def test_constructor_errors():
 
 
 def test_post_init_rejects_bad_tensors():
-    f0, f1 = Fraction(0), Fraction(1)
+    f1 = Fraction(1)
+
+    def alg(dim_v, dim_z, *entries):
+        return GradedNilpotent("bad", "custom", None, {}, dim_v, dim_z, entries, "test")
+
     with pytest.raises(StructureError, match="antisymmetry"):
-        GradedNilpotent("bad", "custom", None, {}, 2, 1,
-                        (((f0,), (f1,)), ((f1,), (f0,))), "test")
+        alg(2, 1, (0, 1, 0, f1), (1, 0, 0, f1))
     # a pair with one zero entry still compares: a one-sided entry, and a
     # nonzero diagonal entry
     with pytest.raises(StructureError, match=r"antisymmetry violated at \(1,0,0\)"):
-        GradedNilpotent("bad", "custom", None, {}, 2, 1,
-                        (((f0,), (f1,)), ((f0,), (f0,))), "test")
+        alg(2, 1, (0, 1, 0, f1))
     with pytest.raises(StructureError, match=r"antisymmetry violated at \(0,0,0\)"):
-        GradedNilpotent("bad", "custom", None, {}, 2, 1,
-                        (((f1,), (f0,)), ((f0,), (f0,))), "test")
+        alg(2, 1, (0, 0, 0, f1))
     # bad pairs at (2,1,0), both entries 1, and at (3,0,0), only c[0][3][0]
     # set: the first nonzero is (0,3,0), but the least pair with i >= j is named
-    c = [[[f0] for _ in range(4)] for _ in range(4)]
-    c[0][3][0] = c[2][1][0] = c[1][2][0] = f1
     with pytest.raises(StructureError, match=r"^antisymmetry violated at \(2,1,0\)$"):
-        GradedNilpotent("bad", "custom", None, {}, 4, 1, nilpotent._freeze(c), "test")
-    with pytest.raises(StructureError, match="z-dimension"):
-        GradedNilpotent("bad", "custom", None, {}, 1, 2,
-                        (((f0,),),), "test")
-    with pytest.raises(StructureError, match="v-dimension"):
-        GradedNilpotent("bad", "custom", None, {}, 2, 1,
-                        (((f0,), (f0,)),), "test")
+        alg(4, 1, (0, 3, 0, f1), (1, 2, 0, f1), (2, 1, 0, f1))
+    # partners compare by value
+    alg(2, 1, (0, 1, 0, Fraction(2, 3)), (1, 0, 0, Fraction(-2, 3)))
+    with pytest.raises(StructureError, match=r"antisymmetry violated at \(1,0,0\)"):
+        alg(2, 1, (0, 1, 0, Fraction(2, 3)), (1, 0, 0, Fraction(-1, 3)))
+    # an index past dim z or dim v, or negative
+    for entries in [((0, 0, 2, f1),), ((0, 2, 0, f1), (2, 0, 0, -f1)),
+                    ((-1, 0, 0, f1), (0, -1, 0, -f1))]:
+        with pytest.raises(StructureError, match="nonzero, in range and in"):
+            alg(2, 2, *entries)
+    # entries out of order, repeated, or zero
+    for entries in [((1, 0, 0, -f1), (0, 1, 0, f1)),
+                    ((0, 1, 0, f1), (0, 1, 0, f1), (1, 0, 0, -f1)),
+                    ((0, 1, 0, Fraction(0)), (1, 0, 0, Fraction(0)))]:
+        with pytest.raises(StructureError, match=r"^structure entries must be nonzero, in range "
+                                                 r"and in \(i, j, k\) order$"):
+            alg(2, 1, *entries)
 
 
 def test_make_custom_antisymmetrizes():
@@ -226,14 +236,15 @@ def test_nonzeros_is_the_dense_scan():
                                (1, 0, 0, 3), (2, 0, 1, Fraction(1, 2)))
 
 
-def test_nonzeros_is_computed_once_and_stays_out_of_the_fields():
+def test_structure_is_built_once_and_stays_out_of_the_fields():
     alg = build_hn(DA.C, 1)
-    assert alg.nonzeros is alg.nonzeros
-    assert "nonzeros" not in repr(alg)
+    assert alg.structure is alg.structure
+    assert "structure" not in repr(alg)
     assert alg == dataclasses.replace(alg)  # eq reads the fields alone
-    doubled = tuple(tuple(tuple(2 * x for x in cij) for cij in ci) for ci in alg.structure)
-    other = dataclasses.replace(alg, structure=doubled)
-    assert other.nonzeros == tuple((i, j, k, 2 * x) for i, j, k, x in alg.nonzeros)
+    doubled = tuple((i, j, k, 2 * x) for i, j, k, x in alg.nonzeros)
+    other = dataclasses.replace(alg, nonzeros=doubled)
+    assert other.structure == tuple(tuple(tuple(2 * x for x in cij) for cij in ci)
+                                    for ci in alg.structure)
     assert other.nonzeros == _dense_nonzeros(other)
 
 
@@ -255,21 +266,64 @@ def test_builders_write_one_fraction_per_nonzero():
 
 
 def test_hand_built_zeros_are_read_by_value():
-    # cells that are zero but not the builders' shared zero: a tensor written
-    # by hand, and a dataclasses.replace copy of a built one
-    zero = Fraction(0)
-    c = [[[Fraction(0) for _ in range(2)] for _ in range(3)] for _ in range(3)]
-    c[0][1][0], c[1][0][0] = Fraction(2), Fraction(-2)
-    c[1][2][1], c[2][1][1] = Fraction(-1, 3), Fraction(1, 3)
-    hand = GradedNilpotent("hand", "custom", None, {}, 3, 2, nilpotent._freeze(c), "custom")
-    assert hand.nonzeros == _dense_nonzeros(hand) == (
-        (0, 1, 0, 2), (1, 0, 0, -2), (1, 2, 1, Fraction(-1, 3)), (2, 1, 1, Fraction(1, 3)))
+    # entries written by hand, and a dataclasses.replace copy of a built
+    # algebra: the dense view holds the shared zero in every other cell, and
+    # a zero written by hand is read by value and refused
+    entries = ((0, 1, 0, Fraction(2)), (1, 0, 0, Fraction(-2)),
+               (1, 2, 1, Fraction(-1, 3)), (2, 1, 1, Fraction(1, 3)))
+    hand = GradedNilpotent("hand", "custom", None, {}, 3, 2, entries, "custom")
+    assert hand.nonzeros == _dense_nonzeros(hand) == entries
+    cells = [x for ci in hand.structure for cij in ci for x in cij]
+    assert sum(x is nilpotent._ZERO for x in cells) == len(cells) - len(entries)
+    with pytest.raises(StructureError, match="nonzero"):
+        GradedNilpotent("hand", "custom", None, {}, 3, 2,
+                        ((0, 2, 0, Fraction(0)),) + entries[1:], "custom")
     alg = build_hprime(DA.H, 1, 1)
-    fresh = tuple(tuple(tuple(x if x else Fraction(0) for x in cij) for cij in ci)
-                  for ci in alg.structure)
-    copy = dataclasses.replace(alg, structure=fresh)
-    assert not any(x is nilpotent._ZERO for ci in fresh for cij in ci for x in cij)
+    copy = dataclasses.replace(alg, nonzeros=tuple(alg.nonzeros))
     assert copy.nonzeros == _dense_nonzeros(copy) == alg.nonzeros
+    assert copy.structure == alg.structure and copy.structure is not alg.structure
+
+
+def test_builds_loads_and_certificates_allocate_no_dense_tensor(monkeypatch):
+    def refused(*args):
+        raise AssertionError("dense structure tensor allocated")
+
+    charged = []
+    check_budget = linalg.check_budget
+
+    def recorded(nrows, ncols, budget, context=""):
+        if context == "structure tensor":
+            charged.append((nrows, ncols))
+        return check_budget(nrows, ncols, budget, context)
+
+    monkeypatch.setattr(nilpotent, "_zeros", refused)
+    monkeypatch.setattr(linalg, "check_budget", recorded)
+    builds = [build_hn(DA.H, 1), build_hprime(DA.O, 1, 0), build_hprime(DA.R, 2, 1),
+              make_custom("pair", 4, 1, [(0, 1, 0, 1), (2, 3, 0, Fraction(1, 2))]),
+              random_two_step(4, 2, random.Random(3)), build_htype_from_clifford(3, 1)]
+    loads = [serialization.from_json_dict(serialization.to_json_dict(a)) for a in builds]
+    assert loads == builds
+    assert charged == 2 * [(a.dim_v ** 2, max(a.dim_z, 1)) for a in builds]
+    for alg in builds:
+        is_type_h(alg)
+        is_nonsingular(alg)
+        symmetry.graded_derivations(alg)
+        symmetry.tanaka_prolong(alg, max_degree=2, budget=10**8)
+    assert check_symplectic_isomorphic(builds[3], builds[3])[0]
+
+    monkeypatch.undo()
+    allocated = []
+    zeros = nilpotent._zeros
+
+    def counted(dim_v, dim_z):
+        allocated.append((dim_v, dim_z))
+        return zeros(dim_v, dim_z)
+
+    monkeypatch.setattr(nilpotent, "_zeros", counted)
+    alg = builds[0]
+    first = alg.structure
+    assert alg.structure is first and allocated == [(8, 4)]
+    assert first[0][4] == (1, 0, 0, 0)
 
 
 def _element_tensor(algebra, series, params):
@@ -867,6 +921,12 @@ RATIONAL_PENCILS = [
     # dim z = 1: the determinant is printed as the Fraction it is
     (make_custom("line", 4, 1, [(0, 1, 0, _F(7, 3)), (2, 3, 0, -2)]),
      True, "det J = 196/9 != 0"),
+    # Pfaffian (1/2)(-5/3) + (1/4) 0 = -5/6, with D = 12
+    (make_custom("mixed", 4, 1, [(0, 1, 0, _F(1, 2)), (2, 3, 0, _F(-5, 3)), (0, 3, 0, _F(1, 4))]),
+     True, "det J = 25/36 != 0"),
+    # a skew form of rank 2 on dim v = 4
+    (make_custom("rank2", 4, 1, [(0, 1, 0, _F(7, 3)), (1, 2, 0, _F(1, 2))]),
+     False, "det J = 0: singular direction exists"),
 ]
 
 
@@ -877,3 +937,6 @@ def test_rational_pencils(alg, verdict, certificate):
     res = is_nonsingular(alg)
     assert (res.verdict, res.certificate, res.degenerate) == (verdict, certificate, False)
     assert (res.verdict, res.certificate) == _sympy_nonsingular(alg)
+    if alg.dim_z == 1:
+        det = det_exact(jmap(alg, [1]).matrix)
+        assert certificate.startswith(f"det J = {det}")

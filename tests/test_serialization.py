@@ -1,14 +1,18 @@
 """Algebra JSON round trips and input validation."""
 
 import json
+import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htype.division import DivisionAlgebra as DA
 from htype.errors import BudgetExceeded, StructureError
 from htype.linalg import DEFAULT_BUDGET
-from htype.nilpotent import build_hn, build_hprime, make_custom
+from htype.nilpotent import GradedNilpotent, _check_indices, build_hn, build_hprime, make_custom
 from htype.serialization import from_json_dict, load_algebra, save_algebra, to_json_dict
 
 
@@ -91,6 +95,94 @@ def test_bad_entry_shape_rejected():
 def test_malformed_entry_rejected(entry, match):
     with pytest.raises(StructureError, match=match):
         from_json_dict({"dim_v": 2, "dim_z": 1, "structure": [entry]})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dim_v", 2.5), ("dim_v", True), ("dim_v", "2"), ("dim_v", None),
+    ("dim_z", 1.0), ("dim_z", False), ("dim_z", [1]),
+    ("abelian", "no"), ("abelian", 0), ("abelian", None),
+])
+def test_dims_and_abelian_keep_their_json_types(key, value):
+    # int() once read 2.5 as 2, true as 1 and "2" as 2, and bool() "no" as True
+    data = {"dim_v": 2, "dim_z": 1, "structure": [], key: value}
+    with pytest.raises(StructureError, match=f"^malformed algebra JSON: {key} must be "):
+        from_json_dict(data)
+
+
+def test_abelian_flag_is_read_as_given():
+    base = {"dim_v": 2, "dim_z": 0, "structure": []}
+    assert from_json_dict({**base, "abelian": True}).abelian
+    assert not from_json_dict({**base, "abelian": False}).abelian
+
+
+def _dense_load(data):
+    """The loader when a dense tensor was the stored form, kept as the
+    reference: each entry is written into a zero tensor in turn, the last
+    write winning, and the antisymmetry of the nonzero cells is re-checked
+    on the tensor. Returns (nonzeros, tensor)."""
+    dim_v, dim_z = data["dim_v"], data["dim_z"]
+    c = [[[Fraction(0)] * dim_z for _ in range(dim_v)] for _ in range(dim_v)]
+    for entry in data["structure"]:
+        _check_indices(entry, dim_v, dim_z)
+        i, j, k, val = entry
+        c[i][j][k] = Fraction(val)
+    nonzeros = tuple((i, j, k, x) for i, ci in enumerate(c) for j, cij in enumerate(ci)
+                     for k, x in enumerate(cij) if x)
+    bad = [(max(i, j), min(i, j), k) for i, j, k, x in nonzeros if c[j][i][k] != -x]
+    if bad:
+        raise StructureError("antisymmetry violated at (%d,%d,%d)" % min(bad))
+    return nonzeros, tuple(tuple(map(tuple, ci)) for ci in c)
+
+
+def _outcome(load, data):
+    try:
+        return load(data)
+    except StructureError as exc:
+        return str(exc)
+
+
+@st.composite
+def _documents(draw):
+    """Small documents whose entries are drawn around the antisymmetric
+    ones: partners right and wrong, repeats, zeros, diagonal entries, and
+    now and then an index out of range."""
+    dim_v = draw(st.sampled_from([0, 1, 2, 2, 3, 3, 3, 3, 3]))
+    dim_z = draw(st.sampled_from([0, 1, 1, 2, 2, 2, 2]))
+
+    def index(dim, wild):
+        return draw(st.sampled_from([-1, dim]) if wild or dim == 0 else st.integers(0, dim - 1))
+
+    entries = []
+    for _ in range(draw(st.integers(0, 5))):
+        wild = draw(st.integers(0, 49)) == 0
+        i, j, k = index(dim_v, wild), index(dim_v, False), index(dim_z, False)
+        x = Fraction(draw(st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "2/4", "-3"])))
+        entries.append([i, j, k, str(x)])
+        partner = draw(st.sampled_from(12 * ["-x"] + ["x", "0", "none"]))
+        if partner != "none":
+            entries.append([j, i, k, {"-x": str(-x), "x": str(x), "0": 0}[partner]])
+    order = draw(st.permutations(range(len(entries))))
+    return {"dim_v": dim_v, "dim_z": dim_z, "structure": [entries[t] for t in order]}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents())
+def test_loader_matches_the_dense_fill(data):
+    # the same documents are accepted, with the same entries and tensor, and
+    # the same are refused, with the same message; a direct construction
+    # from the dense scan is refused as the loader refuses
+    want = _outcome(_dense_load, data)
+    got = _outcome(from_json_dict, data)
+    if isinstance(want, str):
+        assert got == want
+        if want.startswith("antisymmetry"):
+            cells = {(i, j, k): Fraction(x) for i, j, k, x in data["structure"]}
+            nonzeros = tuple(sorted((*key, x) for key, x in cells.items() if x))
+            with pytest.raises(StructureError, match=f"^{re.escape(want)}$"):
+                GradedNilpotent("direct", "custom", None, {}, data["dim_v"], data["dim_z"],
+                                nonzeros, "custom")
+    else:
+        assert (got.nonzeros, got.structure) == want
 
 
 def test_structure_must_be_a_list():

@@ -511,8 +511,8 @@ def test_prolongation_bases_pinned(tag, arithmetic):
 
 def _third(alg):
     """alg with every structure constant divided by 3: level -1 has scale 3."""
-    c = tuple(tuple(tuple(x / 3 for x in cij) for cij in ci) for ci in alg.structure)
-    return dataclasses.replace(alg, structure=c, name=f"{alg.name}/3")
+    entries = tuple((i, j, k, x / 3) for i, j, k, x in alg.nonzeros)
+    return dataclasses.replace(alg, nonzeros=entries, name=f"{alg.name}/3")
 
 
 def _h1h_third_g0():
