@@ -28,6 +28,7 @@ direct-substitution reference `symmetry.verify_graded_derivation` read it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -83,8 +84,7 @@ class GradedNilpotent:
         n, m = range(self.dim_v), range(self.dim_z)
         keys = [(i, j, k) for i, j, k, x in self.nonzeros if x and i in n and j in n and k in m]
         if len(keys) < len(self.nonzeros) or any(a >= b for a, b in zip(keys, keys[1:])):
-            raise StructureError("structure entries must be nonzero, in range and in "
-                                 "(i, j, k) order")
+            raise StructureError("structure entries must be nonzero, in range and sorted")
         # partners compare as (numerator, denominator) pairs; the least bad
         # pair, written with i >= j, is reported
         pairs = {(i, j, k): (x.numerator, x.denominator) for i, j, k, x in self.nonzeros}
@@ -152,8 +152,7 @@ def _check_tensor_budget(dim_v: int, dim_z: int) -> None:
     even when dim_z = 0, so a cell counts as at least one slot:
     dim_v^2 * max(dim_z, 1). Every build and load is charged this before
     its first entry is read, though only the `structure` view allocates."""
-    linalg.check_budget(dim_v * dim_v, max(dim_z, 1), linalg.default_budget(),
-                        "structure tensor")
+    linalg.check_budget(dim_v * dim_v, max(dim_z, 1), linalg.default_budget(), "structure tensor")
 
 
 def _zeros(dim_v: int, dim_z: int) -> list[list[list[Fraction]]]:
@@ -280,11 +279,17 @@ def random_two_step(dim_v: int, dim_z: int, rng: random.Random,
 
 
 def bracket(alg: GradedNilpotent, u: NilpotentElement, w: NilpotentElement) -> NilpotentElement:
+    """[u, w] from the entries with i in the support of u: being sorted,
+    those with a given i are the slice between (i,) and (i + 1,)."""
     if len(u.v_part) != alg.dim_v or len(w.v_part) != alg.dim_v:
         raise StructureError("element dimension mismatch")
     z = [Fraction(0)] * alg.dim_z
-    for i, j, k, x in alg.nonzeros:
-        z[k] += u.v_part[i] * w.v_part[j] * x
+    nz, wv = alg.nonzeros, w.v_part
+    for i, ui in enumerate(u.v_part):
+        if ui:
+            for _, j, k, x in nz[bisect_left(nz, (i,)):bisect_left(nz, (i + 1,))]:
+                if wv[j]:
+                    z[k] += ui * wv[j] * x
     return NilpotentElement((Fraction(0),) * alg.dim_v, tuple(z))
 
 
@@ -421,6 +426,9 @@ def is_nonsingular(alg: GradedNilpotent) -> NonsingularResult:
     if th.holds and not th.degenerate:
         return NonsingularResult(True, False,
                                  "type H implies non-singular: J_Z X != 0 for Z, X != 0")
+    if alg.dim_z > 2:
+        return NonsingularResult(None, False,
+                                 "undetermined: dim z > 2 without type H structure")
     # ad_X surjective for all X != 0  <=>  J_Z nonsingular for all Z != 0
     # (failure of surjectivity pairs with a Z annihilating the image).
     # K_k = D J_k in integers: det K_1 = D^dim v det J_1, and det(K_1 + t K_2)
@@ -432,24 +440,19 @@ def is_nonsingular(alg: GradedNilpotent) -> NonsingularResult:
         if det != 0:
             return NonsingularResult(True, False, f"det J = {det} != 0")
         return NonsingularResult(False, False, "det J = 0: singular direction exists")
-    if alg.dim_z == 2:
-        if linalg.det_integer(K[1]) == 0:
-            return NonsingularResult(False, False, "det J_2 = 0")
-        # det(K_1 + t K_2) has degree dim v and leading coefficient
-        # det K_2 != 0, so its values at t = 0..dim v fix it.
-        def pencil(t):
-            return [{c: x for c in r1.keys() | r2.keys()
-                     if (x := r1.get(c, 0) + t * r2.get(c, 0))} for r1, r2 in zip(*K)]
-        values = [Fraction(linalg.det_integer(pencil(t))) for t in range(alg.dim_v + 1)]
-        n_real = _count_real_roots(integerize_row(_interpolate(values)))
-        if n_real == 0:
-            return NonsingularResult(
-                True, False,
-                "pencil det(J_1 + t J_2) has no real roots and det J_2 != 0")
-        return NonsingularResult(False, False,
-                                 f"pencil determinant has {n_real} real root(s)")
-    return NonsingularResult(None, False,
-                             "undetermined: dim z > 2 without type H structure")
+    if linalg.det_integer(K[1]) == 0:
+        return NonsingularResult(False, False, "det J_2 = 0")
+    # det(K_1 + t K_2) has degree dim v and leading coefficient
+    # det K_2 != 0, so its values at t = 0..dim v fix it.
+    def pencil(t):
+        return [{c: x for c in r1.keys() | r2.keys()
+                 if (x := r1.get(c, 0) + t * r2.get(c, 0))} for r1, r2 in zip(*K)]
+    values = [Fraction(linalg.det_integer(pencil(t))) for t in range(alg.dim_v + 1)]
+    n_real = _count_real_roots(integerize_row(_interpolate(values)))
+    if n_real == 0:
+        return NonsingularResult(
+            True, False, "pencil det(J_1 + t J_2) has no real roots and det J_2 != 0")
+    return NonsingularResult(False, False, f"pencil determinant has {n_real} real root(s)")
 
 
 def _skew_form(alg: GradedNilpotent) -> list[dict[int, Fraction]]:
