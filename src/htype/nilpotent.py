@@ -422,8 +422,9 @@ def is_nonsingular(alg: GradedNilpotent) -> NonsingularResult:
     """Is ad_X: v -> z surjective for every nonzero X?"""
     if alg.dim_z == 0:
         return NonsingularResult(True, True, "vacuous: dim z = 0")
-    th = is_type_h(alg)
-    if th.holds and not th.degenerate:
+    # K_k = D J_k, built once for the type-H identity and the determinants
+    D, K = _integer_jmaps(alg)
+    if not _clifford_failures(K, D):
         return NonsingularResult(True, False,
                                  "type H implies non-singular: J_Z X != 0 for Z, X != 0")
     if alg.dim_z > 2:
@@ -431,10 +432,8 @@ def is_nonsingular(alg: GradedNilpotent) -> NonsingularResult:
                                  "undetermined: dim z > 2 without type H structure")
     # ad_X surjective for all X != 0  <=>  J_Z nonsingular for all Z != 0
     # (failure of surjectivity pairs with a Z annihilating the image).
-    # K_k = D J_k in integers: det K_1 = D^dim v det J_1, and det(K_1 + t K_2)
-    # = D^dim v det(J_1 + t J_2) has the same roots and, after integerize_row,
-    # the same polynomial
-    D, K = _integer_jmaps(alg)
+    # det K_1 = D^dim v det J_1, and det(K_1 + t K_2) = D^dim v det(J_1 + t J_2)
+    # has the same roots and, after integerize_row, the same polynomial
     if alg.dim_z == 1:
         det = Fraction(linalg.det_integer(K[0]), D**alg.dim_v)
         if det != 0:

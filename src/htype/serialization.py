@@ -37,10 +37,12 @@ def to_json_dict(alg: GradedNilpotent) -> dict:
 
 def from_json_dict(data: dict) -> GradedNilpotent:
     """The algebra of a JSON document. dim_v and dim_z must be integers (a
-    bool is not) and `abelian`, when given, a bool. The budget is charged
-    before the first entry is read; a later entry at the same (i, j, k)
-    replaces an earlier one, zeros are dropped, and
-    GradedNilpotent.__post_init__ checks the antisymmetry of the rest."""
+    bool is not); when given, `name`, `family` and `basis_convention` must
+    be strings, `algebra_tag` a string or null, `params` an object and
+    `abelian` a bool. The budget is charged before the first entry is read;
+    a later entry at the same (i, j, k) replaces an earlier one, zeros are
+    dropped, and GradedNilpotent.__post_init__ checks the antisymmetry of
+    the rest."""
     # Deferred: `htype table` never needs it (and it loads no numpy).
     from .nilpotent import GradedNilpotent, _check_indices, _check_tensor_budget
 
@@ -48,10 +50,16 @@ def from_json_dict(data: dict) -> GradedNilpotent:
         dim_v, dim_z, triples = data["dim_v"], data["dim_z"], data["structure"]
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed algebra JSON: {exc}") from None
-    for key, kind in (("dim_v", int), ("dim_z", int), ("abelian", bool)):
-        if type(value := data.get(key, False)) is not kind:
-            raise StructureError(f"malformed algebra JSON: {key} must be {kind.__name__}, "
-                                 f"not {value!r}")
+    fields = {}
+    for key, default, kinds, kind in (  # exact types: a bool is not an int
+            ("name", "unnamed", (str,), "str"), ("family", "custom", (str,), "str"),
+            ("algebra_tag", None, (str, type(None)), "str or null"),
+            ("params", {}, (dict,), "object"), ("dim_v", None, (int,), "int"),
+            ("dim_z", None, (int,), "int"), ("basis_convention", "unspecified", (str,), "str"),
+            ("abelian", False, (bool,), "bool")):
+        if type(value := data.get(key, default)) not in kinds:
+            raise StructureError(f"malformed algebra JSON: {key} must be {kind}, not {value!r}")
+        fields[key] = value
     if dim_v < 0 or dim_z < 0:
         raise StructureError("negative dimension")
     if not isinstance(triples, list):
@@ -65,17 +73,8 @@ def from_json_dict(data: dict) -> GradedNilpotent:
             cells[i, j, k] = Fraction(val)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise StructureError(f"unparsable structure value in {entry!r}: {exc}") from None
-    return GradedNilpotent(
-        name=data.get("name", "unnamed"),
-        family=data.get("family", "custom"),
-        algebra_tag=data.get("algebra_tag"),
-        params=data.get("params", {}),
-        dim_v=dim_v,
-        dim_z=dim_z,
-        nonzeros=tuple(sorted((*key, x) for key, x in cells.items() if x)),
-        basis_convention=data.get("basis_convention", "unspecified"),
-        abelian=data.get("abelian", False),
-    )
+    return GradedNilpotent(nonzeros=tuple(sorted((*key, x) for key, x in cells.items() if x)),
+                           **fields)
 
 
 def save_algebra(alg: GradedNilpotent, path: str | Path) -> None:

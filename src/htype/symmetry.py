@@ -11,9 +11,9 @@ E, which vanishes on [v, v] and maps into rad v = {w : [v, w] = 0}, so
 Der = Der_gr + Hom(v, z) + Hom(z / [v, v], rad v). The degree-0 system is
 solved once per algebra object: `graded_derivations`, `full_derivations`
 and degree 0 of `tanaka_prolong` share one certified result, kept by id()
-until the algebra is collected. `full_derivations` solves nothing else
-but the two small systems whose nullities are dim rad v and
-dim(z / [v, v]).
+until the algebra is collected as its level-0 record (below) and method.
+`full_derivations` solves nothing else but the two small systems whose
+nullities are dim rad v and dim(z / [v, v]).
 
 Each degree is one nullspace; iteration stops at the first zero positive
 component (transitivity kills everything above) or at max_degree. The
@@ -30,14 +30,14 @@ zero. g_-2 = z is m elements with no entries; g_-1 = v is
 (ad, no entries, D_-1), ad regrouped from `GradedNilpotent.nonzeros`;
 above, v and z hold the canonical basis of g_j, read straight off the
 verified integer vectors (d, d v) of its nullspace, split at the z block
-and scaled to D_j, the lcm of their d. A supplied g0 is read off its
-rational matrices (`_level`). The assembler regroups each record's
-entries by slot once per system; every row is a positive integer multiple
-of the rational row, so `nullspace` receives integral rows. Fraction
-vectors are built only where a caller reads them: stored bases (the
-canonical vectors, densified on output) and the derivation spaces.
-Arithmetic "float64" runs the same certified solve and reports the stored
-bases as floats.
+and scaled to D_j, the lcm of their d (`_split`, Der_gr included). A
+supplied g0 is read off its rational matrices (`_level`). The assembler
+regroups each record's entries by slot once per system; every row is a
+positive integer multiple of the rational row, so `nullspace` receives
+integral rows. No flat Fraction vector is built: the stored bases and the
+derivation spaces are made dense from the records, one matrix at a time
+(`_dense`). Arithmetic "float64" runs the same certified solve and
+reports the stored bases as floats.
 """
 
 from __future__ import annotations
@@ -111,46 +111,40 @@ class ProlongationResult:
         }
 
 
-def _unflatten(vec: Sequence, shapes: list[tuple[int, int]]):
-    """Split a flat vector into row-major matrices of the given shapes,
-    each row one slice of vec (a tuple of the same entries); entries past
-    the last shape are not read."""
-    out = []
-    pos = 0
-    for rows, cols in shapes:
-        out.append(tuple(tuple(vec[pos + r * cols:pos + (r + 1) * cols])
-                         for r in range(rows)))
-        pos += rows * cols
-    return out
+# Der_gr(n) of each algebra object as its level-0 record (v, z, D) and the
+# method that certified it, keyed by id(); each entry is dropped when its
+# algebra is collected, so the cache neither pins algebras nor outlives
+# them under a reused id.
+_DER_GR: dict[int, tuple[tuple[list, list, int], str]] = {}
 
 
-# The certified Der_gr(n) solve of each algebra object, keyed by id(); each
-# entry is dropped when its algebra is collected, so the cache neither pins
-# algebras nor outlives them under a reused id.
-_DER_GR: dict[int, NullspaceResult] = {}
-
-
-def _der_gr(alg: GradedNilpotent, context: str, levels: dict | None = None) -> NullspaceResult:
-    """The nullspace of the degree-0 system of alg, Der_gr(n), solved by
-    the first caller under its own context and then read by every caller:
-    `graded_derivations`, `full_derivations` and degree 0 of
+def _der_gr(alg: GradedNilpotent, context: str,
+            levels: dict | None = None) -> tuple[tuple[list, list, int], str]:
+    """Der_gr(n) as (level-0 record, method): the degree-0 system of alg,
+    solved by the first caller under its own context and then read by
+    every caller: `graded_derivations`, `full_derivations` and degree 0 of
     `tanaka_prolong`. levels, if given, are alg's `_negative_levels`."""
-    res = _DER_GR.get(id(alg))
-    if res is None:
+    cached = _DER_GR.get(id(alg))
+    if cached is None:
         n, m = alg.dim_v, alg.dim_z
         res = nullspace(_prolong_rows(0, levels or _negative_levels(alg)), n * n + m * m,
                         context=context)
-        _DER_GR[id(alg)] = res
+        cached = _DER_GR[id(alg)] = (_split(res, n * n), res.method)
         weakref.finalize(alg, _DER_GR.pop, id(alg), None)
-    return res
+    return cached
+
+
+def _matrices(mats: list, nrows: int, ncols: int, d: int) -> tuple:
+    """`_dense` with tuple rows, as `DerivationSpace.basis` holds them."""
+    return tuple(tuple(map(tuple, mat)) for mat in _dense(mats, nrows, ncols, d))
 
 
 def graded_derivations(alg: GradedNilpotent) -> DerivationSpace:
     """All (A, B) with B[x,y] = [Ax,y] + [x,Ay], as a certified basis."""
     n, m = alg.dim_v, alg.dim_z
-    res = _der_gr(alg, f"graded derivation system of {alg.name}")
-    basis = tuple((*_unflatten(vec, [(n, n), (m, m)]), None) for vec in res.basis)
-    return DerivationSpace(alg, True, basis, res.dimension, res.method)
+    (v, z, d), method = _der_gr(alg, f"graded derivation system of {alg.name}")
+    basis = tuple(zip(_matrices(v, n, n, d), _matrices(z, m, m, d), [None] * len(v)))
+    return DerivationSpace(alg, True, basis, len(v), method)
 
 
 def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
@@ -173,7 +167,7 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
     """
     n, m = alg.dim_v, alg.dim_z
     levels = _negative_levels(alg)
-    graded = _der_gr(alg, f"full derivation system of {alg.name}", levels)
+    (v, z, d), method = _der_gr(alg, f"full derivation system of {alg.name}", levels)
     rad_rows: dict[tuple[int, int], dict[int, int]] = {}
     span_rows: dict[tuple[int, int], dict[int, int]] = {}
     for s, entries in enumerate(levels[-1][0]):  # (k*n + t, D c(x_s, x_t)_k)
@@ -183,19 +177,16 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
             if s < t:
                 span_rows.setdefault((s, t), {})[k] = x
     quotient = nullspace(span_rows.values(), m, context=f"z / [v, v] system of {alg.name}")
-    solved = [graded, quotient]
+    solved = [quotient]
     if quotient.dimension:  # otherwise E = 0 whatever rad v is
         solved.append(nullspace(rad_rows.values(), n, context=f"rad v system of {alg.name}"))
-    offgrade = quotient.dimension and quotient.dimension * solved[2].dimension
-    zero = Fraction(0)
-    zero_a, zero_b, zero_c = _unflatten((zero,) * (n * n + m * m + m * n),
-                                        [(n, n), (m, m), (m, n)])
-    basis = [(*_unflatten(vec, [(n, n), (m, m)]), zero_c) for vec in graded.basis]
-    for slot in range(m * n):
-        cells = [zero] * (m * n)
-        cells[slot] = Fraction(1)
-        basis.append((zero_a, zero_b, _unflatten(cells, [(m, n)])[0]))
-    method = "modp" if {res.method for res in solved} == {"modp"} else "modp-crt"
+    offgrade = quotient.dimension and quotient.dimension * solved[1].dimension
+    (zero_a,), (zero_b,), (zero_c,) = (_matrices([[]], rows, cols, 1)
+                                       for rows, cols in ((n, n), (m, m), (m, n)))
+    basis = [(a, b, zero_c) for a, b in zip(_matrices(v, n, n, d), _matrices(z, m, m, d))]
+    basis += [(zero_a, zero_b, c)
+              for c in _matrices([[(slot, 1)] for slot in range(m * n)], m, n, 1)]
+    method = "modp" if {method, *(res.method for res in solved)} == {"modp"} else "modp-crt"
     return DerivationSpace(alg, False, tuple(basis), len(basis) + offgrade, method,
                            offgrade_dimension=offgrade)
 
@@ -226,6 +217,22 @@ def _level(v: list, z: list) -> tuple[list, list, int]:
     d = math.lcm(*(x.denominator for entries in chain(v, z) for _, x in entries))
     v, z = ([[(slot, x.numerator * (d // x.denominator)) for slot, x in entries]
              for entries in mats] for mats in (v, z))
+    return v, z, d
+
+
+def _split(res: NullspaceResult, p_cols: int) -> tuple[list, list, int]:
+    """The level record (v, z, D) of the canonical basis of a degree's
+    system: the nonzeros of D T are the verified integer vectors (d, d v)
+    scaled to D, the lcm of their d, so no Fraction and no zero is built;
+    column a*n + i is slot a*n + i of the map on v, column p_cols + b*m + l
+    slot b*m + l of the map on z."""
+    d = math.lcm(*(dk for dk, _ in res.vectors))
+    v, z = [], []
+    for dk, vec in res.vectors:
+        s = d // dk
+        cut = bisect_left(vec, (p_cols,))
+        v.append(vec[:cut] if s == 1 else [(c, x * s) for c, x in vec[:cut]])
+        z.append([(c - p_cols, x * s) for c, x in vec[cut:]])
     return v, z, d
 
 
@@ -447,24 +454,14 @@ def tanaka_prolong(alg: GradedNilpotent,
         n_rows = (n * (n - 1) // 2) * d_prev2 + n * m * d3 + (m * (m - 1) // 2) * d4
         label = f"degree-{K} prolongation system" if K else "degree-0 derivation system"
         check_budget(n_rows, ncols, budget, label)
-        res = (_der_gr(alg, label, levels) if K == 0
-               else nullspace(_prolong_rows(K, levels), ncols, context=label))
-        if K and not res.vectors:  # a zero g0 does not end the loop
+        if K == 0:  # a zero g0 does not end the loop
+            levels[0], _ = _der_gr(alg, label, levels)
+            continue
+        res = nullspace(_prolong_rows(K, levels), ncols, context=label)
+        if not res.vectors:
             completed = True
             break
-        # the new basis vectors are the evaluation tensors of level K: the
-        # nonzeros of D_K T_K are the verified integer vectors (d, d v)
-        # scaled to D_K, the lcm of their d, so no Fraction and no zero is
-        # built; column a*n + i is slot a*n + i of the map on v, column
-        # p_cols + b*m + l slot b*m + l of the map on z
-        d = math.lcm(*(dk for dk, _ in res.vectors))
-        v_k, z_k = [], []
-        for dk, vec in res.vectors:
-            s = d // dk
-            split = bisect_left(vec, (p_cols,))
-            v_k.append(vec[:split] if s == 1 else [(c, x * s) for c, x in vec[:split]])
-            z_k.append([(c - p_cols, x * s) for c, x in vec[split:]])
-        levels[K] = (v_k, z_k, d)
+        levels[K] = _split(res, p_cols)
 
     positive = [levels[K] for K in sorted(levels) if K > 0]
     bases = None

@@ -178,7 +178,9 @@ def test_check_malformed_structure_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc", ['{"dim_v":2.5,"dim_z":1,"structure":[]}',
                                  '{"dim_v":2,"dim_z":true,"structure":[]}',
-                                 '{"dim_v":2,"dim_z":1,"structure":[],"abelian":"no"}'])
+                                 '{"dim_v":2,"dim_z":1,"structure":[],"abelian":"no"}',
+                                 '{"dim_v":2,"dim_z":1,"structure":[],"name":7}',
+                                 '{"dim_v":2,"dim_z":1,"structure":[],"params":5}'])
 def test_check_mistyped_header_is_usage_error(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(doc)
@@ -777,3 +779,15 @@ def test_only_nilpotent_reads_the_dense_structure_tensor():
                  if isinstance(node, ast.Attribute) and node.attr == "structure"
                  and isinstance(node.ctx, ast.Load) and id(node) not in exempt]
         assert lines == [], f"{path.name}: .structure read on lines {lines}"
+
+
+def test_symmetry_reads_no_dense_nullspace_basis():
+    # every level, Der_gr included, is read off NullspaceResult.vectors and
+    # densified by symmetry._dense; the Fraction vectors of
+    # NullspaceResult.basis are built for callers outside the package only
+    path = Path(htype.__file__).resolve().parent / "symmetry.py"
+    tree = ast.parse(path.read_text())
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "basis"
+             and isinstance(node.ctx, ast.Load)]
+    assert lines == [], f"symmetry.py: .basis read on lines {lines}"

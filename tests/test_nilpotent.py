@@ -558,6 +558,23 @@ def test_nonsingular_pencil_branch():
     assert is_nonsingular(flat).verdict is False
 
 
+def test_nonsingular_builds_the_integer_jmaps_once(monkeypatch):
+    # the type-H check and the pencil determinants read the same J-maps
+    alg = make_custom("pencil", 4, 2, [(0, 1, 0, 1), (2, 3, 0, 1), (0, 2, 1, 2), (3, 1, 1, 2)])
+    calls = []
+    build = nilpotent._integer_jmaps
+
+    def counted(a):
+        calls.append(a)
+        return build(a)
+
+    monkeypatch.setattr(nilpotent, "_integer_jmaps", counted)
+    res = is_nonsingular(alg)
+    assert len(calls) == 1
+    assert (res.verdict, res.certificate, res.degenerate) == (
+        True, "pencil det(J_1 + t J_2) has no real roots and det J_2 != 0", False)
+
+
 def test_nonsingular_undetermined():
     alg = make_custom("wide", 4, 3,
                       [(0, 1, 0, 1), (0, 2, 1, 1), (0, 3, 2, 1)])

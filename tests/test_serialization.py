@@ -109,6 +109,29 @@ def test_dims_and_abelian_keep_their_json_types(key, value):
         from_json_dict(data)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("name", 7), ("name", None), ("family", ["hn"]), ("basis_convention", 1),
+    ("algebra_tag", 3), ("algebra_tag", False), ("params", 5), ("params", [["n", 1]]),
+    ("params", None),
+])
+def test_header_fields_keep_their_json_types(key, value):
+    # "name": 7 once loaded and was reported as the algebra 7, and "params": 5
+    # loaded but made to_json_dict raise TypeError
+    data = {"dim_v": 2, "dim_z": 1, "structure": [], key: value}
+    with pytest.raises(StructureError, match=f"^malformed algebra JSON: {key} must be "):
+        from_json_dict(data)
+
+
+def test_header_fields_are_read_as_given():
+    base = {"dim_v": 2, "dim_z": 1, "structure": [[0, 1, 0, "1"], [1, 0, 0, "-1"]]}
+    alg = from_json_dict(base)
+    assert (alg.name, alg.family, alg.algebra_tag, alg.params, alg.basis_convention) == (
+        "unnamed", "custom", None, {}, "unspecified")
+    doc = {**base, "name": "h", "family": "hn", "algebra_tag": "R", "params": {"n": 1},
+           "basis_convention": "standard", "abelian": False}
+    assert to_json_dict(from_json_dict(doc)) == doc
+
+
 def test_abelian_flag_is_read_as_given():
     base = {"dim_v": 2, "dim_z": 0, "structure": []}
     assert from_json_dict({**base, "abelian": True}).abelian

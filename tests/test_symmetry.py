@@ -128,10 +128,16 @@ def _reference_full_derivations(alg):
             if cij := brackets[i][j]:
                 rows.extend({e_off + t * m + k: x for k, x in cij} for t in range(n))
     res = linalg.nullspace(rows, ncols)
-    basis = tuple(tuple(symmetry._unflatten(vec, [(n, n), (m, m), (m, n)]))
-                  for (_, entries), vec in zip(res.vectors, res.basis)
-                  if entries[-1][0] < e_off)
-    return basis, res.dimension, res.dimension - len(basis), res.method
+    basis = []
+    for (_, entries), vec in zip(res.vectors, res.basis):
+        if entries[-1][0] < e_off:  # A, B and C as row-major row tuples
+            blocks, pos = [], 0
+            for n_rows, n_cols in ((n, n), (m, m), (m, n)):
+                blocks.append(tuple(vec[pos + r * n_cols:pos + (r + 1) * n_cols]
+                                    for r in range(n_rows)))
+                pos += n_rows * n_cols
+            basis.append(tuple(blocks))
+    return tuple(basis), res.dimension, res.dimension - len(basis), res.method
 
 
 def _sparse_degenerate_algebras(seed, count):
@@ -620,6 +626,23 @@ def test_prolongation_reads_no_fraction_basis(monkeypatch):
     assert len(res.bases) == 1 and type(res.bases[0][0][0][0][0]) is Fraction
 
 
+def test_derivation_spaces_read_no_fraction_basis(monkeypatch):
+    # Der_gr is densified from its cached level record, and the C maps and
+    # the off-grade count need no Fraction vector either
+    def refuse(self):
+        raise AssertionError("NullspaceResult.basis read")
+
+    monkeypatch.setattr(linalg.NullspaceResult, "basis", property(refuse))
+    for alg, graded, offgrade in [(build_hprime(DA.O, 1, 0), 22, 0),
+                                  (make_custom("deg3", 3, 2, [(0, 1, 0, 1)]), 9, 1)]:
+        space = graded_derivations(alg)
+        full = full_derivations(alg)
+        assert (space.dimension, full.offgrade_dimension) == (graded, offgrade)
+        assert full.dimension == graded + alg.dim_v * alg.dim_z + offgrade
+        assert type(space.basis[0][0][0][0]) is Fraction
+        assert type(full.basis[-1][2][-1][-1]) is Fraction
+
+
 def _same_floats(exact, floats):
     if isinstance(exact, (tuple, list)):
         assert type(floats) is type(exact) and len(floats) == len(exact)
@@ -777,20 +800,6 @@ def test_offgrade_dimension_on_degenerate_algebras():
         assert full.dimension == graded + alg.dim_v * alg.dim_z + offgrade
 
 
-def test_unflatten_matches_the_entrywise_split():
-    # the row slices against one entry at a time; zero-width blocks (the
-    # z-blocks of an abelian algebra) keep their rows
-    vec = tuple(Fraction(k, 3) for k in range(40))
-    for shapes in ([(2, 0), (0, 0), (2, 3), (3, 0)], [(3, 3), (2, 2), (2, 3), (3, 2)],
-                   [(4, 4)], [(5, 5), (0, 0), (0, 5), (5, 0)]):
-        pos, want = 0, []
-        for rows, cols in shapes:
-            want.append(tuple(tuple(vec[pos + r * cols + c] for c in range(cols))
-                              for r in range(rows)))
-            pos += rows * cols
-        assert symmetry._unflatten(vec, shapes) == want, shapes
-
-
 def _pinned_derivation_algebras():
     algs = [build_hn(DA.R, n) for n in (1, 2, 3)] + [build_hn(DA.C, n) for n in (1, 2)]
     algs += [build_hn(DA.H, 1), build_hn(DA.O, 1), build_hprime(DA.O, 1, 0)]
@@ -808,8 +817,8 @@ def _pinned_derivation_algebras():
 
 # sha256 of repr() of (name, graded basis, graded dimension, full basis, full
 # dimension, offgrade_dimension) over `_pinned_derivation_algebras`, computed
-# when _unflatten read one entry at a time and off-grade vectors were found
-# by comparing their dense E block with 0
+# when the bases were cut from flat Fraction vectors one entry at a time and
+# off-grade vectors were found by comparing their dense E block with 0
 DERIVATIONS_SHA256 = "12a91822e29ee42f404932eb3153187fa42f588091b2b132e54495af4b3e9330"
 
 
