@@ -181,8 +181,8 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
     if quotient.dimension:  # otherwise E = 0 whatever rad v is
         solved.append(nullspace(rad_rows.values(), n, context=f"rad v system of {alg.name}"))
     offgrade = quotient.dimension and quotient.dimension * solved[1].dimension
-    (zero_a,), (zero_b,), (zero_c,) = (_matrices([[]], rows, cols, 1)
-                                       for rows, cols in ((n, n), (m, m), (m, n)))
+    zero_a, zero_b, zero_c = (_matrices([[]], rows, cols, 1)[0]
+                              for rows, cols in ((n, n), (m, m), (m, n)))
     basis = [(a, b, zero_c) for a, b in zip(_matrices(v, n, n, d), _matrices(z, m, m, d))]
     basis += [(zero_a, zero_b, c)
               for c in _matrices([[(slot, 1)] for slot in range(m * n)], m, n, 1)]
