@@ -12,10 +12,12 @@ only finite difference, along the translation curves, checks their pushes.
 
 Points and candidates are evaluated in stacks, each row bit-identical to
 evaluating it alone: stacked matmul and qr make one BLAS or LAPACK call per
-vector or matrix.  Stack sizes bound memory, not results.  The Cayley probes
-map _PROBE_BLOCK points per stack, the J^2 kernels take _BLOCK vectors X, and
-each Gauss-Newton step evaluates its point with its n + 2m forward-difference
-probes as one stack.
+vector or matrix.  The Cayley probes draw and map _PROBE_BLOCK points per
+stack, the J^2 kernels take _BLOCK vectors X, and each Gauss-Newton step
+evaluates its point with its n + 2m forward-difference probes as one stack.
+Stack sizes bound memory; only the Cayley probes' points depend on theirs,
+as each block draws its X, then its Z, then its heights.  Every plane basis
+is orthonormalized once.
 
 Every experiment reports in one shape, built by `_report` with the
 tolerance constants below.
@@ -87,10 +89,10 @@ GN_STEP = 1e-7  # forward-difference step of the Gauss-Newton Jacobian
 GN_ITERATIONS = 50  # Gauss-Newton steps per restart of the witness search
 _BLOCK = 64  # X vectors per stacked J^2 evaluation: bounds memory, not results
 _PROBE_BLOCK = 256  # points per stacked Cayley probe: a 512 KB J_Z stack on h1(O)
-# The most normals boundary_identity_error draws up front, samples * (dim v +
-# dim z): 80 MB of float64, over 40x its largest caller, 10**4 samples on
-# h1(O) (dim v + dim z = 24) in the benchmark. Drawing per block instead would
-# change the random stream, and so every reported residual.
+# The most normals boundary_identity_error draws, samples * (dim v + dim z),
+# refused before the first: it bounds work, not memory (each block draws its
+# own), at over 40x its largest caller, 10**4 samples on h1(O) (dim v + dim z
+# = 24) in the benchmark.
 MAX_PROBE_DRAWS = 10**7
 
 
@@ -717,11 +719,12 @@ def limiting_plane_experiment(alg: GradedNilpotent, witness: J2Witness,
     """
     radii = _check_radii(radii)
     mod = _model(alg)
-    x = np.asarray(witness.X, dtype=float)
-    z = np.asarray(witness.Z, dtype=float)
-    w = np.asarray(witness.W, dtype=float)
-    x = x / np.linalg.norm(x)
-    z = z / np.linalg.norm(z)
+    x, z, w = (np.asarray(a, dtype=float) for a in (witness.X, witness.Z, witness.W))
+    nx, nz = np.linalg.norm(x), np.linalg.norm(z)
+    if not (np.isfinite(x).all() and np.isfinite(z).all() and np.isfinite(w).all()
+            and nx > 0 and nz > 0):
+        raise StructureError("witness X, Z and W must be finite, and X and Z nonzero")
+    x, z = x / nx, z / nz
     w = w - (w @ z) * z
     if np.linalg.norm(w) < 1e-8:
         raise StructureError("witness W is parallel to Z")
@@ -729,33 +732,22 @@ def limiting_plane_experiment(alg: GradedNilpotent, witness: J2Witness,
     _, proj = _j2_stack(mod, x[None], mod.jz(z)[None, None], include_x=True,
                         JW=mod.jz(w)[None, None])
     score = float(_norms(proj[0, 0]) / _norms(x))
-    if score > PLANE_TOL:
+    if not score <= PLANE_TOL:  # a NaN score is refused too
         raise StructureError(
             f"witness does not violate the J^2 condition: projection "
             f"residual {score:.3e} > {PLANE_TOL:.1e}"
         )
 
-    n, m = mod.n, mod.m
-    jz_hat = mod.jz(z)
-    jw_hat = mod.jz(w)
+    jz_hat, jw_hat = mod.jz(z), mod.jz(w)
     a1, a2 = x, jz_hat @ x
     b1 = jw_hat @ x
     b2 = jz_hat @ b1
-
-    def embed_v(v):
-        return np.concatenate([v, np.zeros(m + 1)])
-
-    limit1 = _orthonormal_rows(np.vstack([embed_v(a1), embed_v(a2)]))
-    limit2 = _orthonormal_rows(np.vstack([embed_v(b1), embed_v(b2)]))
-    limit3 = _orthonormal_rows(
-        np.concatenate([np.zeros(n), w, [0.0]])[None, :])
-    orth = 0.0
-    for pa, pb in ((limit1, limit2), (limit1, limit3), (limit2, limit3)):
-        orth = max(orth, float(np.max(np.abs(pa @ pb.T))))
-    # Each distance below is grassmann_distance of the orthonormalized pushed
-    # rows and a limit plane, both orthonormalized once more; the limit
-    # planes' second pass is the same at every radius, so it is done here.
-    q1, q2 = _orthonormal_rows(limit1), _orthonormal_rows(limit2)
+    pad = np.zeros((2, mod.m + 1))  # the z and t coordinates of two v-directions
+    limit1 = _orthonormal_rows(np.hstack([np.vstack([a1, a2]), pad]))
+    limit2 = _orthonormal_rows(np.hstack([np.vstack([b1, b2]), pad]))
+    limit3 = _orthonormal_rows(np.concatenate([np.zeros(mod.n), w, [0.0]])[None, :])
+    orth = max(float(np.max(np.abs(pa @ pb.T)))
+               for pa, pb in ((limit1, limit2), (limit1, limit3), (limit2, limit3)))
 
     rows = []
     for r in radii:
@@ -769,13 +761,13 @@ def limiting_plane_experiment(alg: GradedNilpotent, witness: J2Witness,
         Xp1 = r * x
         yw = (1.0 + t) * (jw_hat @ Xp1) + mod.jz(Zp) @ (jw_hat @ Xp1)
         pushed = _dcayley(mod, Xp1, Zp, t, _contact_rows(mod, Xp1, np.vstack([a1, a2, yw])))
-        d1 = _distance(_orthonormal_rows(_orthonormal_rows(pushed[:2])), q1)
+        d1 = _distance(_orthonormal_rows(pushed[:2]), limit1)
         v3 = pushed[2] / np.linalg.norm(pushed[2])
 
         # Second copy: the same curve construction along J_W X.
         Xp2 = r * b1
         pushed = _dcayley(mod, Xp2, Zp, t, _contact_rows(mod, Xp2, np.vstack([b1, b2])))
-        d2 = _distance(_orthonormal_rows(_orthonormal_rows(pushed)), q2)
+        d2 = _distance(_orthonormal_rows(pushed), limit2)
 
         d3 = float(np.linalg.norm(v3 - limit3.T @ (limit3 @ v3)))
         rows.append(PlaneConvergenceRow(float(r), d1, d2, d3))
@@ -854,7 +846,7 @@ def group_product(alg: GradedNilpotent, g1, g2):
 
 
 def _invariance_distance(in_place: TangentPlane, fd: np.ndarray, tol: float) -> float:
-    dist = grassmann_distance(in_place.basis, _orthonormal_rows(fd))
+    dist = _distance(in_place.basis, _orthonormal_rows(fd))
     if dist > tol:
         raise CrossValidationError("translation invariance", dist, tol)
     return dist
@@ -902,18 +894,17 @@ def distribution_experiment(alg: GradedNilpotent, sample_count: int = 25,
 
 def boundary_identity_error(alg: GradedNilpotent, samples: int = 10_000,
                             seed: int = 0) -> float:
-    """max | |C(p)|^2 - 1 | over random boundary points, in stacks of _PROBE_BLOCK.
-    Every point is drawn up front, so more than MAX_PROBE_DRAWS normals
-    raise ValueError before anything is drawn."""
+    """max | |C(p)|^2 - 1 | over random boundary points, drawn and mapped in
+    stacks of _PROBE_BLOCK.  More than MAX_PROBE_DRAWS normals raise
+    ValueError before anything is drawn."""
     if samples * (alg.dim_v + alg.dim_z) > MAX_PROBE_DRAWS:
         raise ValueError(f"{samples} samples draw over the cap of {MAX_PROBE_DRAWS} normals")
     mod = _model(alg)
     rng = np.random.default_rng(seed)
-    Xs = rng.standard_normal((samples, mod.n))
-    Zs = rng.standard_normal((samples, mod.m))
     worst = 0.0
     for start in range(0, samples, _PROBE_BLOCK):
-        X, Z = Xs[start:start + _PROBE_BLOCK], Zs[start:start + _PROBE_BLOCK]
+        b = min(_PROBE_BLOCK, samples - start)
+        X, Z = rng.standard_normal((b, mod.n)), rng.standard_normal((b, mod.m))
         C = _cayley_arrays(mod, X, Z, 0.25 * _dots(X, X))
         worst = max(worst, float(np.max(np.abs(_dots(C, C) - 1.0))))
     return worst
@@ -922,22 +913,18 @@ def boundary_identity_error(alg: GradedNilpotent, samples: int = 10_000,
 def round_trip_error(alg: GradedNilpotent, samples: int = 1000,
                      seed: int = 0) -> float:
     """max |p - cayley_inverse(cayley(p))| over random interior points, drawn
-    one at a time and mapped out and back in stacks of _PROBE_BLOCK, through
-    the checks of `cayley` and `cayley_inverse`, bit-identical to one at a time."""
+    and mapped out and back in stacks of _PROBE_BLOCK, through the checks of
+    `cayley` and `cayley_inverse`, bit-identical to one point at a time."""
     mod = _model(alg)
-    n, m = mod.n, mod.m
     rng = np.random.default_rng(seed)
     worst = 0.0
     for start in range(0, samples, _PROBE_BLOCK):
-        P = np.empty((min(_PROBE_BLOCK, samples - start), n + m + 1))
-        for row in P:  # the draws of one point at a time, in their order
-            rng.standard_normal(out=row[:-1])  # X then Z, as two draws of n and m would
-            row[-1] = rng.uniform(0.05, 2.0)
-        X, Z, t = P[:, :n], P[:, n:n + m], P[:, -1]
-        t += 0.25 * _dots(X, X)  # t views P, which now holds the points
+        b = min(_PROBE_BLOCK, samples - start)
+        X, Z = rng.standard_normal((b, mod.n)), rng.standard_normal((b, mod.m))
+        t = 0.25 * _dots(X, X) + rng.uniform(0.05, 2.0, b)
         _check_siegel(X, Z, t, SIEGEL_TOL)
         back = _inverse(mod, _cayley_arrays(mod, X, Z, t), INVERSE_TOL)
-        worst = max(worst, float(np.max(_norms(P - back))))
+        worst = max(worst, float(np.max(_norms(np.column_stack([X, Z, t]) - back))))
     return worst
 
 

@@ -213,6 +213,8 @@ def cmd_boundary(args) -> int:
     experiment = args.experiment
     if args.samples == 0 and experiment in ("cayley-probe", "distribution"):
         raise ValueError(f"--samples must be at least 1 for {experiment}")
+    if args.samples is not None and experiment == "limiting-plane":
+        raise ValueError("--samples does not apply to limiting-plane")
     if args.expect is not None and args.expect not in EXPERIMENTS[experiment]:
         raise ValueError(f"--expect for {experiment} must be one of "
                          f"{', '.join(EXPERIMENTS[experiment])}, got {args.expect!r}")

@@ -9,6 +9,7 @@ entries are stored, both antisymmetric partners included, sorted by
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -19,6 +20,8 @@ if TYPE_CHECKING:
     from .nilpotent import GradedNilpotent
 
 __all__ = ["to_json_dict", "from_json_dict", "save_algebra", "load_algebra"]
+
+_VALUE = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the strings to_json_dict writes
 
 
 def to_json_dict(alg: GradedNilpotent) -> dict:
@@ -39,10 +42,11 @@ def from_json_dict(data: dict) -> GradedNilpotent:
     """The algebra of a JSON document. dim_v and dim_z must be integers (a
     bool is not); when given, `name`, `family` and `basis_convention` must
     be strings, `algebra_tag` a string or null, `params` an object and
-    `abelian` a bool. The budget is charged before the first entry is read;
-    a later entry at the same (i, j, k) replaces an earlier one, zeros are
-    dropped, and GradedNilpotent.__post_init__ checks the antisymmetry of
-    the rest."""
+    `abelian` a bool. A structure value must be a JSON integer (not a bool)
+    or a string "n" or "n/d" of decimal digits, as `to_json_dict` writes it.
+    The budget is charged before the first entry is read; a later entry at
+    the same (i, j, k) replaces an earlier one, zeros are dropped, and
+    GradedNilpotent.__post_init__ checks the antisymmetry of the rest."""
     # Deferred: `htype table` never needs it (and it loads no numpy).
     from .nilpotent import GradedNilpotent, _check_indices, _check_tensor_budget
 
@@ -69,9 +73,11 @@ def from_json_dict(data: dict) -> GradedNilpotent:
     for entry in triples:
         _check_indices(entry, dim_v, dim_z)
         i, j, k, val = entry
-        try:
+        try:  # an int that is not a bool, or a string that to_json_dict writes
+            if not (type(val) is int or type(val) is str and _VALUE.fullmatch(val)):
+                raise ValueError('not an int or an "n/d" string')
             cells[i, j, k] = Fraction(val)
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise StructureError(f"unparsable structure value in {entry!r}: {exc}") from None
     return GradedNilpotent(nonzeros=tuple(sorted((*key, x) for key, x in cells.items() if x)),
                            **fields)

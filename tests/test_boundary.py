@@ -273,16 +273,18 @@ CAYLEY_PROBE_ALGEBRAS = [
 
 
 def _reference_round_trip(alg, samples, seed):
-    """round_trip_error one point at a time, through the public maps."""
+    """round_trip_error one point at a time, through the public maps, on the
+    points drawn per block: its X, then its Z, then its heights."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        X = rng.standard_normal(alg.dim_v)
-        Z = rng.standard_normal(alg.dim_z)
-        t = 0.25 * float(X @ X) + float(rng.uniform(0.05, 2.0))
-        p = B.SiegelPoint(X, Z, t)
-        q = B.cayley_inverse(alg, B.cayley(alg, p))
-        worst = max(worst, float(np.linalg.norm(p.ambient() - q.ambient())))
+    for start in range(0, samples, B._PROBE_BLOCK):
+        b = min(B._PROBE_BLOCK, samples - start)
+        Xs = rng.standard_normal((b, alg.dim_v))
+        Zs = rng.standard_normal((b, alg.dim_z))
+        for X, Z, u in zip(Xs, Zs, rng.uniform(0.05, 2.0, b)):
+            p = B.SiegelPoint(X, Z, 0.25 * float(X @ X) + float(u))
+            q = B.cayley_inverse(alg, B.cayley(alg, p))
+            worst = max(worst, float(np.linalg.norm(p.ambient() - q.ambient())))
     return worst
 
 
@@ -915,11 +917,12 @@ def test_gauss_newton_falls_back_to_two_calls_off_the_domain(monkeypatch):
 
 def test_cayley_probe_memory_is_bounded_by_blocks():
     # Unblocked, the h1(O) stack of J_Z for 10**4 points takes 20 MB. Blocks
-    # of _PROBE_BLOCK points keep it at 512 KB; the 10**4 points drawn up
-    # front take 1.9 MB.
+    # of _PROBE_BLOCK points, each drawing its own, keep it at 512 KB; the
+    # 4.8 M normals of 2 * 10**5 points would take 37 MB if drawn up front.
     alg = build_hn(DA.O, 1)
     B.boundary_identity_error(alg, samples=1, seed=0)  # build the model outside the trace
     for probe, samples, megabytes in ((B.boundary_identity_error, 10**4, 6),
+                                      (B.boundary_identity_error, 2 * 10**5, 2),
                                       (B.round_trip_error, 10**3, 2)):
         tracemalloc.start()
         try:
@@ -983,6 +986,36 @@ def test_limiting_planes_reject_non_violating_witness():
                        0.0, np.zeros(8), 0.0)
     with pytest.raises(StructureError):
         B.limiting_plane_experiment(alg, fake)
+    # A zero or non-finite X, Z or W once ended in an SVD that did not converge.
+    alg = h1c()
+    good = B.find_j2_violation(alg, seed=3).witness
+    for field, value, match in (("X", np.zeros(4), "nonzero"), ("Z", np.zeros(2), "nonzero"),
+                                ("X", np.full(4, np.nan), "finite"),
+                                ("Z", np.array([np.inf, 0.0]), "finite"),
+                                ("W", np.array([0.0, np.nan]), "finite")):
+        bad = B.J2Witness(**{"X": good.X, "Z": good.Z, "W": good.W, field: value},
+                          residual=0.0, perp=np.zeros(4), bracket_norm=0.0)
+        with pytest.raises(StructureError, match=match):
+            B.limiting_plane_experiment(alg, bad)
+    # Entries whose norm overflows normalize to a zero X and a NaN score.
+    huge = B.J2Witness(np.full(4, 1e300), good.Z, good.W, 0.0, np.zeros(4), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(StructureError, match="does not violate"):
+        B.limiting_plane_experiment(alg, huge)
+
+
+def test_each_plane_is_orthonormalized_once(monkeypatch):
+    # Three limit planes and two pushed planes per radius; the sphere plane
+    # and its finite-difference push for the translation check.
+    alg = h1c()
+    witness = B.find_j2_violation(alg, seed=3).witness
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    B.limiting_plane_experiment(alg, witness, seed=3)
+    assert len(calls) == 3 + 2 * 4
+    calls.clear()
+    B.translation_invariance_check(alg, np.ones(4), np.ones(2))
+    assert len(calls) == 2
 
 
 def test_limiting_planes_reject_tiny_radii():

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,18 @@ def test_check_mistyped_header_is_usage_error(tmp_path, capsys, doc):
     code, _, err = run(capsys, "check", "--in", str(bad), "--tests", "typeh")
     assert code == 2
     assert err.startswith("error: malformed algebra JSON: ")
+
+
+def test_check_exponent_value_is_refused_at_once(tmp_path, capsys):
+    # Fraction("1e10000000") once took about ten seconds per value to parse
+    bad = tmp_path / "exp.json"
+    bad.write_text('{"dim_v":2,"dim_z":1,"structure":'
+                   '[[0,1,0,"1e10000000"],[1,0,0,"-1e10000000"]]}')
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--in", str(bad), "--tests", "typeh")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: unparsable structure value in [0, 1, 0, '1e10000000']")
 
 
 def test_check_oversized_structure_is_budget_refusal(tmp_path, capsys):
@@ -436,6 +449,16 @@ def test_boundary_limiting_plane_emits_convergence_table(h1c, tmp_path):
     assert [row["radius"] for row in table] == [10.0, 100.0, 1000.0, 10000.0]
     assert table[-1]["grassmann_distance"] <= 1e-3
     assert rep["seed"] == 3
+
+
+def test_boundary_limiting_plane_refuses_samples(h1c, capsys):
+    # limiting-plane reports its four radii; a --samples it ignored would
+    # still be recorded in the manifest, which would then misdescribe the run
+    for path in (h1c, "missing.json"):  # refused before the file is read
+        code, out, err = run(capsys, "boundary", "--in", path, "--experiment",
+                             "limiting-plane", "--seed", "3", "--samples", "5")
+        assert code == 2 and out == ""
+        assert err == "error: --samples does not apply to limiting-plane\n"
 
 
 def test_boundary_limiting_plane_no_witness(tmp_path):

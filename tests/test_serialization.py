@@ -91,6 +91,11 @@ def test_bad_entry_shape_rejected():
     ([0, 1, 0], "bad structure entry"),
     ([0, 1, 0, "1", "1"], "bad structure entry"),
     ([0, 1, 0, float("inf")], "unparsable"),  # json reads Infinity
+    # only the writer's forms: true once loaded as 1, 0.1 as its binary
+    # fraction, and the exponent took seconds to parse
+    ([0, 1, 0, True], "unparsable"),
+    ([0, 1, 0, 0.1], "unparsable"),
+    ([0, 1, 0, "1e10000000"], "unparsable"),
 ])
 def test_malformed_entry_rejected(entry, match):
     with pytest.raises(StructureError, match=match):
