@@ -112,6 +112,9 @@ class _FloatModel:
             self.c[i, j, k] = x
         # (J_Z)_{ab} = sum_k Z_k c[b][a][k]
         self.jmats = np.ascontiguousarray(np.transpose(self.c, (2, 1, 0)))
+        # The central basis pairs k < l of j2_test and the violation sweep:
+        # J_l J_k X = -J_k J_l X, so the pairs k > l add nothing.
+        self.pairs = np.triu_indices(self.m, 1)
 
     def jz(self, Z: np.ndarray) -> np.ndarray:
         """J_Z for one Z or a stack of them, one BLAS product per Z."""
@@ -464,17 +467,18 @@ def _j2_stack(mod: _FloatModel, X: np.ndarray, JZ: np.ndarray, include_x: bool,
     """u = J_Z J_W X and its projection onto span{J_z X} (+ R X), each (b, p, n),
     for X (b, n) and pairs JZ, JW (p, n, n) applied to every X, or (b, 1, n, n).
     For central basis pairs, pass the indices ls of W instead of JW: each J_W X
-    is then read off the span's columns J_k X, which are the same products.
-    Stacked matmul and qr make one BLAS or LAPACK call per vector or matrix,
+    is then read off the frame's rows J_k X, which are the same products.
+    On type-H data the frame F = [J_k X] is orthogonal, each row of norm |X|
+    and orthogonal to X, so the projection is F^T ((F u) / |X|^2), plus
+    (X . u) / |X|^2 X for R X.  Stacked matmul makes one BLAS call per vector,
     so every entry is bit-identical to evaluating its X and pair alone."""
     col = X[:, None, :, None]
-    jx = np.matmul(mod.jmats, col)  # J_k X, (b, m, n, 1)
-    span = jx[..., 0].swapaxes(1, 2)
+    frame = np.matmul(mod.jmats, col)[..., 0]  # J_k X, (b, m, n)
+    u = np.matmul(JZ, frame[:, ls, :, None] if JW is None else np.matmul(JW, col))
+    xx = _dots(X, X)[:, None, None, None]
+    proj = np.matmul(frame.swapaxes(1, 2)[:, None], np.matmul(frame[:, None], u) / xx)
     if include_x:
-        span = np.concatenate([span, X[:, :, None]], axis=2)
-    q = np.linalg.qr(span)[0][:, None]
-    u = np.matmul(JZ, jx[:, ls] if JW is None else np.matmul(JW, col))
-    proj = np.matmul(q, np.matmul(q.swapaxes(-1, -2), u))
+        proj = proj + np.matmul(X[:, None, None, :], u) / xx * col
     return u[..., 0], proj[..., 0]
 
 
@@ -482,10 +486,11 @@ def j2_test(alg: GradedNilpotent, sample_count: int = 200, tol: float = 1e-8,
             seed: int | None = None) -> J2Result:
     """Does J_Z J_W X stay inside span{J_Z' X} for all orthonormal Z ⊥ W?
 
-    Vacuous (holds) when dim z <= 1.  Checks all ordered central basis
-    pairs on a structured sweep of X plus sample_count random draws; by
-    bilinearity in (Z, W) the basis pairs decide each X exactly.  The X are
-    evaluated as stacks, in blocks of fixed size, bit-identical to one at a time.
+    Vacuous (holds) when dim z <= 1.  Checks the central basis pairs k < l
+    (J_l J_k X = -J_k J_l X) on a structured sweep of X plus sample_count
+    random draws; by bilinearity in (Z, W) the basis pairs decide each X
+    exactly.  The X are evaluated as stacks, in blocks of fixed size,
+    bit-identical to one at a time.
     """
     mod = _model(alg)
     if mod.m <= 1:
@@ -493,7 +498,7 @@ def j2_test(alg: GradedNilpotent, sample_count: int = 200, tol: float = 1e-8,
     if sample_count > 0 and seed is None:
         raise ValueError("seed is required when sample_count > 0")
 
-    ks, ls = np.array([(k, l) for k in range(mod.m) for l in range(mod.m) if k != l]).T
+    ks, ls = mod.pairs
     JZ = mod.jmats[ks]
     eye_m = np.eye(mod.m)
     worst = 0.0
@@ -502,7 +507,7 @@ def j2_test(alg: GradedNilpotent, sample_count: int = 200, tol: float = 1e-8,
         u, proj = _j2_stack(mod, X, JZ, include_x=False, ls=ls)
         perp = u - proj
         res = _norms(perp) / _norms(X)[:, None]
-        # First maximum in (X, k, l) order, as a strict running maximum keeps.
+        # First maximum in (X, k < l) order, as a strict running maximum keeps.
         i, p = np.unravel_index(np.argmax(res), res.shape)
         if res[i, p] > worst:
             worst = float(res[i, p])
@@ -552,7 +557,7 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
     best = (math.inf, None)
     eye_m = np.eye(mod.m)
     if sweep:
-        ks, ls = np.triu_indices(mod.m, 1)
+        ks, ls = mod.pairs
         JZ = mod.jmats[ks]
         for X in _x_blocks(mod.n, 0, None):
             u, proj = _j2_stack(mod, X, JZ, include_x=True, ls=ls)
@@ -599,9 +604,10 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
 
     # Each step evaluates its point and the point's forward-difference probes
     # as one stack, and counts the probes only once it uses them; the last
-    # step needs none.  If a row of the stack is off the domain, the point
-    # and then its probes are evaluated apart, so a restart ends on the same
-    # evaluation as when the two are always evaluated apart.
+    # step needs none.  If a row of the stack is off the domain, the point is
+    # evaluated alone; when it is on the domain, a probe is not (each row's
+    # norms are bitwise its own), so the probes are counted and the restart
+    # ends, on the same evaluation as when the two are evaluated apart.
     offsets = GN_STEP * np.eye(n + 2 * m)
     rng = np.random.default_rng(seed)
     used = 0
@@ -627,14 +633,9 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
             if steps == GN_ITERATIONS:
                 break
             evals += len(offsets)
-            if joint:
-                probes = got[1][1:]
-            else:
-                got = evaluate(theta + offsets)
-                if got is None:
-                    break
-                probes = got[1]
-            jac = ((probes - proj) / GN_STEP).T
+            if not joint:
+                break
+            jac = ((got[1][1:] - proj) / GN_STEP).T
             theta = theta + np.linalg.lstsq(jac, -proj, rcond=None)[0]
             last = score
         if best[0] <= tol:
@@ -720,15 +721,20 @@ def limiting_plane_experiment(alg: GradedNilpotent, witness: J2Witness,
     radii = _check_radii(radii)
     mod = _model(alg)
     x, z, w = (np.asarray(a, dtype=float) for a in (witness.X, witness.Z, witness.W))
+    bad = "witness X, Z and W must be finite, and X and Z nonzero"
+    # A norm is refused when it is not finite, as a NaN entry's is, or when it
+    # overflows: its vector would normalize to zero.
     nx, nz = np.linalg.norm(x), np.linalg.norm(z)
-    if not (np.isfinite(x).all() and np.isfinite(z).all() and np.isfinite(w).all()
-            and nx > 0 and nz > 0):
-        raise StructureError("witness X, Z and W must be finite, and X and Z nonzero")
+    if not (0 < nx < math.inf and 0 < nz < math.inf and np.isfinite(w).all()):
+        raise StructureError(bad)
     x, z = x / nx, z / nz
     w = w - (w @ z) * z
-    if np.linalg.norm(w) < 1e-8:
+    nw = np.linalg.norm(w)
+    if not nw < math.inf:
+        raise StructureError(bad)
+    if nw < 1e-8:
         raise StructureError("witness W is parallel to Z")
-    w = w / np.linalg.norm(w)
+    w = w / nw
     _, proj = _j2_stack(mod, x[None], mod.jz(z)[None, None], include_x=True,
                         JW=mod.jz(w)[None, None])
     score = float(_norms(proj[0, 0]) / _norms(x))

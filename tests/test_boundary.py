@@ -25,7 +25,14 @@ from htype.errors import (
     DomainError,
     StructureError,
 )
-from htype.nilpotent import NilpotentElement, bracket, build_hn, build_hprime, make_custom
+from htype.nilpotent import (
+    NilpotentElement,
+    bracket,
+    build_hn,
+    build_hprime,
+    is_type_h,
+    make_custom,
+)
 
 
 def h1r():
@@ -671,21 +678,70 @@ REFERENCE_ALGEBRAS = [
 REFERENCE_SAMPLES = 2 * B._BLOCK + 45
 
 
+def _rational_orthogonal(n):
+    """The Cayley transform (I + S)^-1 (I - S) of a rational skew S, dense
+    but for its first row and column, by Fraction Gauss-Jordan on
+    [I + S | I - S]: an orthogonal Q that fixes e_0 and mixes the rest."""
+    S = [[Fraction(i - j, 1 + i + j) if i and j else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    aug = [[(i == j) + S[i][j] for j in range(n)] + [(i == j) - S[i][j] for j in range(n)]
+           for i in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def h1h_dense():
+    """h1(H) in the basis Q^T v of a rational orthogonal Q: type H, with
+    dense J-maps Q^T J_k Q, so the kernels' products round.  As Q fixes
+    e_0, the candidate X = e_0 is still a clean witness, so round-off
+    decides its scores' bits."""
+    base = build_hn(DA.H, 1)
+    n, Q = base.dim_v, _rational_orthogonal(base.dim_v)
+    c = {}
+    for a, b, k, x in base.nonzeros:
+        for i in range(n):
+            for j in range(i + 1, n):
+                c[i, j, k] = c.get((i, j, k), 0) + Q[a][i] * Q[b][j] * x
+    return make_custom("h1(H) rotated", n, base.dim_z,
+                       [(i, j, k, x) for (i, j, k), x in c.items() if x])
+
+
+REFERENCE_ALGEBRAS.append(("h1Hdense", h1h_dense))
+
+
+def test_rotated_algebra_is_type_h_with_dense_j_maps():
+    alg = h1h_dense()
+    assert is_type_h(alg).holds
+    assert len(alg.nonzeros) == alg.dim_v * (alg.dim_v - 1) * alg.dim_z
+
+
 def _bits(a):
     a = np.asarray(a)
     return a.dtype, a.shape, a.tobytes()
 
 
 def _reference_span(mod, X, include_x):
-    cols = [mod.jmats[k] @ X for k in range(mod.m)]
-    if include_x:
-        cols.append(X)
-    return np.linalg.qr(np.column_stack(cols))[0]
+    """The projection onto span{J_z X} (+ R X) of one X, by its frame:
+    on type-H data F = [J_k X] is orthogonal, each row of norm |X|, and
+    orthogonal to X."""
+    F = np.array([mod.jmats[k] @ X for k in range(mod.m)])
+
+    def project(u):
+        proj = F.T @ ((F @ u) / (X @ X))
+        return proj + (X @ u) / (X @ X) * X if include_x else proj
+    return project
 
 
 def _reference_j2(alg, sample_count, seed):
     """(max residual, its first (X, k, l, perp), number of X), one X and
-    one ordered basis pair at a time."""
+    one central basis pair k < l at a time."""
     mod = B._model(alg)
     xs = list(B._candidate_vectors(mod.n))
     rng = np.random.default_rng(seed)
@@ -694,15 +750,14 @@ def _reference_j2(alg, sample_count, seed):
         xs.append(v / np.linalg.norm(v))
     worst, at = 0.0, None
     for X in xs:
-        q = _reference_span(mod, X, include_x=False)
+        project = _reference_span(mod, X, include_x=False)
         for k in range(mod.m):
-            for l in range(mod.m):
-                if k != l:
-                    u = mod.jmats[k] @ (mod.jmats[l] @ X)
-                    perp = u - q @ (q.T @ u)
-                    res = float(np.linalg.norm(perp)) / float(np.linalg.norm(X))
-                    if res > worst:
-                        worst, at = res, (X, k, l, perp)
+            for l in range(k + 1, mod.m):
+                u = mod.jmats[k] @ (mod.jmats[l] @ X)
+                perp = u - project(u)
+                res = float(np.linalg.norm(perp)) / float(np.linalg.norm(X))
+                if res > worst:
+                    worst, at = res, (X, k, l, perp)
     return worst, at, len(xs)
 
 
@@ -727,9 +782,8 @@ def test_j2_test_matches_per_vector_reference(make, seed):
 
 
 def _reference_score(mod, x, Z, W):
-    q = _reference_span(mod, x, include_x=True)
     u = np.tensordot(Z, mod.jmats, axes=(0, 0)) @ (np.tensordot(W, mod.jmats, axes=(0, 0)) @ x)
-    proj = q @ (q.T @ u)
+    proj = _reference_span(mod, x, include_x=True)(u)
     return float(np.linalg.norm(proj)) / float(np.linalg.norm(x)), proj, u - proj
 
 
@@ -816,6 +870,65 @@ def test_gauss_newton_matches_per_probe_reference(key, seed):
         _assert_witness(mod, search.witness, best)
 
 
+def _lstsq_projection(jm, X, u, include_x):
+    """u's projection onto span{J_z X} (+ R X) by least squares, as the
+    benchmark's checks take it: an oracle that assumes no orthogonality."""
+    span = np.column_stack([j @ X for j in jm] + ([X] if include_x else []))
+    return span @ np.linalg.lstsq(span, u, rcond=None)[0]
+
+
+@pytest.mark.parametrize("make", [m for _, m in REFERENCE_ALGEBRAS],
+                         ids=[n for n, _ in REFERENCE_ALGEBRAS])
+def test_j2_kernels_match_least_squares(make):
+    alg = make()
+    m = alg.dim_z
+    jm = np.transpose(np.array([[[float(x) for x in cij] for cij in ci]
+                                for ci in alg.structure]), (2, 1, 0))
+    xs = list(B._candidate_vectors(alg.dim_v))
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        v = rng.standard_normal(alg.dim_v)
+        xs.append(v / np.linalg.norm(v))
+    pairs = [(k, l) for k in range(m) for l in range(m) if k != l]
+    worst = max((np.linalg.norm(u - _lstsq_projection(jm, X, u, False))
+                 for X in xs for u in (jm[k] @ (jm[l] @ X) for k, l in pairs)), default=0.0)
+    assert abs(B.j2_test(alg, sample_count=40, seed=0).max_residual - worst) <= 1e-12
+    if m <= 1:
+        return
+    best = min(np.linalg.norm(_lstsq_projection(jm, X, jm[k] @ (jm[l] @ X), True))
+               for X in B._candidate_vectors(alg.dim_v) for k, l in pairs if k < l)
+    assert abs(B.find_j2_violation(alg, seed=0, restarts=0).best_score - best) <= 1e-12
+    search = B.find_j2_violation(alg, seed=1, sweep=False)
+    if search.witness is not None:
+        w = search.witness
+        u = np.tensordot(w.Z, jm, axes=(0, 0)) @ (np.tensordot(w.W, jm, axes=(0, 0)) @ w.X)
+        assert abs(np.linalg.norm(_lstsq_projection(jm, w.X, u, True))
+                   - search.best_score) <= 1e-12
+    # The kernel itself on X of norm 3 and pairs not orthogonal, so the
+    # X term and the |X|^2 scaling both count.
+    mod = B._model(alg)
+    X = 3 * np.array(xs[-8:])
+    Z, W = rng.standard_normal((2, 8, m))
+    for include_x in (False, True):
+        u, proj = B._j2_stack(mod, X, mod.jz(Z)[:, None], include_x, JW=mod.jz(W)[:, None])
+        for b in range(8):
+            want = _lstsq_projection(jm, X[b], u[b, 0], include_x)
+            assert np.linalg.norm(proj[b, 0] - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+
+def test_j2_paths_run_no_qr(monkeypatch):
+    # The frame J_k X is orthogonal on type-H data: nothing is orthonormalized.
+    alg = build_hn(DA.O, 1)
+    witness = B.find_j2_violation(h1c(), seed=3).witness
+    qr, calls = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    B.j2_test(alg, sample_count=20, seed=0)
+    B.find_j2_violation(alg, seed=0)
+    B.find_j2_violation(alg, seed=0, sweep=False)
+    B.limiting_plane_experiment(h1c(), witness, seed=3)
+    assert calls == []
+
+
 def _two_call_search(alg, seed, tol=1e-8, restarts=8):
     """The Gauss-Newton restarts of find_j2_violation(sweep=False), each step
     evaluating its point by one stacked call and then its probes by another:
@@ -895,23 +1008,29 @@ def test_gauss_newton_joint_stack_matches_two_calls(make, seed):
     _assert_search_is(B._model(alg), search, *_two_call_search(alg, seed))
 
 
-def test_gauss_newton_falls_back_to_two_calls_off_the_domain(monkeypatch):
+def test_gauss_newton_ends_a_restart_when_a_probe_is_off_the_domain(monkeypatch):
+    # Every stack of more than one row reads as off the domain, so each
+    # restart's point is on it and its probes are not. The probes are
+    # counted, never evaluated apart, and the restart ends where evaluating
+    # them apart ends it.
     alg = build_hprime(DA.H, 1, 1)
     mod = B._model(alg)
-    want = _two_call_search(alg, 0)
     joint = mod.n + 2 * mod.m + 1
     norms, seen = B._norms, []
 
-    def off_when_joint(v):
-        # Every stack of a point with its probes reads as off the domain.
-        if v.ndim == 2 and len(v) == joint:
+    def off_when_stacked(v):
+        if v.ndim == 2 and len(v) > 1:
             seen.append(len(v))
             return np.zeros(len(v))
         return norms(v)
 
-    monkeypatch.setattr(B, "_norms", off_when_joint)
+    monkeypatch.setattr(B, "_norms", off_when_stacked)
+    want = _two_call_search(alg, 0)
+    assert set(seen) == {joint - 1}
+    seen.clear()
     search = B.find_j2_violation(alg, seed=0, sweep=False)
-    assert seen
+    assert set(seen) == {joint}
+    assert search.evaluations == 8 * joint
     _assert_search_is(mod, search, *want)
 
 
@@ -995,11 +1114,16 @@ def test_limiting_planes_reject_non_violating_witness():
                           residual=0.0, perp=np.zeros(4), bracket_norm=0.0)
         with pytest.raises(StructureError, match="must be finite, and X and Z nonzero"):
             B.limiting_plane_experiment(alg, bad)
-    # Entries whose norm overflows normalize to a zero X and a NaN score.
-    huge = B.J2Witness(np.full(4, 1e300), good.Z, good.W, 0.0, np.zeros(4), 0.0)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(StructureError, match="does not violate"):
-        B.limiting_plane_experiment(alg, huge)
+    # A vector whose norm overflows would normalize to zero: an X to a NaN
+    # score, a Z to a witness that passed the violation check (verdict
+    # inconclusive), a W to limit rows that span nothing (ValueError).
+    for field in ("X", "Z", "W"):
+        huge = B.J2Witness(**{"X": good.X, "Z": good.Z, "W": good.W,
+                              field: 1e300 * getattr(good, field)},
+                           residual=0.0, perp=np.zeros(4), bracket_norm=0.0)
+        with np.errstate(over="ignore"), \
+                pytest.raises(StructureError, match="must be finite, and X and Z nonzero"):
+            B.limiting_plane_experiment(alg, huge)
 
 
 def test_each_plane_is_orthonormalized_once(monkeypatch):
