@@ -11,13 +11,16 @@ stack of directions, serves the sphere planes and the limiting planes.  The
 only finite difference, along the translation curves, checks their pushes.
 
 Points and candidates are evaluated in stacks, each row bit-identical to
-evaluating it alone: stacked matmul and qr make one BLAS or LAPACK call per
-vector or matrix.  The Cayley probes draw and map _PROBE_BLOCK points per
-stack, the J^2 kernels take _BLOCK vectors X, and each Gauss-Newton step
-evaluates its point with its n + 2m forward-difference probes as one stack.
-Stack sizes bound memory; only the Cayley probes' points depend on theirs,
-as each block draws its X, then its Z, then its heights.  Every plane basis
-is orthonormalized once.
+evaluating it alone: stacked matmul makes one BLAS call per vector or
+matrix.  The J^2 kernels project onto span{J_z X} with the frame J_k X
+itself and orthonormalize nothing: on type-H data, the only data the model
+accepts, J_a J_b + J_b J_a = -2 delta_ab I makes the J_k X orthogonal, each
+of norm |X|, and orthogonal to X.  The Cayley probes draw and map
+_PROBE_BLOCK points per stack, the J^2 kernels take _BLOCK vectors X, and
+each Gauss-Newton step evaluates its point with its n + 2m forward-difference
+probes as one stack.  Stack sizes bound memory; only the Cayley probes'
+points depend on theirs, as each block draws its X, then its Z, then its
+heights.  Every plane basis is orthonormalized once.
 
 Every experiment reports in one shape, built by `_report` with the
 tolerance constants below.

@@ -665,18 +665,6 @@ def test_violation_search_optimizer_reaches_tol(make, seed):
 # ---------------------------------------------------------------------------
 # The stacked J^2 kernels against textbook per-vector loops
 
-REFERENCE_ALGEBRAS = [
-    ("h1C", lambda: build_hn(DA.C, 1)),
-    ("h2C", lambda: build_hn(DA.C, 2)),
-    ("h1H", lambda: build_hn(DA.H, 1)),
-    ("hp11H", lambda: build_hprime(DA.H, 1, 1)),
-    ("h1O", lambda: build_hn(DA.O, 1)),
-    ("hp10O", lambda: build_hprime(DA.O, 1, 0)),
-    ("hp20H", lambda: build_hprime(DA.H, 2, 0)),
-]
-# Random X fill three blocks and end inside the third.
-REFERENCE_SAMPLES = 2 * B._BLOCK + 45
-
 
 def _rational_orthogonal(n):
     """The Cayley transform (I + S)^-1 (I - S) of a rational skew S, dense
@@ -713,7 +701,18 @@ def h1h_dense():
                        [(i, j, k, x) for (i, j, k), x in c.items() if x])
 
 
-REFERENCE_ALGEBRAS.append(("h1Hdense", h1h_dense))
+REFERENCE_ALGEBRAS = [
+    ("h1C", lambda: build_hn(DA.C, 1)),
+    ("h2C", lambda: build_hn(DA.C, 2)),
+    ("h1H", lambda: build_hn(DA.H, 1)),
+    ("hp11H", lambda: build_hprime(DA.H, 1, 1)),
+    ("h1O", lambda: build_hn(DA.O, 1)),
+    ("hp10O", lambda: build_hprime(DA.O, 1, 0)),
+    ("hp20H", lambda: build_hprime(DA.H, 2, 0)),
+    ("h1Hdense", h1h_dense),
+]
+# Random X fill three blocks and end inside the third.
+REFERENCE_SAMPLES = 2 * B._BLOCK + 45
 
 
 def test_rotated_algebra_is_type_h_with_dense_j_maps():
