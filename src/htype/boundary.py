@@ -34,7 +34,6 @@ achieved norm of [X, J_Z J_W X - proj] is stored on the witness.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,7 @@ from .errors import (
     DomainError,
     StructureError,
 )
-from .nilpotent import GradedNilpotent, is_type_h
+from .nilpotent import GradedNilpotent, _kept, is_type_h
 
 __all__ = [
     "SiegelPoint",
@@ -128,18 +127,9 @@ class _FloatModel:
         return np.einsum("ijk,i,j->k", self.c, x, y)
 
 
-# Keyed by id(); each entry is dropped when its algebra is collected, so
-# the cache neither pins algebras nor outlives them under a reused id.
-_MODELS: dict[int, _FloatModel] = {}
-
-
 def _model(alg: GradedNilpotent) -> _FloatModel:
-    got = _MODELS.get(id(alg))
-    if got is None:
-        got = _FloatModel(alg)
-        _MODELS[id(alg)] = got
-        weakref.finalize(alg, _MODELS.pop, id(alg), None)
-    return got
+    """The float model of alg, made once and kept on it (`nilpotent._kept`)."""
+    return _kept(alg, "_model", _FloatModel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -607,17 +597,17 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
 
     # Each step evaluates its point and the point's forward-difference probes
     # as one stack, and counts the probes only once it uses them; the last
-    # step needs none.  If a row of the stack is off the domain, the point is
-    # evaluated alone; when it is on the domain, a probe is not (each row's
-    # norms are bitwise its own), so the probes are counted and the restart
-    # ends, on the same evaluation as when the two are evaluated apart.
+    # step needs none, and neither does the first point with score <= tol,
+    # where the restart ends.  If a row of the stack is off the domain, the
+    # point is evaluated alone; when it is on the domain, a probe is not (each
+    # row's norms are bitwise its own), so the probes are counted and the
+    # restart ends, on the same evaluation as when the two are evaluated apart.
     offsets = GN_STEP * np.eye(n + 2 * m)
     rng = np.random.default_rng(seed)
     used = 0
     for _ in range(restarts):
         used += 1
         theta = rng.standard_normal(n + 2 * m)
-        last = math.inf  # the score of the step before
         for steps in range(GN_ITERATIONS + 1):
             got = None
             if steps < GN_ITERATIONS:
@@ -629,18 +619,15 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
             if got is None:
                 break
             score, proj = got[0][0], got[1][0]
-            if last <= tol and score >= last:  # the step no longer lowers the score
-                break
             if score < best[0]:
                 best = (float(score), tuple(a[0] for a in got[2]))
-            if steps == GN_ITERATIONS:
+            if score <= tol or steps == GN_ITERATIONS:
                 break
             evals += len(offsets)
             if not joint:
                 break
             jac = ((got[1][1:] - proj) / GN_STEP).T
             theta = theta + np.linalg.lstsq(jac, -proj, rcond=None)[0]
-            last = score
         if best[0] <= tol:
             break
     if best[0] <= tol and best[1] is not None:

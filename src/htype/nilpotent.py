@@ -23,6 +23,12 @@ rather than made. `bracket` and every certificate read
 `GradedNilpotent.nonzeros`; the dense tensor `GradedNilpotent.structure`
 is built from them at its first read, and only `bracket_basis` and the
 direct-substitution reference `symmetry.verify_graded_derivation` read it.
+
+Whatever else is derived from one algebra object (its Der_gr level record
+and negative levels in `symmetry`, its integer J-maps and type-H
+certificate, its Darboux pair and its float boundary model) is made at the
+first call and kept on that object by `_kept`, as `structure` is: out of
+the dataclass fields, and collected with the algebra.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from . import linalg
 from .errors import CenterDimensionError, StructureError
@@ -63,6 +69,7 @@ __all__ = [
 ]
 
 Structure = tuple[tuple[tuple[Fraction, ...], ...], ...]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -144,6 +151,17 @@ class NonsingularResult:
 
 
 _ZERO = Fraction(0)  # every zero cell of a tensor from `_zeros`
+
+
+def _kept(alg: GradedNilpotent, key: str, make: Callable[[GradedNilpotent], T]) -> T:
+    """make(alg) at the first call for key, then that same object: kept in
+    alg's instance dict, where `structure` is kept, so equality, repr, the
+    JSON writer and dataclasses.replace read none of it and it is collected
+    with alg. A make that raises keeps nothing."""
+    kept = vars(alg)
+    if key not in kept:
+        kept[key] = make(alg)
+    return kept[key]
 
 
 def _check_tensor_budget(dim_v: int, dim_z: int) -> None:
@@ -351,17 +369,20 @@ def is_type_h(alg: GradedNilpotent) -> TypeHResult:
     an integer matrix and the identity reads K_a K_b + K_b K_a =
     -2 delta_ab D^2 I, checked on Python integers, which cannot overflow.
     The J-maps of the division-algebra families are near-monomial, so K is
-    kept as sparse rows.
+    kept as sparse rows. The certificate and K are made once per algebra.
     """
-    if alg.dim_z == 0:
-        return TypeHResult(True, True, (), "vacuous: dim z = 0, no J-maps exist")
-    D, K = _integer_jmaps(alg)
-    failing = _clifford_failures(K, D)
-    if failing:
-        return TypeHResult(False, False, tuple(failing),
-                           f"{len(failing)} basis pair(s) violate the J-identity")
-    return TypeHResult(True, False, (),
-                       "J_a J_b + J_b J_a = -2 delta_ab I verified exactly on the z-basis")
+    def certify(alg):
+        if alg.dim_z == 0:
+            return TypeHResult(True, True, (), "vacuous: dim z = 0, no J-maps exist")
+        D, K = _kept(alg, "_integer_jmaps", _integer_jmaps)
+        failing = _clifford_failures(K, D)
+        if failing:
+            return TypeHResult(False, False, tuple(failing),
+                               f"{len(failing)} basis pair(s) violate the J-identity")
+        return TypeHResult(True, False, (),
+                           "J_a J_b + J_b J_a = -2 delta_ab I verified exactly on the z-basis")
+
+    return _kept(alg, "is_type_h", certify)
 
 
 def _interpolate(values: Sequence[Fraction]) -> list[Fraction]:
@@ -422,14 +443,14 @@ def is_nonsingular(alg: GradedNilpotent) -> NonsingularResult:
     """Is ad_X: v -> z surjective for every nonzero X?"""
     if alg.dim_z == 0:
         return NonsingularResult(True, True, "vacuous: dim z = 0")
-    # K_k = D J_k, built once for the type-H identity and the determinants
-    D, K = _integer_jmaps(alg)
-    if not _clifford_failures(K, D):
+    if is_type_h(alg):
         return NonsingularResult(True, False,
                                  "type H implies non-singular: J_Z X != 0 for Z, X != 0")
     if alg.dim_z > 2:
         return NonsingularResult(None, False,
                                  "undetermined: dim z > 2 without type H structure")
+    # K_k = D J_k, the integer J-maps the type-H check built
+    D, K = _kept(alg, "_integer_jmaps", _integer_jmaps)
     # ad_X surjective for all X != 0  <=>  J_Z nonsingular for all Z != 0
     # (failure of surjectivity pairs with a Z annihilating the image).
     # det K_1 = D^dim v det J_1, and det(K_1 + t K_2) = D^dim v det(J_1 + t J_2)
@@ -548,12 +569,14 @@ def check_symplectic_isomorphic(a: GradedNilpotent, b: GradedNilpotent):
     Returns (True, M) with exact M such that M^T S_b M = S_a (so
     (v, z) |-> (M^{-1} v, z) carries a to b), or (False, None).
     M = Pb Pa^{-1} for the Darboux bases of `_darboux`, which gives Pa^{-1}
-    from its covectors, and M is checked against S_a and S_b exactly.
+    from its covectors and is made once per algebra, and M is checked
+    against S_a and S_b exactly.
     """
     Sa, Sb = _skew_form(a), _skew_form(b)
     if a.dim_v != b.dim_v:
         return False, None
-    darboux_a, darboux_b = _darboux(Sa), _darboux(Sb)
+    darboux_a = _kept(a, "_darboux", lambda _: _darboux(Sa))
+    darboux_b = _kept(b, "_darboux", lambda _: _darboux(Sb))
     if darboux_a is None or darboux_b is None:
         return False, None
     # S_a = Pa^{-T} Omega Pa^{-1}; same for b. M = Pb Pa^{-1} gives

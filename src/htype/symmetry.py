@@ -10,8 +10,8 @@ full derivations add C: v -> z (always unconstrained) and a z -> v block
 E, which vanishes on [v, v] and maps into rad v = {w : [v, w] = 0}, so
 Der = Der_gr + Hom(v, z) + Hom(z / [v, v], rad v). The degree-0 system is
 solved once per algebra object: `graded_derivations`, `full_derivations`
-and degree 0 of `tanaka_prolong` share one certified result, kept by id()
-until the algebra is collected as its level-0 record (below) and method.
+and degree 0 of `tanaka_prolong` share one certified result, kept on the
+algebra (`nilpotent._kept`) as its level-0 record (below) and method.
 `full_derivations` solves nothing else but the two small systems whose
 nullities are dim rad v and dim(z / [v, v]).
 
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import time
-import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +53,7 @@ from typing import TYPE_CHECKING, Sequence
 from . import linalg
 from .errors import StructureError
 from .linalg import DEFAULT_BUDGET, check_budget, default_budget, nullspace
-from .nilpotent import GradedNilpotent
+from .nilpotent import GradedNilpotent, _kept
 
 if TYPE_CHECKING:  # annotations only
     from .linalg import NullspaceResult
@@ -111,27 +110,18 @@ class ProlongationResult:
         }
 
 
-# Der_gr(n) of each algebra object as its level-0 record (v, z, D) and the
-# method that certified it, keyed by id(); each entry is dropped when its
-# algebra is collected, so the cache neither pins algebras nor outlives
-# them under a reused id.
-_DER_GR: dict[int, tuple[tuple[list, list, int], str]] = {}
-
-
-def _der_gr(alg: GradedNilpotent, context: str,
-            levels: dict | None = None) -> tuple[tuple[list, list, int], str]:
+def _der_gr(alg: GradedNilpotent, context: str) -> tuple[tuple[list, list, int], str]:
     """Der_gr(n) as (level-0 record, method): the degree-0 system of alg,
-    solved by the first caller under its own context and then read by
+    solved by the first caller under its own context and kept on alg for
     every caller: `graded_derivations`, `full_derivations` and degree 0 of
-    `tanaka_prolong`. levels, if given, are alg's `_negative_levels`."""
-    cached = _DER_GR.get(id(alg))
-    if cached is None:
+    `tanaka_prolong`."""
+    def solve(alg):
         n, m = alg.dim_v, alg.dim_z
-        res = nullspace(_prolong_rows(0, levels or _negative_levels(alg)), n * n + m * m,
+        res = nullspace(_prolong_rows(0, _negative_levels(alg)), n * n + m * m,
                         context=context)
-        cached = _DER_GR[id(alg)] = (_split(res, n * n), res.method)
-        weakref.finalize(alg, _DER_GR.pop, id(alg), None)
-    return cached
+        return _split(res, n * n), res.method
+
+    return _kept(alg, "_der_gr", solve)
 
 
 def _matrices(mats: list, nrows: int, ncols: int, d: int) -> tuple:
@@ -166,11 +156,10 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
     solved was.
     """
     n, m = alg.dim_v, alg.dim_z
-    levels = _negative_levels(alg)
-    (v, z, d), method = _der_gr(alg, f"full derivation system of {alg.name}", levels)
+    (v, z, d), method = _der_gr(alg, f"full derivation system of {alg.name}")
     rad_rows: dict[tuple[int, int], dict[int, int]] = {}
     span_rows: dict[tuple[int, int], dict[int, int]] = {}
-    for s, entries in enumerate(levels[-1][0]):  # (k*n + t, D c(x_s, x_t)_k)
+    for s, entries in enumerate(_negative_levels(alg)[-1][0]):  # (k*n + t, D c(x_s, x_t)_k)
         for slot, x in entries:
             k, t = divmod(slot, n)
             rad_rows.setdefault((s, k), {})[t] = x
@@ -247,12 +236,16 @@ def _negative_levels(alg: GradedNilpotent) -> dict[int, tuple[list, list, int]]:
     elements have matrices with no rows and so no entries, and g_-1 = v,
     where x_i is ad x_i: v -> z, entry [s][t] = c(x_i, x_t)_s at slot
     s*n + t, and x_i kills z, so its z-matrix has no entries either.
+    Made once and kept on alg, so a caller that adds levels copies the dict.
     """
-    n, m = alg.dim_v, alg.dim_z
-    ad = [[] for _ in range(n)]
-    for i, t, s, x in alg.nonzeros:
-        ad[i].append((s * n + t, x))
-    return {-2: ([[]] * m, [[]] * m, 1), -1: _level(ad, [[]] * n)}
+    def make(alg):
+        n, m = alg.dim_v, alg.dim_z
+        ad = [[] for _ in range(n)]
+        for i, t, s, x in alg.nonzeros:
+            ad[i].append((s * n + t, x))
+        return {-2: ([[]] * m, [[]] * m, 1), -1: _level(ad, [[]] * n)}
+
+    return _kept(alg, "_negative_levels", make)
 
 
 def _brackets(ad: list, n: int) -> list[list[list[tuple[int, int]]]]:
@@ -424,7 +417,7 @@ def tanaka_prolong(alg: GradedNilpotent,
         raise ValueError(f"budget must be a positive entry count, got {budget}")
     t0 = time.perf_counter()
     n, m = alg.dim_v, alg.dim_z
-    levels = _negative_levels(alg)
+    levels = dict(_negative_levels(alg))
     first = 0  # g0 = Der_gr(n) is the degree-0 prolongation
     if supplied_g0 is not None:
         if not supplied_g0:
@@ -455,7 +448,7 @@ def tanaka_prolong(alg: GradedNilpotent,
         label = f"degree-{K} prolongation system" if K else "degree-0 derivation system"
         check_budget(n_rows, ncols, budget, label)
         if K == 0:  # a zero g0 does not end the loop
-            levels[0], _ = _der_gr(alg, label, levels)
+            levels[0], _ = _der_gr(alg, label)
             continue
         res = nullspace(_prolong_rows(K, levels), ncols, context=label)
         if not res.vectors:

@@ -2,10 +2,13 @@
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import random
 import tracemalloc
+import types
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -247,6 +250,65 @@ def test_structure_is_built_once_and_stays_out_of_the_fields():
     assert other.structure == tuple(tuple(tuple(2 * x for x in cij) for cij in ci)
                                     for ci in alg.structure)
     assert other.nonzeros == _dense_nonzeros(other)
+
+
+def test_derived_objects_are_made_once_and_die_with_their_algebra(monkeypatch, tmp_path):
+    # Each algebra builds its J-maps, runs the Clifford check and reduces its
+    # skew form once, whichever certificate, model or CLI check asks; what it
+    # keeps stays out of its fields, is held by nothing else, and is
+    # collected with it.
+    from htype import boundary, cli
+
+    builds, runs, reductions, loaded = [], [], [], []
+    jmaps, failures, darboux = (nilpotent._integer_jmaps, nilpotent._clifford_failures,
+                                nilpotent._darboux)
+    load = cli.load_algebra
+    monkeypatch.setattr(nilpotent, "_integer_jmaps", lambda a: builds.append(1) or jmaps(a))
+    monkeypatch.setattr(nilpotent, "_clifford_failures",
+                        lambda K, D: runs.append(1) or failures(K, D))
+    monkeypatch.setattr(nilpotent, "_darboux", lambda S: reductions.append(1) or darboux(S))
+    monkeypatch.setattr(cli, "load_algebra", lambda path: loaded.append(load(path)) or loaded[-1])
+
+    h1h = build_hn(DA.H, 1)
+    pencil = make_custom("pencil", 4, 2, [(0, 1, 0, 1), (2, 3, 0, 1), (0, 2, 1, 2),
+                                          (3, 1, 1, 2)])
+    target, sources = build_hn(DA.R, 2), [build_hprime(DA.C, 1, 1), build_hn(DA.R, 2)]
+    algs = [h1h, pencil, target, *sources]
+    before = [(repr(a), serialization.to_json_dict(a)) for a in algs]
+    for alg in (h1h, pencil):
+        assert is_type_h(alg) is is_type_h(alg)
+        is_nonsingular(alg)
+        is_nonsingular(alg)
+    boundary._model(h1h)
+    symmetry.graded_derivations(h1h)
+    serialization.save_algebra(h1h, tmp_path / "h1h.json")
+    assert cli.main(["check", "--in", str(tmp_path / "h1h.json"),
+                     "--tests", "typeh,nonsingular", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(builds) == len(runs) == 3  # h1(H), the pencil and the loaded h1(H)
+    for _ in range(2):
+        for source in sources:
+            assert check_symplectic_isomorphic(source, target)[0]
+    assert len(reductions) == 3
+
+    assert [(repr(a), serialization.to_json_dict(a)) for a in algs] == before
+    fields = {f.name for f in dataclasses.fields(GradedNilpotent)}
+    certified = {"_integer_jmaps", "is_type_h"}
+    expected = [(h1h, certified | {"_model", "_der_gr", "_negative_levels"}),
+                (pencil, certified), (loaded[0], certified),
+                *((alg, {"_darboux"}) for alg in (target, *sources))]
+    refs = [weakref.ref(vars(h1h)[key]) for key in ("is_type_h", "_model")]
+    for alg, keys in expected:
+        assert alg == dataclasses.replace(alg) and vars(dataclasses.replace(alg)).keys() == fields
+        assert vars(alg).keys() - fields == keys, alg.name
+        for key in keys:
+            holders = [r for r in gc.get_referrers(vars(alg)[key])
+                       if not isinstance(r, types.FrameType)]
+            assert len(holders) == 1 and holders[0] is vars(alg), (alg.name, key)
+        refs.append(weakref.ref(alg))
+    del alg, algs, expected, h1h, pencil, target, sources, source, holders
+    loaded.clear()
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_builders_write_one_fraction_per_nonzero():
@@ -559,18 +621,20 @@ def test_nonsingular_pencil_branch():
 
 
 def test_nonsingular_builds_the_integer_jmaps_once(monkeypatch):
-    # the type-H check and the pencil determinants read the same J-maps
+    # the type-H check and the pencil determinants read the same J-maps,
+    # built once for the algebra however often either is asked
     alg = make_custom("pencil", 4, 2, [(0, 1, 0, 1), (2, 3, 0, 1), (0, 2, 1, 2), (3, 1, 1, 2)])
-    calls = []
+    builds = []
     build = nilpotent._integer_jmaps
 
     def counted(a):
-        calls.append(a)
+        builds.append(a)
         return build(a)
 
     monkeypatch.setattr(nilpotent, "_integer_jmaps", counted)
     res = is_nonsingular(alg)
-    assert len(calls) == 1
+    assert is_nonsingular(alg) == res and not is_type_h(alg)
+    assert len(builds) == 1
     assert (res.verdict, res.certificate, res.degenerate) == (
         True, "pencil det(J_1 + t J_2) has no real roots and det J_2 != 0", False)
 

@@ -9,6 +9,8 @@ import os
 import random
 import subprocess
 import sys
+import types
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -933,13 +935,17 @@ def test_rad_v_is_solved_only_when_z_mod_brackets_is_nonzero(monkeypatch):
 
 
 def test_der_gr_cache_entry_goes_with_its_algebra():
+    # the record is kept on its algebra, held by nothing else, and
+    # collected with it
     alg = build_hn(DA.C, 1)
-    key = id(alg)
     graded_derivations(alg)
-    assert key in symmetry._DER_GR
-    del alg
+    holders = [r for r in gc.get_referrers(vars(alg)["_der_gr"])
+               if not isinstance(r, types.FrameType)]
+    assert len(holders) == 1 and holders[0] is vars(alg)
+    ref = weakref.ref(alg)
+    del alg, holders
     gc.collect()
-    assert key not in symmetry._DER_GR
+    assert ref() is None
 
 
 def test_degree0_budget_is_checked_before_the_cache_is_read():
@@ -955,7 +961,7 @@ def test_supplied_g0_bypasses_the_cache(monkeypatch):
     a = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     b = ((Fraction(2),),)
     res = tanaka_prolong(alg, supplied_g0=[(a, b)], max_degree=2)
-    assert res.g0_dim == 1 and id(alg) not in symmetry._DER_GR
+    assert res.g0_dim == 1 and "_der_gr" not in vars(alg)
     assert graded_derivations(alg).dimension == 4  # now cached; still not read
     contexts = _record_solves(monkeypatch)
     res = tanaka_prolong(alg, supplied_g0=[(a, b)], max_degree=2)
