@@ -17,10 +17,11 @@ itself and orthonormalize nothing: on type-H data, the only data the model
 accepts, J_a J_b + J_b J_a = -2 delta_ab I makes the J_k X orthogonal, each
 of norm |X|, and orthogonal to X.  The Cayley probes draw and map
 _PROBE_BLOCK points per stack, the J^2 kernels take _BLOCK vectors X, and
-each Gauss-Newton step evaluates its point with its n + 2m forward-difference
-probes as one stack.  Stack sizes bound memory; only the Cayley probes'
-points depend on theirs, as each block draws its X, then its Z, then its
-heights.  Every plane basis is orthonormalized once.
+each Gauss-Newton step makes one evaluation: its point with its n + 2m
+forward-difference probes as one stack (the last step, the point alone),
+each row marked on or off the domain.  Stack sizes bound memory; only the
+Cayley probes' points depend on theirs, as each block draws its X, then its
+Z, then its heights.  Every plane basis is orthonormalized once.
 
 Every experiment reports in one shape, built by `_report` with the
 tolerance constants below.
@@ -529,10 +530,24 @@ class ViolationSearch:
                        self.seed, self.witness)
 
 
-def _make_violation_witness(mod: _FloatModel, X, Z, W, score, perp):
-    return J2Witness(X / np.linalg.norm(X), Z / np.linalg.norm(Z),
-                     W / np.linalg.norm(W), score, perp,
-                     float(np.linalg.norm(mod.bracket(X, perp))))
+def _violation_rows(mod: _FloatModel, theta: np.ndarray):
+    """(on, scores, projection vectors, witness data (x, z, w, perp)) of a stack
+    of raw theta = (x, z, w), each row bitwise its own.  A row is on the domain
+    unless x, z or w orthogonalized against z has norm below 1e-8 (a NaN norm
+    is on); the values of a row off it are never read."""
+    n, m = mod.n, mod.m
+    x, z, w = theta[:, :n], theta[:, n:n + m], theta[:, n + m:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nx, nz = _norms(x), _norms(z)
+        x, z = x / nx[:, None], z / nz[:, None]
+        w = w - _dots(w, z)[:, None] * z
+        nw = _norms(w)
+        w = w / nw[:, None]
+        u, proj = _j2_stack(mod, x, mod.jz(z)[:, None], include_x=True,
+                            JW=mod.jz(w)[:, None])
+        u, proj = u[:, 0], proj[:, 0]
+        on = ~((nx < 1e-8) | (nz < 1e-8) | (nw < 1e-8))
+        return on, _norms(proj) / _norms(x), proj, (x, z, w, u - proj)
 
 
 def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
@@ -546,7 +561,7 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
     if mod.m <= 1:
         return ViolationSearch(alg.name, None, math.inf, 0, 0, seed, tol)
 
-    evals = 0
+    evals = used = 0
     best = (math.inf, None)
     eye_m = np.eye(mod.m)
     if sweep:
@@ -561,80 +576,41 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
             if score[i, p] < best[0]:
                 best = (float(score[i, p]),
                         (X[i], eye_m[ks[p]], eye_m[ls[p]], u[i, p] - proj[i, p]))
-    if best[0] <= tol:
-        X, Z, W, perp = best[1]
-        witness = _make_violation_witness(mod, X, Z, W, best[0], perp)
-        return ViolationSearch(alg.name, witness, best[0], evals, 0, seed, tol)
 
-    # Gauss-Newton on the projection vector, a zero-residual problem, over
-    # the raw theta; unpack turns each theta into a unitary triple.
-    n, m = mod.n, mod.m
-
-    def unpack(theta):
-        x, z, w = theta[:, :n], theta[:, n:n + m], theta[:, n + m:]
-        nx, nz = _norms(x), _norms(z)
-        if np.any(nx < 1e-8) or np.any(nz < 1e-8):
-            return None
-        x = x / nx[:, None]
-        z = z / nz[:, None]
-        w = w - np.matmul(w[:, None, :], z[:, :, None])[:, 0] * z
-        nw = _norms(w)
-        if np.any(nw < 1e-8):
-            return None
-        return x, z, w / nw[:, None]
-
-    def evaluate(theta):
-        """(scores, projection vectors, witness data) of a stack of theta,
-        or None if any of them is off the domain."""
-        triple = unpack(theta)
-        if triple is None:
-            return None
-        x, z, w = triple
-        u, proj = _j2_stack(mod, x, mod.jz(z)[:, None], include_x=True,
-                            JW=mod.jz(w)[:, None])
-        u, proj = u[:, 0], proj[:, 0]
-        return _norms(proj) / _norms(x), proj, (x, z, w, u - proj)
-
-    # Each step evaluates its point and the point's forward-difference probes
-    # as one stack, and counts the probes only once it uses them; the last
-    # step needs none, and neither does the first point with score <= tol,
-    # where the restart ends.  If a row of the stack is off the domain, the
-    # point is evaluated alone; when it is on the domain, a probe is not (each
-    # row's norms are bitwise its own), so the probes are counted and the
-    # restart ends, on the same evaluation as when the two are evaluated apart.
-    offsets = GN_STEP * np.eye(n + 2 * m)
+    # Gauss-Newton on the projection vector, a zero-residual problem, over the
+    # raw theta = (x, z, w), restarted until a score reaches tol.  Each step
+    # evaluates its point with the point's n + 2m forward-difference probes as
+    # one stack (the last step, the point alone) and counts the probes only
+    # once it uses them.  A restart ends at its first point with score <= tol,
+    # at its last step, or at a point or a probe off the domain.
+    offsets = GN_STEP * np.eye(mod.n + 2 * mod.m)
     rng = np.random.default_rng(seed)
-    used = 0
-    for _ in range(restarts):
+    while not best[0] <= tol and used < restarts:
         used += 1
-        theta = rng.standard_normal(n + 2 * m)
+        theta = rng.standard_normal(len(offsets))
         for steps in range(GN_ITERATIONS + 1):
-            got = None
-            if steps < GN_ITERATIONS:
-                got = evaluate(np.concatenate([theta[None], theta + offsets]))
-            joint = got is not None
-            if not joint:
-                got = evaluate(theta[None])
+            last = steps == GN_ITERATIONS
+            stack = theta[None] if last else np.concatenate([theta[None], theta + offsets])
+            on, score, proj, data = _violation_rows(mod, stack)
             evals += 1
-            if got is None:
+            if not on[0]:
                 break
-            score, proj = got[0][0], got[1][0]
-            if score < best[0]:
-                best = (float(score), tuple(a[0] for a in got[2]))
-            if score <= tol or steps == GN_ITERATIONS:
+            if score[0] < best[0]:
+                best = (float(score[0]), tuple(a[0] for a in data))
+            if score[0] <= tol or last:
                 break
             evals += len(offsets)
-            if not joint:
+            if not on[1:].all():
                 break
-            jac = ((got[1][1:] - proj) / GN_STEP).T
-            theta = theta + np.linalg.lstsq(jac, -proj, rcond=None)[0]
-        if best[0] <= tol:
-            break
+            jac = ((proj[1:] - proj[0]) / GN_STEP).T
+            theta = theta + np.linalg.lstsq(jac, -proj[0], rcond=None)[0]
+    witness = None
     if best[0] <= tol and best[1] is not None:
         X, Z, W, perp = best[1]
-        witness = _make_violation_witness(mod, X, Z, W, best[0], perp)
-        return ViolationSearch(alg.name, witness, best[0], evals, used, seed, tol)
-    return ViolationSearch(alg.name, None, best[0], evals, used, seed, tol)
+        witness = J2Witness(X / np.linalg.norm(X), Z / np.linalg.norm(Z),
+                            W / np.linalg.norm(W), best[0], perp,
+                            float(np.linalg.norm(mod.bracket(X, perp))))
+    return ViolationSearch(alg.name, witness, best[0], evals, used, seed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -809,15 +785,18 @@ def extension_verdict(alg: GradedNilpotent, sample_count: int = 200,
 def puncture_point(alg: GradedNilpotent, seed: int = 0, directions: int = 6,
                    radius: float = 1e9, tol: float = 1e-8) -> np.ndarray:
     """Common limit of the boundary Cayley map as |X| grows, checked to be
-    direction-independent; this is the puncture of the sphere model.  The
-    radius must be finite and positive, and at most 1e77: above about 7.3e77
-    the denominator (1 + r^2/4)^2 of the map overflows float64."""
+    direction-independent; this is the puncture of the sphere model.  It
+    takes e_1 and directions - 1 random unit X, so directions must be at
+    least 2.  The radius must be finite and positive, and at most 1e77: above
+    about 7.3e77 the denominator (1 + r^2/4)^2 of the map overflows float64."""
+    if directions < 2:
+        raise ValueError(f"directions must be at least 2, got {directions!r}")
     if not 0 < radius <= 1e77:  # NaN fails too
         raise ValueError(f"radius must be finite and positive, at most 1e77, got {radius!r}")
     mod = _model(alg)
     rng = np.random.default_rng(seed)
     xs = [np.eye(mod.n)[0]]
-    for _ in range(max(1, directions - 1)):
+    for _ in range(directions - 1):
         v = rng.standard_normal(mod.n)
         xs.append(v / np.linalg.norm(v))
     zs = [np.zeros(mod.m)]

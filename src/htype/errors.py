@@ -43,16 +43,15 @@ class BudgetExceeded(HTypeError, RuntimeError):
 
 
 class ConvergenceError(HTypeError, RuntimeError):
-    """A solver or a closed form missed its residual target."""
+    """A solver or a closed form (iterations = 0) missed its residual target."""
 
     def __init__(self, residual, target, iterations):
         self.residual = residual
         self.target = target
         self.iterations = iterations
-        super().__init__(
-            f"no convergence after {iterations} iterations: "
-            f"residual {residual:.3e} > target {target:.3e}"
-        )
+        what = (f"no convergence after {iterations} iterations" if iterations
+                else "closed form missed its target")
+        super().__init__(f"{what}: residual {residual:.3e} > target {target:.3e}")
 
 
 class DatasetError(HTypeError, ValueError):

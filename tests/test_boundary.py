@@ -158,6 +158,17 @@ def test_cayley_inverse_reports_convergence_failure():
     assert exc.value.iterations == 0
 
 
+def test_convergence_error_names_a_closed_form():
+    # the closed-form inverse runs no iteration, and its message says so
+    vec = np.random.default_rng(8).standard_normal(7)
+    vec *= 0.5 / np.linalg.norm(vec)
+    with pytest.raises(ConvergenceError, match="^closed form missed its target: "
+                                               "residual .* > target 0.000e[+]00$"):
+        B.cayley_inverse(h1c(), vec, tol=0.0)
+    assert str(ConvergenceError(2.0, 1.0, 5)) == (
+        "no convergence after 5 iterations: residual 2.000e+00 > target 1.000e+00")
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6))
 def test_round_trip_property(seed):
@@ -555,6 +566,21 @@ def test_puncture_point_is_direction_independent():
         north = np.zeros(alg.dim_v + alg.dim_z + 1)
         north[-1] = 1.0
         assert np.linalg.norm(p - north) <= 1e-8
+
+
+def test_puncture_point_checks_exactly_its_directions(monkeypatch):
+    # e_1 and directions - 1 random X, each at two Z; one direction checks
+    # no direction-independence, so fewer than two are refused
+    cayley, calls = B._cayley_arrays, []
+    monkeypatch.setattr(B, "_cayley_arrays",
+                        lambda *a: calls.append(1) or cayley(*a))
+    for directions in (2, 3, 6):
+        calls.clear()
+        B.puncture_point(h1c(), directions=directions)
+        assert len(calls) == 2 * directions
+    for directions in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2"):
+            B.puncture_point(h1c(), directions=directions)
 
 
 def test_puncture_point_refuses_bad_radii():
@@ -1003,23 +1029,30 @@ def test_gauss_newton_joint_stack_matches_two_calls(make, seed):
     _assert_search_is(B._model(alg), search, *_two_call_search(alg, seed))
 
 
+def _off_in_stacks(monkeypatch, rows):
+    """Patch _norms to read the given rows of every multi-row stack as zero,
+    so they are off the domain; returns the list of stack sizes it saw."""
+    norms, seen = B._norms, []
+
+    def off(v):
+        out = norms(v)
+        if v.ndim == 2 and len(v) > 1:
+            seen.append(len(v))
+            out[rows] = 0.0
+        return out
+
+    monkeypatch.setattr(B, "_norms", off)
+    return seen
+
+
 def test_gauss_newton_ends_a_restart_when_a_probe_is_off_the_domain(monkeypatch):
-    # Every stack of more than one row reads as off the domain, so each
-    # restart's point is on it and its probes are not. The probes are
-    # counted, never evaluated apart, and the restart ends where evaluating
-    # them apart ends it.
+    # Every row but the first of a stack reads as off the domain: a step's
+    # point is on it and its probes are not. The probes are counted, never
+    # evaluated apart, and the restart ends where evaluating them apart ends it.
     alg = build_hprime(DA.H, 1, 1)
     mod = B._model(alg)
     joint = mod.n + 2 * mod.m + 1
-    norms, seen = B._norms, []
-
-    def off_when_stacked(v):
-        if v.ndim == 2 and len(v) > 1:
-            seen.append(len(v))
-            return np.zeros(len(v))
-        return norms(v)
-
-    monkeypatch.setattr(B, "_norms", off_when_stacked)
+    seen = _off_in_stacks(monkeypatch, slice(1, None))
     want = _two_call_search(alg, 0)
     assert set(seen) == {joint - 1}
     seen.clear()
@@ -1027,6 +1060,18 @@ def test_gauss_newton_ends_a_restart_when_a_probe_is_off_the_domain(monkeypatch)
     assert set(seen) == {joint}
     assert search.evaluations == 8 * joint
     _assert_search_is(mod, search, *want)
+
+
+def test_gauss_newton_ends_a_restart_when_its_point_is_off_the_domain(monkeypatch):
+    # The point of every stack reads as off the domain and its probes as on
+    # it: each restart counts the point alone and records nothing.
+    alg = build_hprime(DA.H, 1, 1)
+    mod = B._model(alg)
+    seen = _off_in_stacks(monkeypatch, 0)
+    search = B.find_j2_violation(alg, seed=0, sweep=False)
+    assert set(seen) == {mod.n + 2 * mod.m + 1}
+    assert (search.evaluations, search.restarts_used) == (8, 8)
+    assert search.best_score == math.inf and search.witness is None
 
 
 def test_cayley_probe_memory_is_bounded_by_blocks():
