@@ -582,11 +582,15 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
     # evaluates its point with the point's n + 2m forward-difference probes as
     # one stack (the last step, the point alone) and counts the probes only
     # once it uses them.  A restart ends at its first point with score <= tol,
-    # at its last step, or at a point or a probe off the domain.
+    # at its last step, or at a point or a probe off the domain.  The generator
+    # is made at the first restart: numpy imports numpy.random on first use,
+    # which a search the sweep ends need not pay.
     offsets = GN_STEP * np.eye(mod.n + 2 * mod.m)
-    rng = np.random.default_rng(seed)
+    rng = None
     while not best[0] <= tol and used < restarts:
         used += 1
+        if rng is None:
+            rng = np.random.default_rng(seed)
         theta = rng.standard_normal(len(offsets))
         for steps in range(GN_ITERATIONS + 1):
             last = steps == GN_ITERATIONS
