@@ -10,18 +10,22 @@ on one point or a stack.  One closed-form derivative of the map, along a
 stack of directions, serves the sphere planes and the limiting planes.  The
 only finite difference, along the translation curves, checks their pushes.
 
-Points and candidates are evaluated in stacks, each row bit-identical to
-evaluating it alone: stacked matmul makes one BLAS call per vector or
-matrix.  The J^2 kernels project onto span{J_z X} with the frame J_k X
-itself and orthonormalize nothing: on type-H data, the only data the model
-accepts, J_a J_b + J_b J_a = -2 delta_ab I makes the J_k X orthogonal, each
-of norm |X|, and orthogonal to X.  The Cayley probes draw and map
+Every entry that takes a point (X, Z) reads it through one shape check,
+`_point`.  Points and candidates are evaluated in stacks, each row
+bit-identical to evaluating it alone: stacked matmul makes one BLAS call per
+vector or matrix.  The J^2 kernels project onto span{J_z X} with the frame
+J_k X itself and orthonormalize nothing: on type-H data, the only data the
+model accepts, J_a J_b + J_b J_a = -2 delta_ab I makes the J_k X orthogonal,
+each of norm |X|, and orthogonal to X.  The Cayley probes draw and map
 _PROBE_BLOCK points per stack, the J^2 kernels take _BLOCK vectors X, and
 each Gauss-Newton step makes one evaluation: its point with its n + 2m
 forward-difference probes as one stack (the last step, the point alone),
-each row marked on or off the domain.  Stack sizes bound memory; only the
-Cayley probes' points depend on theirs, as each block draws its X, then its
-Z, then its heights.  Every plane basis is orthonormalized once.
+each row marked on or off the domain.  One evaluator, `_violation_rows`,
+normalizes and scores every witness: the search's stacks, and the witness
+the limiting-plane experiment checks as a one-row stack.  Stack sizes bound
+memory; only the Cayley probes' points depend on theirs, as each block of
+`_probe_blocks` draws its X, then its Z, then its heights.  Every plane
+basis is orthonormalized once.
 
 Every experiment reports in one shape, built by `_report` with the
 tolerance constants below.
@@ -166,16 +170,18 @@ class TangentPlane:
         return self.basis.shape[0]
 
 
+def _point(mod: _FloatModel, X, Z) -> tuple[np.ndarray, np.ndarray]:
+    """X and Z as float arrays, StructureError unless their shapes are (n,) and (m,)."""
+    Xa, Za = np.asarray(X, dtype=float), np.asarray(Z, dtype=float)
+    if Xa.shape != (mod.n,) or Za.shape != (mod.m,):
+        raise StructureError(f"point dimensions {Xa.shape}/{Za.shape} do not match "
+                             f"({mod.n},)/({mod.m},)")
+    return Xa, Za
+
+
 def siegel_point(alg: GradedNilpotent, X, Z, t: float | None = None) -> SiegelPoint:
     """Validated point; t = |X|^2 / 4 (boundary) when omitted."""
-    mod = _model(alg)
-    Xa = np.asarray(X, dtype=float)
-    Za = np.asarray(Z, dtype=float)
-    if Xa.shape != (mod.n,) or Za.shape != (mod.m,):
-        raise StructureError(
-            f"point dimensions {Xa.shape}/{Za.shape} do not match "
-            f"({mod.n},)/({mod.m},)"
-        )
+    Xa, Za = _point(_model(alg), X, Z)
     if t is None:
         t = 0.25 * float(Xa @ Xa)
     p = SiegelPoint(Xa, Za, float(t))
@@ -336,8 +342,7 @@ def cayley_inverse(alg: GradedNilpotent, b, tol: float = INVERSE_TOL) -> SiegelP
 def boundary_distribution(alg: GradedNilpotent, X, Z) -> TangentPlane:
     """Contact plane {(Y, [X,Y]/2, <X,Y>/2)} at a boundary point, orthonormal."""
     mod = _model(alg)
-    Xa = np.asarray(X, dtype=float)
-    Za = np.asarray(Z, dtype=float)
+    Xa, Za = _point(mod, X, Z)
     basis = _orthonormal_rows(_contact_rows(mod, Xa, np.eye(mod.n)))
     # Membership in T(boundary) = {(2Y, W, <X,Y>)}: last = <X, head>/2.
     scale = max(1.0, float(Xa @ Xa))
@@ -375,9 +380,8 @@ def sphere_distribution(alg: GradedNilpotent, X, Z) -> TangentPlane:
     """Contact plane pushed to the sphere by the closed-form derivative of
     the Cayley map; every pushed direction is checked against a finite
     difference along its translation curve."""
-    plane, _ = _sphere_plane(_model(alg), np.asarray(X, dtype=float),
-                             np.asarray(Z, dtype=float))
-    return plane
+    mod = _model(alg)
+    return _sphere_plane(mod, *_point(mod, X, Z))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +534,14 @@ class ViolationSearch:
                        self.seed, self.witness)
 
 
-def _violation_rows(mod: _FloatModel, theta: np.ndarray):
-    """(on, scores, projection vectors, witness data (x, z, w, perp)) of a stack
-    of raw theta = (x, z, w), each row bitwise its own.  A row is on the domain
-    unless x, z or w orthogonalized against z has norm below 1e-8 (a NaN norm
-    is on); the values of a row off it are never read."""
-    n, m = mod.n, mod.m
-    x, z, w = theta[:, :n], theta[:, n:n + m], theta[:, n + m:]
+def _violation_rows(mod: _FloatModel, x: np.ndarray, z: np.ndarray, w: np.ndarray):
+    """The one normalization and score of witnesses: for stacks of raw x, z and
+    w, the norms (|x|, |z|, |w - (w.z) z|) as a (3, b) array, then the scores,
+    projection vectors and witness data (x, z, w, perp), unit x, z and w with w
+    orthogonalized against z.  Each row is bitwise its own.  A row with a zero
+    or non-finite norm computes NaN or zero values without a warning, and its
+    caller judges it by the norms: the search puts it off the domain where a
+    norm is below 1e-8, and the limiting-plane experiment refuses it."""
     with np.errstate(divide="ignore", invalid="ignore"):
         nx, nz = _norms(x), _norms(z)
         x, z = x / nx[:, None], z / nz[:, None]
@@ -546,8 +551,7 @@ def _violation_rows(mod: _FloatModel, theta: np.ndarray):
         u, proj = _j2_stack(mod, x, mod.jz(z)[:, None], include_x=True,
                             JW=mod.jz(w)[:, None])
         u, proj = u[:, 0], proj[:, 0]
-        on = ~((nx < 1e-8) | (nz < 1e-8) | (nw < 1e-8))
-        return on, _norms(proj) / _norms(x), proj, (x, z, w, u - proj)
+        return np.stack([nx, nz, nw]), _norms(proj) / _norms(x), proj, (x, z, w, u - proj)
 
 
 def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
@@ -595,16 +599,18 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
         for steps in range(GN_ITERATIONS + 1):
             last = steps == GN_ITERATIONS
             stack = theta[None] if last else np.concatenate([theta[None], theta + offsets])
-            on, score, proj, data = _violation_rows(mod, stack)
+            norms, score, proj, data = _violation_rows(
+                mod, *np.split(stack, [mod.n, mod.n + mod.m], axis=1))
+            off = (norms < 1e-8).any(axis=0)  # a NaN norm is on the domain
             evals += 1
-            if not on[0]:
+            if off[0]:
                 break
             if score[0] < best[0]:
                 best = (float(score[0]), tuple(a[0] for a in data))
             if score[0] <= tol or last:
                 break
             evals += len(offsets)
-            if not on[1:].all():
+            if off[1:].any():
                 break
             jac = ((proj[1:] - proj[0]) / GN_STEP).T
             theta = theta + np.linalg.lstsq(jac, -proj[0], rcond=None)[0]
@@ -690,29 +696,19 @@ def limiting_plane_experiment(alg: GradedNilpotent, witness: J2Witness,
     """
     radii = _check_radii(radii)
     mod = _model(alg)
-    x, z, w = (np.asarray(a, dtype=float) for a in (witness.X, witness.Z, witness.W))
-    bad = "witness X, Z and W must be finite, and X and Z nonzero"
+    (nx, nz, nw), score, _, (x, z, w, _) = _violation_rows(
+        mod, *(np.asarray(a, dtype=float)[None] for a in (witness.X, witness.Z, witness.W)))
     # A norm is refused when it is not finite, as a NaN entry's is, or when it
-    # overflows: its vector would normalize to zero.
-    nx, nz = np.linalg.norm(x), np.linalg.norm(z)
-    if not (0 < nx < math.inf and 0 < nz < math.inf and np.isfinite(w).all()):
-        raise StructureError(bad)
-    x, z = x / nx, z / nz
-    w = w - (w @ z) * z
-    nw = np.linalg.norm(w)
-    if not nw < math.inf:
-        raise StructureError(bad)
-    if nw < 1e-8:
+    # overflows: its vector would normalize to zero.  A non-finite entry of W
+    # leaves no finite norm of the orthogonalized W.
+    if not (0 < nx[0] < math.inf and 0 < nz[0] < math.inf and nw[0] < math.inf):
+        raise StructureError("witness X, Z and W must be finite, and X and Z nonzero")
+    if nw[0] < 1e-8:
         raise StructureError("witness W is parallel to Z")
-    w = w / nw
-    _, proj = _j2_stack(mod, x[None], mod.jz(z)[None, None], include_x=True,
-                        JW=mod.jz(w)[None, None])
-    score = float(_norms(proj[0, 0]) / _norms(x))
-    if not score <= PLANE_TOL:  # a NaN score is refused too
-        raise StructureError(
-            f"witness does not violate the J^2 condition: projection "
-            f"residual {score:.3e} > {PLANE_TOL:.1e}"
-        )
+    if not score[0] <= PLANE_TOL:  # a NaN score is refused too
+        raise StructureError(f"witness does not violate the J^2 condition: projection "
+                             f"residual {score[0]:.3e} > {PLANE_TOL:.1e}")
+    x, z, w = x[0], z[0], w[0]
 
     jz_hat, jw_hat = mod.jz(z), mod.jz(w)
     a1, a2 = x, jz_hat @ x
@@ -803,9 +799,7 @@ def puncture_point(alg: GradedNilpotent, seed: int = 0, directions: int = 6,
     for _ in range(directions - 1):
         v = rng.standard_normal(mod.n)
         xs.append(v / np.linalg.norm(v))
-    zs = [np.zeros(mod.m)]
-    if mod.m:
-        zs.append(0.5 * np.eye(mod.m)[0])
+    zs = (np.zeros(mod.m), 0.5 * np.eye(mod.m)[0])
     pts = [_cayley_arrays(mod, X, z, 0.25 * float(X @ X))
            for X in (radius * x for x in xs) for z in zs]
     spread = max(
@@ -819,8 +813,7 @@ def puncture_point(alg: GradedNilpotent, seed: int = 0, directions: int = 6,
 def group_product(alg: GradedNilpotent, g1, g2):
     """Group law on the boundary (2-step BCH, exact): (X, Z) pairs."""
     mod = _model(alg)
-    X1, Z1 = (np.asarray(a, dtype=float) for a in g1)
-    X2, Z2 = (np.asarray(a, dtype=float) for a in g2)
+    (X1, Z1), (X2, Z2) = _point(mod, *g1), _point(mod, *g2)
     return X1 + X2, Z1 + Z2 + 0.5 * mod.bracket(X1, X2)
 
 
@@ -839,8 +832,8 @@ def translation_invariance_check(alg: GradedNilpotent, X, Z,
     # d(C o L_g) at the identity applied to the flat base plane (Y, 0):
     # the translated curve is s -> (X + sY, Z + s[X,Y]/2) by the group law,
     # which is the curve the in-place plane's finite difference follows.
-    return _invariance_distance(*_sphere_plane(_model(alg), np.asarray(X, dtype=float),
-                                               np.asarray(Z, dtype=float)), tol)
+    mod = _model(alg)
+    return _invariance_distance(*_sphere_plane(mod, *_point(mod, X, Z)), tol)
 
 
 def distribution_experiment(alg: GradedNilpotent, sample_count: int = 25,
@@ -871,19 +864,27 @@ def distribution_experiment(alg: GradedNilpotent, sample_count: int = 25,
 # Sampled invariants
 
 
+def _probe_blocks(mod: _FloatModel, samples: int, rng):
+    """The random points (X, Z) of a Cayley probe, _PROBE_BLOCK at most per
+    block, each block drawing its X, then its Z, as the caller draws the rest of
+    the block before the next; samples < 1 is refused before anything is drawn."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    for start in range(0, samples, _PROBE_BLOCK):
+        b = min(_PROBE_BLOCK, samples - start)
+        yield rng.standard_normal((b, mod.n)), rng.standard_normal((b, mod.m))
+
+
 def boundary_identity_error(alg: GradedNilpotent, samples: int = 10_000,
                             seed: int = 0) -> float:
     """max | |C(p)|^2 - 1 | over random boundary points, drawn and mapped in
-    stacks of _PROBE_BLOCK.  More than MAX_PROBE_DRAWS normals raise
-    ValueError before anything is drawn."""
+    stacks of _PROBE_BLOCK.  More than MAX_PROBE_DRAWS normals, or fewer than
+    one sample, raise ValueError before anything is drawn."""
     if samples * (alg.dim_v + alg.dim_z) > MAX_PROBE_DRAWS:
         raise ValueError(f"{samples} samples draw over the cap of {MAX_PROBE_DRAWS} normals")
     mod = _model(alg)
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for start in range(0, samples, _PROBE_BLOCK):
-        b = min(_PROBE_BLOCK, samples - start)
-        X, Z = rng.standard_normal((b, mod.n)), rng.standard_normal((b, mod.m))
+    for X, Z in _probe_blocks(mod, samples, np.random.default_rng(seed)):
         C = _cayley_arrays(mod, X, Z, 0.25 * _dots(X, X))
         worst = max(worst, float(np.max(np.abs(_dots(C, C) - 1.0))))
     return worst
@@ -893,14 +894,13 @@ def round_trip_error(alg: GradedNilpotent, samples: int = 1000,
                      seed: int = 0) -> float:
     """max |p - cayley_inverse(cayley(p))| over random interior points, drawn
     and mapped out and back in stacks of _PROBE_BLOCK, through the checks of
-    `cayley` and `cayley_inverse`, bit-identical to one point at a time."""
+    `cayley` and `cayley_inverse`, bit-identical to one point at a time.
+    Fewer than one sample raise ValueError before anything is drawn."""
     mod = _model(alg)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for start in range(0, samples, _PROBE_BLOCK):
-        b = min(_PROBE_BLOCK, samples - start)
-        X, Z = rng.standard_normal((b, mod.n)), rng.standard_normal((b, mod.m))
-        t = 0.25 * _dots(X, X) + rng.uniform(0.05, 2.0, b)
+    for X, Z in _probe_blocks(mod, samples, rng):
+        t = 0.25 * _dots(X, X) + rng.uniform(0.05, 2.0, len(X))
         _check_siegel(X, Z, t, SIEGEL_TOL)
         back = _inverse(mod, _cayley_arrays(mod, X, Z, t), INVERSE_TOL)
         worst = max(worst, float(np.max(_norms(np.column_stack([X, Z, t]) - back))))

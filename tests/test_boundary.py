@@ -349,6 +349,23 @@ def test_boundary_identity_refuses_draws_over_the_cap():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("probe", [B.boundary_identity_error, B.round_trip_error],
+                         ids=["identity", "round_trip"])
+@pytest.mark.parametrize("samples", [0, -4])
+def test_cayley_probes_refuse_fewer_than_one_sample(monkeypatch, probe, samples):
+    # Once, no sample checked no point and returned 0.0, a pass.
+    alg = h1c()
+    B._model(alg)
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"drew with {name}")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraws())
+    with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+        probe(alg, samples=samples, seed=0)
+
+
 def test_cayley_probes_map_whole_blocks(monkeypatch):
     alg = build_hn(DA.O, 1)
     B.boundary_identity_error(alg, samples=1, seed=0)  # build the model first
@@ -540,6 +557,34 @@ def test_group_product_is_a_two_step_group_law():
         assert np.max(np.abs(a - b)) <= 1e-12
     ident = B.group_product(alg, g[0], (np.zeros(4), np.zeros(2)))
     assert np.allclose(ident[0], g[0][0]) and np.allclose(ident[1], g[0][1])
+
+
+POINT_ENTRIES = {
+    "siegel_point": B.siegel_point,
+    "boundary_distribution": B.boundary_distribution,
+    "sphere_distribution": B.sphere_distribution,
+    "translation_invariance_check": B.translation_invariance_check,
+    "group_product": lambda alg, X, Z: B.group_product(alg, (X, Z), (np.ones(4), np.ones(2))),
+    "group_product_second":
+        lambda alg, X, Z: B.group_product(alg, (np.ones(4), np.ones(2)), (X, Z)),
+}
+
+
+@pytest.mark.parametrize("X, Z", [(np.ones(3), np.ones(2)), (np.ones((1, 4)), np.ones(2)),
+                                  (np.ones(4), [0.5]), (np.ones(4), np.ones(3))],
+                         ids=["X3", "X1x4", "Z1", "Z3"])
+@pytest.mark.parametrize("entry", list(POINT_ENTRIES))
+def test_point_entries_refuse_mis_shaped_points(entry, X, Z):
+    # Unchecked, group_product broadcast a 1-entry Z to a 2-entry z-part and
+    # boundary_distribution built an 8-entry base in a 7-dimensional space.
+    alg = h1c()
+    with pytest.raises(StructureError) as want:
+        B.siegel_point(alg, X, Z)
+    with pytest.raises(StructureError) as got:
+        POINT_ENTRIES[entry](alg, X, Z)
+    assert str(got.value) == str(want.value)
+    assert str(want.value).endswith("do not match (4,)/(2,)")
+    assert isinstance(got.value, ValueError)
 
 
 @pytest.mark.parametrize("make", [h1c, lambda: build_hprime(DA.H, 1, 1),
