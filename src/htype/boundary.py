@@ -96,10 +96,10 @@ GN_STEP = 1e-7  # forward-difference step of the Gauss-Newton Jacobian
 GN_ITERATIONS = 50  # Gauss-Newton steps per restart of the witness search
 _BLOCK = 64  # X vectors per stacked J^2 evaluation: bounds memory, not results
 _PROBE_BLOCK = 256  # points per stacked Cayley probe: a 512 KB J_Z stack on h1(O)
-# The most normals boundary_identity_error draws, samples * (dim v + dim z),
-# refused before the first: it bounds work, not memory (each block draws its
-# own), at over 40x its largest caller, 10**4 samples on h1(O) (dim v + dim z
-# = 24) in the benchmark.
+# The most normals a Cayley probe draws, samples * (dim v + dim z), refused
+# before the first by _probe_blocks: it bounds work, not memory (each block
+# draws its own), at over 40x its largest caller, 10**4 samples on h1(O)
+# (dim v + dim z = 24) in the benchmark.
 MAX_PROBE_DRAWS = 10**7
 
 
@@ -538,11 +538,12 @@ def _violation_rows(mod: _FloatModel, x: np.ndarray, z: np.ndarray, w: np.ndarra
     """The one normalization and score of witnesses: for stacks of raw x, z and
     w, the norms (|x|, |z|, |w - (w.z) z|) as a (3, b) array, then the scores,
     projection vectors and witness data (x, z, w, perp), unit x, z and w with w
-    orthogonalized against z.  Each row is bitwise its own.  A row with a zero
-    or non-finite norm computes NaN or zero values without a warning, and its
-    caller judges it by the norms: the search puts it off the domain where a
-    norm is below 1e-8, and the limiting-plane experiment refuses it."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    orthogonalized against z.  Each row is bitwise its own.  A row with a zero,
+    overflowing or non-finite norm computes NaN, inf or zero values without a
+    warning, and its caller judges it by the norms: the search puts it off the
+    domain where a norm is below 1e-8, and the limiting-plane experiment
+    refuses it."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         nx, nz = _norms(x), _norms(z)
         x, z = x / nx[:, None], z / nz[:, None]
         w = w - _dots(w, z)[:, None] * z
@@ -867,9 +868,12 @@ def distribution_experiment(alg: GradedNilpotent, sample_count: int = 25,
 def _probe_blocks(mod: _FloatModel, samples: int, rng):
     """The random points (X, Z) of a Cayley probe, _PROBE_BLOCK at most per
     block, each block drawing its X, then its Z, as the caller draws the rest of
-    the block before the next; samples < 1 is refused before anything is drawn."""
+    the block before the next.  Two refusals, both ValueError before anything is
+    drawn: fewer than one sample, and more than MAX_PROBE_DRAWS normals in all."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples * (mod.n + mod.m) > MAX_PROBE_DRAWS:
+        raise ValueError(f"{samples} samples draw over the cap of {MAX_PROBE_DRAWS} normals")
     for start in range(0, samples, _PROBE_BLOCK):
         b = min(_PROBE_BLOCK, samples - start)
         yield rng.standard_normal((b, mod.n)), rng.standard_normal((b, mod.m))
@@ -879,9 +883,7 @@ def boundary_identity_error(alg: GradedNilpotent, samples: int = 10_000,
                             seed: int = 0) -> float:
     """max | |C(p)|^2 - 1 | over random boundary points, drawn and mapped in
     stacks of _PROBE_BLOCK.  More than MAX_PROBE_DRAWS normals, or fewer than
-    one sample, raise ValueError before anything is drawn."""
-    if samples * (alg.dim_v + alg.dim_z) > MAX_PROBE_DRAWS:
-        raise ValueError(f"{samples} samples draw over the cap of {MAX_PROBE_DRAWS} normals")
+    one sample, raise ValueError before anything is drawn (`_probe_blocks`)."""
     mod = _model(alg)
     worst = 0.0
     for X, Z in _probe_blocks(mod, samples, np.random.default_rng(seed)):
@@ -895,7 +897,8 @@ def round_trip_error(alg: GradedNilpotent, samples: int = 1000,
     """max |p - cayley_inverse(cayley(p))| over random interior points, drawn
     and mapped out and back in stacks of _PROBE_BLOCK, through the checks of
     `cayley` and `cayley_inverse`, bit-identical to one point at a time.
-    Fewer than one sample raise ValueError before anything is drawn."""
+    More than MAX_PROBE_DRAWS normals, or fewer than one sample, raise
+    ValueError before anything is drawn (`_probe_blocks`)."""
     mod = _model(alg)
     rng = np.random.default_rng(seed)
     worst = 0.0

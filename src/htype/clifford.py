@@ -4,7 +4,8 @@ algebras they induce.
 The generators satisfy J_i J_j + J_j J_i = -2 delta_ij I with entries in
 {-1, 0, 1}, built from division-algebra multiplications:
 
-    m = 1        rotation [[0,-1],[1,0]] on R^2
+    m = 1        left multiplication by e_1 on C, the rotation
+                 [[0,-1],[1,0]] on R^2                         (d = 2)
     m = 2, 3     left multiplication by e_1..e_m on H          (d = 4)
     m = 4        doubled H: J_u(x,y) = (-u y, conj(u) x),
                  u in (1, e_1, e_2, e_3)                       (d = 8)
@@ -77,17 +78,14 @@ def _doubled(algebra: DivisionAlgebra) -> list[Rows]:
 
 
 def _generator_rows(m: int) -> list[Rows]:
-    if m == 1:
-        return [[{1: -1}, {0: 1}]]
-    if m in (2, 3):
-        return [_left_mult(DivisionAlgebra.H, i + 1) for i in range(m)]
-    if m == 4:
-        return _doubled(DivisionAlgebra.H)
-    if m in (5, 6, 7):
-        return [_left_mult(DivisionAlgebra.O, i + 1) for i in range(m)]
-    if m == 8:
-        return _doubled(DivisionAlgebra.O)
-    raise ValueError("m must be between 1 and 8")
+    """The integer generators J_1..J_m as sparse rows, for 1 <= m <= 8 (the
+    range `clifford_generators` checks): over C at m = 1, H up to m = 4 and
+    O above, the doubled module at m = 4 and 8 and the left multiplications
+    by e_1..e_m otherwise."""
+    algebra = DivisionAlgebra.C if m == 1 else DivisionAlgebra.H if m <= 4 else DivisionAlgebra.O
+    if m in (4, 8):
+        return _doubled(algebra)
+    return [_left_mult(algebra, i) for i in range(1, m + 1)]
 
 
 def _commutant_dimension(K: list[list[dict[int, int]]]) -> int:
@@ -147,8 +145,7 @@ def clifford_generators(m: int) -> CliffordGenerators:
         raise StructureError(f"anticommutation fails for ({a},{b})")
     com = _commutant_dimension(K)  # StructureError unless every row is one signed unit
     if com > 4:
-        raise StructureError(  # pragma: no cover
-            f"commutant dimension {com} > 4: representation not minimal")
+        raise StructureError(f"commutant dimension {com} > 4: representation not minimal")
     units = tuple(tuple(next(iter(row.items())) for row in J) for J in K)
     return CliffordGenerators(
         m=m, rep_dim=d,

@@ -16,6 +16,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import AlgebraMismatch, StructureError
@@ -172,29 +173,27 @@ def _sub_t(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-# e_i e_j is a signed basis vector in all four algebras; tabulating the
-# doubling recursion once turns a product into d^2 scalar multiplies.
-_SIGNED_TABLE: dict[DivisionAlgebra, tuple[tuple[tuple[int, int], ...], ...]] = {}
-
-
-def _signed_table(algebra: DivisionAlgebra):
-    tab = _SIGNED_TABLE.get(algebra)
-    if tab is None:
-        d = algebra.dimension
-        # int units keep the doubling recursion off Fraction arithmetic
-        units = [tuple(int(a == i) for a in range(d)) for i in range(d)]
-        rows = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                prod = _mul_rec(units[i], units[j])
-                terms = [(k, c) for k, c in enumerate(prod) if c]
-                if len(terms) != 1 or abs(terms[0][1]) != 1:
-                    raise StructureError(f"e_{i} e_{j} has terms {terms}, not one signed unit")
-                row.append(terms[0])
-            rows.append(tuple(row))
-        tab = _SIGNED_TABLE[algebra] = tuple(rows)
-    return tab
+@cache
+def _signed_table(algebra: DivisionAlgebra) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """table[i][j] = (k, sign) with e_i e_j = sign * e_k, made once per
+    process: e_i e_j is a signed basis vector in all four algebras, so
+    tabulating the doubling recursion once turns a product into d^2 scalar
+    multiplies. StructureError unless each product is one signed unit, a
+    check that holds under `python -O`."""
+    d = algebra.dimension
+    # int units keep the doubling recursion off Fraction arithmetic
+    units = [tuple(int(a == i) for a in range(d)) for i in range(d)]
+    rows = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            prod = _mul_rec(units[i], units[j])
+            terms = [(k, c) for k, c in enumerate(prod) if c]
+            if len(terms) != 1 or abs(terms[0][1]) != 1:
+                raise StructureError(f"e_{i} e_{j} has terms {terms}, not one signed unit")
+            row.append(terms[0])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def unit_product(algebra: DivisionAlgebra, a: int, b: int) -> tuple[int, int]:

@@ -191,19 +191,19 @@ def _algebra(name: str, family: str, tag: str | None, params: dict,
     over its (i, j, k, x) entries: every builder's one writer.
 
     The budget is checked before the first entry is drawn, so `entries` may
-    be a lazy generator. The entries are summed per pair i < j and z-index
-    k, an entry with i > j as -x and one with i = j not at all (it would
-    cancel itself); only a key that repeats is added to. Each nonzero sum
-    gives the entries (i, j, k, x) and (j, i, k, -x), x a Fraction; a sum
-    of 0 gives none. No dense tensor is allocated.
+    be a lazy generator. No entry has i = j: `build_hn`, `build_hprime`
+    and `clifford.build_htype_from_clifford` write only i < j, and
+    `make_custom` refuses i = j before it yields. The entries are summed
+    per pair i < j and z-index k, an entry with i > j written as -x at
+    (j, i, k); only a key that repeats is added to. Each nonzero sum gives
+    the entries (i, j, k, x) and (j, i, k, -x), x a Fraction; a sum of 0
+    gives none. No dense tensor is allocated.
     """
     _check_tensor_budget(dim_v, dim_z)
     sums: dict[tuple[int, int, int], Fraction | int] = {}
     for i, j, k, x in entries:
         if i > j:
             i, j, x = j, i, -x
-        elif i == j:
-            continue
         key = (i, j, k)
         sums[key] = sums[key] + x if key in sums else x
     nonzeros = []
@@ -510,11 +510,13 @@ def _darboux(S: list[dict[int, Fraction]]
     {index: value} dicts, so every pairing visits only nonzeros. The pool
     starts as the standard basis; each step pairs its first vector u with
     the first later vector w with form(u, w) != 0, and strips both from
-    the rest of the pool.
+    the rest of the pool. Stripping adds multiples of u and v, so the
+    pairs taken and the pool stay a basis and no pool vector strips to
+    zero. There is one exit for None: a vector u with no partner, which
+    every odd or degenerate form reaches (at odd n, the last vector at the
+    latest).
     """
     n = len(S)
-    if n % 2:
-        return None
 
     def covector(u):
         """u^T S as a sparse row, so that form(u, w) = covector(u) . w."""
@@ -548,9 +550,7 @@ def _darboux(S: list[dict[int, Fraction]]
                 if f:
                     for i, x in vec.items():
                         w2[i] = w2.get(i, 0) + f * x
-            w2 = {i: x for i, x in w2.items() if x}
-            if w2:
-                new_pool.append(w2)
+            new_pool.append({i: x for i, x in w2.items() if x})
         pool = new_pool
         us.append(u)
         vs.append(v)

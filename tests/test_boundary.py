@@ -4,9 +4,11 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -110,6 +112,11 @@ def test_cayley_inverse_rejects_near_sphere_points():
     vec[-1] = 1.0 - 1e-10
     with pytest.raises(DomainError):
         B.cayley_inverse(alg, vec)
+
+
+def test_cayley_inverse_refuses_a_mis_shaped_ball_point():
+    with pytest.raises(StructureError, match=re.escape("ball point has shape (3,), expected (7,)")):
+        B.cayley_inverse(h1c(), [0.0] * 3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -366,6 +373,25 @@ def test_cayley_probes_refuse_fewer_than_one_sample(monkeypatch, probe, samples)
         probe(alg, samples=samples, seed=0)
 
 
+@pytest.mark.parametrize("probe", [B.boundary_identity_error, B.round_trip_error],
+                         ids=["identity", "round_trip"])
+def test_cayley_probes_refuse_draws_over_the_cap_before_any_draw(monkeypatch, probe):
+    # round_trip_error once drew any number of normals: 2.7 s and a result
+    # on h1(R) one sample over the cap.
+    alg = h1r()  # dim v + dim z = 3
+    B._model(alg)
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"drew with {name}")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraws())
+    samples = B.MAX_PROBE_DRAWS // 3 + 1
+    with pytest.raises(ValueError, match=re.escape(
+            f"{samples} samples draw over the cap of {B.MAX_PROBE_DRAWS} normals")):
+        probe(alg, samples=samples, seed=0)
+
+
 def test_cayley_probes_map_whole_blocks(monkeypatch):
     alg = build_hn(DA.O, 1)
     B.boundary_identity_error(alg, samples=1, seed=0)  # build the model first
@@ -475,6 +501,14 @@ def test_translation_invariance_of_sphere_planes():
         X = rng.standard_normal(4)
         Z = rng.standard_normal(2)
         assert B.translation_invariance_check(alg, X, Z) <= 1e-6
+
+
+def test_cross_checks_at_zero_tolerance_are_refused():
+    # the float rounding left in each check is above 0
+    with pytest.raises(CrossValidationError, match="puncture limit spread"):
+        B.puncture_point(h1c(), tol=0.0)
+    with pytest.raises(CrossValidationError, match="translation invariance"):
+        B.translation_invariance_check(h1c(), np.ones(4), np.ones(2), tol=0.0)
 
 
 def test_translation_check_runs_one_finite_difference(monkeypatch):
@@ -712,6 +746,12 @@ def test_violation_search_reports_failure_on_holding_algebra():
     search = B.find_j2_violation(build_hprime(DA.H, 2, 0), seed=3, restarts=2)
     assert search.witness is None
     assert search.best_score > 0.1  # projection keeps essentially all of u
+
+
+def test_violation_search_with_one_central_direction_evaluates_nothing():
+    search = B.find_j2_violation(h1r(), seed=0)
+    assert (search.witness, search.best_score, search.evaluations,
+            search.restarts_used) == (None, math.inf, 0, 0)
 
 
 def test_violation_search_optimizer_path():
@@ -1209,6 +1249,31 @@ def test_limiting_planes_reject_non_violating_witness():
         with np.errstate(over="ignore"), \
                 pytest.raises(StructureError, match="must be finite, and X and Z nonzero"):
             B.limiting_plane_experiment(alg, huge)
+
+
+def test_limiting_planes_refuse_an_overflowing_witness_without_a_warning():
+    # The overflowed norm is inf, which is refused; the overflow once warned
+    # first, and under warnings as errors the RuntimeWarning replaced the
+    # refusal. No errstate here.
+    alg = h1c()
+    good = B.find_j2_violation(alg, seed=3).witness
+    for field in ("X", "Z", "W"):
+        huge = B.J2Witness(**{"X": good.X, "Z": good.Z, "W": good.W,
+                              field: 1e300 * getattr(good, field)},
+                           residual=0.0, perp=np.zeros(4), bracket_norm=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StructureError, match="must be finite, and X and Z nonzero"):
+                B.limiting_plane_experiment(alg, huge)
+
+
+def test_limiting_planes_refuse_w_parallel_to_z():
+    alg = h1c()
+    good = B.find_j2_violation(alg, seed=3).witness
+    bad = B.J2Witness(good.X, good.Z, 2 * good.Z, residual=0.0, perp=np.zeros(4),
+                      bracket_norm=0.0)
+    with pytest.raises(StructureError, match="witness W is parallel to Z"):
+        B.limiting_plane_experiment(alg, bad)
 
 
 def test_each_plane_is_orthonormalized_once(monkeypatch):

@@ -226,6 +226,27 @@ def test_division_dimensions_match_the_algebras():
         assert str(got.value) == str(want.value)
 
 
+def test_unknown_row_and_series_are_refused():
+    with pytest.raises(StructureError, match="no catalog row named 'nope'"):
+        row_by_name("nope")
+    with pytest.raises(StructureError, match="unknown nilradical series 'hx'"):
+        nilradical_dims("hx", "R", (1,))
+
+
+def test_instantiated_row_is_named_by_its_algebra():
+    inst = instantiate(row_by_name("su(p,q)"), (1, 2))
+    assert inst.name == inst.g.name == "su(1,2)"
+
+
+def test_verification_summary_failures_are_the_failing_reports():
+    good = verify_all(grid=[])
+    assert good.failures == ()
+    bad = dataclasses.replace(good.reports[0], sigma_ok=False)
+    summary = dataclasses.replace(good, reports=(bad,) + good.reports[1:])
+    assert summary.failures == (bad,)
+    assert not summary.all_pass
+
+
 def test_verify_all_loads_no_division_module():
     src = str(Path(catalog.__file__).resolve().parent.parent)
     code = ("import sys\n"

@@ -97,6 +97,21 @@ def test_construct_missing_family_is_usage_error(tmp_path):
     assert main(["construct", "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--family", "hn", "--n", "1"], "--algebra is required for hn/hprime"),
+    (["--family", "hprime", "--p", "1", "--q", "0"], "--algebra is required for hn/hprime"),
+    (["--family", "hn", "--algebra", "R"], "--n is required for hn"),
+    (["--family", "hprime", "--algebra", "H", "--p", "1"], "--p and --q are required for hprime"),
+    (["--family", "hprime", "--algebra", "H", "--q", "1"], "--p and --q are required for hprime"),
+    (["--family", "clifford"], "--m is required for clifford"),
+], ids=["hn-algebra", "hprime-algebra", "n", "q", "p", "m"])
+def test_construct_missing_parameter_is_usage_error(tmp_path, capsys, args, message):
+    out = tmp_path / "x.json"
+    code, stdout, err = run(capsys, "construct", *args, "--out", str(out))
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_construct_is_idempotent(tmp_path):
     out = tmp_path / "a.json"
     main(["construct", "--family", "hn", "--algebra", "C", "--n", "1",

@@ -66,6 +66,16 @@ def test_invalid_generator_count():
             clifford_generators(m)
 
 
+def test_a_module_that_is_not_minimal_is_refused(monkeypatch):
+    # two copies of the m = 3 module pass the Clifford checks, but their
+    # commutant is M_2(H), of dimension 16
+    doubled = _direct_sum(clifford._generator_rows(3), (1, 1))
+    monkeypatch.setattr(clifford, "_generator_rows", lambda m: doubled)
+    with pytest.raises(StructureError, match=re.escape(
+            "commutant dimension 16 > 4: representation not minimal")):
+        clifford_generators(3)
+
+
 @pytest.mark.parametrize("m,k", [(1, 1), (2, 1), (3, 2), (5, 1), (7, 1)])
 def test_htype_construction(m, k):
     alg = build_htype_from_clifford(m, k)

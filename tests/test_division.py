@@ -215,7 +215,7 @@ def test_signed_table_recursion_skips_zero_halves(monkeypatch):
 
     real = division._mul_rec
     monkeypatch.setattr(division, "_mul_rec", counted)
-    monkeypatch.setattr(division, "_SIGNED_TABLE", {})
+    _signed_table.cache_clear()
     table = _signed_table(DA.O)
     assert calls == 832  # 5,440 without the shortcut
     for algebra in ALGEBRAS:
@@ -240,6 +240,14 @@ def test_signed_table_refuses_a_product_that_is_not_a_unit_under_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.stdout == "refused: e_0 e_0 has terms [(0, 1), (1, 1)], not one signed unit\n"
+
+
+def test_element_sum_is_add():
+    x = from_coefficients(DA.H, [1, Fraction(1, 2), 0, -3])
+    y = from_coefficients(DA.H, [Fraction(1, 3), 2, 5, 3])
+    assert x + y == add(x, y) == from_coefficients(DA.H, [Fraction(4, 3), Fraction(5, 2), 5, 0])
+    with pytest.raises(AlgebraMismatch):
+        x + one(DA.C)
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)

@@ -203,6 +203,11 @@ def test_integerize_row():
     assert integerize_row([Fraction(0)] * 3) == [0, 0, 0]
 
 
+def test_integerize_row_refuses_a_float():
+    with pytest.raises(TypeError, match="row values must be ints or Fractions, not float"):
+        integerize_row([Fraction(1, 2), 0.5])
+
+
 def test_nullity_float_cross_check():
     rng = random.Random(12)
     for _ in range(5):

@@ -280,6 +280,15 @@ def test_empty_supplied_g0_is_refused():
         tanaka_prolong(build_hn(DA.R, 1), supplied_g0=[])
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_degree": 0}, "max_degree must be >= 1"),
+    ({"arithmetic": "float32"}, "unknown arithmetic 'float32'"),
+])
+def test_prolongation_refuses_bad_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        tanaka_prolong(build_hn(DA.C, 1), **kwargs)
+
+
 def test_supplied_g0_rejects_non_derivation():
     alg = build_hn(DA.R, 1)
     a = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
