@@ -561,7 +561,10 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
     span{J_z X} + R X: structured sweep first, then seeded Gauss-Newton
     restarts that drive the projection vector to zero.  The sweep (in blocks
     of fixed size) and each step's point with its probes are evaluated as
-    stacks, with results bit-identical to evaluating each triple alone."""
+    stacks, with results bit-identical to evaluating each triple alone.  A
+    negative seed is refused first, whether or not a restart would draw."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
     mod = _model(alg)
     if mod.m <= 1:
         return ViolationSearch(alg.name, None, math.inf, 0, 0, seed, tol)

@@ -1,6 +1,6 @@
 """Catalog of simple Lie algebras whose parabolics have the type-H nilradicals.
 
-The dataset (data/parabolic_table.json, checksummed) holds one row per
+The dataset (data/parabolic_table.json) holds one row per
 simple-algebra family: the Levi factors m, dim a, the nilradical series
 and parameters, and the crossed-root set Sigma grouped into involution
 orbits so that the orbit count equals dim a in every row. Verification
@@ -16,13 +16,18 @@ table expressions (`_compile`). Everything known of one algebra family
 (dimension, display name, membership in S) is one record of `_FAMILIES`. Every `htype table` output
 is built here: `dump_csv`, and the verification summary's `to_csv` and
 `to_report`.
+
+The file records a CRC-32 of its rows (`compute_checksum`), checked once
+per process at the first `load_table`. The checksum sits beside the rows,
+so it catches accidental corruption, not a deliberate edit; CRC-32 comes
+from `binascii`, so loading the catalog maps no OpenSSL.
 """
 
 from __future__ import annotations
 
 import ast
+import binascii
 import csv
-import hashlib
 import io
 import itertools
 import json
@@ -303,8 +308,10 @@ def _eval(expr: str, env: dict[str, int]):
 
 
 def compute_checksum(rows_json: list) -> str:
+    """CRC-32 of the rows' canonical JSON (sorted keys, no spaces), as 8
+    lowercase hex digits."""
     blob = json.dumps(rows_json, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return f"{binascii.crc32(blob):08x}"
 
 
 @cache
@@ -501,7 +508,10 @@ MAX_GRID_DIM = 10_000
 
 def default_grid(max_dim: int = 500) -> Iterator[tuple[TableRow, tuple[int, ...]]]:
     """Every valid classical parameter choice with dim g <= max_dim. A
-    max_dim above MAX_GRID_DIM raises ValueError here, before any work."""
+    negative max_dim, or one above MAX_GRID_DIM, raises ValueError here,
+    before any work."""
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be non-negative, got {max_dim}")
     if max_dim > MAX_GRID_DIM:
         raise ValueError(f"max_dim {max_dim} exceeds the grid cap {MAX_GRID_DIM}")
     return _grid(max_dim)

@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tests", required=True,
                    help="comma-separated subset of " + ",".join(CHECK_TESTS))
     p.add_argument("--samples", type=nonnegative_int, default=200)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=nonnegative_int)
     p.add_argument("--expect", choices=["pass", "fail"])
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
@@ -298,14 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--verify", action="store_true")
     mode.add_argument("--dump", action="store_true")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--max-dim", type=int, default=500)
+    p.add_argument("--max-dim", type=nonnegative_int, default=500)
     p.add_argument("--out")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("boundary", help="run a boundary-geometry experiment")
     p.add_argument("--in", required=True)
     p.add_argument("--experiment", required=True, choices=list(EXPERIMENTS))
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=nonnegative_int, required=True)
     p.add_argument("--samples", type=nonnegative_int)
     p.add_argument("--expect")
     p.add_argument("--out")

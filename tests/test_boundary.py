@@ -754,6 +754,16 @@ def test_violation_search_with_one_central_direction_evaluates_nothing():
             search.restarts_used) == (None, math.inf, 0, 0)
 
 
+@pytest.mark.parametrize("alg", [h1r(), build_hn(DA.H, 1), build_hprime(DA.O, 1, 0)],
+                         ids=["h1R", "h1H", "hprime10O"])
+def test_violation_search_refuses_a_negative_seed_before_any_work(alg, monkeypatch):
+    # h1(H)'s sweep finds the witness and h1(R) evaluates nothing, so neither
+    # draws; the seed is refused all the same, with numpy's message
+    monkeypatch.setattr(B, "_model", lambda alg: pytest.fail("model built"))
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        B.find_j2_violation(alg, seed=-1)
+
+
 def test_violation_search_optimizer_path():
     search = B.find_j2_violation(build_hn(DA.H, 1), seed=9, sweep=False)
     assert search.witness is not None

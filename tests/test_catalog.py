@@ -1,15 +1,18 @@
 """Catalog rows, dimension identities, towers, and dataset integrity."""
 
 import ast
+import binascii
 import csv
 import dataclasses
 import hashlib
 import io
 import itertools
+import json
 import os
 import subprocess
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -64,6 +67,16 @@ def test_checksum_catches_any_field_corruption():
         rows = copy.deepcopy(raw)
         mutate(rows)
         assert compute_checksum(rows) != recorded
+
+
+def test_checksum_is_the_crc32_of_the_canonical_rows():
+    _, raw = load_table()
+    blob = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
+    assert compute_checksum(raw) == f"{binascii.crc32(blob):08x}"
+    doc = json.loads(resources.files("htype.data").joinpath("parabolic_table.json")
+                     .read_text())
+    assert doc["checksum"] == compute_checksum(doc["rows"]) == "a932ce95"
+    assert compute_checksum([]) == "0d4cbb29"  # crc32(b"[]"), zero-padded to 8 digits
 
 
 def test_semantic_mutation_fails_verification():
@@ -461,6 +474,15 @@ def test_grid_above_the_cap_is_refused_before_any_work(monkeypatch):
         default_grid(MAX_GRID_DIM + 1)
     with pytest.raises(ValueError, match="exceeds the grid cap"):
         verify_all(max_dim=MAX_GRID_DIM + 1)
+
+
+def test_negative_grid_is_refused_before_any_work(monkeypatch):
+    # a negative max_dim would check no classical point and still pass
+    monkeypatch.setattr(catalog, "table_rows", lambda: pytest.fail("table read"))
+    with pytest.raises(ValueError, match="^max_dim must be non-negative, got -1$"):
+        default_grid(-1)
+    with pytest.raises(ValueError, match="^max_dim must be non-negative, got -3$"):
+        verify_all(max_dim=-3)
 
 
 def test_every_dataset_family_has_a_record():

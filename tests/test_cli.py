@@ -376,6 +376,15 @@ def test_table_verify_max_dim_above_the_cap_is_usage_error(max_dim, tmp_path, ca
     assert not out.exists()
 
 
+def test_table_verify_negative_max_dim_is_usage_error(tmp_path, capsys):
+    # a negative max_dim would check no classical point and still pass
+    out = tmp_path / "t.json"
+    code, _, err = run(capsys, "table", "--verify", "--max-dim", "-3", "--out", str(out))
+    assert code == 2
+    assert "argument --max-dim: must be non-negative, got -3" in err
+    assert not out.exists()
+
+
 def test_table_corrupted_dataset(capsys, monkeypatch):
     # dataset corruption detection itself is covered by the catalog tests;
     # here: the CLI surfaces it as exit 2 with the checksum message
@@ -506,6 +515,28 @@ def test_negative_samples_are_refused_at_parse_time(h1c, capsys, argv):
     code, out, err = run(capsys, *argv, "--in", h1c)
     assert code == 2 and out == ""
     assert "argument --samples: must be non-negative, got -" in err
+
+
+@pytest.mark.parametrize("family,algebra,params", [
+    ("hn", "H", ["--n", "1"]),  # the sweep finds the witness; no restart draws
+    ("hprime", "O", ["--p", "1", "--q", "0"]),  # a Gauss-Newton restart draws
+], ids=["h1H", "hprime10O"])
+@pytest.mark.parametrize("command", [
+    ["boundary", "--experiment", "limiting-plane"],
+    ["check", "--tests", "typeh,j2"],
+], ids=["boundary", "check"])
+def test_negative_seed_is_refused_at_parse_time_on_every_algebra(
+        family, algebra, params, command, tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    assert main(["construct", "--family", family, "--algebra", algebra, *params,
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "r.json"
+    code, stdout, err = run(capsys, *command, "--in", str(path), "--seed", "-1",
+                            "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert "argument --seed: must be non-negative, got -1" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment", ["cayley-probe", "distribution"])
@@ -651,25 +682,33 @@ def test_cli_import_loads_exactly_its_modules_and_no_table():
         "['htype', 'htype.cli', 'htype.errors', 'htype.serialization']", "True"]
 
 
+# prints the exit code and the modules the command loaded: those absent
+# before htype was imported, so that what `site` loads (say, hashlib) is
+# not charged to the command
 _COMMAND_SURFACE = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 import htype.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = htype.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(sys.modules)]))
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 
-# command -> (argv, modules it must not load); the input files are built first
+# command -> (argv, modules it must not load); the input files are built
+# first. `_hashlib` maps OpenSSL's libcrypto; only boundary, through
+# numpy.random, may load it.
 _SURFACE_CASES = {
     "construct-hn": (["construct", "--family", "hn", "--algebra", "H", "--n", "1",
-                      "--out", "h1H.json"], {"htype.catalog"}),
+                      "--out", "h1H.json"], {"htype.catalog", "_hashlib"}),
     "construct-clifford": (["construct", "--family", "clifford", "--m", "5",
-                            "--out", "c51.json"], {"htype.catalog"}),
+                            "--out", "c51.json"], {"htype.catalog", "_hashlib"}),
     "check": (["check", "--in", "h1H.json", "--tests", "typeh,nonsingular"],
-              {"htype.catalog", "htype.division"}),
-    "prolong": (["prolong", "--in", "h1H.json"], {"htype.catalog", "htype.division"}),
-    "table-verify": (["table", "--verify"], {"htype.nilpotent", "htype.division"}),
-    "table-dump": (["table", "--dump", "--format", "csv"], {"htype.nilpotent", "htype.division"}),
+              {"htype.catalog", "htype.division", "_hashlib"}),
+    "prolong": (["prolong", "--in", "h1H.json"],
+                {"htype.catalog", "htype.division", "_hashlib"}),
+    "table-verify": (["table", "--verify"], {"htype.nilpotent", "htype.division", "_hashlib"}),
+    "table-dump": (["table", "--dump", "--format", "csv"],
+                   {"htype.nilpotent", "htype.division", "_hashlib"}),
     "boundary": (["boundary", "--in", "h1C.json", "--experiment", "cayley-probe",
                   "--seed", "1", "--samples", "10"], {"htype.catalog", "htype.division"}),
 }
@@ -692,7 +731,14 @@ _IMPORT_SURFACE = """
 import sys
 from pathlib import Path
 
+before = set(sys.modules)  # what `site` loaded is not charged to htype
 import htype
+
+
+def loaded_since(*names):
+    return set(names) & (set(sys.modules) - before)
+
+
 loaded = sorted(m for m in sys.modules if m.startswith(("htype.", "numpy")))
 assert not loaded, f"import htype loaded {loaded}"
 
@@ -706,7 +752,7 @@ for argv in (
         ["table", "--verify", "--out", str(tmp / "verify.json")],
         ["table", "--dump", "--out", str(tmp / "dump.json")]):
     assert htype.cli.main(argv) == 0, argv
-    unused = {"numpy", "htype.boundary", "htype.symmetry"} & set(sys.modules)
+    unused = loaded_since("numpy", "htype.boundary", "htype.symmetry", "_hashlib")
     assert not unused, f"{argv[0]} loaded {unused}"
 
 # exact and float64 prolongation, modular path included, and the Clifford
@@ -722,12 +768,12 @@ for argv in (
         ["construct", "--family", "clifford", "--m", "8", "--k", "1",
          "--out", str(tmp / "cl81.json")]):
     assert htype.cli.main(argv) == 0, argv
-    unused = {"numpy", "htype.boundary"} & set(sys.modules)
+    unused = loaded_since("numpy", "htype.boundary", "_hashlib")
     assert not unused, f"{argv[0]} loaded {unused}"
 assert modular, "prolong h1(H) never reached the modular path"
 assert htype.cli.main(["prolong", "--in", str(tmp / "h1H.json"), "--arithmetic", "float64",
                        "--out", str(tmp / "prolong64.json")]) == 0
-unused = {"numpy", "htype.boundary"} & set(sys.modules)
+unused = loaded_since("numpy", "htype.boundary", "_hashlib")
 assert not unused, f"float64 prolong loaded {unused}"
 
 for name in htype.__all__:
