@@ -324,8 +324,7 @@ def load_table() -> tuple[str, list]:
     actual = compute_checksum(doc["rows"])
     if actual != doc["checksum"]:
         raise DatasetError(
-            f"table checksum mismatch: recorded {doc['checksum'][:12]}..., "
-            f"computed {actual[:12]}...")
+            f"table checksum mismatch: recorded {doc['checksum']}, computed {actual}")
     return doc["version"], doc["rows"]
 
 

@@ -161,7 +161,7 @@ def cmd_check(args) -> int:
 def cmd_prolong(args) -> int:
     from .symmetry import tanaka_prolong
 
-    alg = load_algebra(getattr(args, "in"))
+    alg = load_algebra(getattr(args, "in"), args.budget)
     result = tanaka_prolong(alg, max_degree=args.max_degree,
                             arithmetic=args.arithmetic, budget=args.budget)
     verdict = "trivial" if result.trivial else "nontrivial"

@@ -72,6 +72,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "default_budget",
     "check_budget",
+    "resolve_budget",
     "integerize_row",
     "det_exact",
     "det_integer",
@@ -130,6 +131,16 @@ def default_budget() -> int:
         raise ValueError(f"DIVH_BUDGET must be an integer, got {raw!r}") from None
     if budget <= 0:
         raise ValueError(f"DIVH_BUDGET must be a positive entry count, got {raw!r}")
+    return budget
+
+
+def resolve_budget(budget: int | None) -> int:
+    """A run's entry budget: `default_budget()` when None, else budget,
+    which must be positive."""
+    if budget is None:
+        return default_budget()
+    if budget <= 0:
+        raise ValueError(f"budget must be a positive entry count, got {budget}")
     return budget
 
 

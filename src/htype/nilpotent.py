@@ -164,13 +164,15 @@ def _kept(alg: GradedNilpotent, key: str, make: Callable[[GradedNilpotent], T]) 
     return kept[key]
 
 
-def _check_tensor_budget(dim_v: int, dim_z: int) -> None:
+def _check_tensor_budget(dim_v: int, dim_z: int, budget: int | None = None) -> None:
     """BudgetExceeded when the dense tensor would take more slots than the
-    budget (DIVH_BUDGET overrides). Each of the dim_v^2 cells is a list
-    even when dim_z = 0, so a cell counts as at least one slot:
+    budget (`linalg.resolve_budget`: None is the default, DIVH_BUDGET
+    overrides; a loader passes its run's). Each of the dim_v^2 cells is a
+    list even when dim_z = 0, so a cell counts as at least one slot:
     dim_v^2 * max(dim_z, 1). Every build and load is charged this before
     its first entry is read, though only the `structure` view allocates."""
-    linalg.check_budget(dim_v * dim_v, max(dim_z, 1), linalg.default_budget(), "structure tensor")
+    linalg.check_budget(dim_v * dim_v, max(dim_z, 1), linalg.resolve_budget(budget),
+                        "structure tensor")
 
 
 def _zeros(dim_v: int, dim_z: int) -> list[list[list[Fraction]]]:

@@ -38,13 +38,14 @@ def to_json_dict(alg: GradedNilpotent) -> dict:
     }
 
 
-def from_json_dict(data: dict) -> GradedNilpotent:
+def from_json_dict(data: dict, budget: int | None = None) -> GradedNilpotent:
     """The algebra of a JSON document. dim_v and dim_z must be integers (a
     bool is not); when given, `name`, `family` and `basis_convention` must
     be strings, `algebra_tag` a string or null, `params` an object and
     `abelian` a bool. A structure value must be a JSON integer (not a bool)
     or a string "n" or "n/d" of decimal digits, as `to_json_dict` writes it.
-    The budget is charged before the first entry is read; a later entry at
+    The tensor is charged to budget (None: `linalg.default_budget()`)
+    before the first entry is read; a later entry at
     the same (i, j, k) replaces an earlier one, zeros are dropped, and
     GradedNilpotent.__post_init__ checks the antisymmetry of the rest."""
     # Deferred: `htype table` never needs it (and it loads no numpy).
@@ -68,7 +69,7 @@ def from_json_dict(data: dict) -> GradedNilpotent:
         raise StructureError("negative dimension")
     if not isinstance(triples, list):
         raise StructureError("malformed algebra JSON: structure is not a list")
-    _check_tensor_budget(dim_v, dim_z)
+    _check_tensor_budget(dim_v, dim_z, budget)
     cells = {}
     for entry in triples:
         _check_indices(entry, dim_v, dim_z)
@@ -87,9 +88,11 @@ def save_algebra(alg: GradedNilpotent, path: str | Path) -> None:
     Path(path).write_text(json.dumps(to_json_dict(alg), indent=2, sort_keys=True) + "\n")
 
 
-def load_algebra(path: str | Path) -> GradedNilpotent:
+def load_algebra(path: str | Path, budget: int | None = None) -> GradedNilpotent:
+    """The algebra of a JSON file, its tensor charged to budget as in
+    `from_json_dict`."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise StructureError(f"cannot read algebra JSON: {exc}") from None
-    return from_json_dict(data)
+    return from_json_dict(data, budget)

@@ -34,10 +34,13 @@ and scaled to D_j, the lcm of their d (`_split`, Der_gr included). A
 supplied g0 is read off its rational matrices (`_level`). The assembler
 regroups each record's entries by slot once per system; every row is a
 positive integer multiple of the rational row, so `nullspace` receives
-integral rows. No flat Fraction vector is built: the stored bases and the
-derivation spaces are made dense from the records, one matrix at a time
-(`_dense`). Arithmetic "float64" runs the same certified solve and
-reports the stored bases as floats.
+integral rows. No flat Fraction vector is built, and no result holds a
+dense matrix: a `DerivationSpace` reads its algebra's kept level-0
+record and a `ProlongationResult` keeps its level records, and each
+makes its basis dense from them, one matrix at a time (`_dense`), at
+every read of `basis` or `bases`, as `NullspaceResult.basis` is made
+from its vectors. Arithmetic "float64" runs the same certified solve and
+reports the bases as floats.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import TYPE_CHECKING, Sequence
@@ -75,16 +78,39 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 @dataclass(frozen=True)
 class DerivationSpace:
+    """Der_gr(n) (graded_only) or Der(n) of algebra, certified by method.
+    It holds no matrix: `basis` is made dense from the algebra's kept
+    level-0 record at each read (see `full_derivations` for its order)."""
     algebra: GradedNilpotent
     graded_only: bool
-    basis: tuple[tuple[Matrix, Matrix, Matrix | None], ...]  # (A, B, C)
     dimension: int
     method: str
     offgrade_dimension: int = 0  # z->v solutions (degenerate algebras only)
 
+    @property
+    def basis(self) -> tuple[tuple[Matrix, Matrix, Matrix | None], ...]:
+        """The (A, B, C) triples, C None for Der_gr, built afresh at each
+        read; the record is solved by the call that made this space, so a
+        read solves nothing."""
+        alg = self.algebra
+        n, m = alg.dim_v, alg.dim_z
+        kind = "graded" if self.graded_only else "full"
+        (v, z, d), _ = _der_gr(alg, f"{kind} derivation system of {alg.name}")
+        pairs = zip(_matrices(v, n, n, d), _matrices(z, m, m, d))
+        if self.graded_only:
+            return tuple((a, b, None) for a, b in pairs)
+        zero_a, zero_b, zero_c = (_matrices([[]], rows, cols, 1)[0]
+                                  for rows, cols in ((n, n), (m, m), (m, n)))
+        units = _matrices([[(slot, 1)] for slot in range(m * n)], m, n, 1)
+        return (tuple((a, b, zero_c) for a, b in pairs)
+                + tuple((zero_a, zero_b, c) for c in units))
+
 
 @dataclass(frozen=True)
 class ProlongationResult:
+    """The dimensions of a prolongation and its level records, `levels[j]`
+    = (v, z, D_j) for j >= -2 (see the module docstring): integers only.
+    `bases` is made dense from them at each read."""
     algebra_name: str
     g0_dim: int
     component_dims: tuple[int, ...]  # positive-degree dims, zero excluded
@@ -94,7 +120,19 @@ class ProlongationResult:
     arithmetic: str
     elapsed_ms: int
     budget: int
-    bases: tuple | None = None
+    levels: dict[int, tuple[list, list, int]] = field(repr=False, hash=False)
+
+    @property
+    def bases(self) -> tuple:
+        """(v-matrices, z-matrices) of the canonical basis T_K = (D_K T_K)
+        / D_K of each positive degree K, ascending: Fractions, or floats
+        of the same entries under arithmetic "float64", built afresh at
+        each read."""
+        dims = {K: len(v) for K, (v, _, _) in self.levels.items()}
+        n, m = dims[-1], dims[-2]
+        bases = tuple((_dense(v, dims[K - 1], n, d), _dense(z, dims[K - 2], m, d))
+                      for K, (v, z, d) in sorted(self.levels.items()) if K > 0)
+        return _as_float(bases) if self.arithmetic == "float64" else bases
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,16 +163,14 @@ def _der_gr(alg: GradedNilpotent, context: str) -> tuple[tuple[list, list, int],
 
 
 def _matrices(mats: list, nrows: int, ncols: int, d: int) -> tuple:
-    """`_dense` with tuple rows, as `DerivationSpace.basis` holds them."""
+    """`_dense` with tuple rows, as `DerivationSpace.basis` reads them."""
     return tuple(tuple(map(tuple, mat)) for mat in _dense(mats, nrows, ncols, d))
 
 
 def graded_derivations(alg: GradedNilpotent) -> DerivationSpace:
     """All (A, B) with B[x,y] = [Ax,y] + [x,Ay], as a certified basis."""
-    n, m = alg.dim_v, alg.dim_z
-    (v, z, d), method = _der_gr(alg, f"graded derivation system of {alg.name}")
-    basis = tuple(zip(_matrices(v, n, n, d), _matrices(z, m, m, d), [None] * len(v)))
-    return DerivationSpace(alg, True, basis, len(v), method)
+    (v, _, _), method = _der_gr(alg, f"graded derivation system of {alg.name}")
+    return DerivationSpace(alg, True, len(v), method)
 
 
 def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
@@ -147,7 +183,7 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
     not span z. The blocks share no equation, so the system splits: its
     canonical basis is the Der_gr basis with C = 0, then the n*m unit maps
     C: v -> z in column order (row-major in C), then the E-solutions.
-    Basis entries are (A, B, C) for all but the E-solutions;
+    `basis` reads the (A, B, C) of all but the E-solutions;
     offgrade_dimension counts those, dim rad v * dim(z / [v, v]), each
     factor the nullity of a small system read off the level -1 record:
     the dual of z / [v, v] the kernel of the rows c(x_i, x_j) (m columns),
@@ -156,7 +192,7 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
     solved was.
     """
     n, m = alg.dim_v, alg.dim_z
-    (v, z, d), method = _der_gr(alg, f"full derivation system of {alg.name}")
+    (v, _, _), method = _der_gr(alg, f"full derivation system of {alg.name}")
     rad_rows: dict[tuple[int, int], dict[int, int]] = {}
     span_rows: dict[tuple[int, int], dict[int, int]] = {}
     for s, entries in enumerate(_negative_levels(alg)[-1][0]):  # (k*n + t, D c(x_s, x_t)_k)
@@ -170,13 +206,8 @@ def full_derivations(alg: GradedNilpotent) -> DerivationSpace:
     if quotient.dimension:  # otherwise E = 0 whatever rad v is
         solved.append(nullspace(rad_rows.values(), n, context=f"rad v system of {alg.name}"))
     offgrade = quotient.dimension and quotient.dimension * solved[1].dimension
-    zero_a, zero_b, zero_c = (_matrices([[]], rows, cols, 1)[0]
-                              for rows, cols in ((n, n), (m, m), (m, n)))
-    basis = [(a, b, zero_c) for a, b in zip(_matrices(v, n, n, d), _matrices(z, m, m, d))]
-    basis += [(zero_a, zero_b, c)
-              for c in _matrices([[(slot, 1)] for slot in range(m * n)], m, n, 1)]
     method = "modp" if {method, *(res.method for res in solved)} == {"modp"} else "modp-crt"
-    return DerivationSpace(alg, False, tuple(basis), len(basis) + offgrade, method,
+    return DerivationSpace(alg, False, len(v) + n * m + offgrade, method,
                            offgrade_dimension=offgrade)
 
 
@@ -391,8 +422,8 @@ def tanaka_prolong(alg: GradedNilpotent,
                    max_degree: int = 3,
                    arithmetic: str = "exact",
                    budget: int | None = None,
-                   supplied_g0: Sequence[tuple[Matrix, ...]] | None = None,
-                   store_bases: bool = False) -> ProlongationResult:
+                   supplied_g0: Sequence[tuple[Matrix, ...]] | None = None
+                   ) -> ProlongationResult:
     """Degree-by-degree prolongation of (n, g0).
 
     With supplied_g0 None, g0 = Der_gr(n) is degree 0, whose system counts
@@ -403,18 +434,16 @@ def tanaka_prolong(alg: GradedNilpotent,
     to be a graded derivation against the integer degree-0 rows, is level
     0 instead, and the solve starts at degree 1; an empty one is refused.
 
-    Both arithmetics run the same certified exact solve; "float64" only
-    reports the stored bases (store_bases=True) as floats of the canonical
-    exact entries, in the same nesting.
+    The result keeps every level record, integers only. Both arithmetics
+    run the same certified exact solve; "float64" only reports
+    `ProlongationResult.bases` as floats of the canonical exact entries,
+    in the same nesting.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     if arithmetic not in ("exact", "float64"):
         raise ValueError(f"unknown arithmetic {arithmetic!r}")
-    if budget is None:
-        budget = default_budget()
-    elif budget <= 0:
-        raise ValueError(f"budget must be a positive entry count, got {budget}")
+    budget = linalg.resolve_budget(budget)
     t0 = time.perf_counter()
     n, m = alg.dim_v, alg.dim_z
     levels = dict(_negative_levels(alg))
@@ -457,13 +486,6 @@ def tanaka_prolong(alg: GradedNilpotent,
         levels[K] = _split(res, p_cols)
 
     positive = [levels[K] for K in sorted(levels) if K > 0]
-    bases = None
-    if store_bases:  # the canonical basis T_K = (D_K T_K) / D_K, densified here
-        dims = {K: len(v) for K, (v, _, _) in levels.items()}
-        bases = tuple((_dense(v, dims[K - 1], n, d), _dense(z, dims[K - 2], m, d))
-                      for K, (v, z, d) in sorted(levels.items()) if K > 0)
-        if arithmetic == "float64":
-            bases = _as_float(bases)
     return ProlongationResult(
         algebra_name=alg.name,
         g0_dim=len(levels[0][0]),
@@ -474,7 +496,7 @@ def tanaka_prolong(alg: GradedNilpotent,
         arithmetic=arithmetic,
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
         budget=budget,
-        bases=bases,
+        levels=levels,
     )
 
 

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from importlib import resources
 from pathlib import Path
 
@@ -67,6 +68,25 @@ def test_checksum_catches_any_field_corruption():
         rows = copy.deepcopy(raw)
         mutate(rows)
         assert compute_checksum(rows) != recorded
+
+
+def test_checksum_mismatch_names_both_checksums_whole(tmp_path, monkeypatch):
+    # a scratch copy of the data file with one field of one row changed
+    text = resources.files("htype.data").joinpath("parabolic_table.json").read_text()
+    doc = json.loads(text)
+    doc["rows"][0]["dim_a"] += 1
+    (tmp_path / "parabolic_table.json").write_text(json.dumps(doc))
+    monkeypatch.setattr(catalog, "resources", types.SimpleNamespace(files=lambda _: tmp_path))
+    catalog.load_table.cache_clear()
+    try:
+        with pytest.raises(DatasetError) as exc:
+            catalog.load_table()
+    finally:
+        catalog.load_table.cache_clear()
+    computed = compute_checksum(doc["rows"])
+    assert len(computed) == 8 and computed != doc["checksum"]
+    assert str(exc.value) == (f"table checksum mismatch: recorded {doc['checksum']}, "
+                              f"computed {computed}")
 
 
 def test_checksum_is_the_crc32_of_the_canonical_rows():

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import htype
 from htype.catalog import MAX_GRID_DIM, table_rows
 from htype.cli import main
+from htype.clifford import build_htype_from_clifford
 from htype.nilpotent import random_two_step
 from htype.serialization import save_algebra, to_json_dict
 
@@ -289,6 +290,23 @@ def test_prolong_budget_flag_and_env(tmp_path, monkeypatch):
     assert main(["prolong", "--in", str(alg)]) == 3
     monkeypatch.delenv("DIVH_BUDGET")
     assert main(["prolong", "--in", str(alg)]) == 0
+
+
+def test_prolong_budget_charges_the_algebra_file(tmp_path, capsys, monkeypatch):
+    # clifford(8,10)'s 160 x 160 x 8 tensor is over the default budget;
+    # --budget 250000 admits it, so degree 0 is what is refused
+    path = tmp_path / "cl810.json"
+    monkeypatch.setenv("DIVH_BUDGET", "250000")
+    save_algebra(build_htype_from_clifford(8, 10), path)
+    monkeypatch.delenv("DIVH_BUDGET")
+    code, out, err = run(capsys, "check", "--in", str(path), "--tests", "jacobi")
+    assert (code, out) == (3, "")
+    assert err == "error: system size 204800 entries exceeds budget 200000 (structure tensor)\n"
+    code, out, err = run(capsys, "prolong", "--in", str(path), "--budget", "250000",
+                         "--max-degree", "1")
+    assert (code, out) == (3, "")
+    assert err == ("error: system size 2611568640 entries exceeds budget 250000 "
+                   "(degree-0 derivation system)\n")
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -804,9 +822,10 @@ def test_budget_refusal_log_stays_off_stderr(h1c):
     src = str(Path(htype.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "htype.cli", "prolong", "--in", h1c,
-                           "--budget", "10"], env=env, capture_output=True, text=True)
+                           "--budget", "100"], env=env, capture_output=True, text=True)
+    # 100 admits the file's 32-entry tensor, so degree 0 is what is refused
     assert proc.returncode == 3 and proc.stdout == ""
-    assert proc.stderr == ("error: system size 240 entries exceeds budget 10 "
+    assert proc.stderr == ("error: system size 240 entries exceeds budget 100 "
                            "(degree-0 derivation system)\n")
 
 

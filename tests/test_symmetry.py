@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import types
 import weakref
 from fractions import Fraction
@@ -238,12 +239,11 @@ def _flat(mat):
 def test_float_backend_agrees():
     # A float oracle independent of the package's solver: each degree's
     # system, assembled here in floats from the structure tensor, g0 and
-    # the float64 stored bases, has numpy rank ncols - (reported dimension),
-    # and every stored float vector solves it.
+    # the float64 bases, has numpy rank ncols - (reported dimension),
+    # and every float vector solves it.
     for alg in [build_hn(DA.R, 1), build_hn(DA.H, 1), build_hprime(DA.H, 1, 1),
                 build_hprime(DA.O, 1, 0)]:
-        res = tanaka_prolong(alg, max_degree=3, budget=BIG, arithmetic="float64",
-                             store_bases=True)
+        res = tanaka_prolong(alg, max_degree=3, budget=BIG, arithmetic="float64")
         assert res.arithmetic == "float64"
         n, m = alg.dim_v, alg.dim_z
         c = [[[float(x) for x in cij] for cij in ci] for ci in alg.structure]
@@ -305,10 +305,9 @@ def test_supplied_der_gr_matches_full_mode(key):
     alg = _build(key)
     g0 = [(a, b) for a, b, _ in graded_derivations(alg).basis]
     for arithmetic in ("exact", "float64"):
-        full = tanaka_prolong(alg, max_degree=3, arithmetic=arithmetic, budget=BIG,
-                              store_bases=True)
+        full = tanaka_prolong(alg, max_degree=3, arithmetic=arithmetic, budget=BIG)
         supplied = tanaka_prolong(alg, supplied_g0=g0, max_degree=3, arithmetic=arithmetic,
-                                  budget=BIG, store_bases=True)
+                                  budget=BIG)
         assert supplied.g0_dim == full.g0_dim == GRADED_DIMS[key]
         assert supplied.component_dims == full.component_dims
         assert repr(supplied.bases) == repr(full.bases)
@@ -318,7 +317,7 @@ def test_supplied_g0_takes_the_derivation_basis_as_it_is():
     # DerivationSpace.basis holds (A, B, None) triples; they go in unchanged
     alg = build_hn(DA.H, 1)
     basis = graded_derivations(alg).basis
-    kwargs = dict(max_degree=3, budget=BIG, store_bases=True)
+    kwargs = dict(max_degree=3, budget=BIG)
     triples = tanaka_prolong(alg, supplied_g0=basis, **kwargs)
     pairs = tanaka_prolong(alg, supplied_g0=[(a, b) for a, b, _ in basis], **kwargs)
     assert triples.g0_dim == len(basis) == GRADED_DIMS[("hn", "H", 1)]
@@ -374,7 +373,7 @@ def test_reported_fields_match_the_levels(make, kwargs, components, completed):
     alg = make()
     if "supplied_g0" in kwargs:
         kwargs = dict(kwargs, supplied_g0=graded_derivations(alg).basis)
-    res = tanaka_prolong(alg, budget=BIG, store_bases=True, **kwargs)
+    res = tanaka_prolong(alg, budget=BIG, **kwargs)
     assert (res.component_dims, res.completed) == (components, completed)
     assert res.trivial == (completed and not components)
     assert res.g0_dim == graded_derivations(alg).dimension
@@ -439,10 +438,10 @@ def _fail_below_two_primes(monkeypatch, caplog):
 
 def test_prolongation_escalations_name_their_system(monkeypatch, caplog):
     alg = build_hn(DA.H, 1)
-    want = tanaka_prolong(alg, max_degree=2, budget=BIG, store_bases=True)
+    want = tanaka_prolong(alg, max_degree=2, budget=BIG)
     failure = _fail_below_two_primes(monkeypatch, caplog)
     # a fresh algebra: Der_gr of alg is solved once, and read from then on
-    res = tanaka_prolong(build_hn(DA.H, 1), max_degree=2, budget=BIG, store_bases=True)
+    res = tanaka_prolong(build_hn(DA.H, 1), max_degree=2, budget=BIG)
     assert res.bases == want.bases and res.component_dims == (8, 4)
     assert [r.getMessage() for r in caplog.records] == [
         f"nullspace {label}: {failure}"
@@ -491,7 +490,7 @@ def test_result_serializes():
     assert isinstance(d["elapsed_ms"], int)
 
 
-# sha256 of repr(bases) from tanaka_prolong(store_bases=True) on h'1,0(A).
+# sha256 of repr(tanaka_prolong(...).bases) on h'1,0(A).
 # The exact digests were computed before the small exact systems moved to
 # integer elimination: every system of h'1,0(H) took the "fraction" path,
 # those of h'1,0(O) the mod-p path. The float64 digest is that of the exact
@@ -509,7 +508,7 @@ _BASES_HASH = (
     "from htype.nilpotent import build_hprime\n"
     "from htype.symmetry import tanaka_prolong\n"
     "alg = build_hprime(DA.from_tag(sys.argv[1]), 1, 0)\n"
-    f"res = tanaka_prolong(alg, arithmetic=sys.argv[2], budget={BIG}, store_bases=True)\n"
+    f"res = tanaka_prolong(alg, arithmetic=sys.argv[2], budget={BIG})\n"
     "assert 'numpy' not in sys.modules\n"
     "print(hashlib.sha256(repr(res.bases).encode()).hexdigest())\n"
 )
@@ -538,7 +537,7 @@ def _h1h_third_g0():
             for a, b, _ in graded_derivations(alg).basis]
 
 
-# sha256 of repr(bases) from exact tanaka_prolong(store_bases=True), computed
+# sha256 of repr(tanaka_prolong(...).bases), exact, computed
 # before the assembler read integer level tensors. Each case has a level whose
 # common denominator is not 1 (level -1 for the scaled and random algebras,
 # level 0 for the scaled g0), so a dropped per-level scale changes the bases.
@@ -555,7 +554,7 @@ PINNED_SCALED_BASES = {
 @pytest.mark.parametrize("case", sorted(PINNED_SCALED_BASES))
 def test_scaled_level_bases_pinned(case):
     kwargs, digest = PINNED_SCALED_BASES[case]
-    res = tanaka_prolong(budget=BIG, store_bases=True, **kwargs())
+    res = tanaka_prolong(budget=BIG, **kwargs())
     assert (res.g0_dim, res.component_dims) in ((11, (8, 4)), (9, (14, 20, 30)))
     assert hashlib.sha256(repr(res.bases).encode()).hexdigest() == digest
 
@@ -570,7 +569,7 @@ def test_large_entry_bases_pinned():
     assert g0.method == "modp-crt"
     assert hashlib.sha256(repr(g0.basis).encode()).hexdigest() == (
         "dbff1216a561c3fd060ef025c89eea88f878a2d8296ee56a64126e2ad6b2bf49")
-    res = tanaka_prolong(alg, max_degree=1, budget=BIG, store_bases=True)
+    res = tanaka_prolong(alg, max_degree=1, budget=BIG)
     assert hashlib.sha256(repr(res.bases).encode()).hexdigest() == (
         "59c6ebe7946a6f4c959502141eb702bf5331978c5f506d974df95f238d5becda")
 
@@ -580,8 +579,7 @@ def test_large_entry_bases_pinned():
 # the solver's integer vectors.
 PINNED_LARGE_OUTPUTS = {
     "prolong h1(O)": (
-        lambda: tanaka_prolong(build_hn(DA.O, 1), max_degree=3, budget=BIG,
-                               store_bases=True).bases,
+        lambda: tanaka_prolong(build_hn(DA.O, 1), max_degree=3, budget=BIG).bases,
         "44251def2fa5052689be78e66fd9e431ecc61e3836122683a785948f828976fd"),
     "graded h1(O)": (
         lambda: graded_derivations(build_hn(DA.O, 1)).basis,
@@ -625,7 +623,7 @@ def test_h1o_prolongation_systems_pinned(monkeypatch):
 
 
 def test_prolongation_reads_no_fraction_basis(monkeypatch):
-    # every level is read off NullspaceResult.vectors, and the stored bases
+    # every level is read off NullspaceResult.vectors, and the bases
     # off those levels, as Fractions over the level's scale
     def refuse(self):
         raise AssertionError("NullspaceResult.basis read")
@@ -633,7 +631,7 @@ def test_prolongation_reads_no_fraction_basis(monkeypatch):
     monkeypatch.setattr(linalg.NullspaceResult, "basis", property(refuse))
     res = tanaka_prolong(build_hprime(DA.O, 1, 0), max_degree=3, budget=BIG)
     assert (res.g0_dim, res.component_dims, res.total_dim) == (22, (8, 7), 52)
-    res = tanaka_prolong(build_hprime(DA.O, 1, 0), max_degree=1, budget=BIG, store_bases=True)
+    res = tanaka_prolong(build_hprime(DA.O, 1, 0), max_degree=1, budget=BIG)
     assert len(res.bases) == 1 and type(res.bases[0][0][0][0][0]) is Fraction
 
 
@@ -654,6 +652,79 @@ def test_derivation_spaces_read_no_fraction_basis(monkeypatch):
         assert type(full.basis[-1][2][-1][-1]) is Fraction
 
 
+def _scalars(x):
+    """Every non-container value reachable from x through tuples, lists and
+    dicts (keys and values)."""
+    if isinstance(x, dict):
+        return _scalars(list(x.items()))
+    if isinstance(x, (tuple, list)):
+        return [y for item in x for y in _scalars(item)]
+    return [x]
+
+
+def test_exact_results_hold_no_dense_matrix():
+    # a DerivationSpace holds no matrix at all, and a ProlongationResult
+    # holds its level records: nonzeros (slot, x) and scales, ints only
+    assert [f.name for f in dataclasses.fields(symmetry.DerivationSpace)] == [
+        "algebra", "graded_only", "dimension", "method", "offgrade_dimension"]
+    alg = build_hn(DA.H, 1)
+    for space in (graded_derivations(alg), full_derivations(alg)):
+        values = [getattr(space, f.name) for f in dataclasses.fields(space)][1:]
+        assert all(type(x) in (bool, int, str) for x in values)
+    res = tanaka_prolong(alg, max_degree=3, budget=BIG)
+    assert res.component_dims == (8, 4)
+    values = _scalars([getattr(res, f.name) for f in dataclasses.fields(res)])
+    assert {type(x) for x in values} == {bool, int, str}
+    assert sorted(res.levels) == [-2, -1, 0, 1, 2]
+
+
+def test_exact_results_keep_only_their_records():
+    # once Der_gr is kept on the algebra, building both spaces and the
+    # prolongation keeps about a kilobyte; one dense read of the graded
+    # basis alone holds some 40 kB
+    alg = build_htype_from_clifford(6, 1)
+    graded_derivations(alg)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        results = (graded_derivations(alg), full_derivations(alg),
+                   tanaka_prolong(alg, max_degree=2, budget=BIG))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
+        dense = results[0].basis
+        read = tracemalloc.get_traced_memory()[0] - start - kept
+    finally:
+        tracemalloc.stop()
+    assert (len(dense), results[1].dimension, results[2].trivial) == (16, 64, True)
+    assert kept * 8 < read, (kept, read)
+
+
+def test_each_read_builds_the_bases_afresh_and_solves_nothing(monkeypatch):
+    alg = make_custom("deg3", 3, 2, [(0, 1, 0, 1)])
+    results = (graded_derivations(alg), full_derivations(alg),
+               tanaka_prolong(build_hn(DA.H, 1), max_degree=2, budget=BIG),
+               tanaka_prolong(build_hn(DA.H, 1), max_degree=2, arithmetic="float64",
+                              budget=BIG))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nullspace called by a read")
+
+    monkeypatch.setattr(linalg, "nullspace", refuse)
+    monkeypatch.setattr(symmetry, "nullspace", refuse)
+    for space in results[:2]:
+        first, second = space.basis, space.basis
+        assert first == second and first is not second
+        assert all(a is not b for a, b in zip(first[0], second[0]) if a is not None)
+    for res in results[2:]:
+        first, second = res.bases, res.bases
+        assert first == second and first is not second
+        assert first[0][0][0] is not second[0][0][0]
+    exact = results[2].bases
+    assert type(exact[0][0][0][0][0]) is Fraction
+    _same_floats(exact, results[3].bases)
+
+
 def _same_floats(exact, floats):
     if isinstance(exact, (tuple, list)):
         assert type(floats) is type(exact) and len(floats) == len(exact)
@@ -667,8 +738,8 @@ def _same_floats(exact, floats):
                                  random_two_step(5, 2, random.Random(0))],
                          ids=["h'1,0(O)", "h1(H)/3", "random(5,2)"])
 def test_float64_bases_are_the_exact_bases_in_float(alg):
-    exact = tanaka_prolong(alg, budget=BIG, store_bases=True).bases
-    floats = tanaka_prolong(alg, arithmetic="float64", budget=BIG, store_bases=True).bases
+    exact = tanaka_prolong(alg, budget=BIG).bases
+    floats = tanaka_prolong(alg, arithmetic="float64", budget=BIG).bases
     # entries with denominators 2 (all three) and 3, 37, ... (not h'1,0(O)),
     # which float() has to round
     dens = {x.denominator for ps, qs in exact for p in ps + qs for x in _flat(p)}
@@ -747,14 +818,14 @@ ROW_ALGEBRAS = {
 @pytest.mark.parametrize("name", sorted(ROW_ALGEBRAS))
 def test_exact_rows_are_positive_integer_multiples(monkeypatch, name):
     # The rational levels come from outside the assembler: the structure
-    # tensor, the canonical Der_gr basis (= level 0) and the stored bases.
+    # tensor, the canonical Der_gr basis (= level 0) and the read bases.
     alg = ROW_ALGEBRAS[name]()
     n, m, c = alg.dim_v, alg.dim_z, alg.structure
     levels = {-1: ([[[c[a][t][s] for t in range(n)] for s in range(m)] for a in range(n)], []),
               0: tuple(zip(*[(a, b) for a, b, _ in graded_derivations(alg).basis]))}
     calls = _record_assembly(monkeypatch)
     # a fresh algebra, whose degree-0 system is assembled, not read from alg's solve
-    res = tanaka_prolong(ROW_ALGEBRAS[name](), max_degree=2, budget=BIG, store_bases=True)
+    res = tanaka_prolong(ROW_ALGEBRAS[name](), max_degree=2, budget=BIG)
     levels[1] = res.bases[0]
     assert [call[0] for call in calls] == [0, 1, 2]
     # h'1,0(O) has D_0 = 2 and the random algebra D_-1 = 4; h1(H) is integral
