@@ -620,9 +620,8 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
             theta = theta + np.linalg.lstsq(jac, -proj[0], rcond=None)[0]
     witness = None
     if best[0] <= tol and best[1] is not None:
-        X, Z, W, perp = best[1]
-        witness = J2Witness(X / np.linalg.norm(X), Z / np.linalg.norm(Z),
-                            W / np.linalg.norm(W), best[0], perp,
+        X, Z, W, perp = best[1]  # unit, from the sweep or `_violation_rows`
+        witness = J2Witness(X, Z, W, best[0], perp,
                             float(np.linalg.norm(mod.bracket(X, perp))))
     return ViolationSearch(alg.name, witness, best[0], evals, used, seed, tol)
 

@@ -18,7 +18,9 @@ nullities are dim rad v and dim(z / [v, v]).
 Each degree is one nullspace; iteration stops at the first zero positive
 component (transitivity kills everything above) or at max_degree. The
 per-degree system size is capped by a configurable, positive entry
-budget so an oversized system is refused loudly rather than solved slowly.
+budget so an oversized system is refused loudly rather than solved slowly;
+degree 0 is charged before its system is assembled, a supplied g0's
+checks included.
 
 Exact systems are assembled in Python ints. Every level j >= -2 is one
 record levels[j] = (v, z, D_j): v[a] and z[a] list the nonzeros
@@ -32,14 +34,16 @@ above, v and z hold the canonical basis of g_j, read straight off the
 verified integer vectors (d, d v) of its nullspace, split at the z block
 and scaled to D_j, the lcm of their d (`_split`, Der_gr included). A
 supplied g0 is read off its rational matrices (`_level`). The assembler
-regroups each record's entries by slot once per system; every row is a
-positive integer multiple of the rational row, so `nullspace` receives
-integral rows. No flat Fraction vector is built, and no result holds a
-dense matrix: a `DerivationSpace` reads its algebra's kept level-0
-record and a `ProlongationResult` keeps its level records, and each
-makes its basis dense from them, one matrix at a time (`_dense`), at
-every read of `basis` or `bases`, as `NullspaceResult.basis` is made
-from its vectors. Arithmetic "float64" runs the same certified solve and
+writes one rule, f([a, b]) = [f(a), b] - [f(b), a], over the layer pairs
+(v, v), (v, z) and (z, z) of n, and regroups each record's entries by
+slot once per pair; each index is scaled by the D_j of the row's other
+levels, so every row is a positive integer multiple of the rational row
+and `nullspace` receives integral rows. No flat Fraction vector is
+built, and no result holds a dense matrix: a `DerivationSpace` reads
+its algebra's kept level-0 record and a `ProlongationResult` keeps its
+level records, and each makes its basis dense from them, one matrix at
+a time (`_dense`), at every read of `basis` or `bases`, as
+`NullspaceResult.basis` is made from its vectors. Arithmetic "float64" runs the same certified solve and
 reports the bases as floats.
 """
 
@@ -312,68 +316,50 @@ def _prolong_rows(K: int, levels: dict) -> list[dict]:
     B c(x,y) = c(Ax,y) + c(x,Ay): Der_gr(n). No row writes a column
     twice, so each entry is assigned, never accumulated.
 
-    The level records come from `_negative_levels` and `tanaka_prolong`:
-    the nonzeros of the integers D_j T_j. Each family of rows reads one
-    index per level tensor it uses, built once per system and negated in
-    the row loop where the equation subtracts, and a row that mixes two
-    levels is multiplied by the product of their D_j: v-v rows mix levels
-    -1 and K-1, v-z rows K-1 and K-2, and z-z rows use level K-2 alone. So
-    every row is a positive integer multiple of the rational row, with the
-    same nullspace. Empty rows are left out. Rows are filled by plain loops:
-    on CPython 3.11 a comprehension is a function call, one per row.
+    One rule writes every row: f([a, b]) = [f(a), b] - [f(b), a] for a
+    in layer p and b in layer q of n (1 = v, 2 = z), over the layer pairs
+    (v, v), (v, z) and (z, z), b > a within one layer, one row per basis
+    element t of g_{K-p-q}; a pair is skipped where that level is absent
+    or zero. [f(a), b] reads the index of level K-p acting on layer q,
+    [f(b), a] that of level K-q on layer p (the same index when p = q),
+    and f([a, b]) is nonzero on (v, v) alone. The level records from
+    `_negative_levels` and `tanaka_prolong` hold the integers D_j T_j, so
+    each index is scaled by the product of the D_j of the row's other
+    levels, with the sign of its term folded in: -D_-1 on (v, v), whose
+    bracket term is scaled by D_{K-1}, D_{K-q} and D_{K-p} on (v, z), and
+    1 on (z, z). So every row is a positive integer multiple of the
+    rational row, with the same nullspace. Empty rows are left out. Rows
+    are filled by plain loops: on CPython 3.11 a comprehension is a
+    function call, one per row.
     """
-    ad, _, s_ad = levels[-1]  # ad[i] lists (k*n + j, D_{-1} c(x_i, x_j)_k)
-    v_prev, z_prev, s_prev = levels[K - 1]
-    v_prev2, z_prev2, s_prev2 = levels[K - 2]
-    n, m, d_prev2 = len(ad), len(levels[-2][0]), len(v_prev2)
-    d4, d3 = (len(levels[j][0]) if j in levels else 0 for j in (K - 4, K - 3))
-    p_cols = len(v_prev) * n
+    ad, _, d_ad = levels[-1]  # ad[i] lists (k*n + j, D_{-1} c(x_i, x_j)_k)
+    n, m = len(ad), len(levels[-2][0])
+    p_cols = len(levels[K - 1][0]) * n
+    size, offset = (None, n, m), (None, 0, p_cols)
     rows = []
-    # f([x_i, x_j]) = [f(x_i), x_j] + [x_i, f(x_j)], values in g_{K-2}
-    idx = _nonzeros(v_prev, d_prev2 * n, 0, n, s_ad)
-    brackets = _brackets(ad, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = brackets[i][j]
-            if s_prev != 1:
-                cij = [(k, s_prev * x) for k, x in cij]
-            for r in range(d_prev2):
-                z0, rn = p_cols + r * m, r * n
-                row = {}
-                for k, x in cij:
-                    row[z0 + k] = x
-                for col, x in idx[rn + j]:
-                    row[col + i] = -x
-                for col, x in idx[rn + i]:
-                    row[col + j] = x
-                if row:  # empty where c(x_i, x_j) = 0 and the level has no entry
-                    rows.append(row)
-    # 0 = [f(x_i), z_l] + [x_i, f(z_l)], values in g_{K-3}
-    if d3:
-        f_z = _nonzeros(z_prev, d3 * m, 0, n, s_prev2)
-        f_v = _nonzeros(v_prev2, d3 * n, p_cols, m, s_prev)
-        for i in range(n):
-            for l in range(m):
-                for s in range(d3):
+    for p, q in ((1, 1), (1, 2), (2, 2)):
+        low = len(levels[K - p - q][0]) if K - p - q in levels else 0
+        if not low:
+            continue
+        d_p, d_q = levels[K - p][2], levels[K - q][2]
+        factor = d_q if p != q else -d_ad if p == 1 else 1
+        mine = _nonzeros(levels[K - p][q - 1], low * size[q], offset[p], size[p], factor)
+        theirs = mine if p == q else _nonzeros(levels[K - q][p - 1], low * size[p],
+                                               offset[q], size[q], d_p)
+        brackets = _brackets(ad, n) if p == q == 1 else None
+        for a in range(size[p]):
+            for b in range(a + 1 if p == q else 0, size[q]):
+                # f(c(a, b)) on the z block, at the columns of t = 0
+                cab = [(p_cols + k, d_p * x) for k, x in brackets[a][b]] if brackets else ()
+                for t in range(low):
                     row = {}
-                    for col, x in f_z[s * m + l]:
-                        row[col + i] = x
-                    for col, x in f_v[s * n + i]:
-                        row[col + l] = -x
-                    if row:
-                        rows.append(row)
-    # 0 = [f(z_l), z_l'] + [z_l, f(z_l')], values in g_{K-4}
-    if d4:
-        idx = _nonzeros(z_prev2, d4 * m, p_cols, m, 1)
-        for l in range(m):
-            for lp in range(l + 1, m):
-                for u_ in range(d4):
-                    row = {}
-                    for col, x in idx[u_ * m + lp]:
-                        row[col + l] = x
-                    for col, x in idx[u_ * m + l]:
-                        row[col + lp] = -x
-                    if row:
+                    for k, x in cab:
+                        row[k + t * m] = x
+                    for col, x in mine[t * size[q] + b]:
+                        row[col + a] = x
+                    for col, x in theirs[t * size[p] + a]:
+                        row[col + b] = -x
+                    if row:  # empty where c(a, b) = 0 and the levels have no entry
                         rows.append(row)
     return rows
 
@@ -426,13 +412,15 @@ def tanaka_prolong(alg: GradedNilpotent,
                    ) -> ProlongationResult:
     """Degree-by-degree prolongation of (n, g0).
 
-    With supplied_g0 None, g0 = Der_gr(n) is degree 0, whose system counts
-    against the budget like every other degree before the one solve per
-    algebra object is read (or made). A non-empty supplied_g0 of (A, B)
-    pairs or the (A, B, None) triples of `DerivationSpace.basis`, all
-    together rank-checked to be linearly independent and then each checked
-    to be a graded derivation against the integer degree-0 rows, is level
-    0 instead, and the solve starts at degree 1; an empty one is refused.
+    g0 is degree 0, whose system counts against the budget like every
+    other degree. With supplied_g0 None, g0 = Der_gr(n), the one solve per
+    algebra object, read (or made) once degree 0 is charged. A non-empty
+    supplied_g0 of (A, B) pairs or the (A, B, None) triples of
+    `DerivationSpace.basis` is level 0 instead: an empty or malformed one
+    is refused before anything else, and once degree 0 is charged its
+    elements are rank-checked together to be linearly independent and then
+    each checked to be a graded derivation against the integer degree-0
+    rows; the solve starts at degree 1.
 
     The result keeps every level record, integers only. Both arithmetics
     run the same certified exact solve; "float64" only reports
@@ -447,28 +435,14 @@ def tanaka_prolong(alg: GradedNilpotent,
     t0 = time.perf_counter()
     n, m = alg.dim_v, alg.dim_z
     levels = dict(_negative_levels(alg))
-    first = 0  # g0 = Der_gr(n) is the degree-0 prolongation
     if supplied_g0 is not None:
         if not supplied_g0:
             raise ValueError("supplied_g0 must be None or a non-empty sequence")
         pairs = [_g0_pair(element, n, m) for element in supplied_g0]
         levels[0] = _level([_slots(a, n) for a, _ in pairs], [_slots(b, m) for _, b in pairs])
-        # one coordinate of the k elements per row, {element: entry}: a
-        # nonzero kernel is a linear relation, which would be a zero of the
-        # evaluation map
-        v0, z0, _ = levels[0]
-        coords = _nonzeros(v0, n * n, 0, 1, 1) + _nonzeros(z0, m * m, 0, 1, 1)
-        if nullspace(list(map(dict, coords)), len(v0), context="supplied g0").vectors:
-            raise StructureError("supplied g0 elements are linearly dependent")
-        # each element D (A, B) on the degree-0 columns, A[t][s] at t*n + s
-        # and B[k][l] at n*n + k*m + l, against the integer Der_gr rows
-        vectors = [v + [(n * n + slot, x) for slot, x in z] for v, z in zip(v0, z0)]
-        if not linalg._annihilates(_prolong_rows(0, levels), vectors):
-            raise StructureError("supplied g0 element is not a graded derivation")
-        first = 1
 
     completed = False
-    for K in range(first, max_degree + 1):
+    for K in range(max_degree + 1):
         d4, d3, d_prev2, d_prev = (len(levels[j][0]) if j in levels else 0
                                    for j in range(K - 4, K))
         p_cols = d_prev * n
@@ -477,7 +451,21 @@ def tanaka_prolong(alg: GradedNilpotent,
         label = f"degree-{K} prolongation system" if K else "degree-0 derivation system"
         check_budget(n_rows, ncols, budget, label)
         if K == 0:  # a zero g0 does not end the loop
-            levels[0], _ = _der_gr(alg, label)
+            if supplied_g0 is None:
+                levels[0], _ = _der_gr(alg, label)
+            else:
+                # one coordinate of the k elements per row, {element: entry}: a
+                # nonzero kernel is a linear relation, which would be a zero of
+                # the evaluation map
+                v0, z0, _ = levels[0]
+                coords = _nonzeros(v0, n * n, 0, 1, 1) + _nonzeros(z0, m * m, 0, 1, 1)
+                if nullspace(list(map(dict, coords)), len(v0), context="supplied g0").vectors:
+                    raise StructureError("supplied g0 elements are linearly dependent")
+                # each element D (A, B) on the degree-0 columns, A[t][s] at t*n + s
+                # and B[k][l] at n*n + k*m + l, against the integer Der_gr rows
+                vectors = [v + [(n * n + slot, x) for slot, x in z] for v, z in zip(v0, z0)]
+                if not linalg._annihilates(_prolong_rows(0, levels), vectors):
+                    raise StructureError("supplied g0 element is not a graded derivation")
             continue
         res = nullspace(_prolong_rows(K, levels), ncols, context=label)
         if not res.vectors:

@@ -911,7 +911,7 @@ def _reference_score(mod, x, Z, W):
 def _assert_witness(mod, w, best):
     x, z, v, perp = best[1]
     assert [_bits(a) for a in (w.X, w.Z, w.W, w.perp)] == [
-        _bits(a / np.linalg.norm(a)) for a in (x, z, v)] + [_bits(perp)]
+        _bits(a) for a in (x, z, v, perp)]
     assert (w.residual, w.bracket_norm) == (
         best[0], float(np.linalg.norm(mod.bracket(x, perp))))
 

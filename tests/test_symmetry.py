@@ -395,6 +395,24 @@ def test_degree0_budget_boundary():
     assert exc.value.context == "degree-1 prolongation system"
 
 
+
+def test_supplied_g0_is_charged_before_it_is_checked(monkeypatch):
+    # h1(O): degree 0 is 480 rows x 320 columns with or without a supplied
+    # g0, and is refused before its rank or derivation check assembles or
+    # solves anything; an empty or malformed g0 is refused before the budget
+    alg = build_hn(DA.O, 1)
+    g0 = graded_derivations(alg).basis
+    for name in ("_prolong_rows", "nullspace"):
+        monkeypatch.setattr(symmetry, name, lambda *args, **kwargs: pytest.fail("assembled"))
+    for supplied in (None, g0):
+        with pytest.raises(BudgetExceeded) as exc:
+            tanaka_prolong(alg, supplied_g0=supplied, budget=300_000)
+        assert (exc.value.requested, exc.value.context) == (307_200, "degree-0 derivation system")
+    with pytest.raises(ValueError, match="non-empty"):
+        tanaka_prolong(alg, supplied_g0=[], budget=1)
+    with pytest.raises(StructureError, match="supplied g0 element must be"):
+        tanaka_prolong(alg, supplied_g0=list(g0[:1]) + [g0[0][:1]], budget=1)
+
 def test_budget_refusal_is_fast():
     import time
     alg = build_hn(DA.R, 28)
@@ -853,6 +871,56 @@ def test_assembled_rows_are_never_empty(monkeypatch, alg):
     assert [call[0] for call in calls] == [0, 1, 2, 3]
     assert all(row for *_, rows in calls for row in rows)
 
+
+
+# sha256 of repr([[list(row.items()) for row in rows], ...]) over every
+# _prolong_rows call of tanaka_prolong(max_degree=3): the values, the order
+# of the rows and the order of each row's entries; computed when each layer
+# pair's rows had a loop of their own
+PINNED_ROWS = {
+    "h1(H)": (ROW_ALGEBRAS["h1(H)"],
+              "b54fb295cd2aaf401e51a1c7a9fdb39cbdea5c6bc2f7aa5edeb668222e8f4f06"),
+    "h'1,0(O)": (ROW_ALGEBRAS["h'1,0(O)"],
+                 "adf7ba97f17d30af4f85a6f04f174455a2dda90b596b6d290ce5660e8c962e14"),
+    "random(5,2)": (ROW_ALGEBRAS["random(5,2)"],
+                    "fe45c6a9c41198f808465a422d2378aa97ea2a2b84a371ffe9c203aced961f69"),
+    "deg3": (lambda: make_custom("deg3", 4, 2, [(0, 1, 0, 1)]),
+             "9bb324f2f1f11cd2e344a03f4f7fbfce1735e245ec6945f5c05836eca4b34e4c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ROWS))
+def test_assembled_rows_pinned(monkeypatch, name):
+    make, digest = PINNED_ROWS[name]
+    calls = _record_assembly(monkeypatch)
+    tanaka_prolong(make(), max_degree=3, budget=BIG)
+    assert [call[0] for call in calls] == [0, 1, 2, 3]
+    rows = [[list(row.items()) for row in call[-1]] for call in calls]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(ROW_ALGEBRAS))
+def test_budget_counts_every_row_the_assembler_writes(monkeypatch, name):
+    # the budget charges each degree its rows before the empty ones are left
+    # out: one per layer pair (a, b) and basis element of g_{K-p-q}
+    alg = ROW_ALGEBRAS[name]()
+    n, m, c = alg.dim_v, alg.dim_z, alg.structure
+    charged = []
+    check = symmetry.check_budget
+
+    def recording(nrows, ncols, budget, context=""):
+        charged.append((nrows, ncols))
+        check(nrows, ncols, budget, context)
+
+    monkeypatch.setattr(symmetry, "check_budget", recording)
+    res = tanaka_prolong(alg, max_degree=3, budget=BIG)
+    levels = {-1: ([[[c[a][t][s] for t in range(n)] for s in range(m)] for a in range(n)], []),
+              0: tuple(zip(*[(a, b) for a, b, _ in graded_derivations(alg).basis])),
+              **dict(enumerate(res.bases, 1))}
+    assert len(charged) == 4
+    for K, (nrows, ncols) in enumerate(charged):
+        ref = _reference_rows(K, c, levels, 0)
+        assert (nrows, ncols) == (len(ref), len(ref[0]))
 
 def test_full_derivation_rows_are_integral(monkeypatch):
     seen = []
