@@ -23,9 +23,14 @@ forward-difference probes as one stack (the last step, the point alone),
 each row marked on or off the domain.  One evaluator, `_violation_rows`,
 normalizes and scores every witness: the search's stacks, and the witness
 the limiting-plane experiment checks as a one-row stack.  Stack sizes bound
-memory; only the Cayley probes' points depend on theirs, as each block of
-`_probe_blocks` draws its X, then its Z, then its heights.  Every plane
-basis is orthonormalized once.
+memory; only the Cayley probes' points depend on theirs, as each of their
+blocks draws its X, then its Z, then its heights.  Every plane basis is
+orthonormalized once.
+
+Every random normal comes from one source, `_draws`, which refuses fewer
+than one sample and more than MAX_PROBE_DRAWS normals before it draws: the
+Cayley probes, the J^2 test, the distribution check, the puncture limit and
+the violation search's restarts are all capped.
 
 Every experiment reports in one shape, built by `_report` with the
 tolerance constants below.
@@ -96,11 +101,26 @@ GN_STEP = 1e-7  # forward-difference step of the Gauss-Newton Jacobian
 GN_ITERATIONS = 50  # Gauss-Newton steps per restart of the witness search
 _BLOCK = 64  # X vectors per stacked J^2 evaluation: bounds memory, not results
 _PROBE_BLOCK = 256  # points per stacked Cayley probe: a 512 KB J_Z stack on h1(O)
-# The most normals a Cayley probe draws, samples * (dim v + dim z), refused
-# before the first by _probe_blocks: it bounds work, not memory (each block
-# draws its own), at over 40x its largest caller, 10**4 samples on h1(O)
-# (dim v + dim z = 24) in the benchmark.
+# The most normals any sampled experiment draws, samples times the widths of
+# one sample, refused before the first by _draws: it bounds the draws, not
+# all the work, and not memory (each block draws its own), at over 40x its
+# largest caller, a Cayley probe of 10**4 samples on h1(O) (dim v + dim z =
+# 24) in the benchmark.
 MAX_PROBE_DRAWS = 10**7
+
+
+def _draws(rng, samples: int, widths: tuple[int, ...], block: int):
+    """The normals of `samples` random rows, each split into the given widths:
+    blocks of at most `block` rows, each drawing one array per width in turn.
+    With one width, or one row per block, that is the stream of drawing one row
+    at a time.  Two refusals, both ValueError when called, before anything is
+    drawn: fewer than one sample, and more than MAX_PROBE_DRAWS normals in all."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples * sum(widths) > MAX_PROBE_DRAWS:
+        raise ValueError(f"{samples} samples draw over the cap of {MAX_PROBE_DRAWS} normals")
+    return ([rng.standard_normal((min(block, samples - start), w)) for w in widths]
+            for start in range(0, samples, block))
 
 
 class _FloatModel:
@@ -448,14 +468,13 @@ def _candidate_vectors(n: int) -> np.ndarray:
     return np.concatenate([eye, pairs.reshape(-1, n)])
 
 
-def _x_blocks(n: int, sample_count: int, rng):
-    """The n^2 structured candidates, then sample_count random unit vectors
-    (one draw per block, the same stream as one per vector), _BLOCK rows at most."""
+def _x_blocks(n: int, draws=()):
+    """The n^2 structured candidates, _BLOCK rows at most, then each block of
+    `draws` (from `_draws`, of width n) normalized to unit vectors."""
     cand = _candidate_vectors(n)
     for start in range(0, len(cand), _BLOCK):
         yield cand[start:start + _BLOCK]
-    for start in range(0, sample_count, _BLOCK):
-        v = rng.standard_normal((min(_BLOCK, sample_count - start), n))
+    for (v,) in draws:
         yield v / _norms(v)[:, None]
 
 
@@ -488,20 +507,25 @@ def j2_test(alg: GradedNilpotent, sample_count: int = 200, tol: float = 1e-8,
     (J_l J_k X = -J_k J_l X) on a structured sweep of X plus sample_count
     random draws; by bilinearity in (Z, W) the basis pairs decide each X
     exactly.  The X are evaluated as stacks, in blocks of fixed size,
-    bit-identical to one at a time.
+    bit-identical to one at a time.  A negative seed is refused first; random
+    draws over MAX_PROBE_DRAWS normals (`_draws`), before any X is evaluated.
     """
+    if seed is not None and seed < 0:
+        raise ValueError("expected non-negative integer")
     mod = _model(alg)
     if mod.m <= 1:
         return J2Result(alg.name, True, True, 0.0, 0, tol, seed, None)
     if sample_count > 0 and seed is None:
         raise ValueError("seed is required when sample_count > 0")
+    rng = np.random.default_rng(seed)  # made at any count: a J^2 check loads numpy.random
+    draws = _draws(rng, sample_count, (mod.n,), _BLOCK) if sample_count > 0 else ()
 
     ks, ls = mod.pairs
     JZ = mod.jmats[ks]
     eye_m = np.eye(mod.m)
     worst = 0.0
     witness = None
-    for X in _x_blocks(mod.n, sample_count, np.random.default_rng(seed)):
+    for X in _x_blocks(mod.n, draws):
         u, proj = _j2_stack(mod, X, JZ, include_x=False, ls=ls)
         perp = u - proj
         res = _norms(perp) / _norms(X)[:, None]
@@ -562,7 +586,8 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
     restarts that drive the projection vector to zero.  The sweep (in blocks
     of fixed size) and each step's point with its probes are evaluated as
     stacks, with results bit-identical to evaluating each triple alone.  A
-    negative seed is refused first, whether or not a restart would draw."""
+    negative seed is refused first, whether or not a restart would draw;
+    restarts that would draw over MAX_PROBE_DRAWS normals, at the first one."""
     if seed < 0:
         raise ValueError("expected non-negative integer")
     mod = _model(alg)
@@ -575,7 +600,7 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
     if sweep:
         ks, ls = mod.pairs
         JZ = mod.jmats[ks]
-        for X in _x_blocks(mod.n, 0, None):
+        for X in _x_blocks(mod.n):
             u, proj = _j2_stack(mod, X, JZ, include_x=True, ls=ls)
             score = _norms(proj) / _norms(X)[:, None]
             evals += score.size
@@ -590,16 +615,15 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
     # evaluates its point with the point's n + 2m forward-difference probes as
     # one stack (the last step, the point alone) and counts the probes only
     # once it uses them.  A restart ends at its first point with score <= tol,
-    # at its last step, or at a point or a probe off the domain.  The generator
-    # is made at the first restart: numpy imports numpy.random on first use,
-    # which a search the sweep ends need not pay.
+    # at its last step, or at a point or a probe off the domain.  The draws,
+    # one theta per restart, are made at the first restart: numpy imports
+    # numpy.random on first use, which a search the sweep ends need not pay.
     offsets = GN_STEP * np.eye(mod.n + 2 * mod.m)
-    rng = None
+    draws = None
     while not best[0] <= tol and used < restarts:
         used += 1
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        theta = rng.standard_normal(len(offsets))
+        draws = draws or _draws(np.random.default_rng(seed), restarts, (len(offsets),), 1)
+        [[theta]] = next(draws)
         for steps in range(GN_ITERATIONS + 1):
             last = steps == GN_ITERATIONS
             stack = theta[None] if last else np.concatenate([theta[None], theta + offsets])
@@ -790,18 +814,17 @@ def puncture_point(alg: GradedNilpotent, seed: int = 0, directions: int = 6,
     """Common limit of the boundary Cayley map as |X| grows, checked to be
     direction-independent; this is the puncture of the sphere model.  It
     takes e_1 and directions - 1 random unit X, so directions must be at
-    least 2.  The radius must be finite and positive, and at most 1e77: above
-    about 7.3e77 the denominator (1 + r^2/4)^2 of the map overflows float64."""
+    least 2, and its draws at most MAX_PROBE_DRAWS normals (`_draws`).  The
+    radius must be finite and positive, and at most 1e77: above about 7.3e77
+    the denominator (1 + r^2/4)^2 of the map overflows float64."""
     if directions < 2:
         raise ValueError(f"directions must be at least 2, got {directions!r}")
     if not 0 < radius <= 1e77:  # NaN fails too
         raise ValueError(f"radius must be finite and positive, at most 1e77, got {radius!r}")
     mod = _model(alg)
-    rng = np.random.default_rng(seed)
     xs = [np.eye(mod.n)[0]]
-    for _ in range(directions - 1):
-        v = rng.standard_normal(mod.n)
-        xs.append(v / np.linalg.norm(v))
+    for (v,) in _draws(np.random.default_rng(seed), directions - 1, (mod.n,), _BLOCK):
+        xs.extend(v / _norms(v)[:, None])
     zs = (np.zeros(mod.m), 0.5 * np.eye(mod.m)[0])
     pts = [_cayley_arrays(mod, X, z, 0.25 * float(X @ X))
            for X in (radius * x for x in xs) for z in zs]
@@ -844,15 +867,12 @@ def distribution_experiment(alg: GradedNilpotent, sample_count: int = 25,
     """Contact planes at sample_count random boundary points, as a boundary
     report: each lies in the tangent space of the boundary, its push to the
     sphere is tangent there, and that push matches the transport along the
-    translation curves.  Each check raises on failure, so the verdict is pass."""
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
+    translation curves.  Each check raises on failure, so the verdict is pass.
+    Fewer than one sample, or more than MAX_PROBE_DRAWS normals, raise
+    ValueError before anything is drawn (`_draws`)."""
     mod = _model(alg)
-    rng = np.random.default_rng(seed)
     tangency = invariance = 0.0
-    for _ in range(sample_count):
-        X = rng.standard_normal(mod.n)
-        Z = rng.standard_normal(mod.m)
+    for (X,), (Z,) in _draws(np.random.default_rng(seed), sample_count, (mod.n, mod.m), 1):
         boundary_distribution(alg, X, Z)  # raises on membership failure
         plane, fd = _sphere_plane(mod, X, Z)
         tangency = max(tangency, float(np.max(np.abs(_dots(plane.basis, plane.base)))))
@@ -867,28 +887,14 @@ def distribution_experiment(alg: GradedNilpotent, sample_count: int = 25,
 # Sampled invariants
 
 
-def _probe_blocks(mod: _FloatModel, samples: int, rng):
-    """The random points (X, Z) of a Cayley probe, _PROBE_BLOCK at most per
-    block, each block drawing its X, then its Z, as the caller draws the rest of
-    the block before the next.  Two refusals, both ValueError before anything is
-    drawn: fewer than one sample, and more than MAX_PROBE_DRAWS normals in all."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if samples * (mod.n + mod.m) > MAX_PROBE_DRAWS:
-        raise ValueError(f"{samples} samples draw over the cap of {MAX_PROBE_DRAWS} normals")
-    for start in range(0, samples, _PROBE_BLOCK):
-        b = min(_PROBE_BLOCK, samples - start)
-        yield rng.standard_normal((b, mod.n)), rng.standard_normal((b, mod.m))
-
-
 def boundary_identity_error(alg: GradedNilpotent, samples: int = 10_000,
                             seed: int = 0) -> float:
     """max | |C(p)|^2 - 1 | over random boundary points, drawn and mapped in
     stacks of _PROBE_BLOCK.  More than MAX_PROBE_DRAWS normals, or fewer than
-    one sample, raise ValueError before anything is drawn (`_probe_blocks`)."""
+    one sample, raise ValueError before anything is drawn (`_draws`)."""
     mod = _model(alg)
     worst = 0.0
-    for X, Z in _probe_blocks(mod, samples, np.random.default_rng(seed)):
+    for X, Z in _draws(np.random.default_rng(seed), samples, (mod.n, mod.m), _PROBE_BLOCK):
         C = _cayley_arrays(mod, X, Z, 0.25 * _dots(X, X))
         worst = max(worst, float(np.max(np.abs(_dots(C, C) - 1.0))))
     return worst
@@ -898,13 +904,14 @@ def round_trip_error(alg: GradedNilpotent, samples: int = 1000,
                      seed: int = 0) -> float:
     """max |p - cayley_inverse(cayley(p))| over random interior points, drawn
     and mapped out and back in stacks of _PROBE_BLOCK, through the checks of
-    `cayley` and `cayley_inverse`, bit-identical to one point at a time.
-    More than MAX_PROBE_DRAWS normals, or fewer than one sample, raise
-    ValueError before anything is drawn (`_probe_blocks`)."""
+    `cayley` and `cayley_inverse`, bit-identical to one point at a time.  Each
+    block draws its X, then its Z (`_draws`), then its heights.  More than
+    MAX_PROBE_DRAWS normals, or fewer than one sample, raise ValueError before
+    anything is drawn."""
     mod = _model(alg)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for X, Z in _probe_blocks(mod, samples, rng):
+    for X, Z in _draws(rng, samples, (mod.n, mod.m), _PROBE_BLOCK):
         t = 0.25 * _dots(X, X) + rng.uniform(0.05, 2.0, len(X))
         _check_siegel(X, Z, t, SIEGEL_TOL)
         back = _inverse(mod, _cayley_arrays(mod, X, Z, t), INVERSE_TOL)
@@ -914,9 +921,9 @@ def round_trip_error(alg: GradedNilpotent, samples: int = 1000,
 
 def cayley_probe(alg: GradedNilpotent, sample_count: int = 10_000, seed: int = 0) -> dict:
     """`boundary_identity_error` on sample_count points and `round_trip_error`
-    on a tenth as many (at least one), as a boundary report."""
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
+    on a tenth as many (at least one), as a boundary report.  Fewer than one
+    sample, or more than MAX_PROBE_DRAWS normals, raise ValueError before
+    anything is drawn."""
     ident = boundary_identity_error(alg, samples=sample_count, seed=seed)
     rt = round_trip_error(alg, samples=max(1, sample_count // 10), seed=seed)
     return _report(alg.name, "cayley-probe", sample_count,

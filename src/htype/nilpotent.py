@@ -372,10 +372,13 @@ def is_type_h(alg: GradedNilpotent) -> TypeHResult:
     -2 delta_ab D^2 I, checked on Python integers, which cannot overflow.
     The J-maps of the division-algebra families are near-monomial, so K is
     kept as sparse rows. The certificate and K are made once per algebra.
+    With dim z = 0 or dim v = 0 it holds vacuously and is degenerate.
     """
     def certify(alg):
         if alg.dim_z == 0:
             return TypeHResult(True, True, (), "vacuous: dim z = 0, no J-maps exist")
+        if alg.dim_v == 0:
+            return TypeHResult(True, True, (), "vacuous: dim v = 0, the J-maps act on nothing")
         D, K = _kept(alg, "_integer_jmaps", _integer_jmaps)
         failing = _clifford_failures(K, D)
         if failing:

@@ -1,6 +1,7 @@
 """Cayley transform, sphere distributions, and J^2 experiments."""
 
 import gc
+import hashlib
 import json
 import math
 import os
@@ -373,23 +374,73 @@ def test_cayley_probes_refuse_fewer_than_one_sample(monkeypatch, probe, samples)
         probe(alg, samples=samples, seed=0)
 
 
-@pytest.mark.parametrize("probe", [B.boundary_identity_error, B.round_trip_error],
-                         ids=["identity", "round_trip"])
-def test_cayley_probes_refuse_draws_over_the_cap_before_any_draw(monkeypatch, probe):
+# Each sampled entry: its algebra, the normals one of its samples draws there,
+# and a call at k samples (for puncture_point, k random directions; for the
+# search, k restarts).
+CAPPED_ENTRIES = [
+    ("identity", h1r, 3, lambda alg, k: B.boundary_identity_error(alg, samples=k, seed=0)),
+    ("round_trip", h1r, 3, lambda alg, k: B.round_trip_error(alg, samples=k, seed=0)),
+    ("j2", h1c, 4, lambda alg, k: B.j2_test(alg, sample_count=k, seed=0)),
+    ("distribution", h1r, 3,
+     lambda alg, k: B.distribution_experiment(alg, sample_count=k, seed=0)),
+    ("puncture", h1r, 2, lambda alg, k: B.puncture_point(alg, seed=0, directions=k + 1)),
+    ("search", h1c, 8,
+     lambda alg, k: B.find_j2_violation(alg, seed=0, restarts=k, sweep=False)),
+]
+
+
+@pytest.mark.parametrize("make, width, entry", [c[1:] for c in CAPPED_ENTRIES],
+                         ids=[c[0] for c in CAPPED_ENTRIES])
+def test_cayley_probes_refuse_draws_over_the_cap_before_any_draw(monkeypatch, make,
+                                                                 width, entry):
     # round_trip_error once drew any number of normals: 2.7 s and a result
-    # on h1(R) one sample over the cap.
-    alg = h1r()  # dim v + dim z = 3
+    # on h1(R) one sample over the cap.  The J^2 test, the distribution
+    # check, the puncture limit and the search each drew through a loop of
+    # its own, with no cap.
+    alg = make()
     B._model(alg)
 
     class NoDraws:
         def __getattr__(self, name):
             raise AssertionError(f"drew with {name}")
 
+    def no_stack(*args, **kwargs):
+        raise AssertionError("evaluated a candidate")
+
     monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraws())
-    samples = B.MAX_PROBE_DRAWS // 3 + 1
+    monkeypatch.setattr(B, "_j2_stack", no_stack)
+    samples = B.MAX_PROBE_DRAWS // width + 1
     with pytest.raises(ValueError, match=re.escape(
             f"{samples} samples draw over the cap of {B.MAX_PROBE_DRAWS} normals")):
-        probe(alg, samples=samples, seed=0)
+        entry(alg, samples)
+
+
+def _drawn_outputs(alg, seed):
+    j2 = B.j2_test(alg, sample_count=200, seed=seed)
+    search = B.find_j2_violation(alg, seed=seed, sweep=False)
+    return (j2.to_report(), j2.max_residual,
+            B.distribution_experiment(alg, sample_count=3, seed=seed),
+            B.puncture_point(alg, seed=seed).tolist(),
+            search.to_report(), search.best_score, search.restarts_used)
+
+
+def test_draw_streams_pinned():
+    # Computed before these entries drew through one source: each must draw
+    # its normals in the same order, so every float it returns keeps its bits.
+    out = [_drawn_outputs(make(), seed)
+           for make in (h1c, lambda: build_hprime(DA.H, 1, 1)) for seed in (0, 7)]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "ce48802b847e503e2803e7681f6486e298a54107e7fa522aa25ae751a802639d")
+
+
+@pytest.mark.parametrize("make", [h1r, h1c], ids=["h1R", "h1C"])
+@pytest.mark.parametrize("samples", [0, 200])
+def test_j2_entries_refuse_a_negative_seed_first(make, samples):
+    # On h1(R), dim z <= 1 once returned before any generator saw the seed.
+    alg = make()
+    for entry in (B.j2_test, B.extension_verdict):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            entry(alg, sample_count=samples, seed=-1)
 
 
 def test_cayley_probes_map_whole_blocks(monkeypatch):

@@ -450,6 +450,38 @@ def test_cayley_probe_over_the_draw_cap_is_refused(h1r, capsys):
     assert err == f"error: {samples} samples draw over the cap of {MAX_PROBE_DRAWS} normals\n"
 
 
+@pytest.mark.parametrize("argv", [("check", "--tests", "j2"),
+                                  ("boundary", "--experiment", "distribution")],
+                         ids=["check-j2", "distribution"])
+def test_sampled_commands_over_the_draw_cap_are_refused(h1c, tmp_path, capsys,
+                                                        monkeypatch, argv):
+    from htype import boundary
+
+    monkeypatch.setattr(boundary, "MAX_PROBE_DRAWS", 100)
+    out = tmp_path / "r.json"
+    # h1(C): 50 samples draw 200 normals for j2 (dim v) and 300 for distribution
+    code, stdout, err = run(capsys, argv[0], "--in", h1c, *argv[1:], "--seed", "0",
+                            "--samples", "50", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err == "error: 50 samples draw over the cap of 100 normals\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["j2", "limiting-plane", "distribution",
+                                        "cayley-probe"])
+def test_boundary_refuses_an_algebra_with_no_horizontal_space(tmp_path, capsys,
+                                                              experiment):
+    # h0(C) has dim v = 0: once numpy refused a reshape, the distribution
+    # check found no span, and the Cayley probe passed on nothing.
+    path = tmp_path / "h0C.json"
+    assert run(capsys, "construct", "--family", "hn", "--algebra", "C", "--n", "0",
+               "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "boundary", "--in", str(path), "--experiment", experiment,
+                         "--seed", "0")
+    assert code == 2 and out == ""
+    assert "boundary maps are defined for type-H algebras only" in err
+
+
 def test_boundary_seed_is_mandatory(h1c):
     assert main(["boundary", "--in", h1c, "--experiment", "j2"]) == 2
 

@@ -83,6 +83,14 @@ def test_h0_is_just_the_center():
     assert dims(alg) == (0, 2, 2)
 
 
+def test_h0_is_vacuously_type_h_and_degenerate():
+    # With dim v = 0 the J-maps act on nothing; once it was certified
+    # non-degenerate type H, and the boundary models accepted it.
+    res = is_type_h(build_hn(DA.C, 0))
+    assert res.holds and res.degenerate and not res.failing_pairs
+    assert res.certificate.startswith("vacuous: dim v = 0")
+
+
 def test_constructor_errors():
     with pytest.raises(ValueError):
         build_hn(DA.R, -1)
