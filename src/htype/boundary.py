@@ -507,11 +507,14 @@ def j2_test(alg: GradedNilpotent, sample_count: int = 200, tol: float = 1e-8,
     (J_l J_k X = -J_k J_l X) on a structured sweep of X plus sample_count
     random draws; by bilinearity in (Z, W) the basis pairs decide each X
     exactly.  The X are evaluated as stacks, in blocks of fixed size,
-    bit-identical to one at a time.  A negative seed is refused first; random
-    draws over MAX_PROBE_DRAWS normals (`_draws`), before any X is evaluated.
+    bit-identical to one at a time.  A negative seed is refused first, then
+    a negative sample_count, both before the model is built; random draws
+    over MAX_PROBE_DRAWS normals (`_draws`), before any X is evaluated.
     """
     if seed is not None and seed < 0:
         raise ValueError("expected non-negative integer")
+    if sample_count < 0:
+        raise ValueError(f"sample_count must be non-negative, got {sample_count}")
     mod = _model(alg)
     if mod.m <= 1:
         return J2Result(alg.name, True, True, 0.0, 0, tol, seed, None)
@@ -538,7 +541,7 @@ def j2_test(alg: GradedNilpotent, sample_count: int = 200, tol: float = 1e-8,
                 witness = J2Witness(x, eye_m[ks[p]].copy(), eye_m[ls[p]].copy(), worst,
                                     v, float(np.linalg.norm(mod.bracket(x, v))))
     return J2Result(alg.name, worst <= tol, False, worst,
-                    mod.n ** 2 + max(sample_count, 0), tol, seed, witness)
+                    mod.n ** 2 + sample_count, tol, seed, witness)
 
 
 @dataclass(frozen=True, eq=False)
@@ -586,10 +589,13 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
     restarts that drive the projection vector to zero.  The sweep (in blocks
     of fixed size) and each step's point with its probes are evaluated as
     stacks, with results bit-identical to evaluating each triple alone.  A
-    negative seed is refused first, whether or not a restart would draw;
-    restarts that would draw over MAX_PROBE_DRAWS normals, at the first one."""
+    negative seed is refused first, whether or not a restart would draw, then
+    a negative restarts, both before the model is built; restarts that would
+    draw over MAX_PROBE_DRAWS normals, at the first one."""
     if seed < 0:
         raise ValueError("expected non-negative integer")
+    if restarts < 0:
+        raise ValueError(f"restarts must be non-negative, got {restarts}")
     mod = _model(alg)
     if mod.m <= 1:
         return ViolationSearch(alg.name, None, math.inf, 0, 0, seed, tol)
@@ -816,7 +822,9 @@ def puncture_point(alg: GradedNilpotent, seed: int = 0, directions: int = 6,
     takes e_1 and directions - 1 random unit X, so directions must be at
     least 2, and its draws at most MAX_PROBE_DRAWS normals (`_draws`).  The
     radius must be finite and positive, and at most 1e77: above about 7.3e77
-    the denominator (1 + r^2/4)^2 of the map overflows float64."""
+    the denominator (1 + r^2/4)^2 of the map overflows float64.  The spread,
+    the largest distance between two of the 2 directions points, is taken
+    over the stacked points a block at a time, in bounded memory."""
     if directions < 2:
         raise ValueError(f"directions must be at least 2, got {directions!r}")
     if not 0 < radius <= 1e77:  # NaN fails too
@@ -826,11 +834,14 @@ def puncture_point(alg: GradedNilpotent, seed: int = 0, directions: int = 6,
     for (v,) in _draws(np.random.default_rng(seed), directions - 1, (mod.n,), _BLOCK):
         xs.extend(v / _norms(v)[:, None])
     zs = (np.zeros(mod.m), 0.5 * np.eye(mod.m)[0])
-    pts = [_cayley_arrays(mod, X, z, 0.25 * float(X @ X))
-           for X in (radius * x for x in xs) for z in zs]
-    spread = max(
-        float(np.linalg.norm(p - q)) for i, p in enumerate(pts) for q in pts[i + 1:]
-    )
+    pts = np.array([_cayley_arrays(mod, X, z, 0.25 * float(X @ X))
+                    for X in (radius * x for x in xs) for z in zs])
+    # the largest distance between two points, each bitwise the
+    # np.linalg.norm of one difference: a block of points against every
+    # later point at a time, each block's differences about 2**18 floats
+    block = max(1, 2**18 // pts.size)
+    spread = float(np.max([_norms(pts[i:i + block, None] - pts[i:]).max()
+                           for i in range(0, len(pts), block)]))
     if not spread <= tol:  # a NaN spread fails too
         raise CrossValidationError("puncture limit spread", spread, tol)
     return np.mean(pts, axis=0)

@@ -4,16 +4,21 @@ Rank decisions downstream (derivation dimensions, prolongation components)
 must be exact, so every returned basis is certified over Q. Every system
 takes the same path:
 
-1. Rows arrive sparse, as {column: value} mappings of ints or Fractions.
-   The system is validated by C-level passes (`filter`, `set().union`,
-   `chain`) that drop empty rows, refuse any other row that is not a
-   mapping, check the columns to be ints in [0, ncols) and collect one set
-   of value types, refusing any value that is not an int or a Fraction.
-   A system of ints is read in place: the callers' mappings go on as
-   they are, with no copy or scaling, and duplicate or zero rows clear to
-   zero in step 2. Only a system that holds a Fraction has its rows scaled
-   to primitive integer rows over their nonzeros. The rows are fed to
-   step 2 shortest first: the RREF mod p does not depend on row order.
+1. Rows arrive sparse, as {column: value} mappings of ints or Fractions,
+   from any iterable: one that can be read again (a list, or a `Rows`
+   system that builds its rows afresh at each pass) is read once per pass,
+   and a one-shot iterator is read once, into a list. No pass copies or
+   sorts the whole system: the caller's order is the kernel's. Each pass
+   validates the rows as it reads them, a chunk of `_CHUNK` at a time, by
+   C-level passes (`filter`, `set().union`, `chain`) that drop empty rows,
+   refuse any other row that is not a mapping, check the columns to be
+   ints in [0, ncols) and collect one set of value types, refusing any
+   value that is not an int or a Fraction. Rows of ints are read in
+   place: the callers' mappings go on as they are, with no copy or
+   scaling, and duplicate or zero rows clear to zero in step 2. Only a
+   chunk that holds a Fraction has its rows scaled to primitive integer
+   rows over their nonzeros. A row after the one that completes the rank
+   is never read, so it is neither validated nor built.
 2. The integer rows are row-reduced modulo a 31-bit prime by a streaming
    sparse Gauss-Jordan (`_rref_modp`: dict rows, no dense matrix, no
    numpy). Each row is read once and never copied: its working vector is
@@ -21,14 +26,19 @@ takes the same path:
    each entry at a pivot column, and is reduced mod p once. A column
    index sends each new pivot only to the pivot rows that hold its
    column. A row whose columns are all unit pivots (pivot rows with no
-   other entry) clears to exactly zero, so it is skipped unread. The
-   candidate basis is lifted to Q by rational reconstruction into integer
-   pairs (numerator, denominator), and from those into integer vectors (a
-   denominator D and the sparse integers D v), with no Fraction built.
-   Every one is re-checked against the integer rows with one exact sparse
-   product in Python ints (`_annihilates`); a row that holds no column
-   where a candidate is nonzero has product exactly 0 with each, so it
-   passes unread. Since nullity over Q never exceeds nullity mod p,
+   other entry) clears to exactly zero, so it is skipped unread; the pass
+   keeps every other row it reads, and only those. The candidate basis is
+   lifted to Q by rational reconstruction into integer pairs (numerator,
+   denominator), and from those into integer vectors (a denominator D and
+   the sparse integers D v), with no Fraction built. Every one is
+   re-checked against the integer rows with one exact sparse product in
+   Python ints (`_annihilates`); a row that holds no column where a
+   candidate is nonzero has product exactly 0 with each, so it passes
+   unread. When the image is one prime's RREF, the verifier reads the rows
+   that prime's pass kept: a skipped row holds only unit pivots of that
+   RREF, where every canonical candidate is exactly 0, so its product with
+   each is exactly 0 over Q. A CRT image (step 3) is verified on a fresh
+   pass of every row. Since nullity over Q never exceeds nullity mod p,
    nullity_p verified independent vectors certify the dimension.
 3. A failed prime escalates to the next 31-bit prime, largest first
    (`_primes`). Over F_p the pivots are the greedy column basis, so an
@@ -38,8 +48,9 @@ takes the same path:
    verified again. Each rejected prime is logged at INFO on the
    "htype.linalg" logger, as is each budget refusal.
 4. Every canonical basis entry is a quotient of two minors, each at most
-   the Hadamard bound H (the product of the ncols largest row norms), so
-   it reconstructs once the modulus passes 2 H^2; every unlucky prime
+   the Hadamard bound H (the product of the ncols largest row norms, read
+   on a fresh pass), so it reconstructs once the modulus passes 2 H^2;
+   every unlucky prime
    divides one nonzero minor, also at most H. So after
    ceil((2 bits(H) + 1) / 30) + floor(bits(H) / 30) primes `nullspace`
    raises: it never returns an uncertified basis.
@@ -58,11 +69,12 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Collection, Iterable, Iterator, Sequence
+from functools import partial
+from itertools import chain, islice
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import BudgetExceeded
 
@@ -89,6 +101,23 @@ def _log(msg: str, *args) -> None:
 
 
 SparseInts = Collection[tuple[int, int]]  # (column, value) pairs, ascending in a vector
+_CHUNK = 256  # rows validated at a time: bounds the intake's copies, not results
+
+
+class Rows:
+    """A system that can be read again: each iteration is a fresh pass,
+    `make()`, so a pass holds no row its reader does not keep. `len` counts
+    the rows of a pass of its own (so `list()`, which asks the length
+    first, makes two passes)."""
+
+    def __init__(self, make: Callable[[], Iterable[Mapping]]):
+        self.make = make
+
+    def __iter__(self) -> Iterator[Mapping]:
+        return iter(self.make())
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self.make())
 
 
 @dataclass(frozen=True)
@@ -174,6 +203,7 @@ def integerize_row(row: Sequence[Fraction]) -> list[int]:
 
 def _rref_modp(rows: Iterable[Mapping[int, int]], p: int, ncols: int,
                leads: list[tuple[int, int]] | None = None,
+               kept: list[Mapping[int, int]] | None = None,
                ) -> tuple[list[dict[int, int]], list[int]]:
     """Reduced row echelon form mod p of sparse integer rows, one row at a time.
 
@@ -203,7 +233,9 @@ def _rref_modp(rows: Iterable[Mapping[int, int]], p: int, ncols: int,
     Returns the pivot rows as {column: residue} dicts, nonzeros only,
     sorted by pivot, and the pivots. If `leads` is given, each new pivot
     appends to it the pair (pivot column, residue normalized there), for
-    `det_exact`.
+    `det_exact`. If `kept` is given, each row read that is not skipped as
+    above is appended to it, for `_annihilates`: each skipped row holds
+    only unit pivots of the RREF returned.
     """
     pivot_rows: dict[int, dict[int, int]] = {}  # pivot -> entries off the pivot
     holders: dict[int, set[int]] = {}  # column -> pivots whose rows hold it
@@ -211,6 +243,8 @@ def _rref_modp(rows: Iterable[Mapping[int, int]], p: int, ncols: int,
     for row in rows:
         if units.issuperset(row):
             continue
+        if kept is not None:
+            kept.append(row)
         acc: dict[int, int] = {}
         get = acc.get
         for c, f in row.items():
@@ -279,7 +313,7 @@ def _rat_reconstruct(a: int, modulus: int) -> tuple[int, int] | None:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _annihilates(rows: list[Mapping[int, int]], vectors: list[SparseInts]) -> bool:
+def _annihilates(rows: Iterable[Mapping[int, int]], vectors: list[SparseInts]) -> bool:
     """Exact test of A @ v == 0 for the integer rows A and every integer
     vector v, in Python ints.
 
@@ -361,11 +395,14 @@ def _reconstruct(image: list[dict[int, int]], modulus: int, pivots: list[int],
     return vectors
 
 
-def _nullspace_modp(rows: list[Mapping[int, int]], ncols: int,
+def _nullspace_modp(rows: Iterable[Mapping[int, int]], ncols: int,
                     context: str = "") -> NullspaceResult:
     """Certified canonical nullspace basis of integer rows by the
     prime ladder of the module docstring: the image is the RREF modulo the
-    product of the primes kept, and H is taken once the first prime fails."""
+    product of the primes kept, and H is taken once the first prime fails.
+    rows is read once per pass: once per prime, once for H, and once more
+    for each verification of a CRT image; one prime's image is verified on
+    the rows its own pass kept."""
     image, pivots, modulus, limit = [], [], 0, 1
     for count, p in enumerate(_primes(), 1):
         if count == 2:
@@ -377,9 +414,10 @@ def _nullspace_modp(rows: list[Mapping[int, int]], ncols: int,
             limit = -(-(2 * bits + 1) // 30) + bits // 30
         if count > limit:
             break
-        rref, new = _rref_modp(rows, p, ncols)
+        kept: list[Mapping[int, int]] = []
+        rref, new = _rref_modp(rows, p, ncols, kept=kept)
         if count == 1 or (-len(new), new) < (-len(pivots), pivots):
-            image, pivots, modulus = rref, new, p
+            image, pivots, modulus, verified_on = rref, new, p, kept
         elif new == pivots:
             inv = pow(modulus, -1, p)
             for irow, prow in zip(image, rref):
@@ -387,17 +425,48 @@ def _nullspace_modp(rows: list[Mapping[int, int]], ncols: int,
                     x = irow.get(j, 0)
                     irow[j] = x + modulus * ((prow.get(j, 0) - x) * inv % p)
             modulus *= p
+            verified_on = rows
         else:
             _log("nullspace %s: prime %d has worse pivots; skipped", context, p)
             continue
         vectors = _reconstruct(image, modulus, pivots, ncols)
         if vectors is None:
             _log("nullspace %s: rational reconstruction failed at prime %d", context, p)
-        elif vectors and not _annihilates(rows, [vec for _, vec in vectors]):
+        elif vectors and not _annihilates(verified_on, [vec for _, vec in vectors]):
             _log("nullspace %s: lift at prime %d fails exact verification", context, p)
         else:
             return NullspaceResult(tuple(vectors), ncols, "modp" if count == 1 else "modp-crt")
     raise RuntimeError(f"nullspace {context}: no certified basis after {limit} primes")
+
+
+def _checked(rows: Iterable, ncols: int, context: str) -> Iterator[Mapping[int, int]]:
+    """One pass over rows, validated and integerized a chunk at a time as
+    `nullspace` describes: the non-empty rows, each the caller's mapping
+    in a chunk of ints, or its primitive integer dict in a chunk that
+    holds a Fraction."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK)):
+        chunk = list(filter(None, chunk))
+        if not all(issubclass(t, Mapping) for t in set(map(type, chunk))):
+            bad = next(row for row in chunk if not isinstance(row, Mapping))
+            raise TypeError(f"nullspace {context}: rows must be mappings {{column: value}}, "
+                            f"not {type(bad).__name__}")
+        cols = set().union(*chunk)
+        types = set(map(type, chain.from_iterable(row.values() for row in chunk)))
+        if not all(issubclass(t, (int, Fraction)) for t in types):
+            bad = next(v for row in chunk for v in row.values()
+                       if not isinstance(v, (int, Fraction)))
+            raise TypeError(f"row values must be ints or Fractions, not {type(bad).__name__}")
+        if cols:
+            if bad := [c for c in cols if type(c) is not int]:
+                raise TypeError(f"nullspace {context}: row columns must be ints, "
+                                f"not {type(bad[0]).__name__}")
+            if min(cols) < 0 or max(cols) >= ncols:
+                raise ValueError(f"nullspace {context}: row columns {min(cols)}..{max(cols)} "
+                                 f"outside [0, {ncols})")
+        if not all(issubclass(t, int) for t in types):
+            chunk = [_integerize(row.items()) for row in chunk]
+        yield from chunk
 
 
 def nullspace(rows: Iterable[Mapping[int, Fraction]], ncols: int,
@@ -407,36 +476,23 @@ def nullspace(rows: Iterable[Mapping[int, Fraction]], ncols: int,
     Rows are sparse mappings {column: value}, with int columns in
     [0, ncols) and values ints or Fractions; a non-empty row of another
     type, such as a list of (column, value) pairs, raises TypeError (the
-    check runs once per distinct row type). C-level passes keep the
-    non-empty rows (`filter`) and collect their columns (`set().union`)
-    and value types (`chain.from_iterable`); a system of ints is read as
-    the callers' mappings, never copied or changed, and only one that holds
-    a Fraction is integerized row by row, into dicts. The kernel skips the
-    rows that clear to zero against its unit pivots, and the verifier the
-    rows that miss the candidates' support: both results are exactly zero.
-    The context names the system in the escalation log.
+    check runs once per distinct row type in a chunk). rows is read afresh
+    at each pass, in the caller's order, so a `Rows` system is built only
+    as far as each pass reads it; a one-shot iterator is first read into a
+    list, so it is read exactly once. Each pass validates its rows a chunk
+    of `_CHUNK` at a time, by C-level passes that keep the non-empty rows
+    (`filter`) and collect their columns (`set().union`) and value types
+    (`chain.from_iterable`): rows of ints are read as the callers'
+    mappings, never copied or changed, and only a chunk that holds a
+    Fraction is integerized row by row, into dicts. A row that no pass
+    reads, after the kernel reaches full rank, is not validated. The
+    kernel skips the rows that clear to zero against its unit pivots, and
+    the verifier the rows that miss the candidates' support: both results
+    are exactly zero. The context names the system in the escalation log.
     """
-    kept = list(filter(None, rows))
-    if not all(issubclass(t, Mapping) for t in set(map(type, kept))):
-        bad = next(row for row in kept if not isinstance(row, Mapping))
-        raise TypeError(f"nullspace {context}: rows must be mappings {{column: value}}, "
-                        f"not {type(bad).__name__}")
-    cols = set().union(*kept)
-    types = set(map(type, chain.from_iterable(row.values() for row in kept)))
-    if not all(issubclass(t, (int, Fraction)) for t in types):
-        bad = next(v for row in kept for v in row.values() if not isinstance(v, (int, Fraction)))
-        raise TypeError(f"row values must be ints or Fractions, not {type(bad).__name__}")
-    if cols:
-        if bad := [c for c in cols if type(c) is not int]:
-            raise TypeError(f"nullspace {context}: row columns must be ints, "
-                            f"not {type(bad[0]).__name__}")
-        if min(cols) < 0 or max(cols) >= ncols:
-            raise ValueError(f"nullspace {context}: row columns {min(cols)}..{max(cols)} "
-                             f"outside [0, {ncols})")
-    if not all(issubclass(t, int) for t in types):
-        kept = [_integerize(row.items()) for row in kept]
-    kept.sort(key=len)
-    return _nullspace_modp(kept, ncols, context)
+    if isinstance(rows, Iterator):
+        rows = list(rows)
+    return _nullspace_modp(Rows(partial(_checked, rows, ncols, context)), ncols, context)
 
 
 def det_exact(mat: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -35,10 +35,12 @@ verified integer vectors (d, d v) of its nullspace, split at the z block
 and scaled to D_j, the lcm of their d (`_split`, Der_gr included). A
 supplied g0 is read off its rational matrices (`_level`). The assembler
 writes one rule, f([a, b]) = [f(a), b] - [f(b), a], over the layer pairs
-(v, v), (v, z) and (z, z) of n, and regroups each record's entries by
-slot once per pair; each index is scaled by the D_j of the row's other
-levels, so every row is a positive integer multiple of the rational row
-and `nullspace` receives integral rows. No flat Fraction vector is
+(z, z), (v, z) and (v, v) of n, yields the rows one at a time (each
+degree reaches `nullspace` as a `linalg.Rows` system, assembled afresh at
+each pass and only as far as the kernel reads), and regroups each
+record's entries by slot once per pair; each index is scaled by the D_j
+of the row's other levels, so every row is a positive integer multiple
+of the rational row and `nullspace` receives integral rows. No flat Fraction vector is
 built, and no result holds a dense matrix: a `DerivationSpace` reads
 its algebra's kept level-0 record and a `ProlongationResult` keeps its
 level records, and each makes its basis dense from them, one matrix at
@@ -54,8 +56,9 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import chain
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import linalg
 from .errors import StructureError
@@ -159,8 +162,8 @@ def _der_gr(alg: GradedNilpotent, context: str) -> tuple[tuple[list, list, int],
     `tanaka_prolong`."""
     def solve(alg):
         n, m = alg.dim_v, alg.dim_z
-        res = nullspace(_prolong_rows(0, _negative_levels(alg)), n * n + m * m,
-                        context=context)
+        res = nullspace(linalg.Rows(partial(_prolong_rows, 0, _negative_levels(alg))),
+                        n * n + m * m, context=context)
         return _split(res, n * n), res.method
 
     return _kept(alg, "_der_gr", solve)
@@ -307,8 +310,9 @@ def _nonzeros(mats: list, size: int, offset: int, stride: int,
     return idx
 
 
-def _prolong_rows(K: int, levels: dict) -> list[dict]:
-    """Sparse rows of the degree-K prolongation system, K >= 0.
+def _prolong_rows(K: int, levels: dict) -> Iterator[dict]:
+    """Sparse rows of the degree-K prolongation system, K >= 0, yielded
+    one at a time, so a reader that stops early builds no more.
 
     Columns: the D(K-1) x n block of f on v at a*n + i, then the
     D(K-2) x m block of f on z at p_cols + b*m + l. At K = 0 these are
@@ -318,7 +322,7 @@ def _prolong_rows(K: int, levels: dict) -> list[dict]:
 
     One rule writes every row: f([a, b]) = [f(a), b] - [f(b), a] for a
     in layer p and b in layer q of n (1 = v, 2 = z), over the layer pairs
-    (v, v), (v, z) and (z, z), b > a within one layer, one row per basis
+    (z, z), (v, z) and (v, v), b > a within one layer, one row per basis
     element t of g_{K-p-q}; a pair is skipped where that level is absent
     or zero. [f(a), b] reads the index of level K-p acting on layer q,
     [f(b), a] that of level K-q on layer p (the same index when p = q),
@@ -330,14 +334,16 @@ def _prolong_rows(K: int, levels: dict) -> list[dict]:
     1 on (z, z). So every row is a positive integer multiple of the
     rational row, with the same nullspace. Empty rows are left out. Rows
     are filled by plain loops: on CPython 3.11 a comprehension is a
-    function call, one per row.
+    function call, one per row. The pairs run (z, z), (v, z), (v, v), and
+    that is the kernel's order (`nullspace` sorts nothing): on h1(O),
+    h'1,0(O) and h2(H) the kernel then reads within 1 % of the rows it
+    reads with the rows sorted shortest first.
     """
     ad, _, d_ad = levels[-1]  # ad[i] lists (k*n + j, D_{-1} c(x_i, x_j)_k)
     n, m = len(ad), len(levels[-2][0])
     p_cols = len(levels[K - 1][0]) * n
     size, offset = (None, n, m), (None, 0, p_cols)
-    rows = []
-    for p, q in ((1, 1), (1, 2), (2, 2)):
+    for p, q in ((2, 2), (1, 2), (1, 1)):
         low = len(levels[K - p - q][0]) if K - p - q in levels else 0
         if not low:
             continue
@@ -360,8 +366,7 @@ def _prolong_rows(K: int, levels: dict) -> list[dict]:
                     for col, x in theirs[t * size[p] + a]:
                         row[col + b] = -x
                     if row:  # empty where c(a, b) = 0 and the levels have no entry
-                        rows.append(row)
-    return rows
+                        yield row
 
 
 def _dense(mats: list, nrows: int, ncols: int, d: int) -> tuple:
@@ -467,7 +472,9 @@ def tanaka_prolong(alg: GradedNilpotent,
                 if not linalg._annihilates(_prolong_rows(0, levels), vectors):
                     raise StructureError("supplied g0 element is not a graded derivation")
             continue
-        res = nullspace(_prolong_rows(K, levels), ncols, context=label)
+        # a snapshot of the levels below K: each pass builds the same rows
+        res = nullspace(linalg.Rows(partial(_prolong_rows, K, dict(levels))), ncols,
+                        context=label)
         if not res.vectors:
             completed = True
             break

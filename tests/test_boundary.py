@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -713,6 +714,29 @@ def test_puncture_point_checks_exactly_its_directions(monkeypatch):
             B.puncture_point(h1c(), directions=directions)
 
 
+@pytest.mark.parametrize("alg,directions", [(h1c(), 6), (build_hn(DA.O, 1), 40)],
+                         ids=["h1C", "h1O"])
+def test_puncture_spread_is_the_largest_pairwise_distance(monkeypatch, alg, directions):
+    # tol -1 fails every spread, so the error reports it; it must be the
+    # largest np.linalg.norm of a difference over the pairs of points
+    cayley, pts = B._cayley_arrays, []
+    monkeypatch.setattr(B, "_cayley_arrays", lambda *a: pts.append(cayley(*a)) or pts[-1])
+    with pytest.raises(CrossValidationError, match="puncture limit spread") as exc:
+        B.puncture_point(alg, seed=3, directions=directions, tol=-1.0)
+    assert len(pts) == 2 * directions
+    pairs = max(float(np.linalg.norm(p - q)) for i, p in enumerate(pts) for q in pts[i + 1:])
+    assert exc.value.discrepancy == pairs > 0
+
+
+def test_puncture_spread_takes_subquadratic_python_time():
+    # 2,000 directions are 4,000 points and about 8 million pairs: a Python
+    # loop over the pairs took over 15 s, the blocked spread well under 1 s
+    start = time.perf_counter()
+    point = B.puncture_point(h1c(), directions=2000)
+    assert time.perf_counter() - start < 2.0
+    assert np.isfinite(point).all()
+
+
 def test_puncture_point_refuses_bad_radii():
     # (1 + r^2/4)^2 overflows above r of about 7.3e77, and from about 1.3e154
     # every mapped coordinate is NaN; a bad radius is refused up front,
@@ -813,6 +837,22 @@ def test_violation_search_refuses_a_negative_seed_before_any_work(alg, monkeypat
     monkeypatch.setattr(B, "_model", lambda alg: pytest.fail("model built"))
     with pytest.raises(ValueError, match="^expected non-negative integer$"):
         B.find_j2_violation(alg, seed=-1)
+
+
+@pytest.mark.parametrize("entry", ["j2", "search"])
+def test_negative_counts_are_refused_before_any_work(monkeypatch, entry):
+    # a negative sample_count ran the structured sweep alone and reported
+    # n^2 samples, and a negative restarts ran no restart: both are refused
+    # before any model, draw or evaluation
+    monkeypatch.setattr(B, "_model", lambda alg: pytest.fail("model built"))
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drawn"))
+    monkeypatch.setattr(B, "_j2_stack", lambda *a, **k: pytest.fail("evaluated"))
+    if entry == "j2":
+        with pytest.raises(ValueError, match="^sample_count must be non-negative, got -5$"):
+            B.j2_test(h1c(), sample_count=-5, seed=0)
+    else:
+        with pytest.raises(ValueError, match="^restarts must be non-negative, got -1$"):
+            B.find_j2_violation(h1c(), seed=0, restarts=-1, sweep=False)
 
 
 def test_violation_search_optimizer_path():

@@ -316,8 +316,8 @@ def test_corrupt_reduction_is_rejected_by_verification(monkeypatch, caplog):
     rows, ncols = _rank3_system()
     real = linalg._rref_modp
 
-    def corrupt_first_prime(mat, p, width):
-        rref, pivots = real(mat, p, width)
+    def corrupt_first_prime(mat, p, width, kept=None):
+        rref, pivots = real(mat, p, width, kept=kept)
         if p == _LADDER[0]:
             free = next(c for c in range(ncols) if c not in pivots)
             rref = [dict(row) for row in rref]
@@ -342,8 +342,8 @@ def _skip_second_prime(monkeypatch, caplog, worsen):
     ref = _reference_basis(rows, ncols)
     real = linalg._rref_modp
 
-    def worse_second_prime(mat, p, width):
-        rref, pivots = real(mat, p, width)
+    def worse_second_prime(mat, p, width, kept=None):
+        rref, pivots = real(mat, p, width, kept=kept)
         return worsen(rref, pivots) if p == _LADDER[1] else (rref, pivots)
 
     monkeypatch.setattr(linalg, "_rref_modp", worse_second_prime)
@@ -380,8 +380,8 @@ def test_worse_first_prime_is_replaced(monkeypatch, caplog):
     ref = _reference_basis(rows, ncols)
     real = linalg._rref_modp
 
-    def drop_pivot_first_prime(mat, p, width):
-        rref, pivots = real(mat, p, width)
+    def drop_pivot_first_prime(mat, p, width, kept=None):
+        rref, pivots = real(mat, p, width, kept=kept)
         return (rref[:-1], pivots[:-1]) if p == _LADDER[0] else (rref, pivots)
 
     moduli = set()
@@ -808,6 +808,151 @@ def test_rref_modp_stops_at_full_column_rank():
     assert linalg._rref_modp(rows[:2], p, 2) == ([{0: 1, 1: 2}], [0])
     res = nullspace(rows, 2)
     assert res.dimension == 0 and res.basis == () and res.method == "modp"
+
+
+def test_single_prime_image_is_verified_on_the_rows_its_pass_kept(monkeypatch):
+    # on h1(O), every degree solves at the first prime: the verifier reads
+    # exactly the rows the kernel did not skip, and each skipped row, whose
+    # columns are all unit pivots, has product exactly 0 with every candidate
+    passes, verified = [], []
+    kernel, verify = linalg._rref_modp, linalg._annihilates
+
+    def reading(rows, p, ncols, leads=None, kept=None):
+        rows = list(rows)  # the whole system, to find the rows it skips
+        passes.append((rows, kept))
+        return kernel(rows, p, ncols, leads, kept)
+
+    def verifying(rows, vectors):
+        verified.append((len(passes), list(rows), vectors))
+        return verify(verified[-1][1], vectors)
+
+    monkeypatch.setattr(linalg, "_rref_modp", reading)
+    monkeypatch.setattr(linalg, "_annihilates", verifying)
+    res = symmetry.tanaka_prolong(build_hn(DivisionAlgebra.O, 1), max_degree=3, budget=10**8)
+    assert res.component_dims == (16, 8) and res.completed
+    assert len(passes) == 4 and [k for k, _, _ in verified] == [1, 2, 3]
+    skipped_counts = []
+    for k, rows, vectors in verified:
+        system, kept = passes[k - 1]
+        assert vectors and [id(row) for row in rows] == [id(row) for row in kept]
+        by_id = {id(row) for row in kept}
+        skipped = [row for row in system if id(row) not in by_id]
+        skipped_counts.append(len(skipped))
+        for row in skipped:
+            for vec in vectors:
+                assert sum(row.get(c, 0) * x for c, x in vec) == 0
+    assert skipped_counts == [320, 0, 2576]
+    # rows read by the verifier per degree; full-rank degree 3 verifies nothing
+    assert [len(rows) for _, rows, _ in verified] + [0] == [640, 2496, 3296, 0]
+    assert len(passes[3][1]) == 256 < len(passes[3][0]) == 5760
+
+
+# four columns; the kernel keeps rows 0, 1 and 3: rows 2 and 4 hold only the
+# unit pivots 0 and 1, so it skips them. Row 3's norm puts the Hadamard
+# bound over 2^15, so the ladder allows a second prime
+_SKIPPED_SYSTEM = [{0: 1}, {1: 1}, {0: 2, 1: 3}, {2: 1, 3: 2**14}, {0: 5}]
+_SKIPPED_NULLSPACE = ((1, ((2, -2**14), (3, 1))),)
+
+
+def test_crt_image_is_verified_on_every_row(monkeypatch):
+    # the first prime's lift fails, so the image is the CRT fold of two
+    # primes, whose unit pivots need not be the first pass's: the verifier
+    # reads a fresh pass of every row, the skipped ones too
+    monkeypatch.setattr(linalg, "_rat_reconstruct",
+                        _failing_reconstruct(lambda m: m < math.prod(_LADDER[:2])))
+    kept_counts, verified = [], []
+    kernel, verify = linalg._rref_modp, linalg._annihilates
+
+    def keeping(rows, p, ncols, leads=None, kept=None):
+        out = kernel(rows, p, ncols, leads, kept)
+        kept_counts.append(len(kept))
+        return out
+
+    def verifying(rows, vectors):
+        verified.append(list(rows))
+        return verify(verified[-1], vectors)
+
+    monkeypatch.setattr(linalg, "_rref_modp", keeping)
+    monkeypatch.setattr(linalg, "_annihilates", verifying)
+    res = nullspace(_SKIPPED_SYSTEM, 4)
+    assert res.method == "modp-crt" and res.vectors == _SKIPPED_NULLSPACE
+    assert kept_counts == [3, 3]
+    assert verified == [_SKIPPED_SYSTEM]
+
+
+class _Passes:
+    """A re-iterable system that counts its passes."""
+
+    def __init__(self, rows):
+        self.rows, self.passes = rows, 0
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.rows)
+
+
+@pytest.mark.parametrize("crt", [False, True], ids=["one-prime", "crt"])
+def test_a_re_iterable_system_is_read_once_per_pass(monkeypatch, crt):
+    # one pass for the kernel at one prime, whose image is verified on the
+    # rows it kept; with a CRT fold, a pass per prime, one for the Hadamard
+    # bound and one for the verifier
+    if crt:
+        monkeypatch.setattr(linalg, "_rat_reconstruct",
+                            _failing_reconstruct(lambda m: m < math.prod(_LADDER[:2])))
+    system = _Passes(_SKIPPED_SYSTEM)
+    res = nullspace(system, 4)
+    assert res.vectors == _SKIPPED_NULLSPACE
+    assert (res.method, system.passes) == (("modp-crt", 4) if crt else ("modp", 1))
+
+
+def test_a_one_shot_iterator_is_read_once(monkeypatch):
+    # a generator is read into a list before the first pass, so the later
+    # passes of a CRT solve see every row, and the result is the list's
+    monkeypatch.setattr(linalg, "_rat_reconstruct",
+                        _failing_reconstruct(lambda m: m < math.prod(_LADDER[:2])))
+    rows, ncols = _rank3_system()
+    yielded = []
+
+    def stream():
+        for row in rows:
+            yielded.append(row)
+            yield row
+
+    res = nullspace(stream(), ncols)
+    assert res.method == "modp-crt" and res == nullspace(rows, ncols)
+    assert yielded == rows
+
+
+def test_rows_is_a_re_iterable_system():
+    made = []
+
+    def make():
+        made.append(1)
+        return iter([{0: 1}, {1: 2}, {0: 1, 1: 1}])
+
+    # len counts the rows of one pass; each iteration is a pass of its own
+    system = linalg.Rows(make)
+    assert len(system) == 3 and len(made) == 1
+    assert [*iter(system)] == [*iter(system)] == [{0: 1}, {1: 2}, {0: 1, 1: 1}]
+    assert len(made) == 3
+    assert nullspace(system, 3).vectors == ((1, ((2, 1),)),)
+    assert len(made) == 4
+
+
+def test_rows_are_validated_a_chunk_at_a_time_as_they_are_read():
+    # a bad row in a later chunk is refused once the kernel reads that far;
+    # after the kernel reaches full rank no row is read, so none is checked
+    chunk = linalg._CHUNK
+    padding = [{0: 1}] * chunk
+    with pytest.raises(TypeError, match="ints or Fractions, not float"):
+        nullspace(padding + [{1: 0.5}], 2)
+    with pytest.raises(ValueError, match=r"columns 7\.\.7 outside \[0, 2\)"):
+        nullspace(padding + [{7: 1}], 2)
+    assert nullspace([{0: 1}, {1: 1}] + padding + [{1: 0.5}], 2).dimension == 0
+    # a later chunk that holds a Fraction is integerized
+    rows = padding + [{0: Fraction(1, 2), 1: Fraction(1, 3)}]
+    assert nullspace(rows, 3) == nullspace(padding + [{0: 3, 1: 2}], 3)
+    assert nullspace(rows, 3).vectors == ((1, ((2, 1),)),)
 
 
 _entries = st.sampled_from([Fraction(0)] * 4 + [Fraction(n, d) for n in range(-3, 4)

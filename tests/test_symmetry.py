@@ -114,7 +114,7 @@ def _reference_full_derivations(alg):
     ncols = n * n + m * m + m * n + n * m
     e_off = n * n + m * m + m * n
     levels = symmetry._negative_levels(alg)
-    rows = symmetry._prolong_rows(0, levels)
+    rows = list(symmetry._prolong_rows(0, levels))
     brackets = symmetry._brackets(levels[-1][0], n)  # [s][t]: (k, D c(x_s, x_t)_k)
     for cs in brackets:
         by_k = [[] for _ in range(m)]
@@ -619,8 +619,9 @@ def test_large_outputs_pinned(case):
 
 # sha256 of repr([(ncols, rows), ...]) for the systems that tanaka_prolong
 # feeds to nullspace on h1(O), degrees 0-3, each row as its sorted items in
-# emission order; computed while the level records held dense matrices
-H1O_SYSTEMS_SHA256 = "d7980c1aef04eb64291cb5b1818194bedc04923fa8027d5698db1fc4e8a5fbcb"
+# emission order; re-pinned when the layer pairs were reordered to (z, z),
+# (v, z), (v, v), after the multiset digest below passed unchanged
+H1O_SYSTEMS_SHA256 = "66026bf36b1f7a1ebb25fa0cc781554dd5a7d878b5ca7f07ca18a20bb22ed955"
 
 
 def test_h1o_prolongation_systems_pinned(monkeypatch):
@@ -638,6 +639,75 @@ def test_h1o_prolongation_systems_pinned(monkeypatch):
     assert [(ncols, len(rows)) for ncols, rows in systems] == [
         (320, 960), (608, 2496), (496, 5872), (256, 5760)]
     assert hashlib.sha256(repr(systems).encode()).hexdigest() == H1O_SYSTEMS_SHA256
+
+
+# the same systems with the rows of each as a multiset: sha256 of
+# repr([(ncols, sorted(sorted(row.items()) for row in rows)), ...]),
+# computed while the rows were assembled into a list and sorted by length
+H1O_SYSTEM_MULTISETS_SHA256 = "1af3f882bfa919a6bb37a476248a805f17092c88f6a87f64161847bd895d00ab"
+
+
+def test_h1o_prolongation_system_multisets_pinned(monkeypatch):
+    systems = []
+    real = symmetry.nullspace
+
+    def recorded(rows, ncols, context=""):
+        rows = list(rows)
+        systems.append((ncols, sorted(sorted(row.items()) for row in rows)))
+        return real(rows, ncols, context)
+
+    monkeypatch.setattr(symmetry, "nullspace", recorded)
+    tanaka_prolong(build_hn(DA.O, 1), max_degree=3, budget=BIG)
+    assert [(ncols, len(rows)) for ncols, rows in systems] == [
+        (320, 960), (608, 2496), (496, 5872), (256, 5760)]
+    assert hashlib.sha256(repr(systems).encode()).hexdigest() == H1O_SYSTEM_MULTISETS_SHA256
+
+
+def test_each_degree_is_streamed_and_a_full_rank_degree_stops_assembling(monkeypatch):
+    # tanaka_prolong hands nullspace a system whose every pass assembles the
+    # degree afresh, and whose len counts the rows one pass yields; a pass
+    # builds rows only as the kernel reads them (a chunk ahead), so h1(O)'s
+    # full-rank degree 3 stops at 4,096 of its 5,760 rows
+    assemble, solve = symmetry._prolong_rows, symmetry.nullspace
+    yielded, systems = [], []
+
+    def counting(K, levels):
+        yielded.append([K, 0])
+        for row in assemble(K, levels):
+            yielded[-1][1] += 1
+            yield row
+
+    def recorded(rows, ncols, context=""):
+        systems.append(rows)
+        return solve(rows, ncols, context)
+
+    monkeypatch.setattr(symmetry, "_prolong_rows", counting)
+    monkeypatch.setattr(symmetry, "nullspace", recorded)
+    res = tanaka_prolong(build_hn(DA.O, 1), max_degree=3, budget=BIG)
+    assert res.component_dims == (16, 8) and res.completed
+    assert yielded == [[0, 960], [1, 2496], [2, 5872], [3, 4096]]
+    assert all(isinstance(rows, linalg.Rows) for rows in systems)
+    yielded.clear()
+    assert [len(rows) for rows in systems] == [960, 2496, 5872, 5760]
+    assert yielded == [[0, 960], [1, 2496], [2, 5872], [3, 5760]]
+    assert [sum(1 for _ in rows) for rows in systems] == [960, 2496, 5872, 5760]
+
+
+@pytest.mark.parametrize("make,limit", [(lambda: build_hn(DA.O, 1), 1.6e6),
+                                        (lambda: build_htype_from_clifford(8, 3), 4.0e6)],
+                         ids=["h1(O)", "cl(8,3)"])
+def test_prolongation_holds_only_the_rows_the_kernel_keeps(make, limit):
+    # traced peak of a whole prolongation: about 1.5 MB on h1(O) and 2.8 MB
+    # on cl(8,3), where a degree's rows held as one list took 2.1 and 11.4
+    alg = make()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tanaka_prolong(alg, max_degree=3, budget=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
 
 
 def test_prolongation_reads_no_fraction_basis(monkeypatch):
@@ -767,8 +837,9 @@ def test_float64_bases_are_the_exact_bases_in_float(alg):
 
 def _reference_rows(K, c, levels, zero):
     """Dense rows of the degree-K system, straight from
-    f([u, w]) = [f(u), w] + [u, f(w)] on the basis of n, in the order the
-    assembler emits them. levels[j] = (v-matrices, z-matrices) of the basis
+    f([u, w]) = [f(u), w] + [u, f(w)] on the basis of n, layer pair by layer
+    pair: (v, v), (v, z), (z, z), each in the order the assembler emits its
+    rows (the assembler takes the pairs the other way round). levels[j] = (v-matrices, z-matrices) of the basis
     of g_j: matrix [r][i] is the g_{j-1} (resp. g_{j-2}) coordinate r of the
     element applied to x_i (resp. z_i)."""
     n, m = len(c), len(c[0][0]) if c else 0
@@ -811,15 +882,21 @@ def _reference_rows(K, c, levels, zero):
 
 
 def _record_assembly(monkeypatch):
-    """Wrap symmetry._prolong_rows; each call's K, level data and rows are kept."""
+    """Wrap symmetry._prolong_rows; each system's K, level data and rows are
+    kept, read as a list. `nullspace` reads a system once per pass (once
+    per prime, and more on a CRT image); a later pass of the same degree
+    must build the same rows, and is not kept again."""
     calls = []
     assemble = symmetry._prolong_rows
 
     def recording(K, levels):
-        rows = assemble(K, levels)
-        calls.append((K, {j: v for j, (v, _, _) in levels.items()},
-                      {j: z for j, (_, z, _) in levels.items()},
-                      {j: d for j, (_, _, d) in levels.items()}, rows))
+        rows = list(assemble(K, levels))
+        if calls and calls[-1][0] == K:
+            assert rows == calls[-1][-1]
+        else:
+            calls.append((K, {j: v for j, (v, _, _) in levels.items()},
+                          {j: z for j, (_, z, _) in levels.items()},
+                          {j: d for j, (_, _, d) in levels.items()}, rows))
         return rows
 
     monkeypatch.setattr(symmetry, "_prolong_rows", recording)
@@ -848,10 +925,17 @@ def test_exact_rows_are_positive_integer_multiples(monkeypatch, name):
     assert [call[0] for call in calls] == [0, 1, 2]
     # h'1,0(O) has D_0 = 2 and the random algebra D_-1 = 4; h1(H) is integral
     assert any(d != 1 for call in calls for d in call[3].values()) == (name != "h1(H)")
-    for K, _, _, _, rows in calls:
-        # the assembler leaves out the rows that are zero
-        ref = [want for want in _reference_rows(K, c, levels, Fraction(0)) if any(want)]
-        assert len(rows) == len(ref)
+    for K, v_levels, _, _, rows in calls:
+        # each layer pair's rows against the reference's block of that pair:
+        # (v, v) and (v, z) come first in the reference, last in the
+        # assembler, which leaves out the rows that are zero
+        dim = {j: len(v) for j, v in v_levels.items()}.get
+        vv, vz = n * (n - 1) // 2 * dim(K - 2, 0), n * m * dim(K - 3, 0)
+        ref = _reference_rows(K, c, levels, Fraction(0))
+        assert len(ref) == vv + vz + m * (m - 1) // 2 * dim(K - 4, 0)
+        blocks = ref[vv + vz:], ref[vv:vv + vz], ref[:vv]  # (z, z), (v, z), (v, v)
+        ref = [want for block in blocks for want in block if any(want)]
+        assert rows and len(rows) == len(ref)
         for row, want in zip(rows, ref):
             assert all(type(x) is int for x in row.values())
             assert set(row) == {col for col, x in enumerate(want) if x}
@@ -875,17 +959,18 @@ def test_assembled_rows_are_never_empty(monkeypatch, alg):
 
 # sha256 of repr([[list(row.items()) for row in rows], ...]) over every
 # _prolong_rows call of tanaka_prolong(max_degree=3): the values, the order
-# of the rows and the order of each row's entries; computed when each layer
-# pair's rows had a loop of their own
+# of the rows and the order of each row's entries; re-pinned when the layer
+# pairs were reordered to (z, z), (v, z), (v, v), after the multiset digests
+# below passed unchanged
 PINNED_ROWS = {
     "h1(H)": (ROW_ALGEBRAS["h1(H)"],
-              "b54fb295cd2aaf401e51a1c7a9fdb39cbdea5c6bc2f7aa5edeb668222e8f4f06"),
+              "7167ea3208c3375f52174c552ec1559618818bfc686344a2858b9cf30913f6ec"),
     "h'1,0(O)": (ROW_ALGEBRAS["h'1,0(O)"],
-                 "adf7ba97f17d30af4f85a6f04f174455a2dda90b596b6d290ce5660e8c962e14"),
+                 "67346a329ddc4e13dd77c13ffd8b1bc332404c946f937b611fd7359b29930be3"),
     "random(5,2)": (ROW_ALGEBRAS["random(5,2)"],
-                    "fe45c6a9c41198f808465a422d2378aa97ea2a2b84a371ffe9c203aced961f69"),
+                    "4f9335bf7a65260bba4fce2e1ea00f0a2be2fd8bf7251db8ae4947e2f4ae4dd6"),
     "deg3": (lambda: make_custom("deg3", 4, 2, [(0, 1, 0, 1)]),
-             "9bb324f2f1f11cd2e344a03f4f7fbfce1735e245ec6945f5c05836eca4b34e4c"),
+             "537df23a253343b369f8d86fac32c996ceb801127e8680d5bda94eeca597a08a"),
 }
 
 
@@ -897,6 +982,27 @@ def test_assembled_rows_pinned(monkeypatch, name):
     assert [call[0] for call in calls] == [0, 1, 2, 3]
     rows = [[list(row.items()) for row in call[-1]] for call in calls]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+# sha256 of repr([sorted(list(row.items()) for row in rows), ...]) over the
+# same calls: each system's rows as a multiset, whatever their order, with
+# each row's entries in the order written; computed while the rows were
+# assembled into a list, before they were streamed
+PINNED_ROW_MULTISETS = {
+    "h1(H)": "455943852c19648323e4533e36a1ec775119c8f1cde9f4cbd7c46c4bb87cdbaf",
+    "h'1,0(O)": "c5de03c2b39b9a22bdbcd42e9b8b3ee2ca6374eedf25f4c1b96ad39becb7674d",
+    "random(5,2)": "9db7f280ab0664444ca085605c9e400a528361203d0c6606077a2f97fc76b55b",
+    "deg3": "8d19ce90d78e94250a9aa8070e07dbfbb5b11f28245570702ef68577e9b6808e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ROWS))
+def test_assembled_row_multisets_pinned(monkeypatch, name):
+    calls = _record_assembly(monkeypatch)
+    tanaka_prolong(PINNED_ROWS[name][0](), max_degree=3, budget=BIG)
+    assert [call[0] for call in calls] == [0, 1, 2, 3]
+    rows = [sorted(list(row.items()) for row in call[-1]) for call in calls]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == PINNED_ROW_MULTISETS[name]
 
 
 @pytest.mark.parametrize("name", sorted(ROW_ALGEBRAS))
