@@ -10,19 +10,21 @@ on one point or a stack.  One closed-form derivative of the map, along a
 stack of directions, serves the sphere planes and the limiting planes.  The
 only finite difference, along the translation curves, checks their pushes.
 
-Every entry that takes a point (X, Z) reads it through one shape check,
-`_point`.  Points and candidates are evaluated in stacks, each row
-bit-identical to evaluating it alone: stacked matmul makes one BLAS call per
-vector or matrix.  The J^2 kernels project onto span{J_z X} with the frame
-J_k X itself and orthonormalize nothing: on type-H data, the only data the
-model accepts, J_a J_b + J_b J_a = -2 delta_ab I makes the J_k X orthogonal,
-each of norm |X|, and orthogonal to X.  The Cayley probes draw and map
+Every entry that takes a point (X, Z), in a `SiegelPoint` or a witness
+too, reads it through one shape check, `_point`.  Points and candidates are
+evaluated in stacks, each row bit-identical to evaluating it alone: stacked
+matmul makes one BLAS call per vector or matrix.  The J^2 kernels project
+onto span{J_z X} with the frame J_k X itself and orthonormalize nothing:
+on type-H data, the only data the model accepts, J_a J_b + J_b J_a =
+-2 delta_ab I makes the J_k X orthogonal, each of norm |X|, and
+orthogonal to X.  The Cayley probes draw and map
 _PROBE_BLOCK points per stack, the J^2 kernels take _BLOCK vectors X, and
 each Gauss-Newton step makes one evaluation: its point with its n + 2m
 forward-difference probes as one stack (the last step, the point alone),
 each row marked on or off the domain.  One evaluator, `_violation_rows`,
 normalizes and scores every witness: the search's stacks, and the witness
-the limiting-plane experiment checks as a one-row stack.  Stack sizes bound
+the limiting-plane experiment checks as a one-row stack.  One maker,
+`J2Witness.of`, takes each witness's bracket norm.  Stack sizes bound
 memory; only the Cayley probes' points depend on theirs, as each of their
 blocks draws its X, then its Z, then its heights.  Every plane basis is
 orthonormalized once.
@@ -89,6 +91,7 @@ __all__ = [
 # Tolerance ladder: exact identities / round trips / plane comparisons.
 IDENTITY_TOL = 1e-12
 ROUND_TRIP_TOL = 1e-8
+J2_TOL = 1e-8  # J^2 residual of j2_test, projection score of find_j2_violation
 PLANE_TOL = 1e-6
 FINAL_DISTANCE_TOL = 1e-3  # limiting-plane distance at the largest radius
 MAX_RADIUS = 1e5  # limiting planes: see _check_radii
@@ -254,9 +257,11 @@ def _check_siegel(X, Z, t, tol: float) -> None:
 
 
 def cayley(alg: GradedNilpotent, p: SiegelPoint, tol: float = SIEGEL_TOL) -> BallPoint:
-    """Ball model of p; requires p in the closure of the domain."""
-    _check_siegel(p.X, p.Z, p.t, tol)
-    return BallPoint(_cayley_arrays(_model(alg), p.X, p.Z, p.t))
+    """Ball model of p, its (X, Z) read by `_point`; requires p in the
+    closure of the domain."""
+    X, Z = _point(_model(alg), p.X, p.Z)
+    _check_siegel(X, Z, p.t, tol)
+    return BallPoint(_cayley_arrays(_model(alg), X, Z, p.t))
 
 
 def _dcayley(mod: _FloatModel, X, Z, t, dirs: np.ndarray) -> np.ndarray:
@@ -417,6 +422,11 @@ class J2Witness:
     perp: np.ndarray
     bracket_norm: float
 
+    @classmethod
+    def of(cls, mod: _FloatModel, X, Z, W, residual: float, perp) -> J2Witness:
+        """The witness with its bracket norm |[X, perp]|, the one place it is taken."""
+        return cls(X, Z, W, residual, perp, float(np.linalg.norm(mod.bracket(X, perp))))
+
     def to_dict(self) -> dict:
         return {
             "X": self.X.tolist(),
@@ -499,7 +509,7 @@ def _j2_stack(mod: _FloatModel, X: np.ndarray, JZ: np.ndarray, include_x: bool,
     return u[..., 0], proj[..., 0]
 
 
-def j2_test(alg: GradedNilpotent, sample_count: int = 200, tol: float = 1e-8,
+def j2_test(alg: GradedNilpotent, sample_count: int = 200, tol: float = J2_TOL,
             seed: int | None = None) -> J2Result:
     """Does J_Z J_W X stay inside span{J_Z' X} for all orthonormal Z ⊥ W?
 
@@ -537,9 +547,8 @@ def j2_test(alg: GradedNilpotent, sample_count: int = 200, tol: float = 1e-8,
         if res[i, p] > worst:
             worst = float(res[i, p])
             if worst > tol:
-                x, v = X[i].copy(), perp[i, p].copy()
-                witness = J2Witness(x, eye_m[ks[p]].copy(), eye_m[ls[p]].copy(), worst,
-                                    v, float(np.linalg.norm(mod.bracket(x, v))))
+                witness = J2Witness.of(mod, X[i].copy(), eye_m[ks[p]].copy(),
+                                       eye_m[ls[p]].copy(), worst, perp[i, p].copy())
     return J2Result(alg.name, worst <= tol, False, worst,
                     mod.n ** 2 + sample_count, tol, seed, witness)
 
@@ -582,7 +591,7 @@ def _violation_rows(mod: _FloatModel, x: np.ndarray, z: np.ndarray, w: np.ndarra
         return np.stack([nx, nz, nw]), _norms(proj) / _norms(x), proj, (x, z, w, u - proj)
 
 
-def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
+def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = J2_TOL,
                       restarts: int = 8, sweep: bool = True) -> ViolationSearch:
     """Search for a unitary triple (X, Z, W) with J_Z J_W X orthogonal to
     span{J_z X} + R X: structured sweep first, then seeded Gauss-Newton
@@ -651,8 +660,7 @@ def find_j2_violation(alg: GradedNilpotent, seed: int, tol: float = 1e-8,
     witness = None
     if best[0] <= tol and best[1] is not None:
         X, Z, W, perp = best[1]  # unit, from the sweep or `_violation_rows`
-        witness = J2Witness(X, Z, W, best[0], perp,
-                            float(np.linalg.norm(mod.bracket(X, perp))))
+        witness = J2Witness.of(mod, X, Z, W, best[0], perp)
     return ViolationSearch(alg.name, witness, best[0], evals, used, seed, tol)
 
 
@@ -729,8 +737,9 @@ def limiting_plane_experiment(alg: GradedNilpotent, witness: J2Witness,
     """
     radii = _check_radii(radii)
     mod = _model(alg)
-    (nx, nz, nw), score, _, (x, z, w, _) = _violation_rows(
-        mod, *(np.asarray(a, dtype=float)[None] for a in (witness.X, witness.Z, witness.W)))
+    X, Z = _point(mod, witness.X, witness.Z)
+    W = _point(mod, X, witness.W)[1]  # W is checked against dim z as Z is
+    (nx, nz, nw), score, _, (x, z, w, _) = _violation_rows(mod, X[None], Z[None], W[None])
     # A norm is refused when it is not finite, as a NaN entry's is, or when it
     # overflows: its vector would normalize to zero.  A non-finite entry of W
     # leaves no finite norm of the orthogonalized W.
@@ -799,7 +808,7 @@ class ExtensionVerdict:
 
 
 def extension_verdict(alg: GradedNilpotent, sample_count: int = 200,
-                      tol: float = 1e-8, seed: int = 0,
+                      tol: float = J2_TOL, seed: int = 0,
                       radii=(10.0, 100.0, 1000.0, 10000.0)) -> ExtensionVerdict:
     """Sphere planes extend across the puncture iff the J^2 condition
     holds; the negative verdict ships a violation witness plus the

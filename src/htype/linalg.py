@@ -174,9 +174,11 @@ def resolve_budget(budget: int | None) -> int:
 
 
 def check_budget(nrows: int, ncols: int, budget: int | None, context: str = "") -> None:
-    if budget is not None and nrows * ncols > budget:
-        _log("refused %s: %d entries requested, budget %d",
-                  context, nrows * ncols, budget)
+    """BudgetExceeded when nrows * ncols entries exceed the budget, read by
+    `resolve_budget`: None is the default."""
+    budget = resolve_budget(budget)
+    if nrows * ncols > budget:
+        _log("refused %s: %d entries requested, budget %d", context, nrows * ncols, budget)
         raise BudgetExceeded(nrows * ncols, budget, context)
 
 

@@ -28,7 +28,9 @@ Whatever else is derived from one algebra object (its Der_gr level record
 and negative levels in `symmetry`, its integer J-maps and type-H
 certificate, its Darboux pair and its float boundary model) is made at the
 first call and kept on that object by `_kept`, as `structure` is: out of
-the dataclass fields, and collected with the algebra.
+the dataclass fields, and collected with the algebra. `is_nonsingular`
+reads vacuity and type H off that kept certificate, so the two checks
+state the vacuous cases once.
 """
 
 from __future__ import annotations
@@ -166,13 +168,12 @@ def _kept(alg: GradedNilpotent, key: str, make: Callable[[GradedNilpotent], T]) 
 
 def _check_tensor_budget(dim_v: int, dim_z: int, budget: int | None = None) -> None:
     """BudgetExceeded when the dense tensor would take more slots than the
-    budget (`linalg.resolve_budget`: None is the default, DIVH_BUDGET
+    budget (`linalg.check_budget`: None is the default, DIVH_BUDGET
     overrides; a loader passes its run's). Each of the dim_v^2 cells is a
     list even when dim_z = 0, so a cell counts as at least one slot:
     dim_v^2 * max(dim_z, 1). Every build and load is charged this before
     its first entry is read, though only the `structure` view allocates."""
-    linalg.check_budget(dim_v * dim_v, max(dim_z, 1), linalg.resolve_budget(budget),
-                        "structure tensor")
+    linalg.check_budget(dim_v * dim_v, max(dim_z, 1), budget, "structure tensor")
 
 
 def _zeros(dim_v: int, dim_z: int) -> list[list[list[Fraction]]]:
@@ -275,8 +276,7 @@ def build_hprime(algebra: DivisionAlgebra, p: int, q: int) -> GradedNilpotent:
 
 
 def make_custom(name: str, dim_v: int, dim_z: int,
-                entries: Iterable[tuple[int, int, int, Fraction]],
-                family: str = "custom") -> GradedNilpotent:
+                entries: Iterable[tuple[int, int, int, Fraction]]) -> GradedNilpotent:
     """Build from sparse (i, j, k, value) entries; antisymmetry is filled in."""
     def checked():
         for entry in entries:
@@ -286,14 +286,14 @@ def make_custom(name: str, dim_v: int, dim_z: int,
                 raise StructureError("diagonal bracket entry must vanish")
             yield i, j, k, Fraction(val)
 
-    return _algebra(name, family, None, {}, dim_v, dim_z, checked(), "custom")
+    return _algebra(name, "custom", None, {}, dim_v, dim_z, checked(), "custom")
 
 
-def random_two_step(dim_v: int, dim_z: int, rng: random.Random,
-                    denom: int = 4) -> GradedNilpotent:
-    """Random rational structure tensor; for genericity experiments. The
-    budget is checked before the first entry is drawn from rng."""
-    entries = ((i, j, k, Fraction(rng.randint(-denom, denom), denom))
+def random_two_step(dim_v: int, dim_z: int, rng: random.Random) -> GradedNilpotent:
+    """Random rational structure tensor, each constant a quarter in [-1, 1];
+    for genericity experiments. The budget is checked before the first
+    entry is drawn from rng."""
+    entries = ((i, j, k, Fraction(rng.randint(-4, 4), 4))
                for i in range(dim_v) for j in range(i + 1, dim_v) for k in range(dim_z))
     return make_custom(f"random({dim_v},{dim_z})", dim_v, dim_z, entries)
 
@@ -445,10 +445,15 @@ def _count_real_roots(poly: list[int]) -> int:
 
 
 def is_nonsingular(alg: GradedNilpotent) -> NonsingularResult:
-    """Is ad_X: v -> z surjective for every nonzero X?"""
-    if alg.dim_z == 0:
-        return NonsingularResult(True, True, "vacuous: dim z = 0")
-    if is_type_h(alg):
+    """Is ad_X: v -> z surjective for every nonzero X?
+
+    Vacuity and type H are read off the kept `is_type_h` certificate: a
+    degenerate one (dim z = 0 or dim v = 0) is returned as it is, and type
+    H implies non-singular (Cowling, Dooley, Koranyi and Ricci 1991)."""
+    type_h = is_type_h(alg)
+    if type_h.degenerate:
+        return NonsingularResult(True, True, type_h.certificate)
+    if type_h:
         return NonsingularResult(True, False,
                                  "type H implies non-singular: J_Z X != 0 for Z, X != 0")
     if alg.dim_z > 2:

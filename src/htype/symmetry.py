@@ -37,7 +37,9 @@ supplied g0 is read off its rational matrices (`_level`). The assembler
 writes one rule, f([a, b]) = [f(a), b] - [f(b), a], over the layer pairs
 (z, z), (v, z) and (v, v) of n, yields the rows one at a time (each
 degree reaches `nullspace` as a `linalg.Rows` system, assembled afresh at
-each pass and only as far as the kernel reads), and regroups each
+each pass and only as far as the kernel reads, from the one levels dict of
+`tanaka_prolong`, not a copy: a pass reads only the levels below K, and
+level K is written after its solve returns), and regroups each
 record's entries by slot once per pair; each index is scaled by the D_j
 of the row's other levels, so every row is a positive integer multiple
 of the rational row and `nullspace` receives integral rows. No flat Fraction vector is
@@ -45,20 +47,22 @@ built, and no result holds a dense matrix: a `DerivationSpace` reads
 its algebra's kept level-0 record and a `ProlongationResult` keeps its
 level records, and each makes its basis dense from them, one matrix at
 a time (`_dense`), at every read of `basis` or `bases`, as
-`NullspaceResult.basis` is made from its vectors. Arithmetic "float64" runs the same certified solve and
-reports the bases as floats.
+`NullspaceResult.basis` is made from its vectors. Arithmetic "float64" runs
+the same certified solve, and `_dense` writes its bases' floats directly, in
+the same walk that writes the exact Fractions.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from . import linalg
 from .errors import StructureError
@@ -133,13 +137,13 @@ class ProlongationResult:
     def bases(self) -> tuple:
         """(v-matrices, z-matrices) of the canonical basis T_K = (D_K T_K)
         / D_K of each positive degree K, ascending: Fractions, or floats
-        of the same entries under arithmetic "float64", built afresh at
-        each read."""
+        of the same entries under arithmetic "float64" (`_dense`), built
+        afresh at each read."""
         dims = {K: len(v) for K, (v, _, _) in self.levels.items()}
         n, m = dims[-1], dims[-2]
-        bases = tuple((_dense(v, dims[K - 1], n, d), _dense(z, dims[K - 2], m, d))
-                      for K, (v, z, d) in sorted(self.levels.items()) if K > 0)
-        return _as_float(bases) if self.arithmetic == "float64" else bases
+        entry = operator.truediv if self.arithmetic == "float64" else Fraction
+        return tuple((_dense(v, dims[K - 1], n, d, entry), _dense(z, dims[K - 2], m, d, entry))
+                     for K, (v, z, d) in sorted(self.levels.items()) if K > 0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,8 +174,8 @@ def _der_gr(alg: GradedNilpotent, context: str) -> tuple[tuple[list, list, int],
 
 
 def _matrices(mats: list, nrows: int, ncols: int, d: int) -> tuple:
-    """`_dense` with tuple rows, as `DerivationSpace.basis` reads them."""
-    return tuple(tuple(map(tuple, mat)) for mat in _dense(mats, nrows, ncols, d))
+    """`_dense` of Fractions with tuple rows, as `DerivationSpace.basis` reads them."""
+    return tuple(tuple(map(tuple, mat)) for mat in _dense(mats, nrows, ncols, d, Fraction))
 
 
 def graded_derivations(alg: GradedNilpotent) -> DerivationSpace:
@@ -369,25 +373,20 @@ def _prolong_rows(K: int, levels: dict) -> Iterator[dict]:
                         yield row
 
 
-def _dense(mats: list, nrows: int, ncols: int, d: int) -> tuple:
-    """The nrows x ncols matrices (slot, x) / d as a tuple of row lists of
-    Fractions, zeros included."""
-    zero = Fraction(0)
+def _dense(mats: list, nrows: int, ncols: int, d: int, entry: Callable) -> tuple:
+    """The nrows x ncols matrices (slot, x) / d as a tuple of row lists,
+    zeros included, each entry entry(x, d): `Fraction`, or
+    `operator.truediv`, whose correctly rounded quotient of two ints is bit
+    for bit the float of that Fraction."""
+    zero = entry(0, 1)
     out = []
     for entries in mats:
         mat = [[zero] * ncols for _ in range(nrows)]
         for slot, x in entries:
             r, c = divmod(slot, ncols)
-            mat[r][c] = Fraction(x, d)
+            mat[r][c] = entry(x, d)
         out.append(tuple(mat))
     return tuple(out)
-
-
-def _as_float(x):
-    """x with every entry as a float, in the same nesting."""
-    if isinstance(x, (tuple, list)):
-        return type(x)(map(_as_float, x))
-    return float(x)
 
 
 def _is_square(mat, size: int) -> bool:
@@ -472,8 +471,9 @@ def tanaka_prolong(alg: GradedNilpotent,
                 if not linalg._annihilates(_prolong_rows(0, levels), vectors):
                     raise StructureError("supplied g0 element is not a graded derivation")
             continue
-        # a snapshot of the levels below K: each pass builds the same rows
-        res = nullspace(linalg.Rows(partial(_prolong_rows, K, dict(levels))), ncols,
+        # a pass reads only the levels below K, and levels[K] is written
+        # after the solve returns, so each pass builds the same rows
+        res = nullspace(linalg.Rows(partial(_prolong_rows, K, levels)), ncols,
                         context=label)
         if not res.vectors:
             completed = True

@@ -121,6 +121,17 @@ def test_cayley_inverse_refuses_a_mis_shaped_ball_point():
         B.cayley_inverse(h1c(), [0.0] * 3)
 
 
+def test_cayley_reads_a_directly_built_point_through_the_intake():
+    # a mis-shaped SiegelPoint built without siegel_point once reached the
+    # map's matmul, which raised numpy's dimension mismatch
+    alg = h1c()
+    for X, Z in (([0.0] * 3, [0.0] * 2), ([0.0] * 4, [0.0] * 3)):
+        p = B.SiegelPoint(np.array(X), np.array(Z), 1.0)
+        with pytest.raises(StructureError, match=re.escape(
+                f"point dimensions ({len(X)},)/({len(Z)},) do not match (4,)/(2,)")):
+            B.cayley(alg, p)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_cayley_inverse_rejects_non_finite_points(bad):
     alg = h1c()
@@ -561,6 +572,42 @@ def test_cross_checks_at_zero_tolerance_are_refused():
         B.puncture_point(h1c(), tol=0.0)
     with pytest.raises(CrossValidationError, match="translation invariance"):
         B.translation_invariance_check(h1c(), np.ones(4), np.ones(2), tol=0.0)
+
+
+def test_orthonormalization_refuses_rows_that_are_not_orthonormal(monkeypatch):
+    # rows scaled by 2 have Gram matrix 4 I, 3 off the identity
+    svd = np.linalg.svd
+
+    def scaled(*args, **kwargs):
+        u, s, vh = svd(*args, **kwargs)
+        return u, s, 2.0 * vh
+
+    monkeypatch.setattr(np.linalg, "svd", scaled)
+    with pytest.raises(CrossValidationError) as exc:
+        B.grassmann_distance(np.eye(2), np.eye(2))
+    assert (exc.value.label, exc.value.discrepancy, exc.value.tolerance) == (
+        "orthonormalization", 3.0, B.ORTHONORMAL_TOL)
+
+
+def test_tangency_checks_refuse_below_what_holds(monkeypatch):
+    # each check names its first row's residual; a tolerance below 0 fails it
+    alg = h1c()
+    X, Z = np.array([1.0, 0.5, -0.25, 2.0]), np.array([0.3, -1.0])
+    first = B.boundary_distribution(alg, X, Z).basis[0]
+    membership = abs(first[-1] - 0.5 * float(X @ first[:4]))
+    monkeypatch.setattr(B, "IDENTITY_TOL", -1.0)
+    with pytest.raises(CrossValidationError) as exc:
+        B.boundary_distribution(alg, X, Z)
+    assert (exc.value.label, exc.value.discrepancy, exc.value.tolerance) == (
+        "boundary tangency", membership, -float(X @ X))
+
+    plane = B.sphere_distribution(alg, X, Z)
+    tangency = abs(float(plane.basis[0] @ plane.base))
+    monkeypatch.setattr(B, "ROUND_TRIP_TOL", -1.0)
+    with pytest.raises(CrossValidationError) as exc:
+        B.sphere_distribution(alg, X, Z)
+    assert (exc.value.label, exc.value.discrepancy, exc.value.tolerance) == (
+        "sphere tangency", tangency, -1.0)
 
 
 def test_translation_check_runs_one_finite_difference(monkeypatch):
@@ -1366,6 +1413,19 @@ def test_limiting_planes_refuse_an_overflowing_witness_without_a_warning():
             warnings.simplefilter("error")
             with pytest.raises(StructureError, match="must be finite, and X and Z nonzero"):
                 B.limiting_plane_experiment(alg, huge)
+
+
+def test_limiting_planes_read_the_witness_through_the_intake():
+    # X and Z are read by _point, and W is checked against dim z as Z is; a
+    # mis-shaped one once reached a matmul, which raised numpy's mismatch
+    alg = h1c()
+    good = B.find_j2_violation(alg, seed=3).witness
+    for field, shapes in (("X", "(3,)/(2,)"), ("Z", "(4,)/(3,)"), ("W", "(4,)/(3,)")):
+        bad = B.J2Witness(**{"X": good.X, "Z": good.Z, "W": good.W, field: np.ones(3)},
+                          residual=0.0, perp=np.zeros(4), bracket_norm=0.0)
+        with pytest.raises(StructureError, match=re.escape(
+                f"point dimensions {shapes} do not match (4,)/(2,)")):
+            B.limiting_plane_experiment(alg, bad)
 
 
 def test_limiting_planes_refuse_w_parallel_to_z():

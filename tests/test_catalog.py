@@ -9,6 +9,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -423,6 +424,33 @@ def test_tower_rejects_non_S():
         tower(D("sp", (1, 1)))
     with pytest.raises(StructureError):
         tower(D("so", (1, 9)))
+
+
+def test_row_for_refuses_a_family_with_no_row():
+    with pytest.raises(StructureError, match=re.escape("no catalog row for family 'nope'")):
+        catalog._row_for("nope")
+
+
+def test_tower_refuses_a_broken_row(monkeypatch):
+    real = catalog._row_for
+    # a row whose dimension identity fails at the first step
+    monkeypatch.setattr(catalog, "_row_for",
+                        lambda family: dataclasses.replace(real(family), dim_a=3))
+    with pytest.raises(StructureError, match=re.escape("tower step sl(5,R) fails verification")):
+        tower(D("sl_R", (5,)))
+    # sl(5,R) with m = sl(3,R) twice, the identity kept by an m_abelian of -8:
+    # two factors in S, which the tower does not follow
+    monkeypatch.setattr(catalog, "_row_for", lambda family: dataclasses.replace(
+        real(family), m_factors=real(family).m_factors * 2, m_abelian=-8))
+    with pytest.raises(StructureError, match=re.escape("tower branching not supported")):
+        tower(D("sl_R", (5,)))
+
+
+def test_annotations_refuse_a_negative_m_o():
+    # dim z = 4 puts so(4), of dimension 6, inside m; m of dimension 5 cannot hold it
+    inst = dataclasses.replace(instantiate(row_by_name("su*(2n)"), (4,)), dim_m=5)
+    with pytest.raises(StructureError, match=re.escape(f"negative m_o for {inst.name}")):
+        langlands_annotations(inst)
 
 
 def test_annotations():

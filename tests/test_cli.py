@@ -850,6 +850,27 @@ def test_lazy_exports_are_in_their_module_all():
         assert [n for n in names.split() if n not in declared] == [], module
 
 
+def test_dir_lists_every_export_before_it_is_loaded():
+    assert dir(htype) == sorted(set(vars(htype)) | set(htype.__all__))
+
+
+def test_check_j2_tolerance_is_the_boundary_constant(h1c, tmp_path, monkeypatch):
+    # cmd_check writes the J^2 tolerance as a literal, since only boundary may
+    # load numpy; the tolerance it passes and the one its manifest lists must
+    # both be boundary.J2_TOL
+    from htype import boundary
+
+    tols = []
+    j2_test = boundary.j2_test
+    monkeypatch.setattr(boundary, "j2_test",
+                        lambda *args, **kw: tols.append(kw["tol"]) or j2_test(*args, **kw))
+    out = tmp_path / "check.json"
+    assert main(["check", "--in", h1c, "--tests", "j2", "--seed", "0", "--samples", "5",
+                 "--expect", "fail", "--out", str(out)]) == 0
+    assert tols == [boundary.J2_TOL]
+    assert read_json(out)["manifest"]["tolerances"] == {"j2_residual": boundary.J2_TOL}
+
+
 def test_budget_refusal_log_stays_off_stderr(h1c):
     src = str(Path(htype.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

@@ -164,6 +164,16 @@ def test_check_budget_passes_under_limit():
         check_budget(6, 10, 50)
 
 
+def test_check_budget_reads_none_as_the_default_budget(monkeypatch):
+    # None once meant no limit at all; it is the default, as in resolve_budget
+    monkeypatch.delenv("DIVH_BUDGET", raising=False)
+    with pytest.raises(BudgetExceeded) as exc:
+        check_budget(1000, 1000, None)
+    assert (exc.value.requested, exc.value.budget) == (10**6, linalg.DEFAULT_BUDGET)
+    monkeypatch.setenv("DIVH_BUDGET", str(10**6))
+    check_budget(1000, 1000, None)
+
+
 def test_budget_refusal_is_logged(caplog):
     caplog.set_level(logging.INFO, logger="htype.linalg")
     check_budget(5, 10, 50, "fits")

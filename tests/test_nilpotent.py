@@ -601,6 +601,17 @@ def test_nonsingular_type_h_shortcut():
     assert res.verdict is True and "type H" in res.certificate
 
 
+def test_nonsingular_reads_vacuity_off_the_type_h_certificate():
+    # h0(C) has dim v = 0: vacuous and degenerate, as is_type_h certifies it;
+    # it was once certified non-degenerate through the type-H shortcut
+    for alg in (build_hn(DA.C, 0), build_hprime(DA.R, 2, 1)):
+        cert, res = is_type_h(alg), is_nonsingular(alg)
+        assert cert.holds and cert.degenerate
+        assert (res.verdict, res.degenerate, res.certificate) == (True, True, cert.certificate)
+    assert is_nonsingular(build_hprime(DA.R, 2, 1)).certificate == (
+        "vacuous: dim z = 0, no J-maps exist")
+
+
 def test_nonsingular_center_dim_one():
     skew = make_custom("scaled", 4, 1, [(0, 1, 0, 1), (2, 3, 0, 2)])
     res = is_nonsingular(skew)

@@ -397,7 +397,7 @@ def test_degree0_budget_boundary():
 
 
 def test_supplied_g0_is_charged_before_it_is_checked(monkeypatch):
-    # h1(O): degree 0 is 480 rows x 320 columns with or without a supplied
+    # h1(O): degree 0 is 960 rows x 320 columns with or without a supplied
     # g0, and is refused before its rank or derivation check assembles or
     # solves anything; an empty or malformed g0 is refused before the budget
     alg = build_hn(DA.O, 1)

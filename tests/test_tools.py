@@ -1,6 +1,8 @@
-"""The code-line counter and the command measurer in tools/."""
+"""The code-line counter, the command measurer and the line tracer in tools/."""
 
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import htype
@@ -55,3 +57,63 @@ def test_command_rss_measures_one_fresh_process(monkeypatch, capsys):
     assert lines[1].split(None, 1)[1] == "1, exit codes [0]"
     wall, cpu, rss = (float(line.split()[1]) for line in lines[2:])
     assert wall > 0 and cpu > 0 and rss > 0
+
+
+LINE_HITS_MODULE = '''"""A throwaway module."""
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import collections
+
+
+def pick(flag):
+    """A docstring."""
+    global LAST
+    if flag:
+        return (1 +
+                1)
+    return 3
+
+
+@staticmethod
+def never():
+    return 4
+'''
+
+LINE_HITS_TEST = '''from line_hits_pkg.mod import pick
+
+
+def test_pick():
+    assert pick(True) == 2
+'''
+
+
+def test_line_hits_lists_the_statements_no_test_ran(tmp_path, monkeypatch, capsys):
+    # the module's docstrings, global declaration and TYPE_CHECKING import are
+    # left out; the rest run at import or in test_pick, but for two lines
+    package = tmp_path / "line_hits_pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(LINE_HITS_MODULE)
+    (tmp_path / "test_pick.py").write_text(LINE_HITS_TEST)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    for name in ("line_hits_pkg", "line_hits_pkg.mod", "test_pick"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    tool, trace = _tool("line_hits"), sys.gettrace()
+    assert sorted(tool.statements(LINE_HITS_MODULE)) == [2, 4, 8, 11, 12, 14, 17, 19]
+    assert tool.main(["--package", "line_hits_pkg", "-q", "-p", "no:cacheprovider",
+                      "test_pick.py"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == [os.path.join("line_hits_pkg", "mod.py") + ":14: return 3",
+                        os.path.join("line_hits_pkg", "mod.py") + ":19: return 4",
+                        "2 of 8 statements not run; pytest exit status 0"]
+    assert sys.gettrace() is trace
+    # a failing run passes pytest's status on
+    (tmp_path / "test_pick.py").write_text(LINE_HITS_TEST.replace("== 2", "== 3"))
+    for name in ("line_hits_pkg", "line_hits_pkg.mod", "test_pick"):
+        sys.modules.pop(name, None)
+    assert tool.main(["--package", "line_hits_pkg", "-q", "-p", "no:cacheprovider",
+                      "test_pick.py"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "2 of 8 statements not run; pytest exit status 1")
